@@ -12,4 +12,4 @@ __all__ = [
     "cartan_matrix",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

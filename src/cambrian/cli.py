@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from .errors import InputError, InternalError
-from .lattice import maximal_chains, poset_from_hasse, verify_lattice, verify_quiver_map
+from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
 from .laurent import LaurentPolynomial, denominator_vector, poly_hash, poly_str
 from .mutation import build_bc, check_duality, frame_is_unimodular, frame_mutate, identity_frame
 from .quivers import (
@@ -29,8 +30,13 @@ from .quivers import (
 from .rootsys import CartanSpec, CoxeterElement, Root, cartan_matrix
 from .sortables import build_cambrian_hasse, cambrian_vertex_map
 
-BUILD_COMMANDS = ("exchange", "cclusters", "cambrian", "tautilt")
-VERIFY_COMMANDS = ("verify-iso", "verify-lattice", "verify-signs", "verify-flip", "verify-all")
+# Build command -> the Build attribute holding its quiver.
+BUILD_COMMANDS = {
+    "exchange": "plus",
+    "cclusters": "ccluster",
+    "cambrian": "cambrian",
+    "tautilt": "tautilt",
+}
 
 
 def _root_str(r: Root) -> str:
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exchange quivers, c-clusters, Cambrian lattices and their verifications.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in BUILD_COMMANDS + VERIFY_COMMANDS:
+    for name in [*BUILD_COMMANDS, *VERIFY_COMMANDS]:
         p = sub.add_parser(name)
         p.add_argument("--type", required=True, dest="dynkin_type", help="Dynkin type letter A-G")
         p.add_argument("--rank", required=True, type=int)
@@ -150,16 +156,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _all_quivers(spec: CartanSpec, c: CoxeterElement, cap: int | None):
-    exq = build_exchange_quiver(spec, c, "plus", vertex_cap=cap)
-    ccq = build_c_cluster_quiver(spec, c)
-    ttq = build_tau_tilting_quiver(spec, c, exchange=exq)
-    caq = build_cambrian_hasse(spec, c)
-    return exq, ccq, ttq, caq
+class Build:
+    """The quivers of one (spec, c), each built on first use and then shared
+    by every check of a command.  cap bounds each exchange BFS."""
+
+    def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
+        self.spec, self.c, self.cap = spec, c, cap
+
+    @cached_property
+    def plus(self) -> ClusterQuiver:
+        return build_exchange_quiver(self.spec, self.c, "plus", vertex_cap=self.cap)
+
+    @cached_property
+    def minus(self) -> ClusterQuiver:
+        return build_exchange_quiver(self.spec, self.c, "minus", vertex_cap=self.cap)
+
+    @cached_property
+    def ccluster(self) -> ClusterQuiver:
+        return build_c_cluster_quiver(self.spec, self.c)
+
+    @cached_property
+    def tautilt(self) -> ClusterQuiver:
+        return build_tau_tilting_quiver(self.spec, self.c, self.plus)
+
+    @cached_property
+    def cambrian(self) -> ClusterQuiver:
+        return build_cambrian_hasse(self.spec, self.c)
 
 
-def run_iso_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None) -> list[CheckReport]:
-    exq, ccq, ttq, caq = _all_quivers(spec, c, cap)
+def run_iso_checks(build: Build) -> list[CheckReport]:
+    spec, c = build.spec, build.c
+    exq, ccq, ttq, caq = build.plus, build.ccluster, build.tautilt, build.cambrian
     theta_map = theta_vertex_map(spec, c, exq, ccq)
     phi_map = phi_vertex_map(spec, ttq, ccq)
     psi_map = psi_vertex_map(spec, c, ttq, exq, ccq)
@@ -175,21 +202,21 @@ def run_iso_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None) 
     return reports
 
 
-def run_lattice_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None) -> list[CheckReport]:
+def run_lattice_checks(build: Build) -> list[CheckReport]:
     reports = []
-    for q in _all_quivers(spec, c, cap):
+    for q in (build.plus, build.ccluster, build.tautilt, build.cambrian):
         rep = verify_lattice(poset_from_hasse(q))
         reports.append(CheckReport(f"lattice {q.kind}", rep.ok, rep.details, rep.counterexample, rep.stats))
     return reports
 
 
-def run_sign_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None) -> list[CheckReport]:
+def run_sign_checks(build: Build) -> list[CheckReport]:
     """Replay every witness path and re-assert sign coherence, duality and
     unimodularity at each cluster of both exchange quivers."""
+    spec = build.spec
     reports = []
-    for sign in ("plus", "minus"):
-        q = build_exchange_quiver(spec, c, sign, vertex_cap=cap)
-        b = build_bc(spec, c)
+    for sign, q in (("plus", build.plus), ("minus", build.minus)):
+        b = build_bc(spec, build.c)
         if sign == "minus":
             b = b.negated()
         checked = 0
@@ -217,17 +244,37 @@ def run_sign_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None)
     return reports
 
 
-def run_flip_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None) -> list[CheckReport]:
-    return [check_arrow_flip(spec, c)]
+def run_flip_checks(build: Build) -> list[CheckReport]:
+    return [check_arrow_flip(build.plus, build.minus)]
 
 
-def run_all_checks(spec: CartanSpec, c: CoxeterElement, cap: int | None = None) -> list[CheckReport]:
-    reports = run_iso_checks(spec, c, cap)
-    reports += run_lattice_checks(spec, c, cap)
-    reports += run_sign_checks(spec, c, cap)
-    reports.append(check_arrow_flip(spec, c))
-    reports.append(check_tau_c_matrix(spec, c))
+def run_all_checks(build: Build) -> list[CheckReport]:
+    reports = run_iso_checks(build)
+    reports += run_lattice_checks(build)
+    reports += run_sign_checks(build)
+    reports += run_flip_checks(build)
+    reports.append(check_tau_c_matrix(build.spec, build.c, build.plus, build.minus))
     return reports
+
+
+VERIFY_COMMANDS = {
+    "verify-iso": run_iso_checks,
+    "verify-lattice": run_lattice_checks,
+    "verify-signs": run_sign_checks,
+    "verify-flip": run_flip_checks,
+    "verify-all": run_all_checks,
+}
+
+
+def _report_text(reports: list[CheckReport]) -> str:
+    lines = []
+    for rep in reports:
+        status = "PASS" if rep.ok else "FAIL"
+        line = f"{status} {rep.name}: {'; '.join(rep.details)}"
+        if rep.counterexample:
+            line += f" [counterexample: {rep.counterexample}]"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -239,53 +286,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = cartan_matrix(args.dynkin_type, args.rank)
         c = _parse_coxeter(args.coxeter, args.rank)
-        cap = args.vertex_cap
-
+        build = Build(spec, c, args.vertex_cap)
+        code = 0
         if args.command in BUILD_COMMANDS:
-            if args.command == "exchange":
-                q = build_exchange_quiver(spec, c, "plus", vertex_cap=cap)
-            elif args.command == "cclusters":
-                q = build_c_cluster_quiver(spec, c)
-            elif args.command == "tautilt":
-                q = build_tau_tilting_quiver(spec, c)
-            else:
-                q = build_cambrian_hasse(spec, c)
+            q = getattr(build, BUILD_COMMANDS[args.command])
             if args.format == "json":
                 text = quiver_to_json(q, spec.rank, args.verbose)
             else:
                 text = quiver_to_dot(q, spec.rank)
-            if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-
-        runner = {
-            "verify-iso": run_iso_checks,
-            "verify-lattice": run_lattice_checks,
-            "verify-signs": run_sign_checks,
-            "verify-flip": run_flip_checks,
-            "verify-all": run_all_checks,
-        }[args.command]
-        reports = runner(spec, c, cap)
-        lines = []
-        ok = True
-        for rep in reports:
-            status = "PASS" if rep.ok else "FAIL"
-            detail = "; ".join(rep.details)
-            line = f"{status} {rep.name}: {detail}"
-            if rep.counterexample:
-                line += f" [counterexample: {rep.counterexample}]"
-            lines.append(line)
-            ok = ok and rep.ok
-        text = "\n".join(lines) + "\n"
+        else:
+            reports = VERIFY_COMMANDS[args.command](build)
+            text = _report_text(reports)
+            code = 0 if all(rep.ok for rep in reports) else 1
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return 0 if ok else 1
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

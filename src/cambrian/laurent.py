@@ -194,14 +194,12 @@ def _y_monomial(n: int, exps: Exponent) -> LaurentPolynomial:
     return LaurentPolynomial.monomial(2 * n, (0,) * n + tuple(exps))
 
 
-def mutate_seed(s: LabeledSeed, k: int, coefficient_mode: str | None = None) -> LabeledSeed:
-    """Seed mutation in direction k (1-based), advancing the frame alongside."""
+def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
+    """Seed mutation in direction k (1-based), advancing the frame alongside;
+    the seed's own coefficient mode decides the exchange relation."""
     n = s.rank
     if not 1 <= k <= n:
         raise InputError(f"mutation direction {k} out of range 1..{n}")
-    mode = coefficient_mode if coefficient_mode is not None else s.mode
-    if mode != s.mode:
-        raise InputError("coefficient mode does not match the seed")
     k0 = k - 1
     b = s.frame.b.entries
     nv = s.vars[0].nvars
@@ -216,7 +214,7 @@ def mutate_seed(s: LabeledSeed, k: int, coefficient_mode: str | None = None) -> 
 
     new_frame = frame_mutate(s.frame, k)
 
-    if mode == "trivial":
+    if s.mode == "trivial":
         num = pos + neg
         new_xk = num.exact_div(s.vars[k0])
         new_coeffs = None

@@ -48,7 +48,8 @@ def _det(m: Matrix) -> int:
             factor = a[r][col] * inv
             if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalError(f"determinant of an integer matrix is not an integer: {det}")
     return int(det)
 
 
@@ -208,18 +209,3 @@ def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
 def frame_is_unimodular(frame: MatrixFrame) -> bool:
     return abs(_det(frame.c_matrix)) == 1
 
-
-def tau_inverse_frame(
-    spec: CartanSpec, c: CoxeterElement, frame: MatrixFrame
-) -> MatrixFrame:
-    """Frame of the tau_c^-1 image: prepend the sink mutations c_n, ..., c_1.
-
-    Starts from the identity frame of B^c, mutates in directions c_n down to
-    c_1, then replays frame.path.
-    """
-    out = identity_frame(build_bc(spec, c))
-    for k in reversed(c.order):
-        out = frame_mutate(out, k)
-    for k in frame.path:
-        out = frame_mutate(out, k)
-    return out

@@ -8,26 +8,29 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .laurent import LabeledSeed, LaurentPolynomial, initial_seed, mutate_seed, theta
-from .mutation import MatrixFrame, build_bc, column_sign, frame_is_unimodular, identity_frame, frame_mutate
+from .mutation import build_bc, column_sign, frame_is_unimodular
 from .rootsys import CartanSpec, CoxeterElement, Root, enumerate_c_clusters, r_degree, tau
 
 DEFAULT_VERTEX_CAP = 10**6
 
 
 def vertex_cap_from_env(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    raw = os.environ.get("CAMBRIAN_VERTEX_CAP")
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"CAMBRIAN_VERTEX_CAP must be an integer, got {raw!r}") from exc
+    cap = override
+    if cap is None:
+        raw = os.environ.get("CAMBRIAN_VERTEX_CAP")
+        if raw is None:
+            return DEFAULT_VERTEX_CAP
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise InputError(f"CAMBRIAN_VERTEX_CAP must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise InputError(f"vertex cap must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -225,12 +228,10 @@ def exchange_vertex_root_cluster(
 def build_tau_tilting_quiver(
     spec: CartanSpec,
     c: CoxeterElement,
-    exchange: ClusterQuiver | None = None,
+    exchange: ClusterQuiver,
 ) -> ClusterQuiver:
-    """Shadow tau-tilting quiver: exchange-quiver vertices through theta,
-    arrows reversed."""
-    if exchange is None:
-        exchange = build_exchange_quiver(spec, c)
+    """Shadow tau-tilting quiver: the vertices of the exchange quiver of B^c
+    through theta, arrows reversed."""
     shadows = []
     for payload in exchange.vertices:
         cluster = exchange_vertex_root_cluster(spec, c, payload)
@@ -316,15 +317,13 @@ def _initial_variable_set(q: ClusterQuiver) -> frozenset:
     return frozenset(LaurentPolynomial.generator(n, i) for i in range(n))
 
 
-def check_arrow_flip(spec: CartanSpec, c: CoxeterElement) -> CheckReport:
-    """Compare arrow directions of the exchange quivers of B^c and -B^c.
+def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
+    """Compare arrow directions of the exchange quivers qp of B^c and qm of -B^c.
 
     Edges whose exchanged variables are both non-initial must flip; edges
     touching an initial variable must keep their direction.  Also checks that
     every mutation removing an initial variable is green in both quivers.
     """
-    qp = build_exchange_quiver(spec, c, "plus")
-    qm = build_exchange_quiver(spec, c, "minus")
     initials = _initial_variable_set(qp)
     kp = {qp.vertices[i].key(): i for i in range(qp.n_vertices)}
     km = {qm.vertices[i].key(): i for i in range(qm.n_vertices)}
@@ -377,36 +376,34 @@ def check_arrow_flip(spec: CartanSpec, c: CoxeterElement) -> CheckReport:
     )
 
 
-def _replay_seed(spec: CartanSpec, c: CoxeterElement, sign: str, path: tuple[int, ...]) -> LabeledSeed:
-    b = build_bc(spec, c)
-    if sign == "minus":
-        b = b.negated()
-    seed = initial_seed(b, "trivial")
+def _replay(seed: LabeledSeed, path: tuple[int, ...]) -> LabeledSeed:
     for k in path:
         seed = mutate_seed(seed, k)
     return seed
 
 
-def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement) -> CheckReport:
+def check_tau_c_matrix(
+    spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, qm: ClusterQuiver
+) -> CheckReport:
     """Exhaustive check of the C-matrix identity under tau_c^-1.
 
-    For every cluster [x] of A(B^c): the C-matrix set of the tau_c^-1 image
-    equals the negated C-matrix set of [x] in A(-B^c); and theta of the image
-    variables equals tau_c^-1 of theta of the originals, position by position.
+    qp and qm are the exchange quivers of B^c and -B^c.  For every cluster
+    [x] of A(B^c): the C-matrix set of the tau_c^-1 image equals the negated
+    C-matrix set of [x] in A(-B^c); and theta of the image variables equals
+    tau_c^-1 of theta of the originals, position by position.  The image is
+    [x] with the sink mutations c_n, ..., c_1 prepended to its witness path.
     """
-    qp = build_exchange_quiver(spec, c, "plus")
-    qm = build_exchange_quiver(spec, c, "minus")
     minus_csets = {
         qm.vertices[i].key(): frozenset(qm.vertices[i].c_vectors)
         for i in range(qm.n_vertices)
     }
+    seed0 = initial_seed(build_bc(spec, c), "trivial")
+    sink0 = _replay(seed0, tuple(reversed(c.order)))
     checked = 0
     for payload in qp.vertices:
-        path = payload.witness_path
-        frame = identity_frame(build_bc(spec, c))
-        for k in tuple(reversed(c.order)) + path:
-            frame = frame_mutate(frame, k)
-        tau_cset = frozenset(frame.c_column(j + 1) for j in range(spec.rank))
+        seed_mu = _replay(seed0, payload.witness_path)
+        seed_tau = _replay(sink0, payload.witness_path)
+        tau_cset = frozenset(seed_tau.frame.c_column(j + 1) for j in range(spec.rank))
         want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.key()])
         if tau_cset != want:
             return CheckReport(
@@ -415,8 +412,6 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement) -> CheckReport:
                 ("C-matrix set of the tau-image differs from -C in A(-B^c)",),
                 counterexample=str(sorted(tau_cset)),
             )
-        seed_mu = _replay_seed(spec, c, "plus", path)
-        seed_tau = _replay_seed(spec, c, "plus", tuple(reversed(c.order)) + path)
         for j in range(spec.rank):
             lhs = theta(spec, c, seed_tau.vars[j])
             rhs = tau(spec, c, theta(spec, c, seed_mu.vars[j]), "inverse")

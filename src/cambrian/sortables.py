@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError
+from .errors import InternalError
+from .mutation import _identity, _matmul
 from .quivers import ClusterQuiver, QuiverEdge
 from .rootsys import (
     CartanSpec,
@@ -23,17 +24,6 @@ from .rootsys import (
 )
 
 _GROUP_CAP = 1_000_000
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _apply(m: Matrix, v: Root) -> Root:

@@ -188,11 +188,11 @@ def test_criterion_6_flip_and_tau(capsys):
     for t, n, order in TEST_MATRIX:
         spec = spec_of(t, n)
         c = CoxeterElement(order)
-        flip = check_arrow_flip(spec, c)
+        flip = check_arrow_flip(exchange_of(t, n, order, "plus"), exchange_of(t, n, order, "minus"))
         ok = ok and flip.ok
         if (t, n, order) == ("A", 2, (2, 1)):
             ok = ok and flip.stat("flipped_edges") == 1
-        ok = ok and check_tau_c_matrix(spec, c).ok
+        ok = ok and check_tau_c_matrix(spec, c, exchange_of(t, n, order, "plus"), exchange_of(t, n, order, "minus")).ok
     report(capsys, 6, "arrow-flip and tau C-matrix checks across the test matrix", ok)
 
 

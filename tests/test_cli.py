@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import cambrian.cli
 from cambrian.cli import main
 
 
@@ -77,6 +78,24 @@ class TestVerifyCommands:
         assert code == 0
         assert "8 vertices" in out
 
+    def test_verify_all_builds_each_quiver_once(self, capsys, monkeypatch):
+        calls = {}
+        for name in ("build_exchange_quiver", "build_c_cluster_quiver", "build_cambrian_hasse"):
+            original = getattr(cambrian.cli, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cambrian.cli, name, counted)
+        code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 0
+        assert calls == {
+            "build_exchange_quiver": 2,
+            "build_c_cluster_quiver": 1,
+            "build_cambrian_hasse": 1,
+        }
+
     def test_verify_iso_and_lattice(self, capsys):
         for cmd in ("verify-iso", "verify-lattice", "verify-signs"):
             code, out, _ = run(capsys, cmd, "--type", "B", "--rank", "2", "--coxeter", "1,2")
@@ -109,6 +128,28 @@ class TestErrors:
             "--vertex-cap", "5",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        ["exchange", "tautilt", "verify-iso", "verify-lattice", "verify-signs", "verify-flip", "verify-all"],
+    )
+    def test_cap_flag_every_exchange_command(self, capsys, command):
+        # A3 has 14 clusters, so a cap of 5 must stop every exchange BFS.
+        code, out, err = run(
+            capsys, command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3", "--vertex-cap", "5"
+        )
+        assert code == 2 and out == ""
+        assert "vertex cap exceeded" in err
+
+    def test_cap_below_one(self, capsys, monkeypatch):
+        args = ("exchange", "--type", "A", "--rank", "2", "--coxeter", "1,2")
+        code, _, err = run(capsys, *args, "--vertex-cap", "0")
+        assert code == 2
+        assert "vertex cap must be at least 1" in err
+        monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "0")
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert "vertex cap must be at least 1" in err
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])

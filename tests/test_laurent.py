@@ -103,11 +103,6 @@ class TestTrivialMutation:
         x2 = LaurentPolynomial.generator(2, 1)
         assert seed.vars == (x2, x1)
 
-    def test_mode_mismatch(self):
-        seed = initial_seed(build_bc(A2, C21))
-        with pytest.raises(InputError):
-            mutate_seed(seed, 1, coefficient_mode="principal")
-
     def test_direction_range(self):
         seed = initial_seed(build_bc(A2, C21))
         with pytest.raises(InputError):

@@ -11,7 +11,6 @@ from cambrian.mutation import (
     frame_mutate,
     identity_frame,
     mutate_matrix,
-    tau_inverse_frame,
 )
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
@@ -117,21 +116,30 @@ class TestFrames:
 
 
 class TestTauInverseFrame:
+    """The tau_c^-1 image of the initial cluster: the sink sweep c_n, ..., c_1."""
+
+    @staticmethod
+    def sink_sweep(spec, c):
+        f = identity_frame(build_bc(spec, c))
+        for k in reversed(c.order):
+            f = frame_mutate(f, k)
+        return f
+
     def test_a2_initial(self):
-        f = tau_inverse_frame(A2, C21, identity_frame(build_bc(A2, C21)))
+        f = self.sink_sweep(A2, C21)
         assert f.c_matrix == ((-1, 0), (0, -1))
         # B is restored by the full sink-mutation sweep.
         assert f.b.entries == build_bc(A2, C21).entries
 
     def test_a1(self):
         a1 = cartan_matrix("A", 1)
-        c = CoxeterElement((1,))
-        f = tau_inverse_frame(a1, c, identity_frame(build_bc(a1, c)))
+        f = self.sink_sweep(a1, CoxeterElement((1,)))
         assert f.c_matrix == ((-1,),)
 
     def test_b_restored(self):
         for t, n in [("B", 3), ("G", 2), ("A", 3)]:
             spec = spec_of(t, n)
             c = CoxeterElement(tuple(range(1, n + 1)))
-            f = tau_inverse_frame(spec, c, identity_frame(build_bc(spec, c)))
+            f = self.sink_sweep(spec, c)
+            assert f.c_matrix == tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
             assert f.b.entries == build_bc(spec, c).entries

@@ -198,19 +198,17 @@ class TestTauTiltingQuiver:
 
 class TestArrowFlip:
     def test_a2_one_red_arrow(self):
-        rep = check_arrow_flip(A2, C21)
+        rep = check_arrow_flip(exchange_of("A", 2, (2, 1), "plus"), exchange_of("A", 2, (2, 1), "minus"))
         assert rep.ok
         assert rep.stat("flipped_edges") == 1
 
     def test_a1(self):
-        rep = check_arrow_flip(cartan_matrix("A", 1), CoxeterElement((1,)))
+        rep = check_arrow_flip(exchange_of("A", 1, (1,), "plus"), exchange_of("A", 1, (1,), "minus"))
         assert rep.ok and rep.stat("flipped_edges") == 0
 
     def test_a3_flip_count_is_positive_pairs(self):
-        spec = spec_of("A", 3)
         for order in itertools.permutations((1, 2, 3)):
-            c = CoxeterElement(order)
-            rep = check_arrow_flip(spec, c)
+            rep = check_arrow_flip(exchange_of("A", 3, order, "plus"), exchange_of("A", 3, order, "minus"))
             assert rep.ok
             q = tautilt_of("A", 3, order)
             both_pos = sum(1 for e in q.edges if e.both_positive)
@@ -223,7 +221,9 @@ class TestTauCMatrix:
         [("A", 1, (1,)), ("A", 2, (2, 1)), ("B", 2, (1, 2)), ("B", 2, (2, 1))],
     )
     def test_passes(self, t, n, order):
-        rep = check_tau_c_matrix(spec_of(t, n), CoxeterElement(order))
+        rep = check_tau_c_matrix(
+            spec_of(t, n), CoxeterElement(order), exchange_of(t, n, order, "plus"), exchange_of(t, n, order, "minus")
+        )
         assert rep.ok, rep.counterexample
 
 
