@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cached_property
 
 from .errors import InputError, InternalError
@@ -26,6 +27,7 @@ from .quivers import (
     phi_vertex_map,
     psi_vertex_map,
     theta_vertex_map,
+    vertex_cap_from_env,
 )
 from .rootsys import CartanSpec, CoxeterElement, Root, cartan_matrix
 from .sortables import build_cambrian_hasse, cambrian_vertex_map
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", required=True, dest="dynkin_type", help="Dynkin type letter A-G")
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--coxeter", required=True, help="permutation of 1..rank, comma-separated")
-        p.add_argument("--format", choices=("json", "dot"), default="json")
+        p.add_argument("--format", choices=("json", "dot"), default=None)
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--verbose", action="store_true")
         p.add_argument("--vertex-cap", type=int, default=None)
@@ -158,10 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 class Build:
     """The quivers of one (spec, c), each built on first use and then shared
-    by every check of a command.  cap bounds each exchange BFS."""
+    by every check of a command.  cap bounds each exchange BFS and is checked
+    here, so every command rejects a bad cap."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
-        self.spec, self.c, self.cap = spec, c, cap
+        self.spec, self.c, self.cap = spec, c, vertex_cap_from_env(cap)
 
     @cached_property
     def plus(self) -> ClusterQuiver:
@@ -277,6 +280,11 @@ def _report_text(reports: list[CheckReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_json(reports: list[CheckReport]) -> str:
+    checks = [{**asdict(rep), "stats": dict(rep.stats)} for rep in reports]
+    return json.dumps({"checks": checks}, indent=2, sort_keys=True) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -284,19 +292,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.command in VERIFY_COMMANDS and args.format == "dot":
+            raise InputError(f"{args.command} prints text or JSON, not --format dot")
         spec = cartan_matrix(args.dynkin_type, args.rank)
         c = _parse_coxeter(args.coxeter, args.rank)
         build = Build(spec, c, args.vertex_cap)
         code = 0
         if args.command in BUILD_COMMANDS:
             q = getattr(build, BUILD_COMMANDS[args.command])
-            if args.format == "json":
+            if args.format != "dot":
                 text = quiver_to_json(q, spec.rank, args.verbose)
             else:
                 text = quiver_to_dot(q, spec.rank)
         else:
             reports = VERIFY_COMMANDS[args.command](build)
-            text = _report_text(reports)
+            text = _report_json(reports) if args.format == "json" else _report_text(reports)
             code = 0 if all(rep.ok for rep in reports) else 1
         if args.output:
             with open(args.output, "w") as fh:

@@ -188,27 +188,22 @@ def build_exchange_quiver(
 def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     """Quiver on c-clusters; arrows run from the larger-R_c exchanged root."""
     clusters = enumerate_c_clusters(spec, c)
-    rdeg = {}
-    for cl in clusters:
-        for root in cl:
-            if root not in rdeg:
-                rdeg[root] = r_degree(spec, c, root)
+    rdeg = {root: r_degree(spec, c, root) for root in set().union(*clusters)}
+    # Adjacent clusters share a facet (n-1 roots); each facet lies in exactly two.
+    facets: dict[tuple[Root, ...], list[tuple[int, Root]]] = {}
+    for i, cluster in enumerate(clusters):
+        for k, root in enumerate(cluster):
+            facets.setdefault(cluster[:k] + cluster[k + 1 :], []).append((i, root))
     edges = []
-    for i in range(len(clusters)):
-        si = set(clusters[i])
-        for j in range(i + 1, len(clusters)):
-            sj = set(clusters[j])
-            diff = si - sj
-            if len(diff) != 1:
-                continue
-            (a,) = diff
-            (b,) = sj - si
-            if rdeg[a] == rdeg[b]:
-                raise InternalError(f"R_c tie between exchanged roots {a}, {b}")
-            if rdeg[a] > rdeg[b]:
-                edges.append(QuiverEdge(i, j, a, b))
-            else:
-                edges.append(QuiverEdge(j, i, b, a))
+    for facet, members in facets.items():
+        if len(members) != 2:
+            raise InternalError(f"facet {facet} lies in {len(members)} c-clusters, not 2")
+        (i, a), (j, b) = members
+        if rdeg[a] == rdeg[b]:
+            raise InternalError(f"R_c tie between exchanged roots {a}, {b}")
+        if rdeg[a] < rdeg[b]:
+            (i, a), (j, b) = (j, b), (i, a)
+        edges.append(QuiverEdge(i, j, a, b))
     edges.sort(key=lambda e: (e.src, e.dst))
     return ClusterQuiver("ccluster", clusters, tuple(edges))
 

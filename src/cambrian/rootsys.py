@@ -212,13 +212,20 @@ def almost_positive_roots(spec: CartanSpec) -> tuple[Root, ...]:
     return tuple(sorted(positive_roots(spec) + tuple(negs)))
 
 
+@lru_cache(maxsize=None)
+def _root_index(spec: CartanSpec) -> dict[Root, int]:
+    return {r: k for k, r in enumerate(almost_positive_roots(spec))}
+
+
 def is_almost_positive(spec: CartanSpec, root: Root) -> bool:
-    return root in set(almost_positive_roots(spec))
+    return root in _root_index(spec)
 
 
-def _check_apr(spec: CartanSpec, root: Root) -> None:
-    if not is_almost_positive(spec, root):
+def _check_apr(spec: CartanSpec, root: Root) -> int:
+    k = _root_index(spec).get(root)
+    if k is None:
         raise InputError(f"{root} is not an almost positive root")
+    return k
 
 
 def sigma(spec: CartanSpec, i: int, root: Root) -> Root:
@@ -242,35 +249,47 @@ def tau(spec: CartanSpec, c: CoxeterElement, root: Root, direction: str = "forwa
     return root
 
 
+@lru_cache(maxsize=None)
+def _tau_inverse_perm(spec: CartanSpec, c: CoxeterElement) -> tuple[int, ...]:
+    """tau_c^-1 as a permutation of the almost positive root indices."""
+    return tuple(_root_index(spec)[tau(spec, c, r, "inverse")] for r in almost_positive_roots(spec))
+
+
 def r_degree(spec: CartanSpec, c: CoxeterElement, root: Root) -> int:
     """Number of inverse tau_c steps needed to reach a negative simple root."""
-    _check_apr(spec, root)
-    cap = 4 * len(almost_positive_roots(spec))
-    for k in range(cap + 1):
-        if min(root) < 0:
-            return k
-        root = tau(spec, c, root, "inverse")
+    roots, perm = almost_positive_roots(spec), _tau_inverse_perm(spec, c)
+    k = _check_apr(spec, root)
+    for steps in range(len(roots) + 1):
+        if min(roots[k]) < 0:
+            return steps
+        k = perm[k]
     raise InternalError("tau_c orbit did not reach a negative simple root")
 
 
-def compatibility_degree(
-    spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root
-) -> int:
+@lru_cache(maxsize=None)
+def _compatibility_table(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
+    """table[a][b] = (alpha_a ||_c alpha_b) over root indices.  The degree is
+    tau_c-invariant, so walk alpha_a to a negative simple -alpha_i, apply the
+    same steps to every beta, and read off the alpha_i coefficient."""
+    roots, perm = almost_positive_roots(spec), _tau_inverse_perm(spec, c)
+    table = []
+    for a in range(len(roots)):
+        images = list(range(len(roots)))
+        for _ in range(r_degree(spec, c, roots[a])):
+            images = [perm[b] for b in images]
+        i0 = roots[images[a]].index(-1)
+        table.append(tuple(max(0, roots[b][i0]) for b in images))
+    return tuple(table)
+
+
+def compatibility_degree(spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root) -> int:
     """The c-compatibility degree (alpha ||_c beta)."""
-    _check_apr(spec, alpha)
-    _check_apr(spec, beta)
-    for _ in range(r_degree(spec, c, alpha)):
-        alpha = tau(spec, c, alpha, "inverse")
-        beta = tau(spec, c, beta, "inverse")
-    i0 = alpha.index(-1)
-    return max(0, beta[i0])
+    return _compatibility_table(spec, c)[_check_apr(spec, alpha)][_check_apr(spec, beta)]
 
 
 def is_c_compatible(spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root) -> bool:
-    return (
-        compatibility_degree(spec, c, alpha, beta) == 0
-        and compatibility_degree(spec, c, beta, alpha) == 0
-    )
+    table, a, b = _compatibility_table(spec, c), _check_apr(spec, alpha), _check_apr(spec, beta)
+    return table[a][b] == table[b][a] == 0
 
 
 @lru_cache(maxsize=None)

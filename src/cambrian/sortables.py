@@ -8,6 +8,7 @@ independent oracle for small ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InternalError
 from .mutation import _identity, _matmul
@@ -168,12 +169,29 @@ def is_decreasing_chain(blocks: tuple[tuple[int, ...], ...]) -> bool:
     return all(sets[i + 1] <= sets[i] for i in range(len(sets) - 1))
 
 
-def inversion_set(spec: CartanSpec, w: WeylElement) -> frozenset[Root]:
-    """{alpha in Phi^+ : w^-1(alpha) is a negative root}."""
-    # Root images are roots, so negativity is just "some coordinate < 0".
-    return frozenset(
-        a for a in positive_roots(spec) if min(w.inv_root_image(a)) < 0
-    )
+def _prefix_images(spec: CartanSpec, word: tuple[int, ...]) -> list[tuple[int, Root]]:
+    """(a_j, w_{<j}(alpha_{a_j})) for each letter a_j of a reduced word, in one pass
+    over the columns w(alpha_1), ..., w(alpha_n) of the prefix w: right
+    multiplication by s_a subtracts C_aj * w(alpha_a) from column j."""
+    n = spec.rank
+    cols = [_simple_root(n, j) for j in range(1, n + 1)]
+    out = []
+    for a in word:
+        col_a = cols[a - 1]
+        if min(col_a) < 0:
+            raise InternalError(f"sorting word {word} is not reduced")
+        out.append((a, col_a))
+        row = spec.cartan[a - 1]
+        for j in range(n):
+            if row[j]:
+                cols[j] = tuple(x - row[j] * y for x, y in zip(cols[j], col_a))
+    return out
+
+
+def inversion_set(spec: CartanSpec, word: tuple[int, ...]) -> frozenset[Root]:
+    """The inversion set {alpha in Phi^+ : w^-1(alpha) < 0} of the element with
+    reduced word `word`: the set of its prefix images."""
+    return frozenset(image for _, image in _prefix_images(spec, word))
 
 
 def cl(spec: CartanSpec, c: CoxeterElement, s: SortableElement) -> tuple[Root, ...]:
@@ -183,24 +201,12 @@ def cl(spec: CartanSpec, c: CoxeterElement, s: SortableElement) -> tuple[Root, .
     alpha_i; unused letters contribute -alpha_i.
     """
     n = spec.rank
-    out = []
-    for i in range(1, n + 1):
-        positions = [j for j, a in enumerate(s.word) if a == i]
-        if not positions:
-            out.append(negative_simple(spec, i))
-            continue
-        j = positions[-1]
-        w = WeylElement.identity(n)
-        for letter in s.word[:j]:
-            w = w.times_reflection(spec, letter)
-        out.append(w.root_image(_simple_root(n, i)))
-    cluster = tuple(sorted(out))
+    last = dict(_prefix_images(spec, s.word))
+    cluster = tuple(sorted(last.get(i, negative_simple(spec, i)) for i in range(1, n + 1)))
     if len(set(cluster)) != n:
         raise InternalError(f"cl image has repeated roots: {cluster}")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not is_c_compatible(spec, c, cluster[a], cluster[b]):
-                raise InternalError(f"cl image is not a c-cluster: {cluster}")
+    if not all(is_c_compatible(spec, c, a, b) for a, b in combinations(cluster, 2)):
+        raise InternalError(f"cl image is not a c-cluster: {cluster}")
     return cluster
 
 
@@ -211,7 +217,7 @@ def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     cl-roots exchanged across the cover.
     """
     sortables = enumerate_sortables(spec, c)
-    inv = [inversion_set(spec, s.element) for s in sortables]
+    inv = [inversion_set(spec, s.word) for s in sortables]
     m = len(sortables)
     # Strict-order bitmasks: down[j] = elements below j, up[i] = elements above i.
     down = [0] * m

@@ -7,7 +7,7 @@ from cambrian.quivers import (
     build_exchange_quiver,
     build_tau_tilting_quiver,
 )
-from cambrian.rootsys import CoxeterElement, cartan_matrix
+from cambrian.rootsys import CoxeterElement, cartan_matrix, positive_roots
 from cambrian.sortables import build_cambrian_hasse, enumerate_sortables
 
 # Desk-scale test matrix: (type, rank, coxeter orders to cover).
@@ -70,3 +70,9 @@ def cambrian_of(dynkin_type, rank, order):
 @lru_cache(maxsize=None)
 def sortables_of(dynkin_type, rank, order):
     return enumerate_sortables(spec_of(dynkin_type, rank), CoxeterElement(order))
+
+
+def matrix_inversion_set(spec, w):
+    """{alpha in Phi^+ : w^-1(alpha) < 0} from the matrix of w^-1: the oracle
+    for the prefix-image inversion sets."""
+    return frozenset(a for a in positive_roots(spec) if min(w.inv_root_image(a)) < 0)

@@ -96,6 +96,45 @@ class TestVerifyCommands:
             "build_cambrian_hasse": 1,
         }
 
+    def test_verify_json(self, capsys):
+        args = ("verify-all", "--type", "A", "--rank", "2", "--coxeter", "2,1")
+        code, text, _ = run(capsys, *args)
+        code_json, out, _ = run(capsys, *args, "--format", "json")
+        assert code == code_json == 0
+        checks = json.loads(out)["checks"]
+        assert out == json.dumps({"checks": checks}, indent=2, sort_keys=True) + "\n"
+        assert [(c["name"], c["ok"]) for c in checks] == [
+            (line.split(":")[0].split(" ", 1)[1], True) for line in text.splitlines()
+        ]
+        for check in checks:
+            assert set(check) == {"name", "ok", "details", "counterexample", "stats"}
+        flip = next(c for c in checks if c["name"] == "arrow-flip")
+        assert flip["details"] == ["5 edges checked, 1 flipped"]
+        assert flip["stats"] == {"flipped_edges": 1, "edges": 5}
+        assert flip["counterexample"] is None
+
+    def test_verify_json_keeps_failure_exit_code(self, capsys, monkeypatch):
+        failed = cambrian.cli.CheckReport("arrow-flip", False, ("edge sets differ",), "e")
+        monkeypatch.setitem(cambrian.cli.VERIFY_COMMANDS, "verify-flip", lambda build: [failed])
+        args = ("verify-flip", "--type", "A", "--rank", "1", "--coxeter", "1")
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "arrow-flip", "ok": False, "details": ["edge sets differ"],
+             "counterexample": "e", "stats": {}}
+        ]
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert out == "FAIL arrow-flip: edge sets differ [counterexample: e]\n"
+
+    def test_verify_rejects_dot(self, capsys):
+        for cmd in ("verify-all", "verify-iso", "verify-lattice", "verify-signs", "verify-flip"):
+            code, out, err = run(
+                capsys, cmd, "--type", "A", "--rank", "2", "--coxeter", "1,2", "--format", "dot"
+            )
+            assert code == 2 and out == ""
+            assert "--format dot" in err
+
     def test_verify_iso_and_lattice(self, capsys):
         for cmd in ("verify-iso", "verify-lattice", "verify-signs"):
             code, out, _ = run(capsys, cmd, "--type", "B", "--rank", "2", "--coxeter", "1,2")
@@ -142,14 +181,21 @@ class TestErrors:
         assert "vertex cap exceeded" in err
 
     def test_cap_below_one(self, capsys, monkeypatch):
-        args = ("exchange", "--type", "A", "--rank", "2", "--coxeter", "1,2")
-        code, _, err = run(capsys, *args, "--vertex-cap", "0")
-        assert code == 2
-        assert "vertex cap must be at least 1" in err
-        monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "0")
-        code, _, err = run(capsys, *args)
-        assert code == 2
-        assert "vertex cap must be at least 1" in err
+        # cclusters and cambrian build no exchange quiver but still check the cap.
+        for command in ("exchange", "cclusters", "cambrian"):
+            args = (command, "--type", "A", "--rank", "2", "--coxeter", "1,2")
+            code, out, err = run(capsys, *args, "--vertex-cap", "0")
+            assert code == 2 and out == ""
+            assert "vertex cap must be at least 1" in err
+            monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "0")
+            code, out, err = run(capsys, *args)
+            assert code == 2 and out == ""
+            assert "vertex cap must be at least 1" in err
+            monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "abc")
+            code, out, err = run(capsys, *args)
+            assert code == 2 and out == ""
+            assert "CAMBRIAN_VERTEX_CAP must be an integer" in err
+            monkeypatch.delenv("CAMBRIAN_VERTEX_CAP")
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])
