@@ -15,7 +15,7 @@ from functools import cached_property
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
 from .laurent import LaurentPolynomial, denominator_vector, poly_hash, poly_str
-from .mutation import build_bc, check_duality, frame_is_unimodular, frame_mutate, identity_frame
+from .mutation import check_duality, column_sign, frame_is_unimodular
 from .quivers import (
     CheckReport,
     ClusterQuiver,
@@ -214,25 +214,25 @@ def run_lattice_checks(build: Build) -> list[CheckReport]:
 
 
 def run_sign_checks(build: Build) -> list[CheckReport]:
-    """Replay every witness path and re-assert sign coherence, duality and
-    unimodularity at each cluster of both exchange quivers."""
-    spec = build.spec
+    """Re-assert sign coherence, duality and unimodularity on the frame the
+    BFS reached each cluster of both exchange quivers with."""
     reports = []
     for sign, q in (("plus", build.plus), ("minus", build.minus)):
-        b = build_bc(spec, build.c)
-        if sign == "minus":
-            b = b.negated()
         checked = 0
         for payload in q.vertices:
-            frame = identity_frame(b)
-            for k in payload.witness_path:
-                frame = frame_mutate(frame, k)
+            frame = payload.seed.frame
+            columns = [frame.c_column(j + 1) for j in range(build.spec.rank)]
+            for col in columns:
+                column_sign(col)
             check_duality(frame)
+            failure = None
             if not frame_is_unimodular(frame):
-                reports.append(CheckReport(f"signs {sign}", False, ("non-unimodular C-matrix",)))
-                break
-            if frozenset(frame.c_column(j + 1) for j in range(spec.rank)) != frozenset(payload.c_vectors):
-                reports.append(CheckReport(f"signs {sign}", False, ("replayed C-set mismatch",)))
+                failure = "non-unimodular C-matrix"
+            elif frozenset(columns) != frozenset(payload.c_vectors):
+                failure = "C-set mismatch"
+            if failure:
+                where = f"witness path {payload.witness_path}"
+                reports.append(CheckReport(f"signs {sign}", False, (failure,), where))
                 break
             checked += 1
         else:

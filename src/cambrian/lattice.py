@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .quivers import CheckReport, ClusterQuiver
 
 
@@ -140,32 +140,3 @@ def verify_quiver_map(
         (f"{q1.n_vertices} vertices, {len(q1.edges)} arrows",),
         stats=(("vertices", q1.n_vertices), ("arrows", len(q1.edges))),
     )
-
-
-def maximal_chains(p: FinitePoset) -> tuple[int, tuple[int, ...]]:
-    """Count maximal chains and return one longest chain (top to bottom)."""
-    tops = [v for v in range(p.n) if p.up[v] == 1 << v]
-    bottoms = [v for v in range(p.n) if p.down[v] == 1 << v]
-    if len(tops) != 1 or len(bottoms) != 1:
-        raise InputError("poset does not have a unique top and bottom")
-    top, bottom = tops[0], bottoms[0]
-    counts: dict[int, int] = {bottom: 1}
-    longest: dict[int, tuple[int, ...]] = {bottom: (bottom,)}
-
-    def visit(v: int) -> None:
-        if v in counts:
-            return
-        total = 0
-        best: tuple[int, ...] = ()
-        for ch in p.children[v]:
-            visit(ch)
-            total += counts[ch]
-            if len(longest[ch]) > len(best):
-                best = longest[ch]
-        if total == 0:
-            raise InternalError("dead end below the top element")
-        counts[v] = total
-        longest[v] = (v,) + best
-
-    visit(top)
-    return counts[top], longest[top]

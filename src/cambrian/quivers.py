@@ -44,12 +44,17 @@ class QuiverEdge:
 
 @dataclass(frozen=True)
 class ClusterVertexPayload:
-    """A non-labeled cluster: sorted variables with aligned c-/g-vectors."""
+    """A non-labeled cluster: sorted variables with aligned c-/g-vectors, and
+    the labeled seed the BFS first reached it with."""
 
     variables: tuple[LaurentPolynomial, ...]
     c_vectors: tuple[tuple[int, ...], ...]
     g_vectors: tuple[tuple[int, ...], ...]
-    witness_path: tuple[int, ...]
+    seed: LabeledSeed
+
+    @property
+    def witness_path(self) -> tuple[int, ...]:
+        return self.seed.frame.path
 
     def key(self) -> frozenset:
         return frozenset(self.variables)
@@ -172,7 +177,7 @@ def build_exchange_quiver(
                 tuple(t[0] for t in triples),
                 tuple(t[1] for t in triples),
                 tuple(t[2] for t in triples),
-                seed.frame.path,
+                seed,
             )
         )
     edges = sorted(
@@ -371,12 +376,6 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     )
 
 
-def _replay(seed: LabeledSeed, path: tuple[int, ...]) -> LabeledSeed:
-    for k in path:
-        seed = mutate_seed(seed, k)
-    return seed
-
-
 def check_tau_c_matrix(
     spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, qm: ClusterQuiver
 ) -> CheckReport:
@@ -387,17 +386,22 @@ def check_tau_c_matrix(
     C-matrix set of [x] in A(-B^c); and theta of the image variables equals
     tau_c^-1 of theta of the originals, position by position.  The image is
     [x] with the sink mutations c_n, ..., c_1 prepended to its witness path.
+    Witness paths are prefix-closed, so each image is one mutation from the
+    image of the cluster's BFS parent.
     """
-    minus_csets = {
-        qm.vertices[i].key(): frozenset(qm.vertices[i].c_vectors)
-        for i in range(qm.n_vertices)
-    }
-    seed0 = initial_seed(build_bc(spec, c), "trivial")
-    sink0 = _replay(seed0, tuple(reversed(c.order)))
+    minus_csets = {p.key(): frozenset(p.c_vectors) for p in qm.vertices}
+    sink0 = initial_seed(build_bc(spec, c), "trivial")
+    for k in reversed(c.order):
+        sink0 = mutate_seed(sink0, k)
+    tau_seeds = {(): sink0}
     checked = 0
-    for payload in qp.vertices:
-        seed_mu = _replay(seed0, payload.witness_path)
-        seed_tau = _replay(sink0, payload.witness_path)
+    for payload in sorted(qp.vertices, key=lambda p: len(p.witness_path)):
+        path = payload.witness_path
+        if path:
+            if path[:-1] not in tau_seeds:
+                raise InternalError(f"witness path {path} has no parent cluster")
+            tau_seeds[path] = mutate_seed(tau_seeds[path[:-1]], path[-1])
+        seed_tau = tau_seeds[path]
         tau_cset = frozenset(seed_tau.frame.c_column(j + 1) for j in range(spec.rank))
         want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.key()])
         if tau_cset != want:
@@ -405,17 +409,17 @@ def check_tau_c_matrix(
                 "tau-c-matrix",
                 False,
                 ("C-matrix set of the tau-image differs from -C in A(-B^c)",),
-                counterexample=str(sorted(tau_cset)),
+                counterexample=f"witness path {path}: {sorted(tau_cset)}",
             )
         for j in range(spec.rank):
             lhs = theta(spec, c, seed_tau.vars[j])
-            rhs = tau(spec, c, theta(spec, c, seed_mu.vars[j]), "inverse")
+            rhs = tau(spec, c, theta(spec, c, payload.seed.vars[j]), "inverse")
             if lhs != rhs:
                 return CheckReport(
                     "tau-c-matrix",
                     False,
                     ("theta does not intertwine tau_c^-1 with the mutation model",),
-                    counterexample=f"position {j + 1}: {lhs} != {rhs}",
+                    counterexample=f"witness path {path}, position {j + 1}: {lhs} != {rhs}",
                 )
         checked += 1
     return CheckReport(

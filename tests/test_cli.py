@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import sys
 
 import pytest
 
 import cambrian.cli
-from cambrian.cli import main
+from cambrian.cli import Build, main, run_sign_checks
+from cambrian.laurent import frame_mutate, mutate_seed
+from cambrian.rootsys import CoxeterElement, cartan_matrix
 
 
 def run(capsys, *argv):
@@ -95,6 +99,43 @@ class TestVerifyCommands:
             "build_c_cluster_quiver": 1,
             "build_cambrian_hasse": 1,
         }
+
+    def test_verify_all_mutation_count(self, capsys, monkeypatch):
+        # 2·n·m for the two BFS runs plus (m−1)+n for the tau walk (A3: n = 3,
+        # m = 14); a replay of any witness path from the root would add more.
+        calls = {"mutate_seed": 0, "frame_mutate": 0}
+        for original in (mutate_seed, frame_mutate):
+
+            def counted(*args, name=original.__name__, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("cambrian") and getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counted)
+        code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 0
+        assert calls == {"mutate_seed": 100, "frame_mutate": 100}
+
+    def test_sign_check_failure_names_witness_path(self, capsys, monkeypatch):
+        build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
+        vertices = list(build.plus.vertices)
+        bad = vertices[-1]
+        assert bad.witness_path
+        vertices[-1] = dataclasses.replace(
+            bad, c_vectors=tuple(tuple(-x for x in v) for v in bad.c_vectors)
+        )
+        build.__dict__["plus"] = dataclasses.replace(build.plus, vertices=tuple(vertices))
+        reports = run_sign_checks(build)
+        assert [(r.name, r.ok) for r in reports] == [("signs plus", False), ("signs minus", True)]
+        assert reports[0].details == ("C-set mismatch",)
+        assert reports[0].counterexample == f"witness path {bad.witness_path}"
+        monkeypatch.setattr(cambrian.cli, "Build", lambda *args: build)
+        code, out, _ = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            f"FAIL signs plus: C-set mismatch [counterexample: witness path {bad.witness_path}]"
+        )
 
     def test_verify_json(self, capsys):
         args = ("verify-all", "--type", "A", "--rank", "2", "--coxeter", "2,1")

@@ -3,7 +3,6 @@ import pytest
 from cambrian.errors import InputError
 from cambrian.lattice import (
     FinitePoset,
-    maximal_chains,
     poset_from_hasse,
     verify_lattice,
     verify_quiver_map,
@@ -102,25 +101,6 @@ class TestVerifyQuiverMap:
         q = ccluster_of("A", 2, (2, 1))
         with pytest.raises(InputError):
             verify_quiver_map(q, q, tuple(range(q.n_vertices)), "dual")
-
-
-class TestMaximalChains:
-    def test_a2(self):
-        count, longest = maximal_chains(poset_from_hasse(exchange_of("A", 2, (2, 1))))
-        assert count == 2
-        assert len(longest) == 4  # 3 edges
-
-    def test_chain(self):
-        count, longest = maximal_chains(poset_from_hasse(quiver(5, [(i, i + 1) for i in range(4)])))
-        assert count == 1 and len(longest) == 5
-
-    def test_a1(self):
-        count, longest = maximal_chains(poset_from_hasse(exchange_of("A", 1, (1,))))
-        assert count == 1 and len(longest) == 2
-
-    def test_requires_bounds(self):
-        with pytest.raises(InputError):
-            maximal_chains(poset_from_hasse(quiver(4, [(0, 1), (2, 3)])))
 
 
 class TestQuiversAreLattices:

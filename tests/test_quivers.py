@@ -1,9 +1,14 @@
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cambrian.cli import Build, run_sign_checks
 from cambrian.errors import InputError
-from cambrian.laurent import LaurentPolynomial
+from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed
+from cambrian.mutation import build_bc
 from cambrian.quivers import (
     build_exchange_quiver,
     check_arrow_flip,
@@ -225,6 +230,50 @@ class TestTauCMatrix:
             spec_of(t, n), CoxeterElement(order), exchange_of(t, n, order, "plus"), exchange_of(t, n, order, "minus")
         )
         assert rep.ok, rep.counterexample
+
+    def test_failure_names_witness_path(self):
+        qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
+        vertices = list(qm.vertices)
+        bad = vertices[-1]
+        vertices[-1] = dataclasses.replace(
+            bad, c_vectors=tuple(tuple(-x for x in v) for v in bad.c_vectors)
+        )
+        rep = check_tau_c_matrix(
+            spec_of("A", 3), CoxeterElement((1, 2, 3)), qp, dataclasses.replace(qm, vertices=tuple(vertices))
+        )
+        assert not rep.ok
+        (plus,) = [p for p in qp.vertices if p.key() == bad.key()]
+        assert rep.counterexample.startswith(f"witness path {plus.witness_path}: ")
+
+
+SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+
+
+@st.composite
+def small_type_and_c(draw):
+    t, n = draw(st.sampled_from(SMALL_TYPES))
+    return t, n, CoxeterElement(tuple(draw(st.permutations(range(1, n + 1)))))
+
+
+@settings(deadline=None, max_examples=25)
+@given(small_type_and_c())
+def test_stored_seeds_are_witness_path_replays(case):
+    # The old replay is the oracle: each stored seed is the initial seed
+    # mutated along its witness path, and the paths are prefix-closed.
+    t, n, c = case
+    build = Build(spec_of(t, n), c, None)
+    for q in (build.plus, build.minus):
+        b = build_bc(build.spec, c)
+        seed0 = initial_seed(b if q is build.plus else b.negated(), "trivial")
+        paths = {p.witness_path for p in q.vertices}
+        for payload in q.vertices:
+            seed = seed0
+            for k in payload.witness_path:
+                seed = mutate_seed(seed, k)
+            assert payload.seed == seed
+            assert not payload.witness_path or payload.witness_path[:-1] in paths
+    assert check_tau_c_matrix(build.spec, c, build.plus, build.minus).ok
+    assert all(rep.ok for rep in run_sign_checks(build))
 
 
 class TestThetaImage:
