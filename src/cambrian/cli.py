@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -52,11 +53,20 @@ def _var_payload(v: LaurentPolynomial, rank: int, verbose: bool) -> dict:
     return d
 
 
-def _vertex_payload(q: ClusterQuiver, i: int, rank: int, verbose: bool) -> dict:
+def _var_payloads(q: ClusterQuiver, rank: int, verbose: bool = False) -> dict:
+    """The payload of each distinct cluster variable of an exchange quiver,
+    so a variable met at many vertices and edges is serialized once."""
+    if q.kind != "exchange":
+        return {}
+    variables = {x for payload in q.vertices for x in payload.variables}
+    return {x: _var_payload(x, rank, verbose) for x in variables}
+
+
+def _vertex_payload(q: ClusterQuiver, i: int, var_payloads: dict) -> dict:
     v = q.vertices[i]
     if q.kind == "exchange":
         return {
-            "variables": [_var_payload(x, rank, verbose) for x in v.variables],
+            "variables": [var_payloads[x] for x in v.variables],
             "c_vectors": [list(c) for c in v.c_vectors],
             "g_vectors": [list(g) for g in v.g_vectors],
         }
@@ -77,26 +87,27 @@ def _vertex_payload(q: ClusterQuiver, i: int, rank: int, verbose: bool) -> dict:
     raise InternalError(f"unknown quiver kind {q.kind!r}")
 
 
-def _edge_label(label: object, rank: int) -> str:
+def _edge_label(label: object, var_payloads: dict) -> str:
     if isinstance(label, LaurentPolynomial):
-        return f"d={_root_str(denominator_vector(label, rank))}#{poly_hash(label)}"
+        return "d={d}#{hash}".format(**var_payloads[label])
     if isinstance(label, tuple):
         return _root_str(label)
     return str(label)
 
 
 def quiver_to_json(q: ClusterQuiver, rank: int, verbose: bool = False) -> str:
+    var_payloads = _var_payloads(q, rank, verbose)
     doc = {
         "vertices": [
-            {"id": i, "payload": _vertex_payload(q, i, rank, verbose)}
+            {"id": i, "payload": _vertex_payload(q, i, var_payloads)}
             for i in range(q.n_vertices)
         ],
         "edges": [
             {
                 "src": e.src,
                 "dst": e.dst,
-                "out": _edge_label(e.out_label, rank),
-                "in": _edge_label(e.in_label, rank),
+                "out": _edge_label(e.out_label, var_payloads),
+                "in": _edge_label(e.in_label, var_payloads),
             }
             for e in q.edges
         ],
@@ -104,10 +115,10 @@ def quiver_to_json(q: ClusterQuiver, rank: int, verbose: bool = False) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _vertex_label(q: ClusterQuiver, i: int, rank: int) -> str:
+def _vertex_label(q: ClusterQuiver, i: int, var_payloads: dict) -> str:
     v = q.vertices[i]
     if q.kind == "exchange":
-        return "{" + ",".join(_root_str(denominator_vector(x, rank)) for x in v.variables) + "}"
+        return "{" + ",".join(var_payloads[x]["d"] for x in v.variables) + "}"
     if q.kind == "ccluster":
         return "{" + ",".join(_root_str(r) for r in v) + "}"
     if q.kind == "tautilt":
@@ -120,9 +131,10 @@ def _vertex_label(q: ClusterQuiver, i: int, rank: int) -> str:
 
 
 def quiver_to_dot(q: ClusterQuiver, rank: int) -> str:
+    var_payloads = _var_payloads(q, rank)
     lines = [f"digraph {q.kind} {{"]
     for i in range(q.n_vertices):
-        label = _vertex_label(q, i, rank).replace('"', '\\"')
+        label = _vertex_label(q, i, var_payloads).replace('"', '\\"')
         lines.append(f'  v{i} [label="{label}"];')
     for e in q.edges:
         lines.append(f"  v{e.src} -> v{e.dst};")
@@ -285,6 +297,17 @@ def _report_json(reports: list[CheckReport]) -> str:
     return json.dumps({"checks": checks}, indent=2, sort_keys=True) + "\n"
 
 
+def _open_output(path: str | None):
+    """The output stream, opened before anything is built so that an
+    unwritable --output path is invalid input, not a late failure."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -297,22 +320,19 @@ def main(argv: list[str] | None = None) -> int:
         spec = cartan_matrix(args.dynkin_type, args.rank)
         c = _parse_coxeter(args.coxeter, args.rank)
         build = Build(spec, c, args.vertex_cap)
-        code = 0
-        if args.command in BUILD_COMMANDS:
-            q = getattr(build, BUILD_COMMANDS[args.command])
-            if args.format != "dot":
-                text = quiver_to_json(q, spec.rank, args.verbose)
+        with _open_output(args.output) as out:
+            code = 0
+            if args.command in BUILD_COMMANDS:
+                q = getattr(build, BUILD_COMMANDS[args.command])
+                if args.format != "dot":
+                    text = quiver_to_json(q, spec.rank, args.verbose)
+                else:
+                    text = quiver_to_dot(q, spec.rank)
             else:
-                text = quiver_to_dot(q, spec.rank)
-        else:
-            reports = VERIFY_COMMANDS[args.command](build)
-            text = _report_json(reports) if args.format == "json" else _report_text(reports)
-            code = 0 if all(rep.ok for rep in reports) else 1
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+                reports = VERIFY_COMMANDS[args.command](build)
+                text = _report_json(reports) if args.format == "json" else _report_text(reports)
+                code = 0 if all(rep.ok for rep in reports) else 1
+            out.write(text)
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

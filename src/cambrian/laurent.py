@@ -1,10 +1,13 @@
 """Exact Laurent-polynomial seeds, tropical coefficients, and the root map.
 
-Cluster variables are kept fully expanded in the initial variables, so every
-mutation performs one exact multivariate division; an inexact division is a
-hard internal error, never a recoverable condition.  In principal-coefficient
-mode a variable lives in 2n variables: the first n exponents are the initial
-cluster variables, the last n the tropical generators.
+Cluster variables are kept fully expanded in the initial variables, so each
+mutate_seed performs one exact multivariate division (the exchange BFS calls it
+once per distinct exchange relation); an inexact division is a hard internal
+error, never a recoverable condition.  The frame advances by frame_mutate;
+sign coherence, duality and unimodularity are asserted on the frames that are
+kept (mutation.check_frame).  In principal-coefficient mode a variable lives
+in 2n variables: the first n exponents are the initial cluster variables, the
+last n the tropical generators.
 """
 
 from __future__ import annotations

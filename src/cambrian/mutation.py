@@ -1,15 +1,15 @@
 """Skew-symmetrizable matrix mutation and tracked C-/G-matrix frames.
 
 A MatrixFrame carries the exchange matrix together with the C- and G-matrices
-relative to the frame's root vertex.  Sign coherence and the duality identity
-G^T * S * C = S are enforced on every mutation step, so a frame that exists is
-a frame whose invariants hold.
+relative to the frame's root vertex.  A mutation step checks only the sign of
+the c-vector it mutates at.  check_frame asserts sign coherence of every
+C-column, the duality G^T * S * C = S and unimodularity on a kept frame: each
+frame the exchange BFS stores and each frame of the tau-C check's tau walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InternalError
 from .rootsys import CartanSpec, CoxeterElement, Matrix
@@ -31,26 +31,26 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _det(m: Matrix) -> int:
-    # Fraction-based Gaussian elimination; exact for the small ranks used here.
+    """Determinant by fraction-free (Bareiss) elimination: every division of
+    the integer entries is exact, and a remainder raises InternalError."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    if det.denominator != 1:
-        raise InternalError(f"determinant of an integer matrix is not an integer: {det}")
-    return int(det)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                if r:
+                    raise InternalError(f"inexact Bareiss step in the determinant of {m}")
+                a[i][j] = q
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,19 @@ def mutate_matrix(m: Matrix, k: int, ncols: int | None = None) -> Matrix:
     if not 1 <= k <= n:
         raise InputError(f"mutation direction {k} out of range 1..{n}")
     k0 = k - 1
-    rows = len(m)
+    # m'_ij = m_ij + [m_ik]_+ m_kj + m_ik [-m_kj]_+, which is m_ij + m_ik [m_kj]_+
+    # for m_ik > 0 and m_ij + m_ik [-m_kj]_+ for m_ik < 0; row and column k negate.
+    plus = tuple(max(x, 0) for x in m[k0])
+    minus = tuple(max(-x, 0) for x in m[k0])
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(len(m[i])):
-            if i == k0 or j == k0:
-                row.append(-m[i][j])
-            else:
-                row.append(
-                    m[i][j]
-                    + max(m[i][k0], 0) * m[k0][j]
-                    + m[i][k0] * max(-m[k0][j], 0)
-                )
-        out.append(tuple(row))
+    for i, row in enumerate(m):
+        a = row[k0]
+        if i == k0:
+            out.append(tuple(-x for x in row))
+            continue
+        if a:
+            row = tuple(x + a * y for x, y in zip(row, plus if a > 0 else minus))
+        out.append(row[:k0] + (-a,) + row[k0 + 1 :])
     return tuple(out)
 
 
@@ -164,48 +163,37 @@ def check_duality(frame: MatrixFrame) -> None:
 
 
 def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
-    """Advance B, C and G by one mutation in direction k (1-based)."""
+    """Advance B, C and G by one mutation in direction k (1-based), in O(n^2).
+
+    Only c_k is checked for sign coherence, since the G-step needs its sign;
+    check_frame asserts the invariants of a frame that is kept."""
     n = frame.b.rank
     if not 1 <= k <= n:
         raise InputError(f"mutation direction {k} out of range 1..{n}")
     k0 = k - 1
     b = frame.b.entries
     eps = column_sign(frame.c_column(k))
-
-    new_b = ExchangeMatrix(mutate_matrix(b, k), frame.b.skew_symmetrizer)
-
-    # c-recursion: c'_k = -c_k, c'_j = c_j + [b_kj]_+ c_k + b_kj [-c_k]_+.
-    c_cols = [frame.c_column(j) for j in range(1, n + 1)]
-    ck = c_cols[k0]
-    neg_ck_plus = tuple(max(-x, 0) for x in ck)
-    new_cols = []
-    for j in range(n):
-        if j == k0:
-            new_cols.append(tuple(-x for x in ck))
-        else:
-            bkj = b[k0][j]
-            new_cols.append(
-                tuple(
-                    c_cols[j][i] + max(bkj, 0) * ck[i] + bkj * neg_ck_plus[i]
-                    for i in range(n)
-                )
-            )
-    new_c = tuple(tuple(new_cols[j][i] for j in range(n)) for i in range(n))
-
-    # G advances by the elementary matrix determined by the sign of c_k.
-    jmat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        jmat[j][k0] = max(-eps * b[j][k0], 0)
-    jmat[k0][k0] = -1
-    new_g = _matmul(frame.g_matrix, tuple(tuple(row) for row in jmat))
-
-    out = MatrixFrame(new_b, new_c, new_g, frame.path + (k,))
-    for j in range(1, n + 1):
-        column_sign(out.c_column(j))
-    check_duality(out)
-    return out
+    # B and C mutate together as the extended matrix with C below B.
+    ext = mutate_matrix(b + frame.c_matrix, k, ncols=n)
+    # G changes in column k only: g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j.
+    coef = [max(-eps * b[j][k0], 0) for j in range(n)]
+    new_g = tuple(
+        row[:k0] + (sum(x * y for x, y in zip(coef, row)) - row[k0],) + row[k:]
+        for row in frame.g_matrix
+    )
+    return MatrixFrame(
+        ExchangeMatrix(ext[:n], frame.b.skew_symmetrizer), ext[n:], new_g, frame.path + (k,)
+    )
 
 
 def frame_is_unimodular(frame: MatrixFrame) -> bool:
     return abs(_det(frame.c_matrix)) == 1
 
+
+def check_frame(frame: MatrixFrame) -> None:
+    """Assert sign coherence of every C-column, C/G duality and unimodularity."""
+    for j in range(1, frame.b.rank + 1):
+        column_sign(frame.c_column(j))
+    check_duality(frame)
+    if not frame_is_unimodular(frame):
+        raise InternalError("C-matrix is not unimodular")

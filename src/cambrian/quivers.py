@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .laurent import LabeledSeed, LaurentPolynomial, initial_seed, mutate_seed, theta
-from .mutation import build_bc, column_sign, frame_is_unimodular
+from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate
 from .rootsys import CartanSpec, CoxeterElement, Root, enumerate_c_clusters, r_degree, tau
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -99,6 +99,21 @@ def _var_key(p: LaurentPolynomial):
     return p.terms
 
 
+def _columns(frame: MatrixFrame) -> tuple:
+    """(g-vector, c-vector, symmetrizer entry) at each position of a frame.
+    Two frames with equal sets of these differ by a permutation of positions
+    that fixes S, so check_frame passes on both or on neither."""
+    return tuple(zip(zip(*frame.g_matrix), zip(*frame.c_matrix), frame.b.skew_symmetrizer))
+
+
+def _exchange_key(frame: MatrixFrame, k: int) -> tuple:
+    """x_k and the pairs (x_i, b_ik) with b_ik != 0, each variable as its
+    g-vector: the exchange relation at k is a function of this key."""
+    gs = tuple(zip(*frame.g_matrix))
+    column = (row[k - 1] for row in frame.b.entries)
+    return gs[k - 1], frozenset((g, bik) for g, bik in zip(gs, column) if bik)
+
+
 def build_exchange_quiver(
     spec: CartanSpec,
     c: CoxeterElement,
@@ -109,6 +124,15 @@ def build_exchange_quiver(
 
     Arrows are green mutations: the edge points away from the cluster in which
     the exchanged variable's c-vector is non-negative.
+
+    The BFS moves integer B/C/G frames and keys a cluster by its set of
+    g-vectors, which in finite type determine the cluster variables; it raises
+    InternalError if g-vectors and Laurent polynomials are not in bijection.
+    The exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ is
+    computed by mutate_seed once per distinct relation (_exchange_key) and
+    looked up, from either end, for every later edge with that relation.
+    Every stored frame passes check_frame, and a frame that reaches a stored
+    cluster must carry the same _columns as the stored one.
     """
     if sign not in ("plus", "minus"):
         raise InputError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -118,73 +142,75 @@ def build_exchange_quiver(
         b = b.negated()
     n = b.rank
     seed0 = initial_seed(b, "trivial")
-    key0 = frozenset(seed0.vars)
-    seeds: dict[frozenset, LabeledSeed] = {key0: seed0}
-    order: list[frozenset] = [key0]
+    polys: dict[tuple[int, ...], LaurentPolynomial] = {}
+    gvecs: dict[LaurentPolynomial, tuple[int, ...]] = {}
+
+    def bind(g: tuple[int, ...], x: LaurentPolynomial) -> None:
+        if polys.setdefault(g, x) != x:
+            raise InternalError(f"g-vector {g} belongs to two cluster variables")
+        if gvecs.setdefault(x, g) != g:
+            raise InternalError(f"a cluster variable has two g-vectors, {gvecs[x]} and {g}")
+
+    frame0 = seed0.frame
+    for g, x in zip(zip(*frame0.g_matrix), seed0.vars):
+        bind(g, x)
+    check_frame(frame0)
+    frames: dict[frozenset, MatrixFrame] = {frozenset(polys): frame0}
+    relations: dict[tuple, LaurentPolynomial] = {}
     edge_map: dict[frozenset, tuple] = {}
-    frontier = [seed0]
+    frontier = [frame0]
     while frontier:
         nxt = []
-        for seed in frontier:
-            skey = frozenset(seed.vars)
+        for frame in frontier:
+            gs = tuple(zip(*frame.g_matrix))
+            skey = frozenset(gs)
             for k in range(1, n + 1):
-                green = column_sign(seed.frame.c_column(k)) > 0
-                mutated = mutate_seed(seed, k)
-                mkey = frozenset(mutated.vars)
-                if mkey not in seeds:
-                    if len(seeds) >= cap:
-                        raise InputError(
-                            "vertex cap exceeded: not finite type or bad input"
-                        )
-                    seeds[mkey] = mutated
-                    order.append(mkey)
-                    nxt.append(mutated)
-                out_var = seed.vars[k - 1]
-                in_var = mutated.vars[k - 1]
-                directed = (
-                    (skey, mkey, out_var, in_var)
-                    if green
-                    else (mkey, skey, in_var, out_var)
-                )
-                pair = frozenset((skey, mkey))
-                if pair in edge_map:
-                    if edge_map[pair] != directed:
-                        raise InternalError("inconsistent edge orientation in BFS")
+                green = column_sign(frame.c_column(k)) > 0
+                relation = _exchange_key(frame, k)
+                new_var = relations.get(relation)
+                if new_var is None:
+                    mutated_seed = mutate_seed(LabeledSeed(tuple(polys[g] for g in gs), None, frame), k)
+                    mutated, new_var = mutated_seed.frame, mutated_seed.vars[k - 1]
+                    relations[relation] = new_var
+                    # The same relation read from the mutated seed: exchanging
+                    # x_k' there gives x_k back.
+                    relations[_exchange_key(mutated, k)] = polys[gs[k - 1]]
                 else:
-                    edge_map[pair] = directed
+                    mutated = frame_mutate(frame, k)
+                g_new = mutated.g_column(k)
+                bind(g_new, new_var)
+                mkey = frozenset(gs[: k - 1] + (g_new,) + gs[k:])
+                if mkey not in frames:
+                    if len(frames) >= cap:
+                        raise InputError("vertex cap exceeded: not finite type or bad input")
+                    check_frame(mutated)
+                    frames[mkey] = mutated
+                    nxt.append(mutated)
+                elif frozenset(_columns(frames[mkey])) != frozenset(_columns(mutated)):
+                    raise InternalError(
+                        f"mutation path {mutated.path} reaches a stored cluster with other columns"
+                    )
+                directed = (skey, mkey, gs[k - 1], g_new) if green else (mkey, skey, g_new, gs[k - 1])
+                if edge_map.setdefault(frozenset((skey, mkey)), directed) != directed:
+                    raise InternalError("inconsistent edge orientation in BFS")
         frontier = nxt
 
     # Canonical vertex order: by the sorted variable keys of each cluster.
     def cluster_key(key: frozenset):
-        return tuple(sorted(_var_key(v) for v in key))
+        return tuple(sorted(_var_key(polys[g]) for g in key))
 
-    ordered = sorted(seeds, key=cluster_key)
+    ordered = sorted(frames, key=cluster_key)
     index = {key: i for i, key in enumerate(ordered)}
     payloads = []
     for key in ordered:
-        seed = seeds[key]
-        if not frame_is_unimodular(seed.frame):
-            raise InternalError("C-matrix is not unimodular")
-        triples = sorted(
-            (
-                (seed.vars[j], seed.frame.c_column(j + 1), seed.frame.g_column(j + 1))
-                for j in range(n)
-            ),
-            key=lambda t: _var_key(t[0]),
-        )
-        payloads.append(
-            ClusterVertexPayload(
-                tuple(t[0] for t in triples),
-                tuple(t[1] for t in triples),
-                tuple(t[2] for t in triples),
-                seed,
-            )
-        )
+        frame = frames[key]
+        seed = LabeledSeed(tuple(polys[g] for g in zip(*frame.g_matrix)), None, frame)
+        # Variables sorted, with their c- and g-vectors aligned.
+        columns = zip(seed.vars, zip(*frame.c_matrix), zip(*frame.g_matrix))
+        columns = sorted(columns, key=lambda t: _var_key(t[0]))
+        payloads.append(ClusterVertexPayload(*zip(*columns), seed))
     edges = sorted(
-        (
-            QuiverEdge(index[s], index[d], ov, iv)
-            for s, d, ov, iv in edge_map.values()
-        ),
+        (QuiverEdge(index[s], index[d], polys[go], polys[gi]) for s, d, go, gi in edge_map.values()),
         key=lambda e: (e.src, e.dst),
     )
     return ClusterQuiver("exchange", tuple(payloads), tuple(edges))
@@ -387,7 +413,8 @@ def check_tau_c_matrix(
     tau_c^-1 of theta of the originals, position by position.  The image is
     [x] with the sink mutations c_n, ..., c_1 prepended to its witness path.
     Witness paths are prefix-closed, so each image is one mutation from the
-    image of the cluster's BFS parent.
+    image of the cluster's BFS parent.  Every frame of this tau walk passes
+    check_frame.
     """
     minus_csets = {p.key(): frozenset(p.c_vectors) for p in qm.vertices}
     sink0 = initial_seed(build_bc(spec, c), "trivial")
@@ -402,6 +429,7 @@ def check_tau_c_matrix(
                 raise InternalError(f"witness path {path} has no parent cluster")
             tau_seeds[path] = mutate_seed(tau_seeds[path[:-1]], path[-1])
         seed_tau = tau_seeds[path]
+        check_frame(seed_tau.frame)
         tau_cset = frozenset(seed_tau.frame.c_column(j + 1) for j in range(spec.rank))
         want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.key()])
         if tau_cset != want:

@@ -101,8 +101,12 @@ class TestVerifyCommands:
         }
 
     def test_verify_all_mutation_count(self, capsys, monkeypatch):
-        # 2·n·m for the two BFS runs plus (m−1)+n for the tau walk (A3: n = 3,
-        # m = 14); a replay of any witness path from the root would add more.
+        # A3: n = 3, m = 14 clusters, 15 exchange pairs {x, x'} (the pairs of
+        # crossing diagonals of a hexagon, C(6, 4)).  Each BFS computes one
+        # exact exchange per pair and advances a frame on each of its n·m
+        # directed edges; the tau walk adds (m−1)+n of each.  So mutate_seed
+        # runs 2·15 + 16 = 46 times and frame_mutate 2·n·m + 16 = 100 times; a
+        # replay of any witness path from the root would add more.
         calls = {"mutate_seed": 0, "frame_mutate": 0}
         for original in (mutate_seed, frame_mutate):
 
@@ -115,7 +119,7 @@ class TestVerifyCommands:
                     monkeypatch.setattr(module, original.__name__, counted)
         code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 0
-        assert calls == {"mutate_seed": 100, "frame_mutate": 100}
+        assert calls == {"mutate_seed": 46, "frame_mutate": 100}
 
     def test_sign_check_failure_names_witness_path(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
@@ -237,6 +241,20 @@ class TestErrors:
             assert code == 2 and out == ""
             assert "CAMBRIAN_VERTEX_CAP must be an integer" in err
             monkeypatch.delenv("CAMBRIAN_VERTEX_CAP")
+
+    @pytest.mark.parametrize("command", ["exchange", "verify-all"])
+    def test_unwritable_output(self, capsys, monkeypatch, tmp_path, command):
+        # Exit 2 before anything is built, not a traceback after the build.
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a quiver was built")
+
+        monkeypatch.setattr(cambrian.cli, "build_exchange_quiver", unexpected)
+        for path in (tmp_path / "missing" / "x", tmp_path):
+            code, out, err = run(
+                capsys, command, "--type", "A", "--rank", "2", "--coxeter", "1,2", "--output", str(path)
+            )
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write {path}: ")
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])

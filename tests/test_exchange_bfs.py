@@ -1,0 +1,143 @@
+"""The g-vector-keyed frame BFS of build_exchange_quiver against the
+polynomial-keyed Laurent BFS it replaced, and the checks it makes."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cambrian.laurent
+import cambrian.quivers
+from cambrian.errors import InternalError
+from cambrian.lattice import verify_quiver_map
+from cambrian.laurent import initial_seed, mutate_seed
+from cambrian.mutation import build_bc
+from cambrian.quivers import _exchange_key, build_exchange_quiver, theta_vertex_map
+from cambrian.rootsys import CoxeterElement
+
+from conftest import (
+    RANK_LE_4,
+    ccluster_of,
+    exchange_of,
+    polynomial_keyed_exchange_quiver,
+    spec_of,
+)
+
+
+def assert_matches_oracle(t, n, c, sign):
+    spec = spec_of(t, n)
+    q = build_exchange_quiver(spec, c, sign)
+    oracle = polynomial_keyed_exchange_quiver(spec, c, sign)
+    # Payloads with their labeled seeds (frames and witness paths), and edges.
+    assert q.vertices == oracle.vertices
+    assert q.edges == oracle.edges
+
+
+@st.composite
+def type_c_and_sign(draw):
+    t, n = draw(st.sampled_from(RANK_LE_4))
+    c = CoxeterElement(tuple(draw(st.permutations(range(1, n + 1)))))
+    return t, n, c, draw(st.sampled_from(("plus", "minus")))
+
+
+@settings(deadline=None, max_examples=40)
+@given(type_c_and_sign())
+def test_matches_polynomial_keyed_bfs(case):
+    assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize(
+    "t,n,order,sign",
+    [("A", 5, (1, 2, 3, 4, 5), "plus"), ("A", 5, (3, 1, 5, 2, 4), "minus"),
+     ("D", 5, (1, 2, 3, 4, 5), "plus"), ("D", 5, (5, 3, 1, 4, 2), "minus")],
+)
+def test_matches_polynomial_keyed_bfs_rank_5(t, n, order, sign):
+    assert_matches_oracle(t, n, CoxeterElement(order), sign)
+
+
+def test_e6_exchange_theta_anti_iso():
+    order = (1, 2, 3, 4, 5, 6)
+    spec, c = spec_of("E", 6), CoxeterElement(order)
+    exq, ccq = exchange_of("E", 6, order), ccluster_of("E", 6, order)
+    assert (exq.n_vertices, len(exq.edges)) == (833, 2499)
+    rep = verify_quiver_map(exq, ccq, theta_vertex_map(spec, c, exq, ccq), "anti")
+    assert rep.ok, rep.counterexample
+
+
+def _patch_frame_mutate(monkeypatch, corrupt):
+    original = cambrian.quivers.frame_mutate
+
+    def patched(frame, k):
+        return corrupt(original(frame, k))
+
+    for module in (cambrian.quivers, cambrian.laurent):
+        monkeypatch.setattr(module, "frame_mutate", patched)
+
+
+def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
+    # A path ending k, k returns to a stored cluster; swap two of that
+    # frame's C-columns so its (g, c) pairs no longer match the stored ones.
+    def corrupt(frame):
+        if frame.path[-2:-1] != frame.path[-1:]:
+            return frame
+        swapped = tuple((row[1], row[0]) + row[2:] for row in frame.c_matrix)
+        return dataclasses.replace(frame, c_matrix=swapped)
+
+    _patch_frame_mutate(monkeypatch, corrupt)
+    with pytest.raises(InternalError, match="reaches a stored cluster with other columns"):
+        build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
+
+
+def test_stored_frames_are_checked(monkeypatch):
+    # A G-matrix off by a sign breaks duality on the first stored frame.
+    def corrupt(frame):
+        return dataclasses.replace(frame, g_matrix=tuple(tuple(-x for x in row) for row in frame.g_matrix))
+
+    _patch_frame_mutate(monkeypatch, corrupt)
+    with pytest.raises(InternalError, match="duality"):
+        build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
+
+
+def _patch_first_exchange(monkeypatch, wrong_variable):
+    original = cambrian.quivers.mutate_seed
+    calls = []
+
+    def patched(seed, k):
+        out = original(seed, k)
+        calls.append(k)
+        if len(calls) > 1:
+            return out
+        new_vars = out.vars[: k - 1] + (wrong_variable(seed, out, k),) + out.vars[k:]
+        return dataclasses.replace(out, vars=new_vars)
+
+    monkeypatch.setattr(cambrian.quivers, "mutate_seed", patched)
+
+
+def test_g_vector_with_two_polynomials(monkeypatch):
+    # The first exchange returns 2 x_k'; the same g-vector later meets x_k'.
+    def doubled(seed, out, k):
+        x = out.vars[k - 1]
+        return dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
+
+    _patch_first_exchange(monkeypatch, doubled)
+    with pytest.raises(InternalError, match="belongs to two cluster variables"):
+        build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
+
+
+def test_polynomial_with_two_g_vectors(monkeypatch):
+    # The first exchange returns x_k itself, under the g-vector of x_k'.
+    _patch_first_exchange(monkeypatch, lambda seed, out, k: seed.vars[k - 1])
+    with pytest.raises(InternalError, match="two g-vectors"):
+        build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
+
+
+def test_exchange_key_keeps_b():
+    # The initial seeds of A3 for c = 1,2,3 and c = 1,3,2 share x_2 and its
+    # neighbours x_1, x_3, but b_32 has opposite signs: the exchanges give
+    # (x_1 + x_3)/x_2 and (x_1 x_3 + 1)/x_2, so their memo keys must differ.
+    spec = spec_of("A", 3)
+    seeds = [initial_seed(build_bc(spec, CoxeterElement(order))) for order in ((1, 2, 3), (1, 3, 2))]
+    assert [[row[1] for row in s.frame.b.entries] for s in seeds] == [[1, 0, -1], [1, 0, 1]]
+    assert mutate_seed(seeds[0], 2).vars[1] != mutate_seed(seeds[1], 2).vars[1]
+    assert _exchange_key(seeds[0].frame, 2) != _exchange_key(seeds[1].frame, 2)

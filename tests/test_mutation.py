@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cambrian.errors import InputError
+from cambrian.errors import InputError, InternalError
 from cambrian.mutation import (
     ExchangeMatrix,
+    _det,
     build_bc,
     check_duality,
     frame_is_unimodular,
@@ -82,6 +86,27 @@ class TestMutateMatrix:
             m = build_bc(spec_of(t, n), CoxeterElement(tuple(range(1, n + 1)))).entries
             for k in range(1, n + 1):
                 assert mutate_matrix(mutate_matrix(m, k), k) == m
+
+
+@st.composite
+def integer_matrices(draw):
+    # Small bounds give many zero pivots and singular matrices, large ones
+    # big intermediate Bareiss entries.
+    n = draw(st.integers(min_value=0, max_value=8))
+    bound = draw(st.sampled_from((1, 3, 10**6)))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+class TestDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_matches_sympy(self, m):
+        assert _det(m) == sympy.Matrix(len(m), len(m), [x for row in m for x in row]).det()
+
+    def test_inexact_step_raises(self):
+        with pytest.raises(InternalError):
+            _det(((Fraction(1, 2), 1), (1, 1)))
 
 
 class TestFrames:

@@ -24,14 +24,7 @@ from cambrian.sortables import (
     inversion_set,
 )
 
-from conftest import matrix_inversion_set, spec_of
-
-RANK_LE_4 = [
-    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
-    ("B", 2), ("B", 3), ("B", 4),
-    ("C", 3), ("C", 4),
-    ("D", 4), ("F", 4), ("G", 2),
-]
+from conftest import RANK_LE_4, matrix_inversion_set, spec_of
 
 
 def _orbit_r_degree(spec, c, root):
