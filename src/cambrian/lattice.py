@@ -1,8 +1,8 @@
 """Poset construction from Hasse quivers, lattice checks, and quiver maps.
 
 Arrow convention is downward: an edge src -> dst means src covers dst, so
-x <= y iff there is a directed path from y to x.  Order relations are stored
-as integer bitmasks; all checks are exhaustive pair scans.
+x <= y iff there is a directed path from y to x.  Up-sets are integer bitmasks;
+the lattice check looks at pairs of upper covers, never at all pairs.
 """
 
 from __future__ import annotations
@@ -15,15 +15,17 @@ from .quivers import CheckReport, ClusterQuiver
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """Reflexive down-/up-set bitmasks plus the defining Hasse adjacency."""
+    """Reflexive up-set bitmasks and upper covers, indexed by vertex.  Bit i of
+    a mask stands for order[i], a linear extension listed bottom first, so the
+    lowest set bit of an up-closed mask is a minimal element of it."""
 
     n: int
-    down: tuple[int, ...]
+    order: tuple[int, ...]
     up: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
+    parents: tuple[tuple[int, ...], ...]
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self.down[y] >> x & 1)
+        return self.up[x] & self.up[y] == self.up[y]
 
 
 def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
@@ -37,63 +39,48 @@ def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
     # Topological order, sinks first (Kahn on the reversed graph).
     outdeg = [len(children[v]) for v in range(n)]
     order = [v for v in range(n) if outdeg[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    for v in order:
         for p in parents[v]:
             outdeg[p] -= 1
             if outdeg[p] == 0:
                 order.append(p)
     if len(order) != n:
         raise InputError("Hasse quiver contains a directed cycle")
-    down = [0] * n
-    for v in order:
-        mask = 1 << v
-        for ch in children[v]:
-            mask |= down[ch]
-        down[v] = mask
+    up = [0] * n
+    for i in reversed(range(n)):
+        mask = 1 << i
+        for p in parents[order[i]]:
+            mask |= up[p]
+        up[order[i]] = mask
     for e in q.edges:
         for ch in children[e.src]:
-            if ch != e.dst and down[ch] >> e.dst & 1:
-                raise InputError(
-                    f"edge {e.src}->{e.dst} is not a cover (via {ch})"
-                )
-    up = [0] * n
-    for v in range(n):
-        m = down[v]
-        while m:
-            low = m & -m
-            m ^= low
-            up[low.bit_length() - 1] |= 1 << v
-    return FinitePoset(n, tuple(down), tuple(up), tuple(tuple(c) for c in children))
-
-
-def _bounded(masks: tuple[int, ...], x: int, y: int) -> int | None:
-    """The unique extremal element of masks[x] & masks[y], if it exists."""
-    common = masks[x] & masks[y]
-    m = common
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        if masks[v] == common:
-            return v
-    return None
+            if ch != e.dst and up[e.dst] & up[ch] == up[ch]:
+                raise InputError(f"edge {e.src}->{e.dst} is not a cover (via {ch})")
+    return FinitePoset(n, tuple(order), tuple(up), tuple(tuple(p) for p in parents))
 
 
 def verify_lattice(p: FinitePoset) -> CheckReport:
-    """Check that every pair has a meet and a join."""
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if _bounded(p.down, x, y) is None:
-                return CheckReport(
-                    "lattice", False, ("pair without a meet",), f"({x}, {y})"
-                )
-            if _bounded(p.up, x, y) is None:
-                return CheckReport(
-                    "lattice", False, ("pair without a join",), f"({x}, {y})"
-                )
+    """Check that p has one minimum, one maximum, and a join for every two
+    upper covers of a common element.  By Lemma 2.1 of Björner, Edelman and
+    Ziegler, Hyperplane arrangements with a lattice of regions (Discrete
+    Comput. Geom. 5, 1990), that makes p a lattice.  The join of a and b, if
+    it exists, is the lowest element of up[a] & up[b] in p.order."""
+    if p.n and p.up[p.order[0]] != (1 << p.n) - 1:
+        # The lowest element not above order[0] has nothing below it.
+        others = ~p.up[p.order[0]]
+        x, y = sorted((p.order[0], p.order[(others & -others).bit_length() - 1]))
+        return CheckReport("lattice", False, ("pair without a meet",), f"({x}, {y}), both minimal")
+    tops = [v for v in range(p.n) if not p.parents[v]]
+    if len(tops) > 1:
+        return CheckReport("lattice", False, ("pair without a join",), f"({tops[0]}, {tops[1]}), both maximal")
+    for v, covers in enumerate(p.parents):
+        for i, a in enumerate(covers):
+            for b in covers[i + 1 :]:
+                common = p.up[a] & p.up[b]
+                if p.up[p.order[(common & -common).bit_length() - 1]] != common:
+                    return CheckReport(
+                        "lattice", False, ("pair without a join",), f"({a}, {b}), upper covers of {v}"
+                    )
     return CheckReport(
         "lattice",
         True,

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import networkx as nx
-
 from .errors import InputError, InternalError
 
 Root = tuple[int, ...]
@@ -292,29 +290,35 @@ def is_c_compatible(spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root
     return table[a][b] == table[b][a] == 0
 
 
-@lru_cache(maxsize=None)
-def compatibility_graph(spec: CartanSpec, c: CoxeterElement) -> "nx.Graph":
-    g = nx.Graph()
-    roots = almost_positive_roots(spec)
-    g.add_nodes_from(roots)
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            if is_c_compatible(spec, c, roots[a], roots[b]):
-                g.add_edge(roots[a], roots[b])
-    return g
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @lru_cache(maxsize=None)
-def enumerate_c_clusters(
-    spec: CartanSpec, c: CoxeterElement
-) -> tuple[tuple[Root, ...], ...]:
-    """All c-clusters, as lexicographically sorted root tuples, in canonical order."""
-    n = spec.rank
+def enumerate_c_clusters(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[Root, ...], ...]:
+    """All c-clusters, as lexicographically sorted root tuples, in canonical
+    order: the maximal compatible sets, found by Bron-Kerbosch with pivoting
+    over bitmasks of compatible root indices."""
+    n, roots, table = spec.rank, almost_positive_roots(spec), _compatibility_table(spec, c)
+    m = len(roots)
+    nbrs = [sum(1 << b for b in range(m) if b != a and table[a][b] == table[b][a] == 0) for a in range(m)]
     clusters = []
-    for clique in nx.find_cliques(compatibility_graph(spec, c)):
-        if len(clique) != n:
-            raise InternalError(
-                f"maximal compatible set of size {len(clique)} != rank {n}"
-            )
-        clusters.append(tuple(sorted(clique)))
+
+    def expand(clique: list[int], cand: int, excl: int) -> None:
+        if not cand | excl:
+            if len(clique) != n:
+                raise InternalError(f"maximal compatible set of size {len(clique)} != rank {n}")
+            clusters.append(tuple(roots[a] for a in sorted(clique)))
+            return
+        pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
+        for a in _bits(cand & ~nbrs[pivot]):
+            expand(clique + [a], cand & nbrs[a], excl & nbrs[a])
+            cand &= ~(1 << a)
+            excl |= 1 << a
+
+    expand([], (1 << m) - 1, 0)
     return tuple(sorted(clusters))

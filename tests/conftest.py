@@ -87,6 +87,56 @@ def sortables_of(dynkin_type, rank, order):
     return enumerate_sortables(spec_of(dynkin_type, rank), CoxeterElement(order))
 
 
+def _bounded(masks, x, y):
+    """The unique extremal element of masks[x] & masks[y], if it exists."""
+    common = masks[x] & masks[y]
+    m = common
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        if masks[v] == common:
+            return v
+    return None
+
+
+def order_masks(q):
+    """Reflexive down- and up-set bitmasks of a Hasse quiver, bit v standing
+    for vertex v, by relaxing every arrow until nothing changes."""
+    n = q.n_vertices
+    down = [1 << v for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for e in q.edges:
+            if down[e.src] | down[e.dst] != down[e.src]:
+                down[e.src] |= down[e.dst]
+                changed = True
+    up = [0] * n
+    for v in range(n):
+        for u in range(n):
+            if down[v] >> u & 1:
+                up[u] |= 1 << v
+    return down, up
+
+
+def missing_bound(q, x, y):
+    """Which of the meet and the join of x and y do not exist."""
+    down, up = order_masks(q)
+    return {name for name, masks in (("meet", down), ("join", up)) if _bounded(masks, x, y) is None}
+
+
+def pair_scan_is_lattice(q):
+    """Every pair of vertices has a meet and a join: the oracle for the local
+    lattice check of verify_lattice."""
+    down, up = order_masks(q)
+    return all(
+        _bounded(down, x, y) is not None and _bounded(up, x, y) is not None
+        for x in range(q.n_vertices)
+        for y in range(x + 1, q.n_vertices)
+    )
+
+
 def matrix_inversion_set(spec, w):
     """{alpha in Phi^+ : w^-1(alpha) < 0} from the matrix of w^-1: the oracle
     for the prefix-image inversion sets."""

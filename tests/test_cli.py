@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +263,18 @@ class TestErrors:
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])
         capsys.readouterr()
         assert code == 2
+
+
+def test_networkx_is_not_loaded():
+    # A command run imports nothing outside the standard library.
+    script = (
+        "import contextlib, io, sys\n"
+        "import cambrian.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cambrian.cli.main(['verify-all', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3'])\n"
+        "print(code, 'networkx' in sys.modules)\n"
+    )
+    src = str(Path(cambrian.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "False"]

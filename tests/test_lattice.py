@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cambrian.errors import InputError
 from cambrian.lattice import (
@@ -10,7 +14,16 @@ from cambrian.lattice import (
 from cambrian.quivers import ClusterQuiver, QuiverEdge, phi_vertex_map, theta_vertex_map
 from cambrian.rootsys import CoxeterElement
 
-from conftest import cambrian_of, ccluster_of, exchange_of, spec_of, tautilt_of
+from conftest import (
+    RANK_LE_4,
+    cambrian_of,
+    ccluster_of,
+    exchange_of,
+    missing_bound,
+    pair_scan_is_lattice,
+    spec_of,
+    tautilt_of,
+)
 
 
 def quiver(n, edges, kind="ccluster"):
@@ -24,8 +37,8 @@ def quiver(n, edges, kind="ccluster"):
 class TestPosetFromHasse:
     def test_a2_exchange(self):
         p = poset_from_hasse(exchange_of("A", 2, (2, 1)))
-        tops = [v for v in range(p.n) if p.up[v] == 1 << v]
-        bottoms = [v for v in range(p.n) if p.down[v] == 1 << v]
+        tops = [v for v in range(p.n) if all(p.leq(u, v) for u in range(p.n))]
+        bottoms = [v for v in range(p.n) if all(p.leq(v, u) for u in range(p.n))]
         assert len(tops) == 1 and len(bottoms) == 1
 
     def test_single_vertex(self):
@@ -43,7 +56,7 @@ class TestPosetFromHasse:
             poset_from_hasse(quiver(2, [(0, 1), (1, 0)]))
 
     def test_non_cover_edge_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"edge 0->2 is not a cover \(via 1\)"):
             poset_from_hasse(quiver(3, [(0, 1), (1, 2), (0, 2)]))
 
 
@@ -61,7 +74,107 @@ class TestVerifyLattice:
         edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
         rep = verify_lattice(poset_from_hasse(quiver(6, edges)))
         assert not rep.ok
-        assert rep.counterexample is not None
+        assert rep.details == ("pair without a join",)
+        assert rep.counterexample == "(3, 4), upper covers of 5"
+
+    def test_two_minima_fail(self):
+        rep = verify_lattice(poset_from_hasse(quiver(3, [(0, 1), (0, 2)])))
+        assert (rep.ok, rep.details, rep.counterexample) == (
+            False, ("pair without a meet",), "(1, 2), both minimal"
+        )
+
+    def test_two_maxima_fail(self):
+        rep = verify_lattice(poset_from_hasse(quiver(3, [(0, 2), (1, 2)])))
+        assert (rep.ok, rep.details, rep.counterexample) == (
+            False, ("pair without a join",), "(0, 1), both maximal"
+        )
+
+
+def assert_matches_pair_scan(q):
+    """verify_lattice agrees with the pair scan, and a FAIL names a pair that
+    really lacks the meet or join it says is missing."""
+    rep = verify_lattice(poset_from_hasse(q))
+    assert rep.ok == pair_scan_is_lattice(q)
+    if not rep.ok:
+        x, y, why = re.fullmatch(r"\((\d+), (\d+)\), (.*)", rep.counterexample).groups()
+        x, y = int(x), int(y)
+        assert rep.details[0].split()[-1] in missing_bound(q, x, y)
+        cover = re.fullmatch(r"upper covers of (\d+)", why)
+        if cover:
+            arrows = {(e.src, e.dst) for e in q.edges}
+            assert {(x, int(cover[1])), (y, int(cover[1]))} <= arrows
+        else:
+            side = 0 if why == "both minimal" else 1  # a minimal x is no src
+            ends = {(e.src, e.dst)[side] for e in q.edges}
+            assert why in ("both minimal", "both maximal") and not {x, y} & ends
+
+
+@st.composite
+def hasse_diagrams(draw):
+    """The Hasse quiver of a random poset on at most 9 elements: elements on
+    random levels, a random relation i > j between elements of different
+    levels, bounded or not, closed transitively, reduced to its covers,
+    relabelled and listed in random order."""
+    n, rng = draw(st.integers(1, 9)), draw(st.randoms(use_true_random=False))
+    level, density = sorted(rng.randrange(n) for _ in range(n)), rng.choice((0.3, 0.5, 0.7))
+    above = [1 << i for i in range(n)]  # above[j]: the i >= j
+    for i in range(n):
+        for j in range(i):
+            if level[i] > level[j] and rng.random() < density:
+                above[j] |= 1 << i
+    if rng.random() < 0.75:  # bounded: 0 is the bottom and n - 1 the top
+        above = [(1 << n) - 1] + [mask | 1 << (n - 1) for mask in above[1:]]
+    for j in reversed(range(n)):
+        for i in range(j + 1, n):
+            if above[j] >> i & 1:
+                above[j] |= above[i]
+    covers = [
+        (i, j)
+        for j in range(n)
+        for i in range(j + 1, n)
+        if above[j] >> i & 1
+        and not any(above[j] >> k & 1 and above[k] >> i & 1 for k in range(j + 1, i))
+    ]
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[i], label[j]) for i, j in covers]
+    rng.shuffle(edges)
+    return quiver(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hasse_diagrams())
+def test_random_posets_match_pair_scan(q):
+    assert_matches_pair_scan(q)
+
+
+@st.composite
+def built_quivers(draw):
+    """One of the four quivers for a random type of rank at most 4 and a
+    random c, as built or with one arrow removed (still a Hasse quiver, of a
+    poset that may not be a lattice)."""
+    t, n = draw(st.sampled_from(RANK_LE_4))
+    order = tuple(draw(st.permutations(range(1, n + 1))))
+    build = draw(st.sampled_from((exchange_of, ccluster_of, tautilt_of, cambrian_of)))
+    q = build(t, n, order)
+    if q.edges and draw(st.booleans()):
+        drop = draw(st.integers(0, len(q.edges) - 1))
+        q = ClusterQuiver(q.kind, q.vertices, q.edges[:drop] + q.edges[drop + 1 :])
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_quivers())
+def test_built_quivers_match_pair_scan(q):
+    assert_matches_pair_scan(q)
+
+
+@pytest.mark.parametrize("rank,clusters,edges", [(7, 4160, 14560), (8, 25080, 100320)])
+def test_type_e_ccluster_lattice(rank, clusters, edges):
+    q = ccluster_of("E", rank, tuple(range(1, rank + 1)))
+    assert (q.n_vertices, len(q.edges)) == (clusters, edges)
+    rep = verify_lattice(poset_from_hasse(q))
+    assert rep.ok and rep.details == (f"{clusters} elements, all meets and joins exist",)
 
 
 class TestVerifyQuiverMap:

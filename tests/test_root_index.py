@@ -1,7 +1,11 @@
 """Oracles for the root-indexed c-dynamics: the compatibility table, the
-one-pass prefix images behind cl and inversion sets, and the facet-indexed
-c-cluster edges, each against the direct definition it replaces."""
+one-pass prefix images behind cl and inversion sets, the facet-indexed
+c-cluster edges and the bitmask clique search, each against the direct
+definition or the library routine it replaces."""
 
+from itertools import combinations
+
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +16,7 @@ from cambrian.rootsys import (
     almost_positive_roots,
     compatibility_degree,
     enumerate_c_clusters,
+    is_c_compatible,
     negative_simple,
     tau,
 )
@@ -77,6 +82,14 @@ def _pair_scan_edges(spec, c):
     return edges
 
 
+def _networkx_c_clusters(spec, c):
+    roots = almost_positive_roots(spec)
+    g = nx.Graph()
+    g.add_nodes_from(roots)
+    g.add_edges_from((a, b) for a, b in combinations(roots, 2) if is_c_compatible(spec, c, a, b))
+    return tuple(sorted(tuple(sorted(clique)) for clique in nx.find_cliques(g)))
+
+
 @st.composite
 def type_and_coxeter(draw):
     dynkin_type, rank = draw(st.sampled_from(RANK_LE_4))
@@ -98,6 +111,19 @@ def test_indexed_paths_match_their_definitions(case):
     edges = {(e.src, e.dst, e.out_label, e.in_label) for e in q.edges}
     assert len(edges) == len(q.edges)
     assert edges == _pair_scan_edges(spec, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_and_coxeter())
+def test_c_clusters_are_the_networkx_cliques(case):
+    assert enumerate_c_clusters(*case) == _networkx_c_clusters(*case)
+
+
+def test_e6_c_clusters_are_the_networkx_cliques():
+    for order in [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)]:
+        spec, c = spec_of("E", 6), CoxeterElement(order)
+        clusters = enumerate_c_clusters(spec, c)
+        assert len(clusters) == 833 and clusters == _networkx_c_clusters(spec, c)
 
 
 def test_e6_cambrian_iso_ccluster():

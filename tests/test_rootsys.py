@@ -1,6 +1,7 @@
 import pytest
 
-from cambrian.errors import InputError
+import cambrian.rootsys
+from cambrian.errors import InputError, InternalError
 from cambrian.rootsys import (
     CoxeterElement,
     almost_positive_roots,
@@ -205,6 +206,14 @@ class TestClusters:
     def test_a1(self):
         a1 = cartan_matrix("A", 1)
         assert set(enumerate_c_clusters(a1, CoxeterElement((1,)))) == {((1,),), ((-1,),)}
+
+    def test_maximal_set_of_wrong_size_raises(self, monkeypatch):
+        # With no two roots compatible, every maximal compatible set is a
+        # single root, which is not a cluster of A2.
+        m = len(almost_positive_roots(A2))
+        monkeypatch.setattr(cambrian.rootsys, "_compatibility_table", lambda spec, c: ((1,) * m,) * m)
+        with pytest.raises(InternalError, match="maximal compatible set of size 1 != rank 2"):
+            enumerate_c_clusters.__wrapped__(A2, C21)
 
     def test_a3_count(self):
         a3 = spec_of("A", 3)
