@@ -16,8 +16,9 @@ from functools import cached_property
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
 from .laurent import LaurentPolynomial, denominator_vector, poly_hash, poly_str
-from .mutation import check_duality, column_sign, frame_is_unimodular
+from .mutation import check_frame
 from .quivers import (
+    DEFAULT_VERTEX_CAP,
     CheckReport,
     ClusterQuiver,
     build_c_cluster_quiver,
@@ -28,7 +29,6 @@ from .quivers import (
     phi_vertex_map,
     psi_vertex_map,
     theta_vertex_map,
-    vertex_cap_from_env,
 )
 from .rootsys import CartanSpec, CoxeterElement, Root, cartan_matrix
 from .sortables import build_cambrian_hasse, cambrian_vertex_map
@@ -172,11 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 class Build:
     """The quivers of one (spec, c), each built on first use and then shared
-    by every check of a command.  cap bounds each exchange BFS and is checked
-    here, so every command rejects a bad cap."""
+    by every check of a command.  cap (None for the default) bounds each
+    exchange BFS and is checked here, so every command rejects a bad cap."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
-        self.spec, self.c, self.cap = spec, c, vertex_cap_from_env(cap)
+        self.spec, self.c = spec, c
+        self.cap = DEFAULT_VERTEX_CAP if cap is None else cap
+        if self.cap < 1:
+            raise InputError(f"vertex cap must be at least 1, got {cap}")
 
     @cached_property
     def plus(self) -> ClusterQuiver:
@@ -226,34 +229,23 @@ def run_lattice_checks(build: Build) -> list[CheckReport]:
 
 
 def run_sign_checks(build: Build) -> list[CheckReport]:
-    """Re-assert sign coherence, duality and unimodularity on the frame the
-    BFS reached each cluster of both exchange quivers with."""
+    """Re-assert check_frame on the frame the BFS reached each cluster of both
+    exchange quivers with, and that its C-columns are the stored c-vectors."""
     reports = []
     for sign, q in (("plus", build.plus), ("minus", build.minus)):
-        checked = 0
         for payload in q.vertices:
-            frame = payload.seed.frame
-            columns = [frame.c_column(j + 1) for j in range(build.spec.rank)]
-            for col in columns:
-                column_sign(col)
-            check_duality(frame)
-            failure = None
-            if not frame_is_unimodular(frame):
-                failure = "non-unimodular C-matrix"
-            elif frozenset(columns) != frozenset(payload.c_vectors):
-                failure = "C-set mismatch"
-            if failure:
+            check_frame(payload.frame)
+            if frozenset(zip(*payload.frame.c_matrix)) != frozenset(payload.c_vectors):
                 where = f"witness path {payload.witness_path}"
-                reports.append(CheckReport(f"signs {sign}", False, (failure,), where))
+                reports.append(CheckReport(f"signs {sign}", False, ("C-set mismatch",), where))
                 break
-            checked += 1
         else:
             reports.append(
                 CheckReport(
                     f"signs {sign}",
                     True,
-                    (f"{checked} clusters: sign-coherent, dual, unimodular",),
-                    stats=(("clusters", checked),),
+                    (f"{q.n_vertices} clusters: sign-coherent, dual, unimodular",),
+                    stats=(("clusters", q.n_vertices),),
                 )
             )
     return reports

@@ -4,7 +4,9 @@ A MatrixFrame carries the exchange matrix together with the C- and G-matrices
 relative to the frame's root vertex.  A mutation step checks only the sign of
 the c-vector it mutates at.  check_frame asserts sign coherence of every
 C-column, the duality G^T * S * C = S and unimodularity on a kept frame: each
-frame the exchange BFS stores and each frame of the tau-C check's tau walk.
+frame the exchange BFS stores (verify-signs asserts it once more on each) and
+each frame of the tau-C check's tau walk.  That walk moves by frame_mutate
+alone and reads its cluster variables from the exchange quiver by g-vector.
 """
 
 from __future__ import annotations

@@ -7,30 +7,14 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .laurent import LabeledSeed, LaurentPolynomial, initial_seed, mutate_seed, theta
-from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate
+from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame
 from .rootsys import CartanSpec, CoxeterElement, Root, enumerate_c_clusters, r_degree, tau
 
 DEFAULT_VERTEX_CAP = 10**6
-
-
-def vertex_cap_from_env(override: int | None = None) -> int:
-    cap = override
-    if cap is None:
-        raw = os.environ.get("CAMBRIAN_VERTEX_CAP")
-        if raw is None:
-            return DEFAULT_VERTEX_CAP
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise InputError(f"CAMBRIAN_VERTEX_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError(f"vertex cap must be at least 1, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -45,16 +29,17 @@ class QuiverEdge:
 @dataclass(frozen=True)
 class ClusterVertexPayload:
     """A non-labeled cluster: sorted variables with aligned c-/g-vectors, and
-    the labeled seed the BFS first reached it with."""
+    the frame the BFS first reached it with.  The variable at position j of
+    the frame is the one whose g-vector is the frame's j-th G-column."""
 
     variables: tuple[LaurentPolynomial, ...]
     c_vectors: tuple[tuple[int, ...], ...]
     g_vectors: tuple[tuple[int, ...], ...]
-    seed: LabeledSeed
+    frame: MatrixFrame
 
     @property
     def witness_path(self) -> tuple[int, ...]:
-        return self.seed.frame.path
+        return self.frame.path
 
     def key(self) -> frozenset:
         return frozenset(self.variables)
@@ -118,7 +103,7 @@ def build_exchange_quiver(
     spec: CartanSpec,
     c: CoxeterElement,
     sign: str = "plus",
-    vertex_cap: int | None = None,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> ClusterQuiver:
     """BFS over non-labeled clusters of A(B^c) (or A(-B^c) for sign="minus").
 
@@ -136,7 +121,6 @@ def build_exchange_quiver(
     """
     if sign not in ("plus", "minus"):
         raise InputError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    cap = vertex_cap_from_env(vertex_cap)
     b = build_bc(spec, c)
     if sign == "minus":
         b = b.negated()
@@ -181,7 +165,7 @@ def build_exchange_quiver(
                 bind(g_new, new_var)
                 mkey = frozenset(gs[: k - 1] + (g_new,) + gs[k:])
                 if mkey not in frames:
-                    if len(frames) >= cap:
+                    if len(frames) >= vertex_cap:
                         raise InputError("vertex cap exceeded: not finite type or bad input")
                     check_frame(mutated)
                     frames[mkey] = mutated
@@ -204,11 +188,10 @@ def build_exchange_quiver(
     payloads = []
     for key in ordered:
         frame = frames[key]
-        seed = LabeledSeed(tuple(polys[g] for g in zip(*frame.g_matrix)), None, frame)
         # Variables sorted, with their c- and g-vectors aligned.
-        columns = zip(seed.vars, zip(*frame.c_matrix), zip(*frame.g_matrix))
+        columns = ((polys[g], cv, g) for cv, g in zip(zip(*frame.c_matrix), zip(*frame.g_matrix)))
         columns = sorted(columns, key=lambda t: _var_key(t[0]))
-        payloads.append(ClusterVertexPayload(*zip(*columns), seed))
+        payloads.append(ClusterVertexPayload(*zip(*columns), frame))
     edges = sorted(
         (QuiverEdge(index[s], index[d], polys[go], polys[gi]) for s, d, go, gi in edge_map.values()),
         key=lambda e: (e.src, e.dst),
@@ -412,26 +395,41 @@ def check_tau_c_matrix(
     C-matrix set of [x] in A(-B^c); and theta of the image variables equals
     tau_c^-1 of theta of the originals, position by position.  The image is
     [x] with the sink mutations c_n, ..., c_1 prepended to its witness path.
-    Witness paths are prefix-closed, so each image is one mutation from the
-    image of the cluster's BFS parent.  Every frame of this tau walk passes
-    check_frame.
+    Witness paths are prefix-closed, so each image frame is one frame_mutate
+    from the image of the cluster's BFS parent; every frame of this tau walk
+    passes check_frame.  The image frames are frames of A(B^c) relative to
+    the initial seed of qp, so each image variable is read from qp by its
+    g-vector, and theta and tau_c^-1 of theta are taken once per variable.
+    A cluster of qp missing from qm fails the check; an image g-vector that
+    no variable of qp has raises InternalError naming the witness path.
     """
     minus_csets = {p.key(): frozenset(p.c_vectors) for p in qm.vertices}
-    sink0 = initial_seed(build_bc(spec, c), "trivial")
+    polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
+    theta_at = {g: theta(spec, c, x) for g, x in polys.items()}
+    tau_theta_at = {g: tau(spec, c, root, "inverse") for g, root in theta_at.items()}
+    sink0 = identity_frame(build_bc(spec, c))
     for k in reversed(c.order):
-        sink0 = mutate_seed(sink0, k)
-    tau_seeds = {(): sink0}
+        sink0 = frame_mutate(sink0, k)
+    tau_frames = {(): sink0}
     checked = 0
     for payload in sorted(qp.vertices, key=lambda p: len(p.witness_path)):
         path = payload.witness_path
         if path:
-            if path[:-1] not in tau_seeds:
+            if path[:-1] not in tau_frames:
                 raise InternalError(f"witness path {path} has no parent cluster")
-            tau_seeds[path] = mutate_seed(tau_seeds[path[:-1]], path[-1])
-        seed_tau = tau_seeds[path]
-        check_frame(seed_tau.frame)
-        tau_cset = frozenset(seed_tau.frame.c_column(j + 1) for j in range(spec.rank))
-        want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.key()])
+            tau_frames[path] = frame_mutate(tau_frames[path[:-1]], path[-1])
+        frame_tau = tau_frames[path]
+        check_frame(frame_tau)
+        key = payload.key()
+        if key not in minus_csets:
+            return CheckReport(
+                "tau-c-matrix",
+                False,
+                ("cluster of A(B^c) missing from A(-B^c)",),
+                counterexample=f"witness path {path}",
+            )
+        tau_cset = frozenset(zip(*frame_tau.c_matrix))
+        want = frozenset(tuple(-x for x in v) for v in minus_csets[key])
         if tau_cset != want:
             return CheckReport(
                 "tau-c-matrix",
@@ -439,9 +437,13 @@ def check_tau_c_matrix(
                 ("C-matrix set of the tau-image differs from -C in A(-B^c)",),
                 counterexample=f"witness path {path}: {sorted(tau_cset)}",
             )
-        for j in range(spec.rank):
-            lhs = theta(spec, c, seed_tau.vars[j])
-            rhs = tau(spec, c, theta(spec, c, payload.seed.vars[j]), "inverse")
+        for j, (g_tau, g) in enumerate(zip(zip(*frame_tau.g_matrix), zip(*payload.frame.g_matrix))):
+            try:
+                lhs, rhs = theta_at[g_tau], tau_theta_at[g]
+            except KeyError as exc:
+                raise InternalError(
+                    f"witness path {path}: no cluster variable of A(B^c) has g-vector {exc.args[0]}"
+                ) from None
             if lhs != rhs:
                 return CheckReport(
                     "tau-c-matrix",

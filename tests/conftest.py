@@ -187,9 +187,25 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
             ),
             key=lambda t: t[0].terms,
         )
-        payloads.append(ClusterVertexPayload(*(tuple(t[i] for t in triples) for i in range(3)), seed))
+        payloads.append(ClusterVertexPayload(*(tuple(t[i] for t in triples) for i in range(3)), seed.frame))
     edges = sorted(
         (QuiverEdge(index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
         key=lambda e: (e.src, e.dst),
     )
     return ClusterQuiver("exchange", tuple(payloads), tuple(edges))
+
+
+def laurent_tau_walk(spec, c, qp):
+    """The tau_c^-1 image of every cluster of qp, the exchange quiver of B^c,
+    as a labeled Laurent seed keyed by the cluster's witness path: the
+    initial seed mutated at the sinks c_n, ..., c_1 and then along the
+    witness path, each image one exact mutate_seed from its parent's.  The
+    oracle for the frame walk of check_tau_c_matrix."""
+    seed = initial_seed(build_bc(spec, c), "trivial")
+    for k in reversed(c.order):
+        seed = mutate_seed(seed, k)
+    seeds = {(): seed}
+    for path in sorted((p.witness_path for p in qp.vertices), key=len):
+        if path:
+            seeds[path] = mutate_seed(seeds[path[:-1]], path[-1])
+    return seeds

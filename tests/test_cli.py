@@ -107,9 +107,10 @@ class TestVerifyCommands:
         # A3: n = 3, m = 14 clusters, 15 exchange pairs {x, x'} (the pairs of
         # crossing diagonals of a hexagon, C(6, 4)).  Each BFS computes one
         # exact exchange per pair and advances a frame on each of its n·m
-        # directed edges; the tau walk adds (m−1)+n of each.  So mutate_seed
-        # runs 2·15 + 16 = 46 times and frame_mutate 2·n·m + 16 = 100 times; a
-        # replay of any witness path from the root would add more.
+        # directed edges; the tau walk advances (m−1)+n frames and reads its
+        # variables from the plus build.  So mutate_seed runs 2·15 = 30 times
+        # and frame_mutate 2·n·m + (m−1)+n = 84 + 16 = 100 times; a replay of
+        # any witness path from the root would add more.
         calls = {"mutate_seed": 0, "frame_mutate": 0}
         for original in (mutate_seed, frame_mutate):
 
@@ -122,7 +123,7 @@ class TestVerifyCommands:
                     monkeypatch.setattr(module, original.__name__, counted)
         code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 0
-        assert calls == {"mutate_seed": 46, "frame_mutate": 100}
+        assert calls == {"mutate_seed": 30, "frame_mutate": 100}
 
     def test_sign_check_failure_names_witness_path(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
@@ -142,6 +143,19 @@ class TestVerifyCommands:
         assert code == 1
         assert out.splitlines()[0] == (
             f"FAIL signs plus: C-set mismatch [counterexample: witness path {bad.witness_path}]"
+        )
+
+    def test_tau_c_failure_when_minus_cluster_missing(self, capsys, monkeypatch):
+        build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
+        dropped = build.minus.vertices[-1]
+        (plus,) = [p for p in build.plus.vertices if p.key() == dropped.key()]
+        build.__dict__["minus"] = dataclasses.replace(build.minus, vertices=build.minus.vertices[:-1])
+        monkeypatch.setattr(cambrian.cli, "Build", lambda *args: build)
+        code, out, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "FAIL tau-c-matrix: cluster of A(B^c) missing from A(-B^c)"
+            f" [counterexample: witness path {plus.witness_path}]"
         )
 
     def test_verify_json(self, capsys):
@@ -203,12 +217,6 @@ class TestErrors:
         code, _, _ = run(capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1")
         assert code == 2
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "2")
-        code, _, err = run(capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1,2")
-        assert code == 2
-        assert "cap" in err
-
     def test_cap_flag(self, capsys):
         code, _, _ = run(
             capsys, "exchange", "--type", "A", "--rank", "3", "--coxeter", "1,2,3",
@@ -228,22 +236,13 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "vertex cap exceeded" in err
 
-    def test_cap_below_one(self, capsys, monkeypatch):
+    def test_cap_below_one(self, capsys):
         # cclusters and cambrian build no exchange quiver but still check the cap.
         for command in ("exchange", "cclusters", "cambrian"):
             args = (command, "--type", "A", "--rank", "2", "--coxeter", "1,2")
             code, out, err = run(capsys, *args, "--vertex-cap", "0")
             assert code == 2 and out == ""
             assert "vertex cap must be at least 1" in err
-            monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "0")
-            code, out, err = run(capsys, *args)
-            assert code == 2 and out == ""
-            assert "vertex cap must be at least 1" in err
-            monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "abc")
-            code, out, err = run(capsys, *args)
-            assert code == 2 and out == ""
-            assert "CAMBRIAN_VERTEX_CAP must be an integer" in err
-            monkeypatch.delenv("CAMBRIAN_VERTEX_CAP")
 
     @pytest.mark.parametrize("command", ["exchange", "verify-all"])
     def test_unwritable_output(self, capsys, monkeypatch, tmp_path, command):

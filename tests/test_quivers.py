@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cambrian.cli import Build, run_sign_checks
-from cambrian.errors import InputError
+from cambrian.errors import InputError, InternalError
 from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed
 from cambrian.mutation import build_bc
 from cambrian.quivers import (
@@ -102,11 +103,6 @@ class TestExchangeA2:
     def test_vertex_cap(self):
         with pytest.raises(InputError):
             build_exchange_quiver(A2, C21, vertex_cap=3)
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("CAMBRIAN_VERTEX_CAP", "2")
-        with pytest.raises(InputError):
-            build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
 
     def test_bad_sign(self):
         with pytest.raises(InputError):
@@ -245,6 +241,37 @@ class TestTauCMatrix:
         (plus,) = [p for p in qp.vertices if p.key() == bad.key()]
         assert rep.counterexample.startswith(f"witness path {plus.witness_path}: ")
 
+    def test_swapped_variables_break_theta_intertwining(self):
+        # Swap the g-vectors of two variables in every cluster of A(B^c):
+        # C-sets are untouched, but the image variables read by g-vector are
+        # no longer tau_c^-1 of the originals under theta.
+        qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
+        x, y = qp.vertices[0].g_vectors[:2]
+        swap = {x: y, y: x}
+        vertices = tuple(
+            dataclasses.replace(p, g_vectors=tuple(swap.get(g, g) for g in p.g_vectors)) for p in qp.vertices
+        )
+        rep = check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), dataclasses.replace(qp, vertices=vertices), qm)
+        assert not rep.ok
+        assert rep.details == ("theta does not intertwine tau_c^-1 with the mutation model",)
+        assert rep.counterexample.startswith("witness path (")
+
+    def test_missing_g_vector_names_witness_path(self):
+        # Move one non-initial variable to a g-vector no frame reaches: the
+        # tau walk still reaches its true g-vector, which is now unknown.
+        qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
+        initials = {LaurentPolynomial.generator(3, i) for i in range(3)}
+        x, g_x = next(
+            (v, g) for p in qp.vertices for v, g in zip(p.variables, p.g_vectors) if v not in initials
+        )
+        vertices = tuple(
+            dataclasses.replace(p, g_vectors=tuple((9, 9, 9) if v == x else g for v, g in zip(p.variables, p.g_vectors)))
+            for p in qp.vertices
+        )
+        with pytest.raises(InternalError, match=re.escape(f"no cluster variable of A(B^c) has g-vector {g_x}")) as info:
+            check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), dataclasses.replace(qp, vertices=vertices), qm)
+        assert str(info.value).startswith("witness path (")
+
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 
@@ -258,8 +285,9 @@ def small_type_and_c(draw):
 @settings(deadline=None, max_examples=25)
 @given(small_type_and_c())
 def test_stored_seeds_are_witness_path_replays(case):
-    # The old replay is the oracle: each stored seed is the initial seed
-    # mutated along its witness path, and the paths are prefix-closed.
+    # The old replay is the oracle: each stored frame, with the variables at
+    # its G-columns, is the initial seed mutated along its witness path, and
+    # the paths are prefix-closed.
     t, n, c = case
     build = Build(spec_of(t, n), c, None)
     for q in (build.plus, build.minus):
@@ -270,7 +298,9 @@ def test_stored_seeds_are_witness_path_replays(case):
             seed = seed0
             for k in payload.witness_path:
                 seed = mutate_seed(seed, k)
-            assert payload.seed == seed
+            assert payload.frame == seed.frame
+            at_g = dict(zip(payload.g_vectors, payload.variables))
+            assert tuple(at_g[g] for g in zip(*payload.frame.g_matrix)) == seed.vars
             assert not payload.witness_path or payload.witness_path[:-1] in paths
     assert check_tau_c_matrix(build.spec, c, build.plus, build.minus).ok
     assert all(rep.ok for rep in run_sign_checks(build))
