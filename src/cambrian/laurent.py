@@ -3,25 +3,29 @@
 Cluster variables are kept fully expanded in the initial variables, so each
 mutate_seed performs one exact multivariate division (the exchange BFS calls it
 once per distinct exchange relation); an inexact division is a hard internal
-error, never a recoverable condition.  The frame advances by frame_mutate;
-sign coherence, duality and unimodularity are asserted on the frames that are
-kept (mutation.check_frame).  In principal-coefficient mode a variable lives
-in 2n variables: the first n exponents are the initial cluster variables, the
-last n the tropical generators.
+error, never a recoverable condition.  The exchange runs on integer-packed
+exponents with a heap-ordered division (_divide), which exact_div shares;
+__mul__, __add__ and __pow__ are the plain tuple-exponent arithmetic.  The
+frame advances by frame_mutate; sign coherence, duality and unimodularity are
+asserted on the frames that are kept (mutation.check_frame).  In
+principal-coefficient mode a variable lives in 2n variables: the first n
+exponents are the initial cluster variables, the last n the tropical
+generators.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .errors import InputError, InternalError
 from .mutation import ExchangeMatrix, MatrixFrame, frame_mutate, identity_frame
 from .rootsys import CartanSpec, CoxeterElement, Root, is_almost_positive
 
 Exponent = tuple[int, ...]
-
-_DIV_STEP_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -87,29 +91,107 @@ class LaurentPolynomial:
         """Exact division; raises InternalError if the quotient is not Laurent."""
         if divisor.is_zero():
             raise InputError("division by the zero polynomial")
-        lead_e, lead_c = divisor.terms[0]
-        rem = dict(self.terms)
-        quot: dict[Exponent, int] = {}
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > _DIV_STEP_CAP:
-                raise InternalError("Laurent phenomenon violated (division diverges)")
-            re = max(rem)
-            rc = rem[re]
-            if rc % lead_c != 0:
+        if self.is_zero():
+            return self
+        lo, hi = _box(self.terms)
+        weights = _place_values(lo, hi)
+        return _divide(dict(_pack(self.terms, weights)), divisor, lo, hi, weights)
+
+
+# The exact-division kernel shared by exact_div and mutate_seed.  An exponent e
+# inside a box [lo, hi] packs to the integer sum(e_j * w_j), where the place
+# values w are the mixed radix of the box with the first coordinate most
+# significant.  Packing is additive, so a product of terms is a sum of keys,
+# and on any box no wider than [lo, hi] it is injective and keeps the
+# descending-lex order of LaurentPolynomial.terms.
+
+
+def _box(terms: Sequence[tuple[Exponent, int]]) -> tuple[Exponent, Exponent]:
+    """Lowest and highest exponent of each variable over the terms."""
+    columns = tuple(zip(*(e for e, _ in terms)))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _place_values(lo: Exponent, hi: Exponent) -> tuple[int, ...]:
+    weights = [1] * len(lo)
+    for j in range(len(lo) - 1, 0, -1):
+        weights[j - 1] = weights[j] * (hi[j] - lo[j] + 1)
+    return tuple(weights)
+
+
+def _pack(terms: Sequence[tuple[Exponent, int]], weights: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(sum(map(mul, e, weights)), c) for e, c in terms]
+
+
+def _mul_packed(a: dict[int, int], b: list[tuple[int, int]]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _divide(
+    num: dict[int, int],
+    divisor: LaurentPolynomial,
+    lo: Exponent,
+    hi: Exponent,
+    weights: tuple[int, ...],
+) -> LaurentPolynomial:
+    """num / divisor, num packed over the box [lo, hi] that holds its terms.
+
+    The remainder's terms stay in [lo, hi] and sit in a max-heap of keys; each
+    step divides its lead term by the divisor's.  An exact quotient lies in
+    the box [lo - lo_div, hi - hi_div], so a quotient exponent outside it, or
+    a coefficient that does not divide, proves the division inexact.  The
+    exponent is checked on the digits of the lead term, decoded from its key.
+    The lead term strictly decreases inside the finite box, so the loop ends.
+    """
+    (lead_e, lead_c), *rest = divisor.terms
+    lead_k = sum(map(mul, lead_e, weights))
+    rest = _pack(rest, weights)
+    dlo, dhi = _box(divisor.terms)
+    # (radix, lowest digit, highest digit, digit-to-quotient-exponent offset),
+    # least significant coordinate first.
+    digits = tuple(
+        (h - l + 1, e - dl, h - l - (dh - e), l - e)
+        for l, h, e, dl, dh in reversed(tuple(zip(lo, hi, lead_e, dlo, dhi)))
+    )
+    base = sum(map(mul, lo, weights))
+    heap = [-k for k in num]
+    heapify(heap)
+    rem = num
+    quot: dict[Exponent, int] = {}
+    while rem:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        u = k - base
+        qe = []
+        for radix, low, high, offset in digits:
+            u, d = divmod(u, radix)
+            if not low <= d <= high:
                 raise InternalError("Laurent phenomenon violated (inexact division)")
-            qe = tuple(a - b for a, b in zip(re, lead_e))
-            qc = rc // lead_c
-            quot[qe] = quot.get(qe, 0) + qc
-            for e, c in divisor.terms:
-                key = tuple(a + b for a, b in zip(qe, e))
-                nc = rem.get(key, 0) - qc * c
-                if nc:
-                    rem[key] = nc
-                else:
-                    rem.pop(key, None)
-        return LaurentPolynomial.from_dict(self.nvars, quot)
+            qe.append(d + offset)
+        qc, r = divmod(c, lead_c)
+        if r:
+            raise InternalError("Laurent phenomenon violated (inexact division)")
+        quot[tuple(reversed(qe))] = qc
+        qk = k - lead_k
+        for dk, dc in rest:
+            key = qk + dk
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -qc * dc
+                heappush(heap, -key)
+            elif old == qc * dc:
+                del rem[key]
+            else:
+                rem[key] = old - qc * dc
+    return LaurentPolynomial.from_dict(divisor.nvars, quot)
 
 
 def poly_str(p: LaurentPolynomial, names: tuple[str, ...] | None = None) -> str:
@@ -205,27 +287,19 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
         raise InputError(f"mutation direction {k} out of range 1..{n}")
     k0 = k - 1
     b = s.frame.b.entries
-    nv = s.vars[0].nvars
-    pos = LaurentPolynomial.one(nv)
-    neg = LaurentPolynomial.one(nv)
-    for i in range(n):
-        bik = b[i][k0]
-        if bik > 0:
-            pos = pos * s.vars[i] ** bik
-        elif bik < 0:
-            neg = neg * s.vars[i] ** (-bik)
+    pos = [(s.vars[i], b[i][k0]) for i in range(n) if b[i][k0] > 0]
+    neg = [(s.vars[i], -b[i][k0]) for i in range(n) if b[i][k0] < 0]
 
     new_frame = frame_mutate(s.frame, k)
 
     if s.mode == "trivial":
-        num = pos + neg
-        new_xk = num.exact_div(s.vars[k0])
+        new_xk = _exchange(pos, neg, s.vars[k0])
         new_coeffs = None
     else:
         yk = s.coeffs[k0]
-        num = _y_monomial(n, yk.exponents) * pos + neg
+        pos.append((_y_monomial(n, yk.exponents), 1))
         denom = _y_monomial(n, yk.oplus_one().exponents) * s.vars[k0]
-        new_xk = num.exact_div(denom)
+        new_xk = _exchange(pos, neg, denom)
         new_list = []
         for j in range(n):
             if j == k0:
@@ -241,6 +315,39 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
 
     new_vars = tuple(new_xk if i == k0 else s.vars[i] for i in range(n))
     return LabeledSeed(new_vars, new_coeffs, new_frame)
+
+
+Factors = list[tuple[LaurentPolynomial, int]]  # (polynomial, power) pairs
+
+
+def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial) -> LaurentPolynomial:
+    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the box
+    of the numerator: a product's box is the sum of its factors' boxes."""
+    nvars = divisor.nvars
+    boxes = []
+    for factors in (pos, neg):
+        lo, hi = [0] * nvars, [0] * nvars
+        for p, m in factors:
+            plo, phi = _box(p.terms)
+            lo = [a + m * x for a, x in zip(lo, plo)]
+            hi = [a + m * x for a, x in zip(hi, phi)]
+        boxes.append((lo, hi))
+    (plo, phi), (nlo, nhi) = boxes
+    lo, hi = tuple(map(min, plo, nlo)), tuple(map(max, phi, nhi))
+    weights = _place_values(lo, hi)
+    num = _product(pos, weights)
+    for key, c in _product(neg, weights).items():
+        num[key] = num.get(key, 0) + c
+    return _divide({key: c for key, c in num.items() if c}, divisor, lo, hi, weights)
+
+
+def _product(factors: Factors, weights: tuple[int, ...]) -> dict[int, int]:
+    out = {0: 1}
+    for p, m in factors:
+        packed = _pack(p.terms, weights)
+        for _ in range(m):
+            out = _mul_packed(out, packed)
+    return out
 
 
 def denominator_vector(x: LaurentPolynomial, nx_vars: int | None = None) -> tuple[int, ...]:

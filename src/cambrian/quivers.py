@@ -228,10 +228,10 @@ def shadow_of_cluster(spec: CartanSpec, cluster: tuple[Root, ...]) -> TauTilting
     return TauTiltingShadow(module, proj)
 
 
-def exchange_vertex_root_cluster(
-    spec: CartanSpec, c: CoxeterElement, payload: ClusterVertexPayload
-) -> tuple[Root, ...]:
-    return tuple(sorted(theta(spec, c, v) for v in payload.variables))
+def theta_table(spec: CartanSpec, c: CoxeterElement, exchange: ClusterQuiver) -> dict[LaurentPolynomial, Root]:
+    """theta of every cluster variable of the exchange quiver, once per variable."""
+    variables = dict.fromkeys(x for payload in exchange.vertices for x in payload.variables)
+    return {x: theta(spec, c, x) for x in variables}
 
 
 def build_tau_tilting_quiver(
@@ -241,16 +241,17 @@ def build_tau_tilting_quiver(
 ) -> ClusterQuiver:
     """Shadow tau-tilting quiver: the vertices of the exchange quiver of B^c
     through theta, arrows reversed."""
-    shadows = []
-    for payload in exchange.vertices:
-        cluster = exchange_vertex_root_cluster(spec, c, payload)
-        shadows.append(shadow_of_cluster(spec, cluster))
+    roots = theta_table(spec, c, exchange)
+    shadows = [
+        shadow_of_cluster(spec, tuple(sorted(roots[x] for x in payload.variables)))
+        for payload in exchange.vertices
+    ]
     ordered = sorted(range(len(shadows)), key=lambda i: (shadows[i].module_part, shadows[i].projective_part))
     index = {old: new for new, old in enumerate(ordered)}
     edges = []
     for e in exchange.edges:
-        out_root = theta(spec, c, e.in_label)
-        in_root = theta(spec, c, e.out_label)
+        out_root = roots[e.in_label]
+        in_root = roots[e.out_label]
         edges.append(
             QuiverEdge(
                 index[e.dst],
@@ -274,9 +275,10 @@ def theta_vertex_map(
 ) -> tuple[int, ...]:
     """Variable-wise theta as a vertex map, exchange quiver -> c-cluster quiver."""
     index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
+    roots = theta_table(spec, c, exchange)
     out = []
     for payload in exchange.vertices:
-        cluster = exchange_vertex_root_cluster(spec, c, payload)
+        cluster = tuple(sorted(roots[x] for x in payload.variables))
         if cluster not in index:
             raise InternalError(f"theta image {cluster} is not an enumerated c-cluster")
         out.append(index[cluster])

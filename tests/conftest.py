@@ -4,15 +4,17 @@ oracles the tests compare against."""
 from functools import lru_cache
 
 from cambrian.errors import InternalError
-from cambrian.laurent import initial_seed, mutate_seed
-from cambrian.mutation import build_bc, column_sign, frame_is_unimodular
+from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
+from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate
 from cambrian.quivers import (
     ClusterQuiver,
     ClusterVertexPayload,
     QuiverEdge,
+    _exchange_key,
     build_c_cluster_quiver,
     build_exchange_quiver,
     build_tau_tilting_quiver,
+    shadow_of_cluster,
 )
 from cambrian.rootsys import CoxeterElement, cartan_matrix, positive_roots
 from cambrian.sortables import build_cambrian_hasse, enumerate_sortables
@@ -209,3 +211,53 @@ def laurent_tau_walk(spec, c, qp):
         if path:
             seeds[path] = mutate_seed(seeds[path[:-1]], path[-1])
     return seeds
+
+
+def assert_exchange_relations(q):
+    """Every distinct exchange relation of the exchange quiver q multiplies
+    out: x_k' x_k == prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+, in the tuple
+    arithmetic of LaurentPolynomial, at the frame each vertex stores.  The
+    independent check of the packed division of mutate_seed.  Returns the
+    number of relations checked."""
+    polys = {g: x for p in q.vertices for g, x in zip(p.g_vectors, p.variables)}
+    one = LaurentPolynomial.one(q.vertices[0].variables[0].nvars)
+    seen = set()
+    for payload in q.vertices:
+        frame = payload.frame
+        xs = [polys[g] for g in zip(*frame.g_matrix)]
+        for k in range(1, len(xs) + 1):
+            key = _exchange_key(frame, k)
+            if key in seen:
+                continue
+            mutated = frame_mutate(frame, k)
+            seen.update((key, _exchange_key(mutated, k)))
+            pos, neg = one, one
+            for x, row in zip(xs, frame.b.entries):
+                bik = row[k - 1]
+                if bik > 0:
+                    pos = pos * x ** bik
+                elif bik < 0:
+                    neg = neg * x ** -bik
+            x_new = polys[mutated.g_column(k)]
+            assert x_new * xs[k - 1] == pos + neg, f"relation at {frame.path}, k={k}"
+    return len(seen)
+
+
+def per_position_tau_tilting(spec, c, exchange, ccluster):
+    """The tau-tilting quiver and the theta vertex map with theta taken at
+    every position of every cluster and at both labels of every edge: the
+    oracle for build_tau_tilting_quiver and theta_vertex_map, which read one
+    theta per variable."""
+    clusters = [tuple(sorted(theta(spec, c, x) for x in p.variables)) for p in exchange.vertices]
+    shadows = [shadow_of_cluster(spec, cluster) for cluster in clusters]
+    ordered = sorted(range(len(shadows)), key=lambda i: (shadows[i].module_part, shadows[i].projective_part))
+    index = {old: new for new, old in enumerate(ordered)}
+    edges = []
+    for e in exchange.edges:
+        out_root, in_root = theta(spec, c, e.in_label), theta(spec, c, e.out_label)
+        both_positive = min(out_root) >= 0 and min(in_root) >= 0
+        edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root, both_positive))
+    edges.sort(key=lambda e: (e.src, e.dst))
+    tautilt = ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
+    ccluster_index = {cluster: i for i, cluster in enumerate(ccluster.vertices)}
+    return tautilt, tuple(ccluster_index[cluster] for cluster in clusters)

@@ -18,6 +18,7 @@ from cambrian.rootsys import CoxeterElement
 
 from conftest import (
     RANK_LE_4,
+    assert_exchange_relations,
     ccluster_of,
     exchange_of,
     polynomial_keyed_exchange_quiver,
@@ -63,6 +64,24 @@ def test_e6_exchange_theta_anti_iso():
     assert (exq.n_vertices, len(exq.edges)) == (833, 2499)
     rep = verify_quiver_map(exq, ccq, theta_vertex_map(spec, c, exq, ccq), "anti")
     assert rep.ok, rep.counterexample
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
+def test_e6_exchange_relations_multiply_out(order):
+    # mutate_seed divides on packed exponents; tuple multiplication checks it.
+    # Each of the build's 385 exact exchanges serves a relation read from
+    # both of its ends.
+    assert assert_exchange_relations(exchange_of("E", 6, order)) == 2 * 385
+
+
+@pytest.mark.slow
+def test_e7_exchange_builds():
+    spec, c = spec_of("E", 7), CoxeterElement(tuple(range(1, 8)))
+    for sign in ("plus", "minus"):
+        q = build_exchange_quiver(spec, c, sign)
+        assert (q.n_vertices, len(q.edges)) == (4160, 14560)
+        if sign == "plus":
+            assert_exchange_relations(q)
 
 
 def _patch_frame_mutate(monkeypatch, corrupt):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import (
@@ -66,9 +68,80 @@ class TestArithmetic:
         with pytest.raises(InputError):
             LaurentPolynomial.one(1).exact_div(LaurentPolynomial.zero(1))
 
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}),  # (x1+x2)/(x1-x2)
+            ({(0, 0): 1}, {(1, 0): 1, (0, 0): 1}),  # 1/(1+x1)
+            ({(2, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}),  # (x1^2+x2)/(x1+x2)
+        ],
+    )
+    def test_inexact_division_fails_at_once(self, num, den):
+        # Each quotient exponent must stay in the box [lo_num - lo_den,
+        # hi_num - hi_den]; these leave it within a few steps.
+        with pytest.raises(InternalError, match="inexact division"):
+            lp(2, num).exact_div(lp(2, den))
+
+    def test_zero_numerator(self):
+        assert LaurentPolynomial.zero(2).exact_div(lp(2, {(1, 0): 1, (0, 1): 1})).is_zero()
+
+    def test_monomial_divisor(self):
+        num = lp(3, {(2, -1, 0): 3, (0, 1, 1): -6, (-1, 0, 0): 9})
+        assert num.exact_div(lp(3, {(1, -2, 1): -3})) == lp(3, {(1, 1, -1): -1, (-1, 3, 0): 2, (-2, 2, -1): -3})
+        with pytest.raises(InternalError, match="inexact division"):
+            num.exact_div(lp(3, {(1, 0, 0): 2}))
+
     def test_poly_str(self):
         p = lp(2, {(1, 0): 1, (0, -1): -2, (0, 0): 1})
         assert poly_str(p) == "x1 + 1 - 2*x2^-1"
+
+
+@st.composite
+def polynomial(draw, nvars, max_terms=5):
+    exponents = st.tuples(*[st.integers(-3, 3)] * nvars)
+    coefficients = st.integers(-4, 4).filter(bool)
+    return lp(nvars, draw(st.dictionaries(exponents, coefficients, min_size=1, max_size=max_terms)))
+
+
+@st.composite
+def quotient_and_divisor(draw):
+    nvars = draw(st.integers(2, 4))
+    return draw(polynomial(nvars)), draw(polynomial(nvars)), nvars
+
+
+class TestDivisionProperties:
+    """The packed division of exact_div against the tuple arithmetic of
+    __mul__ and __add__."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(quotient_and_divisor())
+    def test_multiple_divides_back(self, case):
+        q, d, _ = case
+        assert (q * d).exact_div(d) == q
+
+    @settings(deadline=None, max_examples=100)
+    @given(quotient_and_divisor(), st.data())
+    def test_non_multiple_raises(self, case, data):
+        # A divisor with two or more terms has no monomial multiple (the
+        # Newton polytope of a product is the Minkowski sum of its factors'),
+        # so q*d plus a monomial is never a multiple of d.
+        q, d, nvars = case
+        assume(len(d.terms) >= 2)
+        extra = data.draw(polynomial(nvars, max_terms=1))
+        with pytest.raises(InternalError, match="inexact division"):
+            (q * d + extra).exact_div(d)
+
+    @settings(deadline=None, max_examples=100)
+    @given(quotient_and_divisor(), st.data())
+    def test_quotient_multiplies_back_or_raises(self, case, data):
+        _, d, nvars = case
+        num = data.draw(polynomial(nvars))
+        try:
+            q = num.exact_div(d)
+        except InternalError as exc:
+            assert "inexact division" in str(exc)
+        else:
+            assert q * d == num
 
 
 class TestTropical:

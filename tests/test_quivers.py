@@ -6,20 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cambrian.quivers
 from cambrian.cli import Build, run_sign_checks
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed
 from cambrian.mutation import build_bc
 from cambrian.quivers import (
     build_exchange_quiver,
+    build_tau_tilting_quiver,
     check_arrow_flip,
     check_tau_c_matrix,
-    exchange_vertex_root_cluster,
     shadow_of_cluster,
+    theta_table,
+    theta_vertex_map,
 )
 from cambrian.rootsys import CoxeterElement, cartan_matrix, enumerate_c_clusters, is_c_compatible, almost_positive_roots
 
-from conftest import SMALL_MATRIX, ccluster_of, exchange_of, spec_of, tautilt_of
+from conftest import (
+    RANK_LE_4,
+    SMALL_MATRIX,
+    ccluster_of,
+    exchange_of,
+    per_position_tau_tilting,
+    spec_of,
+    tautilt_of,
+)
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
@@ -312,5 +323,39 @@ class TestThetaImage:
             spec = spec_of(t, n)
             c = CoxeterElement(order)
             q = exchange_of(t, n, order)
-            clusters = {exchange_vertex_root_cluster(spec, c, p) for p in q.vertices}
+            roots = theta_table(spec, c, q)
+            clusters = {tuple(sorted(roots[x] for x in p.variables)) for p in q.vertices}
             assert clusters == set(enumerate_c_clusters(spec, c))
+
+
+@st.composite
+def type_and_c(draw):
+    t, n = draw(st.sampled_from(RANK_LE_4))
+    return t, n, tuple(draw(st.permutations(range(1, n + 1))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(type_and_c())
+def test_theta_table_matches_per_position_theta(case):
+    t, n, order = case
+    spec, c = spec_of(t, n), CoxeterElement(order)
+    exq, ccq = exchange_of(t, n, order), ccluster_of(t, n, order)
+    tautilt, theta_map = per_position_tau_tilting(spec, c, exq, ccq)
+    q = build_tau_tilting_quiver(spec, c, exq)
+    assert q.vertices == tautilt.vertices
+    assert q.edges == tautilt.edges
+    assert theta_vertex_map(spec, c, exq, ccq) == theta_map
+
+
+def test_tau_tilting_build_takes_theta_once_per_variable(monkeypatch):
+    calls = []
+    original = cambrian.quivers.theta
+
+    def counted(spec, c, x):
+        calls.append(x)
+        return original(spec, c, x)
+
+    monkeypatch.setattr(cambrian.quivers, "theta", counted)
+    spec, order = spec_of("D", 4), (2, 1, 4, 3)
+    build_tau_tilting_quiver(spec, CoxeterElement(order), exchange_of("D", 4, order))
+    assert len(calls) == len(set(calls)) == len(almost_positive_roots(spec))
