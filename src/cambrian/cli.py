@@ -157,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cambrian",
         description="Exchange quivers, c-clusters, Cambrian lattices and their verifications.",
     )
+    parser.set_defaults(verbose=False)  # --verbose is an option of exchange alone
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [*BUILD_COMMANDS, *VERIFY_COMMANDS]:
         p = sub.add_parser(name)
@@ -165,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coxeter", required=True, help="permutation of 1..rank, comma-separated")
         p.add_argument("--format", choices=("json", "dot"), default=None)
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--verbose", action="store_true")
         p.add_argument("--vertex-cap", type=int, default=None)
+        if name == "exchange":
+            p.add_argument("--verbose", action="store_true", help="full polynomials in JSON output")
     return parser
 
 
@@ -235,7 +237,7 @@ def run_sign_checks(build: Build) -> list[CheckReport]:
     for sign, q in (("plus", build.plus), ("minus", build.minus)):
         for payload in q.vertices:
             check_frame(payload.frame)
-            if frozenset(zip(*payload.frame.c_matrix)) != frozenset(payload.c_vectors):
+            if frozenset(payload.frame.c_vectors) != frozenset(payload.c_vectors):
                 where = f"witness path {payload.witness_path}"
                 reports.append(CheckReport(f"signs {sign}", False, ("C-set mismatch",), where))
                 break
@@ -309,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in VERIFY_COMMANDS and args.format == "dot":
             raise InputError(f"{args.command} prints text or JSON, not --format dot")
+        if args.verbose and args.format == "dot":
+            raise InputError("--verbose adds polynomials to JSON output, not to --format dot")
         spec = cartan_matrix(args.dynkin_type, args.rank)
         c = _parse_coxeter(args.coxeter, args.rank)
         build = Build(spec, c, args.vertex_cap)

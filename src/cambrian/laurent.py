@@ -309,9 +309,8 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
                 yj = s.coeffs[j] * yk ** max(bkj, 0) * (yk.oplus_one() ** (-bkj))
                 new_list.append(yj)
         new_coeffs = tuple(new_list)
-        for j in range(n):
-            if new_coeffs[j].exponents != new_frame.c_column(j + 1):
-                raise InternalError("tropical coefficients disagree with the C-matrix")
+        if tuple(y.exponents for y in new_coeffs) != new_frame.c_vectors:
+            raise InternalError("tropical coefficients disagree with the C-matrix")
 
     new_vars = tuple(new_xk if i == k0 else s.vars[i] for i in range(n))
     return LabeledSeed(new_vars, new_coeffs, new_frame)

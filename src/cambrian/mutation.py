@@ -1,35 +1,23 @@
 """Skew-symmetrizable matrix mutation and tracked C-/G-matrix frames.
 
-A MatrixFrame carries the exchange matrix together with the C- and G-matrices
-relative to the frame's root vertex.  A mutation step checks only the sign of
-the c-vector it mutates at.  check_frame asserts sign coherence of every
-C-column, the duality G^T * S * C = S and unimodularity on a kept frame: each
-frame the exchange BFS stores (verify-signs asserts it once more on each) and
-each frame of the tau-C check's tau walk.  That walk moves by frame_mutate
-alone and reads its cluster variables from the exchange quiver by g-vector.
+A MatrixFrame carries the exchange matrix with the c-vectors and g-vectors of
+its positions relative to the frame's root vertex, each a column tuple in
+position order; no other module knows this layout.  A mutation step acts on
+those columns and checks only the sign of the c-vector it mutates at.
+check_frame asserts sign coherence of every c-vector, the duality
+G^T * S * C = S and unimodularity on a kept frame: each frame the exchange BFS
+stores (verify-signs asserts it once more on each) and each frame of the tau-C
+check's tau walk.  That walk moves by frame_mutate alone and reads its cluster
+variables from the exchange quiver by g-vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InputError, InternalError
-from .rootsys import CartanSpec, CoxeterElement, Matrix
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+from .rootsys import CartanSpec, CoxeterElement, Matrix, _identity
 
 
 def _det(m: Matrix) -> int:
@@ -101,9 +89,9 @@ def build_bc(spec: CartanSpec, c: CoxeterElement) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(tuple(row) for row in b), spec.symmetrizer)
 
 
-def mutate_matrix(m: Matrix, k: int, ncols: int | None = None) -> Matrix:
-    """Matrix mutation in direction k (1-based) of an m x n matrix, n = ncols."""
-    n = ncols if ncols is not None else len(m[0])
+def mutate_matrix(m: Matrix, k: int) -> Matrix:
+    """Matrix mutation in direction k (1-based) of an m x n matrix, m >= n."""
+    n = len(m[0])
     if not 1 <= k <= n:
         raise InputError(f"mutation direction {k} out of range 1..{n}")
     k0 = k - 1
@@ -125,18 +113,19 @@ def mutate_matrix(m: Matrix, k: int, ncols: int | None = None) -> Matrix:
 
 @dataclass(frozen=True)
 class MatrixFrame:
-    """Exchange matrix with C-/G-matrices and the mutation path from the root."""
+    """Exchange matrix, the c-vector and g-vector of each position (column
+    tuples in position order) and the mutation path from the root."""
 
     b: ExchangeMatrix
-    c_matrix: Matrix
-    g_matrix: Matrix
+    c_vectors: tuple[tuple[int, ...], ...]
+    g_vectors: tuple[tuple[int, ...], ...]
     path: tuple[int, ...]
 
     def c_column(self, k: int) -> tuple[int, ...]:
-        return tuple(row[k - 1] for row in self.c_matrix)
+        return self.c_vectors[k - 1]
 
     def g_column(self, k: int) -> tuple[int, ...]:
-        return tuple(row[k - 1] for row in self.g_matrix)
+        return self.g_vectors[k - 1]
 
 
 def identity_frame(b: ExchangeMatrix) -> MatrixFrame:
@@ -146,56 +135,59 @@ def identity_frame(b: ExchangeMatrix) -> MatrixFrame:
 
 def column_sign(col: tuple[int, ...]) -> int:
     """+1 for a nonzero non-negative vector, -1 for non-positive, else raises."""
-    if all(x >= 0 for x in col) and any(x > 0 for x in col):
+    lo, hi = min(col), max(col)
+    if lo >= 0 and hi > 0:
         return 1
-    if all(x <= 0 for x in col) and any(x < 0 for x in col):
+    if hi <= 0 and lo < 0:
         return -1
     raise InternalError(f"sign coherence violated: {col}")
 
 
 def check_duality(frame: MatrixFrame) -> None:
-    """Verify (G^T)^-1 = S C S^-1, in the integral form G^T S C = S."""
+    """Verify (G^T)^-1 = S C S^-1, in the integral form G^T S C = S: entry
+    (i, j) is the S-weighted dot product of g_i and c_j."""
     s = frame.b.skew_symmetrizer
-    n = frame.b.rank
-    sc = tuple(tuple(s[i] * frame.c_matrix[i][j] for j in range(n)) for i in range(n))
-    lhs = _matmul(_transpose(frame.g_matrix), sc)
-    want = tuple(tuple(s[i] if i == j else 0 for j in range(n)) for i in range(n))
-    if lhs != want:
-        raise InternalError("C/G duality identity failed")
+    for i, g in enumerate(frame.g_vectors):
+        gs = tuple(map(mul, g, s))
+        for j, c in enumerate(frame.c_vectors):
+            if sum(map(mul, gs, c)) != (s[i] if i == j else 0):
+                raise InternalError("C/G duality identity failed")
 
 
 def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
     """Advance B, C and G by one mutation in direction k (1-based), in O(n^2).
 
-    Only c_k is checked for sign coherence, since the G-step needs its sign;
+    Only c_k is checked for sign coherence, since the step needs its sign;
     check_frame asserts the invariants of a frame that is kept."""
-    n = frame.b.rank
-    if not 1 <= k <= n:
-        raise InputError(f"mutation direction {k} out of range 1..{n}")
-    k0 = k - 1
     b = frame.b.entries
-    eps = column_sign(frame.c_column(k))
-    # B and C mutate together as the extended matrix with C below B.
-    ext = mutate_matrix(b + frame.c_matrix, k, ncols=n)
-    # G changes in column k only: g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j.
-    coef = [max(-eps * b[j][k0], 0) for j in range(n)]
-    new_g = tuple(
-        row[:k0] + (sum(x * y for x, y in zip(coef, row)) - row[k0],) + row[k:]
-        for row in frame.g_matrix
-    )
-    return MatrixFrame(
-        ExchangeMatrix(ext[:n], frame.b.skew_symmetrizer), ext[n:], new_g, frame.path + (k,)
-    )
+    new_b = mutate_matrix(b, k)  # raises InputError for k out of range
+    k0 = k - 1
+    ck = frame.c_vectors[k0]
+    eps = column_sign(ck)
+    # c'_k = -c_k and c'_j = c_j + [eps * b_kj]_+ c_k.
+    cs = list(frame.c_vectors)
+    for j, a in enumerate(b[k0]):
+        if eps * a > 0:
+            cs[j] = tuple(x + eps * a * y for x, y in zip(cs[j], ck))
+    cs[k0] = tuple(-x for x in ck)
+    # Only g_k changes: g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j.
+    gk = tuple(-x for x in frame.g_vectors[k0])
+    for row, g in zip(b, frame.g_vectors):
+        if eps * row[k0] < 0:
+            gk = tuple(x - eps * row[k0] * y for x, y in zip(gk, g))
+    gs = frame.g_vectors[:k0] + (gk,) + frame.g_vectors[k:]
+    new = ExchangeMatrix(new_b, frame.b.skew_symmetrizer)
+    return MatrixFrame(new, tuple(cs), gs, frame.path + (k,))
 
 
 def frame_is_unimodular(frame: MatrixFrame) -> bool:
-    return abs(_det(frame.c_matrix)) == 1
+    return abs(_det(frame.c_vectors)) == 1  # the rows of C^T, and det C^T = det C
 
 
 def check_frame(frame: MatrixFrame) -> None:
     """Assert sign coherence of every C-column, C/G duality and unimodularity."""
-    for j in range(1, frame.b.rank + 1):
-        column_sign(frame.c_column(j))
+    for c in frame.c_vectors:
+        column_sign(c)
     check_duality(frame)
     if not frame_is_unimodular(frame):
         raise InternalError("C-matrix is not unimodular")

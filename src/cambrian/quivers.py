@@ -30,7 +30,7 @@ class QuiverEdge:
 class ClusterVertexPayload:
     """A non-labeled cluster: sorted variables with aligned c-/g-vectors, and
     the frame the BFS first reached it with.  The variable at position j of
-    the frame is the one whose g-vector is the frame's j-th G-column."""
+    the frame is the one whose g-vector is frame.g_vectors[j]."""
 
     variables: tuple[LaurentPolynomial, ...]
     c_vectors: tuple[tuple[int, ...], ...]
@@ -88,13 +88,13 @@ def _columns(frame: MatrixFrame) -> tuple:
     """(g-vector, c-vector, symmetrizer entry) at each position of a frame.
     Two frames with equal sets of these differ by a permutation of positions
     that fixes S, so check_frame passes on both or on neither."""
-    return tuple(zip(zip(*frame.g_matrix), zip(*frame.c_matrix), frame.b.skew_symmetrizer))
+    return tuple(zip(frame.g_vectors, frame.c_vectors, frame.b.skew_symmetrizer))
 
 
 def _exchange_key(frame: MatrixFrame, k: int) -> tuple:
     """x_k and the pairs (x_i, b_ik) with b_ik != 0, each variable as its
     g-vector: the exchange relation at k is a function of this key."""
-    gs = tuple(zip(*frame.g_matrix))
+    gs = frame.g_vectors
     column = (row[k - 1] for row in frame.b.entries)
     return gs[k - 1], frozenset((g, bik) for g, bik in zip(gs, column) if bik)
 
@@ -136,7 +136,7 @@ def build_exchange_quiver(
             raise InternalError(f"a cluster variable has two g-vectors, {gvecs[x]} and {g}")
 
     frame0 = seed0.frame
-    for g, x in zip(zip(*frame0.g_matrix), seed0.vars):
+    for g, x in zip(frame0.g_vectors, seed0.vars):
         bind(g, x)
     check_frame(frame0)
     frames: dict[frozenset, MatrixFrame] = {frozenset(polys): frame0}
@@ -146,7 +146,7 @@ def build_exchange_quiver(
     while frontier:
         nxt = []
         for frame in frontier:
-            gs = tuple(zip(*frame.g_matrix))
+            gs = frame.g_vectors
             skey = frozenset(gs)
             for k in range(1, n + 1):
                 green = column_sign(frame.c_column(k)) > 0
@@ -189,9 +189,9 @@ def build_exchange_quiver(
     for key in ordered:
         frame = frames[key]
         # Variables sorted, with their c- and g-vectors aligned.
-        columns = ((polys[g], cv, g) for cv, g in zip(zip(*frame.c_matrix), zip(*frame.g_matrix)))
-        columns = sorted(columns, key=lambda t: _var_key(t[0]))
-        payloads.append(ClusterVertexPayload(*zip(*columns), frame))
+        c_at = dict(zip(frame.g_vectors, frame.c_vectors))
+        gs = tuple(sorted(frame.g_vectors, key=lambda g: _var_key(polys[g])))
+        payloads.append(ClusterVertexPayload(tuple(polys[g] for g in gs), tuple(c_at[g] for g in gs), gs, frame))
     edges = sorted(
         (QuiverEdge(index[s], index[d], polys[go], polys[gi]) for s, d, go, gi in edge_map.values()),
         key=lambda e: (e.src, e.dst),
@@ -430,7 +430,7 @@ def check_tau_c_matrix(
                 ("cluster of A(B^c) missing from A(-B^c)",),
                 counterexample=f"witness path {path}",
             )
-        tau_cset = frozenset(zip(*frame_tau.c_matrix))
+        tau_cset = frozenset(frame_tau.c_vectors)
         want = frozenset(tuple(-x for x in v) for v in minus_csets[key])
         if tau_cset != want:
             return CheckReport(
@@ -439,7 +439,7 @@ def check_tau_c_matrix(
                 ("C-matrix set of the tau-image differs from -C in A(-B^c)",),
                 counterexample=f"witness path {path}: {sorted(tau_cset)}",
             )
-        for j, (g_tau, g) in enumerate(zip(zip(*frame_tau.g_matrix), zip(*payload.frame.g_matrix))):
+        for j, (g_tau, g) in enumerate(zip(frame_tau.g_vectors, payload.frame.g_vectors)):
             try:
                 lhs, rhs = theta_at[g_tau], tau_theta_at[g]
             except KeyError as exc:

@@ -152,18 +152,22 @@ def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
     return CartanSpec(t, n, cm, _minimal_symmetrizer(cm))
 
 
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
 def reflection_matrix(spec: CartanSpec, i: int) -> Matrix:
     """Matrix of s_i acting on root coefficient vectors (columns), 1-based i."""
     n = spec.rank
     if not 1 <= i <= n:
         raise InputError(f"reflection index {i} out of range")
-    i0 = i - 1
-    rows = []
-    for r in range(n):
-        if r == i0:
-            rows.append(tuple((1 if r == j else 0) - spec.cartan[i0][j] for j in range(n)))
-        else:
-            rows.append(tuple(1 if r == j else 0 for j in range(n)))
+    rows = list(_identity(n))
+    rows[i - 1] = tuple(x - a for x, a in zip(rows[i - 1], spec.cartan[i - 1]))
     return tuple(rows)
 
 

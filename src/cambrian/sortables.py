@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalError
-from .mutation import _identity, _matmul
 from .quivers import ClusterQuiver, QuiverEdge
 from .rootsys import (
     CartanSpec,
     CoxeterElement,
     Matrix,
     Root,
+    _identity,
+    _matmul,
     is_c_compatible,
     negative_simple,
     positive_roots,

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 from cambrian.errors import InternalError
 from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
-from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate
+from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate, mutate_matrix
 from cambrian.quivers import (
     ClusterQuiver,
     ClusterVertexPayload,
@@ -145,6 +145,19 @@ def matrix_inversion_set(spec, w):
     return frozenset(a for a in positive_roots(spec) if min(w.inv_root_image(a)) < 0)
 
 
+def row_major_frame_mutate(b, c, g, k):
+    """One mutation in direction k (1-based) of row-major B, C and G matrices:
+    B and C together as the extended matrix [B; C], and G in column k only,
+    g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j with eps the sign of c_k.  The
+    oracle for the column step of frame_mutate."""
+    n, k0 = len(b), k - 1
+    eps = column_sign(tuple(row[k0] for row in c))
+    ext = mutate_matrix(b + c, k)
+    coef = [max(-eps * b[j][k0], 0) for j in range(n)]
+    new_g = tuple(row[:k0] + (sum(x * y for x, y in zip(coef, row)) - row[k0],) + row[k:] for row in g)
+    return ext[:n], ext[n:], new_g
+
+
 def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
     """The exchange BFS on full Laurent seeds, a cluster keyed by its set of
     polynomials, each edge mutated from both ends: the oracle for the
@@ -224,7 +237,7 @@ def assert_exchange_relations(q):
     seen = set()
     for payload in q.vertices:
         frame = payload.frame
-        xs = [polys[g] for g in zip(*frame.g_matrix)]
+        xs = [polys[g] for g in frame.g_vectors]
         for k in range(1, len(xs) + 1):
             key = _exchange_key(frame, k)
             if key in seen:

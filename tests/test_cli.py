@@ -258,6 +258,23 @@ class TestErrors:
             assert code == 2 and out == ""
             assert err.startswith(f"error: cannot write {path}: ")
 
+    @pytest.mark.parametrize(
+        "command",
+        ["cclusters", "cambrian", "tautilt", "verify-iso", "verify-lattice", "verify-signs", "verify-flip", "verify-all"],
+    )
+    def test_verbose_only_on_exchange(self, capsys, command):
+        # Only exchange JSON has polynomials to print, so only exchange takes --verbose.
+        code, out, err = run(capsys, command, "--type", "A", "--rank", "2", "--coxeter", "1,2", "--verbose")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --verbose" in err
+
+    def test_verbose_rejects_dot(self, capsys):
+        code, out, err = run(
+            capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1,2", "--format", "dot", "--verbose"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --verbose adds polynomials to JSON output, not to --format dot\n"
+
     def test_unknown_command(self, capsys):
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])
         capsys.readouterr()

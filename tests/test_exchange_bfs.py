@@ -84,6 +84,12 @@ def test_e7_exchange_builds():
             assert_exchange_relations(q)
 
 
+@pytest.mark.slow
+def test_e8_exchange_build():
+    q = build_exchange_quiver(spec_of("E", 8), CoxeterElement(tuple(range(1, 9))))
+    assert (q.n_vertices, len(q.edges)) == (25080, 100320)
+
+
 def _patch_frame_mutate(monkeypatch, corrupt):
     original = cambrian.quivers.frame_mutate
 
@@ -100,8 +106,8 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
     def corrupt(frame):
         if frame.path[-2:-1] != frame.path[-1:]:
             return frame
-        swapped = tuple((row[1], row[0]) + row[2:] for row in frame.c_matrix)
-        return dataclasses.replace(frame, c_matrix=swapped)
+        cs = frame.c_vectors
+        return dataclasses.replace(frame, c_vectors=(cs[1], cs[0]) + cs[2:])
 
     _patch_frame_mutate(monkeypatch, corrupt)
     with pytest.raises(InternalError, match="reaches a stored cluster with other columns"):
@@ -111,7 +117,7 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
 def test_stored_frames_are_checked(monkeypatch):
     # A G-matrix off by a sign breaks duality on the first stored frame.
     def corrupt(frame):
-        return dataclasses.replace(frame, g_matrix=tuple(tuple(-x for x in row) for row in frame.g_matrix))
+        return dataclasses.replace(frame, g_vectors=tuple(tuple(-x for x in g) for g in frame.g_vectors))
 
     _patch_frame_mutate(monkeypatch, corrupt)
     with pytest.raises(InternalError, match="duality"):

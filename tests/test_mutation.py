@@ -18,7 +18,7 @@ from cambrian.mutation import (
 )
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
-from conftest import spec_of
+from conftest import RANK_LE_4, row_major_frame_mutate, spec_of
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
@@ -71,7 +71,7 @@ class TestMutateMatrix:
         # mutation in direction 2 the C-columns read {(1,1), (0,-1)}, the
         # C-matrix set of the cluster {x1, (x1+1)/x2}.
         ext = ((0, -1), (1, 0), (1, 0), (0, 1))
-        out = mutate_matrix(ext, 2, ncols=2)
+        out = mutate_matrix(ext, 2)
         assert out[:2] == ((0, 1), (-1, 0))
         assert out[2:] == ((1, 0), (1, -1))
         cols = {tuple(row[j] for row in out[2:]) for j in range(2)}
@@ -113,7 +113,7 @@ class TestFrames:
     def test_initial(self):
         f = identity_frame(build_bc(A2, C21))
         eye = ((1, 0), (0, 1))
-        assert f.c_matrix == eye and f.g_matrix == eye and f.path == ()
+        assert f.c_vectors == eye and f.g_vectors == eye and f.path == ()
 
     def test_single_mutation(self):
         f = frame_mutate(identity_frame(build_bc(A2, C21)), 1)
@@ -123,7 +123,7 @@ class TestFrames:
     def test_involution(self):
         f0 = identity_frame(build_bc(A2, C21))
         f = frame_mutate(frame_mutate(f0, 2), 2)
-        assert (f.b.entries, f.c_matrix, f.g_matrix) == (f0.b.entries, f0.c_matrix, f0.g_matrix)
+        assert (f.b.entries, f.c_vectors, f.g_vectors) == (f0.b.entries, f0.c_vectors, f0.g_vectors)
         assert f.path == (2, 2)
 
     @settings(max_examples=60, deadline=None)
@@ -140,6 +140,28 @@ class TestFrames:
         assert frame_is_unimodular(f)
 
 
+@st.composite
+def coxeter_paths(draw):
+    t, n = draw(st.sampled_from(RANK_LE_4))
+    c = CoxeterElement(tuple(draw(st.permutations(range(1, n + 1)))))
+    return spec_of(t, n), c, draw(st.lists(st.integers(min_value=1, max_value=n), max_size=10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_paths())
+def test_column_step_matches_row_major_oracle(case):
+    spec, c, path = case
+    f = identity_frame(build_bc(spec, c))
+    eye = tuple(tuple(int(i == j) for j in range(spec.rank)) for i in range(spec.rank))
+    b, cm, gm = f.b.entries, eye, eye
+    for k in path:
+        f = frame_mutate(f, k)
+        b, cm, gm = row_major_frame_mutate(b, cm, gm, k)
+        assert f.b.entries == b
+        assert f.c_vectors == tuple(zip(*cm)) and f.g_vectors == tuple(zip(*gm))
+    assert f.path == tuple(path)
+
+
 class TestTauInverseFrame:
     """The tau_c^-1 image of the initial cluster: the sink sweep c_n, ..., c_1."""
 
@@ -152,19 +174,19 @@ class TestTauInverseFrame:
 
     def test_a2_initial(self):
         f = self.sink_sweep(A2, C21)
-        assert f.c_matrix == ((-1, 0), (0, -1))
+        assert f.c_vectors == ((-1, 0), (0, -1))
         # B is restored by the full sink-mutation sweep.
         assert f.b.entries == build_bc(A2, C21).entries
 
     def test_a1(self):
         a1 = cartan_matrix("A", 1)
         f = self.sink_sweep(a1, CoxeterElement((1,)))
-        assert f.c_matrix == ((-1,),)
+        assert f.c_vectors == ((-1,),)
 
     def test_b_restored(self):
         for t, n in [("B", 3), ("G", 2), ("A", 3)]:
             spec = spec_of(t, n)
             c = CoxeterElement(tuple(range(1, n + 1)))
             f = self.sink_sweep(spec, c)
-            assert f.c_matrix == tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
+            assert f.c_vectors == tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
             assert f.b.entries == build_bc(spec, c).entries

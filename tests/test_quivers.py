@@ -311,7 +311,7 @@ def test_stored_seeds_are_witness_path_replays(case):
                 seed = mutate_seed(seed, k)
             assert payload.frame == seed.frame
             at_g = dict(zip(payload.g_vectors, payload.variables))
-            assert tuple(at_g[g] for g in zip(*payload.frame.g_matrix)) == seed.vars
+            assert tuple(at_g[g] for g in payload.frame.g_vectors) == seed.vars
             assert not payload.witness_path or payload.witness_path[:-1] in paths
     assert check_tau_c_matrix(build.spec, c, build.plus, build.minus).ok
     assert all(rep.ok for rep in run_sign_checks(build))

@@ -1,3 +1,6 @@
+import pytest
+
+from cambrian.lattice import poset_from_hasse, verify_lattice, verify_quiver_map
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 from cambrian.sortables import (
     WeylElement,
@@ -129,3 +132,13 @@ class TestCambrianHasse:
         cc = ccluster_of("A", 2, (2, 1))
         m = cambrian_vertex_map(A2, C21, q, cc)
         assert sorted(m) == list(range(5))
+
+
+@pytest.mark.slow
+def test_e7_cambrian_quiver():
+    order = tuple(range(1, 8))
+    q, cc = cambrian_of("E", 7, order), ccluster_of("E", 7, order)
+    assert (q.n_vertices, len(q.edges)) == (4160, 14560)
+    assert verify_lattice(poset_from_hasse(q)).ok
+    m = cambrian_vertex_map(spec_of("E", 7), CoxeterElement(order), q, cc)
+    assert verify_quiver_map(q, cc, m, "iso").ok

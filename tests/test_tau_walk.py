@@ -26,9 +26,9 @@ def assert_matches_laurent_walk(t, n, c):
     walk = sorted(qp.vertices, key=lambda p: len(p.witness_path))
     for payload in walk:
         seed = seeds[payload.witness_path]
-        assert seed.vars == tuple(polys[g] for g in zip(*seed.frame.g_matrix))
+        assert seed.vars == tuple(polys[g] for g in seed.frame.g_vectors)
         negated = frozenset(tuple(-x for x in v) for v in minus_csets[payload.key()])
-        assert frozenset(zip(*seed.frame.c_matrix)) == negated
+        assert frozenset(seed.frame.c_vectors) == negated
     # The check asserts its invariants on exactly the oracle's frames.
     checked = []
     original = cambrian.quivers.check_frame
