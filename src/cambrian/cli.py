@@ -12,6 +12,8 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cached_property
+from itertools import islice
+from typing import TextIO
 
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
@@ -95,7 +97,9 @@ def _edge_label(label: object, var_payloads: dict) -> str:
     return str(label)
 
 
-def quiver_to_json(q: ClusterQuiver, rank: int, verbose: bool = False) -> str:
+def quiver_to_json(q: ClusterQuiver, rank: int, out: TextIO, verbose: bool = False) -> None:
+    """Write q as JSON to out in batches of encoder chunks: one string doubles
+    the peak memory, and each write is a system call when stdout is unbuffered."""
     var_payloads = _var_payloads(q, rank, verbose)
     doc = {
         "vertices": [
@@ -112,7 +116,10 @@ def quiver_to_json(q: ClusterQuiver, rank: int, verbose: bool = False) -> str:
             for e in q.edges
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while text := "".join(islice(chunks, 4096)):
+        out.write(text)
+    out.write("\n")
 
 
 def _vertex_label(q: ClusterQuiver, i: int, var_payloads: dict) -> str:
@@ -317,19 +324,16 @@ def main(argv: list[str] | None = None) -> int:
         c = _parse_coxeter(args.coxeter, args.rank)
         build = Build(spec, c, args.vertex_cap)
         with _open_output(args.output) as out:
-            code = 0
-            if args.command in BUILD_COMMANDS:
-                q = getattr(build, BUILD_COMMANDS[args.command])
-                if args.format != "dot":
-                    text = quiver_to_json(q, spec.rank, args.verbose)
-                else:
-                    text = quiver_to_dot(q, spec.rank)
-            else:
+            if args.command not in BUILD_COMMANDS:
                 reports = VERIFY_COMMANDS[args.command](build)
-                text = _report_json(reports) if args.format == "json" else _report_text(reports)
-                code = 0 if all(rep.ok for rep in reports) else 1
-            out.write(text)
-        return code
+                out.write(_report_json(reports) if args.format == "json" else _report_text(reports))
+                return 0 if all(rep.ok for rep in reports) else 1
+            q = getattr(build, BUILD_COMMANDS[args.command])
+            if args.format != "dot":
+                quiver_to_json(q, spec.rank, out, args.verbose)
+            else:
+                out.write(quiver_to_dot(q, spec.rank))
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

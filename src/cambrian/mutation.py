@@ -4,11 +4,11 @@ A MatrixFrame carries the exchange matrix with the c-vectors and g-vectors of
 its positions relative to the frame's root vertex, each a column tuple in
 position order; no other module knows this layout.  A mutation step acts on
 those columns and checks only the sign of the c-vector it mutates at.
-check_frame asserts sign coherence of every c-vector, the duality
-G^T * S * C = S and unimodularity on a kept frame: each frame the exchange BFS
-stores (verify-signs asserts it once more on each) and each frame of the tau-C
-check's tau walk.  That walk moves by frame_mutate alone and reads its cluster
-variables from the exchange quiver by g-vector.
+check_frame asserts that SB is skew-symmetric, sign coherence of every
+c-vector, the duality G^T * S * C = S and unimodularity on a kept frame: each
+frame the exchange BFS stores (verify-signs asserts it once more on each) and
+each frame of the tau-C check's tau walk.  That walk moves by frame_mutate
+alone and reads its cluster variables from the exchange quiver by g-vector.
 """
 
 from __future__ import annotations
@@ -43,20 +43,22 @@ def _det(m: Matrix) -> int:
     return sign * a[-1][-1] if n else 1
 
 
+def _sb_is_skew(m: ExchangeMatrix) -> bool:
+    b, s = m.entries, m.skew_symmetrizer
+    return all(s[i] * x == -s[j] * b[j][i] for i, row in enumerate(b) for j, x in enumerate(row))
+
+
 @dataclass(frozen=True)
 class ExchangeMatrix:
     entries: Matrix
     skew_symmetrizer: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        b, s = self.entries, self.skew_symmetrizer
-        if len(s) != n or any(x <= 0 for x in s):
+        s = self.skew_symmetrizer
+        if len(s) != len(self.entries) or any(x <= 0 for x in s):
             raise InputError("skew-symmetrizer must consist of n positive integers")
-        for i in range(n):
-            for j in range(n):
-                if s[i] * b[i][j] != -s[j] * b[j][i]:
-                    raise InputError("SB is not skew-symmetric")
+        if not _sb_is_skew(self):
+            raise InputError("SB is not skew-symmetric")
 
     @property
     def rank(self) -> int:
@@ -176,7 +178,10 @@ def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
         if eps * row[k0] < 0:
             gk = tuple(x - eps * row[k0] * y for x, y in zip(gk, g))
     gs = frame.g_vectors[:k0] + (gk,) + frame.g_vectors[k:]
-    new = ExchangeMatrix(new_b, frame.b.skew_symmetrizer)
+    # Mutation keeps SB skew-symmetric: skip __post_init__ (check_frame asserts it).
+    new = object.__new__(ExchangeMatrix)
+    object.__setattr__(new, "entries", new_b)
+    object.__setattr__(new, "skew_symmetrizer", frame.b.skew_symmetrizer)
     return MatrixFrame(new, tuple(cs), gs, frame.path + (k,))
 
 
@@ -185,7 +190,10 @@ def frame_is_unimodular(frame: MatrixFrame) -> bool:
 
 
 def check_frame(frame: MatrixFrame) -> None:
-    """Assert sign coherence of every C-column, C/G duality and unimodularity."""
+    """Assert that SB is skew-symmetric, sign coherence of every C-column,
+    C/G duality and unimodularity."""
+    if not _sb_is_skew(frame.b):
+        raise InternalError("SB is not skew-symmetric")
     for c in frame.c_vectors:
         column_sign(c)
     check_duality(frame)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import InputError, InternalError
 from .laurent import LabeledSeed, LaurentPolynomial, initial_seed, mutate_seed, theta
 from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame
-from .rootsys import CartanSpec, CoxeterElement, Root, enumerate_c_clusters, r_degree, tau
+from .rootsys import CartanSpec, CoxeterElement, Root, enumerate_c_clusters, negative_simple, r_degree, tau
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -250,21 +250,11 @@ def build_tau_tilting_quiver(
     index = {old: new for new, old in enumerate(ordered)}
     edges = []
     for e in exchange.edges:
-        out_root = roots[e.in_label]
-        in_root = roots[e.out_label]
-        edges.append(
-            QuiverEdge(
-                index[e.dst],
-                index[e.src],
-                out_root,
-                in_root,
-                both_positive=min(out_root) >= 0 and min(in_root) >= 0,
-            )
-        )
+        out_root, in_root = roots[e.in_label], roots[e.out_label]
+        both_positive = min(out_root) >= 0 and min(in_root) >= 0
+        edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root, both_positive))
     edges.sort(key=lambda e: (e.src, e.dst))
-    return ClusterQuiver(
-        "tautilt", tuple(shadows[i] for i in ordered), tuple(edges)
-    )
+    return ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
 
 
 def theta_vertex_map(
@@ -292,15 +282,7 @@ def phi_vertex_map(
     index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
     out = []
     for shadow in tautilt.vertices:
-        cluster = tuple(
-            sorted(
-                shadow.module_part
-                + tuple(
-                    tuple(-1 if j == i - 1 else 0 for j in range(spec.rank))
-                    for i in shadow.projective_part
-                )
-            )
-        )
+        cluster = tuple(sorted(shadow.module_part + tuple(negative_simple(spec, i) for i in shadow.projective_part)))
         if cluster not in index:
             raise InternalError(f"shadow cluster {cluster} is not enumerated")
         out.append(index[cluster])
@@ -335,56 +317,37 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     touching an initial variable must keep their direction.  Also checks that
     every mutation removing an initial variable is green in both quivers.
     """
+
+    def fail(detail: str, counterexample: str | None = None) -> CheckReport:
+        return CheckReport("arrow-flip", False, (detail,), counterexample)
+
     initials = _initial_variable_set(qp)
-    kp = {qp.vertices[i].key(): i for i in range(qp.n_vertices)}
-    km = {qm.vertices[i].key(): i for i in range(qm.n_vertices)}
-    if set(kp) != set(km):
-        return CheckReport(
-            "arrow-flip", False, ("vertex sets of B^c and -B^c differ",)
-        )
+    if {p.key() for p in qp.vertices} != {p.key() for p in qm.vertices}:
+        return fail("vertex sets of B^c and -B^c differ")
     minus_edges = {}
     for e in qm.edges:
-        sk = qm.vertices[e.src].key()
-        dk = qm.vertices[e.dst].key()
+        sk, dk = qm.vertices[e.src].key(), qm.vertices[e.dst].key()
         minus_edges[frozenset((sk, dk))] = (sk, dk)
     flipped = 0
     for e in qp.edges:
-        sk = qp.vertices[e.src].key()
-        dk = qp.vertices[e.dst].key()
+        sk, dk = qp.vertices[e.src].key(), qp.vertices[e.dst].key()
         pair = frozenset((sk, dk))
         if pair not in minus_edges:
-            return CheckReport(
-                "arrow-flip", False, ("edge sets differ",), counterexample=str(pair)
-            )
+            return fail("edge sets differ", str(pair))
         same_direction = minus_edges[pair] == (sk, dk)
         non_initial = e.out_label not in initials and e.in_label not in initials
         if non_initial == same_direction:
-            return CheckReport(
-                "arrow-flip",
-                False,
-                ("edge direction contradicts the flip rule",),
-                counterexample=f"out={e.out_label.terms} in={e.in_label.terms}",
-            )
-        if not same_direction:
-            flipped += 1
+            return fail("edge direction contradicts the flip rule", f"out={e.out_label.terms} in={e.in_label.terms}")
+        flipped += not same_direction
     # Green-initial: a cluster containing an initial variable always has a
     # non-negative c-vector at that variable.
     for q in (qp, qm):
         for payload in q.vertices:
             for var, cvec in zip(payload.variables, payload.c_vectors):
                 if var in initials and any(x < 0 for x in cvec):
-                    return CheckReport(
-                        "arrow-flip",
-                        False,
-                        ("initial variable with negative c-vector",),
-                        counterexample=str(cvec),
-                    )
-    return CheckReport(
-        "arrow-flip",
-        True,
-        (f"{len(qp.edges)} edges checked, {flipped} flipped",),
-        stats=(("flipped_edges", flipped), ("edges", len(qp.edges))),
-    )
+                    return fail("initial variable with negative c-vector", str(cvec))
+    stats = (("flipped_edges", flipped), ("edges", len(qp.edges)))
+    return CheckReport("arrow-flip", True, (f"{len(qp.edges)} edges checked, {flipped} flipped",), stats=stats)
 
 
 def check_tau_c_matrix(
@@ -405,6 +368,10 @@ def check_tau_c_matrix(
     A cluster of qp missing from qm fails the check; an image g-vector that
     no variable of qp has raises InternalError naming the witness path.
     """
+
+    def fail(detail: str, counterexample: str) -> CheckReport:
+        return CheckReport("tau-c-matrix", False, (detail,), counterexample)
+
     minus_csets = {p.key(): frozenset(p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, c, x) for g, x in polys.items()}
@@ -424,21 +391,12 @@ def check_tau_c_matrix(
         check_frame(frame_tau)
         key = payload.key()
         if key not in minus_csets:
-            return CheckReport(
-                "tau-c-matrix",
-                False,
-                ("cluster of A(B^c) missing from A(-B^c)",),
-                counterexample=f"witness path {path}",
-            )
+            return fail("cluster of A(B^c) missing from A(-B^c)", f"witness path {path}")
         tau_cset = frozenset(frame_tau.c_vectors)
         want = frozenset(tuple(-x for x in v) for v in minus_csets[key])
         if tau_cset != want:
-            return CheckReport(
-                "tau-c-matrix",
-                False,
-                ("C-matrix set of the tau-image differs from -C in A(-B^c)",),
-                counterexample=f"witness path {path}: {sorted(tau_cset)}",
-            )
+            where = f"witness path {path}: {sorted(tau_cset)}"
+            return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)
         for j, (g_tau, g) in enumerate(zip(frame_tau.g_vectors, payload.frame.g_vectors)):
             try:
                 lhs, rhs = theta_at[g_tau], tau_theta_at[g]
@@ -447,16 +405,7 @@ def check_tau_c_matrix(
                     f"witness path {path}: no cluster variable of A(B^c) has g-vector {exc.args[0]}"
                 ) from None
             if lhs != rhs:
-                return CheckReport(
-                    "tau-c-matrix",
-                    False,
-                    ("theta does not intertwine tau_c^-1 with the mutation model",),
-                    counterexample=f"witness path {path}, position {j + 1}: {lhs} != {rhs}",
-                )
+                where = f"witness path {path}, position {j + 1}: {lhs} != {rhs}"
+                return fail("theta does not intertwine tau_c^-1 with the mutation model", where)
         checked += 1
-    return CheckReport(
-        "tau-c-matrix",
-        True,
-        (f"{checked} clusters checked",),
-        stats=(("clusters", checked),),
-    )
+    return CheckReport("tau-c-matrix", True, (f"{checked} clusters checked",), stats=(("clusters", checked),))

@@ -1,14 +1,20 @@
 """c-sortable Weyl group elements, inversion sets, and the Cambrian Hasse quiver.
 
-Sortable elements are generated directly as weakly decreasing subset chains;
-the full-group greedy sorting-word algorithm is kept alongside as an
-independent oracle for small ranks.
+Roots are indexed as in positive_roots(spec), -positive_roots[i] at m + i, and
+an element u is held as the indices of u(alpha_1), ..., u(alpha_n).  One DFS
+over the weakly decreasing subset chains gives each sortable element its
+inversion set as a bitmask and its c-cluster; its lower covers in the Cambrian
+lattice are read off its right descents by the projection pi_down^c.  The
+full-group greedy sorting-word algorithm is an independent oracle for small ranks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalError
 from .quivers import ClusterQuiver, QuiverEdge
@@ -17,19 +23,15 @@ from .rootsys import (
     CoxeterElement,
     Matrix,
     Root,
+    _compatibility_table,
     _identity,
     _matmul,
-    is_c_compatible,
-    negative_simple,
+    _root_index,
     positive_roots,
     reflection_matrix,
 )
 
 _GROUP_CAP = 1_000_000
-
-
-def _apply(m: Matrix, v: Root) -> Root:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 @dataclass(frozen=True)
@@ -54,23 +56,74 @@ class WeylElement:
         return WeylElement(_matmul(self.matrix, r), _matmul(r, self.inv_matrix))
 
     def root_image(self, v: Root) -> Root:
-        return _apply(self.matrix, v)
+        return tuple(sum(map(mul, row, v)) for row in self.matrix)
 
     def inv_root_image(self, v: Root) -> Root:
-        return _apply(self.inv_matrix, v)
+        return tuple(sum(map(mul, row, v)) for row in self.inv_matrix)
 
 
 @dataclass(frozen=True)
 class SortableElement:
-    """A c-sortable element with its decreasing-subset sorting word."""
+    """A c-sortable element with its decreasing-subset sorting word, its
+    inversion set as a bitmask over positive_roots(spec), its c-cluster cl_c
+    and its cover roots: the mask of -w(alpha_s) over its right descents s."""
 
-    element: WeylElement
     blocks: tuple[tuple[int, ...], ...]
     word: tuple[int, ...]
+    inversions: int
+    cluster: tuple[Root, ...]
+    cover_roots: int
+    spec: CartanSpec = field(repr=False, compare=False)
 
     @property
     def length(self) -> int:
         return len(self.word)
+
+    @property
+    def element(self) -> WeylElement:
+        """The matrices of w and w^-1, as products along the word."""
+        w = WeylElement.identity(self.spec.rank)
+        for a in self.word:
+            w = w.times_reflection(self.spec, a)
+        return w
+
+
+class _RootTables(NamedTuple):
+    roots: tuple[Root, ...]  # the positive roots, then their negatives
+    start: tuple[int, ...]  # start[a] is alpha_a (start[0] is unused)
+    reflect: tuple[tuple[int, ...], ...]  # reflect[g][h]: roots[h] reflected in roots[g] > 0
+    linked: tuple[tuple[int, ...], ...]  # linked[a]: the letters b with C_ab != 0
+
+
+@lru_cache(maxsize=None)
+def _root_tables(spec: CartanSpec) -> _RootTables:
+    n, pos = spec.rank, positive_roots(spec)
+    roots = pos + tuple(tuple(-x for x in r) for r in pos)
+    index = {r: k for k, r in enumerate(roots)}
+    # (x, y) = sum_ij x_i d_i C_ij y_j is W-invariant, and the reflection in g
+    # sends r to r - <r, g^vee> g with <r, g^vee> = 2 (g, r) / (g, g).
+    form = [[d * x for x in row] for d, row in zip(spec.symmetrizer, spec.cartan)]
+    reflect = []
+    for g in pos:
+        gf = [sum(map(mul, g, col)) for col in zip(*form)]
+        norm = sum(map(mul, gf, g))
+        row = []
+        for h, r in enumerate(roots):
+            k = 2 * sum(map(mul, gf, r)) // norm
+            row.append(index[tuple(x - k * y for x, y in zip(r, g))] if k else h)
+        reflect.append(tuple(row))
+    start = (-1,) + tuple(index[_simple_root(n, a)] for a in range(1, n + 1))
+    linked = ((),) + tuple(tuple(b + 1 for b in range(n) if row[b]) for row in spec.cartan)
+    return _RootTables(roots, start, tuple(reflect), linked)
+
+
+def _times(t: _RootTables, img: list[int], a: int) -> list[int]:
+    """The images of the simple roots under u * s_a, from those under u."""
+    img = img[:]
+    row = t.reflect[img[a]]
+    for b in t.linked[a]:
+        img[b] = row[img[b]]
+    return img
 
 
 def _simple_root(n: int, i: int) -> Root:
@@ -78,42 +131,71 @@ def _simple_root(n: int, i: int) -> Root:
 
 
 def enumerate_sortables(spec: CartanSpec, c: CoxeterElement) -> tuple[SortableElement, ...]:
-    """All c-sortable elements, by DFS over weakly decreasing subset chains.
-
-    A letter s may be appended exactly when the current element sends alpha_s
-    to a positive root (the word stays reduced).
+    """All c-sortable elements, by DFS over weakly decreasing subset chains: a
+    child extends the last block by a later letter of the block before it (of
+    c, for the first block) or opens a new block with a letter of the last
+    block.  A letter s is appended exactly when the element sends alpha_s to
+    a positive root (the word stays reduced); that root is then an inversion,
+    and cl_c takes it for the rightmost s.  Each cl_c is checked to be n
+    distinct pairwise c-compatible roots.
     """
-    n = spec.rank
-    results: dict[Matrix, SortableElement] = {}
-    root_el = SortableElement(WeylElement.identity(n), (), ())
-    stack = [(root_el, tuple(c.order))]
-    results[root_el.element.matrix] = root_el
-    while stack:
-        s, allowed = stack.pop()
-        # Next block: any nonempty subset of the previous block's letters,
-        # applied in c-order; prune as soon as a letter fails the length test.
-        def extend(prefix: tuple[int, ...], w: WeylElement, rest: tuple[int, ...]) -> None:
-            for idx in range(len(rest)):
-                letter = rest[idx]
-                if min(w.root_image(_simple_root(n, letter))) < 0:
-                    continue
-                w2 = w.times_reflection(spec, letter)
-                block = prefix + (letter,)
-                s2 = SortableElement(w2, s.blocks + (block,), s.word + block)
-                prev = results.get(w2.matrix)
-                if prev is not None:
-                    if prev.word != s2.word:
-                        raise InternalError(
-                            "one element reached by two distinct sorting words"
-                        )
-                else:
-                    results[w2.matrix] = s2
-                    stack.append((s2, block))
-                extend(block, w2, rest[idx + 1 :])
+    n, t = spec.rank, _root_tables(spec)
+    m = len(t.reflect)
+    compat, apr = _compatibility_table(spec, c), [_root_index(spec).get(r) for r in t.roots]
+    found: dict[int, SortableElement] = {}
 
-        extend((), s.element, allowed)
-    ordered = sorted(results.values(), key=lambda s: (s.length, s.word))
-    return tuple(ordered)
+    def visit(blocks, word, inv, img, last, rest) -> None:
+        if inv in found:
+            raise InternalError("one element reached by two distinct sorting words")
+        ks, cluster = [apr[g] for g in last[1:]], tuple(sorted(t.roots[g] for g in last[1:]))
+        if len(set(ks)) != n:
+            raise InternalError(f"cl image has repeated roots: {cluster}")
+        if any(compat[a][b] or compat[b][a] for a, b in combinations(ks, 2)):
+            raise InternalError(f"cl image is not a c-cluster: {cluster}")
+        cover_roots = sum(1 << g - m for g in img[1:] if g >= m)
+        found[inv] = SortableElement(blocks, word, inv, cluster, cover_roots, spec)
+        block = blocks[-1] if blocks else ()
+        for p, a in enumerate(rest + block):
+            g = img[a]
+            if g < m:
+                img2, last2 = _times(t, img, a), last[:]
+                last2[a] = g
+                if p < len(rest):
+                    visit(blocks[:-1] + (block + (a,),), word + (a,), inv | 1 << g, img2, last2, rest[p + 1 :])
+                else:
+                    visit(blocks + ((a,),), word + (a,), inv | 1 << g, img2, last2, block[p - len(rest) + 1 :])
+
+    visit((), (), 0, list(t.start), [-1] + [g + m for g in t.start[1:]], c.order)
+    return tuple(sorted(found.values(), key=lambda s: (s.length, s.word)))
+
+
+def _pi_down(t: _RootTables, inversions: int, img: list[int], queue: list[int], kept: list[int],
+             word: list[int], branch: int = 0, found: list | None = None) -> tuple[int, ...]:
+    """The c-sorting word of pi_down^c(N), the largest c-sortable element
+    whose inversion set lies in the mask N = `inversions`, by Reading's
+    recursion on the first letter s of c: take s if alpha_s is in N and go on
+    with s(N - alpha_s) and c rotated, else drop s and go on in W_{S - s}.
+
+    The state is the prefix u taken so far (img) and its word, and the
+    letters left in this pass through c (queue) and taken in it (kept).
+    alpha_s is in the current N exactly when u(alpha_s) is in `inversions`.
+    Where a letter is taken at a root of the mask `branch`, the projection of
+    `inversions` without that root, which drops the letter there, is appended
+    to `found` with the root's bit.
+    """
+    while queue or kept:
+        for p, s in enumerate(queue):
+            g = img[s]
+            if not inversions >> g & 1:
+                continue
+            if branch >> g & 1:
+                bit = 1 << g
+                found.append((bit, _pi_down(t, inversions ^ bit, img, queue[p + 1 :], kept[:], word[:])))
+            img = _times(t, img, s)
+            kept.append(s)
+            word.append(s)
+        queue, kept = kept, []
+    return tuple(word)
 
 
 def weyl_group_elements(spec: CartanSpec) -> tuple[WeylElement, ...]:
@@ -141,14 +223,9 @@ def greedy_sorting_word(
 ) -> tuple[tuple[int, ...], ...]:
     """The c-sorting word of w as subset blocks: scan c^infinity, taking a
     letter whenever it is a left descent of the remainder."""
-    n = spec.rank
-    remainder = w
-    eye = _identity(n)
-    blocks = []
-    guard = 0
-    while remainder.matrix != eye:
-        guard += 1
-        if guard > 4 * len(positive_roots(spec)) + 1:
+    n, remainder, blocks = spec.rank, w, []
+    while remainder.matrix != _identity(n):
+        if len(blocks) > 4 * len(positive_roots(spec)):
             raise InternalError("sorting-word scan did not terminate")
         block = []
         for i in c.order:
@@ -156,9 +233,7 @@ def greedy_sorting_word(
             if min(remainder.inv_root_image(_simple_root(n, i))) < 0:
                 block.append(i)
                 r = reflection_matrix(spec, i)
-                remainder = WeylElement(
-                    _matmul(r, remainder.matrix), _matmul(remainder.inv_matrix, r)
-                )
+                remainder = WeylElement(_matmul(r, remainder.matrix), _matmul(remainder.inv_matrix, r))
         if not block:
             raise InternalError("no descent found for a non-identity element")
         blocks.append(tuple(block))
@@ -170,99 +245,63 @@ def is_decreasing_chain(blocks: tuple[tuple[int, ...], ...]) -> bool:
     return all(sets[i + 1] <= sets[i] for i in range(len(sets) - 1))
 
 
-def _prefix_images(spec: CartanSpec, word: tuple[int, ...]) -> list[tuple[int, Root]]:
-    """(a_j, w_{<j}(alpha_{a_j})) for each letter a_j of a reduced word, in one pass
-    over the columns w(alpha_1), ..., w(alpha_n) of the prefix w: right
-    multiplication by s_a subtracts C_aj * w(alpha_a) from column j."""
-    n = spec.rank
-    cols = [_simple_root(n, j) for j in range(1, n + 1)]
-    out = []
-    for a in word:
-        col_a = cols[a - 1]
-        if min(col_a) < 0:
-            raise InternalError(f"sorting word {word} is not reduced")
-        out.append((a, col_a))
-        row = spec.cartan[a - 1]
-        for j in range(n):
-            if row[j]:
-                cols[j] = tuple(x - row[j] * y for x, y in zip(cols[j], col_a))
-    return out
-
-
 def inversion_set(spec: CartanSpec, word: tuple[int, ...]) -> frozenset[Root]:
     """The inversion set {alpha in Phi^+ : w^-1(alpha) < 0} of the element with
-    reduced word `word`: the set of its prefix images."""
-    return frozenset(image for _, image in _prefix_images(spec, word))
+    reduced word `word`: its prefix images w_{<j}(alpha_{a_j})."""
+    t, out = _root_tables(spec), set()
+    img = list(t.start)
+    for a in word:
+        if img[a] >= len(t.reflect):
+            raise InternalError(f"sorting word {word} is not reduced")
+        out.add(t.roots[img[a]])
+        img = _times(t, img, a)
+    return frozenset(out)
 
 
 def cl(spec: CartanSpec, c: CoxeterElement, s: SortableElement) -> tuple[Root, ...]:
-    """The c-cluster of a sortable element.
-
-    The rightmost occurrence of each letter i contributes the prefix image of
-    alpha_i; unused letters contribute -alpha_i.
-    """
-    n = spec.rank
-    last = dict(_prefix_images(spec, s.word))
-    cluster = tuple(sorted(last.get(i, negative_simple(spec, i)) for i in range(1, n + 1)))
-    if len(set(cluster)) != n:
-        raise InternalError(f"cl image has repeated roots: {cluster}")
-    if not all(is_c_compatible(spec, c, a, b) for a, b in combinations(cluster, 2)):
-        raise InternalError(f"cl image is not a c-cluster: {cluster}")
-    return cluster
+    """The c-cluster of a sortable element, as enumerate_sortables found it."""
+    return s.cluster
 
 
 def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     """Hasse quiver of sortables ordered by inversion-set inclusion.
 
     Arrows run from the greater element to the lesser; edge labels are the
-    cl-roots exchanged across the cover.
+    cl-roots exchanged across the cover.  The lower covers of w are the
+    projections pi_down^c(w s) over the right descents s: one replay of w's
+    own sorting word by _pi_down, branching where it takes each cover root
+    -w(alpha_s), the inversion that w s lacks.
     """
     sortables = enumerate_sortables(spec, c)
-    inv = [inversion_set(spec, s.word) for s in sortables]
-    m = len(sortables)
-    # Strict-order bitmasks: down[j] = elements below j, up[i] = elements above i.
-    down = [0] * m
-    up = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and inv[i] < inv[j]:
-                down[j] |= 1 << i
-                up[i] |= 1 << j
+    t = _root_tables(spec)
+    index = {s.word: i for i, s in enumerate(sortables)}
     edges = []
-    clusters = [cl(spec, c, s) for s in sortables]
-    for j in range(m):
-        rest = down[j]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            if down[j] & up[i]:
-                continue
+    for j, w in enumerate(sortables):
+        found: list = []
+        if _pi_down(t, w.inversions, list(t.start), list(c.order), [], [], w.cover_roots, found) != w.word:
+            raise InternalError(f"the c-sorting of {w.word} reads another word")
+        covers = [index.get(word, -1) for _, word in found]
+        for (bit, word), i in zip(found, covers):
+            if i < 0 or sortables[i].inversions & ~(w.inversions ^ bit):
+                raise InternalError(f"pi_down of {w.word} without a cover root is no sortable below it: {word}")
+        hi = set(w.cluster)
+        for i in sorted(covers):
             # Cover j > i: arrow j -> i, labeled by the exchanged cl-roots.
-            hi, lo = set(clusters[j]), set(clusters[i])
-            out_roots = sorted(hi - lo)
-            in_roots = sorted(lo - hi)
+            out_roots, in_roots = hi - set(sortables[i].cluster), set(sortables[i].cluster) - hi
             if len(out_roots) != 1 or len(in_roots) != 1:
-                raise InternalError(
-                    f"cover does not exchange exactly one cl-root: {out_roots} / {in_roots}"
-                )
-            edges.append(QuiverEdge(j, i, out_roots[0], in_roots[0]))
-    edges.sort(key=lambda e: (e.src, e.dst))
+                raise InternalError(f"cover does not exchange exactly one cl-root: {out_roots} / {in_roots}")
+            edges.append(QuiverEdge(j, i, *out_roots, *in_roots))
     return ClusterQuiver("cambrian", sortables, tuple(edges))
 
 
 def cambrian_vertex_map(
-    spec: CartanSpec,
-    c: CoxeterElement,
-    cambrian: ClusterQuiver,
-    ccluster: ClusterQuiver,
+    spec: CartanSpec, c: CoxeterElement, cambrian: ClusterQuiver, ccluster: ClusterQuiver
 ) -> tuple[int, ...]:
     """cl_c as a vertex map from the Cambrian quiver to the c-cluster quiver."""
     index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
     out = []
     for s in cambrian.vertices:
-        cluster = cl(spec, c, s)
-        if cluster not in index:
-            raise InternalError(f"cl image {cluster} is not an enumerated c-cluster")
-        out.append(index[cluster])
+        if s.cluster not in index:
+            raise InternalError(f"cl image {s.cluster} is not an enumerated c-cluster")
+        out.append(index[s.cluster])
     return tuple(out)

@@ -16,8 +16,8 @@ from cambrian.quivers import (
     build_tau_tilting_quiver,
     shadow_of_cluster,
 )
-from cambrian.rootsys import CoxeterElement, cartan_matrix, positive_roots
-from cambrian.sortables import build_cambrian_hasse, enumerate_sortables
+from cambrian.rootsys import CoxeterElement, cartan_matrix, negative_simple, positive_roots
+from cambrian.sortables import build_cambrian_hasse, enumerate_sortables, weyl_group_elements
 
 # Desk-scale test matrix: (type, rank, coxeter orders to cover).
 TEST_MATRIX = [
@@ -143,6 +143,66 @@ def matrix_inversion_set(spec, w):
     """{alpha in Phi^+ : w^-1(alpha) < 0} from the matrix of w^-1: the oracle
     for the prefix-image inversion sets."""
     return frozenset(a for a in positive_roots(spec) if min(w.inv_root_image(a)) < 0)
+
+
+def mask_roots(spec, mask):
+    """The positive roots named by the bits of a mask over positive_roots(spec)."""
+    return frozenset(r for k, r in enumerate(positive_roots(spec)) if mask >> k & 1)
+
+
+@lru_cache(maxsize=None)
+def weyl_group_of(dynkin_type, rank):
+    return weyl_group_elements(spec_of(dynkin_type, rank))
+
+
+def prefix_images(spec, word):
+    """(a_j, w_{<j}(alpha_{a_j})) for each letter a_j of a reduced word, in one
+    pass over the coefficient columns w(alpha_1), ..., w(alpha_n) of the
+    prefix w: right multiplication by s_a subtracts C_aj * w(alpha_a) from
+    column j.  The oracle for the root-index tables of cambrian.sortables."""
+    n = spec.rank
+    cols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    out = []
+    for a in word:
+        col_a = cols[a - 1]
+        assert min(col_a) >= 0, f"{word} is not reduced"
+        out.append((a, col_a))
+        for j, x in enumerate(spec.cartan[a - 1]):
+            if x:
+                cols[j] = tuple(u - x * v for u, v in zip(cols[j], col_a))
+    return out
+
+
+def prefix_image_cl(spec, word):
+    """cl_c from the prefix images of a sorting word: the rightmost occurrence
+    of each letter i gives its prefix image, an unused letter -alpha_i."""
+    last = dict(prefix_images(spec, word))
+    return tuple(sorted(last.get(i, negative_simple(spec, i)) for i in range(1, spec.rank + 1)))
+
+
+def pair_scan_cambrian_hasse(spec, c):
+    """The Cambrian Hasse quiver by comparing every pair of inversion sets,
+    with the exchanged prefix-image cl-roots as labels: the oracle for the
+    covers that build_cambrian_hasse reads off by pi_down."""
+    sortables = enumerate_sortables(spec, c)
+    inv = [frozenset(image for _, image in prefix_images(spec, s.word)) for s in sortables]
+    m = len(sortables)
+    # Strict-order bitmasks: down[j] = elements below j, up[i] = elements above i.
+    down = [0] * m
+    up = [0] * m
+    for i in range(m):
+        for j in range(m):
+            if i != j and inv[i] < inv[j]:
+                down[j] |= 1 << i
+                up[i] |= 1 << j
+    clusters = [set(prefix_image_cl(spec, s.word)) for s in sortables]
+    edges = []
+    for j in range(m):
+        for i in range(m):
+            if down[j] >> i & 1 and not down[j] & up[i]:
+                (out_root,), (in_root,) = clusters[j] - clusters[i], clusters[i] - clusters[j]
+                edges.append(QuiverEdge(j, i, out_root, in_root))
+    return ClusterQuiver("cambrian", sortables, tuple(edges))
 
 
 def row_major_frame_mutate(b, c, g, k):

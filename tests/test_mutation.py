@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from cambrian.mutation import (
     _det,
     build_bc,
     check_duality,
+    check_frame,
     frame_is_unimodular,
     frame_mutate,
     identity_frame,
@@ -30,6 +32,17 @@ class TestExchangeMatrix:
             ExchangeMatrix(((0, 1), (1, 0)), (1, 1))
         with pytest.raises(InputError):
             ExchangeMatrix(((0, -1), (1, 0)), (1, 0))
+
+    def test_kept_frame_checks_skew_symmetry(self):
+        # frame_mutate trusts mutation to keep SB skew-symmetric; check_frame
+        # asserts it on a kept frame, as an invariant.
+        bad = object.__new__(ExchangeMatrix)
+        object.__setattr__(bad, "entries", ((0, 1), (1, 0)))
+        object.__setattr__(bad, "skew_symmetrizer", (1, 1))
+        frame = replace(identity_frame(build_bc(A2, C21)), b=bad)
+        for f in (frame, frame_mutate(frame, 1)):
+            with pytest.raises(InternalError, match="skew-symmetric"):
+                check_frame(f)
 
     def test_negated(self):
         m = ExchangeMatrix(((0, -1), (1, 0)), (1, 1))
@@ -158,6 +171,7 @@ def test_column_step_matches_row_major_oracle(case):
         f = frame_mutate(f, k)
         b, cm, gm = row_major_frame_mutate(b, cm, gm, k)
         assert f.b.entries == b
+        assert ExchangeMatrix(b, f.b.skew_symmetrizer) == f.b  # still skew-symmetric
         assert f.c_vectors == tuple(zip(*cm)) and f.g_vectors == tuple(zip(*gm))
     assert f.path == tuple(path)
 

@@ -1,5 +1,5 @@
 """Oracles for the root-indexed c-dynamics: the compatibility table, the
-one-pass prefix images behind cl and inversion sets, the facet-indexed
+root-index reflection tables behind cl and inversion sets, the facet-indexed
 c-cluster edges and the bitmask clique search, each against the direct
 definition or the library routine it replaces."""
 

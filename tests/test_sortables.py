@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cambrian.lattice import poset_from_hasse, verify_lattice, verify_quiver_map
-from cambrian.rootsys import CoxeterElement, cartan_matrix
+from cambrian.rootsys import CoxeterElement, cartan_matrix, positive_roots
 from cambrian.sortables import (
     WeylElement,
+    _pi_down,
+    _root_tables,
+    build_cambrian_hasse,
     cambrian_vertex_map,
     cl,
     greedy_sorting_word,
@@ -12,7 +17,19 @@ from cambrian.sortables import (
     weyl_group_elements,
 )
 
-from conftest import cambrian_of, ccluster_of, matrix_inversion_set, sortables_of, spec_of
+from conftest import (
+    RANK_LE_4,
+    cambrian_of,
+    ccluster_of,
+    mask_roots,
+    matrix_inversion_set,
+    pair_scan_cambrian_hasse,
+    prefix_image_cl,
+    prefix_images,
+    sortables_of,
+    spec_of,
+    weyl_group_of,
+)
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
@@ -134,11 +151,71 @@ class TestCambrianHasse:
         assert sorted(m) == list(range(5))
 
 
-@pytest.mark.slow
+@st.composite
+def type_and_coxeter(draw):
+    dynkin_type, rank = draw(st.sampled_from(RANK_LE_4))
+    return dynkin_type, rank, tuple(draw(st.permutations(range(1, rank + 1))))
+
+
+def greedy_sortable_blocks(dynkin_type, rank, order):
+    """The sorting blocks of the c-sortable elements of the full group, by
+    the greedy filter, in (length, word) order."""
+    spec, c = spec_of(dynkin_type, rank), CoxeterElement(order)
+    blocks = [greedy_sorting_word(spec, c, w) for w in weyl_group_of(dynkin_type, rank)]
+    words = [(sum(len(b) for b in bs), tuple(a for b in bs for a in b), bs) for bs in blocks if is_decreasing_chain(bs)]
+    return [bs for _, _, bs in sorted(words)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(type_and_coxeter())
+def test_covers_match_pair_scan(case):
+    # Same vertices in the same order, with the same inversion sets and
+    # c-clusters, and the same labeled edges as the pair scan.
+    spec, c = spec_of(*case[:2]), CoxeterElement(case[2])
+    q, oracle = build_cambrian_hasse(spec, c), pair_scan_cambrian_hasse(spec, c)
+    assert [s.blocks for s in q.vertices] == greedy_sortable_blocks(*case)
+    for s in q.vertices:
+        assert mask_roots(spec, s.inversions) == {image for _, image in prefix_images(spec, s.word)}
+        assert s.cluster == prefix_image_cl(spec, s.word)
+    assert q.edges == oracle.edges
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
+def test_e6_covers_match_pair_scan(order):
+    q = cambrian_of("E", 6, order)
+    assert q.edges == pair_scan_cambrian_hasse(spec_of("E", 6), CoxeterElement(order)).edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_and_coxeter())
+def test_pi_down_is_the_largest_sortable_below(case):
+    # For every w, pi_down^c(w) is a sortable whose inversion set lies in
+    # N(w) and contains that of every other such sortable.
+    spec, c = spec_of(*case[:2]), CoxeterElement(case[2])
+    t, index = _root_tables(spec), {r: k for k, r in enumerate(positive_roots(spec))}
+    sortables = sortables_of(*case)
+    by_word = {s.word: s.inversions for s in sortables}
+    for w in weyl_group_of(*case[:2]):
+        n_w = sum(1 << index[r] for r in matrix_inversion_set(spec, w))
+        top = by_word[_pi_down(t, n_w, list(t.start), list(c.order), [], [])]
+        below = [s.inversions for s in sortables if not s.inversions & ~n_w]
+        assert top in below and all(not x & ~top for x in below)
+
+
 def test_e7_cambrian_quiver():
     order = tuple(range(1, 8))
     q, cc = cambrian_of("E", 7, order), ccluster_of("E", 7, order)
     assert (q.n_vertices, len(q.edges)) == (4160, 14560)
     assert verify_lattice(poset_from_hasse(q)).ok
     m = cambrian_vertex_map(spec_of("E", 7), CoxeterElement(order), q, cc)
+    assert verify_quiver_map(q, cc, m, "iso").ok
+
+
+@pytest.mark.slow
+def test_e8_cambrian_quiver():
+    order = tuple(range(1, 9))
+    q, cc = cambrian_of("E", 8, order), ccluster_of("E", 8, order)
+    assert (q.n_vertices, len(q.edges)) == (25080, 100320)
+    assert verify_lattice(poset_from_hasse(q)).ok
+    m = cambrian_vertex_map(spec_of("E", 8), CoxeterElement(order), q, cc)
     assert verify_quiver_map(q, cc, m, "iso").ok
