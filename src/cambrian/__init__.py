@@ -1,5 +1,5 @@
 """Exact combinatorics of exchange quivers, c-clusters, Cambrian lattices and
-tau-tilting shadows for finite-type root systems."""
+support tau-tilting pairs for finite-type root systems."""
 
 from .errors import InputError, InternalError
 from .rootsys import CartanSpec, CoxeterElement, cartan_matrix

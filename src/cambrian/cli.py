@@ -10,7 +10,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cached_property
 from itertools import islice
 from typing import TextIO
@@ -102,17 +102,10 @@ def quiver_to_json(q: ClusterQuiver, rank: int, out: TextIO, verbose: bool = Fal
     the peak memory, and each write is a system call when stdout is unbuffered."""
     var_payloads = _var_payloads(q, rank, verbose)
     doc = {
-        "vertices": [
-            {"id": i, "payload": _vertex_payload(q, i, var_payloads)}
-            for i in range(q.n_vertices)
-        ],
+        "vertices": [{"id": i, "payload": _vertex_payload(q, i, var_payloads)} for i in range(q.n_vertices)],
         "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "out": _edge_label(e.out_label, var_payloads),
-                "in": _edge_label(e.in_label, var_payloads),
-            }
+            {"src": e.src, "dst": e.dst, "out": _edge_label(e.out_label, var_payloads),
+             "in": _edge_label(e.in_label, var_payloads)}
             for e in q.edges
         ],
     }
@@ -182,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 class Build:
     """The quivers of one (spec, c), each built on first use and then shared
     by every check of a command.  cap (None for the default) bounds each
-    exchange BFS and is checked here, so every command rejects a bad cap."""
+    exchange BFS and the tau-tilting enumeration, and is checked here, so
+    every command rejects a bad cap."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
         self.spec, self.c = spec, c
@@ -204,7 +198,7 @@ class Build:
 
     @cached_property
     def tautilt(self) -> ClusterQuiver:
-        return build_tau_tilting_quiver(self.spec, self.c, self.plus)
+        return build_tau_tilting_quiver(self.spec, self.c, vertex_cap=self.cap)
 
     @cached_property
     def cambrian(self) -> ClusterQuiver:
@@ -216,25 +210,22 @@ def run_iso_checks(build: Build) -> list[CheckReport]:
     exq, ccq, ttq, caq = build.plus, build.ccluster, build.tautilt, build.cambrian
     theta_map = theta_vertex_map(spec, c, exq, ccq)
     phi_map = phi_vertex_map(spec, ttq, ccq)
-    psi_map = psi_vertex_map(spec, c, ttq, exq, ccq)
+    psi_map = psi_vertex_map(spec, c, ttq, exq, ccq, phi_map, theta_map)
     cl_map = cambrian_vertex_map(spec, c, caq, ccq)
-    reports = []
-    for label, rep in (
-        ("theta exchange->ccluster anti", verify_quiver_map(exq, ccq, theta_map, "anti")),
-        ("phi tautilt->ccluster iso", verify_quiver_map(ttq, ccq, phi_map, "iso")),
-        ("psi tautilt->exchange anti", verify_quiver_map(ttq, exq, psi_map, "anti")),
-        ("cl cambrian->ccluster iso", verify_quiver_map(caq, ccq, cl_map, "iso")),
-    ):
-        reports.append(CheckReport(label, rep.ok, rep.details, rep.counterexample, rep.stats))
-    return reports
+    return [
+        replace(rep, name=label)
+        for label, rep in (
+            ("theta exchange->ccluster anti", verify_quiver_map(exq, ccq, theta_map, "anti")),
+            ("phi tautilt->ccluster iso", verify_quiver_map(ttq, ccq, phi_map, "iso")),
+            ("psi tautilt->exchange anti", verify_quiver_map(ttq, exq, psi_map, "anti")),
+            ("cl cambrian->ccluster iso", verify_quiver_map(caq, ccq, cl_map, "iso")),
+        )
+    ]
 
 
 def run_lattice_checks(build: Build) -> list[CheckReport]:
-    reports = []
-    for q in (build.plus, build.ccluster, build.tautilt, build.cambrian):
-        rep = verify_lattice(poset_from_hasse(q))
-        reports.append(CheckReport(f"lattice {q.kind}", rep.ok, rep.details, rep.counterexample, rep.stats))
-    return reports
+    quivers = (build.plus, build.ccluster, build.tautilt, build.cambrian)
+    return [replace(verify_lattice(poset_from_hasse(q)), name=f"lattice {q.kind}") for q in quivers]
 
 
 def run_sign_checks(build: Build) -> list[CheckReport]:
@@ -249,14 +240,8 @@ def run_sign_checks(build: Build) -> list[CheckReport]:
                 reports.append(CheckReport(f"signs {sign}", False, ("C-set mismatch",), where))
                 break
         else:
-            reports.append(
-                CheckReport(
-                    f"signs {sign}",
-                    True,
-                    (f"{q.n_vertices} clusters: sign-coherent, dual, unimodular",),
-                    stats=(("clusters", q.n_vertices),),
-                )
-            )
+            details = (f"{q.n_vertices} clusters: sign-coherent, dual, unimodular",)
+            reports.append(CheckReport(f"signs {sign}", True, details, stats=(("clusters", q.n_vertices),)))
     return reports
 
 

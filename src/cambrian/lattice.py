@@ -89,12 +89,7 @@ def verify_lattice(p: FinitePoset) -> CheckReport:
     )
 
 
-def verify_quiver_map(
-    q1: ClusterQuiver,
-    q2: ClusterQuiver,
-    vertex_map: tuple[int, ...],
-    mode: str,
-) -> CheckReport:
+def verify_quiver_map(q1: ClusterQuiver, q2: ClusterQuiver, vertex_map: tuple[int, ...], mode: str) -> CheckReport:
     """Certify vertex_map as a quiver isomorphism (iso) or anti-isomorphism."""
     if mode not in ("iso", "anti"):
         raise InputError(f"mode must be 'iso' or 'anti', got {mode!r}")
@@ -105,25 +100,13 @@ def verify_quiver_map(
         return CheckReport(name, False, ("vertex map is not a bijection",))
     e2 = {(e.src, e.dst) for e in q2.edges}
     if len(q1.edges) != len(e2):
-        return CheckReport(
-            name,
-            False,
-            (f"edge counts differ: {len(q1.edges)} vs {len(e2)}",),
-        )
+        return CheckReport(name, False, (f"edge counts differ: {len(q1.edges)} vs {len(e2)}",))
     for e in q1.edges:
         image = (vertex_map[e.src], vertex_map[e.dst])
         if mode == "anti":
             image = (image[1], image[0])
         if image not in e2:
-            return CheckReport(
-                name,
-                False,
-                ("arrow image is missing",),
-                f"{e.src}->{e.dst} maps to {image[0]}->{image[1]}",
-            )
-    return CheckReport(
-        name,
-        True,
-        (f"{q1.n_vertices} vertices, {len(q1.edges)} arrows",),
-        stats=(("vertices", q1.n_vertices), ("arrows", len(q1.edges))),
-    )
+            where = f"{e.src}->{e.dst} maps to {image[0]}->{image[1]}"
+            return CheckReport(name, False, ("arrow image is missing",), where)
+    details = (f"{q1.n_vertices} vertices, {len(q1.edges)} arrows",)
+    return CheckReport(name, True, details, stats=(("vertices", q1.n_vertices), ("arrows", len(q1.edges))))

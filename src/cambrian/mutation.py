@@ -5,10 +5,11 @@ its positions relative to the frame's root vertex, each a column tuple in
 position order; no other module knows this layout.  A mutation step acts on
 those columns and checks only the sign of the c-vector it mutates at.
 check_frame asserts that SB is skew-symmetric, sign coherence of every
-c-vector, the duality G^T * S * C = S and unimodularity on a kept frame: each
-frame the exchange BFS stores (verify-signs asserts it once more on each) and
-each frame of the tau-C check's tau walk.  That walk moves by frame_mutate
-alone and reads its cluster variables from the exchange quiver by g-vector.
+c-vector and the duality G^T * S * C = S, which implies unimodularity, on a
+kept frame: each frame the exchange BFS stores (verify-signs asserts it once
+more on each) and each frame of the tau-C check's tau walk.  That walk moves
+by frame_mutate alone and reads its cluster variables from the exchange
+quiver by g-vector.
 """
 
 from __future__ import annotations
@@ -191,11 +192,10 @@ def frame_is_unimodular(frame: MatrixFrame) -> bool:
 
 def check_frame(frame: MatrixFrame) -> None:
     """Assert that SB is skew-symmetric, sign coherence of every C-column,
-    C/G duality and unimodularity."""
+    C/G duality and with it unimodularity: G^T S C = S for integer G and C
+    gives det G * det C = 1, so det C = +-1 and no determinant is taken."""
     if not _sb_is_skew(frame.b):
         raise InternalError("SB is not skew-symmetric")
     for c in frame.c_vectors:
         column_sign(c)
     check_duality(frame)
-    if not frame_is_unimodular(frame):
-        raise InternalError("C-matrix is not unimodular")

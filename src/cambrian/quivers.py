@@ -1,4 +1,4 @@
-"""Exchange quiver, quiver of c-clusters, and the tau-tilting shadow quiver.
+"""Exchange quiver, quiver of c-clusters, and the support tau-tilting quiver.
 
 All three quivers share the ClusterQuiver container: vertices carry typed
 payloads, edges record the exchanged pair.  Vertex and edge order is canonical
@@ -8,11 +8,14 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, mul
 
 from .errors import InputError, InternalError
 from .laurent import LabeledSeed, LaurentPolynomial, initial_seed, mutate_seed, theta
 from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame
-from .rootsys import CartanSpec, CoxeterElement, Root, enumerate_c_clusters, negative_simple, r_degree, tau
+from .rootsys import CartanSpec, CoxeterElement, Root, almost_positive_roots, enumerate_c_clusters
+from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -47,7 +50,7 @@ class ClusterVertexPayload:
 
 @dataclass(frozen=True)
 class TauTiltingShadow:
-    """Combinatorial shadow of a support tau-tilting pair."""
+    """A support tau-tilting pair (M, P): M as positive roots, P as simple indices."""
 
     module_part: tuple[Root, ...]
     projective_part: tuple[int, ...]
@@ -199,20 +202,26 @@ def build_exchange_quiver(
     return ClusterQuiver("exchange", tuple(payloads), tuple(edges))
 
 
-def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
-    """Quiver on c-clusters; arrows run from the larger-R_c exchanged root."""
-    clusters = enumerate_c_clusters(spec, c)
-    rdeg = {root: r_degree(spec, c, root) for root in set().union(*clusters)}
-    # Adjacent clusters share a facet (n-1 roots); each facet lies in exactly two.
+def _facet_pairs(clusters):
+    """Adjacent clusters share a facet (all their roots but one), and each
+    facet lies in exactly two: yield ((i, a), (j, b)) for each facet, where
+    clusters i and j hold it and a and b are the roots they exchange."""
     facets: dict[tuple[Root, ...], list[tuple[int, Root]]] = {}
     for i, cluster in enumerate(clusters):
         for k, root in enumerate(cluster):
             facets.setdefault(cluster[:k] + cluster[k + 1 :], []).append((i, root))
-    edges = []
     for facet, members in facets.items():
         if len(members) != 2:
-            raise InternalError(f"facet {facet} lies in {len(members)} c-clusters, not 2")
-        (i, a), (j, b) = members
+            raise InternalError(f"facet {facet} lies in {len(members)} clusters, not 2")
+        yield members
+
+
+def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
+    """Quiver on c-clusters; arrows run from the larger-R_c exchanged root."""
+    clusters = enumerate_c_clusters(spec, c)
+    rdeg = {root: r_degree(spec, c, root) for root in set().union(*clusters)}
+    edges = []
+    for (i, a), (j, b) in _facet_pairs(clusters):
         if rdeg[a] == rdeg[b]:
             raise InternalError(f"R_c tie between exchanged roots {a}, {b}")
         if rdeg[a] < rdeg[b]:
@@ -228,44 +237,82 @@ def shadow_of_cluster(spec: CartanSpec, cluster: tuple[Root, ...]) -> TauTilting
     return TauTiltingShadow(module, proj)
 
 
-def theta_table(spec: CartanSpec, c: CoxeterElement, exchange: ClusterQuiver) -> dict[LaurentPolynomial, Root]:
-    """theta of every cluster variable of the exchange quiver, once per variable."""
-    variables = dict.fromkeys(x for payload in exchange.vertices for x in payload.variables)
-    return {x: theta(spec, c, x) for x in variables}
+def euler_tables(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(torsion, compatible), indexed like almost_positive_roots.  torsion[a]
+    is the mask of positive roots y (bit k for positive_roots(spec)[k]) with
+    Ext^1(a, y) = 0, i.e. <a, y> >= 0, for positive a, and with y_i = 0 for
+    a = -alpha_i.  Bit b of compatible[a] is set when roots a != b are
+    compatible: Ext^1 vanishes both ways between positive roots, -alpha_i
+    goes with beta when beta_i = 0, and negative simples go together."""
+    n, d, cartan = spec.rank, spec.symmetrizer, spec.cartan
+    at = {i - 1: k for k, i in enumerate(c.order)}  # position in c
+    form = [[d[i] if i == j else d[i] * cartan[i][j] if at[i] < at[j] else 0 for j in range(n)] for i in range(n)]
+    roots, positives = almost_positive_roots(spec), positive_roots(spec)
+    torsion = []
+    for a in roots:
+        if min(a) < 0:
+            vanish = (y[a.index(-1)] == 0 for y in positives)
+        else:
+            row = [sum(a[i] * form[i][j] for i in range(n)) for j in range(n)]
+            vanish = (sum(map(mul, row, y)) >= 0 for y in positives)
+        torsion.append(sum(1 << k for k, ok in enumerate(vanish) if ok))
+    bit = {y: k for k, y in enumerate(positives)}
+    # contains[a]: the roots b with Ext^1(a, b) = 0, every negative simple included.
+    contains = [sum(1 << b for b, r in enumerate(roots) if r not in bit or t >> bit[r] & 1) for t in torsion]
+    compatible = [sum(1 << b for b in range(len(roots)) if b != a and contains[b] >> a & 1) & contains[a]
+                  for a in range(len(roots))]
+    return tuple(torsion), tuple(compatible)
 
 
 def build_tau_tilting_quiver(
-    spec: CartanSpec,
-    c: CoxeterElement,
-    exchange: ClusterQuiver,
+    spec: CartanSpec, c: CoxeterElement, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> ClusterQuiver:
-    """Shadow tau-tilting quiver: the vertices of the exchange quiver of B^c
-    through theta, arrows reversed."""
-    roots = theta_table(spec, c, exchange)
-    shadows = [
-        shadow_of_cluster(spec, tuple(sorted(roots[x] for x in payload.variables)))
-        for payload in exchange.vertices
-    ]
-    ordered = sorted(range(len(shadows)), key=lambda i: (shadows[i].module_part, shadows[i].projective_part))
-    index = {old: new for new, old in enumerate(ordered)}
+    """Support tau-tilting quiver of the path algebra of the Dynkin diagram
+    with i -> j when s_i comes before s_j in c, from the Euler form <x, y> =
+    sum_i d_i x_i y_i + sum_{i->j} d_i C_ij x_i y_j (d the symmetrizer).  The
+    indecomposables are the positive roots (Gabriel) and at most one of Hom
+    and Ext^1 between them is nonzero (Ringel, LNM 1099), so Ext^1(x, y) != 0
+    iff <x, y> < 0.  Vertices are the maximal compatible sets of
+    euler_tables, which is c-compatibility (Marsh-Reineke-Zelevinsky, Trans.
+    AMS 355).  The torsion class Fac M = perp(tau M) cap P-perp of a pair
+    (M, P) (Adachi-Iyama-Reiten, Compos. Math. 150) is the AND of its roots'
+    torsion masks, the inversion set of w at cl_c(w) (Ingalls-Thomas, Compos.
+    Math. 145).  Pairs sharing a facet get an arrow from the larger torsion
+    class to the smaller; out_label is the root that leaves src.  In types
+    B, C, F, G the form is that of the rank vectors of GLS tau-locally free
+    modules (Geiss-Leclerc-Schroer, Invent. Math. 209); no Hom/Ext^1
+    dichotomy for those is cited here, so there this is a combinatorial model
+    of the GLS side.  More than vertex_cap pairs raise InputError; a maximal
+    set of size other than n, a facet in other than two pairs or unnested
+    neighbouring torsion classes raise InternalError."""
+    roots, (torsion, compatible) = almost_positive_roots(spec), euler_tables(spec, c)
+    full = (1 << len(positive_roots(spec))) - 1
+    found = []
+    for clique in maximal_compatible_sets(compatible, spec.rank):
+        if len(found) >= vertex_cap:
+            raise InputError("vertex cap exceeded: not finite type or bad input")
+        cluster = tuple(roots[a] for a in clique)
+        found.append((shadow_of_cluster(spec, cluster), cluster, reduce(and_, (torsion[a] for a in clique), full)))
+    found.sort(key=lambda v: (v[0].module_part, v[0].projective_part))
     edges = []
-    for e in exchange.edges:
-        out_root, in_root = roots[e.in_label], roots[e.out_label]
-        both_positive = min(out_root) >= 0 and min(in_root) >= 0
-        edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root, both_positive))
+    for (i, a), (j, b) in _facet_pairs([cluster for _, cluster, _ in found]):
+        ti, tj = found[i][2], found[j][2]
+        if ti & tj == ti:
+            (i, a, ti), (j, b, tj) = (j, b, tj), (i, a, ti)
+        if ti & tj != tj or ti == tj:
+            raise InternalError(f"torsion classes of the pairs exchanging {a} and {b} are not nested")
+        edges.append(QuiverEdge(i, j, a, b, min(a) >= 0 and min(b) >= 0))
     edges.sort(key=lambda e: (e.src, e.dst))
-    return ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
+    return ClusterQuiver("tautilt", tuple(shadow for shadow, _, _ in found), tuple(edges))
 
 
 def theta_vertex_map(
-    spec: CartanSpec,
-    c: CoxeterElement,
-    exchange: ClusterQuiver,
-    ccluster: ClusterQuiver,
+    spec: CartanSpec, c: CoxeterElement, exchange: ClusterQuiver, ccluster: ClusterQuiver
 ) -> tuple[int, ...]:
-    """Variable-wise theta as a vertex map, exchange quiver -> c-cluster quiver."""
+    """Variable-wise theta as a vertex map, exchange quiver -> c-cluster
+    quiver, taking theta once per cluster variable."""
     index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
-    roots = theta_table(spec, c, exchange)
+    roots = {x: theta(spec, c, x) for x in {x for payload in exchange.vertices for x in payload.variables}}
     out = []
     for payload in exchange.vertices:
         cluster = tuple(sorted(roots[x] for x in payload.variables))
@@ -275,9 +322,7 @@ def theta_vertex_map(
     return tuple(out)
 
 
-def phi_vertex_map(
-    spec: CartanSpec, tautilt: ClusterQuiver, ccluster: ClusterQuiver
-) -> tuple[int, ...]:
+def phi_vertex_map(spec: CartanSpec, tautilt: ClusterQuiver, ccluster: ClusterQuiver) -> tuple[int, ...]:
     """Shadow-to-cluster vertex map, tau-tilting quiver -> c-cluster quiver."""
     index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
     out = []
@@ -290,15 +335,13 @@ def phi_vertex_map(
 
 
 def psi_vertex_map(
-    spec: CartanSpec,
-    c: CoxeterElement,
-    tautilt: ClusterQuiver,
-    exchange: ClusterQuiver,
-    ccluster: ClusterQuiver,
+    spec: CartanSpec, c: CoxeterElement, tautilt: ClusterQuiver, exchange: ClusterQuiver, ccluster: ClusterQuiver,
+    phi: tuple[int, ...] | None = None, theta_map: tuple[int, ...] | None = None,
 ) -> tuple[int, ...]:
-    """Tau-tilting quiver -> exchange quiver, as theta-inverse after phi."""
-    phi = phi_vertex_map(spec, tautilt, ccluster)
-    theta_map = theta_vertex_map(spec, c, exchange, ccluster)
+    """Tau-tilting quiver -> exchange quiver, as theta-inverse after phi; the
+    phi and theta maps are computed here unless they are passed in."""
+    phi = phi or phi_vertex_map(spec, tautilt, ccluster)
+    theta_map = theta_map or theta_vertex_map(spec, c, exchange, ccluster)
     inv = {img: i for i, img in enumerate(theta_map)}
     if len(inv) != len(theta_map):
         raise InternalError("theta vertex map is not injective")
@@ -350,9 +393,7 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     return CheckReport("arrow-flip", True, (f"{len(qp.edges)} edges checked, {flipped} flipped",), stats=stats)
 
 
-def check_tau_c_matrix(
-    spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, qm: ClusterQuiver
-) -> CheckReport:
+def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     """Exhaustive check of the C-matrix identity under tau_c^-1.
 
     qp and qm are the exchange quivers of B^c and -B^c.  For every cluster

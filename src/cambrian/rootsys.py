@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, InternalError
 
@@ -97,29 +97,18 @@ def _minimal_symmetrizer(c: Matrix) -> tuple[int, ...]:
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
-        stack = [start]
-        component = [start]
+        d[start], stack, component = Fraction(1), [start], [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if i != j and c[i][j] != 0 and d[j] is None:
+                if c[i][j] and d[j] is None:
                     d[j] = d[i] * c[i][j] / c[j][i]
                     component.append(j)
                     stack.append(j)
-        denom_lcm = 1
+        scale = lcm(*(d[j].denominator for j in component))
+        common = gcd(*(int(d[j] * scale) for j in component))
         for j in component:
-            q = d[j].denominator
-            denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
-        nums = []
-        for j in component:
-            d[j] = d[j] * denom_lcm
-            nums.append(int(d[j]))
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        for j in component:
-            d[j] = Fraction(int(d[j]) // g)
+            d[j] = d[j] * scale / common
     return tuple(int(x) for x in d)
 
 
@@ -284,11 +273,6 @@ def _compatibility_table(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int
     return tuple(table)
 
 
-def compatibility_degree(spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root) -> int:
-    """The c-compatibility degree (alpha ||_c beta)."""
-    return _compatibility_table(spec, c)[_check_apr(spec, alpha)][_check_apr(spec, beta)]
-
-
 def is_c_compatible(spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root) -> bool:
     table, a, b = _compatibility_table(spec, c), _check_apr(spec, alpha), _check_apr(spec, beta)
     return table[a][b] == table[b][a] == 0
@@ -302,27 +286,32 @@ def _bits(mask: int):
         mask ^= low
 
 
-@lru_cache(maxsize=None)
-def enumerate_c_clusters(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[Root, ...], ...]:
-    """All c-clusters, as lexicographically sorted root tuples, in canonical
-    order: the maximal compatible sets, found by Bron-Kerbosch with pivoting
-    over bitmasks of compatible root indices."""
-    n, roots, table = spec.rank, almost_positive_roots(spec), _compatibility_table(spec, c)
-    m = len(roots)
-    nbrs = [sum(1 << b for b in range(m) if b != a and table[a][b] == table[b][a] == 0) for a in range(m)]
-    clusters = []
+def maximal_compatible_sets(nbrs: list[int], size: int):
+    """Yield every maximal set of pairwise neighbours, as a sorted tuple of
+    vertex indices, by Bron-Kerbosch with pivoting over the neighbour
+    bitmasks nbrs.  In finite type each one has size elements (a cluster);
+    any other size raises InternalError."""
 
-    def expand(clique: list[int], cand: int, excl: int) -> None:
+    def expand(clique: tuple[int, ...], cand: int, excl: int):
         if not cand | excl:
-            if len(clique) != n:
-                raise InternalError(f"maximal compatible set of size {len(clique)} != rank {n}")
-            clusters.append(tuple(roots[a] for a in sorted(clique)))
+            if len(clique) != size:
+                raise InternalError(f"maximal compatible set of size {len(clique)} != rank {size}")
+            yield tuple(sorted(clique))
             return
         pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
         for a in _bits(cand & ~nbrs[pivot]):
-            expand(clique + [a], cand & nbrs[a], excl & nbrs[a])
+            yield from expand(clique + (a,), cand & nbrs[a], excl & nbrs[a])
             cand &= ~(1 << a)
             excl |= 1 << a
 
-    expand([], (1 << m) - 1, 0)
-    return tuple(sorted(clusters))
+    yield from expand((), (1 << len(nbrs)) - 1, 0)
+
+
+@lru_cache(maxsize=None)
+def enumerate_c_clusters(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[Root, ...], ...]:
+    """All c-clusters, as lexicographically sorted root tuples, in canonical
+    order: the maximal compatible sets of root indices."""
+    roots, table = almost_positive_roots(spec), _compatibility_table(spec, c)
+    m = len(roots)
+    nbrs = [sum(1 << b for b in range(m) if b != a and table[a][b] == table[b][a] == 0) for a in range(m)]
+    return tuple(sorted(tuple(roots[a] for a in clique) for clique in maximal_compatible_sets(nbrs, spec.rank)))

@@ -16,7 +16,14 @@ from cambrian.quivers import (
     build_tau_tilting_quiver,
     shadow_of_cluster,
 )
-from cambrian.rootsys import CoxeterElement, cartan_matrix, negative_simple, positive_roots
+from cambrian.rootsys import (
+    CoxeterElement,
+    _check_apr,
+    _compatibility_table,
+    cartan_matrix,
+    negative_simple,
+    positive_roots,
+)
 from cambrian.sortables import build_cambrian_hasse, enumerate_sortables, weyl_group_elements
 
 # Desk-scale test matrix: (type, rank, coxeter orders to cover).
@@ -53,6 +60,12 @@ RANK_LE_4 = [
 ]
 
 
+def compatibility_degree(spec, c, alpha, beta):
+    """The c-compatibility degree (alpha ||_c beta), read from the table of
+    enumerate_c_clusters."""
+    return _compatibility_table(spec, c)[_check_apr(spec, alpha)][_check_apr(spec, beta)]
+
+
 @lru_cache(maxsize=None)
 def spec_of(dynkin_type, rank):
     return cartan_matrix(dynkin_type, rank)
@@ -72,11 +85,7 @@ def ccluster_of(dynkin_type, rank, order):
 
 @lru_cache(maxsize=None)
 def tautilt_of(dynkin_type, rank, order):
-    return build_tau_tilting_quiver(
-        spec_of(dynkin_type, rank),
-        CoxeterElement(order),
-        exchange=exchange_of(dynkin_type, rank, order),
-    )
+    return build_tau_tilting_quiver(spec_of(dynkin_type, rank), CoxeterElement(order))
 
 
 @lru_cache(maxsize=None)
@@ -317,10 +326,11 @@ def assert_exchange_relations(q):
 
 
 def per_position_tau_tilting(spec, c, exchange, ccluster):
-    """The tau-tilting quiver and the theta vertex map with theta taken at
-    every position of every cluster and at both labels of every edge: the
-    oracle for build_tau_tilting_quiver and theta_vertex_map, which read one
-    theta per variable."""
+    """The theta shadow of the exchange quiver of B^c, arrows reversed, and
+    the theta vertex map, with theta taken at every position of every
+    cluster and at both labels of every edge.  The oracle for the Euler-form
+    build_tau_tilting_quiver, which uses neither Laurent polynomials nor
+    theta, and for theta_vertex_map, which takes theta once per variable."""
     clusters = [tuple(sorted(theta(spec, c, x) for x in p.variables)) for p in exchange.vertices]
     shadows = [shadow_of_cluster(spec, cluster) for cluster in clusters]
     ordered = sorted(range(len(shadows)), key=lambda i: (shadows[i].module_part, shadows[i].projective_part))

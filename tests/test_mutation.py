@@ -20,7 +20,7 @@ from cambrian.mutation import (
 )
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
-from conftest import RANK_LE_4, row_major_frame_mutate, spec_of
+from conftest import RANK_LE_4, exchange_of, row_major_frame_mutate, spec_of
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
@@ -174,6 +174,16 @@ def test_column_step_matches_row_major_oracle(case):
         assert ExchangeMatrix(b, f.b.skew_symmetrizer) == f.b  # still skew-symmetric
         assert f.c_vectors == tuple(zip(*cm)) and f.g_vectors == tuple(zip(*gm))
     assert f.path == tuple(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANK_LE_4), st.data())
+def test_stored_frames_are_unimodular(typ, data):
+    # check_frame takes no determinant: duality G^T S C = S implies
+    # |det C| = 1.  Assert it on every frame both exchange builds store.
+    order = tuple(data.draw(st.permutations(range(1, typ[1] + 1))))
+    for sign in ("plus", "minus"):
+        assert all(frame_is_unimodular(p.frame) for p in exchange_of(*typ, order, sign).vertices)
 
 
 class TestTauInverseFrame:

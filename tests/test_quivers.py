@@ -1,26 +1,39 @@
 import dataclasses
 import itertools
 import re
+import sys
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cambrian.quivers
-from cambrian.cli import Build, run_sign_checks
+from cambrian.cli import Build, main, run_sign_checks
 from cambrian.errors import InputError, InternalError
-from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed
+from cambrian.lattice import verify_quiver_map
+from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
 from cambrian.mutation import build_bc
 from cambrian.quivers import (
     build_exchange_quiver,
     build_tau_tilting_quiver,
     check_arrow_flip,
     check_tau_c_matrix,
+    euler_tables,
+    phi_vertex_map,
     shadow_of_cluster,
-    theta_table,
     theta_vertex_map,
 )
-from cambrian.rootsys import CoxeterElement, cartan_matrix, enumerate_c_clusters, is_c_compatible, almost_positive_roots
+from cambrian.rootsys import (
+    CoxeterElement,
+    _compatibility_table,
+    almost_positive_roots,
+    cartan_matrix,
+    enumerate_c_clusters,
+    is_c_compatible,
+    positive_roots,
+)
 
 from conftest import (
     RANK_LE_4,
@@ -28,12 +41,14 @@ from conftest import (
     ccluster_of,
     exchange_of,
     per_position_tau_tilting,
+    sortables_of,
     spec_of,
     tautilt_of,
 )
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
+E6_PANEL = [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)]
 
 
 def lp(d):
@@ -203,6 +218,30 @@ class TestTauTiltingQuiver:
                 expect = min(e.out_label) >= 0 and min(e.in_label) >= 0
                 assert e.both_positive == expect
 
+    def test_vertex_cap(self):
+        spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
+        assert build_tau_tilting_quiver(spec, c, vertex_cap=14).n_vertices == 14
+        with pytest.raises(InputError, match="vertex cap exceeded"):
+            build_tau_tilting_quiver(spec, c, vertex_cap=13)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            # Every root compatible with every other: one set of all 5 roots.
+            (lambda t, nb: (t, tuple(31 ^ 1 << a for a in range(5))), "maximal compatible set of size 5 != rank 2"),
+            # -alpha_1 and -alpha_2 incompatible: the facets {-alpha_1} and
+            # {-alpha_2} each lie in one pair.
+            (lambda t, nb: (t, (nb[0] & ~2, nb[1] & ~1) + nb[2:]), "lies in 1 clusters, not 2"),
+            # Every torsion class empty: no two neighbours are nested.
+            (lambda t, nb: ((0,) * len(t), nb), "are not nested"),
+        ],
+    )
+    def test_invariants_raise(self, monkeypatch, corrupt, message):
+        original = cambrian.quivers.euler_tables
+        monkeypatch.setattr(cambrian.quivers, "euler_tables", lambda spec, c: corrupt(*original(spec, c)))
+        with pytest.raises(InternalError, match=message):
+            build_tau_tilting_quiver(A2, C21)
+
     def test_shadow_of_cluster(self):
         s = shadow_of_cluster(A2, ((1, 1), (0, -1)))
         assert s.module_part == ((1, 1),) and s.projective_part == (2,)
@@ -323,7 +362,7 @@ class TestThetaImage:
             spec = spec_of(t, n)
             c = CoxeterElement(order)
             q = exchange_of(t, n, order)
-            roots = theta_table(spec, c, q)
+            roots = {x: theta(spec, c, x) for p in q.vertices for x in p.variables}
             clusters = {tuple(sorted(roots[x] for x in p.variables)) for p in q.vertices}
             assert clusters == set(enumerate_c_clusters(spec, c))
 
@@ -334,28 +373,99 @@ def type_and_c(draw):
     return t, n, tuple(draw(st.permutations(range(1, n + 1))))
 
 
-@settings(deadline=None, max_examples=40)
-@given(type_and_c())
-def test_theta_table_matches_per_position_theta(case):
-    t, n, order = case
+def assert_matches_theta_shadow(t, n, order):
     spec, c = spec_of(t, n), CoxeterElement(order)
     exq, ccq = exchange_of(t, n, order), ccluster_of(t, n, order)
     tautilt, theta_map = per_position_tau_tilting(spec, c, exq, ccq)
-    q = build_tau_tilting_quiver(spec, c, exq)
+    q = tautilt_of(t, n, order)
     assert q.vertices == tautilt.vertices
     assert q.edges == tautilt.edges
     assert theta_vertex_map(spec, c, exq, ccq) == theta_map
 
 
-def test_tau_tilting_build_takes_theta_once_per_variable(monkeypatch):
-    calls = []
-    original = cambrian.quivers.theta
+@settings(deadline=None, max_examples=40)
+@given(type_and_c())
+def test_theta_table_matches_per_position_theta(case):
+    # The Euler-form build against the theta shadow of the exchange quiver.
+    assert_matches_theta_shadow(*case)
 
-    def counted(spec, c, x):
-        calls.append(x)
-        return original(spec, c, x)
 
-    monkeypatch.setattr(cambrian.quivers, "theta", counted)
-    spec, order = spec_of("D", 4), (2, 1, 4, 3)
-    build_tau_tilting_quiver(spec, CoxeterElement(order), exchange_of("D", 4, order))
-    assert len(calls) == len(set(calls)) == len(almost_positive_roots(spec))
+@pytest.mark.parametrize("order", E6_PANEL)
+def test_e6_tau_tilting_matches_theta_shadow(order):
+    assert_matches_theta_shadow("E", 6, order)
+
+
+@pytest.mark.slow
+def test_e7_tau_tilting_matches_theta_shadow():
+    assert_matches_theta_shadow("E", 7, tuple(range(1, 8)))
+
+
+def assert_ext_compatibility_is_c_compatibility(t, n, order):
+    spec, c = spec_of(t, n), CoxeterElement(order)
+    table, (_, nbrs) = _compatibility_table(spec, c), euler_tables(spec, c)
+    m = len(table)
+    for a in range(m):
+        zeros = sum(1 << b for b in range(m) if b != a and table[a][b] == table[b][a] == 0)
+        assert nbrs[a] == zeros, almost_positive_roots(spec)[a]
+
+
+def assert_torsion_classes_are_inversion_sets(t, n, order):
+    # T(cl_c(w)) = N(w) for every c-sortable w (Ingalls-Thomas).
+    spec, c = spec_of(t, n), CoxeterElement(order)
+    (masks, _), index = euler_tables(spec, c), {r: k for k, r in enumerate(almost_positive_roots(spec))}
+    full = (1 << len(positive_roots(spec))) - 1
+    for s in sortables_of(t, n, order):
+        assert reduce(and_, (masks[index[r]] for r in s.cluster), full) == s.inversions, s.word
+
+
+@settings(deadline=None, max_examples=40)
+@given(type_and_c())
+def test_ext_compatibility_is_c_compatibility(case):
+    assert_ext_compatibility_is_c_compatibility(*case)
+
+
+@settings(deadline=None, max_examples=40)
+@given(type_and_c())
+def test_torsion_classes_are_inversion_sets(case):
+    assert_torsion_classes_are_inversion_sets(*case)
+
+
+@pytest.mark.parametrize("order", E6_PANEL)
+def test_e6_ext_compatibility_and_torsion_classes(order):
+    assert_ext_compatibility_is_c_compatibility("E", 6, order)
+    assert_torsion_classes_are_inversion_sets("E", 6, order)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [7, 8])
+def test_e7_e8_ext_compatibility_and_torsion_classes(n):
+    order = tuple(range(1, n + 1))
+    assert_ext_compatibility_is_c_compatibility("E", n, order)
+    assert_torsion_classes_are_inversion_sets("E", n, order)
+
+
+@pytest.mark.slow
+def test_e8_phi_iso():
+    order = tuple(range(1, 9))
+    ttq, ccq = tautilt_of("E", 8, order), ccluster_of("E", 8, order)
+    assert (ttq.n_vertices, len(ttq.edges)) == (25080, 100320)
+    rep = verify_quiver_map(ttq, ccq, phi_vertex_map(spec_of("E", 8), ttq, ccq), "iso")
+    assert rep.ok, rep.counterexample
+
+
+def test_tautilt_command_runs_no_exchange(monkeypatch, capsys):
+    # The tau-tilting quiver comes from the Euler form alone: no Laurent
+    # exchange, no frame mutation, no theta and no exchange BFS.
+    def forbid(name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"tautilt called {name}")
+
+        return forbidden
+
+    names = ("theta", "mutate_seed", "frame_mutate", "build_exchange_quiver")
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cambrian"]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbid(name))
+    assert main(["tautilt", "--type", "D", "--rank", "4", "--coxeter", "2,1,4,3"]) == 0
+    assert capsys.readouterr().out.startswith("{")

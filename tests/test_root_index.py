@@ -14,7 +14,6 @@ from cambrian.quivers import build_c_cluster_quiver
 from cambrian.rootsys import (
     CoxeterElement,
     almost_positive_roots,
-    compatibility_degree,
     enumerate_c_clusters,
     is_c_compatible,
     negative_simple,
@@ -29,7 +28,7 @@ from cambrian.sortables import (
     inversion_set,
 )
 
-from conftest import RANK_LE_4, matrix_inversion_set, spec_of
+from conftest import RANK_LE_4, compatibility_degree, matrix_inversion_set, spec_of
 
 
 def _orbit_r_degree(spec, c, root):

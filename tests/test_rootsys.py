@@ -6,7 +6,6 @@ from cambrian.rootsys import (
     CoxeterElement,
     almost_positive_roots,
     cartan_matrix,
-    compatibility_degree,
     enumerate_c_clusters,
     is_c_compatible,
     negative_simple,
@@ -18,7 +17,7 @@ from cambrian.rootsys import (
 )
 from cambrian.sortables import weyl_group_elements
 
-from conftest import SMALL_MATRIX, spec_of
+from conftest import SMALL_MATRIX, compatibility_degree, spec_of
 
 A2 = cartan_matrix("A", 2)
 B2 = cartan_matrix("B", 2)
