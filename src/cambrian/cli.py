@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from functools import cached_property
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
 from .errors import InputError, InternalError
@@ -32,114 +32,115 @@ from .quivers import (
     psi_vertex_map,
     theta_vertex_map,
 )
-from .rootsys import CartanSpec, CoxeterElement, Root, cartan_matrix
+from .rootsys import CartanSpec, CoxeterElement, cartan_matrix
 from .sortables import build_cambrian_hasse, cambrian_vertex_map
 
 # Build command -> the Build attribute holding its quiver.
-BUILD_COMMANDS = {
-    "exchange": "plus",
-    "cclusters": "ccluster",
-    "cambrian": "cambrian",
-    "tautilt": "tautilt",
-}
+BUILD_COMMANDS = {"exchange": "plus", "cclusters": "ccluster", "cambrian": "cambrian", "tautilt": "tautilt"}
+_BATCH = 32  # objects per write: bigger batches raise the peak RSS of a large quiver
 
 
-def _root_str(r: Root) -> str:
-    return "[" + ",".join(str(x) for x in r) + "]"
+class _Memo(dict):
+    """A table that renders each key on its first lookup and keeps it."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        self[key] = value = self.render(key)
+        return value
 
 
-def _var_payload(v: LaurentPolynomial, rank: int, verbose: bool) -> dict:
-    d = {"d": _root_str(denominator_vector(v, rank)), "hash": poly_hash(v)}
-    if verbose:
-        d["poly"] = poly_str(v)
-    return d
+def _array(items: list[str], indent: int) -> str:
+    """A list of rendered items at indent, as json.dumps(indent=2) prints it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def _var_payloads(q: ClusterQuiver, rank: int, verbose: bool = False) -> dict:
-    """The payload of each distinct cluster variable of an exchange quiver,
-    so a variable met at many vertices and edges is serialized once."""
-    if q.kind != "exchange":
-        return {}
-    variables = {x for payload in q.vertices for x in payload.variables}
-    return {x: _var_payload(x, rank, verbose) for x in variables}
+def _tables(rank: int, verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
+    """The rendered values of one quiver, each made once: a root as a JSON
+    string, an integer vector as a list at indent 10, and an exchange
+    variable as (its d-vector, its edge label, its object at indent 10)."""
+    roots = _Memo(lambda r: encode_basestring_ascii("[" + ",".join(map(str, r)) + "]"))
+    vectors = _Memo(lambda v: _array([*map(str, v)], 10))
+
+    def variable(x: LaurentPolynomial) -> tuple[str, str, str]:
+        d, h = roots[denominator_vector(x, rank)], encode_basestring_ascii(poly_hash(x))
+        poly = f',\n            "poly": {encode_basestring_ascii(poly_str(x))}' if verbose else ""
+        obj = f'{{\n            "d": {d},\n            "hash": {h}{poly}\n          }}'
+        return d[1:-1], encode_basestring_ascii(f"d={d[1:-1]}#{h[1:-1]}"), obj
+
+    return roots, vectors, _Memo(variable)
 
 
-def _vertex_payload(q: ClusterQuiver, i: int, var_payloads: dict) -> dict:
-    v = q.vertices[i]
-    if q.kind == "exchange":
-        return {
-            "variables": [var_payloads[x] for x in v.variables],
-            "c_vectors": [list(c) for c in v.c_vectors],
-            "g_vectors": [list(g) for g in v.g_vectors],
-        }
-    if q.kind == "ccluster":
-        return {"roots": [_root_str(r) for r in v]}
-    if q.kind == "tautilt":
-        return {
-            "module_part": [_root_str(r) for r in v.module_part],
-            "projective_part": list(v.projective_part),
-            "m_size": v.m_size,
-        }
-    if q.kind == "cambrian":
-        return {
-            "word": list(v.word),
-            "blocks": [list(b) for b in v.blocks],
-            "length": v.length,
-        }
-    raise InternalError(f"unknown quiver kind {q.kind!r}")
-
-
-def _edge_label(label: object, var_payloads: dict) -> str:
-    if isinstance(label, LaurentPolynomial):
-        return "d={d}#{hash}".format(**var_payloads[label])
-    if isinstance(label, tuple):
-        return _root_str(label)
-    return str(label)
+def _write_items(out: TextIO, n: int, render) -> None:
+    """Write the list of render(0), ..., render(n - 1) at indent 2, _BATCH items
+    per write: fewer system calls when stdout is unbuffered, bounded memory."""
+    for lo in range(0, n, _BATCH):
+        out.write(("[\n" if lo == 0 else ",\n") + ",\n".join(map(render, range(lo, min(n, lo + _BATCH)))))
+    out.write("\n  ]" if n else "[]")
 
 
 def quiver_to_json(q: ClusterQuiver, rank: int, out: TextIO, verbose: bool = False) -> None:
-    """Write q as JSON to out in batches of encoder chunks: one string doubles
-    the peak memory, and each write is a system call when stdout is unbuffered."""
-    var_payloads = _var_payloads(q, rank, verbose)
-    doc = {
-        "vertices": [{"id": i, "payload": _vertex_payload(q, i, var_payloads)} for i in range(q.n_vertices)],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "out": _edge_label(e.out_label, var_payloads),
-             "in": _edge_label(e.in_label, var_payloads)}
-            for e in q.edges
-        ],
-    }
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    while text := "".join(islice(chunks, 4096)):
-        out.write(text)
-    out.write("\n")
+    """Write q to out as json.dumps(indent=2, sort_keys=True) prints its
+    document {"edges": [...], "vertices": [...]}, streamed in that fixed
+    shape: each edge and vertex object is one string with its keys in sorted
+    order, and each root, integer vector and exchange variable is rendered
+    once (_tables)."""
+    roots, vectors, variables = _tables(rank, verbose)
+    label = (lambda x: variables[x][1]) if q.kind == "exchange" else roots.__getitem__
 
+    def payload(v) -> tuple[str, ...]:
+        if q.kind == "exchange":
+            return (f'"c_vectors": {_array([vectors[c] for c in v.c_vectors], 8)}',
+                    f'"g_vectors": {_array([vectors[g] for g in v.g_vectors], 8)}',
+                    f'"variables": {_array([variables[x][2] for x in v.variables], 8)}')
+        if q.kind == "ccluster":
+            return (f'"roots": {_array([roots[r] for r in v], 8)}',)
+        if q.kind == "tautilt":
+            return (f'"m_size": {v.m_size}', f'"module_part": {_array([roots[r] for r in v.module_part], 8)}',
+                    f'"projective_part": {_array([*map(str, v.projective_part)], 8)}')
+        if q.kind == "cambrian":
+            return (f'"blocks": {_array([vectors[b] for b in v.blocks], 8)}', f'"length": {v.length}',
+                    f'"word": {_array([*map(str, v.word)], 8)}')
+        raise InternalError(f"unknown quiver kind {q.kind!r}")
 
-def _vertex_label(q: ClusterQuiver, i: int, var_payloads: dict) -> str:
-    v = q.vertices[i]
-    if q.kind == "exchange":
-        return "{" + ",".join(var_payloads[x]["d"] for x in v.variables) + "}"
-    if q.kind == "ccluster":
-        return "{" + ",".join(_root_str(r) for r in v) + "}"
-    if q.kind == "tautilt":
-        mods = ",".join(_root_str(r) for r in v.module_part)
-        projs = ",".join(str(i) for i in v.projective_part)
-        return f"M=[{mods}] P=[{projs}]"
-    if q.kind == "cambrian":
-        return "s" + ".".join(str(a) for a in v.word) if v.word else "e"
-    raise InternalError(f"unknown quiver kind {q.kind!r}")
+    def edge(i: int) -> str:
+        e = q.edges[i]
+        return (f'    {{\n      "dst": {e.dst},\n      "in": {label(e.in_label)},\n'
+                f'      "out": {label(e.out_label)},\n      "src": {e.src}\n    }}')
+
+    def vertex(i: int) -> str:
+        fields = ",\n        ".join(payload(q.vertices[i]))
+        return f'    {{\n      "id": {i},\n      "payload": {{\n        {fields}\n      }}\n    }}'
+
+    out.write('{\n  "edges": ')
+    _write_items(out, len(q.edges), edge)
+    out.write(',\n  "vertices": ')
+    _write_items(out, q.n_vertices, vertex)
+    out.write("\n}\n")
 
 
 def quiver_to_dot(q: ClusterQuiver, rank: int) -> str:
-    var_payloads = _var_payloads(q, rank)
-    lines = [f"digraph {q.kind} {{"]
-    for i in range(q.n_vertices):
-        label = _vertex_label(q, i, var_payloads).replace('"', '\\"')
-        lines.append(f'  v{i} [label="{label}"];')
-    for e in q.edges:
-        lines.append(f"  v{e.src} -> v{e.dst};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    roots, _, variables = _tables(rank)
+
+    def label(v) -> str:
+        if q.kind == "exchange":
+            return "{" + ",".join(variables[x][0] for x in v.variables) + "}"
+        if q.kind == "ccluster":
+            return "{" + ",".join(roots[r][1:-1] for r in v) + "}"
+        if q.kind == "tautilt":
+            mods = ",".join(roots[r][1:-1] for r in v.module_part)
+            return f"M=[{mods}] P=[{','.join(map(str, v.projective_part))}]"
+        if q.kind == "cambrian":
+            return "s" + ".".join(map(str, v.word)) if v.word else "e"
+        raise InternalError(f"unknown quiver kind {q.kind!r}")
+
+    vertices = [f'  v{i} [label="{label(v)}"];' for i, v in enumerate(q.vertices)]
+    edges = [f"  v{e.src} -> v{e.dst};" for e in q.edges]
+    return "\n".join([f"digraph {q.kind} {{", *vertices, *edges, "}"]) + "\n"
 
 
 def _parse_coxeter(raw: str, rank: int) -> CoxeterElement:
@@ -173,10 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class Build:
-    """The quivers of one (spec, c), each built on first use and then shared
-    by every check of a command.  cap (None for the default) bounds each
-    exchange BFS and the tau-tilting enumeration, and is checked here, so
-    every command rejects a bad cap."""
+    """The quivers of one (spec, c), each built on first use and shared by
+    every check of a command.  cap (None for the default) bounds the vertices
+    of every build and is checked here, so every command rejects a bad cap."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
         self.spec, self.c = spec, c
@@ -194,7 +194,7 @@ class Build:
 
     @cached_property
     def ccluster(self) -> ClusterQuiver:
-        return build_c_cluster_quiver(self.spec, self.c)
+        return build_c_cluster_quiver(self.spec, self.c, vertex_cap=self.cap)
 
     @cached_property
     def tautilt(self) -> ClusterQuiver:
@@ -202,7 +202,7 @@ class Build:
 
     @cached_property
     def cambrian(self) -> ClusterQuiver:
-        return build_cambrian_hasse(self.spec, self.c)
+        return build_cambrian_hasse(self.spec, self.c, vertex_cap=self.cap)
 
 
 def run_iso_checks(build: Build) -> list[CheckReport]:

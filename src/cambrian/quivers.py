@@ -216,9 +216,14 @@ def _facet_pairs(clusters):
         yield members
 
 
-def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
-    """Quiver on c-clusters; arrows run from the larger-R_c exchanged root."""
+def build_c_cluster_quiver(
+    spec: CartanSpec, c: CoxeterElement, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> ClusterQuiver:
+    """Quiver on c-clusters; arrows run from the larger-R_c exchanged root.
+    More than vertex_cap c-clusters raise InputError."""
     clusters = enumerate_c_clusters(spec, c)
+    if len(clusters) > vertex_cap:
+        raise InputError("vertex cap exceeded: not finite type or bad input")
     rdeg = {root: r_degree(spec, c, root) for root in set().union(*clusters)}
     edges = []
     for (i, a), (j, b) in _facet_pairs(clusters):

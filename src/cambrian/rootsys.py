@@ -170,6 +170,9 @@ def reflect(spec: CartanSpec, i: int, root: Root) -> Root:
 
 
 _ROOT_CAP = 10_000
+# (spec, c) entries kept by each per-Coxeter-element cache, so a sweep over
+# many elements holds a few elements' tables, not all of them.
+_PER_C_CACHE = 8
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +243,7 @@ def tau(spec: CartanSpec, c: CoxeterElement, root: Root, direction: str = "forwa
     return root
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_C_CACHE)
 def _tau_inverse_perm(spec: CartanSpec, c: CoxeterElement) -> tuple[int, ...]:
     """tau_c^-1 as a permutation of the almost positive root indices."""
     return tuple(_root_index(spec)[tau(spec, c, r, "inverse")] for r in almost_positive_roots(spec))
@@ -257,7 +260,7 @@ def r_degree(spec: CartanSpec, c: CoxeterElement, root: Root) -> int:
     raise InternalError("tau_c orbit did not reach a negative simple root")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_C_CACHE)
 def _compatibility_table(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
     """table[a][b] = (alpha_a ||_c alpha_b) over root indices.  The degree is
     tau_c-invariant, so walk alpha_a to a negative simple -alpha_i, apply the
@@ -307,7 +310,7 @@ def maximal_compatible_sets(nbrs: list[int], size: int):
     yield from expand((), (1 << len(nbrs)) - 1, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_C_CACHE)
 def enumerate_c_clusters(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[Root, ...], ...]:
     """All c-clusters, as lexicographically sorted root tuples, in canonical
     order: the maximal compatible sets of root indices."""

@@ -16,8 +16,8 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InternalError
-from .quivers import ClusterQuiver, QuiverEdge
+from .errors import InputError, InternalError
+from .quivers import DEFAULT_VERTEX_CAP, ClusterQuiver, QuiverEdge
 from .rootsys import (
     CartanSpec,
     CoxeterElement,
@@ -263,16 +263,21 @@ def cl(spec: CartanSpec, c: CoxeterElement, s: SortableElement) -> tuple[Root, .
     return s.cluster
 
 
-def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
+def build_cambrian_hasse(
+    spec: CartanSpec, c: CoxeterElement, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> ClusterQuiver:
     """Hasse quiver of sortables ordered by inversion-set inclusion.
 
     Arrows run from the greater element to the lesser; edge labels are the
     cl-roots exchanged across the cover.  The lower covers of w are the
     projections pi_down^c(w s) over the right descents s: one replay of w's
     own sorting word by _pi_down, branching where it takes each cover root
-    -w(alpha_s), the inversion that w s lacks.
+    -w(alpha_s), the inversion that w s lacks.  More than vertex_cap
+    sortables raise InputError.
     """
     sortables = enumerate_sortables(spec, c)
+    if len(sortables) > vertex_cap:
+        raise InputError("vertex cap exceeded: not finite type or bad input")
     t = _root_tables(spec)
     index = {s.word: i for i, s in enumerate(sortables)}
     edges = []

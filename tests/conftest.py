@@ -1,10 +1,19 @@
 """Shared caches so every test file reuses the same built quivers, and the
 oracles the tests compare against."""
 
+import json
 from functools import lru_cache
 
 from cambrian.errors import InternalError
-from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
+from cambrian.laurent import (
+    LaurentPolynomial,
+    denominator_vector,
+    initial_seed,
+    mutate_seed,
+    poly_hash,
+    poly_str,
+    theta,
+)
 from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate, mutate_matrix
 from cambrian.quivers import (
     ClusterQuiver,
@@ -344,3 +353,84 @@ def per_position_tau_tilting(spec, c, exchange, ccluster):
     tautilt = ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
     ccluster_index = {cluster: i for i, cluster in enumerate(ccluster.vertices)}
     return tautilt, tuple(ccluster_index[cluster] for cluster in clusters)
+
+
+def _root_str(r):
+    return "[" + ",".join(str(x) for x in r) + "]"
+
+
+def _var_payloads(q, rank, verbose=False):
+    """The payload dict of each distinct cluster variable of an exchange quiver."""
+    if q.kind != "exchange":
+        return {}
+    payloads = {}
+    for x in {x for payload in q.vertices for x in payload.variables}:
+        payloads[x] = {"d": _root_str(denominator_vector(x, rank)), "hash": poly_hash(x)}
+        if verbose:
+            payloads[x]["poly"] = poly_str(x)
+    return payloads
+
+
+def _vertex_payload(q, v, var_payloads):
+    if q.kind == "exchange":
+        return {
+            "variables": [var_payloads[x] for x in v.variables],
+            "c_vectors": [list(c) for c in v.c_vectors],
+            "g_vectors": [list(g) for g in v.g_vectors],
+        }
+    if q.kind == "ccluster":
+        return {"roots": [_root_str(r) for r in v]}
+    if q.kind == "tautilt":
+        return {
+            "module_part": [_root_str(r) for r in v.module_part],
+            "projective_part": list(v.projective_part),
+            "m_size": v.m_size,
+        }
+    return {"word": list(v.word), "blocks": [list(b) for b in v.blocks], "length": v.length}
+
+
+def _edge_label(label, var_payloads):
+    if isinstance(label, LaurentPolynomial):
+        return "d={d}#{hash}".format(**var_payloads[label])
+    return _root_str(label)
+
+
+def dict_document_json(q, rank, verbose=False):
+    """q as a document of nested dicts, encoded by json.dumps(indent=2,
+    sort_keys=True): the oracle for the streaming writer quiver_to_json."""
+    var_payloads = _var_payloads(q, rank, verbose)
+    doc = {
+        "vertices": [{"id": i, "payload": _vertex_payload(q, v, var_payloads)} for i, v in enumerate(q.vertices)],
+        "edges": [
+            {"src": e.src, "dst": e.dst, "out": _edge_label(e.out_label, var_payloads),
+             "in": _edge_label(e.in_label, var_payloads)}
+            for e in q.edges
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _vertex_label(q, v, var_payloads):
+    if q.kind == "exchange":
+        return "{" + ",".join(var_payloads[x]["d"] for x in v.variables) + "}"
+    if q.kind == "ccluster":
+        return "{" + ",".join(_root_str(r) for r in v) + "}"
+    if q.kind == "tautilt":
+        mods = ",".join(_root_str(r) for r in v.module_part)
+        projs = ",".join(str(i) for i in v.projective_part)
+        return f"M=[{mods}] P=[{projs}]"
+    return "s" + ".".join(str(a) for a in v.word) if v.word else "e"
+
+
+def per_vertex_dot(q, rank):
+    """q in DOT, each label built from its vertex and escaped: the oracle for
+    quiver_to_dot."""
+    var_payloads = _var_payloads(q, rank)
+    lines = [f"digraph {q.kind} {{"]
+    for i, v in enumerate(q.vertices):
+        label = _vertex_label(q, v, var_payloads).replace('"', '\\"')
+        lines.append(f'  v{i} [label="{label}"];')
+    for e in q.edges:
+        lines.append(f"  v{e.src} -> v{e.dst};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

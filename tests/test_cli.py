@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -8,9 +9,19 @@ from pathlib import Path
 import pytest
 
 import cambrian.cli
-from cambrian.cli import Build, main, run_sign_checks
+from cambrian.cli import Build, main, quiver_to_dot, quiver_to_json, run_sign_checks
 from cambrian.laurent import frame_mutate, mutate_seed
 from cambrian.rootsys import CoxeterElement, cartan_matrix
+
+from conftest import (
+    RANK_LE_4,
+    cambrian_of,
+    ccluster_of,
+    dict_document_json,
+    exchange_of,
+    per_vertex_dot,
+    tautilt_of,
+)
 
 
 def run(capsys, *argv):
@@ -65,6 +76,59 @@ class TestBuildCommands:
         )
         assert code == 0 and out == ""
         assert len(json.loads(path.read_text())["vertices"]) == 2
+
+
+def write_json(q, rank, verbose=False):
+    buf = io.StringIO()
+    quiver_to_json(q, rank, buf, verbose)
+    return buf.getvalue()
+
+
+BUILDERS = {"exchange": exchange_of, "ccluster": ccluster_of, "tautilt": tautilt_of, "cambrian": cambrian_of}
+# Every type of rank at most 4 with the Coxeter elements 1..n and n..1 (one for A1).
+ORACLE_CASES = [
+    (t, n, order) for t, n in RANK_LE_4 for order in sorted({tuple(range(1, n + 1)), tuple(range(n, 0, -1))})
+]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("t, n, order", ORACLE_CASES)
+    def test_bytes_match_the_dict_document(self, t, n, order):
+        for kind, build in BUILDERS.items():
+            q = build(t, n, order)
+            assert write_json(q, n) == dict_document_json(q, n), kind
+            assert quiver_to_dot(q, n) == per_vertex_dot(q, n), kind
+        q = exchange_of(t, n, order)
+        assert write_json(q, n, verbose=True) == dict_document_json(q, n, verbose=True)
+
+    def test_a1_prints_empty_lists(self):
+        text = write_json(tautilt_of("A", 1, (1,)), 1) + write_json(cambrian_of("A", 1, (1,)), 1)
+        for key in ("module_part", "projective_part", "word", "blocks"):
+            assert f'"{key}": []' in text
+
+    def test_verbose_command_matches_the_dict_document(self, capsys):
+        code, out, _ = run(capsys, "exchange", "--type", "G", "--rank", "2", "--coxeter", "1,2", "--verbose")
+        assert code == 0
+        assert out == dict_document_json(exchange_of("G", 2, (1, 2)), 2, verbose=True)
+
+    def test_writes_in_bounded_batches(self):
+        writes = []
+        out = io.StringIO()
+        out.write = writes.append
+        q = cambrian_of("F", 4, (1, 2, 3, 4))
+        quiver_to_json(q, 4, out)
+        objects = [chunk.count("\n    {") for chunk in writes]
+        assert sum(objects) == q.n_vertices + len(q.edges)
+        assert max(objects) == cambrian.cli._BATCH
+        assert "".join(writes) == dict_document_json(q, 4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["tautilt", "cambrian"])
+def test_e8_writers_match_the_dict_document(kind):
+    q = BUILDERS[kind]("E", 8, tuple(range(1, 9)))
+    assert write_json(q, 8) == dict_document_json(q, 8)
+    assert quiver_to_dot(q, 8) == per_vertex_dot(q, 8)
 
 
 class TestVerifyCommands:
@@ -235,6 +299,17 @@ class TestErrors:
         )
         assert code == 2 and out == ""
         assert "vertex cap exceeded" in err
+
+    @pytest.mark.parametrize("command", ["cclusters", "cambrian"])
+    def test_cap_flag_c_cluster_and_cambrian_builds(self, capsys, command):
+        # They run no exchange BFS, but A3's 14 c-clusters and 14 sortables
+        # exceed a cap of 3; a cap of 14 stops neither.
+        args = (command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3", "--vertex-cap")
+        code, out, err = run(capsys, *args, "3")
+        assert code == 2 and out == ""
+        assert err == "error: vertex cap exceeded: not finite type or bad input\n"
+        code, out, _ = run(capsys, *args, "14")
+        assert code == 0 and len(json.loads(out)["vertices"]) == 14
 
     def test_cap_below_one(self, capsys):
         # cclusters and cambrian build no exchange quiver but still check the cap.

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 import cambrian.rootsys
@@ -236,3 +238,15 @@ class TestClusters:
                         and tuple(sorted(rest + [beta])) in clusters
                     }
                     assert len(completions) == 1
+
+    def test_per_coxeter_caches_stay_bounded(self):
+        # A sweep over all 24 Coxeter words of A4 keeps a fixed number of
+        # (spec, c) entries in each per-element cache, not one per word.
+        a4 = spec_of("A", 4)
+        caches = (cambrian.rootsys._tau_inverse_perm, cambrian.rootsys._compatibility_table, enumerate_c_clusters)
+        for order in permutations(range(1, 5)):
+            assert len(enumerate_c_clusters(a4, CoxeterElement(order))) == 42
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.maxsize < 24
+            assert info.currsize <= info.maxsize
