@@ -23,6 +23,7 @@ from .quivers import (
     DEFAULT_VERTEX_CAP,
     CheckReport,
     ClusterQuiver,
+    VariableTable,
     build_c_cluster_quiver,
     build_exchange_quiver,
     build_tau_tilting_quiver,
@@ -174,23 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class Build:
-    """The quivers of one (spec, c), each built on first use and shared by
-    every check of a command.  cap (None for the default) bounds the vertices
-    of every build and is checked here, so every command rejects a bad cap."""
+    """The quivers of one (spec, c), built on first use and shared by every
+    check of a command; the exchange builds share a VariableTable.  cap (None
+    for the default) bounds every build and is checked here for every command."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
         self.spec, self.c = spec, c
         self.cap = DEFAULT_VERTEX_CAP if cap is None else cap
         if self.cap < 1:
             raise InputError(f"vertex cap must be at least 1, got {cap}")
+        self.table = VariableTable(spec.rank)
 
     @cached_property
     def plus(self) -> ClusterQuiver:
-        return build_exchange_quiver(self.spec, self.c, "plus", vertex_cap=self.cap)
+        return build_exchange_quiver(self.spec, self.c, "plus", self.cap, self.table)
 
     @cached_property
     def minus(self) -> ClusterQuiver:
-        return build_exchange_quiver(self.spec, self.c, "minus", vertex_cap=self.cap)
+        return build_exchange_quiver(self.spec, self.c, "minus", self.cap, self.table)
 
     @cached_property
     def ccluster(self) -> ClusterQuiver:

@@ -1,9 +1,9 @@
 """Exact Laurent-polynomial seeds, tropical coefficients, and the root map.
 
 Cluster variables are kept fully expanded in the initial variables, so each
-mutate_seed performs one exact multivariate division (the exchange BFS calls it
-once per distinct exchange relation); an inexact division is a hard internal
-error, never a recoverable condition.  The exchange runs on integer-packed
+mutate_seed performs one exact multivariate division (one per relation, for
+the exchange builds of B and -B together); an inexact division is a hard
+internal error, never a recoverable condition.  The exchange runs on packed
 exponents with a heap-ordered division (_divide), which exact_div shares;
 __mul__, __add__ and __pow__ are the plain tuple-exponent arithmetic.  The
 frame advances by frame_mutate; sign coherence, duality and unimodularity are
@@ -30,10 +30,16 @@ Exponent = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LaurentPolynomial:
-    """Integer Laurent polynomial, terms sorted descending-lex by exponent."""
+    """Integer Laurent polynomial, terms sorted descending-lex by exponent, hashed once (it keys many tables)."""
 
     nvars: int
     terms: tuple[tuple[Exponent, int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.nvars, self.terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_dict(cls, nvars: int, d: dict[Exponent, int]) -> "LaurentPolynomial":

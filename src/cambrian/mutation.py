@@ -2,14 +2,14 @@
 
 A MatrixFrame carries the exchange matrix with the c-vectors and g-vectors of
 its positions relative to the frame's root vertex, each a column tuple in
-position order; no other module knows this layout.  A mutation step acts on
-those columns and checks only the sign of the c-vector it mutates at.
+position order; no other module knows this layout.  A mutation step is a
+column step (mutate_columns), which checks only the sign of the c-vector it
+mutates at, and a B step; the exchange BFS takes the column step alone to a
+cluster it has stored, and frame_mutate takes both to a frame that is kept.
 check_frame asserts that SB is skew-symmetric, sign coherence of every
 c-vector and the duality G^T * S * C = S, which implies unimodularity, on a
 kept frame: each frame the exchange BFS stores (verify-signs asserts it once
-more on each) and each frame of the tau-C check's tau walk.  That walk moves
-by frame_mutate alone and reads its cluster variables from the exchange
-quiver by g-vector.
+more on each) and each frame of the tau-C check's tau walk.
 """
 
 from __future__ import annotations
@@ -157,13 +157,10 @@ def check_duality(frame: MatrixFrame) -> None:
                 raise InternalError("C/G duality identity failed")
 
 
-def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
-    """Advance B, C and G by one mutation in direction k (1-based), in O(n^2).
-
-    Only c_k is checked for sign coherence, since the step needs its sign;
-    check_frame asserts the invariants of a frame that is kept."""
+def mutate_columns(frame: MatrixFrame, k: int) -> tuple[Matrix, Matrix]:
+    """The c- and g-vectors of frame_mutate(frame, k), in O(n^2) and without
+    B.  Only c_k is checked for sign coherence, since the step needs its sign."""
     b = frame.b.entries
-    new_b = mutate_matrix(b, k)  # raises InputError for k out of range
     k0 = k - 1
     ck = frame.c_vectors[k0]
     eps = column_sign(ck)
@@ -178,12 +175,19 @@ def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
     for row, g in zip(b, frame.g_vectors):
         if eps * row[k0] < 0:
             gk = tuple(x - eps * row[k0] * y for x, y in zip(gk, g))
-    gs = frame.g_vectors[:k0] + (gk,) + frame.g_vectors[k:]
+    return tuple(cs), frame.g_vectors[:k0] + (gk,) + frame.g_vectors[k:]
+
+
+def frame_mutate(frame: MatrixFrame, k: int, columns: tuple[Matrix, Matrix] | None = None) -> MatrixFrame:
+    """Advance B, C and G by one mutation in direction k (1-based), in O(n^2):
+    the B step and the column step, whose result the caller may pass as
+    columns.  check_frame asserts the invariants of a frame that is kept."""
+    new_b = mutate_matrix(frame.b.entries, k)  # raises InputError for k out of range
     # Mutation keeps SB skew-symmetric: skip __post_init__ (check_frame asserts it).
     new = object.__new__(ExchangeMatrix)
     object.__setattr__(new, "entries", new_b)
     object.__setattr__(new, "skew_symmetrizer", frame.b.skew_symmetrizer)
-    return MatrixFrame(new, tuple(cs), gs, frame.path + (k,))
+    return MatrixFrame(new, *(columns or mutate_columns(frame, k)), frame.path + (k,))
 
 
 def frame_is_unimodular(frame: MatrixFrame) -> bool:

@@ -12,9 +12,9 @@ from functools import reduce
 from operator import and_, mul
 
 from .errors import InputError, InternalError
-from .laurent import LabeledSeed, LaurentPolynomial, initial_seed, mutate_seed, theta
-from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame
-from .rootsys import CartanSpec, CoxeterElement, Root, almost_positive_roots, enumerate_c_clusters
+from .laurent import LabeledSeed, LaurentPolynomial, mutate_seed, theta
+from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame, mutate_columns
+from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -31,14 +31,16 @@ class QuiverEdge:
 
 @dataclass(frozen=True)
 class ClusterVertexPayload:
-    """A non-labeled cluster: sorted variables with aligned c-/g-vectors, and
-    the frame the BFS first reached it with.  The variable at position j of
+    """A non-labeled cluster: sorted variables with aligned c-/g-vectors, the
+    frame the BFS first reached it with, and mask, bit i set for the variable
+    with id i in the build's VariableTable.  The variable at position j of
     the frame is the one whose g-vector is frame.g_vectors[j]."""
 
     variables: tuple[LaurentPolynomial, ...]
     c_vectors: tuple[tuple[int, ...], ...]
     g_vectors: tuple[tuple[int, ...], ...]
     frame: MatrixFrame
+    mask: int
 
     @property
     def witness_path(self) -> tuple[int, ...]:
@@ -83,23 +85,30 @@ class CheckReport:
         return dict(self.stats)[key]
 
 
-def _var_key(p: LaurentPolynomial):
-    return p.terms
+class VariableTable:
+    """Cluster variables as small ids (x_1, ..., x_n are 0, ..., n-1, the
+    others numbered as first met) and one memo of exchange relations: x_k' =
+    (M+ + M-) / x_k, keyed by (id of x_k, {M+, M-}) with M+ and M- the sets of
+    (id_i, |b_ik|) over b_ik > 0 and b_ik < 0.  Both ends of an exchange, and
+    B and -B (mu_k(-B) = -mu_k(B) only swaps M+ and M-), give one key: the
+    builds of A(B) and A(-B) share a table, and the second divides nothing."""
 
+    def __init__(self, n: int):
+        self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
+        self.ids = {x: i for i, x in enumerate(self.polys)}
+        self.relations: dict[tuple, int] = {}
 
-def _columns(frame: MatrixFrame) -> tuple:
-    """(g-vector, c-vector, symmetrizer entry) at each position of a frame.
-    Two frames with equal sets of these differ by a permutation of positions
-    that fixes S, so check_frame passes on both or on neither."""
-    return tuple(zip(frame.g_vectors, frame.c_vectors, frame.b.skew_symmetrizer))
+    @staticmethod
+    def relation_key(ids: tuple[int, ...], column: list[int], k0: int) -> tuple:
+        """The key of the exchange at position k0, given a seed's ids and column k0 of its B."""
+        return ids[k0], frozenset((frozenset((i, m) for i, m in zip(ids, column) if m > 0),
+                                   frozenset((i, -m) for i, m in zip(ids, column) if m < 0)))
 
-
-def _exchange_key(frame: MatrixFrame, k: int) -> tuple:
-    """x_k and the pairs (x_i, b_ik) with b_ik != 0, each variable as its
-    g-vector: the exchange relation at k is a function of this key."""
-    gs = frame.g_vectors
-    column = (row[k - 1] for row in frame.b.entries)
-    return gs[k - 1], frozenset((g, bik) for g, bik in zip(gs, column) if bik)
+    def intern(self, x: LaurentPolynomial) -> int:
+        if x not in self.ids:
+            self.ids[x] = len(self.polys)
+            self.polys.append(x)
+        return self.ids[x]
 
 
 def build_exchange_quiver(
@@ -107,20 +116,21 @@ def build_exchange_quiver(
     c: CoxeterElement,
     sign: str = "plus",
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    table: VariableTable | None = None,
 ) -> ClusterQuiver:
     """BFS over non-labeled clusters of A(B^c) (or A(-B^c) for sign="minus").
 
     Arrows are green mutations: the edge points away from the cluster in which
     the exchanged variable's c-vector is non-negative.
 
-    The BFS moves integer B/C/G frames and keys a cluster by its set of
-    g-vectors, which in finite type determine the cluster variables; it raises
-    InternalError if g-vectors and Laurent polynomials are not in bijection.
-    The exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ is
-    computed by mutate_seed once per distinct relation (_exchange_key) and
-    looked up, from either end, for every later edge with that relation.
-    Every stored frame passes check_frame, and a frame that reaches a stored
-    cluster must carry the same _columns as the stored one.
+    The BFS moves integer B/C/G frames and keys a cluster by the bitmask of
+    its variables' ids in table (a fresh VariableTable when None).  Each
+    exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ is one
+    mutate_seed per relation of the table, for every build that shares it.
+    InternalError is raised if g-vectors and ids are not in bijection within
+    the build.  A frame that reaches a new cluster is built in full and
+    passes check_frame; one that reaches a stored cluster takes the column
+    step alone (mutate_columns) and must carry the stored (g, c, s) columns.
     """
     if sign not in ("plus", "minus"):
         raise InputError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -128,75 +138,66 @@ def build_exchange_quiver(
     if sign == "minus":
         b = b.negated()
     n = b.rank
-    seed0 = initial_seed(b, "trivial")
-    polys: dict[tuple[int, ...], LaurentPolynomial] = {}
-    gvecs: dict[LaurentPolynomial, tuple[int, ...]] = {}
+    table = table or VariableTable(n)
+    polys, relations = table.polys, table.relations
+    id_of: dict[tuple[int, ...], int] = {}
+    g_of: dict[int, tuple[int, ...]] = {}
 
-    def bind(g: tuple[int, ...], x: LaurentPolynomial) -> None:
-        if polys.setdefault(g, x) != x:
+    def bind(g: tuple[int, ...], i: int) -> None:
+        if id_of.setdefault(g, i) != i:
             raise InternalError(f"g-vector {g} belongs to two cluster variables")
-        if gvecs.setdefault(x, g) != g:
-            raise InternalError(f"a cluster variable has two g-vectors, {gvecs[x]} and {g}")
+        if g_of.setdefault(i, g) != g:
+            raise InternalError(f"a cluster variable has two g-vectors, {g_of[i]} and {g}")
 
-    frame0 = seed0.frame
-    for g, x in zip(frame0.g_vectors, seed0.vars):
-        bind(g, x)
+    frame0, sym = identity_frame(b), b.skew_symmetrizer
+    for i, g in enumerate(frame0.g_vectors):
+        bind(g, i)
     check_frame(frame0)
-    frames: dict[frozenset, MatrixFrame] = {frozenset(polys): frame0}
-    relations: dict[tuple, LaurentPolynomial] = {}
+    frames: dict[int, MatrixFrame] = {(1 << n) - 1: frame0}
     edge_map: dict[frozenset, tuple] = {}
-    frontier = [frame0]
+    frontier = [((1 << n) - 1, frame0)]
     while frontier:
         nxt = []
-        for frame in frontier:
-            gs = frame.g_vectors
-            skey = frozenset(gs)
+        for mask, frame in frontier:
+            ids = tuple(id_of[g] for g in frame.g_vectors)
             for k in range(1, n + 1):
-                green = column_sign(frame.c_column(k)) > 0
-                relation = _exchange_key(frame, k)
-                new_var = relations.get(relation)
-                if new_var is None:
-                    mutated_seed = mutate_seed(LabeledSeed(tuple(polys[g] for g in gs), None, frame), k)
-                    mutated, new_var = mutated_seed.frame, mutated_seed.vars[k - 1]
-                    relations[relation] = new_var
-                    # The same relation read from the mutated seed: exchanging
-                    # x_k' there gives x_k back.
-                    relations[_exchange_key(mutated, k)] = polys[gs[k - 1]]
-                else:
-                    mutated = frame_mutate(frame, k)
-                g_new = mutated.g_column(k)
-                bind(g_new, new_var)
-                mkey = frozenset(gs[: k - 1] + (g_new,) + gs[k:])
+                k0, green = k - 1, column_sign(frame.c_vectors[k - 1]) > 0
+                key = table.relation_key(ids, [row[k0] for row in frame.b.entries], k0)
+                new_id, mutated = relations.get(key), None
+                if new_id is None:
+                    seed = mutate_seed(LabeledSeed(tuple(polys[i] for i in ids), None, frame), k)
+                    new_id, mutated = table.intern(seed.vars[k0]), seed.frame
+                    # Exchanging x_k' in the mutated seed gives x_k back.
+                    relations[key], relations[new_id, key[1]] = new_id, ids[k0]
+                cs, gs = (mutated.c_vectors, mutated.g_vectors) if mutated else mutate_columns(frame, k)
+                bind(gs[k0], new_id)
+                mkey = (mask ^ 1 << ids[k0]) | 1 << new_id
                 if mkey not in frames:
                     if len(frames) >= vertex_cap:
                         raise InputError("vertex cap exceeded: not finite type or bad input")
+                    frames[mkey] = mutated = mutated or frame_mutate(frame, k, (cs, gs))
                     check_frame(mutated)
-                    frames[mkey] = mutated
-                    nxt.append(mutated)
-                elif frozenset(_columns(frames[mkey])) != frozenset(_columns(mutated)):
+                    nxt.append((mkey, mutated))
+                elif frozenset(zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)) != frozenset(zip(gs, cs, sym)):
                     raise InternalError(
-                        f"mutation path {mutated.path} reaches a stored cluster with other columns"
+                        f"mutation path {frame.path + (k,)} reaches a stored cluster with other columns"
                     )
-                directed = (skey, mkey, gs[k - 1], g_new) if green else (mkey, skey, g_new, gs[k - 1])
-                if edge_map.setdefault(frozenset((skey, mkey)), directed) != directed:
+                directed = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
+                if edge_map.setdefault(frozenset((mask, mkey)), directed) != directed:
                     raise InternalError("inconsistent edge orientation in BFS")
         frontier = nxt
 
-    # Canonical vertex order: by the sorted variable keys of each cluster.
-    def cluster_key(key: frozenset):
-        return tuple(sorted(_var_key(polys[g]) for g in key))
-
-    ordered = sorted(frames, key=cluster_key)
-    index = {key: i for i, key in enumerate(ordered)}
+    # Canonical order: variables by terms, clusters by their sorted variables.
+    rank = {g: r for r, g in enumerate(sorted(id_of, key=lambda g: polys[id_of[g]].terms))}
+    ordered = sorted(frames, key=lambda mask: sorted(map(rank.get, frames[mask].g_vectors)))
+    index = {mask: v for v, mask in enumerate(ordered)}
     payloads = []
-    for key in ordered:
-        frame = frames[key]
-        # Variables sorted, with their c- and g-vectors aligned.
-        c_at = dict(zip(frame.g_vectors, frame.c_vectors))
-        gs = tuple(sorted(frame.g_vectors, key=lambda g: _var_key(polys[g])))
-        payloads.append(ClusterVertexPayload(tuple(polys[g] for g in gs), tuple(c_at[g] for g in gs), gs, frame))
+    for mask in ordered:
+        frame = frames[mask]
+        gs, cs = zip(*sorted(zip(frame.g_vectors, frame.c_vectors), key=lambda gc: rank[gc[0]]))
+        payloads.append(ClusterVertexPayload(tuple(polys[id_of[g]] for g in gs), cs, gs, frame, mask))
     edges = sorted(
-        (QuiverEdge(index[s], index[d], polys[go], polys[gi]) for s, d, go, gi in edge_map.values()),
+        (QuiverEdge(index[s], index[d], polys[o], polys[i]) for s, d, o, i in edge_map.values()),
         key=lambda e: (e.src, e.dst),
     )
     return ClusterQuiver("exchange", tuple(payloads), tuple(edges))
@@ -353,46 +354,44 @@ def psi_vertex_map(
     return tuple(inv[phi[i]] for i in range(tautilt.n_vertices))
 
 
-def _initial_variable_set(q: ClusterQuiver) -> frozenset:
-    n = q.vertices[0].variables[0].nvars
-    return frozenset(LaurentPolynomial.generator(n, i) for i in range(n))
-
-
 def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     """Compare arrow directions of the exchange quivers qp of B^c and qm of -B^c.
 
     Edges whose exchanged variables are both non-initial must flip; edges
     touching an initial variable must keep their direction.  Also checks that
     every mutation removing an initial variable is green in both quivers.
+    Clusters are compared by mask: qp and qm share a VariableTable, or have
+    a fresh one each, which numbers the variables alike for B^c and -B^c.
+    x_i is the variable with id i - 1 and g-vector e_i.
     """
 
     def fail(detail: str, counterexample: str | None = None) -> CheckReport:
         return CheckReport("arrow-flip", False, (detail,), counterexample)
 
-    initials = _initial_variable_set(qp)
-    if {p.key() for p in qp.vertices} != {p.key() for p in qm.vertices}:
+    n = len(qp.vertices[0].variables)
+    initial, units = (1 << n) - 1, set(_identity(n))
+    if {p.mask for p in qp.vertices} != {p.mask for p in qm.vertices}:
         return fail("vertex sets of B^c and -B^c differ")
     minus_edges = {}
     for e in qm.edges:
-        sk, dk = qm.vertices[e.src].key(), qm.vertices[e.dst].key()
+        sk, dk = qm.vertices[e.src].mask, qm.vertices[e.dst].mask
         minus_edges[frozenset((sk, dk))] = (sk, dk)
     flipped = 0
     for e in qp.edges:
-        sk, dk = qp.vertices[e.src].key(), qp.vertices[e.dst].key()
+        sk, dk = qp.vertices[e.src].mask, qp.vertices[e.dst].mask
         pair = frozenset((sk, dk))
         if pair not in minus_edges:
-            return fail("edge sets differ", str(pair))
+            return fail("edge sets differ", f"edge {e.src} -> {e.dst} of B^c")
         same_direction = minus_edges[pair] == (sk, dk)
-        non_initial = e.out_label not in initials and e.in_label not in initials
-        if non_initial == same_direction:
+        if bool((sk ^ dk) & initial) != same_direction:
             return fail("edge direction contradicts the flip rule", f"out={e.out_label.terms} in={e.in_label.terms}")
         flipped += not same_direction
     # Green-initial: a cluster containing an initial variable always has a
     # non-negative c-vector at that variable.
     for q in (qp, qm):
-        for payload in q.vertices:
-            for var, cvec in zip(payload.variables, payload.c_vectors):
-                if var in initials and any(x < 0 for x in cvec):
+        for payload in (p for p in q.vertices if p.mask & initial):
+            for g, cvec in zip(payload.g_vectors, payload.c_vectors):
+                if g in units and min(cvec) < 0:
                     return fail("initial variable with negative c-vector", str(cvec))
     stats = (("flipped_edges", flipped), ("edges", len(qp.edges)))
     return CheckReport("arrow-flip", True, (f"{len(qp.edges)} edges checked, {flipped} flipped",), stats=stats)
@@ -418,7 +417,7 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     def fail(detail: str, counterexample: str) -> CheckReport:
         return CheckReport("tau-c-matrix", False, (detail,), counterexample)
 
-    minus_csets = {p.key(): frozenset(p.c_vectors) for p in qm.vertices}
+    minus_csets = {p.mask: frozenset(p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, c, x) for g, x in polys.items()}
     tau_theta_at = {g: tau(spec, c, root, "inverse") for g, root in theta_at.items()}
@@ -435,11 +434,10 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
             tau_frames[path] = frame_mutate(tau_frames[path[:-1]], path[-1])
         frame_tau = tau_frames[path]
         check_frame(frame_tau)
-        key = payload.key()
-        if key not in minus_csets:
+        if payload.mask not in minus_csets:
             return fail("cluster of A(B^c) missing from A(-B^c)", f"witness path {path}")
         tau_cset = frozenset(frame_tau.c_vectors)
-        want = frozenset(tuple(-x for x in v) for v in minus_csets[key])
+        want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.mask])
         if tau_cset != want:
             where = f"witness path {path}: {sorted(tau_cset)}"
             return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)

@@ -19,7 +19,6 @@ from cambrian.quivers import (
     ClusterQuiver,
     ClusterVertexPayload,
     QuiverEdge,
-    _exchange_key,
     build_c_cluster_quiver,
     build_exchange_quiver,
     build_tau_tilting_quiver,
@@ -247,6 +246,8 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
     seed0 = initial_seed(b, "trivial")
     key0 = frozenset(seed0.vars)
     seeds = {key0: seed0}
+    # Variable ids in the order the BFS first meets the variables.
+    ids = {x: i for i, x in enumerate(seed0.vars)}
     edge_map = {}
     frontier = [seed0]
     while frontier:
@@ -261,6 +262,7 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
                     seeds[mkey] = mutated
                     nxt.append(mutated)
                 out_var, in_var = seed.vars[k - 1], mutated.vars[k - 1]
+                ids.setdefault(in_var, len(ids))
                 directed = (skey, mkey, out_var, in_var) if green else (mkey, skey, in_var, out_var)
                 if edge_map.setdefault(frozenset((skey, mkey)), directed) != directed:
                     raise InternalError("inconsistent edge orientation in BFS")
@@ -280,7 +282,8 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
             ),
             key=lambda t: t[0].terms,
         )
-        payloads.append(ClusterVertexPayload(*(tuple(t[i] for t in triples) for i in range(3)), seed.frame))
+        mask = sum(1 << ids[x] for x in key)
+        payloads.append(ClusterVertexPayload(*(tuple(t[i] for t in triples) for i in range(3)), seed.frame, mask))
     edges = sorted(
         (QuiverEdge(index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
         key=lambda e: (e.src, e.dst),
@@ -304,6 +307,15 @@ def laurent_tau_walk(spec, c, qp):
     return seeds
 
 
+def g_vector_exchange_key(frame, k):
+    """x_k and the pairs (x_i, b_ik) with b_ik != 0, each variable as its
+    g-vector: within one exchange quiver the exchange relation at k is a
+    function of this key, which needs no VariableTable."""
+    gs = frame.g_vectors
+    column = (row[k - 1] for row in frame.b.entries)
+    return gs[k - 1], frozenset((g, bik) for g, bik in zip(gs, column) if bik)
+
+
 def assert_exchange_relations(q):
     """Every distinct exchange relation of the exchange quiver q multiplies
     out: x_k' x_k == prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+, in the tuple
@@ -317,11 +329,11 @@ def assert_exchange_relations(q):
         frame = payload.frame
         xs = [polys[g] for g in frame.g_vectors]
         for k in range(1, len(xs) + 1):
-            key = _exchange_key(frame, k)
+            key = g_vector_exchange_key(frame, k)
             if key in seen:
                 continue
             mutated = frame_mutate(frame, k)
-            seen.update((key, _exchange_key(mutated, k)))
+            seen.update((key, g_vector_exchange_key(mutated, k)))
             pos, neg = one, one
             for x, row in zip(xs, frame.b.entries):
                 bik = row[k - 1]

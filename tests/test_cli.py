@@ -167,14 +167,9 @@ class TestVerifyCommands:
             "build_cambrian_hasse": 1,
         }
 
-    def test_verify_all_mutation_count(self, capsys, monkeypatch):
-        # A3: n = 3, m = 14 clusters, 15 exchange pairs {x, x'} (the pairs of
-        # crossing diagonals of a hexagon, C(6, 4)).  Each BFS computes one
-        # exact exchange per pair and advances a frame on each of its n·m
-        # directed edges; the tau walk advances (m−1)+n frames and reads its
-        # variables from the plus build.  So mutate_seed runs 2·15 = 30 times
-        # and frame_mutate 2·n·m + (m−1)+n = 84 + 16 = 100 times; a replay of
-        # any witness path from the root would add more.
+    @staticmethod
+    def count_exchanges(capsys, monkeypatch, *argv):
+        """mutate_seed and frame_mutate calls of one passing verify-all."""
         calls = {"mutate_seed": 0, "frame_mutate": 0}
         for original in (mutate_seed, frame_mutate):
 
@@ -185,9 +180,31 @@ class TestVerifyCommands:
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("cambrian") and getattr(module, original.__name__, None) is original:
                     monkeypatch.setattr(module, original.__name__, counted)
-        code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        code, _, _ = run(capsys, "verify-all", *argv)
         assert code == 0
-        assert calls == {"mutate_seed": 30, "frame_mutate": 100}
+        return calls
+
+    def test_verify_all_mutation_count(self, capsys, monkeypatch):
+        # A3: n = 3, m = 14 clusters, 15 exchange pairs {x, x'} (the pairs of
+        # crossing diagonals of a hexagon, C(6, 4)).  The two BFS runs share
+        # one VariableTable: the plus build makes one exact exchange per
+        # pair and the minus build reads all 15 from the table, so
+        # mutate_seed runs 15 times.  Each BFS builds a full frame for each
+        # of the m−1 = 13 clusters it keeps, and each mutate_seed builds one
+        # too: 10 of the 15 are frames the plus build keeps and 5 reach a
+        # stored cluster.  The tau walk advances (m−1)+n = 16 frames and
+        # reads its variables from the plus build.  So frame_mutate runs
+        # 2·13 + 5 + 16 = 47 times; a replay of any witness path from the
+        # root, or a full frame for a stored cluster reached by a table hit,
+        # would add more.
+        calls = self.count_exchanges(capsys, monkeypatch, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert calls == {"mutate_seed": 15, "frame_mutate": 47}
+
+    def test_verify_all_e6_exact_exchanges(self, capsys, monkeypatch):
+        # E6 has 385 exchange pairs: one exact exchange each, all made by
+        # the plus build, none by the minus build or the tau walk.
+        calls = self.count_exchanges(capsys, monkeypatch, "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
+        assert calls["mutate_seed"] == 385
 
     def test_sign_check_failure_names_witness_path(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)

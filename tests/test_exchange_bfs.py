@@ -1,7 +1,10 @@
-"""The g-vector-keyed frame BFS of build_exchange_quiver against the
-polynomial-keyed Laurent BFS it replaced, and the checks it makes."""
+"""The mask-keyed frame BFS of build_exchange_quiver against the
+polynomial-keyed Laurent BFS it replaced, the VariableTable that the builds
+of B and -B share, and the checks the BFS makes."""
 
 import dataclasses
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
 from cambrian.laurent import initial_seed, mutate_seed
 from cambrian.mutation import build_bc
-from cambrian.quivers import _exchange_key, build_exchange_quiver, theta_vertex_map
+from cambrian.quivers import VariableTable, build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement
 
 from conftest import (
@@ -66,22 +69,68 @@ def test_e6_exchange_theta_anti_iso():
     assert rep.ok, rep.counterexample
 
 
+def shared_table_builds(t, n, c):
+    """The plus and minus exchange quivers built with one VariableTable, the
+    minus one checked against a minus build with a fresh table: payloads
+    (variables, c- and g-vectors, frames and masks) and edges.  Each mask
+    must be the OR of its variables' ids in the shared table.  Returns the
+    quivers and the number of mutate_seed calls of the shared minus build."""
+    spec, table = spec_of(t, n), VariableTable(n)
+    plus = build_exchange_quiver(spec, c, "plus", table=table)
+    calls = []
+    original = cambrian.quivers.mutate_seed
+
+    def counted(seed, k):
+        calls.append(k)
+        return original(seed, k)
+
+    cambrian.quivers.mutate_seed = counted
+    try:
+        minus = build_exchange_quiver(spec, c, "minus", table=table)
+    finally:
+        cambrian.quivers.mutate_seed = original
+    fresh = build_exchange_quiver(spec, c, "minus")
+    assert minus.vertices == fresh.vertices
+    assert minus.edges == fresh.edges
+    for q in (plus, minus):
+        for p in q.vertices:
+            assert p.mask == reduce(or_, (1 << table.ids[x] for x in p.variables))
+            assert bin(p.mask).count("1") == n
+    return plus, minus, len(calls)
+
+
+@st.composite
+def type_and_c(draw):
+    t, n = draw(st.sampled_from(RANK_LE_4))
+    return t, n, CoxeterElement(tuple(draw(st.permutations(range(1, n + 1)))))
+
+
+@settings(deadline=None, max_examples=30)
+@given(type_and_c())
+def test_shared_table_minus_build_matches_fresh(case):
+    _, minus, calls = shared_table_builds(*case)
+    assert calls == 0
+    assert_exchange_relations(minus)
+
+
 @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
 def test_e6_exchange_relations_multiply_out(order):
-    # mutate_seed divides on packed exponents; tuple multiplication checks it.
-    # Each of the build's 385 exact exchanges serves a relation read from
-    # both of its ends.
-    assert assert_exchange_relations(exchange_of("E", 6, order)) == 2 * 385
+    # The minus build reads each of the plus build's 385 exact exchanges
+    # from the table and makes none.  mutate_seed divides on packed
+    # exponents and the table reuses its quotients; tuple multiplication
+    # checks every relation of both quivers, each read from both its ends.
+    plus, minus, calls = shared_table_builds("E", 6, CoxeterElement(order))
+    assert calls == 0
+    assert assert_exchange_relations(plus) == assert_exchange_relations(minus) == 2 * 385
 
 
 @pytest.mark.slow
 def test_e7_exchange_builds():
-    spec, c = spec_of("E", 7), CoxeterElement(tuple(range(1, 8)))
-    for sign in ("plus", "minus"):
-        q = build_exchange_quiver(spec, c, sign)
+    plus, minus, calls = shared_table_builds("E", 7, CoxeterElement(tuple(range(1, 8))))
+    assert calls == 0
+    for q in (plus, minus):
         assert (q.n_vertices, len(q.edges)) == (4160, 14560)
-        if sign == "plus":
-            assert_exchange_relations(q)
+        assert_exchange_relations(q)
 
 
 @pytest.mark.slow
@@ -93,23 +142,24 @@ def test_e8_exchange_build():
 def _patch_frame_mutate(monkeypatch, corrupt):
     original = cambrian.quivers.frame_mutate
 
-    def patched(frame, k):
-        return corrupt(original(frame, k))
+    def patched(frame, k, *columns):
+        return corrupt(original(frame, k, *columns))
 
     for module in (cambrian.quivers, cambrian.laurent):
         monkeypatch.setattr(module, "frame_mutate", patched)
 
 
 def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
-    # A path ending k, k returns to a stored cluster; swap two of that
-    # frame's C-columns so its (g, c) pairs no longer match the stored ones.
-    def corrupt(frame):
-        if frame.path[-2:-1] != frame.path[-1:]:
-            return frame
-        cs = frame.c_vectors
-        return dataclasses.replace(frame, c_vectors=(cs[1], cs[0]) + cs[2:])
+    # Mutating at k a frame whose path ends in k returns to a stored cluster,
+    # through the column step alone; swap two of the C-columns it returns so
+    # its (g, c) pairs no longer match the stored ones.
+    original = cambrian.quivers.mutate_columns
 
-    _patch_frame_mutate(monkeypatch, corrupt)
+    def corrupted(frame, k):
+        cs, gs = original(frame, k)
+        return ((cs[1], cs[0]) + cs[2:], gs) if frame.path[-1:] == (k,) else (cs, gs)
+
+    monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
     with pytest.raises(InternalError, match="reaches a stored cluster with other columns"):
         build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
 
@@ -157,12 +207,38 @@ def test_polynomial_with_two_g_vectors(monkeypatch):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
 
 
+def _relation_key(frame, k):
+    ids = tuple(range(len(frame.g_vectors)))
+    return VariableTable.relation_key(ids, [row[k - 1] for row in frame.b.entries], k - 1)
+
+
 def test_exchange_key_keeps_b():
     # The initial seeds of A3 for c = 1,2,3 and c = 1,3,2 share x_2 and its
-    # neighbours x_1, x_3, but b_32 has opposite signs: the exchanges give
-    # (x_1 + x_3)/x_2 and (x_1 x_3 + 1)/x_2, so their memo keys must differ.
+    # neighbours x_1, x_3 with the same |b_i2|, but b_32 has opposite signs:
+    # the exchanges give (x_1 + x_3)/x_2 and (x_1 x_3 + 1)/x_2, so their
+    # memo keys must differ.
     spec = spec_of("A", 3)
     seeds = [initial_seed(build_bc(spec, CoxeterElement(order))) for order in ((1, 2, 3), (1, 3, 2))]
     assert [[row[1] for row in s.frame.b.entries] for s in seeds] == [[1, 0, -1], [1, 0, 1]]
     assert mutate_seed(seeds[0], 2).vars[1] != mutate_seed(seeds[1], 2).vars[1]
-    assert _exchange_key(seeds[0].frame, 2) != _exchange_key(seeds[1].frame, 2)
+    assert _relation_key(seeds[0].frame, 2) != _relation_key(seeds[1].frame, 2)
+
+
+@settings(deadline=None, max_examples=20)
+@given(type_c_and_sign(), st.data())
+def test_relation_key_is_unchanged_when_b_is_negated(case, data):
+    # The sharing rests on this: a seed of A(-B) reached by a mutation path
+    # has -B where the seed of A(B) on that path has B, and the same
+    # variables, and the exchange x_k x_k' = M+ + M- is symmetric in M+, M-.
+    t, n, c, sign = case
+    b = build_bc(spec_of(t, n), c)
+    b = b.negated() if sign == "minus" else b
+    seeds = [initial_seed(b), initial_seed(b.negated())]
+    for k in data.draw(st.lists(st.integers(1, n), max_size=6)):
+        seeds = [mutate_seed(seed, k) for seed in seeds]
+    assert seeds[0].vars == seeds[1].vars
+    ids = tuple(range(n))
+    for k in range(1, n + 1):
+        columns = [[row[k - 1] for row in seed.frame.b.entries] for seed in seeds]
+        assert columns[1] == [-x for x in columns[0]]
+        assert VariableTable.relation_key(ids, columns[0], k - 1) == VariableTable.relation_key(ids, columns[1], k - 1)
