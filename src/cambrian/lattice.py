@@ -24,9 +24,6 @@ class FinitePoset:
     up: tuple[int, ...]
     parents: tuple[tuple[int, ...], ...]
 
-    def leq(self, x: int, y: int) -> bool:
-        return self.up[x] & self.up[y] == self.up[y]
-
 
 def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
     """Build the poset and verify the quiver is its own transitive reduction."""

@@ -238,9 +238,6 @@ class TropicalElement:
     def inverse(self) -> "TropicalElement":
         return TropicalElement(tuple(-a for a in self.exponents))
 
-    def oplus(self, other: "TropicalElement") -> "TropicalElement":
-        return TropicalElement(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def oplus_one(self) -> "TropicalElement":
         return TropicalElement(tuple(min(a, 0) for a in self.exponents))
 

@@ -8,8 +8,8 @@ mutates at, and a B step; the exchange BFS takes the column step alone to a
 cluster it has stored, and frame_mutate takes both to a frame that is kept.
 check_frame asserts that SB is skew-symmetric, sign coherence of every
 c-vector and the duality G^T * S * C = S, which implies unimodularity, on a
-kept frame: each frame the exchange BFS stores (verify-signs asserts it once
-more on each) and each frame of the tau-C check's tau walk.
+kept frame, once each: each frame the exchange BFS stores (the verify-signs
+report rests on these assertions) and each frame of the tau-C check's tau walk.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ class QuiverEdge:
     dst: int
     out_label: object
     in_label: object
-    both_positive: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -307,9 +306,22 @@ def build_tau_tilting_quiver(
             (i, a, ti), (j, b, tj) = (j, b, tj), (i, a, ti)
         if ti & tj != tj or ti == tj:
             raise InternalError(f"torsion classes of the pairs exchanging {a} and {b} are not nested")
-        edges.append(QuiverEdge(i, j, a, b, min(a) >= 0 and min(b) >= 0))
+        edges.append(QuiverEdge(i, j, a, b))
     edges.sort(key=lambda e: (e.src, e.dst))
     return ClusterQuiver("tautilt", tuple(shadow for shadow, _, _ in found), tuple(edges))
+
+
+def ccluster_indices(ccluster: ClusterQuiver, clusters, image: str) -> tuple[int, ...]:
+    """The vertex of ccluster holding each of clusters, as a vertex map into
+    the c-cluster quiver; a cluster it lacks raises InternalError, which
+    calls it the image of the map named by image."""
+    index = {cluster: i for i, cluster in enumerate(ccluster.vertices)}
+    out = []
+    for cluster in clusters:
+        if cluster not in index:
+            raise InternalError(f"{image} image {cluster} is not an enumerated c-cluster")
+        out.append(index[cluster])
+    return tuple(out)
 
 
 def theta_vertex_map(
@@ -317,27 +329,16 @@ def theta_vertex_map(
 ) -> tuple[int, ...]:
     """Variable-wise theta as a vertex map, exchange quiver -> c-cluster
     quiver, taking theta once per cluster variable."""
-    index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
     roots = {x: theta(spec, c, x) for x in {x for payload in exchange.vertices for x in payload.variables}}
-    out = []
-    for payload in exchange.vertices:
-        cluster = tuple(sorted(roots[x] for x in payload.variables))
-        if cluster not in index:
-            raise InternalError(f"theta image {cluster} is not an enumerated c-cluster")
-        out.append(index[cluster])
-    return tuple(out)
+    clusters = (tuple(sorted(roots[x] for x in payload.variables)) for payload in exchange.vertices)
+    return ccluster_indices(ccluster, clusters, "theta")
 
 
 def phi_vertex_map(spec: CartanSpec, tautilt: ClusterQuiver, ccluster: ClusterQuiver) -> tuple[int, ...]:
     """Shadow-to-cluster vertex map, tau-tilting quiver -> c-cluster quiver."""
-    index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
-    out = []
-    for shadow in tautilt.vertices:
-        cluster = tuple(sorted(shadow.module_part + tuple(negative_simple(spec, i) for i in shadow.projective_part)))
-        if cluster not in index:
-            raise InternalError(f"shadow cluster {cluster} is not enumerated")
-        out.append(index[cluster])
-    return tuple(out)
+    clusters = (tuple(sorted(shadow.module_part + tuple(negative_simple(spec, i) for i in shadow.projective_part)))
+                for shadow in tautilt.vertices)
+    return ccluster_indices(ccluster, clusters, "shadow")
 
 
 def psi_vertex_map(

@@ -19,11 +19,14 @@ from .errors import InputError, InternalError
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
+_ROOT_CAP = 10_000
+# The classical ranks stop where the positive roots, n(n+1)/2 in type A, n^2
+# in B and C and n(n-1) in D, would pass _ROOT_CAP (A 140, B, C and D 100).
 _VALID_RANKS = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 3,
-    "D": lambda n: n >= 4,
+    "A": lambda n: 1 <= n and n * (n + 1) // 2 <= _ROOT_CAP,
+    "B": lambda n: 2 <= n and n * n <= _ROOT_CAP,
+    "C": lambda n: 3 <= n and n * n <= _ROOT_CAP,
+    "D": lambda n: 4 <= n and n * (n - 1) <= _ROOT_CAP,
     "E": lambda n: n in (6, 7, 8),
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
@@ -169,7 +172,6 @@ def reflect(spec: CartanSpec, i: int, root: Root) -> Root:
     return tuple(out)
 
 
-_ROOT_CAP = 10_000
 # (spec, c) entries kept by each per-Coxeter-element cache, so a sweep over
 # many elements holds a few elements' tables, not all of them.
 _PER_C_CACHE = 8

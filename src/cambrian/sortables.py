@@ -17,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .quivers import DEFAULT_VERTEX_CAP, ClusterQuiver, QuiverEdge
+from .quivers import DEFAULT_VERTEX_CAP, ClusterQuiver, QuiverEdge, ccluster_indices
 from .rootsys import (
     CartanSpec,
     CoxeterElement,
@@ -245,24 +245,6 @@ def is_decreasing_chain(blocks: tuple[tuple[int, ...], ...]) -> bool:
     return all(sets[i + 1] <= sets[i] for i in range(len(sets) - 1))
 
 
-def inversion_set(spec: CartanSpec, word: tuple[int, ...]) -> frozenset[Root]:
-    """The inversion set {alpha in Phi^+ : w^-1(alpha) < 0} of the element with
-    reduced word `word`: its prefix images w_{<j}(alpha_{a_j})."""
-    t, out = _root_tables(spec), set()
-    img = list(t.start)
-    for a in word:
-        if img[a] >= len(t.reflect):
-            raise InternalError(f"sorting word {word} is not reduced")
-        out.add(t.roots[img[a]])
-        img = _times(t, img, a)
-    return frozenset(out)
-
-
-def cl(spec: CartanSpec, c: CoxeterElement, s: SortableElement) -> tuple[Root, ...]:
-    """The c-cluster of a sortable element, as enumerate_sortables found it."""
-    return s.cluster
-
-
 def build_cambrian_hasse(
     spec: CartanSpec, c: CoxeterElement, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> ClusterQuiver:
@@ -303,10 +285,4 @@ def cambrian_vertex_map(
     spec: CartanSpec, c: CoxeterElement, cambrian: ClusterQuiver, ccluster: ClusterQuiver
 ) -> tuple[int, ...]:
     """cl_c as a vertex map from the Cambrian quiver to the c-cluster quiver."""
-    index = {ccluster.vertices[i]: i for i in range(ccluster.n_vertices)}
-    out = []
-    for s in cambrian.vertices:
-        if s.cluster not in index:
-            raise InternalError(f"cl image {s.cluster} is not an enumerated c-cluster")
-        out.append(index[s.cluster])
-    return tuple(out)
+    return ccluster_indices(ccluster, (s.cluster for s in cambrian.vertices), "cl")

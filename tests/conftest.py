@@ -359,8 +359,7 @@ def per_position_tau_tilting(spec, c, exchange, ccluster):
     edges = []
     for e in exchange.edges:
         out_root, in_root = theta(spec, c, e.in_label), theta(spec, c, e.out_label)
-        both_positive = min(out_root) >= 0 and min(in_root) >= 0
-        edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root, both_positive))
+        edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root))
     edges.sort(key=lambda e: (e.src, e.dst))
     tautilt = ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
     ccluster_index = {cluster: i for i, cluster in enumerate(ccluster.vertices)}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,37 @@ class TestVerifyCommands:
             f"FAIL signs plus: C-set mismatch [counterexample: witness path {bad.witness_path}]"
         )
 
+    @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
+    def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):
+        # A3 has m = 14 clusters.  Each exchange build asserts check_frame on
+        # the m frames it stores and the tau walk on its m frames; the sign
+        # report asserts nothing again: 2m = 28 under verify-signs and 3m =
+        # 42 under verify-all.
+        calls = []
+        original = cambrian.quivers.check_frame
+        monkeypatch.setattr(cambrian.quivers, "check_frame", lambda f: calls.append(f) or original(f))
+        code, _, _ = run(capsys, command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 0
+        assert len(calls) == per_cluster * 14
+
+    def test_build_raises_on_a_bad_stored_frame(self, capsys, monkeypatch):
+        # Negate one C-column entry of each full frame the BFS makes from a
+        # table hit, which every frame the minus build stores past the root
+        # is.  check_frame fails on the first such frame as it is stored,
+        # before a later step can trip over it, so the command exits 3 with
+        # the duality error and prints no report.
+        original = cambrian.quivers.frame_mutate
+
+        def corrupted(frame, k, columns=None):
+            good = original(frame, k, columns)
+            first, *rest = good.c_vectors
+            return dataclasses.replace(good, c_vectors=((-first[0],) + first[1:], *rest))
+
+        monkeypatch.setattr(cambrian.quivers, "frame_mutate", corrupted)
+        code, out, err = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 3 and out == ""
+        assert err == "internal error: C/G duality identity failed\n"
+
     def test_tau_c_failure_when_minus_cluster_missing(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
         dropped = build.minus.vertices[-1]
@@ -366,6 +398,17 @@ class TestErrors:
         )
         assert code == 2 and out == ""
         assert err == "error: --verbose adds polynomials to JSON output, not to --format dot\n"
+
+    @pytest.mark.parametrize("t,n", [("A", 141), ("D", 101)])
+    def test_rank_past_the_root_cap(self, capsys, t, n):
+        # A141 has 10,011 and D101 10,100 positive roots, past the 10,000 the
+        # root saturation allows: exit 2 at once, before anything is built.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cclusters", "--type", t, "--rank", str(n),
+                             "--coxeter", ",".join(map(str, range(1, n + 1))))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: invalid finite type ({t}, {n})\n"
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])

@@ -26,6 +26,11 @@ from conftest import (
 )
 
 
+def leq(p, x, y):
+    """x <= y in the poset p: the up-set of x holds that of y."""
+    return p.up[x] & p.up[y] == p.up[y]
+
+
 def quiver(n, edges, kind="ccluster"):
     return ClusterQuiver(
         kind,
@@ -37,19 +42,19 @@ def quiver(n, edges, kind="ccluster"):
 class TestPosetFromHasse:
     def test_a2_exchange(self):
         p = poset_from_hasse(exchange_of("A", 2, (2, 1)))
-        tops = [v for v in range(p.n) if all(p.leq(u, v) for u in range(p.n))]
-        bottoms = [v for v in range(p.n) if all(p.leq(v, u) for u in range(p.n))]
+        tops = [v for v in range(p.n) if all(leq(p, u, v) for u in range(p.n))]
+        bottoms = [v for v in range(p.n) if all(leq(p, v, u) for u in range(p.n))]
         assert len(tops) == 1 and len(bottoms) == 1
 
     def test_single_vertex(self):
         p = poset_from_hasse(quiver(1, []))
-        assert p.n == 1 and p.leq(0, 0)
+        assert p.n == 1 and leq(p, 0, 0)
 
     def test_incomparable_mids(self):
         # Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3; the mids are incomparable.
         p = poset_from_hasse(quiver(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
-        assert not p.leq(1, 2) and not p.leq(2, 1)
-        assert p.leq(3, 1) and p.leq(1, 0)
+        assert not leq(p, 1, 2) and not leq(p, 2, 1)
+        assert leq(p, 3, 1) and leq(p, 1, 0)
 
     def test_cycle_rejected(self):
         with pytest.raises(InputError):

@@ -167,11 +167,11 @@ class TestCClusterQuiver:
             q = ccluster_of(t, n, order)
             clusters = list(q.vertices)
             cluster_set = set(clusters)
-            idx = {cl: i for i, cl in enumerate(clusters)}
+            idx = {cluster: i for i, cluster in enumerate(clusters)}
             oracle_edges = set()
-            for cl in clusters:
-                for alpha in cl:
-                    rest = [r for r in cl if r != alpha]
+            for cluster in clusters:
+                for alpha in cluster:
+                    rest = [r for r in cluster if r != alpha]
                     for beta in almost_positive_roots(spec):
                         if beta == alpha:
                             continue
@@ -179,7 +179,7 @@ class TestCClusterQuiver:
                         if cand in cluster_set and all(
                             is_c_compatible(spec, c, beta, r) for r in rest
                         ):
-                            oracle_edges.add(frozenset((idx[cl], idx[cand])))
+                            oracle_edges.add(frozenset((idx[cluster], idx[cand])))
             assert {frozenset((e.src, e.dst)) for e in q.edges} == oracle_edges
 
 
@@ -210,13 +210,6 @@ class TestTauTiltingQuiver:
             indeg[e.dst] += 1
         (source,) = [i for i in range(14) if indeg[i] == 0]
         assert q.vertices[source].projective_part == ()
-
-    def test_both_positive_flags(self):
-        for t, n, order in [("A", 2, (2, 1)), ("A", 3, (1, 2, 3)), ("B", 2, (1, 2))]:
-            q = tautilt_of(t, n, order)
-            for e in q.edges:
-                expect = min(e.out_label) >= 0 and min(e.in_label) >= 0
-                assert e.both_positive == expect
 
     def test_vertex_cap(self):
         spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
@@ -262,7 +255,7 @@ class TestArrowFlip:
             rep = check_arrow_flip(exchange_of("A", 3, order, "plus"), exchange_of("A", 3, order, "minus"))
             assert rep.ok
             q = tautilt_of("A", 3, order)
-            both_pos = sum(1 for e in q.edges if e.both_positive)
+            both_pos = sum(1 for e in q.edges if min(e.out_label) >= 0 and min(e.in_label) >= 0)
             assert rep.stat("flipped_edges") == both_pos
 
 

@@ -23,12 +23,10 @@ from cambrian.sortables import (
     WeylElement,
     build_cambrian_hasse,
     cambrian_vertex_map,
-    cl,
     enumerate_sortables,
-    inversion_set,
 )
 
-from conftest import RANK_LE_4, compatibility_degree, matrix_inversion_set, spec_of
+from conftest import RANK_LE_4, compatibility_degree, mask_roots, matrix_inversion_set, spec_of
 
 
 def _orbit_r_degree(spec, c, root):
@@ -104,8 +102,8 @@ def test_indexed_paths_match_their_definitions(case):
         for beta in roots:
             assert compatibility_degree(spec, c, alpha, beta) == _orbit_degree(spec, c, alpha, beta)
     for s in enumerate_sortables(spec, c):
-        assert inversion_set(spec, s.word) == matrix_inversion_set(spec, s.element)
-        assert cl(spec, c, s) == _matrix_cl(spec, s)
+        assert mask_roots(spec, s.inversions) == matrix_inversion_set(spec, s.element)
+        assert s.cluster == _matrix_cl(spec, s)
     q = build_c_cluster_quiver(spec, c)
     edges = {(e.src, e.dst, e.out_label, e.in_label) for e in q.edges}
     assert len(edges) == len(q.edges)

@@ -60,11 +60,18 @@ class TestCartanMatrix:
                     assert s.symmetrizer[i] * s.cartan[i][j] == s.symmetrizer[j] * s.cartan[j][i]
 
     @pytest.mark.parametrize(
-        "t,n", [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)]
+        "t,n",
+        [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2),
+         ("A", 141), ("B", 101), ("C", 101), ("D", 101)],
     )
     def test_invalid(self, t, n):
         with pytest.raises(InputError):
             cartan_matrix(t, n)
+
+    @pytest.mark.parametrize("t,n", [("A", 140), ("B", 100), ("C", 100), ("D", 100)])
+    def test_largest_classical_ranks(self, t, n):
+        # The largest ranks whose positive roots fit the root saturation's cap.
+        assert cartan_matrix(t, n).rank == n
 
 
 class TestPositiveRoots:

@@ -10,9 +10,7 @@ from cambrian.sortables import (
     _root_tables,
     build_cambrian_hasse,
     cambrian_vertex_map,
-    cl,
     greedy_sorting_word,
-    inversion_set,
     is_decreasing_chain,
     weyl_group_elements,
 )
@@ -58,7 +56,9 @@ class TestEnumerateSortables:
         for t, n, order in [("A", 2, (1, 2)), ("B", 2, (2, 1)), ("A", 3, (1, 2, 3))]:
             spec = spec_of(t, n)
             for s in sortables_of(t, n, order):
-                assert len(inversion_set(spec, s.word)) == s.length
+                inversions = mask_roots(spec, s.inversions)
+                assert inversions == matrix_inversion_set(spec, s.element)
+                assert len(inversions) == s.length
 
 
 class TestGreedyOracle:
@@ -93,29 +93,29 @@ class TestGreedyOracle:
 class TestInversionSets:
     def test_a2_examples(self):
         s = by_word(sortables_of("A", 2, (2, 1)))
-        assert inversion_set(A2, s[()].word) == frozenset()
-        assert inversion_set(A2, s[(1,)].word) == {(1, 0)}
-        assert inversion_set(A2, s[(2,)].word) == {(0, 1)}
-        assert inversion_set(A2, s[(2, 1)].word) == {(0, 1), (1, 1)}
-        assert inversion_set(A2, s[(2, 1, 2)].word) == {(1, 0), (0, 1), (1, 1)}
+        assert mask_roots(A2, s[()].inversions) == frozenset()
+        assert mask_roots(A2, s[(1,)].inversions) == {(1, 0)}
+        assert mask_roots(A2, s[(2,)].inversions) == {(0, 1)}
+        assert mask_roots(A2, s[(2, 1)].inversions) == {(0, 1), (1, 1)}
+        assert mask_roots(A2, s[(2, 1, 2)].inversions) == {(1, 0), (0, 1), (1, 1)}
+        for w in s.values():
+            assert mask_roots(A2, w.inversions) == matrix_inversion_set(A2, w.element)
 
     def test_identity(self):
-        assert inversion_set(A2, ()) == frozenset()
+        assert by_word(sortables_of("A", 2, (2, 1)))[()].inversions == 0
         assert matrix_inversion_set(A2, WeylElement.identity(2)) == frozenset()
 
 
 class TestCl:
     def test_a2_examples(self):
         s = by_word(sortables_of("A", 2, (2, 1)))
-        assert cl(A2, C21, s[()]) == ((-1, 0), (0, -1))
-        assert cl(A2, C21, s[(2, 1)]) == ((0, 1), (1, 1))
-        assert cl(A2, C21, s[(2, 1, 2)]) == ((1, 0), (1, 1))
+        assert s[()].cluster == ((-1, 0), (0, -1))
+        assert s[(2, 1)].cluster == ((0, 1), (1, 1))
+        assert s[(2, 1, 2)].cluster == ((1, 0), (1, 1))
 
     def test_bijection_onto_clusters(self):
         for t, n, order in [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("A", 3, (1, 3, 2)), ("G", 2, (2, 1))]:
-            spec = spec_of(t, n)
-            c = CoxeterElement(order)
-            images = {cl(spec, c, s) for s in sortables_of(t, n, order)}
+            images = {s.cluster for s in sortables_of(t, n, order)}
             assert images == set(ccluster_of(t, n, order).vertices)
 
 
