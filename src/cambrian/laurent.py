@@ -1,12 +1,12 @@
 """Exact Laurent-polynomial seeds, tropical coefficients, and the root map.
 
 Cluster variables are kept fully expanded in the initial variables, so each
-mutate_seed performs one exact multivariate division (one per relation, for
-the exchange builds of B and -B together); an inexact division is a hard
-internal error, never a recoverable condition.  The exchange runs on packed
-exponents with a heap-ordered division (_divide), which exact_div shares;
-__mul__, __add__ and __pow__ are the plain tuple-exponent arithmetic.  The
-frame advances by frame_mutate; sign coherence, duality and unimodularity are
+exchange (_exchange: per mutate_seed, and per relation of the exchange builds
+of B and -B together through quivers.VariableTable) is one exact division;
+an inexact division is a hard internal error, never a recoverable condition.
+The exchange runs on packed exponents with a heap-ordered division (_divide),
+which exact_div shares; __mul__, __add__ and __pow__ are the plain
+tuple-exponent arithmetic.  Sign coherence, duality and unimodularity are
 asserted on the frames that are kept (mutation.check_frame).  In
 principal-coefficient mode a variable lives in 2n variables: the first n
 exponents are the initial cluster variables, the last n the tropical
@@ -104,7 +104,7 @@ class LaurentPolynomial:
         return _divide(dict(_pack(self.terms, weights)), divisor, lo, hi, weights)
 
 
-# The exact-division kernel shared by exact_div and mutate_seed.  An exponent e
+# The exact-division kernel shared by exact_div and _exchange.  An exponent e
 # inside a box [lo, hi] packs to the integer sum(e_j * w_j), where the place
 # values w are the mixed radix of the box with the first coordinate most
 # significant.  Packing is additive, so a product of terms is a sum of keys,

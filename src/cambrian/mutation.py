@@ -4,12 +4,12 @@ A MatrixFrame carries the exchange matrix with the c-vectors and g-vectors of
 its positions relative to the frame's root vertex, each a column tuple in
 position order; no other module knows this layout.  A mutation step is a
 column step (mutate_columns), which checks only the sign of the c-vector it
-mutates at, and a B step; the exchange BFS takes the column step alone to a
-cluster it has stored, and frame_mutate takes both to a frame that is kept.
-check_frame asserts that SB is skew-symmetric, sign coherence of every
-c-vector and the duality G^T * S * C = S, which implies unimodularity, on a
-kept frame, once each: each frame the exchange BFS stores (the verify-signs
-report rests on these assertions) and each frame of the tau-C check's tau walk.
+mutates at, and a B step; the exchange BFS takes the B step (frame_mutate,
+handed the columns) only for a frame it keeps.  check_frame asserts that SB
+is skew-symmetric, sign coherence of every c-vector and the duality
+G^T * S * C = S, which implies unimodularity, on a kept frame, once each:
+each frame the exchange BFS stores (the verify-signs report is these
+assertions) and each frame of the tau-C check's tau walk.
 """
 
 from __future__ import annotations
@@ -197,9 +197,13 @@ def frame_is_unimodular(frame: MatrixFrame) -> bool:
 def check_frame(frame: MatrixFrame) -> None:
     """Assert that SB is skew-symmetric, sign coherence of every C-column,
     C/G duality and with it unimodularity: G^T S C = S for integer G and C
-    gives det G * det C = 1, so det C = +-1 and no determinant is taken."""
-    if not _sb_is_skew(frame.b):
-        raise InternalError("SB is not skew-symmetric")
-    for c in frame.c_vectors:
-        column_sign(c)
-    check_duality(frame)
+    gives det G * det C = 1, so det C = +-1 with no determinant taken.  Each
+    InternalError names the frame's witness path."""
+    try:
+        if not _sb_is_skew(frame.b):
+            raise InternalError("SB is not skew-symmetric")
+        for c in frame.c_vectors:
+            column_sign(c)
+        check_duality(frame)
+    except InternalError as exc:
+        raise InternalError(f"witness path {frame.path}: {exc}") from None

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import and_, mul
 
 from .errors import InputError, InternalError
-from .laurent import LabeledSeed, LaurentPolynomial, mutate_seed, theta
+from .laurent import LaurentPolynomial, _exchange, theta
 from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame, mutate_columns
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
@@ -97,17 +97,21 @@ class VariableTable:
         self.ids = {x: i for i, x in enumerate(self.polys)}
         self.relations: dict[tuple, int] = {}
 
-    @staticmethod
-    def relation_key(ids: tuple[int, ...], column: list[int], k0: int) -> tuple:
-        """The key of the exchange at position k0, given a seed's ids and column k0 of its B."""
-        return ids[k0], frozenset((frozenset((i, m) for i, m in zip(ids, column) if m > 0),
-                                   frozenset((i, -m) for i, m in zip(ids, column) if m < 0)))
-
-    def intern(self, x: LaurentPolynomial) -> int:
-        if x not in self.ids:
-            self.ids[x] = len(self.polys)
-            self.polys.append(x)
-        return self.ids[x]
+    def exchange(self, ids: tuple[int, ...], column: list[int], k0: int) -> int:
+        """The id of x_k' for the seed with variable ids and column k0 of its
+        B.  A relation not in the memo is one exact division (_exchange), kept
+        from both ends: exchanging x_k' in the mutated seed gives x_k back."""
+        key = ids[k0], frozenset((frozenset((i, m) for i, m in zip(ids, column) if m > 0),
+                                  frozenset((i, -m) for i, m in zip(ids, column) if m < 0)))
+        new_id = self.relations.get(key)
+        if new_id is None:
+            x = _exchange([(self.polys[i], m) for i, m in zip(ids, column) if m > 0],
+                          [(self.polys[i], -m) for i, m in zip(ids, column) if m < 0], self.polys[ids[k0]])
+            new_id = self.ids.setdefault(x, len(self.polys))
+            if new_id == len(self.polys):
+                self.polys.append(x)
+            self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
+        return new_id
 
 
 def build_exchange_quiver(
@@ -123,13 +127,13 @@ def build_exchange_quiver(
     the exchanged variable's c-vector is non-negative.
 
     The BFS moves integer B/C/G frames and keys a cluster by the bitmask of
-    its variables' ids in table (a fresh VariableTable when None).  Each
-    exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ is one
-    mutate_seed per relation of the table, for every build that shares it.
+    its variables' ids in table (a fresh VariableTable when None), which
+    makes each exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod
+    x_i^[-b_ik]_+ once per relation for all the builds that share it.
     InternalError is raised if g-vectors and ids are not in bijection within
-    the build.  A frame that reaches a new cluster is built in full and
-    passes check_frame; one that reaches a stored cluster takes the column
-    step alone (mutate_columns) and must carry the stored (g, c, s) columns.
+    the build.  Every step takes the column step (mutate_columns); a step to
+    a new cluster then takes the B step (frame_mutate) and stores a frame
+    that passes check_frame, one to a stored cluster must carry its columns.
     """
     if sign not in ("plus", "minus"):
         raise InputError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -138,7 +142,7 @@ def build_exchange_quiver(
         b = b.negated()
     n = b.rank
     table = table or VariableTable(n)
-    polys, relations = table.polys, table.relations
+    polys = table.polys
     id_of: dict[tuple[int, ...], int] = {}
     g_of: dict[int, tuple[int, ...]] = {}
 
@@ -161,22 +165,16 @@ def build_exchange_quiver(
             ids = tuple(id_of[g] for g in frame.g_vectors)
             for k in range(1, n + 1):
                 k0, green = k - 1, column_sign(frame.c_vectors[k - 1]) > 0
-                key = table.relation_key(ids, [row[k0] for row in frame.b.entries], k0)
-                new_id, mutated = relations.get(key), None
-                if new_id is None:
-                    seed = mutate_seed(LabeledSeed(tuple(polys[i] for i in ids), None, frame), k)
-                    new_id, mutated = table.intern(seed.vars[k0]), seed.frame
-                    # Exchanging x_k' in the mutated seed gives x_k back.
-                    relations[key], relations[new_id, key[1]] = new_id, ids[k0]
-                cs, gs = (mutated.c_vectors, mutated.g_vectors) if mutated else mutate_columns(frame, k)
+                new_id = table.exchange(ids, [row[k0] for row in frame.b.entries], k0)
+                cs, gs = mutate_columns(frame, k)
                 bind(gs[k0], new_id)
                 mkey = (mask ^ 1 << ids[k0]) | 1 << new_id
                 if mkey not in frames:
                     if len(frames) >= vertex_cap:
                         raise InputError("vertex cap exceeded: not finite type or bad input")
-                    frames[mkey] = mutated = mutated or frame_mutate(frame, k, (cs, gs))
-                    check_frame(mutated)
-                    nxt.append((mkey, mutated))
+                    frames[mkey] = kept = frame_mutate(frame, k, (cs, gs))
+                    check_frame(kept)
+                    nxt.append((mkey, kept))
                 elif frozenset(zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)) != frozenset(zip(gs, cs, sym)):
                     raise InternalError(
                         f"mutation path {frame.path + (k,)} reaches a stored cluster with other columns"
@@ -385,7 +383,7 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
             return fail("edge sets differ", f"edge {e.src} -> {e.dst} of B^c")
         same_direction = minus_edges[pair] == (sk, dk)
         if bool((sk ^ dk) & initial) != same_direction:
-            return fail("edge direction contradicts the flip rule", f"out={e.out_label.terms} in={e.in_label.terms}")
+            return fail("edge direction contradicts the flip rule", f"edge {e.src} -> {e.dst} of B^c")
         flipped += not same_direction
     # Green-initial: a cluster containing an initial variable always has a
     # non-negative c-vector at that variable.

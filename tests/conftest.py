@@ -79,6 +79,28 @@ def spec_of(dynkin_type, rank):
     return cartan_matrix(dynkin_type, rank)
 
 
+def coxeter_words(spec):
+    """One word for each Coxeter element of spec.  An element is an acyclic
+    orientation of the Dynkin diagram, s_i before s_j for each arrow i -> j
+    (2^(n-1) of them on a tree of n nodes), and its word is the linear
+    extension that takes the smallest available source first."""
+    n = spec.rank
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if spec.cartan[i][j]]
+    words = []
+    for bits in range(1 << len(edges)):
+        before = [set() for _ in range(n)]  # before[v]: the neighbours of v that precede it
+        for b, (i, j) in enumerate(edges):
+            first, then = (j, i) if bits >> b & 1 else (i, j)
+            before[then].add(first)
+        word, left = [], set(range(n))
+        while left:
+            v = min(v for v in left if not before[v] & left)
+            word.append(v + 1)
+            left.remove(v)
+        words.append(tuple(word))
+    return words
+
+
 @lru_cache(maxsize=None)
 def exchange_of(dynkin_type, rank, order, sign="plus"):
     return build_exchange_quiver(

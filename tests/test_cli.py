@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,17 +12,20 @@ from pathlib import Path
 import pytest
 
 import cambrian.cli
-from cambrian.cli import Build, main, quiver_to_dot, quiver_to_json, run_sign_checks
-from cambrian.laurent import frame_mutate, mutate_seed
+from cambrian.cli import Build, main, quiver_to_dot, quiver_to_json, run_all_checks
+from cambrian.laurent import _exchange
+from cambrian.mutation import frame_mutate, mutate_matrix
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
 from conftest import (
     RANK_LE_4,
     cambrian_of,
     ccluster_of,
+    coxeter_words,
     dict_document_json,
     exchange_of,
     per_vertex_dot,
+    spec_of,
     tautilt_of,
 )
 
@@ -170,9 +175,10 @@ class TestVerifyCommands:
 
     @staticmethod
     def count_exchanges(capsys, monkeypatch, *argv):
-        """mutate_seed and frame_mutate calls of one passing verify-all."""
-        calls = {"mutate_seed": 0, "frame_mutate": 0}
-        for original in (mutate_seed, frame_mutate):
+        """Exact exchanges (_exchange), frame_mutate and B steps
+        (mutate_matrix) of one passing verify-all."""
+        calls = {"_exchange": 0, "frame_mutate": 0, "mutate_matrix": 0}
+        for original in (_exchange, frame_mutate, mutate_matrix):
 
             def counted(*args, name=original.__name__, original=original, **kwargs):
                 calls[name] += 1
@@ -190,42 +196,23 @@ class TestVerifyCommands:
         # crossing diagonals of a hexagon, C(6, 4)).  The two BFS runs share
         # one VariableTable: the plus build makes one exact exchange per
         # pair and the minus build reads all 15 from the table, so
-        # mutate_seed runs 15 times.  Each BFS builds a full frame for each
-        # of the m−1 = 13 clusters it keeps, and each mutate_seed builds one
-        # too: 10 of the 15 are frames the plus build keeps and 5 reach a
-        # stored cluster.  The tau walk advances (m−1)+n = 16 frames and
-        # reads its variables from the plus build.  So frame_mutate runs
-        # 2·13 + 5 + 16 = 47 times; a replay of any witness path from the
-        # root, or a full frame for a stored cluster reached by a table hit,
-        # would add more.
+        # _exchange runs 15 times.  Every BFS step takes the column step,
+        # and only a step to a new cluster the B step: each BFS calls
+        # frame_mutate once for each of the m−1 = 13 clusters it keeps.  The
+        # tau walk advances (m−1)+n = 16 frames and reads its variables from
+        # the plus build.  So frame_mutate, and mutate_matrix inside it, run
+        # 2·13 + 16 = 42 times; a replay of any witness path from the root,
+        # or a B step for a cluster already stored, would add more.
         calls = self.count_exchanges(capsys, monkeypatch, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
-        assert calls == {"mutate_seed": 15, "frame_mutate": 47}
+        assert calls == {"_exchange": 15, "frame_mutate": 42, "mutate_matrix": 42}
 
     def test_verify_all_e6_exact_exchanges(self, capsys, monkeypatch):
-        # E6 has 385 exchange pairs: one exact exchange each, all made by
-        # the plus build, none by the minus build or the tau walk.
+        # E6 has m = 833 clusters and 385 exchange pairs: one exact exchange
+        # each, all made by the plus build, none by the minus build or the
+        # tau walk.  The B steps are 832 kept frames per build and the
+        # (m−1)+n = 838 frames of the tau walk: 2·832 + 838 = 2,502.
         calls = self.count_exchanges(capsys, monkeypatch, "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
-        assert calls["mutate_seed"] == 385
-
-    def test_sign_check_failure_names_witness_path(self, capsys, monkeypatch):
-        build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
-        vertices = list(build.plus.vertices)
-        bad = vertices[-1]
-        assert bad.witness_path
-        vertices[-1] = dataclasses.replace(
-            bad, c_vectors=tuple(tuple(-x for x in v) for v in bad.c_vectors)
-        )
-        build.__dict__["plus"] = dataclasses.replace(build.plus, vertices=tuple(vertices))
-        reports = run_sign_checks(build)
-        assert [(r.name, r.ok) for r in reports] == [("signs plus", False), ("signs minus", True)]
-        assert reports[0].details == ("C-set mismatch",)
-        assert reports[0].counterexample == f"witness path {bad.witness_path}"
-        monkeypatch.setattr(cambrian.cli, "Build", lambda *args: build)
-        code, out, _ = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
-        assert code == 1
-        assert out.splitlines()[0] == (
-            f"FAIL signs plus: C-set mismatch [counterexample: witness path {bad.witness_path}]"
-        )
+        assert (calls["_exchange"], calls["mutate_matrix"]) == (385, 2502)
 
     @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
     def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):
@@ -241,11 +228,11 @@ class TestVerifyCommands:
         assert len(calls) == per_cluster * 14
 
     def test_build_raises_on_a_bad_stored_frame(self, capsys, monkeypatch):
-        # Negate one C-column entry of each full frame the BFS makes from a
-        # table hit, which every frame the minus build stores past the root
-        # is.  check_frame fails on the first such frame as it is stored,
-        # before a later step can trip over it, so the command exits 3 with
-        # the duality error and prints no report.
+        # Negate one C-column entry of each frame the BFS keeps.  check_frame
+        # fails on the first one, the plus build's mutation at 1, as it is
+        # stored, before a later step can trip over it, so the command exits
+        # 3 with the duality error naming that frame's witness path and
+        # prints no report.
         original = cambrian.quivers.frame_mutate
 
         def corrupted(frame, k, columns=None):
@@ -256,7 +243,7 @@ class TestVerifyCommands:
         monkeypatch.setattr(cambrian.quivers, "frame_mutate", corrupted)
         code, out, err = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 3 and out == ""
-        assert err == "internal error: C/G duality identity failed\n"
+        assert err == "internal error: witness path (1,): C/G duality identity failed\n"
 
     def test_tau_c_failure_when_minus_cluster_missing(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
@@ -410,10 +397,45 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: invalid finite type ({t}, {n})\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["cclusters", "verify-all"])
+    def test_output_write_error(self, capsys, command):
+        # /dev/full opens but refuses every write: exit 2, not a traceback.
+        args = (command, "--type", "A", "--rank", "2", "--coxeter", "1,2", "--output", "/dev/full")
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+    @pytest.mark.parametrize("command", ["exchange", "verify-all"])
+    def test_stdout_write_error(self, command, sink):
+        # A stdout that refuses writes exits 2 with one line on stderr: no
+        # traceback, and no "Exception ignored" from the interpreter's last
+        # flush of stdout.
+        argv = [sys.executable, "-m", "cambrian", command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3"]
+        if sink == "/dev/full":
+            stdout, reason = os.open("/dev/full", os.O_WRONLY), os.strerror(errno.ENOSPC)
+        else:
+            read, stdout = os.pipe()
+            os.close(read)
+            reason = os.strerror(errno.EPIPE)
+        try:
+            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=_cli_env())
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+
     def test_unknown_command(self, capsys):
         code = main(["frobnicate", "--type", "A", "--rank", "2", "--coxeter", "1,2"])
         capsys.readouterr()
         assert code == 2
+
+
+def _cli_env():
+    """The environment of a child interpreter that imports this cambrian."""
+    src = str(Path(cambrian.cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_networkx_is_not_loaded():
@@ -425,7 +447,29 @@ def test_networkx_is_not_loaded():
         "    code = cambrian.cli.main(['verify-all', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3'])\n"
         "print(code, 'networkx' in sys.modules)\n"
     )
-    src = str(Path(cambrian.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
     assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("t,n", RANK_LE_4)
+def test_coxeter_words_name_each_element_once(t, n):
+    # A Coxeter element is the orientation of the Dynkin edges it induces.
+    spec = spec_of(t, n)
+
+    def orientation(word):
+        at = {s: k for k, s in enumerate(word)}
+        return frozenset((i, j) for i in at for j in at if i != j and spec.cartan[i - 1][j - 1] and at[i] < at[j])
+
+    words = coxeter_words(spec)
+    every = {orientation(p) for p in itertools.permutations(range(1, n + 1))}
+    assert len(words) == len(every) == 2 ** (n - 1)
+    assert {orientation(w) for w in words} == every
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t,n", [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("F", 4), ("G", 2), ("E", 6)])
+def test_verify_all_on_every_coxeter_element(t, n):
+    spec = spec_of(t, n)
+    for word in coxeter_words(spec):
+        failed = [rep for rep in run_all_checks(Build(spec, CoxeterElement(word), None)) if not rep.ok]
+        assert not failed, (word, failed)

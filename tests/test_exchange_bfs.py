@@ -74,21 +74,22 @@ def shared_table_builds(t, n, c):
     minus one checked against a minus build with a fresh table: payloads
     (variables, c- and g-vectors, frames and masks) and edges.  Each mask
     must be the OR of its variables' ids in the shared table.  Returns the
-    quivers and the number of mutate_seed calls of the shared minus build."""
+    quivers and the number of exact exchanges (laurent._exchange calls) of
+    the shared minus build."""
     spec, table = spec_of(t, n), VariableTable(n)
     plus = build_exchange_quiver(spec, c, "plus", table=table)
     calls = []
-    original = cambrian.quivers.mutate_seed
+    original = cambrian.quivers._exchange
 
-    def counted(seed, k):
-        calls.append(k)
-        return original(seed, k)
+    def counted(pos, neg, divisor):
+        calls.append(divisor)
+        return original(pos, neg, divisor)
 
-    cambrian.quivers.mutate_seed = counted
+    cambrian.quivers._exchange = counted
     try:
         minus = build_exchange_quiver(spec, c, "minus", table=table)
     finally:
-        cambrian.quivers.mutate_seed = original
+        cambrian.quivers._exchange = original
     fresh = build_exchange_quiver(spec, c, "minus")
     assert minus.vertices == fresh.vertices
     assert minus.edges == fresh.edges
@@ -116,8 +117,8 @@ def test_shared_table_minus_build_matches_fresh(case):
 @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
 def test_e6_exchange_relations_multiply_out(order):
     # The minus build reads each of the plus build's 385 exact exchanges
-    # from the table and makes none.  mutate_seed divides on packed
-    # exponents and the table reuses its quotients; tuple multiplication
+    # from the table and makes none.  The table divides on packed
+    # exponents and reuses its quotients; tuple multiplication
     # checks every relation of both quivers, each read from both its ends.
     plus, minus, calls = shared_table_builds("E", 6, CoxeterElement(order))
     assert calls == 0
@@ -175,24 +176,21 @@ def test_stored_frames_are_checked(monkeypatch):
 
 
 def _patch_first_exchange(monkeypatch, wrong_variable):
-    original = cambrian.quivers.mutate_seed
+    """The table's first exact exchange returns wrong_variable(x_k, x_k')."""
+    original = cambrian.quivers._exchange
     calls = []
 
-    def patched(seed, k):
-        out = original(seed, k)
-        calls.append(k)
-        if len(calls) > 1:
-            return out
-        new_vars = out.vars[: k - 1] + (wrong_variable(seed, out, k),) + out.vars[k:]
-        return dataclasses.replace(out, vars=new_vars)
+    def patched(pos, neg, divisor):
+        out = original(pos, neg, divisor)
+        calls.append(out)
+        return wrong_variable(divisor, out) if len(calls) == 1 else out
 
-    monkeypatch.setattr(cambrian.quivers, "mutate_seed", patched)
+    monkeypatch.setattr(cambrian.quivers, "_exchange", patched)
 
 
 def test_g_vector_with_two_polynomials(monkeypatch):
     # The first exchange returns 2 x_k'; the same g-vector later meets x_k'.
-    def doubled(seed, out, k):
-        x = out.vars[k - 1]
+    def doubled(xk, x):
         return dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
 
     _patch_first_exchange(monkeypatch, doubled)
@@ -202,26 +200,24 @@ def test_g_vector_with_two_polynomials(monkeypatch):
 
 def test_polynomial_with_two_g_vectors(monkeypatch):
     # The first exchange returns x_k itself, under the g-vector of x_k'.
-    _patch_first_exchange(monkeypatch, lambda seed, out, k: seed.vars[k - 1])
+    _patch_first_exchange(monkeypatch, lambda xk, x: xk)
     with pytest.raises(InternalError, match="two g-vectors"):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
-
-
-def _relation_key(frame, k):
-    ids = tuple(range(len(frame.g_vectors)))
-    return VariableTable.relation_key(ids, [row[k - 1] for row in frame.b.entries], k - 1)
 
 
 def test_exchange_key_keeps_b():
     # The initial seeds of A3 for c = 1,2,3 and c = 1,3,2 share x_2 and its
     # neighbours x_1, x_3 with the same |b_i2|, but b_32 has opposite signs:
-    # the exchanges give (x_1 + x_3)/x_2 and (x_1 x_3 + 1)/x_2, so their
-    # memo keys must differ.
+    # the exchanges give (x_1 + x_3)/x_2 and (x_1 x_3 + 1)/x_2, so the table
+    # must not read the second from the memo of the first.
     spec = spec_of("A", 3)
     seeds = [initial_seed(build_bc(spec, CoxeterElement(order))) for order in ((1, 2, 3), (1, 3, 2))]
-    assert [[row[1] for row in s.frame.b.entries] for s in seeds] == [[1, 0, -1], [1, 0, 1]]
-    assert mutate_seed(seeds[0], 2).vars[1] != mutate_seed(seeds[1], 2).vars[1]
-    assert _relation_key(seeds[0].frame, 2) != _relation_key(seeds[1].frame, 2)
+    columns = [[row[1] for row in s.frame.b.entries] for s in seeds]
+    assert columns == [[1, 0, -1], [1, 0, 1]]
+    table = VariableTable(3)
+    new = [table.exchange((0, 1, 2), column, 1) for column in columns]
+    assert new == [3, 4]
+    assert [table.polys[i] for i in new] == [mutate_seed(s, 2).vars[1] for s in seeds]
 
 
 @settings(deadline=None, max_examples=20)
@@ -230,6 +226,8 @@ def test_relation_key_is_unchanged_when_b_is_negated(case, data):
     # The sharing rests on this: a seed of A(-B) reached by a mutation path
     # has -B where the seed of A(B) on that path has B, and the same
     # variables, and the exchange x_k x_k' = M+ + M- is symmetric in M+, M-.
+    # So after the exchange at column k of B, the one at column k of -B is
+    # read from the memo: the same id, and no new relation.
     t, n, c, sign = case
     b = build_bc(spec_of(t, n), c)
     b = b.negated() if sign == "minus" else b
@@ -241,4 +239,8 @@ def test_relation_key_is_unchanged_when_b_is_negated(case, data):
     for k in range(1, n + 1):
         columns = [[row[k - 1] for row in seed.frame.b.entries] for seed in seeds]
         assert columns[1] == [-x for x in columns[0]]
-        assert VariableTable.relation_key(ids, columns[0], k - 1) == VariableTable.relation_key(ids, columns[1], k - 1)
+        table = VariableTable(n)
+        new_id = table.exchange(ids, columns[0], k - 1)
+        relations = dict(table.relations)
+        assert table.exchange(ids, columns[1], k - 1) == new_id
+        assert table.relations == relations

@@ -16,6 +16,7 @@ from cambrian.lattice import verify_quiver_map
 from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
 from cambrian.mutation import build_bc
 from cambrian.quivers import (
+    QuiverEdge,
     build_exchange_quiver,
     build_tau_tilting_quiver,
     check_arrow_flip,
@@ -250,6 +251,45 @@ class TestArrowFlip:
         rep = check_arrow_flip(exchange_of("A", 1, (1,), "plus"), exchange_of("A", 1, (1,), "minus"))
         assert rep.ok and rep.stat("flipped_edges") == 0
 
+    @staticmethod
+    def a3():
+        return exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
+
+    @staticmethod
+    def plus_edge(qp, qm, e):
+        """The edge of qp between the clusters that the edge e of qm joins."""
+        pair = {qm.vertices[e.src].mask, qm.vertices[e.dst].mask}
+        return next(f for f in qp.edges if {qp.vertices[f.src].mask, qp.vertices[f.dst].mask} == pair)
+
+    def test_fails_when_vertex_sets_differ(self):
+        qp, qm = self.a3()
+        rep = check_arrow_flip(qp, dataclasses.replace(qm, vertices=qm.vertices[:-1]))
+        assert (rep.ok, rep.details) == (False, ("vertex sets of B^c and -B^c differ",))
+
+    def test_fails_when_edge_sets_differ(self):
+        qp, qm = self.a3()
+        f = self.plus_edge(qp, qm, qm.edges[0])
+        rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=qm.edges[1:]))
+        assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), f"edge {f.src} -> {f.dst} of B^c")
+
+    def test_fails_when_an_edge_breaks_the_flip_rule(self):
+        qp, qm = self.a3()
+        e, f = qm.edges[0], self.plus_edge(qp, qm, qm.edges[0])
+        edges = (QuiverEdge(e.dst, e.src, e.in_label, e.out_label),) + qm.edges[1:]
+        rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=edges))
+        assert (rep.ok, rep.details, rep.counterexample) == (
+            False, ("edge direction contradicts the flip rule",), f"edge {f.src} -> {f.dst} of B^c"
+        )
+
+    def test_fails_on_a_negative_c_vector_at_an_initial_variable(self):
+        qp, qm = self.a3()
+        v, p = next((v, p) for v, p in enumerate(qm.vertices) if p.mask & 0b111)
+        j = next(j for j, g in enumerate(p.g_vectors) if sorted(g) == [0, 0, 1])
+        bad = tuple(-x for x in p.c_vectors[j])
+        tampered = dataclasses.replace(p, c_vectors=p.c_vectors[:j] + (bad,) + p.c_vectors[j + 1:])
+        rep = check_arrow_flip(qp, dataclasses.replace(qm, vertices=qm.vertices[:v] + (tampered,) + qm.vertices[v + 1:]))
+        assert (rep.ok, rep.details, rep.counterexample) == (False, ("initial variable with negative c-vector",), str(bad))
+
     def test_a3_flip_count_is_positive_pairs(self):
         for order in itertools.permutations((1, 2, 3)):
             rep = check_arrow_flip(exchange_of("A", 3, order, "plus"), exchange_of("A", 3, order, "minus"))
@@ -455,7 +495,7 @@ def test_tautilt_command_runs_no_exchange(monkeypatch, capsys):
 
         return forbidden
 
-    names = ("theta", "mutate_seed", "frame_mutate", "build_exchange_quiver")
+    names = ("theta", "mutate_seed", "_exchange", "frame_mutate", "build_exchange_quiver")
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cambrian"]:
         for name in names:
             if hasattr(module, name):
