@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .quivers import CheckReport, ClusterQuiver
 
 
@@ -26,7 +26,7 @@ class FinitePoset:
 
 
 def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
-    """Build the poset and verify the quiver is its own transitive reduction."""
+    """The poset of q, whose edges must be its covers: a cycle or a non-cover edge raises InternalError."""
     n = q.n_vertices
     children: list[list[int]] = [[] for _ in range(n)]
     parents: list[list[int]] = [[] for _ in range(n)]
@@ -42,7 +42,7 @@ def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
             if outdeg[p] == 0:
                 order.append(p)
     if len(order) != n:
-        raise InputError("Hasse quiver contains a directed cycle")
+        raise InternalError("Hasse quiver contains a directed cycle")
     up = [0] * n
     for i in reversed(range(n)):
         mask = 1 << i
@@ -52,7 +52,7 @@ def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
     for e in q.edges:
         for ch in children[e.src]:
             if ch != e.dst and up[e.dst] & up[ch] == up[ch]:
-                raise InputError(f"edge {e.src}->{e.dst} is not a cover (via {ch})")
+                raise InternalError(f"edge {e.src}->{e.dst} is not a cover (via {ch})")
     return FinitePoset(n, tuple(order), tuple(up), tuple(tuple(p) for p in parents))
 
 
@@ -92,7 +92,7 @@ def verify_quiver_map(q1: ClusterQuiver, q2: ClusterQuiver, vertex_map: tuple[in
         raise InputError(f"mode must be 'iso' or 'anti', got {mode!r}")
     name = f"quiver-{mode}"
     if len(vertex_map) != q1.n_vertices:
-        raise InputError("vertex map does not cover the source quiver")
+        raise InternalError("vertex map does not cover the source quiver")
     if q1.n_vertices != q2.n_vertices or len(set(vertex_map)) != len(vertex_map):
         return CheckReport(name, False, ("vertex map is not a bijection",))
     e2 = {(e.src, e.dst) for e in q2.edges}

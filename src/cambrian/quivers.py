@@ -131,9 +131,11 @@ def build_exchange_quiver(
     makes each exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod
     x_i^[-b_ik]_+ once per relation for all the builds that share it.
     InternalError is raised if g-vectors and ids are not in bijection within
-    the build.  Every step takes the column step (mutate_columns); a step to
-    a new cluster then takes the B step (frame_mutate) and stores a frame
-    that passes check_frame, one to a stored cluster must carry its columns.
+    the build.  Any n - 1 variables of a cluster lie in exactly two clusters
+    (Fomin-Zelevinsky, Invent. Math. 154), so an edge is keyed by the mask of
+    this facet and mutated across once, from the end reached first: column
+    step (mutate_columns), then to a new cluster the B step (frame_mutate)
+    and a frame that passes check_frame, or to a stored cluster a column match.
     """
     if sign not in ("plus", "minus"):
         raise InputError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -146,43 +148,39 @@ def build_exchange_quiver(
     id_of: dict[tuple[int, ...], int] = {}
     g_of: dict[int, tuple[int, ...]] = {}
 
-    def bind(g: tuple[int, ...], i: int) -> None:
+    def bind(g: tuple[int, ...], i: int, path: tuple[int, ...]) -> None:
         if id_of.setdefault(g, i) != i:
-            raise InternalError(f"g-vector {g} belongs to two cluster variables")
+            raise InternalError(f"witness path {path}: g-vector {g} belongs to two cluster variables")
         if g_of.setdefault(i, g) != g:
-            raise InternalError(f"a cluster variable has two g-vectors, {g_of[i]} and {g}")
+            raise InternalError(f"witness path {path}: a cluster variable has two g-vectors, {g_of[i]} and {g}")
 
     frame0, sym = identity_frame(b), b.skew_symmetrizer
     for i, g in enumerate(frame0.g_vectors):
-        bind(g, i)
+        bind(g, i, ())
     check_frame(frame0)
     frames: dict[int, MatrixFrame] = {(1 << n) - 1: frame0}
-    edge_map: dict[frozenset, tuple] = {}
-    frontier = [((1 << n) - 1, frame0)]
-    while frontier:
-        nxt = []
-        for mask, frame in frontier:
-            ids = tuple(id_of[g] for g in frame.g_vectors)
-            for k in range(1, n + 1):
-                k0, green = k - 1, column_sign(frame.c_vectors[k - 1]) > 0
-                new_id = table.exchange(ids, [row[k0] for row in frame.b.entries], k0)
-                cs, gs = mutate_columns(frame, k)
-                bind(gs[k0], new_id)
-                mkey = (mask ^ 1 << ids[k0]) | 1 << new_id
-                if mkey not in frames:
-                    if len(frames) >= vertex_cap:
-                        raise InputError("vertex cap exceeded: not finite type or bad input")
-                    frames[mkey] = kept = frame_mutate(frame, k, (cs, gs))
-                    check_frame(kept)
-                    nxt.append((mkey, kept))
-                elif frozenset(zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)) != frozenset(zip(gs, cs, sym)):
-                    raise InternalError(
-                        f"mutation path {frame.path + (k,)} reaches a stored cluster with other columns"
-                    )
-                directed = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
-                if edge_map.setdefault(frozenset((mask, mkey)), directed) != directed:
-                    raise InternalError("inconsistent edge orientation in BFS")
-        frontier = nxt
+    edge_map: dict[int, tuple] = {}  # facet -> (src mask, dst mask, out id, in id)
+    queue = [((1 << n) - 1, frame0)]  # BFS order: appended to while it is read
+    for mask, frame in queue:
+        ids = tuple(id_of[g] for g in frame.g_vectors)
+        for k in range(1, n + 1):
+            k0, facet = k - 1, mask ^ 1 << ids[k - 1]
+            if facet in edge_map:
+                continue
+            new_id = table.exchange(ids, [row[k0] for row in frame.b.entries], k0)
+            cs, gs = mutate_columns(frame, k)
+            bind(gs[k0], new_id, frame.path + (k,))
+            mkey = facet | 1 << new_id
+            if mkey not in frames:
+                if len(frames) >= vertex_cap:
+                    raise InputError("vertex cap exceeded: not finite type or bad input")
+                frames[mkey] = kept = frame_mutate(frame, k, (cs, gs))
+                check_frame(kept)
+                queue.append((mkey, kept))
+            elif frozenset(zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)) != frozenset(zip(gs, cs, sym)):
+                raise InternalError(f"mutation path {frame.path + (k,)} reaches a stored cluster with other columns")
+            green = column_sign(frame.c_vectors[k0]) > 0
+            edge_map[facet] = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
 
     # Canonical order: variables by terms, clusters by their sorted variables.
     rank = {g: r for r, g in enumerate(sorted(id_of, key=lambda g: polys[id_of[g]].terms))}
@@ -359,8 +357,9 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     Edges whose exchanged variables are both non-initial must flip; edges
     touching an initial variable must keep their direction.  Also checks that
     every mutation removing an initial variable is green in both quivers.
-    Clusters are compared by mask: qp and qm share a VariableTable, or have
-    a fresh one each, which numbers the variables alike for B^c and -B^c.
+    Clusters are compared by mask and edges by facet, the mask of the
+    variables both ends share: qp and qm share a VariableTable, or have a
+    fresh one each, which numbers the variables alike for B^c and -B^c.
     x_i is the variable with id i - 1 and g-vector e_i.
     """
 
@@ -374,24 +373,25 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     minus_edges = {}
     for e in qm.edges:
         sk, dk = qm.vertices[e.src].mask, qm.vertices[e.dst].mask
-        minus_edges[frozenset((sk, dk))] = (sk, dk)
+        minus_edges[sk & dk] = (sk, dk)
     flipped = 0
     for e in qp.edges:
         sk, dk = qp.vertices[e.src].mask, qp.vertices[e.dst].mask
-        pair = frozenset((sk, dk))
-        if pair not in minus_edges:
+        pair = minus_edges.get(sk & dk)
+        if pair not in ((sk, dk), (dk, sk)):
             return fail("edge sets differ", f"edge {e.src} -> {e.dst} of B^c")
-        same_direction = minus_edges[pair] == (sk, dk)
+        same_direction = pair == (sk, dk)
         if bool((sk ^ dk) & initial) != same_direction:
             return fail("edge direction contradicts the flip rule", f"edge {e.src} -> {e.dst} of B^c")
         flipped += not same_direction
     # Green-initial: a cluster containing an initial variable always has a
     # non-negative c-vector at that variable.
-    for q in (qp, qm):
-        for payload in (p for p in q.vertices if p.mask & initial):
+    for name, q in (("B^c", qp), ("-B^c", qm)):
+        for v, payload in enumerate(q.vertices):
             for g, cvec in zip(payload.g_vectors, payload.c_vectors):
                 if g in units and min(cvec) < 0:
-                    return fail("initial variable with negative c-vector", str(cvec))
+                    where = f"vertex {v} of {name}, witness path {payload.witness_path}: {cvec}"
+                    return fail("initial variable with negative c-vector", where)
     stats = (("flipped_edges", flipped), ("edges", len(qp.edges)))
     return CheckReport("arrow-flip", True, (f"{len(qp.edges)} edges checked, {flipped} flipped",), stats=stats)
 

@@ -14,7 +14,8 @@ import pytest
 import cambrian.cli
 from cambrian.cli import Build, main, quiver_to_dot, quiver_to_json, run_all_checks
 from cambrian.laurent import _exchange
-from cambrian.mutation import frame_mutate, mutate_matrix
+from cambrian.mutation import frame_mutate, mutate_columns, mutate_matrix
+from cambrian.quivers import QuiverEdge
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
 from conftest import (
@@ -175,10 +176,11 @@ class TestVerifyCommands:
 
     @staticmethod
     def count_exchanges(capsys, monkeypatch, *argv):
-        """Exact exchanges (_exchange), frame_mutate and B steps
-        (mutate_matrix) of one passing verify-all."""
-        calls = {"_exchange": 0, "frame_mutate": 0, "mutate_matrix": 0}
-        for original in (_exchange, frame_mutate, mutate_matrix):
+        """Exact exchanges (_exchange), frame_mutate, column steps
+        (mutate_columns) and B steps (mutate_matrix) of one passing
+        verify-all."""
+        calls = {"_exchange": 0, "frame_mutate": 0, "mutate_columns": 0, "mutate_matrix": 0}
+        for original in (_exchange, frame_mutate, mutate_columns, mutate_matrix):
 
             def counted(*args, name=original.__name__, original=original, **kwargs):
                 calls[name] += 1
@@ -193,26 +195,31 @@ class TestVerifyCommands:
 
     def test_verify_all_mutation_count(self, capsys, monkeypatch):
         # A3: n = 3, m = 14 clusters, 15 exchange pairs {x, x'} (the pairs of
-        # crossing diagonals of a hexagon, C(6, 4)).  The two BFS runs share
-        # one VariableTable: the plus build makes one exact exchange per
-        # pair and the minus build reads all 15 from the table, so
-        # _exchange runs 15 times.  Every BFS step takes the column step,
-        # and only a step to a new cluster the B step: each BFS calls
-        # frame_mutate once for each of the m−1 = 13 clusters it keeps.  The
-        # tau walk advances (m−1)+n = 16 frames and reads its variables from
-        # the plus build.  So frame_mutate, and mutate_matrix inside it, run
-        # 2·13 + 16 = 42 times; a replay of any witness path from the root,
-        # or a B step for a cluster already stored, would add more.
+        # crossing diagonals of a hexagon, C(6, 4)) and m·n/2 = 21 edges.
+        # The two BFS runs share one VariableTable: the plus build makes one
+        # exact exchange per pair and the minus build reads all 15 from the
+        # table, so _exchange runs 15 times.  Each BFS steps across each
+        # edge once, from the end it reaches first, and takes the column
+        # step there: 21 per build.  Only a step to a new cluster takes the
+        # B step: each BFS calls frame_mutate once for each of the m−1 = 13
+        # clusters it keeps.  The tau walk advances (m−1)+n = 16 frames,
+        # each a column step and a B step, and reads its variables from the
+        # plus build.  So mutate_columns runs 2·21 + 16 = 58 times, and
+        # frame_mutate, and mutate_matrix inside it, 2·13 + 16 = 42 times; a
+        # step back across an edge, a replay of any witness path from the
+        # root, or a B step for a cluster already stored would add more.
         calls = self.count_exchanges(capsys, monkeypatch, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
-        assert calls == {"_exchange": 15, "frame_mutate": 42, "mutate_matrix": 42}
+        assert calls == {"_exchange": 15, "frame_mutate": 42, "mutate_columns": 58, "mutate_matrix": 42}
 
     def test_verify_all_e6_exact_exchanges(self, capsys, monkeypatch):
-        # E6 has m = 833 clusters and 385 exchange pairs: one exact exchange
-        # each, all made by the plus build, none by the minus build or the
-        # tau walk.  The B steps are 832 kept frames per build and the
-        # (m−1)+n = 838 frames of the tau walk: 2·832 + 838 = 2,502.
+        # E6 has m = 833 clusters, m·n/2 = 2,499 edges and 385 exchange
+        # pairs: one exact exchange each, all made by the plus build, none
+        # by the minus build or the tau walk.  The column steps are one per
+        # edge per build and the (m−1)+n = 838 frames of the tau walk:
+        # 2·2,499 + 838 = 5,836.  The B steps are 832 kept frames per build
+        # and the 838 of the tau walk: 2·832 + 838 = 2,502.
         calls = self.count_exchanges(capsys, monkeypatch, "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
-        assert (calls["_exchange"], calls["mutate_matrix"]) == (385, 2502)
+        assert (calls["_exchange"], calls["mutate_columns"], calls["mutate_matrix"]) == (385, 5836, 2502)
 
     @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
     def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):
@@ -244,6 +251,22 @@ class TestVerifyCommands:
         code, out, err = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 3 and out == ""
         assert err == "internal error: witness path (1,): C/G duality identity failed\n"
+
+    def test_a_non_cover_edge_in_a_build_is_an_internal_error(self, capsys, monkeypatch):
+        # No command reads a quiver from outside: a build whose Hasse quiver
+        # has an edge a -> c beside a -> b -> c is a fault in the program,
+        # so verify-lattice exits 3 and prints no report.
+        original = cambrian.cli.build_c_cluster_quiver
+
+        def with_shortcut(*args, **kwargs):
+            q = original(*args, **kwargs)
+            e, f = next((e, f) for e in q.edges for f in q.edges if e.dst == f.src)
+            return dataclasses.replace(q, edges=q.edges + (QuiverEdge(e.src, f.dst, None, None),))
+
+        monkeypatch.setattr(cambrian.cli, "build_c_cluster_quiver", with_shortcut)
+        code, out, err = run(capsys, "verify-lattice", "--type", "A", "--rank", "2", "--coxeter", "1,2")
+        assert code == 3 and out == ""
+        assert err == "internal error: edge 3->0 is not a cover (via 1)\n"
 
     def test_tau_c_failure_when_minus_cluster_missing(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
@@ -467,7 +490,7 @@ def test_coxeter_words_name_each_element_once(t, n):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("t,n", [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("F", 4), ("G", 2), ("E", 6)])
+@pytest.mark.parametrize("t,n", [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("F", 4), ("G", 2), ("E", 6), ("E", 7)])
 def test_verify_all_on_every_coxeter_element(t, n):
     spec = spec_of(t, n)
     for word in coxeter_words(spec):

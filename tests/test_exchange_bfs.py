@@ -3,6 +3,7 @@ polynomial-keyed Laurent BFS it replaced, the VariableTable that the builds
 of B and -B share, and the checks the BFS makes."""
 
 import dataclasses
+import re
 from functools import reduce
 from operator import or_
 
@@ -151,14 +152,17 @@ def _patch_frame_mutate(monkeypatch, corrupt):
 
 
 def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
-    # Mutating at k a frame whose path ends in k returns to a stored cluster,
-    # through the column step alone; swap two of the C-columns it returns so
-    # its (g, c) pairs no longer match the stored ones.
+    # A2 with c = 1,2 is a pentagon: the BFS stores the clusters at paths
+    # (1, 2) and (2, 1) as new ones, and the edge between them is the one
+    # it steps across to a stored cluster, through the column step alone.
+    # The other steps from depth 2 go back along tree edges, which the BFS
+    # skips.  Swap two of the C-columns of that step so its (g, c) pairs no
+    # longer match the stored ones.
     original = cambrian.quivers.mutate_columns
 
     def corrupted(frame, k):
         cs, gs = original(frame, k)
-        return ((cs[1], cs[0]) + cs[2:], gs) if frame.path[-1:] == (k,) else (cs, gs)
+        return ((cs[1], cs[0]) + cs[2:], gs) if len(frame.path) == 2 else (cs, gs)
 
     monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
     with pytest.raises(InternalError, match="reaches a stored cluster with other columns"):
@@ -189,19 +193,22 @@ def _patch_first_exchange(monkeypatch, wrong_variable):
 
 
 def test_g_vector_with_two_polynomials(monkeypatch):
-    # The first exchange returns 2 x_k'; the same g-vector later meets x_k'.
+    # The first exchange returns 2 x_1'; the exchange at path (1, 2) takes it
+    # into a wrong variable, and the right one meets its g-vector at (2, 1).
     def doubled(xk, x):
         return dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
 
     _patch_first_exchange(monkeypatch, doubled)
-    with pytest.raises(InternalError, match="belongs to two cluster variables"):
+    message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
+    with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
 
 
 def test_polynomial_with_two_g_vectors(monkeypatch):
     # The first exchange returns x_k itself, under the g-vector of x_k'.
     _patch_first_exchange(monkeypatch, lambda xk, x: xk)
-    with pytest.raises(InternalError, match="two g-vectors"):
+    message = "witness path (1,): a cluster variable has two g-vectors, (1, 0, 0) and (-1, 1, 0)"
+    with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cambrian.errors import InputError
+from cambrian.errors import InputError, InternalError
 from cambrian.lattice import (
     FinitePoset,
     poset_from_hasse,
@@ -57,11 +57,11 @@ class TestPosetFromHasse:
         assert leq(p, 3, 1) and leq(p, 1, 0)
 
     def test_cycle_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InternalError, match="directed cycle"):
             poset_from_hasse(quiver(2, [(0, 1), (1, 0)]))
 
     def test_non_cover_edge_rejected(self):
-        with pytest.raises(InputError, match=r"edge 0->2 is not a cover \(via 1\)"):
+        with pytest.raises(InternalError, match=r"edge 0->2 is not a cover \(via 1\)"):
             poset_from_hasse(quiver(3, [(0, 1), (1, 2), (0, 2)]))
 
 
@@ -214,6 +214,11 @@ class TestVerifyQuiverMap:
         q = ccluster_of("A", 2, (2, 1))
         rep = verify_quiver_map(q, q, tuple(range(q.n_vertices)), "anti")
         assert not rep.ok
+
+    def test_short_vertex_map(self):
+        q = ccluster_of("A", 2, (2, 1))
+        with pytest.raises(InternalError, match="vertex map does not cover the source quiver"):
+            verify_quiver_map(q, q, tuple(range(q.n_vertices - 1)), "iso")
 
     def test_invalid_mode(self):
         q = ccluster_of("A", 2, (2, 1))

@@ -288,7 +288,8 @@ class TestArrowFlip:
         bad = tuple(-x for x in p.c_vectors[j])
         tampered = dataclasses.replace(p, c_vectors=p.c_vectors[:j] + (bad,) + p.c_vectors[j + 1:])
         rep = check_arrow_flip(qp, dataclasses.replace(qm, vertices=qm.vertices[:v] + (tampered,) + qm.vertices[v + 1:]))
-        assert (rep.ok, rep.details, rep.counterexample) == (False, ("initial variable with negative c-vector",), str(bad))
+        where = f"vertex {v} of -B^c, witness path {p.witness_path}: {bad}"
+        assert (rep.ok, rep.details, rep.counterexample) == (False, ("initial variable with negative c-vector",), where)
 
     def test_a3_flip_count_is_positive_pairs(self):
         for order in itertools.permutations((1, 2, 3)):
