@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError
+from .errors import InternalError
 from .quivers import CheckReport, ClusterQuiver
 
 
@@ -87,9 +87,10 @@ def verify_lattice(p: FinitePoset) -> CheckReport:
 
 
 def verify_quiver_map(q1: ClusterQuiver, q2: ClusterQuiver, vertex_map: tuple[int, ...], mode: str) -> CheckReport:
-    """Certify vertex_map as a quiver isomorphism (iso) or anti-isomorphism."""
+    """Certify vertex_map as a quiver isomorphism (iso) or anti-isomorphism
+    (anti).  No command chooses the mode, so another raises InternalError."""
     if mode not in ("iso", "anti"):
-        raise InputError(f"mode must be 'iso' or 'anti', got {mode!r}")
+        raise InternalError(f"mode must be 'iso' or 'anti', got {mode!r}")
     name = f"quiver-{mode}"
     if len(vertex_map) != q1.n_vertices:
         raise InternalError("vertex map does not cover the source quiver")

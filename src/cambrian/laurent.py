@@ -22,7 +22,7 @@ from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .errors import InputError, InternalError
-from .mutation import ExchangeMatrix, MatrixFrame, frame_mutate, identity_frame
+from .mutation import ExchangeMatrix, MatrixFrame, identity_frame, mutate_columns
 from .rootsys import CartanSpec, CoxeterElement, Root, is_almost_positive
 
 Exponent = tuple[int, ...]
@@ -255,7 +255,7 @@ class LabeledSeed:
 
     @property
     def rank(self) -> int:
-        return self.frame.b.rank
+        return len(self.vars)
 
     @property
     def mode(self) -> str:
@@ -284,17 +284,12 @@ def _y_monomial(n: int, exps: Exponent) -> LaurentPolynomial:
 
 def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
     """Seed mutation in direction k (1-based), advancing the frame alongside;
-    the seed's own coefficient mode decides the exchange relation."""
-    n = s.rank
-    if not 1 <= k <= n:
-        raise InputError(f"mutation direction {k} out of range 1..{n}")
-    k0 = k - 1
-    b = s.frame.b.entries
-    pos = [(s.vars[i], b[i][k0]) for i in range(n) if b[i][k0] > 0]
-    neg = [(s.vars[i], -b[i][k0]) for i in range(n) if b[i][k0] < 0]
-
-    new_frame = frame_mutate(s.frame, k)
-
+    the seed's own coefficient mode decides the exchange relation.  Column k
+    of B is the column step's, and row k follows from it: s_k b_kj = -s_j b_jk."""
+    n, k0, sym = s.rank, k - 1, s.frame.skew_symmetrizer
+    column, new_frame = mutate_columns(s.frame, k)  # raises InputError for k out of range
+    pos = [(s.vars[i], b) for i, b in enumerate(column) if b > 0]
+    neg = [(s.vars[i], -b) for i, b in enumerate(column) if b < 0]
     if s.mode == "trivial":
         new_xk = _exchange(pos, neg, s.vars[k0])
         new_coeffs = None
@@ -308,7 +303,7 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
             if j == k0:
                 new_list.append(yk.inverse())
             else:
-                bkj = b[k0][j]
+                bkj = -sym[j] * column[j] // sym[k0]
                 yj = s.coeffs[j] * yk ** max(bkj, 0) * (yk.oplus_one() ** (-bkj))
                 new_list.append(yj)
         new_coeffs = tuple(new_list)

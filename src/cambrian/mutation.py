@@ -1,15 +1,15 @@
 """Skew-symmetrizable matrix mutation and tracked C-/G-matrix frames.
 
-A MatrixFrame carries the exchange matrix with the c-vectors and g-vectors of
-its positions relative to the frame's root vertex, each a column tuple in
-position order; no other module knows this layout.  A mutation step is a
-column step (mutate_columns), which checks only the sign of the c-vector it
-mutates at, and a B step; the exchange BFS takes the B step (frame_mutate,
-handed the columns) only for a frame it keeps.  check_frame asserts that SB
-is skew-symmetric, sign coherence of every c-vector and the duality
-G^T * S * C = S, which implies unimodularity, on a kept frame, once each:
-each frame the exchange BFS stores (the verify-signs report is these
-assertions) and each frame of the tau-C check's tau walk.
+A MatrixFrame holds the c-vectors and g-vectors of its positions relative to
+its root vertex, column tuples in position order that no other module reads
+by layout, and no exchange matrix: G_t B_t = B_0 C_t (Nakanishi-Zelevinsky,
+Contemp. Math. 565) and G_t^T S C_t = S give S B_t = C_t^T (S B_0) C_t, so
+the frames of a build share one S B_0 and S.  The one mutation step,
+mutate_columns, reads column k of B_t off C_t and makes the next frame.  check_frame asserts sign
+coherence and the duality G^T S C = S, which implies unimodularity, once per
+frame the exchange BFS stores (the verify-signs report is these assertions)
+and per frame of the tau-C check's tau walk.  mutate_matrix is the tests'
+reference for the derived B.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def _det(m: Matrix) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def _sb_is_skew(m: ExchangeMatrix) -> bool:
-    b, s = m.entries, m.skew_symmetrizer
-    return all(s[i] * x == -s[j] * b[j][i] for i, row in enumerate(b) for j, x in enumerate(row))
-
-
 @dataclass(frozen=True)
 class ExchangeMatrix:
     entries: Matrix
@@ -58,7 +53,8 @@ class ExchangeMatrix:
         s = self.skew_symmetrizer
         if len(s) != len(self.entries) or any(x <= 0 for x in s):
             raise InputError("skew-symmetrizer must consist of n positive integers")
-        if not _sb_is_skew(self):
+        b = self.entries
+        if any(s[i] * x != -s[j] * b[j][i] for i, row in enumerate(b) for j, x in enumerate(row)):
             raise InputError("SB is not skew-symmetric")
 
     @property
@@ -116,13 +112,15 @@ def mutate_matrix(m: Matrix, k: int) -> Matrix:
 
 @dataclass(frozen=True)
 class MatrixFrame:
-    """Exchange matrix, the c-vector and g-vector of each position (column
-    tuples in position order) and the mutation path from the root."""
+    """The c-vector and g-vector of each position (column tuples in position
+    order), the mutation path from the root, and S B_0 and S, the same
+    objects for every frame of a build."""
 
-    b: ExchangeMatrix
     c_vectors: tuple[tuple[int, ...], ...]
     g_vectors: tuple[tuple[int, ...], ...]
     path: tuple[int, ...]
+    sb0: Matrix
+    skew_symmetrizer: tuple[int, ...]
 
     def c_column(self, k: int) -> tuple[int, ...]:
         return self.c_vectors[k - 1]
@@ -132,8 +130,8 @@ class MatrixFrame:
 
 
 def identity_frame(b: ExchangeMatrix) -> MatrixFrame:
-    eye = _identity(b.rank)
-    return MatrixFrame(b, eye, eye, ())
+    eye, s = _identity(b.rank), b.skew_symmetrizer
+    return MatrixFrame(eye, eye, (), tuple(tuple(si * x for x in row) for si, row in zip(s, b.entries)), s)
 
 
 def column_sign(col: tuple[int, ...]) -> int:
@@ -149,7 +147,7 @@ def column_sign(col: tuple[int, ...]) -> int:
 def check_duality(frame: MatrixFrame) -> None:
     """Verify (G^T)^-1 = S C S^-1, in the integral form G^T S C = S: entry
     (i, j) is the S-weighted dot product of g_i and c_j."""
-    s = frame.b.skew_symmetrizer
+    s = frame.skew_symmetrizer
     for i, g in enumerate(frame.g_vectors):
         gs = tuple(map(mul, g, s))
         for j, c in enumerate(frame.c_vectors):
@@ -157,37 +155,35 @@ def check_duality(frame: MatrixFrame) -> None:
                 raise InternalError("C/G duality identity failed")
 
 
-def mutate_columns(frame: MatrixFrame, k: int) -> tuple[Matrix, Matrix]:
-    """The c- and g-vectors of frame_mutate(frame, k), in O(n^2) and without
-    B.  Only c_k is checked for sign coherence, since the step needs its sign."""
-    b = frame.b.entries
-    k0 = k - 1
-    ck = frame.c_vectors[k0]
-    eps = column_sign(ck)
-    # c'_k = -c_k and c'_j = c_j + [eps * b_kj]_+ c_k.
-    cs = list(frame.c_vectors)
-    for j, a in enumerate(b[k0]):
-        if eps * a > 0:
-            cs[j] = tuple(x + eps * a * y for x, y in zip(cs[j], ck))
-    cs[k0] = tuple(-x for x in ck)
-    # Only g_k changes: g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j.
-    gk = tuple(-x for x in frame.g_vectors[k0])
-    for row, g in zip(b, frame.g_vectors):
-        if eps * row[k0] < 0:
-            gk = tuple(x - eps * row[k0] * y for x, y in zip(gk, g))
-    return tuple(cs), frame.g_vectors[:k0] + (gk,) + frame.g_vectors[k:]
+def mutate_columns(frame: MatrixFrame, k: int) -> tuple[tuple[int, ...], MatrixFrame]:
+    """Column k (1-based) of the frame's B_t and the frame one mutation in
+    direction k away, in O(n^2).  With v = S B_0 c_k, w_j = c_j . v =
+    s_j b_jk = -s_k b_kj, and both updates fire where eps * w_j < 0 (eps the
+    sign of c_k, the one c-vector checked); a w_j not in s_j Z and s_k Z is
+    an InternalError naming the witness path."""
+    k0, cs, gs, s = k - 1, frame.c_vectors, frame.g_vectors, frame.skew_symmetrizer
+    if not 0 <= k0 < len(cs):
+        raise InputError(f"mutation direction {k} out of range 1..{len(cs)}")
+    ck, sk, eps = cs[k0], s[k0], column_sign(cs[k0])
+    v = [sum(map(mul, row, ck)) for row in frame.sb0]
+    column, new_cs, gk = [], list(cs), [-x for x in gs[k0]]
+    for j, (cj, gj, sj) in enumerate(zip(cs, gs, s)):
+        w = sum(map(mul, cj, v))
+        if w % sj or w % sk:
+            raise InternalError(f"witness path {frame.path}: S^-1 C^T S B_0 C is not integral at ({j + 1}, {k})")
+        column.append(w // sj)
+        if eps * w < 0:
+            # c'_j = c_j + [eps * b_kj]_+ c_k and g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j.
+            new_cs[j] = tuple(x - eps * w // sk * y for x, y in zip(cj, ck))
+            gk = [x - eps * w // sj * y for x, y in zip(gk, gj)]
+    new_cs[k0] = tuple(-x for x in ck)
+    return tuple(column), MatrixFrame(tuple(new_cs), gs[:k0] + (tuple(gk),) + gs[k:], frame.path + (k,), frame.sb0, s)
 
 
-def frame_mutate(frame: MatrixFrame, k: int, columns: tuple[Matrix, Matrix] | None = None) -> MatrixFrame:
-    """Advance B, C and G by one mutation in direction k (1-based), in O(n^2):
-    the B step and the column step, whose result the caller may pass as
-    columns.  check_frame asserts the invariants of a frame that is kept."""
-    new_b = mutate_matrix(frame.b.entries, k)  # raises InputError for k out of range
-    # Mutation keeps SB skew-symmetric: skip __post_init__ (check_frame asserts it).
-    new = object.__new__(ExchangeMatrix)
-    object.__setattr__(new, "entries", new_b)
-    object.__setattr__(new, "skew_symmetrizer", frame.b.skew_symmetrizer)
-    return MatrixFrame(new, *(columns or mutate_columns(frame, k)), frame.path + (k,))
+def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
+    """The frame one mutation in direction k (1-based) away, by the column
+    step; check_frame asserts the invariants of a frame that is kept."""
+    return mutate_columns(frame, k)[1]
 
 
 def frame_is_unimodular(frame: MatrixFrame) -> bool:
@@ -195,13 +191,11 @@ def frame_is_unimodular(frame: MatrixFrame) -> bool:
 
 
 def check_frame(frame: MatrixFrame) -> None:
-    """Assert that SB is skew-symmetric, sign coherence of every C-column,
-    C/G duality and with it unimodularity: G^T S C = S for integer G and C
-    gives det G * det C = 1, so det C = +-1 with no determinant taken.  Each
-    InternalError names the frame's witness path."""
+    """Assert sign coherence of every C-column, C/G duality and with it
+    unimodularity: G^T S C = S for integer G and C gives det G * det C = 1,
+    so det C = +-1 with no determinant taken.  S B_t = C^T (S B_0) C is
+    skew-symmetric by construction.  Each InternalError names the path."""
     try:
-        if not _sb_is_skew(frame.b):
-            raise InternalError("SB is not skew-symmetric")
         for c in frame.c_vectors:
             column_sign(c)
         check_duality(frame)

@@ -97,7 +97,7 @@ class VariableTable:
         self.ids = {x: i for i, x in enumerate(self.polys)}
         self.relations: dict[tuple, int] = {}
 
-    def exchange(self, ids: tuple[int, ...], column: list[int], k0: int) -> int:
+    def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int) -> int:
         """The id of x_k' for the seed with variable ids and column k0 of its
         B.  A relation not in the memo is one exact division (_exchange), kept
         from both ends: exchanging x_k' in the mutated seed gives x_k back."""
@@ -126,19 +126,21 @@ def build_exchange_quiver(
     Arrows are green mutations: the edge points away from the cluster in which
     the exchanged variable's c-vector is non-negative.
 
-    The BFS moves integer B/C/G frames and keys a cluster by the bitmask of
+    The BFS moves integer C/G frames and keys a cluster by the bitmask of
     its variables' ids in table (a fresh VariableTable when None), which
     makes each exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod
     x_i^[-b_ik]_+ once per relation for all the builds that share it.
     InternalError is raised if g-vectors and ids are not in bijection within
     the build.  Any n - 1 variables of a cluster lie in exactly two clusters
     (Fomin-Zelevinsky, Invent. Math. 154), so an edge is keyed by the mask of
-    this facet and mutated across once, from the end reached first: column
-    step (mutate_columns), then to a new cluster the B step (frame_mutate)
-    and a frame that passes check_frame, or to a stored cluster a column match.
+    this facet and mutated across once, from the end reached first: one
+    column step (mutate_columns) gives column k of B for the exchange and
+    the next frame, which a new cluster stores (it must pass check_frame)
+    and a stored cluster's frame must match.  No command chooses sign: a bad one is an
+    InternalError.
     """
     if sign not in ("plus", "minus"):
-        raise InputError(f"sign must be 'plus' or 'minus', got {sign!r}")
+        raise InternalError(f"sign must be 'plus' or 'minus', got {sign!r}")
     b = build_bc(spec, c)
     if sign == "minus":
         b = b.negated()
@@ -167,18 +169,19 @@ def build_exchange_quiver(
             k0, facet = k - 1, mask ^ 1 << ids[k - 1]
             if facet in edge_map:
                 continue
-            new_id = table.exchange(ids, [row[k0] for row in frame.b.entries], k0)
-            cs, gs = mutate_columns(frame, k)
-            bind(gs[k0], new_id, frame.path + (k,))
+            column, new = mutate_columns(frame, k)
+            new_id = table.exchange(ids, column, k0)
+            bind(new.g_vectors[k0], new_id, new.path)
             mkey = facet | 1 << new_id
             if mkey not in frames:
                 if len(frames) >= vertex_cap:
                     raise InputError("vertex cap exceeded: not finite type or bad input")
-                frames[mkey] = kept = frame_mutate(frame, k, (cs, gs))
-                check_frame(kept)
-                queue.append((mkey, kept))
-            elif frozenset(zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)) != frozenset(zip(gs, cs, sym)):
-                raise InternalError(f"mutation path {frame.path + (k,)} reaches a stored cluster with other columns")
+                frames[mkey] = new
+                check_frame(new)
+                queue.append((mkey, new))
+            elif ({*zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)}
+                  != {*zip(new.g_vectors, new.c_vectors, sym)}):
+                raise InternalError(f"mutation path {new.path} reaches a stored cluster with other columns")
             green = column_sign(frame.c_vectors[k0]) > 0
             edge_map[facet] = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
 
@@ -354,8 +357,9 @@ def psi_vertex_map(
 def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     """Compare arrow directions of the exchange quivers qp of B^c and qm of -B^c.
 
-    Edges whose exchanged variables are both non-initial must flip; edges
-    touching an initial variable must keep their direction.  Also checks that
+    The two edge sets must have the same size and facets.  Edges whose
+    exchanged variables are both non-initial must flip; edges touching an
+    initial variable must keep their direction.  Also checks that
     every mutation removing an initial variable is green in both quivers.
     Clusters are compared by mask and edges by facet, the mask of the
     variables both ends share: qp and qm share a VariableTable, or have a
@@ -374,9 +378,10 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     for e in qm.edges:
         sk, dk = qm.vertices[e.src].mask, qm.vertices[e.dst].mask
         minus_edges[sk & dk] = (sk, dk)
-    flipped = 0
+    flipped, plus_facets = 0, set()
     for e in qp.edges:
         sk, dk = qp.vertices[e.src].mask, qp.vertices[e.dst].mask
+        plus_facets.add(sk & dk)
         pair = minus_edges.get(sk & dk)
         if pair not in ((sk, dk), (dk, sk)):
             return fail("edge sets differ", f"edge {e.src} -> {e.dst} of B^c")
@@ -384,6 +389,8 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
         if bool((sk ^ dk) & initial) != same_direction:
             return fail("edge direction contradicts the flip rule", f"edge {e.src} -> {e.dst} of B^c")
         flipped += not same_direction
+    if len(qp.edges) != len(qm.edges) or plus_facets != minus_edges.keys():
+        return fail("edge sets differ", f"{len(qp.edges)} edges of B^c, {len(qm.edges)} of -B^c")
     # Green-initial: a cluster containing an initial variable always has a
     # non-negative c-vector at that variable.
     for name, q in (("B^c", qp), ("-B^c", qm)):

@@ -14,7 +14,7 @@ from cambrian.laurent import (
     poly_str,
     theta,
 )
-from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate, mutate_matrix
+from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate, mutate_columns, mutate_matrix
 from cambrian.quivers import (
     ClusterQuiver,
     ClusterVertexPayload,
@@ -257,6 +257,19 @@ def row_major_frame_mutate(b, c, g, k):
     return ext[:n], ext[n:], new_g
 
 
+def derived_b(frame):
+    """The frame's B_t, row-major, column k read off the column step at k."""
+    return tuple(zip(*(mutate_columns(frame, k)[0] for k in range(1, len(frame.c_vectors) + 1))))
+
+
+def b_along_path(b, path):
+    """mutate_matrix applied to the row-major matrix b along path: the
+    reference for the B_t that a frame reached by path derives."""
+    for k in path:
+        b = mutate_matrix(b, k)
+    return b
+
+
 def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
     """The exchange BFS on full Laurent seeds, a cluster keyed by its set of
     polynomials, each edge mutated from both ends: the oracle for the
@@ -334,8 +347,7 @@ def g_vector_exchange_key(frame, k):
     g-vector: within one exchange quiver the exchange relation at k is a
     function of this key, which needs no VariableTable."""
     gs = frame.g_vectors
-    column = (row[k - 1] for row in frame.b.entries)
-    return gs[k - 1], frozenset((g, bik) for g, bik in zip(gs, column) if bik)
+    return gs[k - 1], frozenset((g, bik) for g, bik in zip(gs, mutate_columns(frame, k)[0]) if bik)
 
 
 def assert_exchange_relations(q):
@@ -357,8 +369,7 @@ def assert_exchange_relations(q):
             mutated = frame_mutate(frame, k)
             seen.update((key, g_vector_exchange_key(mutated, k)))
             pos, neg = one, one
-            for x, row in zip(xs, frame.b.entries):
-                bik = row[k - 1]
+            for x, bik in zip(xs, mutate_columns(frame, k)[0]):
                 if bik > 0:
                     pos = pos * x ** bik
                 elif bik < 0:

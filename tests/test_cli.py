@@ -177,8 +177,8 @@ class TestVerifyCommands:
     @staticmethod
     def count_exchanges(capsys, monkeypatch, *argv):
         """Exact exchanges (_exchange), frame_mutate, column steps
-        (mutate_columns) and B steps (mutate_matrix) of one passing
-        verify-all."""
+        (mutate_columns) and B steps (mutate_matrix, which no command
+        calls) of one passing verify-all."""
         calls = {"_exchange": 0, "frame_mutate": 0, "mutate_columns": 0, "mutate_matrix": 0}
         for original in (_exchange, frame_mutate, mutate_columns, mutate_matrix):
 
@@ -200,26 +200,26 @@ class TestVerifyCommands:
         # exact exchange per pair and the minus build reads all 15 from the
         # table, so _exchange runs 15 times.  Each BFS steps across each
         # edge once, from the end it reaches first, and takes the column
-        # step there: 21 per build.  Only a step to a new cluster takes the
-        # B step: each BFS calls frame_mutate once for each of the m−1 = 13
-        # clusters it keeps.  The tau walk advances (m−1)+n = 16 frames,
-        # each a column step and a B step, and reads its variables from the
-        # plus build.  So mutate_columns runs 2·21 + 16 = 58 times, and
-        # frame_mutate, and mutate_matrix inside it, 2·13 + 16 = 42 times; a
-        # step back across an edge, a replay of any witness path from the
-        # root, or a B step for a cluster already stored would add more.
+        # step there: 21 per build.  That step gives column k of B and the
+        # next frame, so a new cluster's frame costs nothing more and no
+        # frame takes a B step: mutate_matrix runs 0 times.  The tau walk
+        # advances (m−1)+n = 16 frames by frame_mutate, one column step
+        # each, and reads its variables from the plus build.  So
+        # mutate_columns runs 2·21 + 16 = 58 times and frame_mutate 16; a
+        # step back across an edge or a replay of any witness path from the
+        # root would add more.
         calls = self.count_exchanges(capsys, monkeypatch, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
-        assert calls == {"_exchange": 15, "frame_mutate": 42, "mutate_columns": 58, "mutate_matrix": 42}
+        assert calls == {"_exchange": 15, "frame_mutate": 16, "mutate_columns": 58, "mutate_matrix": 0}
 
     def test_verify_all_e6_exact_exchanges(self, capsys, monkeypatch):
         # E6 has m = 833 clusters, m·n/2 = 2,499 edges and 385 exchange
         # pairs: one exact exchange each, all made by the plus build, none
         # by the minus build or the tau walk.  The column steps are one per
         # edge per build and the (m−1)+n = 838 frames of the tau walk:
-        # 2·2,499 + 838 = 5,836.  The B steps are 832 kept frames per build
-        # and the 838 of the tau walk: 2·832 + 838 = 2,502.
+        # 2·2,499 + 838 = 5,836.  No frame holds B, so no step mutates it:
+        # mutate_matrix runs 0 times.
         calls = self.count_exchanges(capsys, monkeypatch, "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
-        assert (calls["_exchange"], calls["mutate_columns"], calls["mutate_matrix"]) == (385, 5836, 2502)
+        assert (calls["_exchange"], calls["mutate_columns"], calls["mutate_matrix"]) == (385, 5836, 0)
 
     @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
     def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):
@@ -235,19 +235,19 @@ class TestVerifyCommands:
         assert len(calls) == per_cluster * 14
 
     def test_build_raises_on_a_bad_stored_frame(self, capsys, monkeypatch):
-        # Negate one C-column entry of each frame the BFS keeps.  check_frame
-        # fails on the first one, the plus build's mutation at 1, as it is
-        # stored, before a later step can trip over it, so the command exits
-        # 3 with the duality error naming that frame's witness path and
-        # prints no report.
-        original = cambrian.quivers.frame_mutate
+        # Negate one C-column entry of each column step the BFS takes.
+        # check_frame fails on the first frame it keeps, the plus build's
+        # mutation at 1, as it is stored, before a later step can trip over
+        # it, so the command exits 3 with the duality error naming that
+        # frame's witness path and prints no report.
+        original = cambrian.quivers.mutate_columns
 
-        def corrupted(frame, k, columns=None):
-            good = original(frame, k, columns)
-            first, *rest = good.c_vectors
-            return dataclasses.replace(good, c_vectors=((-first[0],) + first[1:], *rest))
+        def corrupted(frame, k):
+            column, new = original(frame, k)
+            first, *rest = new.c_vectors
+            return column, dataclasses.replace(new, c_vectors=((-first[0],) + first[1:], *rest))
 
-        monkeypatch.setattr(cambrian.quivers, "frame_mutate", corrupted)
+        monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
         code, out, err = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 3 and out == ""
         assert err == "internal error: witness path (1,): C/G duality identity failed\n"
@@ -472,6 +472,27 @@ def test_networkx_is_not_loaded():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
     assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_e8_verify_signs_peak_rss():
+    # The two E8 exchange builds store 2 × 25,080 frames; a frame holds no
+    # B.  The child reads its own high-water RSS (VmHWM) after main
+    # returns; its ru_maxrss can carry the high-water RSS of the pytest
+    # process, from before the exec that started the child.
+    script = (
+        "import contextlib, io\n"
+        "import cambrian.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cambrian.cli.main(['verify-signs', '--type', 'E', '--rank', '8', '--coxeter', '1,2,3,4,5,6,7,8'])\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(code, next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
+    code, hwm_kb = proc.stdout.split()
+    assert code == "0"
+    assert int(hwm_kb) / 1024 < 190
 
 
 @pytest.mark.parametrize("t,n", RANK_LE_4)

@@ -11,18 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cambrian.laurent
 import cambrian.quivers
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
 from cambrian.laurent import initial_seed, mutate_seed
-from cambrian.mutation import build_bc
+from cambrian.mutation import build_bc, mutate_columns
 from cambrian.quivers import VariableTable, build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement
 
 from conftest import (
     RANK_LE_4,
+    TEST_MATRIX,
     assert_exchange_relations,
+    b_along_path,
     ccluster_of,
     exchange_of,
     polynomial_keyed_exchange_quiver,
@@ -141,16 +142,6 @@ def test_e8_exchange_build():
     assert (q.n_vertices, len(q.edges)) == (25080, 100320)
 
 
-def _patch_frame_mutate(monkeypatch, corrupt):
-    original = cambrian.quivers.frame_mutate
-
-    def patched(frame, k, *columns):
-        return corrupt(original(frame, k, *columns))
-
-    for module in (cambrian.quivers, cambrian.laurent):
-        monkeypatch.setattr(module, "frame_mutate", patched)
-
-
 def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
     # A2 with c = 1,2 is a pentagon: the BFS stores the clusters at paths
     # (1, 2) and (2, 1) as new ones, and the edge between them is the one
@@ -161,8 +152,9 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
     original = cambrian.quivers.mutate_columns
 
     def corrupted(frame, k):
-        cs, gs = original(frame, k)
-        return ((cs[1], cs[0]) + cs[2:], gs) if len(frame.path) == 2 else (cs, gs)
+        column, new = original(frame, k)
+        cs = new.c_vectors
+        return column, dataclasses.replace(new, c_vectors=(cs[1], cs[0]) + cs[2:]) if len(frame.path) == 2 else new
 
     monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
     with pytest.raises(InternalError, match="reaches a stored cluster with other columns"):
@@ -171,12 +163,32 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
 
 def test_stored_frames_are_checked(monkeypatch):
     # A G-matrix off by a sign breaks duality on the first stored frame.
-    def corrupt(frame):
-        return dataclasses.replace(frame, g_vectors=tuple(tuple(-x for x in g) for g in frame.g_vectors))
+    original = cambrian.quivers.mutate_columns
 
-    _patch_frame_mutate(monkeypatch, corrupt)
+    def corrupted(frame, k):
+        column, new = original(frame, k)
+        return column, dataclasses.replace(new, g_vectors=tuple(tuple(-x for x in g) for g in new.g_vectors))
+
+    monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
     with pytest.raises(InternalError, match="duality"):
         build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
+
+
+@pytest.mark.parametrize("t,n,order", TEST_MATRIX)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_stored_frames_derive_the_mutated_b(t, n, order, sign):
+    # A frame holds no B: column k of B_t is the column step's, and row k
+    # follows from it by s_k b_kj = -s_j b_jk.  Both must equal B^c (or
+    # -B^c) mutated along the witness path by mutate_matrix.
+    b = build_bc(spec_of(t, n), CoxeterElement(order))
+    b = b.negated() if sign == "minus" else b
+    s = b.skew_symmetrizer
+    for payload in exchange_of(t, n, order, sign).vertices:
+        want = b_along_path(b.entries, payload.witness_path)
+        for k0 in range(n):
+            column = mutate_columns(payload.frame, k0 + 1)[0]
+            assert column == tuple(row[k0] for row in want), (payload.witness_path, k0 + 1)
+            assert tuple(-s[j] * x for j, x in enumerate(column)) == tuple(s[k0] * x for x in want[k0])
 
 
 def _patch_first_exchange(monkeypatch, wrong_variable):
@@ -219,8 +231,8 @@ def test_exchange_key_keeps_b():
     # must not read the second from the memo of the first.
     spec = spec_of("A", 3)
     seeds = [initial_seed(build_bc(spec, CoxeterElement(order))) for order in ((1, 2, 3), (1, 3, 2))]
-    columns = [[row[1] for row in s.frame.b.entries] for s in seeds]
-    assert columns == [[1, 0, -1], [1, 0, 1]]
+    columns = [mutate_columns(s.frame, 2)[0] for s in seeds]
+    assert columns == [(1, 0, -1), (1, 0, 1)]
     table = VariableTable(3)
     new = [table.exchange((0, 1, 2), column, 1) for column in columns]
     assert new == [3, 4]
@@ -239,13 +251,15 @@ def test_relation_key_is_unchanged_when_b_is_negated(case, data):
     b = build_bc(spec_of(t, n), c)
     b = b.negated() if sign == "minus" else b
     seeds = [initial_seed(b), initial_seed(b.negated())]
-    for k in data.draw(st.lists(st.integers(1, n), max_size=6)):
+    path = data.draw(st.lists(st.integers(1, n), max_size=6))
+    for k in path:
         seeds = [mutate_seed(seed, k) for seed in seeds]
     assert seeds[0].vars == seeds[1].vars
-    ids = tuple(range(n))
+    ids, b_t = tuple(range(n)), b_along_path(b.entries, path)
     for k in range(1, n + 1):
-        columns = [[row[k - 1] for row in seed.frame.b.entries] for seed in seeds]
-        assert columns[1] == [-x for x in columns[0]]
+        columns = [mutate_columns(seed.frame, k)[0] for seed in seeds]
+        assert columns[0] == tuple(row[k - 1] for row in b_t)
+        assert columns[1] == tuple(-x for x in columns[0])
         table = VariableTable(n)
         new_id = table.exchange(ids, columns[0], k - 1)
         relations = dict(table.relations)

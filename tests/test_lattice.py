@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cambrian.errors import InputError, InternalError
+from cambrian.errors import InternalError
 from cambrian.lattice import (
     FinitePoset,
     poset_from_hasse,
@@ -221,8 +221,9 @@ class TestVerifyQuiverMap:
             verify_quiver_map(q, q, tuple(range(q.n_vertices - 1)), "iso")
 
     def test_invalid_mode(self):
+        # No command chooses the mode: a bad one is a fault in the program.
         q = ccluster_of("A", 2, (2, 1))
-        with pytest.raises(InputError):
+        with pytest.raises(InternalError, match="mode must be 'iso' or 'anti'"):
             verify_quiver_map(q, q, tuple(range(q.n_vertices)), "dual")
 
 

@@ -132,7 +132,8 @@ class TestExchangeA2:
             build_exchange_quiver(A2, C21, vertex_cap=3)
 
     def test_bad_sign(self):
-        with pytest.raises(InputError):
+        # No command chooses the sign: a bad one is a fault in the program.
+        with pytest.raises(InternalError, match="sign must be 'plus' or 'minus'"):
             build_exchange_quiver(A2, C21, sign="negative")
 
 
@@ -271,6 +272,20 @@ class TestArrowFlip:
         f = self.plus_edge(qp, qm, qm.edges[0])
         rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=qm.edges[1:]))
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), f"edge {f.src} -> {f.dst} of B^c")
+
+    def test_fails_on_an_extra_edge_of_minus(self):
+        # Every edge of B^c is in -B^c, but -B^c has one more.
+        qp, qm = self.a3()
+        rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
+        assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), "21 edges of B^c, 22 of -B^c")
+
+    def test_fails_when_the_facet_sets_differ(self):
+        # 22 edges each, and every edge of B^c is in -B^c, but B^c repeats a
+        # facet where -B^c has one that B^c lacks.
+        qp, qm = self.a3()
+        rep = check_arrow_flip(dataclasses.replace(qp, edges=qp.edges + qp.edges[:1]),
+                               dataclasses.replace(qm, edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
+        assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), "22 edges of B^c, 22 of -B^c")
 
     def test_fails_when_an_edge_breaks_the_flip_rule(self):
         qp, qm = self.a3()
