@@ -20,7 +20,6 @@ from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
 from .laurent import LaurentPolynomial, denominator_vector, poly_hash, poly_str
 from .quivers import (
-    DEFAULT_VERTEX_CAP,
     CheckReport,
     ClusterQuiver,
     VariableTable,
@@ -33,12 +32,13 @@ from .quivers import (
     psi_vertex_map,
     theta_vertex_map,
 )
-from .rootsys import CartanSpec, CoxeterElement, cartan_matrix
+from .rootsys import CartanSpec, CoxeterElement, cartan_matrix, cluster_count
 from .sortables import build_cambrian_hasse, cambrian_vertex_map
 
 # Build command -> the Build attribute holding its quiver.
 BUILD_COMMANDS = {"exchange": "plus", "cclusters": "ccluster", "cambrian": "cambrian", "tautilt": "tautilt"}
 _BATCH = 32  # objects per write: bigger batches raise the peak RSS of a large quiver
+DEFAULT_VERTEX_CAP = 10**6
 
 
 class _Memo(dict):
@@ -176,35 +176,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 class Build:
     """The quivers of one (spec, c), built on first use and shared by every
-    check of a command; the exchange builds share a VariableTable.  cap (None
-    for the default) bounds every build and is checked here for every command."""
+    check of a command; the exchange builds share a VariableTable.  Each has
+    the clusters as vertices: more of them than cap (None: the default) is
+    invalid input, refused here before anything is built."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
         self.spec, self.c = spec, c
-        self.cap = DEFAULT_VERTEX_CAP if cap is None else cap
-        if self.cap < 1:
-            raise InputError(f"vertex cap must be at least 1, got {cap}")
+        cap, count = DEFAULT_VERTEX_CAP if cap is None else cap, cluster_count(spec)
+        if count > cap:
+            raise InputError(f"{spec.dynkin_type}{spec.rank} has {count} clusters, more than the vertex cap {cap}")
         self.table = VariableTable(spec.rank)
 
     @cached_property
     def plus(self) -> ClusterQuiver:
-        return build_exchange_quiver(self.spec, self.c, "plus", self.cap, self.table)
+        return build_exchange_quiver(self.spec, self.c, "plus", self.table)
 
     @cached_property
     def minus(self) -> ClusterQuiver:
-        return build_exchange_quiver(self.spec, self.c, "minus", self.cap, self.table)
+        return build_exchange_quiver(self.spec, self.c, "minus", self.table)
 
     @cached_property
     def ccluster(self) -> ClusterQuiver:
-        return build_c_cluster_quiver(self.spec, self.c, vertex_cap=self.cap)
+        return build_c_cluster_quiver(self.spec, self.c)
 
     @cached_property
     def tautilt(self) -> ClusterQuiver:
-        return build_tau_tilting_quiver(self.spec, self.c, vertex_cap=self.cap)
+        return build_tau_tilting_quiver(self.spec, self.c)
 
     @cached_property
     def cambrian(self) -> ClusterQuiver:
-        return build_cambrian_hasse(self.spec, self.c, vertex_cap=self.cap)
+        return build_cambrian_hasse(self.spec, self.c)
 
 
 def run_iso_checks(build: Build) -> list[CheckReport]:
@@ -280,8 +281,9 @@ def _report_json(reports: list[CheckReport]) -> str:
 
 
 def _open_output(path: str | None):
-    """The output stream, opened before anything is built so that an
-    unwritable --output path is invalid input, not a late failure."""
+    """The output stream, opened (and truncated) once the input, vertex cap
+    included, has passed every check and before anything is built: invalid
+    input leaves the file as it was, and an unwritable path is invalid input."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, mul
 
-from .errors import InputError, InternalError
+from .errors import InternalError
 from .laurent import LaurentPolynomial, _exchange, theta
 from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame, mutate_columns
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
-
-DEFAULT_VERTEX_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ def build_exchange_quiver(
     spec: CartanSpec,
     c: CoxeterElement,
     sign: str = "plus",
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
     table: VariableTable | None = None,
 ) -> ClusterQuiver:
     """BFS over non-labeled clusters of A(B^c) (or A(-B^c) for sign="minus").
@@ -174,8 +171,6 @@ def build_exchange_quiver(
             bind(new.g_vectors[k0], new_id, new.path)
             mkey = facet | 1 << new_id
             if mkey not in frames:
-                if len(frames) >= vertex_cap:
-                    raise InputError("vertex cap exceeded: not finite type or bad input")
                 frames[mkey] = new
                 check_frame(new)
                 queue.append((mkey, new))
@@ -215,14 +210,9 @@ def _facet_pairs(clusters):
         yield members
 
 
-def build_c_cluster_quiver(
-    spec: CartanSpec, c: CoxeterElement, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> ClusterQuiver:
-    """Quiver on c-clusters; arrows run from the larger-R_c exchanged root.
-    More than vertex_cap c-clusters raise InputError."""
+def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
+    """Quiver on c-clusters; arrows run from the larger-R_c exchanged root."""
     clusters = enumerate_c_clusters(spec, c)
-    if len(clusters) > vertex_cap:
-        raise InputError("vertex cap exceeded: not finite type or bad input")
     rdeg = {root: r_degree(spec, c, root) for root in set().union(*clusters)}
     edges = []
     for (i, a), (j, b) in _facet_pairs(clusters):
@@ -268,9 +258,7 @@ def euler_tables(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], 
     return tuple(torsion), tuple(compatible)
 
 
-def build_tau_tilting_quiver(
-    spec: CartanSpec, c: CoxeterElement, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> ClusterQuiver:
+def build_tau_tilting_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     """Support tau-tilting quiver of the path algebra of the Dynkin diagram
     with i -> j when s_i comes before s_j in c, from the Euler form <x, y> =
     sum_i d_i x_i y_i + sum_{i->j} d_i C_ij x_i y_j (d the symmetrizer).  The
@@ -286,15 +274,12 @@ def build_tau_tilting_quiver(
     B, C, F, G the form is that of the rank vectors of GLS tau-locally free
     modules (Geiss-Leclerc-Schroer, Invent. Math. 209); no Hom/Ext^1
     dichotomy for those is cited here, so there this is a combinatorial model
-    of the GLS side.  More than vertex_cap pairs raise InputError; a maximal
-    set of size other than n, a facet in other than two pairs or unnested
-    neighbouring torsion classes raise InternalError."""
+    of the GLS side.  A maximal set of size other than n, a facet in other than
+    two pairs or unnested neighbouring torsion classes raise InternalError."""
     roots, (torsion, compatible) = almost_positive_roots(spec), euler_tables(spec, c)
     full = (1 << len(positive_roots(spec))) - 1
     found = []
     for clique in maximal_compatible_sets(compatible, spec.rank):
-        if len(found) >= vertex_cap:
-            raise InputError("vertex cap exceeded: not finite type or bad input")
         cluster = tuple(roots[a] for a in clique)
         found.append((shadow_of_cluster(spec, cluster), cluster, reduce(and_, (torsion[a] for a in clique), full)))
     found.sort(key=lambda v: (v[0].module_part, v[0].projective_part))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import InputError, InternalError
 
@@ -142,6 +142,24 @@ def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
             c[a - 1][b - 1] = c[b - 1][a - 1] = -1
     cm = tuple(tuple(row) for row in c)
     return CartanSpec(t, n, cm, _minimal_symmetrizer(cm))
+
+
+def cluster_count(spec: CartanSpec) -> int:
+    """The number of clusters, the vertices of every quiver of a command: the
+    generalized Catalan number prod (e + h + 1)/(e + 1) over the exponents e
+    of W, h = max e + 1 the Coxeter number (Fomin-Zelevinsky, Ann. Math. 158)."""
+    n = spec.rank
+    exponents = {
+        "A": range(1, n + 1),
+        "B": range(1, 2 * n, 2),
+        "C": range(1, 2 * n, 2),
+        "D": [*range(1, 2 * n - 2, 2), n - 1],
+        "E": {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17), 8: (1, 7, 11, 13, 17, 19, 23, 29)}.get(n),
+        "F": (1, 5, 7, 11),
+        "G": (1, 5),
+    }[spec.dynkin_type]
+    h = max(exponents) + 1
+    return prod(e + h + 1 for e in exponents) // prod(e + 1 for e in exponents)
 
 
 def _identity(n: int) -> Matrix:

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import itertools
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cambrian.cli
-from cambrian.cli import Build, main, quiver_to_dot, quiver_to_json, run_all_checks
+from cambrian.cli import BUILD_COMMANDS, VERIFY_COMMANDS, Build, main, quiver_to_dot, quiver_to_json, run_all_checks
 from cambrian.laurent import _exchange
 from cambrian.mutation import frame_mutate, mutate_columns, mutate_matrix
 from cambrian.quivers import QuiverEdge
@@ -352,12 +354,17 @@ class TestErrors:
         ["exchange", "tautilt", "verify-iso", "verify-lattice", "verify-signs", "verify-flip", "verify-all"],
     )
     def test_cap_flag_every_exchange_command(self, capsys, command):
-        # A3 has 14 clusters, so a cap of 5 must stop every exchange BFS.
-        code, out, err = run(
-            capsys, command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3", "--vertex-cap", "5"
-        )
-        assert code == 2 and out == ""
-        assert "vertex cap exceeded" in err
+        # A3 has 14 clusters, so caps of 5 and 3 stop every command before
+        # its exchange BFS, and a cap of 14 stops none.
+        args = (command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3", "--vertex-cap")
+        for cap in ("5", "3"):
+            code, out, err = run(capsys, *args, cap)
+            assert code == 2 and out == ""
+            assert err == f"error: A3 has 14 clusters, more than the vertex cap {cap}\n"
+        code, out, _ = run(capsys, *args, "14")
+        assert code == 0
+        if command in BUILD_COMMANDS:
+            assert len(json.loads(out)["vertices"]) == 14
 
     @pytest.mark.parametrize("command", ["cclusters", "cambrian"])
     def test_cap_flag_c_cluster_and_cambrian_builds(self, capsys, command):
@@ -366,17 +373,43 @@ class TestErrors:
         args = (command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3", "--vertex-cap")
         code, out, err = run(capsys, *args, "3")
         assert code == 2 and out == ""
-        assert err == "error: vertex cap exceeded: not finite type or bad input\n"
+        assert err == "error: A3 has 14 clusters, more than the vertex cap 3\n"
         code, out, _ = run(capsys, *args, "14")
         assert code == 0 and len(json.loads(out)["vertices"]) == 14
 
     def test_cap_below_one(self, capsys):
-        # cclusters and cambrian build no exchange quiver but still check the cap.
-        for command in ("exchange", "cclusters", "cambrian"):
-            args = (command, "--type", "A", "--rank", "2", "--coxeter", "1,2")
-            code, out, err = run(capsys, *args, "--vertex-cap", "0")
-            assert code == 2 and out == ""
-            assert "vertex cap must be at least 1" in err
+        # Every type has at least 2 clusters, so a cap below 1 stops every
+        # command, cclusters and cambrian included.
+        for command in (*BUILD_COMMANDS, *VERIFY_COMMANDS):
+            for cap in ("0", "-1"):
+                args = (command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3", "--vertex-cap", cap)
+                code, out, err = run(capsys, *args)
+                assert code == 2 and out == ""
+                assert err == f"error: A3 has 14 clusters, more than the vertex cap {cap}\n"
+
+    @pytest.mark.parametrize(
+        "command,t,n,count",
+        [("cclusters", "A", 13, 2674440), ("verify-all", "B", 40, 107507208733336176461620)],
+    )
+    def test_type_past_the_vertex_cap(self, capsys, command, t, n, count):
+        # More clusters than the default cap of 10^6: exit 2 at once, before
+        # anything is built.
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--type", t, "--rank", str(n),
+                             "--coxeter", ",".join(map(str, range(1, n + 1))))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {t}{n} has {count} clusters, more than the vertex cap 1000000\n"
+
+    def test_cap_leaves_output_untouched(self, capsys, tmp_path):
+        # The cap is checked before --output is opened (and truncated).
+        path = tmp_path / "out.json"
+        path.write_bytes(b"kept\n")
+        code, out, err = run(capsys, "exchange", "--type", "A", "--rank", "3", "--coxeter", "1,2,3",
+                             "--vertex-cap", "5", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: A3 has 14 clusters, more than the vertex cap 5\n"
+        assert path.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("command", ["exchange", "verify-all"])
     def test_unwritable_output(self, capsys, monkeypatch, tmp_path, command):
@@ -493,6 +526,20 @@ def test_e8_verify_signs_peak_rss():
     code, hwm_kb = proc.stdout.split()
     assert code == "0"
     assert int(hwm_kb) / 1024 < 190
+
+
+def test_recorded_outputs_are_byte_identical():
+    # Every argv whose stdout perfbench/digests.json records prints it again,
+    # replayed in-process with its exit code.
+    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+    differ = []
+    for argv, want in sorted(digests.items()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv.split())
+        if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != want:
+            differ.append((argv, code))
+    assert digests and differ == []
 
 
 @pytest.mark.parametrize("t,n", RANK_LE_4)

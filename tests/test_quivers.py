@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cambrian.quivers
-from cambrian.cli import Build, main, run_sign_checks
-from cambrian.errors import InputError, InternalError
+from cambrian.cli import DEFAULT_VERTEX_CAP, Build, main, run_sign_checks
+from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
 from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
 from cambrian.mutation import build_bc
@@ -31,6 +31,7 @@ from cambrian.rootsys import (
     _compatibility_table,
     almost_positive_roots,
     cartan_matrix,
+    cluster_count,
     enumerate_c_clusters,
     is_c_compatible,
     positive_roots,
@@ -39,6 +40,8 @@ from cambrian.rootsys import (
 from conftest import (
     RANK_LE_4,
     SMALL_MATRIX,
+    TEST_MATRIX,
+    cambrian_of,
     ccluster_of,
     exchange_of,
     per_position_tau_tilting,
@@ -127,14 +130,26 @@ class TestExchangeA2:
                 deg[e.dst] += 1
             assert all(d == n for d in deg)
 
-    def test_vertex_cap(self):
-        with pytest.raises(InputError):
-            build_exchange_quiver(A2, C21, vertex_cap=3)
-
     def test_bad_sign(self):
         # No command chooses the sign: a bad one is a fault in the program.
         with pytest.raises(InternalError, match="sign must be 'plus' or 'minus'"):
             build_exchange_quiver(A2, C21, sign="negative")
+
+
+class TestClusterCount:
+    def test_every_quiver_has_cluster_count_vertices(self):
+        for t, n, order in TEST_MATRIX:
+            count = cluster_count(spec_of(t, n))
+            for build in (exchange_of, ccluster_of, tautilt_of, cambrian_of):
+                assert build(t, n, order).n_vertices == count, (t, n, order, build.__name__)
+
+    def test_exceptional_counts_and_default_cap_boundary(self):
+        assert [cluster_count(spec_of("E", n)) for n in (6, 7, 8)] == [833, 4160, 25080]
+        below = {("A", 12): 742900, ("B", 11): 705432, ("C", 11): 705432, ("D", 11): 520676}
+        assert {tn: cluster_count(spec_of(*tn)) for tn in below} == below
+        assert all(cluster_count(spec_of(*tn)) <= DEFAULT_VERTEX_CAP for tn in below)
+        above = (("A", 13), ("B", 12), ("C", 12), ("D", 12))
+        assert all(cluster_count(spec_of(*tn)) > DEFAULT_VERTEX_CAP for tn in above)
 
 
 class TestCClusterQuiver:
@@ -212,12 +227,6 @@ class TestTauTiltingQuiver:
             indeg[e.dst] += 1
         (source,) = [i for i in range(14) if indeg[i] == 0]
         assert q.vertices[source].projective_part == ()
-
-    def test_vertex_cap(self):
-        spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
-        assert build_tau_tilting_quiver(spec, c, vertex_cap=14).n_vertices == 14
-        with pytest.raises(InputError, match="vertex cap exceeded"):
-            build_tau_tilting_quiver(spec, c, vertex_cap=13)
 
     @pytest.mark.parametrize(
         "corrupt,message",
