@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import cambrian.quivers
 from cambrian.cli import DEFAULT_VERTEX_CAP, Build, main, run_sign_checks
-from cambrian.errors import InternalError
+from cambrian.errors import InputError, InternalError
 from cambrian.lattice import verify_quiver_map
 from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
 from cambrian.mutation import build_bc
@@ -130,6 +130,12 @@ class TestExchangeA2:
                 deg[e.dst] += 1
             assert all(d == n for d in deg)
 
+    def test_vertex_cap(self):
+        # A2 has 5 clusters: Build refuses a cap of 3 before the BFS runs.
+        with pytest.raises(InputError, match="A2 has 5 clusters, more than the vertex cap 3"):
+            Build(A2, C21, 3)
+        assert Build(A2, C21, 5).plus.n_vertices == 5
+
     def test_bad_sign(self):
         # No command chooses the sign: a bad one is a fault in the program.
         with pytest.raises(InternalError, match="sign must be 'plus' or 'minus'"):
@@ -227,6 +233,12 @@ class TestTauTiltingQuiver:
             indeg[e.dst] += 1
         (source,) = [i for i in range(14) if indeg[i] == 0]
         assert q.vertices[source].projective_part == ()
+
+    def test_vertex_cap(self):
+        spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
+        assert Build(spec, c, 14).tautilt.n_vertices == 14
+        with pytest.raises(InputError, match="A3 has 14 clusters, more than the vertex cap 13"):
+            Build(spec, c, 13)
 
     @pytest.mark.parametrize(
         "corrupt,message",
