@@ -155,22 +155,20 @@ def _parse_coxeter(raw: str, rank: int) -> CoxeterElement:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # One option set for every command; main refuses the options a command
+    # cannot use.  perfbench/run.py calls this by name to time setup_s.
     parser = argparse.ArgumentParser(
         prog="cambrian",
         description="Exchange quivers, c-clusters, Cambrian lattices and their verifications.",
     )
-    parser.set_defaults(verbose=False)  # --verbose is an option of exchange alone
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*BUILD_COMMANDS, *VERIFY_COMMANDS]:
-        p = sub.add_parser(name)
-        p.add_argument("--type", required=True, dest="dynkin_type", help="Dynkin type letter A-G")
-        p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--coxeter", required=True, help="permutation of 1..rank, comma-separated")
-        p.add_argument("--format", choices=("json", "dot"), default=None)
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--vertex-cap", type=int, default=None)
-        if name == "exchange":
-            p.add_argument("--verbose", action="store_true", help="full polynomials in JSON output")
+    parser.add_argument("command", choices=[*BUILD_COMMANDS, *VERIFY_COMMANDS])
+    parser.add_argument("--type", required=True, dest="dynkin_type", help="Dynkin type letter A-G")
+    parser.add_argument("--rank", required=True, type=int)
+    parser.add_argument("--coxeter", required=True, help="permutation of 1..rank, comma-separated")
+    parser.add_argument("--format", choices=("json", "dot"), default=None)
+    parser.add_argument("--output", default=None, help="output path (default stdout)")
+    parser.add_argument("--vertex-cap", type=int, default=None)
+    parser.add_argument("--verbose", action="store_true", help="full polynomials in JSON output")
     return parser
 
 
@@ -299,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.verbose and args.command != "exchange":
+            raise InputError(f"--verbose adds polynomials to exchange JSON, not to {args.command}")
         if args.command in VERIFY_COMMANDS and args.format == "dot":
             raise InputError(f"{args.command} prints text or JSON, not --format dot")
         if args.verbose and args.format == "dot":

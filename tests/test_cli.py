@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -433,7 +434,7 @@ class TestErrors:
         # Only exchange JSON has polynomials to print, so only exchange takes --verbose.
         code, out, err = run(capsys, command, "--type", "A", "--rank", "2", "--coxeter", "1,2", "--verbose")
         assert code == 2 and out == ""
-        assert "unrecognized arguments: --verbose" in err
+        assert err == f"error: --verbose adds polynomials to exchange JSON, not to {command}\n"
 
     def test_verbose_rejects_dot(self, capsys):
         code, out, err = run(
@@ -488,6 +489,53 @@ class TestErrors:
         assert code == 2
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-all", "--help"]])
+    def test_help(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        usage = out.split("\n\n")[0]
+        assert usage.startswith("usage: cambrian ")
+        assert all(command in usage for command in (*BUILD_COMMANDS, *VERIFY_COMMANDS))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["verify-all", "--rank", "2", "--coxeter", "1,2"], ["verify-all", "--type", "A", "--rank", "x", "--coxeter", "1"]],
+    )
+    def test_unparsable(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: cambrian ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["verify-all --type B --rank 3 --coxeter 2,3,1", "exchange --type A --rank 3 --coxeter 2,1,3 --format json"],
+    )
+    def test_options_in_any_order(self, capsys, argv):
+        # The recorded argv, then the same options before the command.
+        digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+        command, *options = argv.split()
+        outs = []
+        for args in ([command, *options], [*options, command]):
+            code, out, _ = run(capsys, *args)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[1].encode()).hexdigest() == digests[argv]
+
+    def test_one_parser_per_call(self, capsys, monkeypatch):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "1", "--coxeter", "1")
+        assert code == 0 and len(made) == 1
+
+
 def _cli_env():
     """The environment of a child interpreter that imports this cambrian."""
     src = str(Path(cambrian.cli.__file__).parents[1])
@@ -495,16 +543,20 @@ def _cli_env():
 
 
 def test_networkx_is_not_loaded():
-    # A command run imports nothing outside the standard library.
+    # A command run imports nothing outside the standard library: every
+    # top-level module it adds is cambrian or a standard one.
     script = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "import cambrian.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cambrian.cli.main(['verify-all', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3'])\n"
-        "print(code, 'networkx' in sys.modules)\n"
+        "print(code, *sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
-    assert proc.stdout.split() == ["0", "False"]
+    code, *added = proc.stdout.split()
+    assert code == "0" and "cambrian" in added
+    assert [m for m in added if m != "cambrian" and m not in sys.stdlib_module_names] == []
 
 
 @pytest.mark.slow
