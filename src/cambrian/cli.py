@@ -230,9 +230,9 @@ def run_lattice_checks(build: Build) -> list[CheckReport]:
 
 
 def run_sign_checks(build: Build) -> list[CheckReport]:
-    """Report what both exchange builds assert: a build that returns has run
-    check_frame (sign coherence and duality, hence unimodularity) on every
-    frame it stores, or it has raised InternalError naming the frame's path."""
+    """Report what both exchange builds assert: a build that returns has
+    checked sign coherence and duality, hence unimodularity, on every frame
+    it stores, or it has raised InternalError naming the frame's path."""
     return [
         CheckReport(f"signs {sign}", True, (f"{q.n_vertices} clusters: sign-coherent, dual, unimodular",),
                     stats=(("clusters", q.n_vertices),))

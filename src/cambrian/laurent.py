@@ -1,13 +1,11 @@
 """Exact Laurent-polynomial seeds, tropical coefficients, and the root map.
 
-Cluster variables are kept fully expanded in the initial variables, so each
-exchange (_exchange: per mutate_seed, and per relation of the exchange builds
-of B and -B together through quivers.VariableTable) is one exact division;
-an inexact division is a hard internal error, never a recoverable condition.
-The exchange runs on packed exponents with a heap-ordered division (_divide),
-which exact_div shares; __mul__, __add__ and __pow__ are the plain
-tuple-exponent arithmetic.  Sign coherence, duality and unimodularity are
-asserted on the frames that are kept (mutation.check_frame).  In
+Cluster variables are kept fully expanded in the initial variables.  An
+exchange is an exact division (_exchange), or, where the quotient is known,
+a product check (_exchange_holds), as strong since the Laurent ring is a
+domain; either runs on packed exponents over the factors' Newton boxes, and
+failing is a hard internal error, never a recoverable condition.
+__mul__ and __add__ are the plain tuple-exponent arithmetic.  In
 principal-coefficient mode a variable lives in 2n variables: the first n
 exponents are the initial cluster variables, the last n the tropical
 generators.
@@ -23,7 +21,7 @@ from operator import mul
 
 from .errors import InputError, InternalError
 from .mutation import ExchangeMatrix, MatrixFrame, identity_frame, mutate_columns
-from .rootsys import CartanSpec, CoxeterElement, Root, is_almost_positive
+from .rootsys import CartanSpec, CoxeterElement, Root, _identity, is_almost_positive
 
 Exponent = tuple[int, ...]
 
@@ -47,23 +45,13 @@ class LaurentPolynomial:
         return cls(nvars, items)
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, ())
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Exponent, coeff: int = 1) -> "LaurentPolynomial":
-        if coeff == 0:
-            return cls.zero(nvars)
-        return cls(nvars, ((tuple(exps), coeff),))
+    def monomial(cls, nvars: int, exps: Exponent) -> "LaurentPolynomial":
+        return cls(nvars, ((tuple(exps), 1),))
 
     @classmethod
     def generator(cls, nvars: int, i: int) -> "LaurentPolynomial":
         """The variable x_{i+1} (0-based index i)."""
         return cls.monomial(nvars, tuple(1 if j == i else 0 for j in range(nvars)))
-
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentPolynomial":
-        return cls.monomial(nvars, (0,) * nvars)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -74,9 +62,6 @@ class LaurentPolynomial:
             d[e] = d.get(e, 0) + c
         return LaurentPolynomial.from_dict(self.nvars, d)
 
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, tuple((e, -c) for e, c in self.terms))
-
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         d: dict[Exponent, int] = {}
         for e1, c1 in self.terms:
@@ -85,26 +70,8 @@ class LaurentPolynomial:
                 d[e] = d.get(e, 0) + c1 * c2
         return LaurentPolynomial.from_dict(self.nvars, d)
 
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if k < 0:
-            raise InputError("negative powers are not defined for polynomials")
-        out = LaurentPolynomial.one(self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
 
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises InternalError if the quotient is not Laurent."""
-        if divisor.is_zero():
-            raise InputError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        lo, hi = _box(self.terms)
-        weights = _place_values(lo, hi)
-        return _divide(dict(_pack(self.terms, weights)), divisor, lo, hi, weights)
-
-
-# The exact-division kernel shared by exact_div and _exchange.  An exponent e
+# The packed arithmetic of _exchange and _exchange_holds.  An exponent e
 # inside a box [lo, hi] packs to the integer sum(e_j * w_j), where the place
 # values w are the mixed radix of the box with the first coordinate most
 # significant.  Packing is additive, so a product of terms is a sum of keys,
@@ -112,9 +79,9 @@ class LaurentPolynomial:
 # descending-lex order of LaurentPolynomial.terms.
 
 
-def _box(terms: Sequence[tuple[Exponent, int]]) -> tuple[Exponent, Exponent]:
-    """Lowest and highest exponent of each variable over the terms."""
-    columns = tuple(zip(*(e for e, _ in terms)))
+def _box(p: LaurentPolynomial) -> tuple[Exponent, Exponent]:
+    """The Newton box of p: lowest and highest exponent of each variable."""
+    columns = tuple(zip(*(e for e, _ in p.terms)))
     return tuple(map(min, columns)), tuple(map(max, columns))
 
 
@@ -145,8 +112,9 @@ def _divide(
     lo: Exponent,
     hi: Exponent,
     weights: tuple[int, ...],
+    dbox: tuple[Exponent, Exponent],
 ) -> LaurentPolynomial:
-    """num / divisor, num packed over the box [lo, hi] that holds its terms.
+    """num / divisor, num packed over the box [lo, hi] holding its terms, dbox the divisor's.
 
     The remainder's terms stay in [lo, hi] and sit in a max-heap of keys; each
     step divides its lead term by the divisor's.  An exact quotient lies in
@@ -157,8 +125,7 @@ def _divide(
     """
     (lead_e, lead_c), *rest = divisor.terms
     lead_k = sum(map(mul, lead_e, weights))
-    rest = _pack(rest, weights)
-    dlo, dhi = _box(divisor.terms)
+    rest, (dlo, dhi) = _pack(rest, weights), dbox
     # (radix, lowest digit, highest digit, digit-to-quotient-exponent offset),
     # least significant coordinate first.
     digits = tuple(
@@ -270,11 +237,7 @@ def initial_seed(b: ExchangeMatrix, coefficient_mode: str = "trivial") -> Labele
         return LabeledSeed(xs, None, frame)
     if coefficient_mode == "principal":
         xs = tuple(LaurentPolynomial.generator(2 * n, i) for i in range(n))
-        ys = tuple(
-            TropicalElement(tuple(1 if j == i else 0 for j in range(n)))
-            for i in range(n)
-        )
-        return LabeledSeed(xs, ys, frame)
+        return LabeledSeed(xs, tuple(map(TropicalElement, _identity(n))), frame)
     raise InputError(f"unknown coefficient mode {coefficient_mode!r}")
 
 
@@ -298,15 +261,9 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
         pos.append((_y_monomial(n, yk.exponents), 1))
         denom = _y_monomial(n, yk.oplus_one().exponents) * s.vars[k0]
         new_xk = _exchange(pos, neg, denom)
-        new_list = []
-        for j in range(n):
-            if j == k0:
-                new_list.append(yk.inverse())
-            else:
-                bkj = -sym[j] * column[j] // sym[k0]
-                yj = s.coeffs[j] * yk ** max(bkj, 0) * (yk.oplus_one() ** (-bkj))
-                new_list.append(yj)
-        new_coeffs = tuple(new_list)
+        row = (-sym[j] * b // sym[k0] for j, b in enumerate(column))  # b_kj
+        new_coeffs = tuple(yk.inverse() if j == k0 else y * yk ** max(bkj, 0) * yk.oplus_one() ** -bkj
+                           for j, (y, bkj) in enumerate(zip(s.coeffs, row)))
         if tuple(y.exponents for y in new_coeffs) != new_frame.c_vectors:
             raise InternalError("tropical coefficients disagree with the C-matrix")
 
@@ -317,25 +274,42 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
 Factors = list[tuple[LaurentPolynomial, int]]  # (polynomial, power) pairs
 
 
-def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial) -> LaurentPolynomial:
-    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the box
-    of the numerator: a product's box is the sum of its factors' boxes."""
-    nvars = divisor.nvars
+def _products(groups: Sequence[Factors], nvars: int, box) -> tuple[list[dict[int, int]], Exponent, Exponent, tuple]:
+    """The product of p^m over each group, packed over the hull [lo, hi] of
+    their boxes (a product's box is the sum of its factors' boxes, box(p),
+    so all products are packed injectively): (products, lo, hi, weights)."""
     boxes = []
-    for factors in (pos, neg):
+    for factors in groups:
         lo, hi = [0] * nvars, [0] * nvars
         for p, m in factors:
-            plo, phi = _box(p.terms)
+            plo, phi = box(p)
             lo = [a + m * x for a, x in zip(lo, plo)]
             hi = [a + m * x for a, x in zip(hi, phi)]
         boxes.append((lo, hi))
-    (plo, phi), (nlo, nhi) = boxes
-    lo, hi = tuple(map(min, plo, nlo)), tuple(map(max, phi, nhi))
+    lo, hi = tuple(map(min, *(b[0] for b in boxes))), tuple(map(max, *(b[1] for b in boxes)))
     weights = _place_values(lo, hi)
-    num = _product(pos, weights)
-    for key, c in _product(neg, weights).items():
-        num[key] = num.get(key, 0) + c
-    return _divide({key: c for key, c in num.items() if c}, divisor, lo, hi, weights)
+    return [_product(factors, weights) for factors in groups], lo, hi, weights
+
+
+def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    for key, c in b.items():
+        a[key] = a.get(key, 0) + c
+    return {key: c for key, c in a.items() if c}
+
+
+def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial, box=_box) -> LaurentPolynomial:
+    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the box
+    of the numerator."""
+    (plus, minus), lo, hi, weights = _products((pos, neg), divisor.nvars, box)
+    return _divide(_sum(plus, minus), divisor, lo, hi, weights, box(divisor))
+
+
+def _exchange_holds(pos: Factors, neg: Factors, xk: LaurentPolynomial, x: LaurentPolynomial, box=_box) -> bool:
+    """Whether xk * x = prod p^m over pos + prod p^m over neg, on packed keys.
+    The Laurent ring is a domain, so for a known quotient x of the exchange
+    this check is as strong as the division."""
+    (plus, minus, product), *_ = _products((pos, neg, [(xk, 1), (x, 1)]), xk.nvars, box)
+    return _sum(plus, minus) == _sum(product, {})
 
 
 def _product(factors: Factors, weights: tuple[int, ...]) -> dict[int, int]:

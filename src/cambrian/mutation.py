@@ -1,15 +1,13 @@
-"""Skew-symmetrizable matrix mutation and tracked C-/G-matrix frames.
+"""Skew-symmetrizable exchange matrices and tracked C-/G-matrix frames.
 
 A MatrixFrame holds the c-vectors and g-vectors of its positions relative to
-its root vertex, column tuples in position order that no other module reads
-by layout, and no exchange matrix: G_t B_t = B_0 C_t (Nakanishi-Zelevinsky,
-Contemp. Math. 565) and G_t^T S C_t = S give S B_t = C_t^T (S B_0) C_t, so
-the frames of a build share one S B_0 and S.  The one mutation step,
-mutate_columns, reads column k of B_t off C_t and makes the next frame.  check_frame asserts sign
-coherence and the duality G^T S C = S, which implies unimodularity, once per
-frame the exchange BFS stores (the verify-signs report is these assertions)
-and per frame of the tau-C check's tau walk.  mutate_matrix is the tests'
-reference for the derived B.
+its root vertex, column tuples in position order, and no exchange matrix:
+G_t B_t = B_0 C_t (Nakanishi-Zelevinsky, Contemp. Math. 565) and G_t^T S C_t
+= S give S B_t = C_t^T (S B_0) C_t, so the frames of a build share one S B_0
+and S.  The mutation step reads column k of B_t off C_t, one entry per pair
+(c_j, c_k) (_pair): mutate_columns on vectors, for mutate_seed and the
+tests, and FrameTable.step on ids, memoised, for the exchange builds and the
+tau walk, whose every frame FrameTable.check_duality checks.
 """
 
 from __future__ import annotations
@@ -62,10 +60,7 @@ class ExchangeMatrix:
         return len(self.entries)
 
     def negated(self) -> "ExchangeMatrix":
-        return ExchangeMatrix(
-            tuple(tuple(-x for x in row) for row in self.entries),
-            self.skew_symmetrizer,
-        )
+        return ExchangeMatrix(tuple(tuple(-x for x in row) for row in self.entries), self.skew_symmetrizer)
 
 
 def build_bc(spec: CartanSpec, c: CoxeterElement) -> ExchangeMatrix:
@@ -74,40 +69,9 @@ def build_bc(spec: CartanSpec, c: CoxeterElement) -> ExchangeMatrix:
     b_ij = C_ij when s_j precedes s_i in c, and -C_ij when s_i precedes s_j;
     the skew-symmetrizer is the Cartan symmetrizer.
     """
-    n = spec.rank
-    pos = {i: k for k, i in enumerate(c.order)}
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if pos[j + 1] < pos[i + 1]:
-                b[i][j] = spec.cartan[i][j]
-            else:
-                b[i][j] = -spec.cartan[i][j]
-    return ExchangeMatrix(tuple(tuple(row) for row in b), spec.symmetrizer)
-
-
-def mutate_matrix(m: Matrix, k: int) -> Matrix:
-    """Matrix mutation in direction k (1-based) of an m x n matrix, m >= n."""
-    n = len(m[0])
-    if not 1 <= k <= n:
-        raise InputError(f"mutation direction {k} out of range 1..{n}")
-    k0 = k - 1
-    # m'_ij = m_ij + [m_ik]_+ m_kj + m_ik [-m_kj]_+, which is m_ij + m_ik [m_kj]_+
-    # for m_ik > 0 and m_ij + m_ik [-m_kj]_+ for m_ik < 0; row and column k negate.
-    plus = tuple(max(x, 0) for x in m[k0])
-    minus = tuple(max(-x, 0) for x in m[k0])
-    out = []
-    for i, row in enumerate(m):
-        a = row[k0]
-        if i == k0:
-            out.append(tuple(-x for x in row))
-            continue
-        if a:
-            row = tuple(x + a * y for x, y in zip(row, plus if a > 0 else minus))
-        out.append(row[:k0] + (-a,) + row[k0 + 1 :])
-    return tuple(out)
+    n, a, pos = spec.rank, spec.cartan, {i: k for k, i in enumerate(c.order)}
+    b = [[0 if i == j else a[i][j] if pos[j + 1] < pos[i + 1] else -a[i][j] for j in range(n)] for i in range(n)]
+    return ExchangeMatrix(tuple(map(tuple, b)), spec.symmetrizer)
 
 
 @dataclass(frozen=True)
@@ -134,14 +98,15 @@ def identity_frame(b: ExchangeMatrix) -> MatrixFrame:
     return MatrixFrame(eye, eye, (), tuple(tuple(si * x for x in row) for si, row in zip(s, b.entries)), s)
 
 
-def column_sign(col: tuple[int, ...]) -> int:
-    """+1 for a nonzero non-negative vector, -1 for non-positive, else raises."""
+def column_sign(col: tuple[int, ...], path: tuple[int, ...]) -> int:
+    """+1 for a nonzero non-negative vector, -1 for non-positive, else an
+    InternalError naming the witness path of the frame that holds col."""
     lo, hi = min(col), max(col)
     if lo >= 0 and hi > 0:
         return 1
     if hi <= 0 and lo < 0:
         return -1
-    raise InternalError(f"sign coherence violated: {col}")
+    raise InternalError(f"witness path {path}: sign coherence violated: {col}")
 
 
 def check_duality(frame: MatrixFrame) -> None:
@@ -155,49 +120,107 @@ def check_duality(frame: MatrixFrame) -> None:
                 raise InternalError("C/G duality identity failed")
 
 
+def _pair(cj: tuple[int, ...], sj: int, ck: tuple[int, ...], sk: int, v: list[int], eps: int, where: tuple):
+    """Entry j of the column step at k: w = c_j . v, v = S B_0 c_k, is s_j
+    b_jk = -s_k b_kj.  Returns b_jk, c'_j = c_j + [eps b_kj]_+ c_k and g_j's
+    coefficient [-eps b_jk]_+ in g'_k; a w not in s_j Z and s_k Z is an
+    InternalError naming where, (witness path, j, k) 1-based."""
+    w = sum(map(mul, cj, v))
+    if w % sj or w % sk:
+        raise InternalError(f"witness path {where[0]}: S^-1 C^T S B_0 C is not integral at {where[1:]}")
+    if eps * w >= 0:
+        return w // sj, cj, 0
+    return w // sj, tuple(x - eps * w // sk * y for x, y in zip(cj, ck)), -eps * w // sj
+
+
 def mutate_columns(frame: MatrixFrame, k: int) -> tuple[tuple[int, ...], MatrixFrame]:
     """Column k (1-based) of the frame's B_t and the frame one mutation in
-    direction k away, in O(n^2).  With v = S B_0 c_k, w_j = c_j . v =
-    s_j b_jk = -s_k b_kj, and both updates fire where eps * w_j < 0 (eps the
-    sign of c_k, the one c-vector checked); a w_j not in s_j Z and s_k Z is
-    an InternalError naming the witness path."""
+    direction k away (eps the sign of c_k, c'_k = -c_k), in O(n^2)."""
     k0, cs, gs, s = k - 1, frame.c_vectors, frame.g_vectors, frame.skew_symmetrizer
     if not 0 <= k0 < len(cs):
         raise InputError(f"mutation direction {k} out of range 1..{len(cs)}")
-    ck, sk, eps = cs[k0], s[k0], column_sign(cs[k0])
-    v = [sum(map(mul, row, ck)) for row in frame.sb0]
-    column, new_cs, gk = [], list(cs), [-x for x in gs[k0]]
+    ck, v = cs[k0], [sum(map(mul, row, cs[k0])) for row in frame.sb0]
+    column, new_cs, gk, eps = [], list(cs), [-x for x in gs[k0]], column_sign(ck, frame.path)
     for j, (cj, gj, sj) in enumerate(zip(cs, gs, s)):
-        w = sum(map(mul, cj, v))
-        if w % sj or w % sk:
-            raise InternalError(f"witness path {frame.path}: S^-1 C^T S B_0 C is not integral at ({j + 1}, {k})")
-        column.append(w // sj)
-        if eps * w < 0:
-            # c'_j = c_j + [eps * b_kj]_+ c_k and g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j.
-            new_cs[j] = tuple(x - eps * w // sk * y for x, y in zip(cj, ck))
-            gk = [x - eps * w // sj * y for x, y in zip(gk, gj)]
+        b, new_cs[j], coef = _pair(cj, sj, ck, s[k0], v, eps, (frame.path, j + 1, k))
+        column.append(b)
+        if coef:
+            gk = [x + coef * y for x, y in zip(gk, gj)]
     new_cs[k0] = tuple(-x for x in ck)
     return tuple(column), MatrixFrame(tuple(new_cs), gs[:k0] + (tuple(gk),) + gs[k:], frame.path + (k,), frame.sb0, s)
-
-
-def frame_mutate(frame: MatrixFrame, k: int) -> MatrixFrame:
-    """The frame one mutation in direction k (1-based) away, by the column
-    step; check_frame asserts the invariants of a frame that is kept."""
-    return mutate_columns(frame, k)[1]
 
 
 def frame_is_unimodular(frame: MatrixFrame) -> bool:
     return abs(_det(frame.c_vectors)) == 1  # the rows of C^T, and det C^T = det C
 
 
-def check_frame(frame: MatrixFrame) -> None:
-    """Assert sign coherence of every C-column, C/G duality and with it
-    unimodularity: G^T S C = S for integer G and C gives det G * det C = 1,
-    so det C = +-1 with no determinant taken.  S B_t = C^T (S B_0) C is
-    skew-symmetric by construction.  Each InternalError names the path."""
-    try:
-        for c in frame.c_vectors:
-            column_sign(c)
-        check_duality(frame)
-    except InternalError as exc:
-        raise InternalError(f"witness path {frame.path}: {exc}") from None
+class FrameTable:
+    """A build's frames as tuples of c ids and g ids: its c- and g-vectors
+    numbered as first met, a c-vector with the symmetrizer s_j of its
+    position, and checked for sign coherence once, as it is numbered.  Each
+    value of a column step depends on a pair of c ids, and each entry of the
+    duality check on a pair (g id, c id): both are memoised, filled lazily.
+    A finite type has 2N c-vectors, for acyclic B the signed real roots
+    (Speyer-Thomas, Acyclic cluster algebras revisited)."""
+
+    def __init__(self, b: ExchangeMatrix):
+        frame0 = identity_frame(b)
+        self.sb0, self.s = frame0.sb0, frame0.skew_symmetrizer
+        # Per c id: the vector, its sign and {c_j id: (b_jk, c'_j id, g_j's coefficient in g'_k)};
+        # per g id: the vector and {c id: g . S c}.
+        self.c_vectors, self.signs, self.pairs, self.c_ids = [], [], [], {}
+        self.g_vectors, self.duals, self.g_ids = [], [], {}
+        self.initial = (tuple(self.c_id(c, sj, ()) for c, sj in zip(frame0.c_vectors, self.s)),
+                        tuple(map(self.g_id, frame0.g_vectors)))
+
+    def c_id(self, c: tuple[int, ...], sj: int, path: tuple[int, ...]) -> int:
+        """The id of c at a position of symmetrizer sj, met at path."""
+        if (sj, c) not in self.c_ids:
+            self.signs.append(column_sign(c, path))
+            self.c_ids[sj, c] = len(self.c_vectors)
+            self.c_vectors.append(c)
+            self.pairs.append({})
+        return self.c_ids[sj, c]
+
+    def g_id(self, g: tuple[int, ...]) -> int:
+        if g not in self.g_ids:
+            self.g_ids[g] = len(self.g_vectors)
+            self.g_vectors.append(g)
+            self.duals.append({})
+        return self.g_ids[g]
+
+    def _entry(self, cj: int, ck: int, j: int, k0: int, path: tuple[int, ...]) -> tuple[int, int, int]:
+        """The entry of the pair (cj, ck) met at positions j and k0.  (ck, ck)
+        holds c'_k = -c_k: a checked frame has no two equal c-vectors."""
+        c, sj, new_path = self.c_vectors[ck], self.s[j], path + (k0 + 1,)
+        if j == k0:
+            return 0, self.c_id(tuple(-x for x in c), sj, new_path), 0
+        v = [sum(map(mul, row, c)) for row in self.sb0]
+        b, cj_new, coef = _pair(self.c_vectors[cj], sj, c, self.s[k0], v, self.signs[ck], (path, j + 1, k0 + 1))
+        return b, self.c_id(cj_new, sj, new_path) if coef else cj, coef
+
+    def step(self, cids: tuple[int, ...], gids: tuple[int, ...], k0: int, path: tuple[int, ...]):
+        """mutate_columns at position k0 (0-based) of the frame (cids, gids)
+        reached by path: (column k0 + 1 of B_t, new c ids, new g ids)."""
+        memo, gk = self.pairs[cids[k0]], [-x for x in self.g_vectors[gids[k0]]]
+        entries = [memo.get(cj) or memo.setdefault(cj, self._entry(cj, cids[k0], j, k0, path)) for j, cj in enumerate(cids)]
+        for (_, _, coef), g in zip(entries, gids):
+            if coef:
+                gk = [x + coef * y for x, y in zip(gk, self.g_vectors[g])]
+        column, new, _ = zip(*entries)
+        return column, new, gids[:k0] + (self.g_id(tuple(gk)),) + gids[k0 + 1 :]
+
+    def check_duality(self, cids: tuple[int, ...], gids: tuple[int, ...], path: tuple[int, ...]) -> None:
+        """check_duality by n^2 memo lookups; InternalError names path."""
+        s = self.s
+        for i, gi in enumerate(gids):
+            g, memo = self.g_vectors[gi], self.duals[gi]
+            for j, cj in enumerate(cids):
+                if cj not in memo:
+                    memo[cj] = sum(x * y * z for x, y, z in zip(g, s, self.c_vectors[cj]))
+                if memo[cj] != (s[i] if i == j else 0):
+                    raise InternalError(f"witness path {path}: C/G duality identity failed")
+
+    def frame(self, cids: tuple[int, ...], gids: tuple[int, ...], path: tuple[int, ...]) -> MatrixFrame:
+        cs, gs = tuple(self.c_vectors[i] for i in cids), tuple(self.g_vectors[i] for i in gids)
+        return MatrixFrame(cs, gs, path, self.sb0, self.s)

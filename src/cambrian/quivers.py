@@ -7,13 +7,13 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, mul
 
 from .errors import InternalError
-from .laurent import LaurentPolynomial, _exchange, theta
-from .mutation import MatrixFrame, build_bc, check_frame, column_sign, frame_mutate, identity_frame, mutate_columns
+from .laurent import LaurentPolynomial, _box, _exchange, _exchange_holds, theta
+from .mutation import FrameTable, MatrixFrame, build_bc
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
 
@@ -64,6 +64,7 @@ class ClusterQuiver:
     kind: str
     vertices: tuple
     edges: tuple[QuiverEdge, ...]
+    steps: FrameTable | None = field(default=None, compare=False, repr=False)  # an exchange build's, for its tau walk
 
     @property
     def n_vertices(self) -> int:
@@ -84,57 +85,63 @@ class CheckReport:
 
 class VariableTable:
     """Cluster variables as small ids (x_1, ..., x_n are 0, ..., n-1, the
-    others numbered as first met) and one memo of exchange relations: x_k' =
-    (M+ + M-) / x_k, keyed by (id of x_k, {M+, M-}) with M+ and M- the sets of
-    (id_i, |b_ik|) over b_ik > 0 and b_ik < 0.  Both ends of an exchange, and
-    B and -B (mu_k(-B) = -mu_k(B) only swaps M+ and M-), give one key: the
-    builds of A(B) and A(-B) share a table, and the second divides nothing."""
+    others numbered as first met) with their Newton boxes, and one memo of
+    exchange relations: x_k' = (M+ + M-) / x_k, keyed by (id of x_k, {M+,
+    M-}) with M+ and M- the sets of (id_i, |b_ik|) over b_ik > 0 and b_ik <
+    0.  Both ends of an exchange, and B and -B (mu_k(-B) = -mu_k(B) only
+    swaps M+ and M-), give one key: the builds of A(B) and A(-B) share a
+    table, and the second computes nothing."""
 
     def __init__(self, n: int):
         self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
         self.ids = {x: i for i, x in enumerate(self.polys)}
+        self.boxes = {x: _box(x) for x in self.polys}
         self.relations: dict[tuple, int] = {}
 
-    def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int) -> int:
+    def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int, known: int | None = None) -> int:
         """The id of x_k' for the seed with variable ids and column k0 of its
-        B.  A relation not in the memo is one exact division (_exchange), kept
-        from both ends: exchanging x_k' in the mutated seed gives x_k back."""
+        B, kept from both ends.  A new relation is one exact division
+        (_exchange), or, where the build holds a variable known at x_k''s
+        g-vector, the product check x_k * known = M+ + M- (_exchange_holds);
+        if that fails, the division gives a second variable there."""
         key = ids[k0], frozenset((frozenset((i, m) for i, m in zip(ids, column) if m > 0),
                                   frozenset((i, -m) for i, m in zip(ids, column) if m < 0)))
         new_id = self.relations.get(key)
         if new_id is None:
-            x = _exchange([(self.polys[i], m) for i, m in zip(ids, column) if m > 0],
-                          [(self.polys[i], -m) for i, m in zip(ids, column) if m < 0], self.polys[ids[k0]])
-            new_id = self.ids.setdefault(x, len(self.polys))
-            if new_id == len(self.polys):
-                self.polys.append(x)
+            polys, box = self.polys, self.boxes.__getitem__
+            pos = [(polys[i], m) for i, m in zip(ids, column) if m > 0]
+            neg = [(polys[i], -m) for i, m in zip(ids, column) if m < 0]
+            if known is not None and _exchange_holds(pos, neg, polys[ids[k0]], polys[known], box):
+                new_id = known
+            else:
+                x = _exchange(pos, neg, polys[ids[k0]], box)
+                new_id = self.ids.setdefault(x, len(polys))
+                if new_id == len(polys):
+                    polys.append(x)
+                    self.boxes[x] = _box(x)
             self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
         return new_id
 
 
-def build_exchange_quiver(
-    spec: CartanSpec,
-    c: CoxeterElement,
-    sign: str = "plus",
-    table: VariableTable | None = None,
-) -> ClusterQuiver:
+def build_exchange_quiver(spec: CartanSpec, c: CoxeterElement, sign: str = "plus",
+                          table: VariableTable | None = None) -> ClusterQuiver:
     """BFS over non-labeled clusters of A(B^c) (or A(-B^c) for sign="minus").
 
     Arrows are green mutations: the edge points away from the cluster in which
     the exchanged variable's c-vector is non-negative.
 
-    The BFS moves integer C/G frames and keys a cluster by the bitmask of
-    its variables' ids in table (a fresh VariableTable when None), which
-    makes each exact exchange x_k x_k' = prod x_i^[b_ik]_+ + prod
-    x_i^[-b_ik]_+ once per relation for all the builds that share it.
-    InternalError is raised if g-vectors and ids are not in bijection within
-    the build.  Any n - 1 variables of a cluster lie in exactly two clusters
-    (Fomin-Zelevinsky, Invent. Math. 154), so an edge is keyed by the mask of
-    this facet and mutated across once, from the end reached first: one
-    column step (mutate_columns) gives column k of B for the exchange and
-    the next frame, which a new cluster stores (it must pass check_frame)
-    and a stored cluster's frame must match.  No command chooses sign: a bad one is an
-    InternalError.
+    The BFS moves frames as ids of a FrameTable (the quiver's steps) and
+    keys a cluster by the bitmask of its variables' ids in table (a fresh
+    VariableTable when None), which makes each exchange x_k x_k' = prod
+    x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ once per relation for all the builds
+    that share it.  InternalError is raised if g-vectors and ids are not in
+    bijection within the build.  Any n - 1 variables of a cluster lie in
+    exactly two clusters (Fomin-Zelevinsky, Invent. Math. 154), so an edge
+    is keyed by the mask of this facet and mutated across once, from the end
+    reached first: one column step gives column k of B for the exchange and
+    the next frame, which a new cluster stores (it must pass check_duality)
+    and a stored cluster's frame must match.  No command chooses sign: a bad
+    one is an InternalError.
     """
     if sign not in ("plus", "minus"):
         raise InternalError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -143,57 +150,56 @@ def build_exchange_quiver(
         b = b.negated()
     n = b.rank
     table = table or VariableTable(n)
-    polys = table.polys
-    id_of: dict[tuple[int, ...], int] = {}
-    g_of: dict[int, tuple[int, ...]] = {}
+    polys, steps = table.polys, FrameTable(b)
+    gv, var_of, g_of = steps.g_vectors, {}, {}  # g id -> variable id, and back
 
-    def bind(g: tuple[int, ...], i: int, path: tuple[int, ...]) -> None:
-        if id_of.setdefault(g, i) != i:
-            raise InternalError(f"witness path {path}: g-vector {g} belongs to two cluster variables")
+    def bind(g: int, i: int, path: tuple[int, ...]) -> None:
+        if var_of.setdefault(g, i) != i:
+            raise InternalError(f"witness path {path}: g-vector {gv[g]} belongs to two cluster variables")
         if g_of.setdefault(i, g) != g:
-            raise InternalError(f"witness path {path}: a cluster variable has two g-vectors, {g_of[i]} and {g}")
+            raise InternalError(f"witness path {path}: a cluster variable has two g-vectors, {gv[g_of[i]]} and {gv[g]}")
 
-    frame0, sym = identity_frame(b), b.skew_symmetrizer
-    for i, g in enumerate(frame0.g_vectors):
+    for i, g in enumerate(steps.initial[1]):
         bind(g, i, ())
-    check_frame(frame0)
-    frames: dict[int, MatrixFrame] = {(1 << n) - 1: frame0}
+    steps.check_duality(*steps.initial, ())
+    frames = {(1 << n) - 1: (*steps.initial, ())}
     edge_map: dict[int, tuple] = {}  # facet -> (src mask, dst mask, out id, in id)
-    queue = [((1 << n) - 1, frame0)]  # BFS order: appended to while it is read
-    for mask, frame in queue:
-        ids = tuple(id_of[g] for g in frame.g_vectors)
-        for k in range(1, n + 1):
-            k0, facet = k - 1, mask ^ 1 << ids[k - 1]
+    queue = [((1 << n) - 1, *steps.initial, ())]  # BFS order: appended to while it is read
+    for mask, cids, gids, path in queue:
+        ids = tuple(var_of[g] for g in gids)
+        for k0 in range(n):
+            facet = mask ^ 1 << ids[k0]
             if facet in edge_map:
                 continue
-            column, new = mutate_columns(frame, k)
-            new_id = table.exchange(ids, column, k0)
-            bind(new.g_vectors[k0], new_id, new.path)
+            column, new_cids, new_gids = steps.step(cids, gids, k0, path)
+            new_path = path + (k0 + 1,)
+            new_id = table.exchange(ids, column, k0, var_of.get(new_gids[k0]))
+            bind(new_gids[k0], new_id, new_path)
             mkey = facet | 1 << new_id
             if mkey not in frames:
-                frames[mkey] = new
-                check_frame(new)
-                queue.append((mkey, new))
-            elif ({*zip(frames[mkey].g_vectors, frames[mkey].c_vectors, sym)}
-                  != {*zip(new.g_vectors, new.c_vectors, sym)}):
-                raise InternalError(f"mutation path {new.path} reaches a stored cluster with other columns")
-            green = column_sign(frame.c_vectors[k0]) > 0
+                frames[mkey] = new_cids, new_gids, new_path
+                steps.check_duality(new_cids, new_gids, new_path)
+                queue.append((mkey, new_cids, new_gids, new_path))
+            elif {*zip(frames[mkey][0], frames[mkey][1])} != {*zip(new_cids, new_gids)}:
+                raise InternalError(f"mutation path {new_path} reaches a stored cluster with other columns")
+            green = steps.signs[cids[k0]] > 0
             edge_map[facet] = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
 
     # Canonical order: variables by terms, clusters by their sorted variables.
-    rank = {g: r for r, g in enumerate(sorted(id_of, key=lambda g: polys[id_of[g]].terms))}
-    ordered = sorted(frames, key=lambda mask: sorted(map(rank.get, frames[mask].g_vectors)))
+    rank = {g: r for r, g in enumerate(sorted(var_of, key=lambda g: polys[var_of[g]].terms))}
+    ordered = sorted(frames, key=lambda mask: sorted(map(rank.get, frames[mask][1])))
     index = {mask: v for v, mask in enumerate(ordered)}
     payloads = []
     for mask in ordered:
-        frame = frames[mask]
-        gs, cs = zip(*sorted(zip(frame.g_vectors, frame.c_vectors), key=lambda gc: rank[gc[0]]))
-        payloads.append(ClusterVertexPayload(tuple(polys[id_of[g]] for g in gs), cs, gs, frame, mask))
+        cids, gids, path = frames[mask]
+        gs, cs = zip(*sorted(zip(gids, cids), key=lambda gc: rank[gc[0]]))
+        payloads.append(ClusterVertexPayload(tuple(polys[var_of[g]] for g in gs), tuple(steps.c_vectors[i] for i in cs),
+                                             tuple(gv[g] for g in gs), steps.frame(cids, gids, path), mask))
     edges = sorted(
         (QuiverEdge(index[s], index[d], polys[o], polys[i]) for s, d, o, i in edge_map.values()),
         key=lambda e: (e.src, e.dst),
     )
-    return ClusterQuiver("exchange", tuple(payloads), tuple(edges))
+    return ClusterQuiver("exchange", tuple(payloads), tuple(edges), steps)
 
 
 def _facet_pairs(clusters):
@@ -396,11 +402,11 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     C-matrix set of [x] in A(-B^c); and theta of the image variables equals
     tau_c^-1 of theta of the originals, position by position.  The image is
     [x] with the sink mutations c_n, ..., c_1 prepended to its witness path.
-    Witness paths are prefix-closed, so each image frame is one frame_mutate
-    from the image of the cluster's BFS parent; every frame of this tau walk
-    passes check_frame.  The image frames are frames of A(B^c) relative to
-    the initial seed of qp, so each image variable is read from qp by its
-    g-vector, and theta and tau_c^-1 of theta are taken once per variable.
+    Witness paths are prefix-closed, so each image frame is one column step
+    from the image of the cluster's BFS parent.  The image frames are frames
+    of A(B^c) relative to the initial seed of qp: the walk steps on qp's
+    FrameTable and checks duality on each of them, and each image variable is
+    read from qp by its g-vector, theta and tau_c^-1 of theta taken once each.
     A cluster of qp missing from qm fails the check; an image g-vector that
     no variable of qp has raises InternalError naming the witness path.
     """
@@ -412,27 +418,27 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, c, x) for g, x in polys.items()}
     tau_theta_at = {g: tau(spec, c, root, "inverse") for g, root in theta_at.items()}
-    sink0 = identity_frame(build_bc(spec, c))
-    for k in reversed(c.order):
-        sink0 = frame_mutate(sink0, k)
-    tau_frames = {(): sink0}
-    checked = 0
+    steps, sweep = qp.steps or FrameTable(build_bc(spec, c)), c.order[::-1]
+    frame = steps.initial
+    for i, k in enumerate(sweep):
+        frame = steps.step(*frame, k - 1, sweep[:i])[1:]
+    tau_frames = {(): frame}
     for payload in sorted(qp.vertices, key=lambda p: len(p.witness_path)):
         path = payload.witness_path
         if path:
             if path[:-1] not in tau_frames:
                 raise InternalError(f"witness path {path} has no parent cluster")
-            tau_frames[path] = frame_mutate(tau_frames[path[:-1]], path[-1])
-        frame_tau = tau_frames[path]
-        check_frame(frame_tau)
+            tau_frames[path] = steps.step(*tau_frames[path[:-1]], path[-1] - 1, sweep + path[:-1])[1:]
+        cids, gids = tau_frames[path]
+        steps.check_duality(cids, gids, sweep + path)
         if payload.mask not in minus_csets:
             return fail("cluster of A(B^c) missing from A(-B^c)", f"witness path {path}")
-        tau_cset = frozenset(frame_tau.c_vectors)
+        tau_cset = frozenset(steps.c_vectors[i] for i in cids)
         want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.mask])
         if tau_cset != want:
             where = f"witness path {path}: {sorted(tau_cset)}"
             return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)
-        for j, (g_tau, g) in enumerate(zip(frame_tau.g_vectors, payload.frame.g_vectors)):
+        for j, (g_tau, g) in enumerate(zip((steps.g_vectors[i] for i in gids), payload.frame.g_vectors)):
             try:
                 lhs, rhs = theta_at[g_tau], tau_theta_at[g]
             except KeyError as exc:
@@ -442,5 +448,5 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
             if lhs != rhs:
                 where = f"witness path {path}, position {j + 1}: {lhs} != {rhs}"
                 return fail("theta does not intertwine tau_c^-1 with the mutation model", where)
-        checked += 1
+    checked = qp.n_vertices
     return CheckReport("tau-c-matrix", True, (f"{checked} clusters checked",), stats=(("clusters", checked),))

@@ -80,9 +80,6 @@ class CoxeterElement:
     def rank(self) -> int:
         return len(self.order)
 
-    def inverse(self) -> "CoxeterElement":
-        return CoxeterElement(tuple(reversed(self.order)))
-
 
 def _chain_cartan(n: int) -> list[list[int]]:
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]

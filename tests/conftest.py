@@ -4,9 +4,13 @@ oracles the tests compare against."""
 import json
 from functools import lru_cache
 
-from cambrian.errors import InternalError
+from cambrian.errors import InputError, InternalError
 from cambrian.laurent import (
     LaurentPolynomial,
+    _box,
+    _divide,
+    _pack,
+    _place_values,
     denominator_vector,
     initial_seed,
     mutate_seed,
@@ -14,7 +18,7 @@ from cambrian.laurent import (
     poly_str,
     theta,
 )
-from cambrian.mutation import build_bc, column_sign, frame_is_unimodular, frame_mutate, mutate_columns, mutate_matrix
+from cambrian.mutation import MatrixFrame, build_bc, check_duality, column_sign, frame_is_unimodular, mutate_columns
 from cambrian.quivers import (
     ClusterQuiver,
     ClusterVertexPayload,
@@ -244,13 +248,76 @@ def pair_scan_cambrian_hasse(spec, c):
     return ClusterQuiver("cambrian", sortables, tuple(edges))
 
 
+def mutate_matrix(m, k):
+    """Matrix mutation in direction k (1-based) of an m x n matrix, m >= n:
+    the reference for the B_t that the column step derives."""
+    n = len(m[0])
+    if not 1 <= k <= n:
+        raise InputError(f"mutation direction {k} out of range 1..{n}")
+    k0 = k - 1
+    # m'_ij = m_ij + [m_ik]_+ m_kj + m_ik [-m_kj]_+, which is m_ij + m_ik [m_kj]_+
+    # for m_ik > 0 and m_ij + m_ik [-m_kj]_+ for m_ik < 0; row and column k negate.
+    plus = tuple(max(x, 0) for x in m[k0])
+    minus = tuple(max(-x, 0) for x in m[k0])
+    out = []
+    for i, row in enumerate(m):
+        a = row[k0]
+        if i == k0:
+            out.append(tuple(-x for x in row))
+            continue
+        if a:
+            row = tuple(x + a * y for x, y in zip(row, plus if a > 0 else minus))
+        out.append(row[:k0] + (-a,) + row[k0 + 1 :])
+    return tuple(out)
+
+
+def frame_mutate(frame, k):
+    """The frame one mutation in direction k (1-based) away, by the vector
+    column step."""
+    return mutate_columns(frame, k)[1]
+
+
+def check_frame(frame: MatrixFrame) -> None:
+    """Sign coherence of every C-column and the duality G^T S C = S on a
+    vector frame, each InternalError naming its path: the oracle for the
+    checks a FrameTable makes on ids."""
+    for c in frame.c_vectors:
+        column_sign(c, frame.path)
+    try:
+        check_duality(frame)
+    except InternalError as exc:
+        raise InternalError(f"witness path {frame.path}: {exc}") from None
+
+
+def lp_pow(p, k):
+    """p to the power k >= 0 by repeated tuple multiplication."""
+    if k < 0:
+        raise InputError("negative powers are not defined for polynomials")
+    out = LaurentPolynomial.monomial(p.nvars, (0,) * p.nvars)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def exact_div(num, divisor):
+    """num / divisor by the packed heap division of the exchanges; raises
+    InternalError if the quotient is not Laurent."""
+    if divisor.is_zero():
+        raise InputError("division by the zero polynomial")
+    if num.is_zero():
+        return num
+    lo, hi = _box(num)
+    weights = _place_values(lo, hi)
+    return _divide(dict(_pack(num.terms, weights)), divisor, lo, hi, weights, _box(divisor))
+
+
 def row_major_frame_mutate(b, c, g, k):
     """One mutation in direction k (1-based) of row-major B, C and G matrices:
     B and C together as the extended matrix [B; C], and G in column k only,
     g'_k = -g_k + sum_j [-eps * b_jk]_+ g_j with eps the sign of c_k.  The
-    oracle for the column step of frame_mutate."""
+    oracle for the column step of mutate_columns."""
     n, k0 = len(b), k - 1
-    eps = column_sign(tuple(row[k0] for row in c))
+    eps = column_sign(tuple(row[k0] for row in c), ())
     ext = mutate_matrix(b + c, k)
     coef = [max(-eps * b[j][k0], 0) for j in range(n)]
     new_g = tuple(row[:k0] + (sum(x * y for x, y in zip(coef, row)) - row[k0],) + row[k:] for row in g)
@@ -290,7 +357,7 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
         for seed in frontier:
             skey = frozenset(seed.vars)
             for k in range(1, n + 1):
-                green = column_sign(seed.frame.c_column(k)) > 0
+                green = column_sign(seed.frame.c_column(k), seed.frame.path) > 0
                 mutated = mutate_seed(seed, k)
                 mkey = frozenset(mutated.vars)
                 if mkey not in seeds:
@@ -357,7 +424,8 @@ def assert_exchange_relations(q):
     independent check of the packed division of mutate_seed.  Returns the
     number of relations checked."""
     polys = {g: x for p in q.vertices for g, x in zip(p.g_vectors, p.variables)}
-    one = LaurentPolynomial.one(q.vertices[0].variables[0].nvars)
+    nvars = q.vertices[0].variables[0].nvars
+    one = LaurentPolynomial.monomial(nvars, (0,) * nvars)
     seen = set()
     for payload in q.vertices:
         frame = payload.frame
@@ -371,9 +439,9 @@ def assert_exchange_relations(q):
             pos, neg = one, one
             for x, bik in zip(xs, mutate_columns(frame, k)[0]):
                 if bik > 0:
-                    pos = pos * x ** bik
+                    pos = pos * lp_pow(x, bik)
                 elif bik < 0:
-                    neg = neg * x ** -bik
+                    neg = neg * lp_pow(x, -bik)
             x_new = polys[mutated.g_column(k)]
             assert x_new * xs[k - 1] == pos + neg, f"relation at {frame.path}, k={k}"
     return len(seen)

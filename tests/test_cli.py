@@ -16,8 +16,8 @@ import pytest
 
 import cambrian.cli
 from cambrian.cli import BUILD_COMMANDS, VERIFY_COMMANDS, Build, main, quiver_to_dot, quiver_to_json, run_all_checks
-from cambrian.laurent import _exchange
-from cambrian.mutation import frame_mutate, mutate_columns, mutate_matrix
+from cambrian.laurent import _exchange, _exchange_holds
+from cambrian.mutation import FrameTable, mutate_columns
 from cambrian.quivers import QuiverEdge
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
@@ -178,79 +178,94 @@ class TestVerifyCommands:
         }
 
     @staticmethod
-    def count_exchanges(capsys, monkeypatch, *argv):
-        """Exact exchanges (_exchange), frame_mutate, column steps
-        (mutate_columns) and B steps (mutate_matrix, which no command
-        calls) of one passing verify-all."""
-        calls = {"_exchange": 0, "frame_mutate": 0, "mutate_columns": 0, "mutate_matrix": 0}
-        for original in (_exchange, frame_mutate, mutate_columns, mutate_matrix):
+    def count_exchanges(monkeypatch, *argv):
+        """Exact divisions (_exchange), product checks (_exchange_holds),
+        memoised column steps (FrameTable.step) and vector column steps
+        (mutate_columns, which no command calls) of one passing command."""
+        calls = {"_exchange": 0, "_exchange_holds": 0, "step": 0, "mutate_columns": 0}
 
-            def counted(*args, name=original.__name__, original=original, **kwargs):
-                calls[name] += 1
+        def counting(original):
+            def counted(*args, **kwargs):
+                calls[original.__name__] += 1
                 return original(*args, **kwargs)
 
+            return counted
+
+        for original in (_exchange, _exchange_holds, mutate_columns):
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("cambrian") and getattr(module, original.__name__, None) is original:
-                    monkeypatch.setattr(module, original.__name__, counted)
-        code, _, _ = run(capsys, "verify-all", *argv)
-        assert code == 0
+                    monkeypatch.setattr(module, original.__name__, counting(original))
+        monkeypatch.setattr(FrameTable, "step", counting(FrameTable.step))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0
         return calls
 
-    def test_verify_all_mutation_count(self, capsys, monkeypatch):
-        # A3: n = 3, m = 14 clusters, 15 exchange pairs {x, x'} (the pairs of
-        # crossing diagonals of a hexagon, C(6, 4)) and m·n/2 = 21 edges.
-        # The two BFS runs share one VariableTable: the plus build makes one
-        # exact exchange per pair and the minus build reads all 15 from the
-        # table, so _exchange runs 15 times.  Each BFS steps across each
-        # edge once, from the end it reaches first, and takes the column
-        # step there: 21 per build.  That step gives column k of B and the
-        # next frame, so a new cluster's frame costs nothing more and no
-        # frame takes a B step: mutate_matrix runs 0 times.  The tau walk
-        # advances (m−1)+n = 16 frames by frame_mutate, one column step
-        # each, and reads its variables from the plus build.  So
-        # mutate_columns runs 2·21 + 16 = 58 times and frame_mutate 16; a
-        # step back across an edge or a replay of any witness path from the
-        # root would add more.
-        calls = self.count_exchanges(capsys, monkeypatch, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
-        assert calls == {"_exchange": 15, "frame_mutate": 16, "mutate_columns": 58, "mutate_matrix": 0}
+    def test_verify_all_mutation_count(self, monkeypatch):
+        # A3: n = 3, m = 14 clusters, N + n = 9 cluster variables, 15
+        # exchange pairs {x, x'} (the pairs of crossing diagonals of a
+        # hexagon, C(6, 4)) and m·n/2 = 21 edges.  The two BFS runs share
+        # one VariableTable: the plus build computes one exchange per pair
+        # and the minus build reads all 15 from the table.  Of the plus
+        # build's 15, the 6 that first meet a non-initial variable divide
+        # (_exchange); the other 9 meet a g-vector the build already holds
+        # and check the product instead (_exchange_holds).  Each BFS steps
+        # across each edge once, from the end it reaches first, and takes
+        # the column step there: 21 per build.  That step gives column k of
+        # B and the next frame, so a new cluster's frame costs nothing more.
+        # The tau walk advances (m−1)+n = 16 frames, one column step each,
+        # and reads its variables from the plus build.  So FrameTable.step
+        # runs 2·21 + 16 = 58 times, and the vector step mutate_columns
+        # never; a step back across an edge or a replay of any witness path
+        # from the root would add more.
+        calls = self.count_exchanges(monkeypatch, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert calls == {"_exchange": 6, "_exchange_holds": 9, "step": 58, "mutate_columns": 0}
 
-    def test_verify_all_e6_exact_exchanges(self, capsys, monkeypatch):
-        # E6 has m = 833 clusters, m·n/2 = 2,499 edges and 385 exchange
-        # pairs: one exact exchange each, all made by the plus build, none
-        # by the minus build or the tau walk.  The column steps are one per
-        # edge per build and the (m−1)+n = 838 frames of the tau walk:
-        # 2·2,499 + 838 = 5,836.  No frame holds B, so no step mutates it:
-        # mutate_matrix runs 0 times.
-        calls = self.count_exchanges(capsys, monkeypatch, "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
-        assert (calls["_exchange"], calls["mutate_columns"], calls["mutate_matrix"]) == (385, 5836, 0)
+    def test_verify_all_e6_exact_exchanges(self, monkeypatch):
+        # E6 has m = 833 clusters, m·n/2 = 2,499 edges, 36 + 6 cluster
+        # variables and 385 exchange pairs: one exchange each, all made by
+        # the plus build, none by the minus build or the tau walk.  Of
+        # those, 36 meet a new variable and divide; 349 meet a known one
+        # and check the product.  The column steps are one per edge per
+        # build and the (m−1)+n = 838 frames of the tau walk: 2·2,499 + 838
+        # = 5,836, all on the FrameTable memos.
+        calls = self.count_exchanges(monkeypatch, "verify-all", "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
+        assert calls == {"_exchange": 36, "_exchange_holds": 349, "step": 5836, "mutate_columns": 0}
+
+    def test_exchange_e6_divisions_and_product_checks(self, monkeypatch):
+        # The exchange command builds the plus quiver alone: the same 36
+        # divisions and 349 product checks, in one column step per edge.
+        argv = ("exchange", "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6", "--format", "json")
+        calls = self.count_exchanges(monkeypatch, *argv)
+        assert calls == {"_exchange": 36, "_exchange_holds": 349, "step": 2499, "mutate_columns": 0}
 
     @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
     def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):
-        # A3 has m = 14 clusters.  Each exchange build asserts check_frame on
-        # the m frames it stores and the tau walk on its m frames; the sign
+        # A3 has m = 14 clusters.  Each exchange build checks duality on the
+        # m frames it stores and the tau walk on its m frames; the sign
         # report asserts nothing again: 2m = 28 under verify-signs and 3m =
         # 42 under verify-all.
         calls = []
-        original = cambrian.quivers.check_frame
-        monkeypatch.setattr(cambrian.quivers, "check_frame", lambda f: calls.append(f) or original(f))
+        original = FrameTable.check_duality
+        monkeypatch.setattr(FrameTable, "check_duality", lambda *args: calls.append(args) or original(*args))
         code, _, _ = run(capsys, command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 0
         assert len(calls) == per_cluster * 14
 
     def test_build_raises_on_a_bad_stored_frame(self, capsys, monkeypatch):
         # Negate one C-column entry of each column step the BFS takes.
-        # check_frame fails on the first frame it keeps, the plus build's
-        # mutation at 1, as it is stored, before a later step can trip over
-        # it, so the command exits 3 with the duality error naming that
-        # frame's witness path and prints no report.
-        original = cambrian.quivers.mutate_columns
+        # The duality check fails on the first frame it keeps, the plus
+        # build's mutation at 1, as it is stored, before a later step can
+        # trip over it, so the command exits 3 with the duality error naming
+        # that frame's witness path and prints no report.
+        original = FrameTable.step
 
-        def corrupted(frame, k):
-            column, new = original(frame, k)
-            first, *rest = new.c_vectors
-            return column, dataclasses.replace(new, c_vectors=((-first[0],) + first[1:], *rest))
+        def corrupted(self, cids, gids, k0, path):
+            column, (first, *rest), new_gids = original(self, cids, gids, k0, path)
+            c = self.c_vectors[first]
+            bad = self.c_id((-c[0],) + c[1:], self.s[0], path + (k0 + 1,))
+            return column, (bad, *rest), new_gids
 
-        monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
+        monkeypatch.setattr(FrameTable, "step", corrupted)
         code, out, err = run(capsys, "verify-signs", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 3 and out == ""
         assert err == "internal error: witness path (1,): C/G duality identity failed\n"
@@ -607,6 +622,17 @@ def test_coxeter_words_name_each_element_once(t, n):
     every = {orientation(p) for p in itertools.permutations(range(1, n + 1))}
     assert len(words) == len(every) == 2 ** (n - 1)
     assert {orientation(w) for w in words} == every
+
+
+@pytest.mark.slow
+def test_verify_all_a9():
+    # The classical-scale guard: 16,796 clusters and 75,582 edges in each
+    # exchange build, every step on the memos of 2N = 90 c-vectors, which
+    # the tau walk shares with the plus build.
+    build = Build(spec_of("A", 9), CoxeterElement(tuple(range(1, 10))), None)
+    assert [rep.name for rep in run_all_checks(build) if not rep.ok] == []
+    assert (build.plus.n_vertices, len(build.plus.edges)) == (16796, 75582)
+    assert len(build.plus.steps.c_vectors) == len(build.minus.steps.c_vectors) == 90
 
 
 @pytest.mark.slow

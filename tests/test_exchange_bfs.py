@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import cambrian.quivers
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import initial_seed, mutate_seed
-from cambrian.mutation import build_bc, mutate_columns
+from cambrian.laurent import _box, _exchange, _exchange_holds, initial_seed, mutate_seed
+from cambrian.mutation import FrameTable, build_bc, mutate_columns
 from cambrian.quivers import VariableTable, build_exchange_quiver, theta_vertex_map
-from cambrian.rootsys import CoxeterElement
+from cambrian.rootsys import CoxeterElement, positive_roots
 
 from conftest import (
     RANK_LE_4,
@@ -25,6 +25,7 @@ from conftest import (
     assert_exchange_relations,
     b_along_path,
     ccluster_of,
+    check_frame,
     exchange_of,
     polynomial_keyed_exchange_quiver,
     spec_of,
@@ -149,29 +150,82 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
     # The other steps from depth 2 go back along tree edges, which the BFS
     # skips.  Swap two of the C-columns of that step so its (g, c) pairs no
     # longer match the stored ones.
-    original = cambrian.quivers.mutate_columns
+    original = FrameTable.step
 
-    def corrupted(frame, k):
-        column, new = original(frame, k)
-        cs = new.c_vectors
-        return column, dataclasses.replace(new, c_vectors=(cs[1], cs[0]) + cs[2:]) if len(frame.path) == 2 else new
+    def corrupted(self, cids, gids, k0, path):
+        column, new_cids, new_gids = original(self, cids, gids, k0, path)
+        return column, (new_cids[1], new_cids[0]) + new_cids[2:] if len(path) == 2 else new_cids, new_gids
 
-    monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
-    with pytest.raises(InternalError, match="reaches a stored cluster with other columns"):
+    monkeypatch.setattr(FrameTable, "step", corrupted)
+    message = "mutation path (1, 2, 1) reaches a stored cluster with other columns"
+    with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
 
 
 def test_stored_frames_are_checked(monkeypatch):
     # A G-matrix off by a sign breaks duality on the first stored frame.
-    original = cambrian.quivers.mutate_columns
+    original = FrameTable.step
 
-    def corrupted(frame, k):
-        column, new = original(frame, k)
-        return column, dataclasses.replace(new, g_vectors=tuple(tuple(-x for x in g) for g in new.g_vectors))
+    def corrupted(self, cids, gids, k0, path):
+        column, new_cids, new_gids = original(self, cids, gids, k0, path)
+        return column, new_cids, tuple(self.g_id(tuple(-x for x in self.g_vectors[g])) for g in new_gids)
 
-    monkeypatch.setattr(cambrian.quivers, "mutate_columns", corrupted)
-    with pytest.raises(InternalError, match="duality"):
+    monkeypatch.setattr(FrameTable, "step", corrupted)
+    with pytest.raises(InternalError, match=re.escape("witness path (1,): C/G duality identity failed")):
         build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
+
+
+def test_non_coherent_c_vector_is_refused_when_numbered():
+    # A FrameTable checks each c-vector for sign coherence once, as it
+    # numbers it, and names the path that met it.
+    table = FrameTable(build_bc(spec_of("A", 2), CoxeterElement((1, 2))))
+    with pytest.raises(InternalError, match=re.escape("witness path (2, 1): sign coherence violated: (1, -1)")):
+        table.c_id((1, -1), 1, (2, 1))
+    assert len(table.c_vectors) == 2
+
+
+def frame_ids(steps, frame):
+    """The c ids and g ids of a vector frame of the build of steps."""
+    return (tuple(steps.c_ids[sj, c] for c, sj in zip(frame.c_vectors, steps.s)),
+            tuple(steps.g_ids[g] for g in frame.g_vectors))
+
+
+@pytest.mark.parametrize("t,n,order", TEST_MATRIX)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_memoised_step_matches_mutate_columns(t, n, order, sign):
+    # On every stored frame and in every direction, the memoised step on
+    # ids gives the column and the next frame of the vector step.  The
+    # memoised duality check fails like the vector check_frame on the frame
+    # with its first two g-vectors swapped.
+    q = build_exchange_quiver(spec_of(t, n), CoxeterElement(order), sign)
+    steps = q.steps
+    for payload in q.vertices:
+        cids, gids = frame_ids(steps, payload.frame)
+        for k in range(1, n + 1):
+            column, new = mutate_columns(payload.frame, k)
+            got = steps.step(cids, gids, k - 1, payload.witness_path)
+            assert got[0] == column
+            assert steps.frame(*got[1:], new.path) == new
+        if n > 1:
+            swapped, message = (gids[1], gids[0], *gids[2:]), f"witness path {payload.witness_path}: C/G duality"
+            with pytest.raises(InternalError, match=re.escape(message)):
+                check_frame(steps.frame(cids, swapped, payload.witness_path))
+            with pytest.raises(InternalError, match=re.escape(message)):
+                steps.check_duality(cids, swapped, payload.witness_path)
+
+
+@pytest.mark.parametrize("t,n,order", TEST_MATRIX)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_each_build_numbers_the_signed_roots(t, n, order, sign):
+    # A build meets 2N c-vectors, N the number of positive roots, and N + n
+    # g-vectors, one per cluster variable.  In these types the c-vectors
+    # are the signed roots, each at positions of one symmetrizer.
+    spec = spec_of(t, n)
+    steps = build_exchange_quiver(spec, CoxeterElement(order), sign).steps
+    roots = positive_roots(spec)
+    assert len(steps.c_vectors) == 2 * len(roots)
+    assert set(steps.c_vectors) == {*roots, *(tuple(-x for x in r) for r in roots)}
+    assert len(steps.g_vectors) == len(roots) + n
 
 
 @pytest.mark.parametrize("t,n,order", TEST_MATRIX)
@@ -192,12 +246,12 @@ def test_stored_frames_derive_the_mutated_b(t, n, order, sign):
 
 
 def _patch_first_exchange(monkeypatch, wrong_variable):
-    """The table's first exact exchange returns wrong_variable(x_k, x_k')."""
+    """The table's first exact division returns wrong_variable(x_k, x_k')."""
     original = cambrian.quivers._exchange
     calls = []
 
-    def patched(pos, neg, divisor):
-        out = original(pos, neg, divisor)
+    def patched(pos, neg, divisor, *box):
+        out = original(pos, neg, divisor, *box)
         calls.append(out)
         return wrong_variable(divisor, out) if len(calls) == 1 else out
 
@@ -205,8 +259,10 @@ def _patch_first_exchange(monkeypatch, wrong_variable):
 
 
 def test_g_vector_with_two_polynomials(monkeypatch):
-    # The first exchange returns 2 x_1'; the exchange at path (1, 2) takes it
-    # into a wrong variable, and the right one meets its g-vector at (2, 1).
+    # The first division returns 2 x_1'; the division at path (1, 2) takes it
+    # into a wrong variable.  At (2, 1) the build already holds that
+    # g-vector, so the product check with the wrong variable fails and the
+    # division gives the right one: a second variable at that g-vector.
     def doubled(xk, x):
         return dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
 
@@ -214,6 +270,63 @@ def test_g_vector_with_two_polynomials(monkeypatch):
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
+
+
+def test_wrong_known_variable_fails_the_product_check(monkeypatch):
+    # Store 2 x in place of the variable x with id 4, which A3 with c =
+    # 1,2,3 first divides out at path (1, 2), with g-vector (-1, 0, 1).  At
+    # (2, 1) the build already holds that g-vector, so it checks x_k * 2x
+    # against M+ + M- instead of dividing: the check fails, and the
+    # division it falls back on gives x, a second variable there.
+    table, checks = VariableTable(3), []
+    original, holds = table.exchange, cambrian.quivers._exchange_holds
+
+    def corrupting(ids, column, k0, known=None):
+        new_id = original(ids, column, k0, known)
+        if new_id == 4 and len(table.polys) == 5:
+            x = table.polys[4]
+            wrong = dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
+            table.polys[4], table.boxes[wrong] = wrong, table.boxes.pop(x)
+            del table.ids[x]
+            table.ids[wrong] = 4
+        return new_id
+
+    monkeypatch.setattr(table, "exchange", corrupting)
+    monkeypatch.setattr(cambrian.quivers, "_exchange_holds", lambda *args: checks.append(holds(*args)) or checks[-1])
+    message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
+    with pytest.raises(InternalError, match=re.escape(message)):
+        build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)), table=table)
+    assert checks == [False]
+
+
+def test_newton_box_once_per_variable(monkeypatch):
+    # The table keeps each variable's Newton box: 6 + 36 boxes for the 42
+    # variables of E6, however many of the 385 relations read them.
+    calls = []
+    monkeypatch.setattr(cambrian.quivers, "_box", lambda p: calls.append(p) or _box(p))
+    table = VariableTable(6)
+    build_exchange_quiver(spec_of("E", 6), CoxeterElement((1, 2, 3, 4, 5, 6)), table=table)
+    assert len(calls) == len(table.polys) == 42
+
+
+def test_product_check_against_division():
+    # On the relations at 40 clusters of the E6 plus build, the product
+    # check holds for the quotient the division gives and fails for each
+    # of the build's 41 other variables.
+    order = (1, 2, 3, 4, 5, 6)
+    table = VariableTable(6)
+    q = build_exchange_quiver(spec_of("E", 6), CoxeterElement(order), table=table)
+    box = table.boxes.__getitem__
+    for payload in q.vertices[:40]:
+        at_g = dict(zip(payload.g_vectors, payload.variables))
+        ids = tuple(table.ids[at_g[g]] for g in payload.frame.g_vectors)
+        for k in range(1, 7):
+            column = mutate_columns(payload.frame, k)[0]
+            pos = [(table.polys[i], m) for i, m in zip(ids, column) if m > 0]
+            neg = [(table.polys[i], -m) for i, m in zip(ids, column) if m < 0]
+            xk, x = table.polys[ids[k - 1]], _exchange(pos, neg, table.polys[ids[k - 1]], box)
+            assert _exchange_holds(pos, neg, xk, x, box)
+            assert not any(_exchange_holds(pos, neg, xk, y, box) for y in table.polys if y != x)
 
 
 def test_polynomial_with_two_g_vectors(monkeypatch):

@@ -18,7 +18,7 @@ from cambrian.laurent import (
 from cambrian.mutation import build_bc
 from cambrian.rootsys import CoxeterElement, almost_positive_roots, cartan_matrix
 
-from conftest import exchange_of, spec_of
+from conftest import exact_div, exchange_of, lp_pow, spec_of
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
@@ -32,43 +32,43 @@ class TestArithmetic:
     def test_add_mul(self):
         x1 = LaurentPolynomial.generator(2, 0)
         x2 = LaurentPolynomial.generator(2, 1)
-        s = x1 + x2 + LaurentPolynomial.one(2)
+        s = x1 + x2 + lp(2, {(0, 0): 1})
         assert s.terms == (((1, 0), 1), ((0, 1), 1), ((0, 0), 1))
         assert (x1 * x2).terms == (((1, 1), 1),)
-        assert (s + (-s)).is_zero()
+        assert (s + lp(2, {e: -c for e, c in s.terms})).is_zero()
 
     def test_pow(self):
         x1 = LaurentPolynomial.generator(1, 0)
-        assert ((x1 + LaurentPolynomial.one(1)) ** 2).terms == (
+        assert lp_pow(x1 + lp(1, {(0,): 1}), 2).terms == (
             ((2,), 1),
             ((1,), 2),
             ((0,), 1),
         )
         with pytest.raises(InputError):
-            x1 ** -1
+            lp_pow(x1, -1)
 
     def test_exact_div(self):
         x1 = LaurentPolynomial.generator(2, 0)
         x2 = LaurentPolynomial.generator(2, 1)
         num = x1 * x2 + x2
-        assert num.exact_div(x2).terms == (((1, 0), 1), ((0, 0), 1))
-        assert num.exact_div(x1 + LaurentPolynomial.one(2)) == x2
+        assert exact_div(num, x2).terms == (((1, 0), 1), ((0, 0), 1))
+        assert exact_div(num, x1 + lp(2, {(0, 0): 1})) == x2
 
     def test_division_by_monomial_is_laurent(self):
         x1 = LaurentPolynomial.generator(2, 0)
         x2 = LaurentPolynomial.generator(2, 1)
-        q = (x1 + LaurentPolynomial.one(2)).exact_div(x2)
+        q = exact_div(x1 + lp(2, {(0, 0): 1}), x2)
         assert q.terms == (((1, -1), 1), ((0, -1), 1))
 
     def test_inexact_coefficient(self):
         three = lp(1, {(1,): 3})
         two = lp(1, {(1,): 2})
         with pytest.raises(InternalError):
-            three.exact_div(two)
+            exact_div(three, two)
 
     def test_zero_divisor(self):
         with pytest.raises(InputError):
-            LaurentPolynomial.one(1).exact_div(LaurentPolynomial.zero(1))
+            exact_div(lp(1, {(0,): 1}), LaurentPolynomial(1, ()))
 
     @pytest.mark.parametrize(
         "num,den",
@@ -82,16 +82,16 @@ class TestArithmetic:
         # Each quotient exponent must stay in the box [lo_num - lo_den,
         # hi_num - hi_den]; these leave it within a few steps.
         with pytest.raises(InternalError, match="inexact division"):
-            lp(2, num).exact_div(lp(2, den))
+            exact_div(lp(2, num), lp(2, den))
 
     def test_zero_numerator(self):
-        assert LaurentPolynomial.zero(2).exact_div(lp(2, {(1, 0): 1, (0, 1): 1})).is_zero()
+        assert exact_div(LaurentPolynomial(2, ()), lp(2, {(1, 0): 1, (0, 1): 1})).is_zero()
 
     def test_monomial_divisor(self):
         num = lp(3, {(2, -1, 0): 3, (0, 1, 1): -6, (-1, 0, 0): 9})
-        assert num.exact_div(lp(3, {(1, -2, 1): -3})) == lp(3, {(1, 1, -1): -1, (-1, 3, 0): 2, (-2, 2, -1): -3})
+        assert exact_div(num, lp(3, {(1, -2, 1): -3})) == lp(3, {(1, 1, -1): -1, (-1, 3, 0): 2, (-2, 2, -1): -3})
         with pytest.raises(InternalError, match="inexact division"):
-            num.exact_div(lp(3, {(1, 0, 0): 2}))
+            exact_div(num, lp(3, {(1, 0, 0): 2}))
 
     def test_hash_is_taken_once_and_follows_the_terms(self):
         # Equal polynomials built apart hash alike; replace re-runs
@@ -122,14 +122,14 @@ def quotient_and_divisor(draw):
 
 
 class TestDivisionProperties:
-    """The packed division of exact_div against the tuple arithmetic of
-    __mul__ and __add__."""
+    """The packed division of the exchanges (exact_div) against the tuple
+    arithmetic of __mul__ and __add__."""
 
     @settings(deadline=None, max_examples=100)
     @given(quotient_and_divisor())
     def test_multiple_divides_back(self, case):
         q, d, _ = case
-        assert (q * d).exact_div(d) == q
+        assert exact_div(q * d, d) == q
 
     @settings(deadline=None, max_examples=100)
     @given(quotient_and_divisor(), st.data())
@@ -141,7 +141,7 @@ class TestDivisionProperties:
         assume(len(d.terms) >= 2)
         extra = data.draw(polynomial(nvars, max_terms=1))
         with pytest.raises(InternalError, match="inexact division"):
-            (q * d + extra).exact_div(d)
+            exact_div(q * d + extra, d)
 
     @settings(deadline=None, max_examples=100)
     @given(quotient_and_divisor(), st.data())
@@ -149,7 +149,7 @@ class TestDivisionProperties:
         _, d, nvars = case
         num = data.draw(polynomial(nvars))
         try:
-            q = num.exact_div(d)
+            q = exact_div(num, d)
         except InternalError as exc:
             assert "inexact division" in str(exc)
         else:
@@ -277,7 +277,7 @@ class TestDenominatorTheta:
 
     def test_zero(self):
         with pytest.raises(InputError):
-            denominator_vector(LaurentPolynomial.zero(2))
+            denominator_vector(LaurentPolynomial(2, ()))
 
     def test_theta_bijective(self):
         for t, n, order in [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("A", 3, (2, 1, 3))]:

@@ -532,7 +532,8 @@ def test_tautilt_command_runs_no_exchange(monkeypatch, capsys):
 
         return forbidden
 
-    names = ("theta", "mutate_seed", "_exchange", "frame_mutate", "build_exchange_quiver")
+    names = ("theta", "mutate_seed", "_exchange", "_exchange_holds", "mutate_columns", "FrameTable",
+             "build_exchange_quiver")
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cambrian"]:
         for name in names:
             if hasattr(module, name):

@@ -2,6 +2,7 @@
 replaced: every image variable is the plus build's variable at the image
 frame's g-vector, and no exact exchange is made outside the two builds."""
 
+import dataclasses
 import sys
 from unittest import mock
 
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cambrian.quivers
 from cambrian.laurent import mutate_seed
+from cambrian.mutation import FrameTable
 from cambrian.quivers import build_exchange_quiver, check_tau_c_matrix
-from cambrian.rootsys import CoxeterElement
+from cambrian.rootsys import CoxeterElement, positive_roots
 
 from conftest import RANK_LE_4, exchange_of, laurent_tau_walk, spec_of
 
@@ -29,14 +30,24 @@ def assert_matches_laurent_walk(t, n, c):
         assert seed.vars == tuple(polys[g] for g in seed.frame.g_vectors)
         negated = frozenset(tuple(-x for x in v) for v in minus_csets[payload.key()])
         assert frozenset(seed.frame.c_vectors) == negated
-    # The check asserts its invariants on exactly the oracle's frames.
+    # The check asserts duality on exactly the oracle's frames, stepping on
+    # the plus build's FrameTable; the walk meets no c-vector that the
+    # build has not numbered (and checked for sign coherence).
     checked = []
-    original = cambrian.quivers.check_frame
-    with mock.patch.object(cambrian.quivers, "check_frame", lambda f: checked.append(f) or original(f)):
+    original = FrameTable.check_duality
+
+    def recorded(steps, cids, gids, path):
+        checked.append(steps.frame(cids, gids, path))
+        return original(steps, cids, gids, path)
+
+    with mock.patch.object(FrameTable, "check_duality", recorded):
         rep = check_tau_c_matrix(spec, c, qp, qm)
     assert rep.ok, rep.counterexample
     assert rep.stat("clusters") == qp.n_vertices
     assert checked == [seeds[p.witness_path].frame for p in walk]
+    assert len(qp.steps.c_vectors) == 2 * len(positive_roots(spec))
+    # An exchange quiver without its table gets a fresh one: the same report.
+    assert check_tau_c_matrix(spec, c, dataclasses.replace(qp, steps=None), qm) == rep
 
 
 @st.composite
