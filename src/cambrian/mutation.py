@@ -166,8 +166,7 @@ class FrameTable:
     def __init__(self, b: ExchangeMatrix):
         frame0 = identity_frame(b)
         self.sb0, self.s = frame0.sb0, frame0.skew_symmetrizer
-        # Per c id: the vector, its sign and {c_j id: (b_jk, c'_j id, g_j's coefficient in g'_k)};
-        # per g id: the vector and {c id: g . S c}.
+        # Per c id: vector, sign, {c_j id: (b_jk, c'_j id, g_j's coefficient in g'_k)}; per g id: vector, {c id: g.S c}.
         self.c_vectors, self.signs, self.pairs, self.c_ids = [], [], [], {}
         self.g_vectors, self.duals, self.g_ids = [], [], {}
         self.initial = (tuple(self.c_id(c, sj, ()) for c, sj in zip(frame0.c_vectors, self.s)),
@@ -202,8 +201,8 @@ class FrameTable:
     def step(self, cids: tuple[int, ...], gids: tuple[int, ...], k0: int, path: tuple[int, ...]):
         """mutate_columns at position k0 (0-based) of the frame (cids, gids)
         reached by path: (column k0 + 1 of B_t, new c ids, new g ids)."""
-        memo, gk = self.pairs[cids[k0]], [-x for x in self.g_vectors[gids[k0]]]
-        entries = [memo.get(cj) or memo.setdefault(cj, self._entry(cj, cids[k0], j, k0, path)) for j, cj in enumerate(cids)]
+        memo, ck, gk = self.pairs[cids[k0]], cids[k0], [-x for x in self.g_vectors[gids[k0]]]
+        entries = [memo.get(cj) or memo.setdefault(cj, self._entry(cj, ck, j, k0, path)) for j, cj in enumerate(cids)]
         for (_, _, coef), g in zip(entries, gids):
             if coef:
                 gk = [x + coef * y for x, y in zip(gk, self.g_vectors[g])]

@@ -397,18 +397,19 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
 def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     """Exhaustive check of the C-matrix identity under tau_c^-1.
 
-    qp and qm are the exchange quivers of B^c and -B^c.  For every cluster
-    [x] of A(B^c): the C-matrix set of the tau_c^-1 image equals the negated
-    C-matrix set of [x] in A(-B^c); and theta of the image variables equals
-    tau_c^-1 of theta of the originals, position by position.  The image is
-    [x] with the sink mutations c_n, ..., c_1 prepended to its witness path.
-    Witness paths are prefix-closed, so each image frame is one column step
-    from the image of the cluster's BFS parent.  The image frames are frames
-    of A(B^c) relative to the initial seed of qp: the walk steps on qp's
-    FrameTable and checks duality on each of them, and each image variable is
-    read from qp by its g-vector, theta and tau_c^-1 of theta taken once each.
-    A cluster of qp missing from qm fails the check; an image g-vector that
-    no variable of qp has raises InternalError naming the witness path.
+    qp and qm are the exchange quivers of B^c and -B^c that
+    build_exchange_quiver makes.  For every cluster [x] of A(B^c): the
+    C-matrix set of the tau_c^-1 image equals the negated C-matrix set of [x]
+    in A(-B^c); and theta of the image variables equals tau_c^-1 of theta of
+    the originals, position by position.  The image is [x] with the sink
+    mutations c_n, ..., c_1 prepended to its witness path, which is
+    prefix-closed, so each image frame is one column step from the image of
+    the cluster's BFS parent.  The image frames are frames of A(B^c) relative
+    to the initial seed of qp: the walk steps on qp's FrameTable (qp.steps),
+    checks duality on each of them, and reads each image variable from qp by
+    its g-vector, theta and tau_c^-1 of theta taken once each.  A cluster of
+    qp missing from qm fails the check; an image g-vector that no variable of
+    qp has raises InternalError naming the witness path.
     """
 
     def fail(detail: str, counterexample: str) -> CheckReport:
@@ -418,7 +419,7 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, c, x) for g, x in polys.items()}
     tau_theta_at = {g: tau(spec, c, root, "inverse") for g, root in theta_at.items()}
-    steps, sweep = qp.steps or FrameTable(build_bc(spec, c)), c.order[::-1]
+    steps, sweep = qp.steps, c.order[::-1]
     frame = steps.initial
     for i, k in enumerate(sweep):
         frame = steps.step(*frame, k - 1, sweep[:i])[1:]

@@ -2,7 +2,6 @@
 replaced: every image variable is the plus build's variable at the image
 frame's g-vector, and no exact exchange is made outside the two builds."""
 
-import dataclasses
 import sys
 from unittest import mock
 
@@ -46,8 +45,6 @@ def assert_matches_laurent_walk(t, n, c):
     assert rep.stat("clusters") == qp.n_vertices
     assert checked == [seeds[p.witness_path].frame for p in walk]
     assert len(qp.steps.c_vectors) == 2 * len(positive_roots(spec))
-    # An exchange quiver without its table gets a fresh one: the same report.
-    assert check_tau_c_matrix(spec, c, dataclasses.replace(qp, steps=None), qm) == rep
 
 
 @st.composite
