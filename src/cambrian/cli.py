@@ -11,7 +11,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
@@ -214,7 +213,7 @@ def run_iso_checks(build: Build) -> list[CheckReport]:
     psi_map = psi_vertex_map(spec, c, ttq, exq, ccq, phi_map, theta_map)
     cl_map = cambrian_vertex_map(spec, c, caq, ccq)
     return [
-        replace(rep, name=label)
+        rep._replace(name=label)
         for label, rep in (
             ("theta exchange->ccluster anti", verify_quiver_map(exq, ccq, theta_map, "anti")),
             ("phi tautilt->ccluster iso", verify_quiver_map(ttq, ccq, phi_map, "iso")),
@@ -226,7 +225,7 @@ def run_iso_checks(build: Build) -> list[CheckReport]:
 
 def run_lattice_checks(build: Build) -> list[CheckReport]:
     quivers = (build.plus, build.ccluster, build.tautilt, build.cambrian)
-    return [replace(verify_lattice(poset_from_hasse(q)), name=f"lattice {q.kind}") for q in quivers]
+    return [verify_lattice(poset_from_hasse(q))._replace(name=f"lattice {q.kind}") for q in quivers]
 
 
 def run_sign_checks(build: Build) -> list[CheckReport]:
@@ -274,7 +273,7 @@ def _report_text(reports: list[CheckReport]) -> str:
 
 
 def _report_json(reports: list[CheckReport]) -> str:
-    checks = [{**asdict(rep), "stats": dict(rep.stats)} for rep in reports]
+    checks = [{**rep._asdict(), "stats": dict(rep.stats)} for rep in reports]
     return json.dumps({"checks": checks}, indent=2, sort_keys=True) + "\n"
 
 

@@ -7,14 +7,13 @@ the lattice check looks at pairs of upper covers, never at all pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError
 from .quivers import CheckReport, ClusterQuiver
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(NamedTuple):
     """Reflexive up-set bitmasks and upper covers, indexed by vertex.  Bit i of
     a mask stands for order[i], a linear extension listed bottom first, so the
     lowest set bit of an up-closed mask is a minimal element of it."""

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .mutation import ExchangeMatrix, MatrixFrame, identity_frame, mutate_columns
@@ -26,18 +26,32 @@ from .rootsys import CartanSpec, CoxeterElement, Root, _identity, is_almost_posi
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class LaurentPolynomial:
     """Integer Laurent polynomial, terms sorted descending-lex by exponent, hashed once (it keys many tables)."""
 
+    __slots__ = ("nvars", "terms", "_hash")
     nvars: int
     terms: tuple[tuple[Exponent, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.nvars, self.terms)))
+    def __init__(self, nvars: int, terms: tuple[tuple[Exponent, int], ...]):
+        set_field = object.__setattr__
+        set_field(self, "nvars", nvars)
+        set_field(self, "terms", terms)
+        set_field(self, "_hash", hash((nvars, terms)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LaurentPolynomial:
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"LaurentPolynomial(nvars={self.nvars!r}, terms={self.terms!r})"
 
     @classmethod
     def from_dict(cls, nvars: int, d: dict[Exponent, int]) -> "LaurentPolynomial":
@@ -193,8 +207,7 @@ def poly_hash(p: LaurentPolynomial) -> str:
     return h[:12]
 
 
-@dataclass(frozen=True)
-class TropicalElement:
+class TropicalElement(NamedTuple):
     """A monomial in the tropical semifield, as its exponent vector."""
 
     exponents: Exponent
@@ -212,8 +225,7 @@ class TropicalElement:
         return TropicalElement(tuple(k * a for a in self.exponents))
 
 
-@dataclass(frozen=True)
-class LabeledSeed:
+class LabeledSeed(NamedTuple):
     """Cluster variables, tropical coefficients (principal mode) and a frame."""
 
     vars: tuple[LaurentPolynomial, ...]

@@ -12,8 +12,9 @@ tau walk, whose every frame FrameTable.check_duality checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .rootsys import CartanSpec, CoxeterElement, Matrix, _identity
@@ -42,18 +43,16 @@ def _det(m: Matrix) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
-    entries: Matrix
-    skew_symmetrizer: tuple[int, ...]
+class ExchangeMatrix(namedtuple("ExchangeMatrix", "entries skew_symmetrizer")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        s = self.skew_symmetrizer
-        if len(s) != len(self.entries) or any(x <= 0 for x in s):
+    def __new__(cls, entries: Matrix, skew_symmetrizer: tuple[int, ...]):
+        b, s = entries, skew_symmetrizer
+        if len(s) != len(b) or any(x <= 0 for x in s):
             raise InputError("skew-symmetrizer must consist of n positive integers")
-        b = self.entries
         if any(s[i] * x != -s[j] * b[j][i] for i, row in enumerate(b) for j, x in enumerate(row)):
             raise InputError("SB is not skew-symmetric")
+        return super().__new__(cls, entries, skew_symmetrizer)
 
     @property
     def rank(self) -> int:
@@ -74,8 +73,7 @@ def build_bc(spec: CartanSpec, c: CoxeterElement) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(map(tuple, b)), spec.symmetrizer)
 
 
-@dataclass(frozen=True)
-class MatrixFrame:
+class MatrixFrame(NamedTuple):
     """The c-vector and g-vector of each position (column tuples in position
     order), the mutation path from the root, and S B_0 and S, the same
     objects for every frame of a build."""

@@ -7,9 +7,9 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, mul
+from typing import NamedTuple
 
 from .errors import InternalError
 from .laurent import LaurentPolynomial, _box, _exchange, _exchange_holds, theta
@@ -18,16 +18,14 @@ from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positiv
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
 
 
-@dataclass(frozen=True)
-class QuiverEdge:
+class QuiverEdge(NamedTuple):
     src: int
     dst: int
     out_label: object
     in_label: object
 
 
-@dataclass(frozen=True)
-class ClusterVertexPayload:
+class ClusterVertexPayload(NamedTuple):
     """A non-labeled cluster: sorted variables with aligned c-/g-vectors, the
     frame the BFS first reached it with, and mask, bit i set for the variable
     with id i in the build's VariableTable.  The variable at position j of
@@ -47,8 +45,7 @@ class ClusterVertexPayload:
         return frozenset(self.variables)
 
 
-@dataclass(frozen=True)
-class TauTiltingShadow:
+class TauTiltingShadow(NamedTuple):
     """A support tau-tilting pair (M, P): M as positive roots, P as simple indices."""
 
     module_part: tuple[Root, ...]
@@ -59,20 +56,18 @@ class TauTiltingShadow:
         return len(self.module_part)
 
 
-@dataclass(frozen=True)
-class ClusterQuiver:
+class ClusterQuiver(NamedTuple):
     kind: str
     vertices: tuple
     edges: tuple[QuiverEdge, ...]
-    steps: FrameTable | None = field(default=None, compare=False, repr=False)  # an exchange build's, for its tau walk
+    steps: FrameTable | None = None  # an exchange build's, for its tau walk
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     ok: bool
     details: tuple[str, ...] = ()

@@ -9,10 +9,9 @@ mathematical labelling of Dynkin diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import InputError, InternalError
 
@@ -33,18 +32,15 @@ _VALID_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanSpec:
+# Records that validate their input subclass a namedtuple: a typing.NamedTuple
+# class cannot define __new__.
+class CartanSpec(namedtuple("CartanSpec", "dynkin_type rank cartan symmetrizer")):
     """Dynkin type, Cartan matrix and its minimal symmetrizer."""
 
-    dynkin_type: str
-    rank: int
-    cartan: Matrix
-    symmetrizer: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.rank
-        c = self.cartan
+    def __new__(cls, dynkin_type: str, rank: int, cartan: Matrix, symmetrizer: tuple[int, ...]):
+        n, c, d = rank, cartan, symmetrizer
         if len(c) != n or any(len(row) != n for row in c):
             raise InputError("Cartan matrix shape does not match rank")
         for i in range(n):
@@ -56,25 +52,24 @@ class CartanSpec:
                         raise InputError("off-diagonal Cartan entries must be <= 0")
                     if (c[i][j] == 0) != (c[j][i] == 0):
                         raise InputError("Cartan zero pattern must be symmetric")
-        d = self.symmetrizer
         if len(d) != n or any(x <= 0 for x in d):
             raise InputError("symmetrizer must consist of n positive integers")
         for i in range(n):
             for j in range(n):
                 if d[i] * c[i][j] != d[j] * c[j][i]:
                     raise InputError("symmetrizer does not symmetrize the Cartan matrix")
+        return super().__new__(cls, dynkin_type, rank, cartan, symmetrizer)
 
 
-@dataclass(frozen=True)
-class CoxeterElement:
+class CoxeterElement(namedtuple("CoxeterElement", "order")):
     """A Coxeter element, given as the order (c_1, ..., c_n) of simple reflections."""
 
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
+    def __new__(cls, order: tuple[int, ...]):
+        if sorted(order) != list(range(1, len(order) + 1)):
             raise InputError("Coxeter order must be a permutation of 1..n")
+        return super().__new__(cls, order)
 
     @property
     def rank(self) -> int:
@@ -90,26 +85,29 @@ def _chain_cartan(n: int) -> list[list[int]]:
 
 
 def _minimal_symmetrizer(c: Matrix) -> tuple[int, ...]:
-    # Propagate d_j = d_i * C_ij / C_ji along diagram edges, then clear
-    # denominators and common factors per connected component.
+    # Propagate d_j = d_i * C_ij / C_ji along diagram edges, scaling the
+    # component found so far where the division is not exact, then remove
+    # each component's common factor.
     n = len(c)
-    d: list[Fraction | None] = [None] * n
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start], stack, component = Fraction(1), [start], [start]
+        d[start], stack, component = 1, [start], [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if c[i][j] and d[j] is None:
-                    d[j] = d[i] * c[i][j] / c[j][i]
+                if c[i][j] and not d[j]:
+                    scale = -c[j][i] // gcd(d[i] * c[i][j], c[j][i])
+                    for k in component:
+                        d[k] *= scale
+                    d[j] = d[i] * c[i][j] // c[j][i]
                     component.append(j)
                     stack.append(j)
-        scale = lcm(*(d[j].denominator for j in component))
-        common = gcd(*(int(d[j] * scale) for j in component))
+        common = gcd(*(d[j] for j in component))
         for j in component:
-            d[j] = d[j] * scale / common
-    return tuple(int(x) for x in d)
+            d[j] //= common
+    return tuple(d)
 
 
 def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:

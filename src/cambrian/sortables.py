@@ -10,7 +10,6 @@ full-group greedy sorting-word algorithm is an independent oracle for small rank
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -32,8 +31,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl group element acting on root coefficient vectors.
 
     matrix is the action of w, inv_matrix the action of w^-1; both are kept so
@@ -60,8 +58,7 @@ class WeylElement:
         return tuple(sum(map(mul, row, v)) for row in self.inv_matrix)
 
 
-@dataclass(frozen=True)
-class SortableElement:
+class SortableElement(NamedTuple):
     """A c-sortable element with its decreasing-subset sorting word, its
     inversion set as a bitmask over positive_roots(spec), its c-cluster cl_c
     and its cover roots: the mask of -w(alpha_s) over its right descents s."""
@@ -71,7 +68,7 @@ class SortableElement:
     inversions: int
     cluster: tuple[Root, ...]
     cover_roots: int
-    spec: CartanSpec = field(repr=False, compare=False)
+    spec: CartanSpec
 
     @property
     def length(self) -> int:

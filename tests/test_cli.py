@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import errno
 import hashlib
 import io
@@ -279,7 +278,7 @@ class TestVerifyCommands:
         def with_shortcut(*args, **kwargs):
             q = original(*args, **kwargs)
             e, f = next((e, f) for e in q.edges for f in q.edges if e.dst == f.src)
-            return dataclasses.replace(q, edges=q.edges + (QuiverEdge(e.src, f.dst, None, None),))
+            return q._replace(edges=q.edges + (QuiverEdge(e.src, f.dst, None, None),))
 
         monkeypatch.setattr(cambrian.cli, "build_c_cluster_quiver", with_shortcut)
         code, out, err = run(capsys, "verify-lattice", "--type", "A", "--rank", "2", "--coxeter", "1,2")
@@ -290,7 +289,7 @@ class TestVerifyCommands:
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
         dropped = build.minus.vertices[-1]
         (plus,) = [p for p in build.plus.vertices if p.key() == dropped.key()]
-        build.__dict__["minus"] = dataclasses.replace(build.minus, vertices=build.minus.vertices[:-1])
+        build.__dict__["minus"] = build.minus._replace(vertices=build.minus.vertices[:-1])
         monkeypatch.setattr(cambrian.cli, "Build", lambda *args: build)
         code, out, _ = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 1
@@ -559,19 +558,23 @@ def _cli_env():
 
 def test_networkx_is_not_loaded():
     # A command run imports nothing outside the standard library: every
-    # top-level module it adds is cambrian or a standard one.
+    # top-level module it adds is cambrian or a standard one.  Nor does it
+    # import dataclasses (with inspect, ast and dis behind it) or fractions,
+    # which would add to the start-up of every process.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import cambrian.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cambrian.cli.main(['verify-all', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3'])\n"
+        "    code += cambrian.cli.main(['exchange', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3', '--format', 'json'])\n"
         "print(code, *sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
     code, *added = proc.stdout.split()
     assert code == "0" and "cambrian" in added
     assert [m for m in added if m != "cambrian" and m not in sys.stdlib_module_names] == []
+    assert {"dataclasses", "inspect", "fractions"}.isdisjoint(added)
 
 
 @pytest.mark.slow
@@ -607,6 +610,21 @@ def test_recorded_outputs_are_byte_identical():
         if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != want:
             differ.append((argv, code))
     assert digests and differ == []
+
+
+# sha256 of the verify-all JSON report, whose bytes perfbench/digests.json does not pin.
+VERIFY_JSON_DIGESTS = {
+    ("A", "2", "2,1"): "39eea2edd0f3119cdfa263b3c2de5b86459117a6c933eb8a521eb83515527bbb",
+    ("B", "3", "2,3,1"): "d2a87ad17b0592a8cba5b1e88c0f87541a9e8d567de0e6934c9dfe82b31c3ac1",
+    ("G", "2", "1,2"): "eac36f2fd63164e650f3cec458dbd66ed07cae05ae40fbca005b4e457aab3cd7",
+}
+
+
+@pytest.mark.parametrize("t,n,order", VERIFY_JSON_DIGESTS)
+def test_verify_json_report_is_byte_identical(capsys, t, n, order):
+    code, out, _ = run(capsys, "verify-all", "--type", t, "--rank", n, "--coxeter", order, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_DIGESTS[t, n, order]
 
 
 @pytest.mark.parametrize("t,n", RANK_LE_4)

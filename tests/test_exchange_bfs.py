@@ -2,7 +2,6 @@
 polynomial-keyed Laurent BFS it replaced, the VariableTable that the builds
 of B and -B share, and the checks the BFS makes."""
 
-import dataclasses
 import re
 from functools import reduce
 from operator import or_
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 import cambrian.quivers
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import _box, _exchange, _exchange_holds, initial_seed, mutate_seed
+from cambrian.laurent import LaurentPolynomial, _box, _exchange, _exchange_holds, initial_seed, mutate_seed
 from cambrian.mutation import FrameTable, build_bc, mutate_columns
 from cambrian.quivers import VariableTable, build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, positive_roots
@@ -264,7 +263,7 @@ def test_g_vector_with_two_polynomials(monkeypatch):
     # g-vector, so the product check with the wrong variable fails and the
     # division gives the right one: a second variable at that g-vector.
     def doubled(xk, x):
-        return dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
+        return LaurentPolynomial(x.nvars, tuple((e, 2 * a) for e, a in x.terms))
 
     _patch_first_exchange(monkeypatch, doubled)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
@@ -285,7 +284,7 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
         new_id = original(ids, column, k0, known)
         if new_id == 4 and len(table.polys) == 5:
             x = table.polys[4]
-            wrong = dataclasses.replace(x, terms=tuple((e, 2 * a) for e, a in x.terms))
+            wrong = LaurentPolynomial(x.nvars, tuple((e, 2 * a) for e, a in x.terms))
             table.polys[4], table.boxes[wrong] = wrong, table.boxes.pop(x)
             del table.ids[x]
             table.ids[wrong] = 4

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,7 +123,7 @@ class TestFrames:
         # frame that mutation reached.  In C3 (S = (1, 1, 2)) the c-vector
         # (0, 1, 0) at position 3 of the frame at path (1,) gives s_3 b_31 = 1.
         f = frame_mutate(identity_frame(build_bc(spec_of("C", 3), CoxeterElement((1, 2, 3)))), 1)
-        bad = replace(f, c_vectors=f.c_vectors[:2] + ((0, 1, 0),))
+        bad = f._replace(c_vectors=f.c_vectors[:2] + ((0, 1, 0),))
         message = "witness path (1,): S^-1 C^T S B_0 C is not integral at (3, 1)"
         with pytest.raises(InternalError, match=re.escape(message)):
             frame_mutate(bad, 1)

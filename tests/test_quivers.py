@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 import sys
@@ -285,34 +284,34 @@ class TestArrowFlip:
 
     def test_fails_when_vertex_sets_differ(self):
         qp, qm = self.a3()
-        rep = check_arrow_flip(qp, dataclasses.replace(qm, vertices=qm.vertices[:-1]))
+        rep = check_arrow_flip(qp, qm._replace(vertices=qm.vertices[:-1]))
         assert (rep.ok, rep.details) == (False, ("vertex sets of B^c and -B^c differ",))
 
     def test_fails_when_edge_sets_differ(self):
         qp, qm = self.a3()
         f = self.plus_edge(qp, qm, qm.edges[0])
-        rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=qm.edges[1:]))
+        rep = check_arrow_flip(qp, qm._replace(edges=qm.edges[1:]))
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), f"edge {f.src} -> {f.dst} of B^c")
 
     def test_fails_on_an_extra_edge_of_minus(self):
         # Every edge of B^c is in -B^c, but -B^c has one more.
         qp, qm = self.a3()
-        rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
+        rep = check_arrow_flip(qp, qm._replace(edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), "21 edges of B^c, 22 of -B^c")
 
     def test_fails_when_the_facet_sets_differ(self):
         # 22 edges each, and every edge of B^c is in -B^c, but B^c repeats a
         # facet where -B^c has one that B^c lacks.
         qp, qm = self.a3()
-        rep = check_arrow_flip(dataclasses.replace(qp, edges=qp.edges + qp.edges[:1]),
-                               dataclasses.replace(qm, edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
+        rep = check_arrow_flip(qp._replace(edges=qp.edges + qp.edges[:1]),
+                               qm._replace(edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), "22 edges of B^c, 22 of -B^c")
 
     def test_fails_when_an_edge_breaks_the_flip_rule(self):
         qp, qm = self.a3()
         e, f = qm.edges[0], self.plus_edge(qp, qm, qm.edges[0])
         edges = (QuiverEdge(e.dst, e.src, e.in_label, e.out_label),) + qm.edges[1:]
-        rep = check_arrow_flip(qp, dataclasses.replace(qm, edges=edges))
+        rep = check_arrow_flip(qp, qm._replace(edges=edges))
         assert (rep.ok, rep.details, rep.counterexample) == (
             False, ("edge direction contradicts the flip rule",), f"edge {f.src} -> {f.dst} of B^c"
         )
@@ -322,8 +321,8 @@ class TestArrowFlip:
         v, p = next((v, p) for v, p in enumerate(qm.vertices) if p.mask & 0b111)
         j = next(j for j, g in enumerate(p.g_vectors) if sorted(g) == [0, 0, 1])
         bad = tuple(-x for x in p.c_vectors[j])
-        tampered = dataclasses.replace(p, c_vectors=p.c_vectors[:j] + (bad,) + p.c_vectors[j + 1:])
-        rep = check_arrow_flip(qp, dataclasses.replace(qm, vertices=qm.vertices[:v] + (tampered,) + qm.vertices[v + 1:]))
+        tampered = p._replace(c_vectors=p.c_vectors[:j] + (bad,) + p.c_vectors[j + 1:])
+        rep = check_arrow_flip(qp, qm._replace(vertices=qm.vertices[:v] + (tampered,) + qm.vertices[v + 1:]))
         where = f"vertex {v} of -B^c, witness path {p.witness_path}: {bad}"
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("initial variable with negative c-vector",), where)
 
@@ -351,11 +350,9 @@ class TestTauCMatrix:
         qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
         vertices = list(qm.vertices)
         bad = vertices[-1]
-        vertices[-1] = dataclasses.replace(
-            bad, c_vectors=tuple(tuple(-x for x in v) for v in bad.c_vectors)
-        )
+        vertices[-1] = bad._replace(c_vectors=tuple(tuple(-x for x in v) for v in bad.c_vectors))
         rep = check_tau_c_matrix(
-            spec_of("A", 3), CoxeterElement((1, 2, 3)), qp, dataclasses.replace(qm, vertices=tuple(vertices))
+            spec_of("A", 3), CoxeterElement((1, 2, 3)), qp, qm._replace(vertices=tuple(vertices))
         )
         assert not rep.ok
         (plus,) = [p for p in qp.vertices if p.key() == bad.key()]
@@ -369,9 +366,9 @@ class TestTauCMatrix:
         x, y = qp.vertices[0].g_vectors[:2]
         swap = {x: y, y: x}
         vertices = tuple(
-            dataclasses.replace(p, g_vectors=tuple(swap.get(g, g) for g in p.g_vectors)) for p in qp.vertices
+            p._replace(g_vectors=tuple(swap.get(g, g) for g in p.g_vectors)) for p in qp.vertices
         )
-        rep = check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), dataclasses.replace(qp, vertices=vertices), qm)
+        rep = check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), qp._replace(vertices=vertices), qm)
         assert not rep.ok
         assert rep.details == ("theta does not intertwine tau_c^-1 with the mutation model",)
         assert rep.counterexample.startswith("witness path (")
@@ -385,11 +382,11 @@ class TestTauCMatrix:
             (v, g) for p in qp.vertices for v, g in zip(p.variables, p.g_vectors) if v not in initials
         )
         vertices = tuple(
-            dataclasses.replace(p, g_vectors=tuple((9, 9, 9) if v == x else g for v, g in zip(p.variables, p.g_vectors)))
+            p._replace(g_vectors=tuple((9, 9, 9) if v == x else g for v, g in zip(p.variables, p.g_vectors)))
             for p in qp.vertices
         )
         with pytest.raises(InternalError, match=re.escape(f"no cluster variable of A(B^c) has g-vector {g_x}")) as info:
-            check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), dataclasses.replace(qp, vertices=vertices), qm)
+            check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), qp._replace(vertices=vertices), qm)
         assert str(info.value).startswith("witness path (")
 
 

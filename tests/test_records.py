@@ -1,0 +1,76 @@
+"""The record types: immutable, and validated where they take input.  That
+equal LaurentPolynomials hash alike is tested in test_laurent.py."""
+
+import pytest
+
+from cambrian.cli import Build
+from cambrian.errors import InputError
+from cambrian.lattice import poset_from_hasse, verify_lattice
+from cambrian.laurent import initial_seed
+from cambrian.mutation import ExchangeMatrix, build_bc, identity_frame
+from cambrian.rootsys import CartanSpec, CoxeterElement, cartan_matrix
+
+
+def _records():
+    """One instance of each record type, named, with a field to assign to."""
+    spec, c = cartan_matrix("A", 2), CoxeterElement((1, 2))
+    b, build = build_bc(spec, c), Build(spec, c, None)
+    seed = initial_seed(b, "principal")
+    sortable = build.cambrian.vertices[-1]
+    poset = poset_from_hasse(build.plus)
+    return {
+        "CartanSpec": (spec, "rank"),
+        "CoxeterElement": (c, "order"),
+        "ExchangeMatrix": (b, "entries"),
+        "MatrixFrame": (identity_frame(b), "path"),
+        "LaurentPolynomial": (seed.vars[0], "terms"),
+        "TropicalElement": (seed.coeffs[0], "exponents"),
+        "LabeledSeed": (seed, "vars"),
+        "QuiverEdge": (build.plus.edges[0], "src"),
+        "ClusterVertexPayload": (build.plus.vertices[0], "mask"),
+        "TauTiltingShadow": (build.tautilt.vertices[0], "module_part"),
+        "ClusterQuiver": (build.plus, "vertices"),
+        "CheckReport": (verify_lattice(poset), "ok"),
+        "FinitePoset": (poset, "up"),
+        "WeylElement": (sortable.element, "matrix"),
+        "SortableElement": (sortable, "word"),
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_cannot_be_assigned(name):
+    record, field = RECORDS[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+class TestValidation:
+    A2 = ((2, -1), (-1, 2))
+
+    def test_cartan_diagonal(self):
+        with pytest.raises(InputError, match="diagonal"):
+            CartanSpec("A", 2, ((2, -1), (-1, 1)), (1, 1))
+
+    def test_cartan_symmetrizer(self):
+        with pytest.raises(InputError, match="does not symmetrize"):
+            CartanSpec("B", 2, ((2, -1), (-2, 2)), (1, 1))
+        with pytest.raises(InputError, match="positive integers"):
+            CartanSpec("A", 2, self.A2, (1, 0))
+
+    def test_coxeter_repeated_letter(self):
+        with pytest.raises(InputError, match="permutation"):
+            CoxeterElement((1, 1))
+
+    def test_exchange_matrix(self):
+        with pytest.raises(InputError, match="skew-symmetric"):
+            ExchangeMatrix(((0, 1), (1, 0)), (1, 1))
+
+    def test_valid_records_keep_their_fields(self):
+        spec = CartanSpec("A", 2, self.A2, (1, 1))
+        assert spec == cartan_matrix("A", 2) and spec.symmetrizer == (1, 1)
+        assert CoxeterElement(order=(2, 1)).order == (2, 1)
+

@@ -59,6 +59,11 @@ class TestCartanMatrix:
                 for j in range(n):
                     assert s.symmetrizer[i] * s.cartan[i][j] == s.symmetrizer[j] * s.cartan[j][i]
 
+    def test_minimal_symmetrizer_per_component(self):
+        # B2 + G2 + A1: each component is scaled apart, from its first index.
+        c = ((2, -2, 0, 0, 0), (-1, 2, 0, 0, 0), (0, 0, 2, -1, 0), (0, 0, -3, 2, 0), (0, 0, 0, 0, 2))
+        assert cambrian.rootsys._minimal_symmetrizer(c) == (1, 2, 3, 1, 1)
+
     @pytest.mark.parametrize(
         "t,n",
         [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2),
