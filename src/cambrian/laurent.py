@@ -3,8 +3,8 @@
 Cluster variables are kept fully expanded in the initial variables.  An
 exchange is an exact division (_exchange), or, where the quotient is known,
 a product check (_exchange_holds), as strong since the Laurent ring is a
-domain; either runs on packed exponents over the factors' Newton boxes, and
-failing is a hard internal error, never a recoverable condition.
+domain; either runs on packed exponents, and failing is a hard internal
+error, never a recoverable condition.
 __mul__ and __add__ are the plain tuple-exponent arithmetic.  In
 principal-coefficient mode a variable lives in 2n variables: the first n
 exponents are the initial cluster variables, the last n the tropical
@@ -86,11 +86,13 @@ class LaurentPolynomial:
 
 
 # The packed arithmetic of _exchange and _exchange_holds.  An exponent e
-# inside a box [lo, hi] packs to the integer sum(e_j * w_j), where the place
-# values w are the mixed radix of the box with the first coordinate most
-# significant.  Packing is additive, so a product of terms is a sum of keys,
-# and on any box no wider than [lo, hi] it is injective and keeps the
-# descending-lex order of LaurentPolynomial.terms.
+# packs to the integer sum(e_j * w_j), where the place values w are the mixed
+# radix of a box [lo, hi] with the first coordinate most significant.
+# Packing is additive, so a product of terms is a sum of keys, and on any box
+# no wider than [lo, hi] it is injective and keeps the descending-lex order
+# of LaurentPolynomial.terms.  _exchange packs over the box of its
+# numerator; _exchange_holds reads terms that quivers.VariableTable packed
+# once, on one radix wide enough for every product a check forms.
 
 
 def _box(p: LaurentPolynomial) -> tuple[Exponent, Exponent]:
@@ -284,53 +286,63 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
 
 
 Factors = list[tuple[LaurentPolynomial, int]]  # (polynomial, power) pairs
+Packed = list[tuple[int, int]]  # (key, coefficient) pairs, as _pack gives them
+PackedFactors = list[tuple[Packed, int]]
 
 
-def _products(groups: Sequence[Factors], nvars: int, box) -> tuple[list[dict[int, int]], Exponent, Exponent, tuple]:
-    """The product of p^m over each group, packed over the hull [lo, hi] of
-    their boxes (a product's box is the sum of its factors' boxes, box(p),
-    so all products are packed injectively): (products, lo, hi, weights)."""
-    boxes = []
+def _hull(groups: Sequence[Factors], nvars: int, box) -> tuple[Exponent, Exponent]:
+    """The hull [lo, hi] of the boxes of the products of p^m over each group.
+    A product's box is the sum of its factors' boxes, box(p), and the box of
+    every partial product lies in a box no wider, so packing over [lo, hi]
+    keeps every product of the groups injective."""
+    los, his = [], []
     for factors in groups:
         lo, hi = [0] * nvars, [0] * nvars
         for p, m in factors:
             plo, phi = box(p)
             lo = [a + m * x for a, x in zip(lo, plo)]
             hi = [a + m * x for a, x in zip(hi, phi)]
-        boxes.append((lo, hi))
-    lo, hi = tuple(map(min, *(b[0] for b in boxes))), tuple(map(max, *(b[1] for b in boxes)))
-    weights = _place_values(lo, hi)
-    return [_product(factors, weights) for factors in groups], lo, hi, weights
-
-
-def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    for key, c in b.items():
-        a[key] = a.get(key, 0) + c
-    return {key: c for key, c in a.items() if c}
+        los.append(lo)
+        his.append(hi)
+    return tuple(map(min, *los)), tuple(map(max, *his))
 
 
 def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial, box=_box) -> LaurentPolynomial:
-    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the box
-    of the numerator."""
-    (plus, minus), lo, hi, weights = _products((pos, neg), divisor.nvars, box)
-    return _divide(_sum(plus, minus), divisor, lo, hi, weights, box(divisor))
+    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the
+    hull of the two products' boxes."""
+    lo, hi = _hull((pos, neg), divisor.nvars, box)
+    weights = _place_values(lo, hi)
+    plus, minus = ([(_pack(p.terms, weights), m) for p, m in factors] for factors in (pos, neg))
+    return _divide(_sum(_product(plus), _product(minus)), divisor, lo, hi, weights, box(divisor))
 
 
-def _exchange_holds(pos: Factors, neg: Factors, xk: LaurentPolynomial, x: LaurentPolynomial, box=_box) -> bool:
-    """Whether xk * x = prod p^m over pos + prod p^m over neg, on packed keys.
-    The Laurent ring is a domain, so for a known quotient x of the exchange
-    this check is as strong as the division."""
-    (plus, minus, product), *_ = _products((pos, neg, [(xk, 1), (x, 1)]), xk.nvars, box)
-    return _sum(plus, minus) == _sum(product, {})
+def _exchange_holds(pos: PackedFactors, neg: PackedFactors, xk: Packed, x: Packed) -> bool:
+    """Whether xk * x = prod p^m over pos + prod p^m over neg, every
+    polynomial packed on one radix on which no two exponents of a product
+    formed here, or of the products compared, share a key.  The Laurent ring
+    is a domain, so for a known quotient x of the exchange this check is as
+    strong as the division."""
+    num, product = _sum(_product(pos), _product(neg)), _mul_packed(dict(xk), x)
+    return num == product or _nonzero(num) == _nonzero(product)
 
 
-def _product(factors: Factors, weights: tuple[int, ...]) -> dict[int, int]:
+def _product(factors: PackedFactors) -> dict[int, int]:
     out = {0: 1}
-    for p, m in factors:
-        packed = _pack(p.terms, weights)
+    for packed, m in factors:
         for _ in range(m):
             out = _mul_packed(out, packed)
     return out
+
+
+def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a + b, added into a; terms that cancel stay, with coefficient 0."""
+    for key, c in b.items():
+        a[key] = a.get(key, 0) + c
+    return a
+
+
+def _nonzero(a: dict[int, int]) -> dict[int, int]:
+    return {key: c for key, c in a.items() if c}
 
 
 def denominator_vector(x: LaurentPolynomial, nx_vars: int | None = None) -> tuple[int, ...]:

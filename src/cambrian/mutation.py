@@ -156,17 +156,19 @@ class FrameTable:
     """A build's frames as tuples of c ids and g ids: its c- and g-vectors
     numbered as first met, a c-vector with the symmetrizer s_j of its
     position, and checked for sign coherence once, as it is numbered.  Each
-    value of a column step depends on a pair of c ids, and each entry of the
-    duality check on a pair (g id, c id): both are memoised, filled lazily.
-    A finite type has 2N c-vectors, for acyclic B the signed real roots
-    (Speyer-Thomas, Acyclic cluster algebras revisited)."""
+    c id keeps S B_0 c and each g id its S-weighted g.  Each value of a
+    column step depends on a pair of c ids, and each entry of the duality
+    check on a pair (g id, c id): both are memoised, filled lazily.  A finite
+    type has 2N c-vectors, for acyclic B the signed real roots (Speyer-Thomas,
+    Acyclic cluster algebras revisited)."""
 
     def __init__(self, b: ExchangeMatrix):
         frame0 = identity_frame(b)
         self.sb0, self.s = frame0.sb0, frame0.skew_symmetrizer
-        # Per c id: vector, sign, {c_j id: (b_jk, c'_j id, g_j's coefficient in g'_k)}; per g id: vector, {c id: g.S c}.
-        self.c_vectors, self.signs, self.pairs, self.c_ids = [], [], [], {}
-        self.g_vectors, self.duals, self.g_ids = [], [], {}
+        # Per c id: vector, sign, S B_0 c, {c_j id: (b_jk, c'_j id, g_j's coefficient in g'_k)};
+        # per g id: vector, g with entries scaled by S, {c id: g.S c}.
+        self.c_vectors, self.signs, self.sbc, self.pairs, self.c_ids = [], [], [], [], {}
+        self.g_vectors, self.gs, self.duals, self.g_ids = [], [], [], {}
         self.initial = (tuple(self.c_id(c, sj, ()) for c, sj in zip(frame0.c_vectors, self.s)),
                         tuple(map(self.g_id, frame0.g_vectors)))
 
@@ -176,6 +178,7 @@ class FrameTable:
             self.signs.append(column_sign(c, path))
             self.c_ids[sj, c] = len(self.c_vectors)
             self.c_vectors.append(c)
+            self.sbc.append([sum(map(mul, row, c)) for row in self.sb0])
             self.pairs.append({})
         return self.c_ids[sj, c]
 
@@ -183,6 +186,7 @@ class FrameTable:
         if g not in self.g_ids:
             self.g_ids[g] = len(self.g_vectors)
             self.g_vectors.append(g)
+            self.gs.append(tuple(map(mul, g, self.s)))
             self.duals.append({})
         return self.g_ids[g]
 
@@ -192,29 +196,31 @@ class FrameTable:
         c, sj, new_path = self.c_vectors[ck], self.s[j], path + (k0 + 1,)
         if j == k0:
             return 0, self.c_id(tuple(-x for x in c), sj, new_path), 0
-        v = [sum(map(mul, row, c)) for row in self.sb0]
-        b, cj_new, coef = _pair(self.c_vectors[cj], sj, c, self.s[k0], v, self.signs[ck], (path, j + 1, k0 + 1))
+        b, cj_new, coef = _pair(self.c_vectors[cj], sj, c, self.s[k0], self.sbc[ck], self.signs[ck],
+                                (path, j + 1, k0 + 1))
         return b, self.c_id(cj_new, sj, new_path) if coef else cj, coef
 
     def step(self, cids: tuple[int, ...], gids: tuple[int, ...], k0: int, path: tuple[int, ...]):
         """mutate_columns at position k0 (0-based) of the frame (cids, gids)
         reached by path: (column k0 + 1 of B_t, new c ids, new g ids)."""
-        memo, ck, gk = self.pairs[cids[k0]], cids[k0], [-x for x in self.g_vectors[gids[k0]]]
-        entries = [memo.get(cj) or memo.setdefault(cj, self._entry(cj, ck, j, k0, path)) for j, cj in enumerate(cids)]
-        for (_, _, coef), g in zip(entries, gids):
+        ck, gv = cids[k0], self.g_vectors
+        memo, column, new, gk = self.pairs[ck], [], [], [-x for x in gv[gids[k0]]]
+        for j, (cj, g) in enumerate(zip(cids, gids)):
+            b, c, coef = memo.get(cj) or memo.setdefault(cj, self._entry(cj, ck, j, k0, path))
+            column.append(b)
+            new.append(c)
             if coef:
-                gk = [x + coef * y for x, y in zip(gk, self.g_vectors[g])]
-        column, new, _ = zip(*entries)
-        return column, new, gids[:k0] + (self.g_id(tuple(gk)),) + gids[k0 + 1 :]
+                gk = [x + coef * y for x, y in zip(gk, gv[g])]
+        return tuple(column), tuple(new), gids[:k0] + (self.g_id(tuple(gk)),) + gids[k0 + 1 :]
 
     def check_duality(self, cids: tuple[int, ...], gids: tuple[int, ...], path: tuple[int, ...]) -> None:
         """check_duality by n^2 memo lookups; InternalError names path."""
-        s = self.s
+        s, cv = self.s, self.c_vectors
         for i, gi in enumerate(gids):
-            g, memo = self.g_vectors[gi], self.duals[gi]
+            gs, memo = self.gs[gi], self.duals[gi]
             for j, cj in enumerate(cids):
                 if cj not in memo:
-                    memo[cj] = sum(x * y * z for x, y, z in zip(g, s, self.c_vectors[cj]))
+                    memo[cj] = sum(map(mul, gs, cv[cj]))
                 if memo[cj] != (s[i] if i == j else 0):
                     raise InternalError(f"witness path {path}: C/G duality identity failed")
 

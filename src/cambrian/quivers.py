@@ -8,11 +8,11 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, mul
+from operator import and_, mul, sub
 from typing import NamedTuple
 
 from .errors import InternalError
-from .laurent import LaurentPolynomial, _box, _exchange, _exchange_holds, theta
+from .laurent import LaurentPolynomial, _box, _exchange, _exchange_holds, _hull, _pack, _place_values, theta
 from .mutation import FrameTable, MatrixFrame, build_bc
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
@@ -80,40 +80,88 @@ class CheckReport(NamedTuple):
 
 class VariableTable:
     """Cluster variables as small ids (x_1, ..., x_n are 0, ..., n-1, the
-    others numbered as first met) with their Newton boxes, and one memo of
-    exchange relations: x_k' = (M+ + M-) / x_k, keyed by (id of x_k, {M+,
-    M-}) with M+ and M- the sets of (id_i, |b_ik|) over b_ik > 0 and b_ik <
-    0.  Both ends of an exchange, and B and -B (mu_k(-B) = -mu_k(B) only
-    swaps M+ and M-), give one key: the builds of A(B) and A(-B) share a
-    table, and the second computes nothing."""
+    others numbered as first met) with their Newton boxes and packed terms,
+    and one memo of exchange relations: x_k' = (M+ + M-) / x_k, keyed by (id
+    of x_k, {M+, M-}) with M+ and M- the sets of (id_i, |b_ik|) over b_ik > 0
+    and b_ik < 0.  Both ends of an exchange, and B and -B (mu_k(-B) =
+    -mu_k(B) only swaps M+ and M-), give one key: the builds of A(B) and
+    A(-B) share a table, and the second computes nothing.
+
+    Every variable is packed once on one radix (laurent._pack): coordinate j
+    has width widths_j + 1, where widths_j is the widest range of exponents
+    in coordinate j over the products of every check so far.  [lo, hi] is
+    the hull of the variables' boxes; as x_1, ..., x_n are in the table, lo
+    <= 0 <= hi, so a product of at most two variables has its exponents in
+    2 [lo, hi].  A check whose products have more factors takes the hull of
+    the boxes of M+, M- and x_k x' (laurent._hull).  So no two exponents of
+    a product a check forms, or of the products it compares, share a key.
+    A check that needs more repacks every variable."""
 
     def __init__(self, n: int):
         self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
         self.ids = {x: i for i, x in enumerate(self.polys)}
         self.boxes = {x: _box(x) for x in self.polys}
         self.relations: dict[tuple, int] = {}
+        self.lo, self.hi, self.widths = (0,) * n, (1,) * n, (0,) * n  # no check yet
+        self._repack()
+
+    def _repack(self) -> None:
+        self.weights = _place_values((0,) * len(self.widths), self.widths)
+        self.packed = [_pack(x.terms, self.weights) for x in self.polys]
+
+    def add(self, x: LaurentPolynomial) -> int:
+        """The id of x, numbered, boxed and packed if it is new."""
+        if x.is_zero():  # it has no box, and no cluster variable is 0
+            raise InternalError("the zero polynomial is not a cluster variable")
+        new_id = self.ids.setdefault(x, len(self.polys))
+        if new_id == len(self.polys):
+            self.polys.append(x)
+            self.boxes[x] = lo, hi = _box(x)
+            self.lo, self.hi = tuple(map(min, lo, self.lo)), tuple(map(max, hi, self.hi))
+            self.packed.append(_pack(x.terms, self.weights))
+        return new_id
+
+    def holds(self, pos: list[tuple[int, int]], neg: list[tuple[int, int]], k: int, x: int) -> bool:
+        """Whether x_k * x = M+ + M-, M+ and M- given as (id, power) pairs:
+        the product check (_exchange_holds) on the packed terms, after a
+        repack if its products span more than the radix."""
+        if sum(m for _, m in pos) <= 2 and sum(m for _, m in neg) <= 2:
+            span = tuple(2 * (h - l) for l, h in zip(self.lo, self.hi))
+        else:
+            polys = self.polys
+            groups = [[(polys[i], m) for i, m in factors] for factors in (pos, neg, [(k, 1), (x, 1)])]
+            lo, hi = _hull(groups, len(self.widths), self.boxes.__getitem__)
+            span = tuple(map(sub, hi, lo))
+        widths = tuple(map(max, span, self.widths))
+        if widths != self.widths:
+            self.widths = widths
+            self._repack()
+        packed = self.packed
+        return _exchange_holds([(packed[i], m) for i, m in pos], [(packed[i], m) for i, m in neg],
+                               packed[k], packed[x])
 
     def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int, known: int | None = None) -> int:
         """The id of x_k' for the seed with variable ids and column k0 of its
         B, kept from both ends.  A new relation is one exact division
         (_exchange), or, where the build holds a variable known at x_k''s
-        g-vector, the product check x_k * known = M+ + M- (_exchange_holds);
-        if that fails, the division gives a second variable there."""
-        key = ids[k0], frozenset((frozenset((i, m) for i, m in zip(ids, column) if m > 0),
-                                  frozenset((i, -m) for i, m in zip(ids, column) if m < 0)))
+        g-vector, the product check x_k * known = M+ + M- (holds); if that
+        fails, the division gives a second variable there."""
+        pos, neg = [], []
+        for i, m in zip(ids, column):
+            if m > 0:
+                pos.append((i, m))
+            elif m < 0:
+                neg.append((i, -m))
+        key = ids[k0], frozenset((frozenset(pos), frozenset(neg)))
         new_id = self.relations.get(key)
         if new_id is None:
-            polys, box = self.polys, self.boxes.__getitem__
-            pos = [(polys[i], m) for i, m in zip(ids, column) if m > 0]
-            neg = [(polys[i], -m) for i, m in zip(ids, column) if m < 0]
-            if known is not None and _exchange_holds(pos, neg, polys[ids[k0]], polys[known], box):
+            if known is not None and self.holds(pos, neg, ids[k0], known):
                 new_id = known
             else:
-                x = _exchange(pos, neg, polys[ids[k0]], box)
-                new_id = self.ids.setdefault(x, len(polys))
-                if new_id == len(polys):
-                    polys.append(x)
-                    self.boxes[x] = _box(x)
+                polys = self.polys
+                x = _exchange([(polys[i], m) for i, m in pos], [(polys[i], m) for i, m in neg], polys[ids[k0]],
+                              self.boxes.__getitem__)
+                new_id = self.add(x)
             self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
         return new_id
 

@@ -14,7 +14,16 @@ from pathlib import Path
 import pytest
 
 import cambrian.cli
-from cambrian.cli import BUILD_COMMANDS, VERIFY_COMMANDS, Build, main, quiver_to_dot, quiver_to_json, run_all_checks
+from cambrian.cli import (
+    BUILD_COMMANDS,
+    VERIFY_COMMANDS,
+    Build,
+    build_parser,
+    main,
+    quiver_to_dot,
+    quiver_to_json,
+    run_all_checks,
+)
 from cambrian.laurent import _exchange, _exchange_holds
 from cambrian.mutation import FrameTable, mutate_columns
 from cambrian.quivers import QuiverEdge
@@ -538,6 +547,8 @@ class TestParser:
         assert hashlib.sha256(outs[1].encode()).hexdigest() == digests[argv]
 
     def test_one_parser_per_call(self, capsys, monkeypatch):
+        # The parser is built once per process: two calls of main, the
+        # second with a bad option, construct one ArgumentParser.
         made = []
         init = argparse.ArgumentParser.__init__
 
@@ -546,8 +557,11 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
         code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "1", "--coxeter", "1")
-        assert code == 0 and len(made) == 1
+        assert code == 0
+        code, _, _ = run(capsys, "verify-all", "--type", "A", "--rank", "1", "--coxeter", "1", "--bogus")
+        assert code == 2 and len(made) == 1
 
 
 def _cli_env():

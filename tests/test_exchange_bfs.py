@@ -4,16 +4,16 @@ of B and -B share, and the checks the BFS makes."""
 
 import re
 from functools import reduce
-from operator import or_
+from operator import add, mul, or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cambrian.quivers
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import LaurentPolynomial, _box, _exchange, _exchange_holds, initial_seed, mutate_seed
+from cambrian.laurent import LaurentPolynomial, _box, _exchange, _pack, initial_seed, mutate_seed
 from cambrian.mutation import FrameTable, build_bc, mutate_columns
 from cambrian.quivers import VariableTable, build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, positive_roots
@@ -272,9 +272,10 @@ def test_g_vector_with_two_polynomials(monkeypatch):
 
 
 def test_wrong_known_variable_fails_the_product_check(monkeypatch):
-    # Store 2 x in place of the variable x with id 4, which A3 with c =
-    # 1,2,3 first divides out at path (1, 2), with g-vector (-1, 0, 1).  At
-    # (2, 1) the build already holds that g-vector, so it checks x_k * 2x
+    # Store 2 x in place of the variable x with id 6, which A3 with c =
+    # 1,2,3 first divides out at path (1, 2), with g-vector (-1, 0, 1): as
+    # a polynomial and in the packed terms that the product check reads.
+    # At (2, 1) the build already holds that g-vector, so it checks x_k * 2x
     # against M+ + M- instead of dividing: the check fails, and the
     # division it falls back on gives x, a second variable there.
     table, checks = VariableTable(3), []
@@ -282,20 +283,120 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
 
     def corrupting(ids, column, k0, known=None):
         new_id = original(ids, column, k0, known)
-        if new_id == 4 and len(table.polys) == 5:
-            x = table.polys[4]
+        if new_id == 6 and len(table.polys) == 7:
+            x = table.polys[6]
             wrong = LaurentPolynomial(x.nvars, tuple((e, 2 * a) for e, a in x.terms))
-            table.polys[4], table.boxes[wrong] = wrong, table.boxes.pop(x)
+            table.polys[6], table.boxes[wrong] = wrong, table.boxes.pop(x)
+            table.packed[6] = [(key, 2 * a) for key, a in table.packed[6]]
             del table.ids[x]
-            table.ids[wrong] = 4
+            table.ids[wrong] = 6
         return new_id
 
+    def checked(pos, neg, xk, x):
+        checks.append((holds(pos, neg, xk, x), x, _pack(table.polys[6].terms, table.weights)))
+        return checks[-1][0]
+
     monkeypatch.setattr(table, "exchange", corrupting)
-    monkeypatch.setattr(cambrian.quivers, "_exchange_holds", lambda *args: checks.append(holds(*args)) or checks[-1])
+    monkeypatch.setattr(cambrian.quivers, "_exchange_holds", checked)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)), table=table)
-    assert checks == [False]
+    # One check, and its known quotient was 2x, packed on the radix of the moment.
+    [(ok, known, wrong)] = checks
+    assert not ok and known == wrong
+
+
+def _product_exponents(factors, nvars):
+    """The exponents of each product that the packed check forms on the way
+    to prod p^m over factors ((polynomial, power) pairs), one factor at a
+    time, the last the whole product: tuple arithmetic on all term
+    combinations."""
+    products = [{(0,) * nvars}]
+    for p, m in factors:
+        for _ in range(m):
+            products.append({tuple(map(add, e, f)) for e in products[-1] for f, _ in p.terms})
+    return products
+
+
+def _tuple_product(nvars, factors):
+    out = LaurentPolynomial.monomial(nvars, (0,) * nvars)
+    for p, m in factors:
+        for _ in range(m):
+            out = out * p
+    return out
+
+
+def laurent_polys(n):
+    exponents = st.tuples(*[st.integers(-3, 3)] * n)
+    terms = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return terms.map(lambda d: LaurentPolynomial.from_dict(n, d))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_packed_check_against_tuple_arithmetic(data):
+    # Random polynomials in 2-4 variables: M+ a product of up to two of them
+    # to powers up to 3, x_k and x random, and M- = x_k x - M+ one more
+    # variable, so that x_k x = M+ + M- holds; x plus a monomial makes it
+    # fail.  The packed check agrees with LaurentPolynomial arithmetic, and
+    # no two exponents of any product it forms share a key.
+    n = data.draw(st.integers(2, 4))
+    polys, table = laurent_polys(n), VariableTable(n)
+    plus = [(data.draw(polys), data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(0, 2)))]
+    xk, x, extra = data.draw(polys), data.draw(polys), data.draw(polys.filter(lambda p: len(p.terms) == 1))
+    m_plus = _tuple_product(n, plus)
+    m_minus = xk * x + LaurentPolynomial(n, tuple((e, -c) for e, c in m_plus.terms))
+    wrong = x + extra
+    assume(not m_minus.is_zero() and not wrong.is_zero())
+    ids = {p: table.add(p) for p in (*(p for p, _ in plus), xk, x, m_minus, wrong)}
+    pos, neg = [(ids[p], m) for p, m in plus], [(ids[m_minus], 1)]
+    for quotient in (x, wrong):
+        assert table.holds(pos, neg, ids[xk], ids[quotient]) == (xk * quotient == m_plus + m_minus)
+        products = [_product_exponents(factors, n) for factors in (plus, [(m_minus, 1)], [(xk, 1), (quotient, 1)])]
+        # Each product it forms, and the union of the three it compares.
+        for exponents in (*(e for steps in products for e in steps), set().union(*(p[-1] for p in products))):
+            assert len({sum(map(mul, e, table.weights)) for e in exponents}) == len(exponents)
+    assert table.holds(pos, neg, ids[xk], ids[x]) and not table.holds(pos, neg, ids[xk], ids[wrong])
+
+
+def test_table_widens_its_radix():
+    # u = x1 + x2, w = x1^-2 u and x = u^2 + x1^-2 satisfy u x = u^3 + w.
+    # Adding them packs each on the table's first radix, widths (0, 0).  The
+    # check forms u^3, a product of three variables, so it takes the hull of
+    # the boxes of u^3, w and u x, which span x1^-2 to x1^3 and x2^0 to
+    # x2^3: widths (5, 3), and the table repacks every variable first.
+    x1, x2 = LaurentPolynomial.generator(2, 0), LaurentPolynomial.generator(2, 1)
+    u, x1_inv2 = x1 + x2, LaurentPolynomial.monomial(2, (-2, 0))
+    w, x = x1_inv2 * u, u * u + x1_inv2
+    table = VariableTable(2)
+    ids = [table.add(p) for p in (u, w, x)]
+    assert (table.widths, table.weights) == ((0, 0), (1, 1))
+    assert table.holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[2])
+    assert (table.widths, table.weights) == ((5, 3), (4, 1))
+    assert table.packed == [_pack(p.terms, table.weights) for p in table.polys]
+    assert not table.holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[0])
+    # The hull takes in x_k x' too.  x1 y = x2^3 + x1 holds for y = 1 +
+    # x1^-1 x2^3 and not for y = x2^-1 + x1 x2^-4, though x1 y = x1 x2^-1 +
+    # x1^2 x2^-4 has the keys of x2^3 + x1 on the radix (4, 1) that the
+    # boxes of x2^3 and x1 alone would give.
+    table = VariableTable(2)
+    right, wrong = (table.add(LaurentPolynomial.from_dict(2, d))
+                    for d in ({(0, 0): 1, (-1, 3): 1}, {(0, -1): 1, (1, -4): 1}))
+    assert not table.holds([(1, 3)], [(0, 1)], 0, wrong)
+    assert table.weights == (8, 1)
+    assert table.holds([(1, 3)], [(0, 1)], 0, right)
+    # A check of products of at most two variables spans twice the hull of
+    # the variables' boxes, here x1^0..1 x2^0..2: radix (5, 1).  On (3, 1)
+    # x2 (1 + x2^2) = x2 + x2^3 would pass for x2 + x1, as x2^3 and x1
+    # would share a key.
+    table = VariableTable(2)
+    y = table.add(LaurentPolynomial.from_dict(2, {(0, 0): 1, (0, 2): 1}))
+    assert not table.holds([(1, 1)], [(0, 1)], 1, y)
+    assert table.weights == (5, 1)
+    # 0 has no Newton box to widen the hull with.
+    with pytest.raises(InternalError, match="zero polynomial"):
+        table.add(LaurentPolynomial(2, ()))
+    assert (table.lo, table.hi) == ((0, 0), (1, 2))
 
 
 def test_newton_box_once_per_variable(monkeypatch):
@@ -321,11 +422,12 @@ def test_product_check_against_division():
         ids = tuple(table.ids[at_g[g]] for g in payload.frame.g_vectors)
         for k in range(1, 7):
             column = mutate_columns(payload.frame, k)[0]
-            pos = [(table.polys[i], m) for i, m in zip(ids, column) if m > 0]
-            neg = [(table.polys[i], -m) for i, m in zip(ids, column) if m < 0]
-            xk, x = table.polys[ids[k - 1]], _exchange(pos, neg, table.polys[ids[k - 1]], box)
-            assert _exchange_holds(pos, neg, xk, x, box)
-            assert not any(_exchange_holds(pos, neg, xk, y, box) for y in table.polys if y != x)
+            pos = [(i, m) for i, m in zip(ids, column) if m > 0]
+            neg = [(i, -m) for i, m in zip(ids, column) if m < 0]
+            xk = table.polys[ids[k - 1]]
+            x = _exchange([(table.polys[i], m) for i, m in pos], [(table.polys[i], m) for i, m in neg], xk, box)
+            assert table.holds(pos, neg, ids[k - 1], table.ids[x])
+            assert not any(table.holds(pos, neg, ids[k - 1], y) for y in range(len(table.polys)) if y != table.ids[x])
 
 
 def test_polynomial_with_two_g_vectors(monkeypatch):
