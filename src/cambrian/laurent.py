@@ -2,9 +2,9 @@
 
 Cluster variables are kept fully expanded in the initial variables.  An
 exchange is an exact division (_exchange), or, where the quotient is known,
-a product check (_exchange_holds), as strong since the Laurent ring is a
-domain; either runs on packed exponents, and failing is a hard internal
-error, never a recoverable condition.
+a product check (quivers.VariableTable._exchange_holds), as strong since
+the Laurent ring is a domain; either runs on packed exponents, and failing
+is a hard internal error, never a recoverable condition.
 __mul__ and __add__ are the plain tuple-exponent arithmetic.  In
 principal-coefficient mode a variable lives in 2n variables: the first n
 exponents are the initial cluster variables, the last n the tropical
@@ -85,14 +85,14 @@ class LaurentPolynomial:
         return LaurentPolynomial.from_dict(self.nvars, d)
 
 
-# The packed arithmetic of _exchange and _exchange_holds.  An exponent e
+# The packed arithmetic of _exchange and of the product check.  An exponent e
 # packs to the integer sum(e_j * w_j), where the place values w are the mixed
 # radix of a box [lo, hi] with the first coordinate most significant.
 # Packing is additive, so a product of terms is a sum of keys, and on any box
 # no wider than [lo, hi] it is injective and keeps the descending-lex order
 # of LaurentPolynomial.terms.  _exchange packs over the box of its
-# numerator; _exchange_holds reads terms that quivers.VariableTable packed
-# once, on one radix wide enough for every product a check forms.
+# numerator; quivers.VariableTable packs each variable once, on one radix
+# that it widens to hold every product its checks form.
 
 
 def _box(p: LaurentPolynomial) -> tuple[Exponent, Exponent]:
@@ -307,6 +307,12 @@ def _hull(groups: Sequence[Factors], nvars: int, box) -> tuple[Exponent, Exponen
     return tuple(map(min, *los)), tuple(map(max, *his))
 
 
+def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    for key, c in b.items():
+        a[key] = a.get(key, 0) + c
+    return {key: c for key, c in a.items() if c}
+
+
 def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial, box=_box) -> LaurentPolynomial:
     """(prod p^m over pos + prod p^m over neg) / divisor, packed over the
     hull of the two products' boxes."""
@@ -316,33 +322,12 @@ def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial, box=_box) 
     return _divide(_sum(_product(plus), _product(minus)), divisor, lo, hi, weights, box(divisor))
 
 
-def _exchange_holds(pos: PackedFactors, neg: PackedFactors, xk: Packed, x: Packed) -> bool:
-    """Whether xk * x = prod p^m over pos + prod p^m over neg, every
-    polynomial packed on one radix on which no two exponents of a product
-    formed here, or of the products compared, share a key.  The Laurent ring
-    is a domain, so for a known quotient x of the exchange this check is as
-    strong as the division."""
-    num, product = _sum(_product(pos), _product(neg)), _mul_packed(dict(xk), x)
-    return num == product or _nonzero(num) == _nonzero(product)
-
-
 def _product(factors: PackedFactors) -> dict[int, int]:
     out = {0: 1}
     for packed, m in factors:
         for _ in range(m):
             out = _mul_packed(out, packed)
     return out
-
-
-def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a + b, added into a; terms that cancel stay, with coefficient 0."""
-    for key, c in b.items():
-        a[key] = a.get(key, 0) + c
-    return a
-
-
-def _nonzero(a: dict[int, int]) -> dict[int, int]:
-    return {key: c for key, c in a.items() if c}
 
 
 def denominator_vector(x: LaurentPolynomial, nx_vars: int | None = None) -> tuple[int, ...]:

@@ -24,9 +24,9 @@ from cambrian.cli import (
     quiver_to_json,
     run_all_checks,
 )
-from cambrian.laurent import _exchange, _exchange_holds
+from cambrian.laurent import _exchange
 from cambrian.mutation import FrameTable, mutate_columns
-from cambrian.quivers import QuiverEdge
+from cambrian.quivers import QuiverEdge, VariableTable
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
 from conftest import (
@@ -187,9 +187,10 @@ class TestVerifyCommands:
 
     @staticmethod
     def count_exchanges(monkeypatch, *argv):
-        """Exact divisions (_exchange), product checks (_exchange_holds),
-        memoised column steps (FrameTable.step) and vector column steps
-        (mutate_columns, which no command calls) of one passing command."""
+        """Exact divisions (_exchange), product checks
+        (VariableTable._exchange_holds), memoised column steps
+        (FrameTable.step) and vector column steps (mutate_columns, which no
+        command calls) of one passing command."""
         calls = {"_exchange": 0, "_exchange_holds": 0, "step": 0, "mutate_columns": 0}
 
         def counting(original):
@@ -199,11 +200,12 @@ class TestVerifyCommands:
 
             return counted
 
-        for original in (_exchange, _exchange_holds, mutate_columns):
+        for original in (_exchange, mutate_columns):
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("cambrian") and getattr(module, original.__name__, None) is original:
                     monkeypatch.setattr(module, original.__name__, counting(original))
         monkeypatch.setattr(FrameTable, "step", counting(FrameTable.step))
+        monkeypatch.setattr(VariableTable, "_exchange_holds", counting(VariableTable._exchange_holds))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(list(argv)) == 0
         return calls

@@ -279,7 +279,7 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
     # against M+ + M- instead of dividing: the check fails, and the
     # division it falls back on gives x, a second variable there.
     table, checks = VariableTable(3), []
-    original, holds = table.exchange, cambrian.quivers._exchange_holds
+    original, holds = table.exchange, table._exchange_holds
 
     def corrupting(ids, column, k0, known=None):
         new_id = original(ids, column, k0, known)
@@ -292,12 +292,12 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
             table.ids[wrong] = 6
         return new_id
 
-    def checked(pos, neg, xk, x):
-        checks.append((holds(pos, neg, xk, x), x, _pack(table.polys[6].terms, table.weights)))
+    def checked(pos, neg, k, x):
+        checks.append((holds(pos, neg, k, x), table.packed[x], _pack(table.polys[6].terms, table.weights)))
         return checks[-1][0]
 
     monkeypatch.setattr(table, "exchange", corrupting)
-    monkeypatch.setattr(cambrian.quivers, "_exchange_holds", checked)
+    monkeypatch.setattr(table, "_exchange_holds", checked)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)), table=table)
@@ -351,30 +351,30 @@ def test_packed_check_against_tuple_arithmetic(data):
     ids = {p: table.add(p) for p in (*(p for p, _ in plus), xk, x, m_minus, wrong)}
     pos, neg = [(ids[p], m) for p, m in plus], [(ids[m_minus], 1)]
     for quotient in (x, wrong):
-        assert table.holds(pos, neg, ids[xk], ids[quotient]) == (xk * quotient == m_plus + m_minus)
+        assert table._exchange_holds(pos, neg, ids[xk], ids[quotient]) == (xk * quotient == m_plus + m_minus)
         products = [_product_exponents(factors, n) for factors in (plus, [(m_minus, 1)], [(xk, 1), (quotient, 1)])]
         # Each product it forms, and the union of the three it compares.
         for exponents in (*(e for steps in products for e in steps), set().union(*(p[-1] for p in products))):
             assert len({sum(map(mul, e, table.weights)) for e in exponents}) == len(exponents)
-    assert table.holds(pos, neg, ids[xk], ids[x]) and not table.holds(pos, neg, ids[xk], ids[wrong])
+    assert table._exchange_holds(pos, neg, ids[xk], ids[x]) and not table._exchange_holds(pos, neg, ids[xk], ids[wrong])
 
 
 def test_table_widens_its_radix():
     # u = x1 + x2, w = x1^-2 u and x = u^2 + x1^-2 satisfy u x = u^3 + w.
     # Adding them packs each on the table's first radix, widths (0, 0).  The
-    # check forms u^3, a product of three variables, so it takes the hull of
-    # the boxes of u^3, w and u x, which span x1^-2 to x1^3 and x2^0 to
-    # x2^3: widths (5, 3), and the table repacks every variable first.
+    # check takes the hull of the boxes of u^3, w and u x, which span x1^-2
+    # to x1^3 and x2^0 to x2^3: widths (5, 3), and the table repacks every
+    # variable first.
     x1, x2 = LaurentPolynomial.generator(2, 0), LaurentPolynomial.generator(2, 1)
     u, x1_inv2 = x1 + x2, LaurentPolynomial.monomial(2, (-2, 0))
     w, x = x1_inv2 * u, u * u + x1_inv2
     table = VariableTable(2)
     ids = [table.add(p) for p in (u, w, x)]
     assert (table.widths, table.weights) == ((0, 0), (1, 1))
-    assert table.holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[2])
+    assert table._exchange_holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[2])
     assert (table.widths, table.weights) == ((5, 3), (4, 1))
     assert table.packed == [_pack(p.terms, table.weights) for p in table.polys]
-    assert not table.holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[0])
+    assert not table._exchange_holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[0])
     # The hull takes in x_k x' too.  x1 y = x2^3 + x1 holds for y = 1 +
     # x1^-1 x2^3 and not for y = x2^-1 + x1 x2^-4, though x1 y = x1 x2^-1 +
     # x1^2 x2^-4 has the keys of x2^3 + x1 on the radix (4, 1) that the
@@ -382,21 +382,20 @@ def test_table_widens_its_radix():
     table = VariableTable(2)
     right, wrong = (table.add(LaurentPolynomial.from_dict(2, d))
                     for d in ({(0, 0): 1, (-1, 3): 1}, {(0, -1): 1, (1, -4): 1}))
-    assert not table.holds([(1, 3)], [(0, 1)], 0, wrong)
+    assert not table._exchange_holds([(1, 3)], [(0, 1)], 0, wrong)
     assert table.weights == (8, 1)
-    assert table.holds([(1, 3)], [(0, 1)], 0, right)
-    # A check of products of at most two variables spans twice the hull of
-    # the variables' boxes, here x1^0..1 x2^0..2: radix (5, 1).  On (3, 1)
-    # x2 (1 + x2^2) = x2 + x2^3 would pass for x2 + x1, as x2^3 and x1
-    # would share a key.
+    assert table._exchange_holds([(1, 3)], [(0, 1)], 0, right)
+    # A check of products of single variables spans their hull too: x2 (1 +
+    # x2^2) = x2 + x2^3 against x2 + x1 spans x1^0..1 x2^0..3, radix (4, 1).
+    # On (3, 1) it would pass, as x2^3 and x1 would share a key.
     table = VariableTable(2)
     y = table.add(LaurentPolynomial.from_dict(2, {(0, 0): 1, (0, 2): 1}))
-    assert not table.holds([(1, 1)], [(0, 1)], 1, y)
-    assert table.weights == (5, 1)
+    assert not table._exchange_holds([(1, 1)], [(0, 1)], 1, y)
+    assert table.weights == (4, 1)
     # 0 has no Newton box to widen the hull with.
     with pytest.raises(InternalError, match="zero polynomial"):
         table.add(LaurentPolynomial(2, ()))
-    assert (table.lo, table.hi) == ((0, 0), (1, 2))
+    assert len(table.polys) == len(table.packed) == 3
 
 
 def test_newton_box_once_per_variable(monkeypatch):
@@ -426,8 +425,8 @@ def test_product_check_against_division():
             neg = [(i, -m) for i, m in zip(ids, column) if m < 0]
             xk = table.polys[ids[k - 1]]
             x = _exchange([(table.polys[i], m) for i, m in pos], [(table.polys[i], m) for i, m in neg], xk, box)
-            assert table.holds(pos, neg, ids[k - 1], table.ids[x])
-            assert not any(table.holds(pos, neg, ids[k - 1], y) for y in range(len(table.polys)) if y != table.ids[x])
+            assert table._exchange_holds(pos, neg, ids[k - 1], table.ids[x])
+            assert not any(table._exchange_holds(pos, neg, ids[k - 1], y) for y in range(len(table.polys)) if y != table.ids[x])
 
 
 def test_polynomial_with_two_g_vectors(monkeypatch):
