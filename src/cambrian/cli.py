@@ -17,11 +17,10 @@ from typing import TextIO
 
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
-from .laurent import LaurentPolynomial, denominator_vector, poly_hash, poly_str
+from .laurent import LaurentPolynomial, VariableTable, denominator_vector, poly_hash, poly_str
 from .quivers import (
     CheckReport,
     ClusterQuiver,
-    VariableTable,
     build_c_cluster_quiver,
     build_exchange_quiver,
     build_tau_tilting_quiver,
@@ -75,6 +74,11 @@ def _tables(rank: int, verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
     return roots, vectors, _Memo(variable)
 
 
+def _print_order(v) -> list[tuple]:
+    """An exchange vertex's (variable, c-vector, g-vector) triples sorted by terms, the order both writers print."""
+    return sorted(zip(v.variables, v.c_vectors, v.g_vectors), key=lambda xcg: xcg[0].terms)
+
+
 def _write_items(out: TextIO, n: int, render) -> None:
     """Write the list of render(0), ..., render(n - 1) at indent 2, _BATCH items
     per write: fewer system calls when stdout is unbuffered, bounded memory."""
@@ -94,9 +98,10 @@ def quiver_to_json(q: ClusterQuiver, rank: int, out: TextIO, verbose: bool = Fal
 
     def payload(v) -> tuple[str, ...]:
         if q.kind == "exchange":
-            return (f'"c_vectors": {_array([vectors[c] for c in v.c_vectors], 8)}',
-                    f'"g_vectors": {_array([vectors[g] for g in v.g_vectors], 8)}',
-                    f'"variables": {_array([variables[x][2] for x in v.variables], 8)}')
+            xs, cs, gs = zip(*_print_order(v))
+            return (f'"c_vectors": {_array([vectors[c] for c in cs], 8)}',
+                    f'"g_vectors": {_array([vectors[g] for g in gs], 8)}',
+                    f'"variables": {_array([variables[x][2] for x in xs], 8)}')
         if q.kind == "ccluster":
             return (f'"roots": {_array([roots[r] for r in v], 8)}',)
         if q.kind == "tautilt":
@@ -128,7 +133,7 @@ def quiver_to_dot(q: ClusterQuiver, rank: int) -> str:
 
     def label(v) -> str:
         if q.kind == "exchange":
-            return "{" + ",".join(variables[x][0] for x in v.variables) + "}"
+            return "{" + ",".join(variables[x][0] for x, _, _ in _print_order(v)) + "}"
         if q.kind == "ccluster":
             return "{" + ",".join(roots[r][1:-1] for r in v) + "}"
         if q.kind == "tautilt":

@@ -1,10 +1,10 @@
-"""Exact Laurent-polynomial seeds, tropical coefficients, and the root map.
+"""Exact Laurent seeds, the builds' table of variables, tropical coefficients, the root map.
 
 Cluster variables are kept fully expanded in the initial variables.  An
 exchange is an exact division (_exchange), or, where the quotient is known,
-a product check (quivers.VariableTable._exchange_holds), as strong since
-the Laurent ring is a domain; either runs on packed exponents, and failing
-is a hard internal error, never a recoverable condition.
+a product check (VariableTable._exchange_holds), as strong since the
+Laurent ring is a domain; either runs on packed exponents, and failing is a
+hard internal error, never a recoverable condition.
 __mul__ and __add__ are the plain tuple-exponent arithmetic.  In
 principal-coefficient mode a variable lives in 2n variables: the first n
 exponents are the initial cluster variables, the last n the tropical
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
@@ -91,8 +91,8 @@ class LaurentPolynomial:
 # Packing is additive, so a product of terms is a sum of keys, and on any box
 # no wider than [lo, hi] it is injective and keeps the descending-lex order
 # of LaurentPolynomial.terms.  _exchange packs over the box of its
-# numerator; quivers.VariableTable packs each variable once, on one radix
-# that it widens to hold every product its checks form.
+# numerator; VariableTable packs each variable once, on one radix that it
+# widens to hold every product its checks form.
 
 
 def _box(p: LaurentPolynomial) -> tuple[Exponent, Exponent]:
@@ -328,6 +328,94 @@ def _product(factors: PackedFactors) -> dict[int, int]:
         for _ in range(m):
             out = _mul_packed(out, packed)
     return out
+
+
+class VariableTable:
+    """Cluster variables as small ids (x_1, ..., x_n are 0, ..., n-1, the
+    others numbered as first met) with their Newton boxes and packed terms,
+    and one memo of exchange relations: x_k' = (M+ + M-) / x_k, keyed by (id
+    of x_k, {M+, M-}) with M+ and M- the sets of (id_i, |b_ik|) over b_ik > 0
+    and b_ik < 0.  Both ends of an exchange, and B and -B (mu_k(-B) =
+    -mu_k(B) only swaps M+ and M-), give one key: the builds of A(B) and
+    A(-B) share a table, and the second computes nothing.
+
+    Every variable is packed once on one radix (_pack): coordinate j has
+    width widths_j + 1, where widths_j is the widest range of exponents in
+    coordinate j over the checks so far, each the hull of the boxes of its
+    M+, M- and x_k x' (_hull).  A product's box is the sum of its factors'
+    boxes, so no two exponents of a product a check forms, or of the
+    products it compares, share a key.  A check that needs more repacks
+    every variable."""
+
+    def __init__(self, n: int):
+        self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
+        self.ids = {x: i for i, x in enumerate(self.polys)}
+        self.boxes = {x: _box(x) for x in self.polys}
+        self.relations: dict[tuple, int] = {}
+        self.widths = (0,) * n  # no check yet
+        self._repack()
+
+    def _repack(self) -> None:
+        self.weights = _place_values((0,) * len(self.widths), self.widths)
+        self.packed = [_pack(x.terms, self.weights) for x in self.polys]
+
+    def add(self, x: LaurentPolynomial) -> int:
+        """The id of x, numbered, boxed and packed if it is new."""
+        if x.is_zero():  # it has no box, and no cluster variable is 0
+            raise InternalError("the zero polynomial is not a cluster variable")
+        new_id = self.ids.setdefault(x, len(self.polys))
+        if new_id == len(self.polys):
+            self.polys.append(x)
+            self.boxes[x] = _box(x)
+            self.packed.append(_pack(x.terms, self.weights))
+        return new_id
+
+    def _exchange_holds(self, pos: list[tuple[int, int]], neg: list[tuple[int, int]], k: int, x: int) -> bool:
+        """Whether x_k * x = M+ + M-, M+ and M- given as (id, power) pairs, on
+        the packed terms, after a repack if the check spans more than the
+        radix.  The Laurent ring is a domain, so for a known quotient x of
+        the exchange this check is as strong as the division."""
+        polys = self.polys
+        groups = [[(polys[i], m) for i, m in factors] for factors in (pos, neg, [(k, 1), (x, 1)])]
+        lo, hi = _hull(groups, len(self.widths), self.boxes.__getitem__)
+        widths = tuple(map(max, map(sub, hi, lo), self.widths))
+        if widths != self.widths:
+            self.widths = widths
+            self._repack()
+        packed = self.packed
+        plus, minus = ([(packed[i], m) for i, m in factors] for factors in (pos, neg))
+        num, product = _product(plus), _mul_packed(dict(packed[k]), packed[x])
+        for key, c in _product(minus).items():
+            num[key] = num.get(key, 0) + c
+        # Equal dicts are equal polynomials; unequal ones are compared again
+        # without their zero coefficients.  Copying every pair instead took
+        # about 5% of the E8 plus build.
+        return num == product or _sum(num, {}) == _sum(product, {})
+
+    def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int, known: int | None = None) -> int:
+        """The id of x_k' for the seed with variable ids and column k0 of its
+        B, kept from both ends.  A new relation is one exact division
+        (_exchange), or, where the build holds a variable known at x_k''s
+        g-vector, the product check x_k * known = M+ + M- (_exchange_holds);
+        if that fails, the division gives a second variable there."""
+        pos, neg = [], []
+        for i, m in zip(ids, column):
+            if m > 0:
+                pos.append((i, m))
+            elif m < 0:
+                neg.append((i, -m))
+        key = ids[k0], frozenset((frozenset(pos), frozenset(neg)))
+        new_id = self.relations.get(key)
+        if new_id is None:
+            if known is not None and self._exchange_holds(pos, neg, ids[k0], known):
+                new_id = known
+            else:
+                polys = self.polys
+                x = _exchange([(polys[i], m) for i, m in pos], [(polys[i], m) for i, m in neg], polys[ids[k0]],
+                              self.boxes.__getitem__)
+                new_id = self.add(x)
+            self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
+        return new_id
 
 
 def denominator_vector(x: LaurentPolynomial, nx_vars: int | None = None) -> tuple[int, ...]:

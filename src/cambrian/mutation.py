@@ -223,7 +223,3 @@ class FrameTable:
                     memo[cj] = sum(map(mul, gs, cv[cj]))
                 if memo[cj] != (s[i] if i == j else 0):
                     raise InternalError(f"witness path {path}: C/G duality identity failed")
-
-    def frame(self, cids: tuple[int, ...], gids: tuple[int, ...], path: tuple[int, ...]) -> MatrixFrame:
-        cs, gs = tuple(self.c_vectors[i] for i in cids), tuple(self.g_vectors[i] for i in gids)
-        return MatrixFrame(cs, gs, path, self.sb0, self.s)

@@ -8,12 +8,12 @@ payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, mul, sub
+from operator import and_, mul
 from typing import NamedTuple
 
 from .errors import InternalError
-from .laurent import LaurentPolynomial, _box, _exchange, _hull, _mul_packed, _pack, _place_values, _product, _sum, theta
-from .mutation import FrameTable, MatrixFrame, build_bc
+from .laurent import LaurentPolynomial, VariableTable, theta
+from .mutation import FrameTable, build_bc
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
 
@@ -26,20 +26,15 @@ class QuiverEdge(NamedTuple):
 
 
 class ClusterVertexPayload(NamedTuple):
-    """A non-labeled cluster: sorted variables with aligned c-/g-vectors, the
-    frame the BFS first reached it with, and mask, bit i set for the variable
-    with id i in the build's VariableTable.  The variable at position j of
-    the frame is the one whose g-vector is frame.g_vectors[j]."""
+    """A non-labeled cluster as the seed the BFS first reached it with: each
+    position's variable, c-vector and g-vector, in position order, the witness
+    path, and mask, bit i set for the variable with id i in the VariableTable."""
 
     variables: tuple[LaurentPolynomial, ...]
     c_vectors: tuple[tuple[int, ...], ...]
     g_vectors: tuple[tuple[int, ...], ...]
-    frame: MatrixFrame
+    witness_path: tuple[int, ...]
     mask: int
-
-    @property
-    def witness_path(self) -> tuple[int, ...]:
-        return self.frame.path
 
     def key(self) -> frozenset:
         return frozenset(self.variables)
@@ -76,94 +71,6 @@ class CheckReport(NamedTuple):
 
     def stat(self, key: str) -> int:
         return dict(self.stats)[key]
-
-
-class VariableTable:
-    """Cluster variables as small ids (x_1, ..., x_n are 0, ..., n-1, the
-    others numbered as first met) with their Newton boxes and packed terms,
-    and one memo of exchange relations: x_k' = (M+ + M-) / x_k, keyed by (id
-    of x_k, {M+, M-}) with M+ and M- the sets of (id_i, |b_ik|) over b_ik > 0
-    and b_ik < 0.  Both ends of an exchange, and B and -B (mu_k(-B) =
-    -mu_k(B) only swaps M+ and M-), give one key: the builds of A(B) and
-    A(-B) share a table, and the second computes nothing.
-
-    Every variable is packed once on one radix (laurent._pack): coordinate j
-    has width widths_j + 1, where widths_j is the widest range of exponents
-    in coordinate j over the checks so far, each the hull of the boxes of
-    its M+, M- and x_k x' (laurent._hull).  A product's box is the sum of
-    its factors' boxes, so no two exponents of a product a check forms, or
-    of the products it compares, share a key.  A check that needs more
-    repacks every variable."""
-
-    def __init__(self, n: int):
-        self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
-        self.ids = {x: i for i, x in enumerate(self.polys)}
-        self.boxes = {x: _box(x) for x in self.polys}
-        self.relations: dict[tuple, int] = {}
-        self.widths = (0,) * n  # no check yet
-        self._repack()
-
-    def _repack(self) -> None:
-        self.weights = _place_values((0,) * len(self.widths), self.widths)
-        self.packed = [_pack(x.terms, self.weights) for x in self.polys]
-
-    def add(self, x: LaurentPolynomial) -> int:
-        """The id of x, numbered, boxed and packed if it is new."""
-        if x.is_zero():  # it has no box, and no cluster variable is 0
-            raise InternalError("the zero polynomial is not a cluster variable")
-        new_id = self.ids.setdefault(x, len(self.polys))
-        if new_id == len(self.polys):
-            self.polys.append(x)
-            self.boxes[x] = _box(x)
-            self.packed.append(_pack(x.terms, self.weights))
-        return new_id
-
-    def _exchange_holds(self, pos: list[tuple[int, int]], neg: list[tuple[int, int]], k: int, x: int) -> bool:
-        """Whether x_k * x = M+ + M-, M+ and M- given as (id, power) pairs, on
-        the packed terms, after a repack if the check spans more than the
-        radix.  The Laurent ring is a domain, so for a known quotient x of
-        the exchange this check is as strong as the division."""
-        polys = self.polys
-        groups = [[(polys[i], m) for i, m in factors] for factors in (pos, neg, [(k, 1), (x, 1)])]
-        lo, hi = _hull(groups, len(self.widths), self.boxes.__getitem__)
-        widths = tuple(map(max, map(sub, hi, lo), self.widths))
-        if widths != self.widths:
-            self.widths = widths
-            self._repack()
-        packed = self.packed
-        plus, minus = ([(packed[i], m) for i, m in factors] for factors in (pos, neg))
-        num, product = _product(plus), _mul_packed(dict(packed[k]), packed[x])
-        for key, c in _product(minus).items():
-            num[key] = num.get(key, 0) + c
-        # Equal dicts are equal polynomials; unequal ones are compared again
-        # without their zero coefficients.  Copying every pair instead took
-        # about 5% of the E8 plus build.
-        return num == product or _sum(num, {}) == _sum(product, {})
-
-    def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int, known: int | None = None) -> int:
-        """The id of x_k' for the seed with variable ids and column k0 of its
-        B, kept from both ends.  A new relation is one exact division
-        (_exchange), or, where the build holds a variable known at x_k''s
-        g-vector, the product check x_k * known = M+ + M- (_exchange_holds);
-        if that fails, the division gives a second variable there."""
-        pos, neg = [], []
-        for i, m in zip(ids, column):
-            if m > 0:
-                pos.append((i, m))
-            elif m < 0:
-                neg.append((i, -m))
-        key = ids[k0], frozenset((frozenset(pos), frozenset(neg)))
-        new_id = self.relations.get(key)
-        if new_id is None:
-            if known is not None and self._exchange_holds(pos, neg, ids[k0], known):
-                new_id = known
-            else:
-                polys = self.polys
-                x = _exchange([(polys[i], m) for i, m in pos], [(polys[i], m) for i, m in neg], polys[ids[k0]],
-                              self.boxes.__getitem__)
-                new_id = self.add(x)
-            self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
-        return new_id
 
 
 def build_exchange_quiver(spec: CartanSpec, c: CoxeterElement, sign: str = "plus",
@@ -205,7 +112,7 @@ def build_exchange_quiver(spec: CartanSpec, c: CoxeterElement, sign: str = "plus
     for i, g in enumerate(steps.initial[1]):
         bind(g, i, ())
     steps.check_duality(*steps.initial, ())
-    frames = {(1 << n) - 1: (*steps.initial, ())}
+    frames = {(1 << n) - 1: steps.initial}  # mask -> (c ids, g ids) of the stored seed
     edge_map: dict[int, tuple] = {}  # facet -> (src mask, dst mask, out id, in id)
     queue = [((1 << n) - 1, *steps.initial, ())]  # BFS order: appended to while it is read
     for mask, cids, gids, path in queue:
@@ -220,7 +127,7 @@ def build_exchange_quiver(spec: CartanSpec, c: CoxeterElement, sign: str = "plus
             bind(new_gids[k0], new_id, new_path)
             mkey = facet | 1 << new_id
             if mkey not in frames:
-                frames[mkey] = new_cids, new_gids, new_path
+                frames[mkey] = new_cids, new_gids
                 steps.check_duality(new_cids, new_gids, new_path)
                 queue.append((mkey, new_cids, new_gids, new_path))
             elif {*zip(frames[mkey][0], frames[mkey][1])} != {*zip(new_cids, new_gids)}:
@@ -228,21 +135,18 @@ def build_exchange_quiver(spec: CartanSpec, c: CoxeterElement, sign: str = "plus
             green = steps.signs[cids[k0]] > 0
             edge_map[facet] = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
 
-    # Canonical order: variables by terms, clusters by their sorted variables.
+    # Canonical order: the stored seeds by their variables, each sorted by terms.
     rank = {g: r for r, g in enumerate(sorted(var_of, key=lambda g: polys[var_of[g]].terms))}
-    ordered = sorted(frames, key=lambda mask: sorted(map(rank.get, frames[mask][1])))
-    index = {mask: v for v, mask in enumerate(ordered)}
-    payloads = []
-    for mask in ordered:
-        cids, gids, path = frames[mask]
-        gs, cs = zip(*sorted(zip(gids, cids), key=lambda gc: rank[gc[0]]))
-        payloads.append(ClusterVertexPayload(tuple(polys[var_of[g]] for g in gs), tuple(steps.c_vectors[i] for i in cs),
-                                             tuple(gv[g] for g in gs), steps.frame(cids, gids, path), mask))
+    queue.sort(key=lambda seed: sorted(map(rank.get, seed[2])))
+    index = {seed[0]: v for v, seed in enumerate(queue)}
+    cv = steps.c_vectors
+    payloads = tuple(ClusterVertexPayload(tuple(polys[var_of[g]] for g in gids), tuple(cv[i] for i in cids),
+                                          tuple(gv[g] for g in gids), path, mask) for mask, cids, gids, path in queue)
     edges = sorted(
         (QuiverEdge(index[s], index[d], polys[o], polys[i]) for s, d, o, i in edge_map.values()),
         key=lambda e: (e.src, e.dst),
     )
-    return ClusterQuiver("exchange", tuple(payloads), tuple(edges), steps)
+    return ClusterQuiver("exchange", payloads, tuple(edges), steps)
 
 
 def _facet_pairs(clusters):
@@ -482,7 +386,7 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
         if tau_cset != want:
             where = f"witness path {path}: {sorted(tau_cset)}"
             return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)
-        for j, (g_tau, g) in enumerate(zip((steps.g_vectors[i] for i in gids), payload.frame.g_vectors)):
+        for j, (g_tau, g) in enumerate(zip((steps.g_vectors[i] for i in gids), payload.g_vectors)):
             try:
                 lhs, rhs = theta_at[g_tau], tau_theta_at[g]
             except KeyError as exc:

@@ -277,6 +277,19 @@ def frame_mutate(frame, k):
     return mutate_columns(frame, k)[1]
 
 
+def ids_frame(steps, cids, gids, path) -> MatrixFrame:
+    """The vector frame of the c ids and g ids of a FrameTable, reached by
+    path, with the table's S B_0 and S."""
+    cs, gs = tuple(steps.c_vectors[i] for i in cids), tuple(steps.g_vectors[i] for i in gids)
+    return MatrixFrame(cs, gs, path, steps.sb0, steps.s)
+
+
+def stored_frame(q, payload) -> MatrixFrame:
+    """The vector frame of the seed that a vertex of the exchange quiver q
+    stores, with the S B_0 and S of q's FrameTable (q.steps)."""
+    return MatrixFrame(payload.c_vectors, payload.g_vectors, payload.witness_path, q.steps.sb0, q.steps.s)
+
+
 def check_frame(frame: MatrixFrame) -> None:
     """Sign coherence of every C-column and the duality G^T S C = S on a
     vector frame, each InternalError naming its path: the oracle for the
@@ -377,15 +390,9 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
         seed = seeds[key]
         if not frame_is_unimodular(seed.frame):
             raise InternalError("C-matrix is not unimodular")
-        triples = sorted(
-            (
-                (seed.vars[j], seed.frame.c_column(j + 1), seed.frame.g_column(j + 1))
-                for j in range(n)
-            ),
-            key=lambda t: t[0].terms,
-        )
         mask = sum(1 << ids[x] for x in key)
-        payloads.append(ClusterVertexPayload(*(tuple(t[i] for t in triples) for i in range(3)), seed.frame, mask))
+        f = seed.frame
+        payloads.append(ClusterVertexPayload(seed.vars, f.c_vectors, f.g_vectors, f.path, mask))
     edges = sorted(
         (QuiverEdge(index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
         key=lambda e: (e.src, e.dst),
@@ -428,8 +435,8 @@ def assert_exchange_relations(q):
     one = LaurentPolynomial.monomial(nvars, (0,) * nvars)
     seen = set()
     for payload in q.vertices:
-        frame = payload.frame
-        xs = [polys[g] for g in frame.g_vectors]
+        frame = stored_frame(q, payload)
+        xs = [polys[g] for g in payload.g_vectors]
         for k in range(1, len(xs) + 1):
             key = g_vector_exchange_key(frame, k)
             if key in seen:
@@ -485,10 +492,11 @@ def _var_payloads(q, rank, verbose=False):
 
 def _vertex_payload(q, v, var_payloads):
     if q.kind == "exchange":
+        at = sorted(range(len(v.variables)), key=lambda j: v.variables[j].terms)
         return {
-            "variables": [var_payloads[x] for x in v.variables],
-            "c_vectors": [list(c) for c in v.c_vectors],
-            "g_vectors": [list(g) for g in v.g_vectors],
+            "variables": [var_payloads[v.variables[j]] for j in at],
+            "c_vectors": [list(v.c_vectors[j]) for j in at],
+            "g_vectors": [list(v.g_vectors[j]) for j in at],
         }
     if q.kind == "ccluster":
         return {"roots": [_root_str(r) for r in v]}
@@ -524,7 +532,7 @@ def dict_document_json(q, rank, verbose=False):
 
 def _vertex_label(q, v, var_payloads):
     if q.kind == "exchange":
-        return "{" + ",".join(var_payloads[x]["d"] for x in v.variables) + "}"
+        return "{" + ",".join(var_payloads[x]["d"] for x in sorted(v.variables, key=lambda x: x.terms)) + "}"
     if q.kind == "ccluster":
         return "{" + ",".join(_root_str(r) for r in v) + "}"
     if q.kind == "tautilt":

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cambrian.quivers
+import cambrian.laurent
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import LaurentPolynomial, _box, _exchange, _pack, initial_seed, mutate_seed
+from cambrian.laurent import LaurentPolynomial, VariableTable, _box, _exchange, _pack, initial_seed, mutate_seed
 from cambrian.mutation import FrameTable, build_bc, mutate_columns
-from cambrian.quivers import VariableTable, build_exchange_quiver, theta_vertex_map
+from cambrian.quivers import build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, positive_roots
 
 from conftest import (
@@ -26,8 +26,10 @@ from conftest import (
     ccluster_of,
     check_frame,
     exchange_of,
+    ids_frame,
     polynomial_keyed_exchange_quiver,
     spec_of,
+    stored_frame,
 )
 
 
@@ -35,7 +37,7 @@ def assert_matches_oracle(t, n, c, sign):
     spec = spec_of(t, n)
     q = build_exchange_quiver(spec, c, sign)
     oracle = polynomial_keyed_exchange_quiver(spec, c, sign)
-    # Payloads with their labeled seeds (frames and witness paths), and edges.
+    # Payloads (seeds in position order, witness paths, masks) and edges.
     assert q.vertices == oracle.vertices
     assert q.edges == oracle.edges
 
@@ -74,24 +76,24 @@ def test_e6_exchange_theta_anti_iso():
 def shared_table_builds(t, n, c):
     """The plus and minus exchange quivers built with one VariableTable, the
     minus one checked against a minus build with a fresh table: payloads
-    (variables, c- and g-vectors, frames and masks) and edges.  Each mask
+    (seeds in position order, witness paths and masks) and edges.  Each mask
     must be the OR of its variables' ids in the shared table.  Returns the
     quivers and the number of exact exchanges (laurent._exchange calls) of
     the shared minus build."""
     spec, table = spec_of(t, n), VariableTable(n)
     plus = build_exchange_quiver(spec, c, "plus", table=table)
     calls = []
-    original = cambrian.quivers._exchange
+    original = cambrian.laurent._exchange
 
-    def counted(pos, neg, divisor):
+    def counted(pos, neg, divisor, *box):
         calls.append(divisor)
-        return original(pos, neg, divisor)
+        return original(pos, neg, divisor, *box)
 
-    cambrian.quivers._exchange = counted
+    cambrian.laurent._exchange = counted
     try:
         minus = build_exchange_quiver(spec, c, "minus", table=table)
     finally:
-        cambrian.quivers._exchange = original
+        cambrian.laurent._exchange = original
     fresh = build_exchange_quiver(spec, c, "minus")
     assert minus.vertices == fresh.vertices
     assert minus.edges == fresh.edges
@@ -199,16 +201,17 @@ def test_memoised_step_matches_mutate_columns(t, n, order, sign):
     q = build_exchange_quiver(spec_of(t, n), CoxeterElement(order), sign)
     steps = q.steps
     for payload in q.vertices:
-        cids, gids = frame_ids(steps, payload.frame)
+        frame = stored_frame(q, payload)
+        cids, gids = frame_ids(steps, frame)
         for k in range(1, n + 1):
-            column, new = mutate_columns(payload.frame, k)
+            column, new = mutate_columns(frame, k)
             got = steps.step(cids, gids, k - 1, payload.witness_path)
             assert got[0] == column
-            assert steps.frame(*got[1:], new.path) == new
+            assert ids_frame(steps, *got[1:], new.path) == new
         if n > 1:
             swapped, message = (gids[1], gids[0], *gids[2:]), f"witness path {payload.witness_path}: C/G duality"
             with pytest.raises(InternalError, match=re.escape(message)):
-                check_frame(steps.frame(cids, swapped, payload.witness_path))
+                check_frame(ids_frame(steps, cids, swapped, payload.witness_path))
             with pytest.raises(InternalError, match=re.escape(message)):
                 steps.check_duality(cids, swapped, payload.witness_path)
 
@@ -236,17 +239,18 @@ def test_stored_frames_derive_the_mutated_b(t, n, order, sign):
     b = build_bc(spec_of(t, n), CoxeterElement(order))
     b = b.negated() if sign == "minus" else b
     s = b.skew_symmetrizer
-    for payload in exchange_of(t, n, order, sign).vertices:
+    q = exchange_of(t, n, order, sign)
+    for payload in q.vertices:
         want = b_along_path(b.entries, payload.witness_path)
         for k0 in range(n):
-            column = mutate_columns(payload.frame, k0 + 1)[0]
+            column = mutate_columns(stored_frame(q, payload), k0 + 1)[0]
             assert column == tuple(row[k0] for row in want), (payload.witness_path, k0 + 1)
             assert tuple(-s[j] * x for j, x in enumerate(column)) == tuple(s[k0] * x for x in want[k0])
 
 
 def _patch_first_exchange(monkeypatch, wrong_variable):
     """The table's first exact division returns wrong_variable(x_k, x_k')."""
-    original = cambrian.quivers._exchange
+    original = cambrian.laurent._exchange
     calls = []
 
     def patched(pos, neg, divisor, *box):
@@ -254,7 +258,7 @@ def _patch_first_exchange(monkeypatch, wrong_variable):
         calls.append(out)
         return wrong_variable(divisor, out) if len(calls) == 1 else out
 
-    monkeypatch.setattr(cambrian.quivers, "_exchange", patched)
+    monkeypatch.setattr(cambrian.laurent, "_exchange", patched)
 
 
 def test_g_vector_with_two_polynomials(monkeypatch):
@@ -402,7 +406,7 @@ def test_newton_box_once_per_variable(monkeypatch):
     # The table keeps each variable's Newton box: 6 + 36 boxes for the 42
     # variables of E6, however many of the 385 relations read them.
     calls = []
-    monkeypatch.setattr(cambrian.quivers, "_box", lambda p: calls.append(p) or _box(p))
+    monkeypatch.setattr(cambrian.laurent, "_box", lambda p: calls.append(p) or _box(p))
     table = VariableTable(6)
     build_exchange_quiver(spec_of("E", 6), CoxeterElement((1, 2, 3, 4, 5, 6)), table=table)
     assert len(calls) == len(table.polys) == 42
@@ -417,10 +421,9 @@ def test_product_check_against_division():
     q = build_exchange_quiver(spec_of("E", 6), CoxeterElement(order), table=table)
     box = table.boxes.__getitem__
     for payload in q.vertices[:40]:
-        at_g = dict(zip(payload.g_vectors, payload.variables))
-        ids = tuple(table.ids[at_g[g]] for g in payload.frame.g_vectors)
+        ids = tuple(table.ids[x] for x in payload.variables)
         for k in range(1, 7):
-            column = mutate_columns(payload.frame, k)[0]
+            column = mutate_columns(stored_frame(q, payload), k)[0]
             pos = [(i, m) for i, m in zip(ids, column) if m > 0]
             neg = [(i, -m) for i, m in zip(ids, column) if m < 0]
             xk = table.polys[ids[k - 1]]

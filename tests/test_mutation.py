@@ -10,7 +10,16 @@ from cambrian.errors import InputError, InternalError
 from cambrian.mutation import ExchangeMatrix, _det, build_bc, check_duality, frame_is_unimodular, identity_frame
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
-from conftest import RANK_LE_4, derived_b, exchange_of, frame_mutate, mutate_matrix, row_major_frame_mutate, spec_of
+from conftest import (
+    RANK_LE_4,
+    derived_b,
+    exchange_of,
+    frame_mutate,
+    mutate_matrix,
+    row_major_frame_mutate,
+    spec_of,
+    stored_frame,
+)
 
 A2 = cartan_matrix("A", 2)
 C21 = CoxeterElement((2, 1))
@@ -172,7 +181,8 @@ def test_stored_frames_are_unimodular(typ, data):
     # |det C| = 1.  Assert it on every frame both exchange builds store.
     order = tuple(data.draw(st.permutations(range(1, typ[1] + 1))))
     for sign in ("plus", "minus"):
-        assert all(frame_is_unimodular(p.frame) for p in exchange_of(*typ, order, sign).vertices)
+        q = exchange_of(*typ, order, sign)
+        assert all(frame_is_unimodular(stored_frame(q, p)) for p in q.vertices)
 
 
 class TestTauInverseFrame:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cambrian.laurent
 import cambrian.quivers
 from cambrian.cli import DEFAULT_VERTEX_CAP, Build, main, run_sign_checks
 from cambrian.errors import InputError, InternalError
@@ -46,6 +47,7 @@ from conftest import (
     per_position_tau_tilting,
     sortables_of,
     spec_of,
+    stored_frame,
     tautilt_of,
 )
 
@@ -402,9 +404,9 @@ def small_type_and_c(draw):
 @settings(deadline=None, max_examples=25)
 @given(small_type_and_c())
 def test_stored_seeds_are_witness_path_replays(case):
-    # The old replay is the oracle: each stored frame, with the variables at
-    # its G-columns, is the initial seed mutated along its witness path, and
-    # the paths are prefix-closed.
+    # The old replay is the oracle: each stored seed, variables and frame in
+    # position order, is the initial seed mutated along its witness path,
+    # and the paths are prefix-closed.
     t, n, c = case
     build = Build(spec_of(t, n), c, None)
     for q in (build.plus, build.minus):
@@ -415,9 +417,8 @@ def test_stored_seeds_are_witness_path_replays(case):
             seed = seed0
             for k in payload.witness_path:
                 seed = mutate_seed(seed, k)
-            assert payload.frame == seed.frame
-            at_g = dict(zip(payload.g_vectors, payload.variables))
-            assert tuple(at_g[g] for g in payload.frame.g_vectors) == seed.vars
+            assert stored_frame(q, payload) == seed.frame
+            assert payload.variables == seed.vars
             assert not payload.witness_path or payload.witness_path[:-1] in paths
     assert check_tau_c_matrix(build.spec, c, build.plus, build.minus).ok
     assert all(rep.ok for rep in run_sign_checks(build))
@@ -534,6 +535,6 @@ def test_tautilt_command_runs_no_exchange(monkeypatch, capsys):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbid(name))
-    monkeypatch.setattr(cambrian.quivers.VariableTable, "_exchange_holds", forbid("_exchange_holds"))
+    monkeypatch.setattr(cambrian.laurent.VariableTable, "_exchange_holds", forbid("_exchange_holds"))
     assert main(["tautilt", "--type", "D", "--rank", "4", "--coxeter", "2,1,4,3"]) == 0
     assert capsys.readouterr().out.startswith("{")

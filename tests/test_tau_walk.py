@@ -14,7 +14,7 @@ from cambrian.mutation import FrameTable
 from cambrian.quivers import build_exchange_quiver, check_tau_c_matrix
 from cambrian.rootsys import CoxeterElement, positive_roots
 
-from conftest import RANK_LE_4, exchange_of, laurent_tau_walk, spec_of
+from conftest import RANK_LE_4, exchange_of, ids_frame, laurent_tau_walk, spec_of
 
 
 def assert_matches_laurent_walk(t, n, c):
@@ -36,7 +36,7 @@ def assert_matches_laurent_walk(t, n, c):
     original = FrameTable.check_duality
 
     def recorded(steps, cids, gids, path):
-        checked.append(steps.frame(cids, gids, path))
+        checked.append(ids_frame(steps, cids, gids, path))
         return original(steps, cids, gids, path)
 
     with mock.patch.object(FrameTable, "check_duality", recorded):
