@@ -18,6 +18,7 @@ from typing import TextIO
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
 from .laurent import LaurentPolynomial, VariableTable, denominator_vector, poly_hash, poly_str
+from .mutation import build_bc
 from .quivers import (
     CheckReport,
     ClusterQuiver,
@@ -58,7 +59,7 @@ def _array(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def _tables(rank: int, verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
+def _tables(verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
     """The rendered values of one quiver, each made once: a root as a JSON
     string, an integer vector as a list at indent 10, and an exchange
     variable as (its d-vector, its edge label, its object at indent 10)."""
@@ -66,7 +67,7 @@ def _tables(rank: int, verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
     vectors = _Memo(lambda v: _array([*map(str, v)], 10))
 
     def variable(x: LaurentPolynomial) -> tuple[str, str, str]:
-        d, h = roots[denominator_vector(x, rank)], encode_basestring_ascii(poly_hash(x))
+        d, h = roots[denominator_vector(x)], encode_basestring_ascii(poly_hash(x))
         poly = f',\n            "poly": {encode_basestring_ascii(poly_str(x))}' if verbose else ""
         obj = f'{{\n            "d": {d},\n            "hash": {h}{poly}\n          }}'
         return d[1:-1], encode_basestring_ascii(f"d={d[1:-1]}#{h[1:-1]}"), obj
@@ -87,13 +88,13 @@ def _write_items(out: TextIO, n: int, render) -> None:
     out.write("\n  ]" if n else "[]")
 
 
-def quiver_to_json(q: ClusterQuiver, rank: int, out: TextIO, verbose: bool = False) -> None:
+def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None:
     """Write q to out as json.dumps(indent=2, sort_keys=True) prints its
     document {"edges": [...], "vertices": [...]}, streamed in that fixed
     shape: each edge and vertex object is one string with its keys in sorted
     order, and each root, integer vector and exchange variable is rendered
     once (_tables)."""
-    roots, vectors, variables = _tables(rank, verbose)
+    roots, vectors, variables = _tables(verbose)
     label = (lambda x: variables[x][1]) if q.kind == "exchange" else roots.__getitem__
 
     def payload(v) -> tuple[str, ...]:
@@ -128,8 +129,8 @@ def quiver_to_json(q: ClusterQuiver, rank: int, out: TextIO, verbose: bool = Fal
     out.write("\n}\n")
 
 
-def quiver_to_dot(q: ClusterQuiver, rank: int) -> str:
-    roots, _, variables = _tables(rank)
+def quiver_to_dot(q: ClusterQuiver) -> str:
+    roots, _, variables = _tables()
 
     def label(v) -> str:
         if q.kind == "exchange":
@@ -194,11 +195,11 @@ class Build:
 
     @cached_property
     def plus(self) -> ClusterQuiver:
-        return build_exchange_quiver(self.spec, self.c, "plus", self.table)
+        return build_exchange_quiver(build_bc(self.spec, self.c), self.table)
 
     @cached_property
     def minus(self) -> ClusterQuiver:
-        return build_exchange_quiver(self.spec, self.c, "minus", self.table)
+        return build_exchange_quiver(build_bc(self.spec, self.c).negated(), self.table)
 
     @cached_property
     def ccluster(self) -> ClusterQuiver:
@@ -318,9 +319,9 @@ def main(argv: list[str] | None = None) -> int:
                 reports = VERIFY_COMMANDS[args.command](build)
                 out.write(_report_json(reports) if args.format == "json" else _report_text(reports))
             elif args.format != "dot":
-                quiver_to_json(getattr(build, BUILD_COMMANDS[args.command]), spec.rank, out, args.verbose)
+                quiver_to_json(getattr(build, BUILD_COMMANDS[args.command]), out, args.verbose)
             else:
-                out.write(quiver_to_dot(getattr(build, BUILD_COMMANDS[args.command]), spec.rank))
+                out.write(quiver_to_dot(getattr(build, BUILD_COMMANDS[args.command])))
             out.flush()
         return 1 if args.command in VERIFY_COMMANDS and not all(rep.ok for rep in reports) else 0
     except InputError as exc:

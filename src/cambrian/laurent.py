@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .mutation import ExchangeMatrix, MatrixFrame, identity_frame, mutate_columns
-from .rootsys import CartanSpec, CoxeterElement, Root, _identity, is_almost_positive
+from .rootsys import CartanSpec, Root, _identity, is_almost_positive
 
 Exponent = tuple[int, ...]
 
@@ -183,11 +183,10 @@ def _divide(
     return LaurentPolynomial.from_dict(divisor.nvars, quot)
 
 
-def poly_str(p: LaurentPolynomial, names: tuple[str, ...] | None = None) -> str:
+def poly_str(p: LaurentPolynomial) -> str:
     if p.is_zero():
         return "0"
-    if names is None:
-        names = tuple(f"x{i + 1}" for i in range(p.nvars))
+    names = tuple(f"x{i + 1}" for i in range(p.nvars))
     parts = []
     for e, c in p.terms:
         factors = [f"{names[i]}^{k}" if k != 1 else names[i] for i, k in enumerate(e) if k]
@@ -234,14 +233,6 @@ class LabeledSeed(NamedTuple):
     coeffs: tuple[TropicalElement, ...] | None
     frame: MatrixFrame
 
-    @property
-    def rank(self) -> int:
-        return len(self.vars)
-
-    @property
-    def mode(self) -> str:
-        return "trivial" if self.coeffs is None else "principal"
-
 
 def initial_seed(b: ExchangeMatrix, coefficient_mode: str = "trivial") -> LabeledSeed:
     n = b.rank
@@ -263,11 +254,11 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
     """Seed mutation in direction k (1-based), advancing the frame alongside;
     the seed's own coefficient mode decides the exchange relation.  Column k
     of B is the column step's, and row k follows from it: s_k b_kj = -s_j b_jk."""
-    n, k0, sym = s.rank, k - 1, s.frame.skew_symmetrizer
+    n, k0, sym = len(s.vars), k - 1, s.frame.skew_symmetrizer
     column, new_frame = mutate_columns(s.frame, k)  # raises InputError for k out of range
     pos = [(s.vars[i], b) for i, b in enumerate(column) if b > 0]
     neg = [(s.vars[i], -b) for i, b in enumerate(column) if b < 0]
-    if s.mode == "trivial":
+    if s.coeffs is None:  # trivial coefficients
         new_xk = _exchange(pos, neg, s.vars[k0])
         new_coeffs = None
     else:
@@ -418,12 +409,11 @@ class VariableTable:
         return new_id
 
 
-def denominator_vector(x: LaurentPolynomial, nx_vars: int | None = None) -> tuple[int, ...]:
-    """d_i = -(minimal exponent of x_i); restricted to the first nx_vars variables."""
+def denominator_vector(x: LaurentPolynomial) -> tuple[int, ...]:
+    """d_i = -(minimal exponent of x_i), over the variables of x."""
     if x.is_zero():
         raise InputError("denominator vector of the zero polynomial")
-    n = nx_vars if nx_vars is not None else x.nvars
-    return tuple(-min(e[i] for e, _ in x.terms) for i in range(n))
+    return tuple(-min(e[i] for e, _ in x.terms) for i in range(x.nvars))
 
 
 def var_degree(x: LaurentPolynomial, initial_b: ExchangeMatrix) -> tuple[int, ...]:
@@ -445,9 +435,9 @@ def var_degree(x: LaurentPolynomial, initial_b: ExchangeMatrix) -> tuple[int, ..
     return tuple(deg)
 
 
-def theta(spec: CartanSpec, c: CoxeterElement, x: LaurentPolynomial) -> Root:
+def theta(spec: CartanSpec, x: LaurentPolynomial) -> Root:
     """Denominator-vector root of a cluster variable; lands in Phi_{>=-1}."""
-    d = denominator_vector(x, spec.rank)
+    d = denominator_vector(x)
     if not is_almost_positive(spec, d):
         raise InternalError(f"denominator vector {d} is not an almost positive root")
     return d

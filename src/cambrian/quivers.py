@@ -3,6 +3,8 @@
 All three quivers share the ClusterQuiver container: vertices carry typed
 payloads, edges record the exchanged pair.  Vertex and edge order is canonical
 (payload-sorted), so identical inputs always produce identical quivers.
+The records are immutable but for an exchange quiver's steps, its build's
+FrameTable, whose memos grow when check_tau_c_matrix steps on it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InternalError
 from .laurent import LaurentPolynomial, VariableTable, theta
-from .mutation import FrameTable, build_bc
+from .mutation import ExchangeMatrix, FrameTable
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
 from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
 
@@ -73,31 +75,24 @@ class CheckReport(NamedTuple):
         return dict(self.stats)[key]
 
 
-def build_exchange_quiver(spec: CartanSpec, c: CoxeterElement, sign: str = "plus",
-                          table: VariableTable | None = None) -> ClusterQuiver:
-    """BFS over non-labeled clusters of A(B^c) (or A(-B^c) for sign="minus").
+def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable | None = None) -> ClusterQuiver:
+    """BFS over non-labeled clusters of A(b); the commands pass b = B^c and -B^c.
 
     Arrows are green mutations: the edge points away from the cluster in which
     the exchanged variable's c-vector is non-negative.
 
     The BFS moves frames as ids of a FrameTable (the quiver's steps) and
     keys a cluster by the bitmask of its variables' ids in table (a fresh
-    VariableTable when None), which makes each exchange x_k x_k' = prod
-    x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ once per relation for all the builds
-    that share it.  InternalError is raised if g-vectors and ids are not in
-    bijection within the build.  Any n - 1 variables of a cluster lie in
-    exactly two clusters (Fomin-Zelevinsky, Invent. Math. 154), so an edge
-    is keyed by the mask of this facet and mutated across once, from the end
-    reached first: one column step gives column k of B for the exchange and
-    the next frame, which a new cluster stores (it must pass check_duality)
-    and a stored cluster's frame must match.  No command chooses sign: a bad
-    one is an InternalError.
+    VariableTable when None).  It fills table, which makes each exchange
+    x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ once per relation for
+    all the builds that share it.  InternalError is raised if g-vectors and
+    ids are not in bijection within the build.  Any n - 1 variables of a
+    cluster lie in exactly two clusters (Fomin-Zelevinsky, Invent. Math.
+    154), so an edge is keyed by the mask of this facet and mutated across
+    once, from the end reached first: one column step gives column k of B
+    for the exchange and the next frame, which a new cluster stores (it must
+    pass check_duality) and a stored cluster's frame must match.
     """
-    if sign not in ("plus", "minus"):
-        raise InternalError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    b = build_bc(spec, c)
-    if sign == "minus":
-        b = b.negated()
     n = b.rank
     table = table or VariableTable(n)
     polys, steps = table.polys, FrameTable(b)
@@ -178,7 +173,7 @@ def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver
     return ClusterQuiver("ccluster", clusters, tuple(edges))
 
 
-def shadow_of_cluster(spec: CartanSpec, cluster: tuple[Root, ...]) -> TauTiltingShadow:
+def shadow_of_cluster(cluster: tuple[Root, ...]) -> TauTiltingShadow:
     module = tuple(sorted(r for r in cluster if min(r) >= 0))
     proj = tuple(sorted(r.index(-1) + 1 for r in cluster if min(r) < 0))
     return TauTiltingShadow(module, proj)
@@ -234,7 +229,7 @@ def build_tau_tilting_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiv
     found = []
     for clique in maximal_compatible_sets(compatible, spec.rank):
         cluster = tuple(roots[a] for a in clique)
-        found.append((shadow_of_cluster(spec, cluster), cluster, reduce(and_, (torsion[a] for a in clique), full)))
+        found.append((shadow_of_cluster(cluster), cluster, reduce(and_, (torsion[a] for a in clique), full)))
     found.sort(key=lambda v: (v[0].module_part, v[0].projective_part))
     edges = []
     for (i, a), (j, b) in _facet_pairs([cluster for _, cluster, _ in found]):
@@ -266,7 +261,7 @@ def theta_vertex_map(
 ) -> tuple[int, ...]:
     """Variable-wise theta as a vertex map, exchange quiver -> c-cluster
     quiver, taking theta once per cluster variable."""
-    roots = {x: theta(spec, c, x) for x in {x for payload in exchange.vertices for x in payload.variables}}
+    roots = {x: theta(spec, x) for x in {x for payload in exchange.vertices for x in payload.variables}}
     clusters = (tuple(sorted(roots[x] for x in payload.variables)) for payload in exchange.vertices)
     return ccluster_indices(ccluster, clusters, "theta")
 
@@ -364,7 +359,7 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
 
     minus_csets = {p.mask: frozenset(p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
-    theta_at = {g: theta(spec, c, x) for g, x in polys.items()}
+    theta_at = {g: theta(spec, x) for g, x in polys.items()}
     tau_theta_at = {g: tau(spec, c, root, "inverse") for g, root in theta_at.items()}
     steps, sweep = qp.steps, c.order[::-1]
     frame = steps.initial

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 from .errors import InputError, InternalError
 
@@ -71,10 +71,6 @@ class CoxeterElement(namedtuple("CoxeterElement", "order")):
             raise InputError("Coxeter order must be a permutation of 1..n")
         return super().__new__(cls, order)
 
-    @property
-    def rank(self) -> int:
-        return len(self.order)
-
 
 def _chain_cartan(n: int) -> list[list[int]]:
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -84,48 +80,27 @@ def _chain_cartan(n: int) -> list[list[int]]:
     return c
 
 
-def _minimal_symmetrizer(c: Matrix) -> tuple[int, ...]:
-    # Propagate d_j = d_i * C_ij / C_ji along diagram edges, scaling the
-    # component found so far where the division is not exact, then remove
-    # each component's common factor.
-    n = len(c)
-    d = [0] * n
-    for start in range(n):
-        if d[start]:
-            continue
-        d[start], stack, component = 1, [start], [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if c[i][j] and not d[j]:
-                    scale = -c[j][i] // gcd(d[i] * c[i][j], c[j][i])
-                    for k in component:
-                        d[k] *= scale
-                    d[j] = d[i] * c[i][j] // c[j][i]
-                    component.append(j)
-                    stack.append(j)
-        common = gcd(*(d[j] for j in component))
-        for j in component:
-            d[j] //= common
-    return tuple(d)
-
-
 def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
     """Standard Cartan matrix of the given finite type, with minimal symmetrizer."""
     t = dynkin_type.upper()
     if t not in _VALID_RANKS or not _VALID_RANKS[t](rank):
         raise InputError(f"invalid finite type ({dynkin_type}, {rank})")
     n = rank
+    d = [1] * n  # A, D and E: simply laced
     if t in ("A", "B", "C", "G", "F"):
         c = _chain_cartan(n)
         if t == "B":
             c[n - 1][n - 2] = -2  # alpha_n short
+            d = [2] * (n - 1) + [1]
         elif t == "C":
             c[n - 2][n - 1] = -2  # alpha_n long
+            d[n - 1] = 2
         elif t == "G":
             c[1][0] = -3
+            d = [3, 1]
         elif t == "F":
             c[2][1] = -2  # alpha_3, alpha_4 short
+            d = [2, 2, 1, 1]
     elif t == "D":
         c = _chain_cartan(n)
         c[n - 2][n - 1] = c[n - 1][n - 2] = 0
@@ -135,8 +110,7 @@ def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
         edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(i, i + 1) for i in range(5, n)]
         for a, b in edges:
             c[a - 1][b - 1] = c[b - 1][a - 1] = -1
-    cm = tuple(tuple(row) for row in c)
-    return CartanSpec(t, n, cm, _minimal_symmetrizer(cm))
+    return CartanSpec(t, n, tuple(tuple(row) for row in c), tuple(d))
 
 
 def cluster_count(spec: CartanSpec) -> int:

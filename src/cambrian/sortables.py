@@ -107,7 +107,7 @@ def _root_tables(spec: CartanSpec) -> _RootTables:
             k = 2 * sum(map(mul, gf, r)) // norm
             row.append(index[tuple(x - k * y for x, y in zip(r, g))] if k else h)
         reflect.append(tuple(row))
-    start = (-1,) + tuple(index[_simple_root(n, a)] for a in range(1, n + 1))
+    start = (-1,) + tuple(index[r] for r in _identity(n))
     linked = ((),) + tuple(tuple(b + 1 for b in range(n) if row[b]) for row in spec.cartan)
     return _RootTables(roots, start, tuple(reflect), linked)
 
@@ -119,10 +119,6 @@ def _times(t: _RootTables, img: list[int], a: int) -> list[int]:
     for b in t.linked[a]:
         img[b] = row[img[b]]
     return img
-
-
-def _simple_root(n: int, i: int) -> Root:
-    return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
 def enumerate_sortables(spec: CartanSpec, c: CoxeterElement) -> tuple[SortableElement, ...]:
@@ -216,14 +212,14 @@ def greedy_sorting_word(
 ) -> tuple[tuple[int, ...], ...]:
     """The c-sorting word of w as subset blocks: scan c^infinity, taking a
     letter whenever it is a left descent of the remainder."""
-    n, remainder, blocks = spec.rank, w, []
-    while remainder.matrix != _identity(n):
+    eye, remainder, blocks = _identity(spec.rank), w, []
+    while remainder.matrix != eye:
         if len(blocks) > 4 * len(positive_roots(spec)):
             raise InternalError("sorting-word scan did not terminate")
         block = []
         for i in c.order:
             # s_i is a left descent of v iff v^-1(alpha_i) is negative.
-            if min(remainder.inv_root_image(_simple_root(n, i))) < 0:
+            if min(remainder.inv_root_image(eye[i - 1])) < 0:
                 block.append(i)
                 r = reflection_matrix(spec, i)
                 remainder = WeylElement(_matmul(r, remainder.matrix), _matmul(remainder.inv_matrix, r))

@@ -105,11 +105,16 @@ def coxeter_words(spec):
     return words
 
 
+def signed_bc(spec, c, sign="plus"):
+    """B^c, or -B^c for sign="minus": the exchange matrices of a command's
+    two exchange builds."""
+    b = build_bc(spec, c)
+    return b.negated() if sign == "minus" else b
+
+
 @lru_cache(maxsize=None)
 def exchange_of(dynkin_type, rank, order, sign="plus"):
-    return build_exchange_quiver(
-        spec_of(dynkin_type, rank), CoxeterElement(order), sign
-    )
+    return build_exchange_quiver(signed_bc(spec_of(dynkin_type, rank), CoxeterElement(order), sign))
 
 
 @lru_cache(maxsize=None)
@@ -354,9 +359,7 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
     """The exchange BFS on full Laurent seeds, a cluster keyed by its set of
     polynomials, each edge mutated from both ends: the oracle for the
     g-vector-keyed frame BFS of build_exchange_quiver."""
-    b = build_bc(spec, c)
-    if sign == "minus":
-        b = b.negated()
+    b = signed_bc(spec, c, sign)
     n = b.rank
     seed0 = initial_seed(b, "trivial")
     key0 = frozenset(seed0.vars)
@@ -454,19 +457,19 @@ def assert_exchange_relations(q):
     return len(seen)
 
 
-def per_position_tau_tilting(spec, c, exchange, ccluster):
+def per_position_tau_tilting(spec, exchange, ccluster):
     """The theta shadow of the exchange quiver of B^c, arrows reversed, and
     the theta vertex map, with theta taken at every position of every
     cluster and at both labels of every edge.  The oracle for the Euler-form
     build_tau_tilting_quiver, which uses neither Laurent polynomials nor
     theta, and for theta_vertex_map, which takes theta once per variable."""
-    clusters = [tuple(sorted(theta(spec, c, x) for x in p.variables)) for p in exchange.vertices]
-    shadows = [shadow_of_cluster(spec, cluster) for cluster in clusters]
+    clusters = [tuple(sorted(theta(spec, x) for x in p.variables)) for p in exchange.vertices]
+    shadows = [shadow_of_cluster(cluster) for cluster in clusters]
     ordered = sorted(range(len(shadows)), key=lambda i: (shadows[i].module_part, shadows[i].projective_part))
     index = {old: new for new, old in enumerate(ordered)}
     edges = []
     for e in exchange.edges:
-        out_root, in_root = theta(spec, c, e.in_label), theta(spec, c, e.out_label)
+        out_root, in_root = theta(spec, e.in_label), theta(spec, e.out_label)
         edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root))
     edges.sort(key=lambda e: (e.src, e.dst))
     tautilt = ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
@@ -478,13 +481,13 @@ def _root_str(r):
     return "[" + ",".join(str(x) for x in r) + "]"
 
 
-def _var_payloads(q, rank, verbose=False):
+def _var_payloads(q, verbose=False):
     """The payload dict of each distinct cluster variable of an exchange quiver."""
     if q.kind != "exchange":
         return {}
     payloads = {}
     for x in {x for payload in q.vertices for x in payload.variables}:
-        payloads[x] = {"d": _root_str(denominator_vector(x, rank)), "hash": poly_hash(x)}
+        payloads[x] = {"d": _root_str(denominator_vector(x)), "hash": poly_hash(x)}
         if verbose:
             payloads[x]["poly"] = poly_str(x)
     return payloads
@@ -515,10 +518,10 @@ def _edge_label(label, var_payloads):
     return _root_str(label)
 
 
-def dict_document_json(q, rank, verbose=False):
+def dict_document_json(q, verbose=False):
     """q as a document of nested dicts, encoded by json.dumps(indent=2,
     sort_keys=True): the oracle for the streaming writer quiver_to_json."""
-    var_payloads = _var_payloads(q, rank, verbose)
+    var_payloads = _var_payloads(q, verbose)
     doc = {
         "vertices": [{"id": i, "payload": _vertex_payload(q, v, var_payloads)} for i, v in enumerate(q.vertices)],
         "edges": [
@@ -542,10 +545,10 @@ def _vertex_label(q, v, var_payloads):
     return "s" + ".".join(str(a) for a in v.word) if v.word else "e"
 
 
-def per_vertex_dot(q, rank):
+def per_vertex_dot(q):
     """q in DOT, each label built from its vertex and escaped: the oracle for
     quiver_to_dot."""
-    var_payloads = _var_payloads(q, rank)
+    var_payloads = _var_payloads(q)
     lines = [f"digraph {q.kind} {{"]
     for i, v in enumerate(q.vertices):
         label = _vertex_label(q, v, var_payloads).replace('"', '\\"')

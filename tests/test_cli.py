@@ -96,9 +96,9 @@ class TestBuildCommands:
         assert len(json.loads(path.read_text())["vertices"]) == 2
 
 
-def write_json(q, rank, verbose=False):
+def write_json(q, verbose=False):
     buf = io.StringIO()
-    quiver_to_json(q, rank, buf, verbose)
+    quiver_to_json(q, buf, verbose)
     return buf.getvalue()
 
 
@@ -120,15 +120,15 @@ class TestWriters:
     def test_bytes_match_the_dict_document(self, t, n, order):
         for kind, build in BUILDERS.items():
             q = build(t, n, order)
-            assert write_json(q, n) == dict_document_json(q, n), kind
-            assert quiver_to_dot(q, n) == per_vertex_dot(q, n), kind
+            assert write_json(q) == dict_document_json(q), kind
+            assert quiver_to_dot(q) == per_vertex_dot(q), kind
         q = exchange_of(t, n, order)
-        assert write_json(q, n, verbose=True) == dict_document_json(q, n, verbose=True)
+        assert write_json(q, verbose=True) == dict_document_json(q, verbose=True)
         # A cluster of one variable has one order.
         assert n == 1 or out_of_print_order(q)
 
     def test_a1_prints_empty_lists(self):
-        text = write_json(tautilt_of("A", 1, (1,)), 1) + write_json(cambrian_of("A", 1, (1,)), 1)
+        text = write_json(tautilt_of("A", 1, (1,))) + write_json(cambrian_of("A", 1, (1,)))
         for key in ("module_part", "projective_part", "word", "blocks"):
             assert f'"{key}": []' in text
 
@@ -136,7 +136,7 @@ class TestWriters:
         code, out, _ = run(capsys, "exchange", "--type", "G", "--rank", "2", "--coxeter", "1,2", "--verbose")
         assert code == 0
         q = exchange_of("G", 2, (1, 2))
-        assert out == dict_document_json(q, 2, verbose=True)
+        assert out == dict_document_json(q, verbose=True)
         assert out_of_print_order(q)
 
     def test_writes_in_bounded_batches(self):
@@ -144,19 +144,19 @@ class TestWriters:
         out = io.StringIO()
         out.write = writes.append
         q = cambrian_of("F", 4, (1, 2, 3, 4))
-        quiver_to_json(q, 4, out)
+        quiver_to_json(q, out)
         objects = [chunk.count("\n    {") for chunk in writes]
         assert sum(objects) == q.n_vertices + len(q.edges)
         assert max(objects) == cambrian.cli._BATCH
-        assert "".join(writes) == dict_document_json(q, 4)
+        assert "".join(writes) == dict_document_json(q)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", ["tautilt", "cambrian"])
 def test_e8_writers_match_the_dict_document(kind):
     q = BUILDERS[kind]("E", 8, tuple(range(1, 9)))
-    assert write_json(q, 8) == dict_document_json(q, 8)
-    assert quiver_to_dot(q, 8) == per_vertex_dot(q, 8)
+    assert write_json(q) == dict_document_json(q)
+    assert quiver_to_dot(q) == per_vertex_dot(q)
 
 
 class TestVerifyCommands:

@@ -28,6 +28,7 @@ from conftest import (
     exchange_of,
     ids_frame,
     polynomial_keyed_exchange_quiver,
+    signed_bc,
     spec_of,
     stored_frame,
 )
@@ -35,7 +36,7 @@ from conftest import (
 
 def assert_matches_oracle(t, n, c, sign):
     spec = spec_of(t, n)
-    q = build_exchange_quiver(spec, c, sign)
+    q = build_exchange_quiver(signed_bc(spec, c, sign))
     oracle = polynomial_keyed_exchange_quiver(spec, c, sign)
     # Payloads (seeds in position order, witness paths, masks) and edges.
     assert q.vertices == oracle.vertices
@@ -81,7 +82,7 @@ def shared_table_builds(t, n, c):
     quivers and the number of exact exchanges (laurent._exchange calls) of
     the shared minus build."""
     spec, table = spec_of(t, n), VariableTable(n)
-    plus = build_exchange_quiver(spec, c, "plus", table=table)
+    plus = build_exchange_quiver(build_bc(spec, c), table)
     calls = []
     original = cambrian.laurent._exchange
 
@@ -91,10 +92,10 @@ def shared_table_builds(t, n, c):
 
     cambrian.laurent._exchange = counted
     try:
-        minus = build_exchange_quiver(spec, c, "minus", table=table)
+        minus = build_exchange_quiver(build_bc(spec, c).negated(), table)
     finally:
         cambrian.laurent._exchange = original
-    fresh = build_exchange_quiver(spec, c, "minus")
+    fresh = build_exchange_quiver(build_bc(spec, c).negated())
     assert minus.vertices == fresh.vertices
     assert minus.edges == fresh.edges
     for q in (plus, minus):
@@ -140,7 +141,7 @@ def test_e7_exchange_builds():
 
 @pytest.mark.slow
 def test_e8_exchange_build():
-    q = build_exchange_quiver(spec_of("E", 8), CoxeterElement(tuple(range(1, 9))))
+    q = build_exchange_quiver(build_bc(spec_of("E", 8), CoxeterElement(tuple(range(1, 9)))))
     assert (q.n_vertices, len(q.edges)) == (25080, 100320)
 
 
@@ -160,7 +161,7 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
     monkeypatch.setattr(FrameTable, "step", corrupted)
     message = "mutation path (1, 2, 1) reaches a stored cluster with other columns"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
+        build_exchange_quiver(build_bc(spec_of("A", 2), CoxeterElement((1, 2))))
 
 
 def test_stored_frames_are_checked(monkeypatch):
@@ -173,7 +174,7 @@ def test_stored_frames_are_checked(monkeypatch):
 
     monkeypatch.setattr(FrameTable, "step", corrupted)
     with pytest.raises(InternalError, match=re.escape("witness path (1,): C/G duality identity failed")):
-        build_exchange_quiver(spec_of("A", 2), CoxeterElement((1, 2)))
+        build_exchange_quiver(build_bc(spec_of("A", 2), CoxeterElement((1, 2))))
 
 
 def test_non_coherent_c_vector_is_refused_when_numbered():
@@ -198,7 +199,7 @@ def test_memoised_step_matches_mutate_columns(t, n, order, sign):
     # ids gives the column and the next frame of the vector step.  The
     # memoised duality check fails like the vector check_frame on the frame
     # with its first two g-vectors swapped.
-    q = build_exchange_quiver(spec_of(t, n), CoxeterElement(order), sign)
+    q = build_exchange_quiver(signed_bc(spec_of(t, n), CoxeterElement(order), sign))
     steps = q.steps
     for payload in q.vertices:
         frame = stored_frame(q, payload)
@@ -223,7 +224,7 @@ def test_each_build_numbers_the_signed_roots(t, n, order, sign):
     # g-vectors, one per cluster variable.  In these types the c-vectors
     # are the signed roots, each at positions of one symmetrizer.
     spec = spec_of(t, n)
-    steps = build_exchange_quiver(spec, CoxeterElement(order), sign).steps
+    steps = build_exchange_quiver(signed_bc(spec, CoxeterElement(order), sign)).steps
     roots = positive_roots(spec)
     assert len(steps.c_vectors) == 2 * len(roots)
     assert set(steps.c_vectors) == {*roots, *(tuple(-x for x in r) for r in roots)}
@@ -236,8 +237,7 @@ def test_stored_frames_derive_the_mutated_b(t, n, order, sign):
     # A frame holds no B: column k of B_t is the column step's, and row k
     # follows from it by s_k b_kj = -s_j b_jk.  Both must equal B^c (or
     # -B^c) mutated along the witness path by mutate_matrix.
-    b = build_bc(spec_of(t, n), CoxeterElement(order))
-    b = b.negated() if sign == "minus" else b
+    b = signed_bc(spec_of(t, n), CoxeterElement(order), sign)
     s = b.skew_symmetrizer
     q = exchange_of(t, n, order, sign)
     for payload in q.vertices:
@@ -272,7 +272,7 @@ def test_g_vector_with_two_polynomials(monkeypatch):
     _patch_first_exchange(monkeypatch, doubled)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
+        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))))
 
 
 def test_wrong_known_variable_fails_the_product_check(monkeypatch):
@@ -304,7 +304,7 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
     monkeypatch.setattr(table, "_exchange_holds", checked)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)), table=table)
+        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))), table)
     # One check, and its known quotient was 2x, packed on the radix of the moment.
     [(ok, known, wrong)] = checks
     assert not ok and known == wrong
@@ -408,7 +408,7 @@ def test_newton_box_once_per_variable(monkeypatch):
     calls = []
     monkeypatch.setattr(cambrian.laurent, "_box", lambda p: calls.append(p) or _box(p))
     table = VariableTable(6)
-    build_exchange_quiver(spec_of("E", 6), CoxeterElement((1, 2, 3, 4, 5, 6)), table=table)
+    build_exchange_quiver(build_bc(spec_of("E", 6), CoxeterElement((1, 2, 3, 4, 5, 6))), table)
     assert len(calls) == len(table.polys) == 42
 
 
@@ -418,7 +418,7 @@ def test_product_check_against_division():
     # of the build's 41 other variables.
     order = (1, 2, 3, 4, 5, 6)
     table = VariableTable(6)
-    q = build_exchange_quiver(spec_of("E", 6), CoxeterElement(order), table=table)
+    q = build_exchange_quiver(build_bc(spec_of("E", 6), CoxeterElement(order)), table)
     box = table.boxes.__getitem__
     for payload in q.vertices[:40]:
         ids = tuple(table.ids[x] for x in payload.variables)
@@ -437,7 +437,7 @@ def test_polynomial_with_two_g_vectors(monkeypatch):
     _patch_first_exchange(monkeypatch, lambda xk, x: xk)
     message = "witness path (1,): a cluster variable has two g-vectors, (1, 0, 0) and (-1, 1, 0)"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(spec_of("A", 3), CoxeterElement((1, 2, 3)))
+        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))))
 
 
 def test_exchange_key_keeps_b():
@@ -464,8 +464,7 @@ def test_relation_key_is_unchanged_when_b_is_negated(case, data):
     # So after the exchange at column k of B, the one at column k of -B is
     # read from the memo: the same id, and no new relation.
     t, n, c, sign = case
-    b = build_bc(spec_of(t, n), c)
-    b = b.negated() if sign == "minus" else b
+    b = signed_bc(spec_of(t, n), c, sign)
     seeds = [initial_seed(b), initial_seed(b.negated())]
     path = data.draw(st.lists(st.integers(1, n), max_size=6))
     for k in path:

@@ -270,10 +270,10 @@ class TestDenominatorTheta:
         assert denominator_vector(top) == (1, 1)
         mid = lp(2, {(-1, 1): 1, (-1, 0): 1})
         assert denominator_vector(mid) == (1, 0)
-        assert theta(A2, C21, top) == (1, 1)
-        assert theta(A2, C21, mid) == (1, 0)
+        assert theta(A2, top) == (1, 1)
+        assert theta(A2, mid) == (1, 0)
         x2 = LaurentPolynomial.generator(2, 1)
-        assert theta(A2, C21, x2) == (0, -1)
+        assert theta(A2, x2) == (0, -1)
 
     def test_zero(self):
         with pytest.raises(InputError):
@@ -282,12 +282,11 @@ class TestDenominatorTheta:
     def test_theta_bijective(self):
         for t, n, order in [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("A", 3, (2, 1, 3))]:
             spec = spec_of(t, n)
-            c = CoxeterElement(order)
             quiver = exchange_of(t, n, order)
             variables = set()
             for payload in quiver.vertices:
                 variables.update(payload.variables)
-            images = {theta(spec, c, v) for v in variables}
+            images = {theta(spec, v) for v in variables}
             assert len(images) == len(variables)
             assert images == set(almost_positive_roots(spec))
 

@@ -17,7 +17,6 @@ from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
 from cambrian.mutation import build_bc
 from cambrian.quivers import (
     QuiverEdge,
-    build_exchange_quiver,
     build_tau_tilting_quiver,
     check_arrow_flip,
     check_tau_c_matrix,
@@ -137,11 +136,6 @@ class TestExchangeA2:
             Build(A2, C21, 3)
         assert Build(A2, C21, 5).plus.n_vertices == 5
 
-    def test_bad_sign(self):
-        # No command chooses the sign: a bad one is a fault in the program.
-        with pytest.raises(InternalError, match="sign must be 'plus' or 'minus'"):
-            build_exchange_quiver(A2, C21, sign="negative")
-
 
 class TestClusterCount:
     def test_every_quiver_has_cluster_count_vertices(self):
@@ -260,7 +254,7 @@ class TestTauTiltingQuiver:
             build_tau_tilting_quiver(A2, C21)
 
     def test_shadow_of_cluster(self):
-        s = shadow_of_cluster(A2, ((1, 1), (0, -1)))
+        s = shadow_of_cluster(((1, 1), (0, -1)))
         assert s.module_part == ((1, 1),) and s.projective_part == (2,)
 
 
@@ -430,7 +424,7 @@ class TestThetaImage:
             spec = spec_of(t, n)
             c = CoxeterElement(order)
             q = exchange_of(t, n, order)
-            roots = {x: theta(spec, c, x) for p in q.vertices for x in p.variables}
+            roots = {x: theta(spec, x) for p in q.vertices for x in p.variables}
             clusters = {tuple(sorted(roots[x] for x in p.variables)) for p in q.vertices}
             assert clusters == set(enumerate_c_clusters(spec, c))
 
@@ -444,7 +438,7 @@ def type_and_c(draw):
 def assert_matches_theta_shadow(t, n, order):
     spec, c = spec_of(t, n), CoxeterElement(order)
     exq, ccq = exchange_of(t, n, order), ccluster_of(t, n, order)
-    tautilt, theta_map = per_position_tau_tilting(spec, c, exq, ccq)
+    tautilt, theta_map = per_position_tau_tilting(spec, exq, ccq)
     q = tautilt_of(t, n, order)
     assert q.vertices == tautilt.vertices
     assert q.edges == tautilt.edges

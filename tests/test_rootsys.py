@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -27,6 +28,17 @@ G2 = cartan_matrix("G", 2)
 C21 = CoxeterElement((2, 1))
 
 
+# Each type's minimal symmetrizer, written next to its Cartan entries.
+SYMMETRIZERS = {
+    ("A", 1): (1,), ("A", 5): (1,) * 5,
+    ("B", 2): (2, 1), ("B", 3): (2, 2, 1), ("B", 5): (2, 2, 2, 2, 1),
+    ("C", 3): (1, 1, 2), ("C", 5): (1, 1, 1, 1, 2),
+    ("D", 4): (1,) * 4, ("D", 6): (1,) * 6,
+    ("E", 6): (1,) * 6, ("E", 7): (1,) * 7, ("E", 8): (1,) * 8,
+    ("F", 4): (2, 2, 1, 1), ("G", 2): (3, 1),
+}
+
+
 class TestCartanMatrix:
     def test_a2(self):
         assert A2.cartan == ((2, -1), (-1, 2))
@@ -35,22 +47,21 @@ class TestCartanMatrix:
     def test_a1(self):
         a1 = cartan_matrix("A", 1)
         assert a1.cartan == ((2,),)
-        assert a1.symmetrizer == (1,)
 
     def test_g2(self):
-        # The printed matrix fixes d = (3, 1): the minimal d with d_i C_ij = d_j C_ji.
         assert G2.cartan == ((2, -1), (-3, 2))
-        assert G2.symmetrizer == (3, 1)
 
     def test_b2(self):
         assert B2.cartan == ((2, -1), (-2, 2))
-        assert B2.symmetrizer == (2, 1)
 
-    def test_symmetrizers(self):
-        assert cartan_matrix("B", 3).symmetrizer == (2, 2, 1)
-        assert cartan_matrix("C", 3).symmetrizer == (1, 1, 2)
-        assert cartan_matrix("F", 4).symmetrizer == (2, 2, 1, 1)
-        assert cartan_matrix("D", 4).symmetrizer == (1, 1, 1, 1)
+    @pytest.mark.parametrize("t,n", SYMMETRIZERS)
+    def test_symmetrizer(self, t, n):
+        # d_i C_ij = d_j C_ji, and the diagram is connected, so every
+        # symmetrizer is a multiple of d: gcd(d) = 1 makes d the minimal one.
+        spec, d = cartan_matrix(t, n), SYMMETRIZERS[t, n]
+        assert spec.symmetrizer == d
+        assert all(d[i] * spec.cartan[i][j] == d[j] * spec.cartan[j][i] for i in range(n) for j in range(n))
+        assert gcd(*d) == 1
 
     def test_symmetrizer_invariant(self):
         for t, n in [("B", 3), ("C", 3), ("F", 4), ("G", 2), ("D", 4), ("E", 6)]:
@@ -58,11 +69,6 @@ class TestCartanMatrix:
             for i in range(n):
                 for j in range(n):
                     assert s.symmetrizer[i] * s.cartan[i][j] == s.symmetrizer[j] * s.cartan[j][i]
-
-    def test_minimal_symmetrizer_per_component(self):
-        # B2 + G2 + A1: each component is scaled apart, from its first index.
-        c = ((2, -2, 0, 0, 0), (-1, 2, 0, 0, 0), (0, 0, 2, -1, 0), (0, 0, -3, 2, 0), (0, 0, 0, 0, 2))
-        assert cambrian.rootsys._minimal_symmetrizer(c) == (1, 2, 3, 1, 1)
 
     @pytest.mark.parametrize(
         "t,n",

@@ -14,7 +14,7 @@ from cambrian.mutation import FrameTable
 from cambrian.quivers import build_exchange_quiver, check_tau_c_matrix
 from cambrian.rootsys import CoxeterElement, positive_roots
 
-from conftest import RANK_LE_4, exchange_of, ids_frame, laurent_tau_walk, spec_of
+from conftest import RANK_LE_4, exchange_of, ids_frame, laurent_tau_walk, signed_bc, spec_of
 
 
 def assert_matches_laurent_walk(t, n, c):
@@ -67,7 +67,7 @@ def test_matches_laurent_walk_e6(order):
 @pytest.mark.slow
 def test_e7_tau_c_makes_no_exact_exchange(monkeypatch):
     spec, c = spec_of("E", 7), CoxeterElement(tuple(range(1, 8)))
-    qp, qm = build_exchange_quiver(spec, c, "plus"), build_exchange_quiver(spec, c, "minus")
+    qp, qm = build_exchange_quiver(signed_bc(spec, c)), build_exchange_quiver(signed_bc(spec, c, "minus"))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("mutate_seed called outside the exchange builds")
