@@ -1,5 +1,5 @@
-import sys
+"""`python -m cambrian`: the console entry, cambrian.cli.entry."""
 
-from .cli import main
+from .cli import entry
 
-sys.exit(main())
+entry()

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import gc
 import os
 import sys
 from functools import cache, cached_property
-from json.encoder import encode_basestring_ascii
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
@@ -63,6 +62,8 @@ def _tables(verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
     """The rendered values of one quiver, each made once: a root as a JSON
     string, an integer vector as a list at indent 10, and an exchange
     variable as (its d-vector, its edge label, its object at indent 10)."""
+    from json.encoder import encode_basestring_ascii  # here: a verify text run never loads json
+
     roots = _Memo(lambda r: encode_basestring_ascii("[" + ",".join(map(str, r)) + "]"))
     vectors = _Memo(lambda v: _array([*map(str, v)], 10))
 
@@ -282,6 +283,8 @@ def _report_text(reports: list[CheckReport]) -> str:
 
 
 def _report_json(reports: list[CheckReport]) -> str:
+    import json  # here: a verify text run never loads json
+
     checks = [{**rep._asdict(), "stats": dict(rep.stats)} for rep in reports]
     return json.dumps({"checks": checks}, indent=2, sort_keys=True) + "\n"
 
@@ -299,6 +302,31 @@ def _open_output(path: str | None):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command (argv, or sys.argv[1:] if None) and return its exit
+    code.  The cyclic collector is off for the run: the pipeline makes no
+    reference cycles, so scanning the millions of objects a large build
+    allocates would find none.  It comes back as main found it, on or off,
+    once the run's objects, its Build included, are freed."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def entry() -> NoReturn:
+    """The `cambrian` console script and `python -m cambrian`: run main,
+    freeze the heap so that the collections at interpreter exit skip it,
+    and exit with main's code.  The exit stays a normal one: atexit
+    handlers run and open files are flushed."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -338,4 +366,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -13,7 +13,6 @@ generators.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from operator import mul, sub
@@ -204,6 +203,8 @@ def poly_str(p: LaurentPolynomial) -> str:
 
 def poly_hash(p: LaurentPolynomial) -> str:
     """Stable content hash used for compact serialization."""
+    import hashlib  # here: only the exchange writers hash, and hashlib loads OpenSSL
+
     h = hashlib.sha256(repr((p.nvars, p.terms)).encode()).hexdigest()
     return h[:12]
 

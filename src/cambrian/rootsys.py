@@ -283,20 +283,23 @@ def maximal_compatible_sets(nbrs: list[int], size: int):
     vertex indices, by Bron-Kerbosch with pivoting over the neighbour
     bitmasks nbrs.  In finite type each one has size elements (a cluster);
     any other size raises InternalError."""
+    yield from _expand(nbrs, size, (), (1 << len(nbrs)) - 1, 0)
 
-    def expand(clique: tuple[int, ...], cand: int, excl: int):
-        if not cand | excl:
-            if len(clique) != size:
-                raise InternalError(f"maximal compatible set of size {len(clique)} != rank {size}")
-            yield tuple(sorted(clique))
-            return
-        pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
-        for a in _bits(cand & ~nbrs[pivot]):
-            yield from expand(clique + (a,), cand & nbrs[a], excl & nbrs[a])
-            cand &= ~(1 << a)
-            excl |= 1 << a
 
-    yield from expand((), (1 << len(nbrs)) - 1, 0)
+def _expand(nbrs: list[int], size: int, clique: tuple[int, ...], cand: int, excl: int):
+    """The maximal sets that extend clique by candidates in cand and by no
+    vertex in excl: a module function, as a closure calling itself would be a
+    reference cycle."""
+    if not cand | excl:
+        if len(clique) != size:
+            raise InternalError(f"maximal compatible set of size {len(clique)} != rank {size}")
+        yield tuple(sorted(clique))
+        return
+    pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
+    for a in _bits(cand & ~nbrs[pivot]):
+        yield from _expand(nbrs, size, clique + (a,), cand & nbrs[a], excl & nbrs[a])
+        cand &= ~(1 << a)
+        excl |= 1 << a
 
 
 @lru_cache(maxsize=_PER_C_CACHE)

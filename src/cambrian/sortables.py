@@ -134,8 +134,11 @@ def enumerate_sortables(spec: CartanSpec, c: CoxeterElement) -> tuple[SortableEl
     m = len(t.reflect)
     compat, apr = _compatibility_table(spec, c), [_root_index(spec).get(r) for r in t.roots]
     found: dict[int, SortableElement] = {}
-
-    def visit(blocks, word, inv, img, last, rest) -> None:
+    # An explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle, and would keep found alive until a collection.
+    stack = [((), (), 0, list(t.start), [-1] + [g + m for g in t.start[1:]], c.order)]
+    while stack:
+        blocks, word, inv, img, last, rest = stack.pop()
         if inv in found:
             raise InternalError("one element reached by two distinct sorting words")
         ks, cluster = [apr[g] for g in last[1:]], tuple(sorted(t.roots[g] for g in last[1:]))
@@ -152,11 +155,9 @@ def enumerate_sortables(spec: CartanSpec, c: CoxeterElement) -> tuple[SortableEl
                 img2, last2 = _times(t, img, a), last[:]
                 last2[a] = g
                 if p < len(rest):
-                    visit(blocks[:-1] + (block + (a,),), word + (a,), inv | 1 << g, img2, last2, rest[p + 1 :])
+                    stack.append((blocks[:-1] + (block + (a,),), word + (a,), inv | 1 << g, img2, last2, rest[p + 1 :]))
                 else:
-                    visit(blocks + ((a,),), word + (a,), inv | 1 << g, img2, last2, block[p - len(rest) + 1 :])
-
-    visit((), (), 0, list(t.start), [-1] + [g + m for g in t.start[1:]], c.order)
+                    stack.append((blocks + ((a,),), word + (a,), inv | 1 << g, img2, last2, block[p - len(rest) + 1 :]))
     return tuple(sorted(found.values(), key=lambda s: (s.length, s.word)))
 
 

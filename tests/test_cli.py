@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import itertools
@@ -24,6 +25,7 @@ from cambrian.cli import (
     quiver_to_json,
     run_all_checks,
 )
+from cambrian.errors import InternalError
 from cambrian.laurent import VariableTable, _exchange
 from cambrian.mutation import FrameTable, mutate_columns
 from cambrian.quivers import QuiverEdge
@@ -601,6 +603,127 @@ def test_networkx_is_not_loaded():
     assert code == "0" and "cambrian" in added
     assert [m for m in added if m != "cambrian" and m not in sys.stdlib_module_names] == []
     assert {"dataclasses", "inspect", "fractions"}.isdisjoint(added)
+
+
+def test_verify_text_run_loads_neither_hashlib_nor_json():
+    # hashlib (with OpenSSL behind it) and json load where they are used:
+    # in the exchange writers' hash and in JSON output.  Modules that site
+    # loaded before cambrian was imported do not count.
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import cambrian.cli\n"
+        "def added():\n"
+        "    return {m.split('.')[0] for m in set(sys.modules) - before} & {'hashlib', 'json'}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cambrian.cli.main(['verify-all', '--type', 'D', '--rank', '4', '--coxeter', '1,2,3,4'])\n"
+        "    text = sorted(added())\n"
+        "    code += cambrian.cli.main(['exchange', '--type', 'A', '--rank', '2', '--coxeter', '1,2', '--format', 'json'])\n"
+        "print(code, text, sorted(added()), sorted({'hashlib', 'json'} - before), sep='|')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
+    code, text, exchange, absent = proc.stdout.rstrip("\n").split("|")
+    assert (code, text) == ("0", "[]")
+    assert exchange == absent  # an exchange JSON run loads each that was not loaded already
+
+
+class TestCollector:
+    """main runs with the cyclic collector off: every object a run makes is
+    freed by its reference count, so the collector has nothing to find."""
+
+    @pytest.fixture
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    A3 = ("--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [*([command] for command in BUILD_COMMANDS), *([command, "--format", "dot"] for command in BUILD_COMMANDS),
+         ["exchange", "--verbose"], *([command] for command in VERIFY_COMMANDS)],
+        ids=" ".join,
+    )
+    def test_a_run_leaves_no_cyclic_garbage(self, capsys, collector_off, argv):
+        # The parser, cached and built once per process, is argparse's only
+        # cycle: one warm-up call builds it.
+        run(capsys, "verify-flip", "--type", "A", "--rank", "1", "--coxeter", "1")
+        gc.collect()
+        code, out, _ = run(capsys, *argv, *self.A3)
+        assert code == 0 and out
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("command", VERIFY_COMMANDS)
+    def test_a_json_report_leaves_only_json_encoder_cycles(self, capsys, collector_off, command):
+        # json.dumps(indent=...) encodes through the standard library's
+        # mutually recursive closures (json.encoder._make_iterencode), a cycle
+        # per call; the run leaves no other.
+        run(capsys, "verify-flip", "--type", "A", "--rank", "1", "--coxeter", "1", "--format", "json")
+        gc.collect()
+        code, _, _ = run(capsys, command, *self.A3, "--format", "json")
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            garbage = gc.garbage[:]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        functions = [g for g in garbage if type(g).__name__ in ("function", "method")]
+        assert code == 0
+        assert {f.__module__ for f in functions} <= {"json.encoder"}
+        assert {type(g).__module__ for g in garbage} <= {"builtins", "json.encoder"}
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+    @pytest.mark.parametrize(
+        "argv,want",
+        [(("cclusters", *A3), 0), (("cclusters", "--type", "A", "--rank", "0", "--coxeter", "1"), 2),
+         (("cclusters", "--type", "A", "--rank", "2", "--coxeter", "1,2"), 3)],
+        ids=["exit 0", "exit 2", "exit 3"],
+    )
+    def test_main_restores_the_collector_state(self, capsys, monkeypatch, enabled, argv, want):
+        # Off during the run, then as main found it: on exit 0, on exit 2
+        # (invalid input) and on exit 3 (an InternalError from a builder).
+        seen = []
+        build = cambrian.cli.build_c_cluster_quiver
+
+        def builder(spec, c):
+            seen.append(gc.isenabled())
+            if spec.rank == 2:
+                raise InternalError("builder fails")
+            return build(spec, c)
+
+        monkeypatch.setattr(cambrian.cli, "build_c_cluster_quiver", builder)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = run(capsys, *argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (code, after) == (want, enabled)
+        assert seen == ([] if want == 2 else [False])
+
+    @pytest.mark.parametrize("argv,want", [(("verify-flip", "--type", "A", "--rank", "2", "--coxeter", "1,2"), 0),
+                                           (("verify-flip", "--type", "A", "--rank", "0", "--coxeter", "1"), 2)],
+                             ids=["exit 0", "exit 2"])
+    def test_entry_freezes_the_heap_and_exits_normally(self, capsys, argv, want):
+        # The console entry exits with main's code after gc.freeze(), through
+        # sys.exit: atexit handlers still run.
+        script = (
+            "import atexit, gc, sys\n"
+            "from cambrian.cli import entry\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            f"sys.argv[1:] = {list(argv)!r}\n"
+            "entry()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env())
+        assert proc.stderr.endswith("frozen True\n")
+        assert (proc.returncode, proc.stdout) == (want, run(capsys, *argv)[1])
 
 
 @pytest.mark.slow

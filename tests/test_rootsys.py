@@ -63,13 +63,6 @@ class TestCartanMatrix:
         assert all(d[i] * spec.cartan[i][j] == d[j] * spec.cartan[j][i] for i in range(n) for j in range(n))
         assert gcd(*d) == 1
 
-    def test_symmetrizer_invariant(self):
-        for t, n in [("B", 3), ("C", 3), ("F", 4), ("G", 2), ("D", 4), ("E", 6)]:
-            s = cartan_matrix(t, n)
-            for i in range(n):
-                for j in range(n):
-                    assert s.symmetrizer[i] * s.cartan[i][j] == s.symmetrizer[j] * s.cartan[j][i]
-
     @pytest.mark.parametrize(
         "t,n",
         [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2),
