@@ -30,7 +30,7 @@ from .quivers import (
     psi_vertex_map,
     theta_vertex_map,
 )
-from .rootsys import CartanSpec, CoxeterElement, cartan_matrix, cluster_count
+from .rootsys import CartanSpec, CoxeterElement, cartan_matrix, cluster_count, positive_roots
 from .sortables import build_cambrian_hasse, cambrian_vertex_map
 
 # Build command -> the Build attribute holding its quiver.
@@ -58,20 +58,24 @@ def _array(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
+def _bracketed(v: tuple[int, ...]) -> str:
+    return "[" + ",".join(map(str, v)) + "]"
+
+
 def _tables(verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
     """The rendered values of one quiver, each made once: a root as a JSON
     string, an integer vector as a list at indent 10, and an exchange
-    variable as (its d-vector, its edge label, its object at indent 10)."""
+    variable as (its edge label, its object at indent 10)."""
     from json.encoder import encode_basestring_ascii  # here: a verify text run never loads json
 
-    roots = _Memo(lambda r: encode_basestring_ascii("[" + ",".join(map(str, r)) + "]"))
+    roots = _Memo(lambda r: encode_basestring_ascii(_bracketed(r)))
     vectors = _Memo(lambda v: _array([*map(str, v)], 10))
 
-    def variable(x: LaurentPolynomial) -> tuple[str, str, str]:
+    def variable(x: LaurentPolynomial) -> tuple[str, str]:
         d, h = roots[denominator_vector(x)], encode_basestring_ascii(poly_hash(x))
         poly = f',\n            "poly": {encode_basestring_ascii(poly_str(x))}' if verbose else ""
         obj = f'{{\n            "d": {d},\n            "hash": {h}{poly}\n          }}'
-        return d[1:-1], encode_basestring_ascii(f"d={d[1:-1]}#{h[1:-1]}"), obj
+        return encode_basestring_ascii(f"d={d[1:-1]}#{h[1:-1]}"), obj
 
     return roots, vectors, _Memo(variable)
 
@@ -96,14 +100,14 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
     order, and each root, integer vector and exchange variable is rendered
     once (_tables)."""
     roots, vectors, variables = _tables(verbose)
-    label = (lambda x: variables[x][1]) if q.kind == "exchange" else roots.__getitem__
+    label = (lambda x: variables[x][0]) if q.kind == "exchange" else roots.__getitem__
 
     def payload(v) -> tuple[str, ...]:
         if q.kind == "exchange":
             xs, cs, gs = zip(*_print_order(v))
             return (f'"c_vectors": {_array([vectors[c] for c in cs], 8)}',
                     f'"g_vectors": {_array([vectors[g] for g in gs], 8)}',
-                    f'"variables": {_array([variables[x][2] for x in xs], 8)}')
+                    f'"variables": {_array([variables[x][1] for x in xs], 8)}')
         if q.kind == "ccluster":
             return (f'"roots": {_array([roots[r] for r in v], 8)}',)
         if q.kind == "tautilt":
@@ -131,15 +135,18 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
 
 
 def quiver_to_dot(q: ClusterQuiver) -> str:
-    roots, _, variables = _tables()
+    """q in DOT, each vertex labelled by its roots, or by its exchange
+    variables' d-vectors, each vector rendered once as [a,b,...]: nothing is
+    hashed, and json is not loaded."""
+    vectors = _Memo(_bracketed)
 
     def label(v) -> str:
         if q.kind == "exchange":
-            return "{" + ",".join(variables[x][0] for x, _, _ in _print_order(v)) + "}"
+            return "{" + ",".join(vectors[denominator_vector(x)] for x, _, _ in _print_order(v)) + "}"
         if q.kind == "ccluster":
-            return "{" + ",".join(roots[r][1:-1] for r in v) + "}"
+            return "{" + ",".join(map(vectors.__getitem__, v)) + "}"
         if q.kind == "tautilt":
-            mods = ",".join(roots[r][1:-1] for r in v.module_part)
+            mods = ",".join(map(vectors.__getitem__, v.module_part))
             return f"M=[{mods}] P=[{','.join(map(str, v.projective_part))}]"
         if q.kind == "cambrian":
             return "s" + ".".join(map(str, v.word)) if v.word else "e"
@@ -196,11 +203,23 @@ class Build:
 
     @cached_property
     def plus(self) -> ClusterQuiver:
-        return build_exchange_quiver(build_bc(self.spec, self.c), self.table)
+        return self._check_c_vectors(build_exchange_quiver(build_bc(self.spec, self.c), self.table))
 
     @cached_property
     def minus(self) -> ClusterQuiver:
-        return build_exchange_quiver(build_bc(self.spec, self.c).negated(), self.table)
+        return self._check_c_vectors(build_exchange_quiver(build_bc(self.spec, self.c).negated(), self.table))
+
+    def _check_c_vectors(self, q: ClusterQuiver) -> ClusterQuiver:
+        """q, once its build's c-vectors are checked to be the 2N signed roots +-Phi+ (Speyer-Thomas,
+        Acyclic cluster algebras revisited), by one lookup each."""
+        roots = positive_roots(self.spec)
+        signed, cv = {*roots, *(tuple(-x for x in r) for r in roots)}, q.steps.c_vectors
+        for c in cv:
+            if c not in signed:
+                raise InternalError(f"c-vector {c} is not a signed root of {self.spec.dynkin_type}{self.spec.rank}")
+        if len(cv) != len(signed) or len(set(cv)) != len(signed):
+            raise InternalError(f"{len(cv)} c-vectors, {len(set(cv))} distinct, not the {len(signed)} signed roots")
+        return q
 
     @cached_property
     def ccluster(self) -> ClusterQuiver:
@@ -241,7 +260,8 @@ def run_lattice_checks(build: Build) -> list[CheckReport]:
 def run_sign_checks(build: Build) -> list[CheckReport]:
     """Report what both exchange builds assert: a build that returns has
     checked sign coherence and duality, hence unimodularity, on every frame
-    it stores, or it has raised InternalError naming the frame's path."""
+    it stores, or it has raised InternalError naming the frame's path; and
+    Build has checked that its c-vectors are the signed roots."""
     return [
         CheckReport(f"signs {sign}", True, (f"{q.n_vertices} clusters: sign-coherent, dual, unimodular",),
                     stats=(("clusters", q.n_vertices),))

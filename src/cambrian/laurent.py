@@ -26,16 +26,19 @@ Exponent = tuple[int, ...]
 
 
 class LaurentPolynomial:
-    """Integer Laurent polynomial, terms sorted descending-lex by exponent, hashed once (it keys many tables)."""
+    """Integer Laurent polynomial, terms sorted descending-lex by exponent, hashed once (it keys many
+    tables) and boxed once: box is its Newton box (_box)."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "box", "_hash")
     nvars: int
     terms: tuple[tuple[Exponent, int], ...]
+    box: tuple[Exponent, Exponent]
 
     def __init__(self, nvars: int, terms: tuple[tuple[Exponent, int], ...]):
         set_field = object.__setattr__
         set_field(self, "nvars", nvars)
         set_field(self, "terms", terms)
+        set_field(self, "box", _box(terms))
         set_field(self, "_hash", hash((nvars, terms)))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -94,9 +97,9 @@ class LaurentPolynomial:
 # widens to hold every product its checks form.
 
 
-def _box(p: LaurentPolynomial) -> tuple[Exponent, Exponent]:
-    """The Newton box of p: lowest and highest exponent of each variable."""
-    columns = tuple(zip(*(e for e, _ in p.terms)))
+def _box(terms: tuple[tuple[Exponent, int], ...]) -> tuple[Exponent, Exponent]:
+    """The Newton box (lo, hi) of terms: lowest and highest exponent of each variable, ((), ()) for none."""
+    columns = tuple(zip(*(e for e, _ in terms)))
     return tuple(map(min, columns)), tuple(map(max, columns))
 
 
@@ -121,15 +124,9 @@ def _mul_packed(a: dict[int, int], b: list[tuple[int, int]]) -> dict[int, int]:
     return out
 
 
-def _divide(
-    num: dict[int, int],
-    divisor: LaurentPolynomial,
-    lo: Exponent,
-    hi: Exponent,
-    weights: tuple[int, ...],
-    dbox: tuple[Exponent, Exponent],
-) -> LaurentPolynomial:
-    """num / divisor, num packed over the box [lo, hi] holding its terms, dbox the divisor's.
+def _divide(num: dict[int, int], divisor: LaurentPolynomial, lo: Exponent, hi: Exponent,
+            weights: tuple[int, ...]) -> LaurentPolynomial:
+    """num / divisor, num packed over the box [lo, hi] holding its terms.
 
     The remainder's terms stay in [lo, hi] and sit in a max-heap of keys; each
     step divides its lead term by the divisor's.  An exact quotient lies in
@@ -140,7 +137,7 @@ def _divide(
     """
     (lead_e, lead_c), *rest = divisor.terms
     lead_k = sum(map(mul, lead_e, weights))
-    rest, (dlo, dhi) = _pack(rest, weights), dbox
+    rest, (dlo, dhi) = _pack(rest, weights), divisor.box
     # (radix, lowest digit, highest digit, digit-to-quotient-exponent offset),
     # least significant coordinate first.
     digits = tuple(
@@ -282,16 +279,16 @@ Packed = list[tuple[int, int]]  # (key, coefficient) pairs, as _pack gives them
 PackedFactors = list[tuple[Packed, int]]
 
 
-def _hull(groups: Sequence[Factors], nvars: int, box) -> tuple[Exponent, Exponent]:
+def _hull(groups: Sequence[Factors], nvars: int) -> tuple[Exponent, Exponent]:
     """The hull [lo, hi] of the boxes of the products of p^m over each group.
-    A product's box is the sum of its factors' boxes, box(p), and the box of
+    A product's box is the sum of its factors' boxes, and the box of
     every partial product lies in a box no wider, so packing over [lo, hi]
     keeps every product of the groups injective."""
     los, his = [], []
     for factors in groups:
         lo, hi = [0] * nvars, [0] * nvars
         for p, m in factors:
-            plo, phi = box(p)
+            plo, phi = p.box
             lo = [a + m * x for a, x in zip(lo, plo)]
             hi = [a + m * x for a, x in zip(hi, phi)]
         los.append(lo)
@@ -305,13 +302,13 @@ def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {key: c for key, c in a.items() if c}
 
 
-def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial, box=_box) -> LaurentPolynomial:
+def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial) -> LaurentPolynomial:
     """(prod p^m over pos + prod p^m over neg) / divisor, packed over the
     hull of the two products' boxes."""
-    lo, hi = _hull((pos, neg), divisor.nvars, box)
+    lo, hi = _hull((pos, neg), divisor.nvars)
     weights = _place_values(lo, hi)
     plus, minus = ([(_pack(p.terms, weights), m) for p, m in factors] for factors in (pos, neg))
-    return _divide(_sum(_product(plus), _product(minus)), divisor, lo, hi, weights, box(divisor))
+    return _divide(_sum(_product(plus), _product(minus)), divisor, lo, hi, weights)
 
 
 def _product(factors: PackedFactors) -> dict[int, int]:
@@ -324,7 +321,7 @@ def _product(factors: PackedFactors) -> dict[int, int]:
 
 class VariableTable:
     """Cluster variables as small ids (x_1, ..., x_n are 0, ..., n-1, the
-    others numbered as first met) with their Newton boxes and packed terms,
+    others numbered as first met) with their packed terms,
     and one memo of exchange relations: x_k' = (M+ + M-) / x_k, keyed by (id
     of x_k, {M+, M-}) with M+ and M- the sets of (id_i, |b_ik|) over b_ik > 0
     and b_ik < 0.  Both ends of an exchange, and B and -B (mu_k(-B) =
@@ -342,7 +339,6 @@ class VariableTable:
     def __init__(self, n: int):
         self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
         self.ids = {x: i for i, x in enumerate(self.polys)}
-        self.boxes = {x: _box(x) for x in self.polys}
         self.relations: dict[tuple, int] = {}
         self.widths = (0,) * n  # no check yet
         self._repack()
@@ -352,13 +348,12 @@ class VariableTable:
         self.packed = [_pack(x.terms, self.weights) for x in self.polys]
 
     def add(self, x: LaurentPolynomial) -> int:
-        """The id of x, numbered, boxed and packed if it is new."""
-        if x.is_zero():  # it has no box, and no cluster variable is 0
+        """The id of x, numbered and packed if it is new."""
+        if x.is_zero():  # its box is empty, and no cluster variable is 0
             raise InternalError("the zero polynomial is not a cluster variable")
         new_id = self.ids.setdefault(x, len(self.polys))
         if new_id == len(self.polys):
             self.polys.append(x)
-            self.boxes[x] = _box(x)
             self.packed.append(_pack(x.terms, self.weights))
         return new_id
 
@@ -369,7 +364,7 @@ class VariableTable:
         the exchange this check is as strong as the division."""
         polys = self.polys
         groups = [[(polys[i], m) for i, m in factors] for factors in (pos, neg, [(k, 1), (x, 1)])]
-        lo, hi = _hull(groups, len(self.widths), self.boxes.__getitem__)
+        lo, hi = _hull(groups, len(self.widths))
         widths = tuple(map(max, map(sub, hi, lo), self.widths))
         if widths != self.widths:
             self.widths = widths
@@ -403,18 +398,17 @@ class VariableTable:
                 new_id = known
             else:
                 polys = self.polys
-                x = _exchange([(polys[i], m) for i, m in pos], [(polys[i], m) for i, m in neg], polys[ids[k0]],
-                              self.boxes.__getitem__)
+                x = _exchange([(polys[i], m) for i, m in pos], [(polys[i], m) for i, m in neg], polys[ids[k0]])
                 new_id = self.add(x)
             self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
         return new_id
 
 
 def denominator_vector(x: LaurentPolynomial) -> tuple[int, ...]:
-    """d_i = -(minimal exponent of x_i), over the variables of x."""
+    """d_i = -(minimal exponent of x_i), over the variables of x: its negated lower Newton corner."""
     if x.is_zero():
         raise InputError("denominator vector of the zero polynomial")
-    return tuple(-min(e[i] for e, _ in x.terms) for i in range(x.nvars))
+    return tuple(-e for e in x.box[0])
 
 
 def var_degree(x: LaurentPolynomial, initial_b: ExchangeMatrix) -> tuple[int, ...]:

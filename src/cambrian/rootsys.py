@@ -302,7 +302,6 @@ def _expand(nbrs: list[int], size: int, clique: tuple[int, ...], cand: int, excl
         excl |= 1 << a
 
 
-@lru_cache(maxsize=_PER_C_CACHE)
 def enumerate_c_clusters(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[Root, ...], ...]:
     """All c-clusters, as lexicographically sorted root tuples, in canonical
     order: the maximal compatible sets of root indices."""

@@ -7,7 +7,6 @@ from functools import lru_cache
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import (
     LaurentPolynomial,
-    _box,
     _divide,
     _pack,
     _place_values,
@@ -324,9 +323,9 @@ def exact_div(num, divisor):
         raise InputError("division by the zero polynomial")
     if num.is_zero():
         return num
-    lo, hi = _box(num)
+    lo, hi = num.box
     weights = _place_values(lo, hi)
-    return _divide(dict(_pack(num.terms, weights)), divisor, lo, hi, weights, _box(divisor))
+    return _divide(dict(_pack(num.terms, weights)), divisor, lo, hi, weights)
 
 
 def row_major_frame_mutate(b, c, g, k):

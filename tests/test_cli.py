@@ -308,6 +308,28 @@ class TestVerifyCommands:
         assert code == 3 and out == ""
         assert err == "internal error: edge 3->0 is not a cover (via 1)\n"
 
+    @pytest.mark.parametrize(
+        "replace,message",
+        [(lambda cv: (2, 1, 0), "c-vector (2, 1, 0) is not a signed root of A3"),
+         (lambda cv: cv[0], "12 c-vectors, 11 distinct, not the 12 signed roots")],
+        ids=["off the roots", "a root twice"],
+    )
+    def test_c_vectors_other_than_the_signed_roots_are_an_internal_error(self, capsys, monkeypatch, replace, message):
+        # The c-vectors of an acyclic B are the 2N signed roots (Speyer-
+        # Thomas): a build whose steps hold another set is a fault in the
+        # program, so exchange exits 3 with a message and writes no quiver.
+        original = cambrian.cli.build_exchange_quiver
+
+        def corrupted(*args):
+            q = original(*args)
+            q.steps.c_vectors[-1] = replace(q.steps.c_vectors)
+            return q
+
+        monkeypatch.setattr(cambrian.cli, "build_exchange_quiver", corrupted)
+        code, out, err = run(capsys, "exchange", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        assert code == 3 and out == ""
+        assert err == f"internal error: {message}\n"
+
     def test_tau_c_failure_when_minus_cluster_missing(self, capsys, monkeypatch):
         build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
         dropped = build.minus.vertices[-1]
@@ -625,6 +647,22 @@ def test_verify_text_run_loads_neither_hashlib_nor_json():
     code, text, exchange, absent = proc.stdout.rstrip("\n").split("|")
     assert (code, text) == ("0", "[]")
     assert exchange == absent  # an exchange JSON run loads each that was not loaded already
+
+
+def test_exchange_dot_run_loads_neither_hashlib_nor_json():
+    # DOT labels an exchange variable by its d-vector, so it neither hashes
+    # the variables nor renders them through the JSON writers' tables.
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import cambrian.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cambrian.cli.main(['exchange', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3', '--format', 'dot'])\n"
+        "added = {m.split('.')[0] for m in set(sys.modules) - before} & {'hashlib', 'json'}\n"
+        "print(code, out.getvalue().count(' -> '), sorted(added), sep='|')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
+    assert proc.stdout == "0|21|[]\n"
 
 
 class TestCollector:

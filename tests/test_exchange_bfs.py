@@ -59,9 +59,11 @@ def test_matches_polynomial_keyed_bfs(case):
 @pytest.mark.parametrize(
     "t,n,order,sign",
     [("A", 5, (1, 2, 3, 4, 5), "plus"), ("A", 5, (3, 1, 5, 2, 4), "minus"),
-     ("D", 5, (1, 2, 3, 4, 5), "plus"), ("D", 5, (5, 3, 1, 4, 2), "minus")],
+     ("D", 5, (1, 2, 3, 4, 5), "plus"), ("D", 5, (5, 3, 1, 4, 2), "minus"),
+     ("E", 6, (1, 2, 3, 4, 5, 6), "plus"), ("E", 6, (2, 5, 1, 6, 3, 4), "minus")],
 )
 def test_matches_polynomial_keyed_bfs_rank_5(t, n, order, sign):
+    # Rank 5, and the two E6 elements the benchmark runs, one per sign.
     assert_matches_oracle(t, n, CoxeterElement(order), sign)
 
 
@@ -86,9 +88,9 @@ def shared_table_builds(t, n, c):
     calls = []
     original = cambrian.laurent._exchange
 
-    def counted(pos, neg, divisor, *box):
+    def counted(pos, neg, divisor):
         calls.append(divisor)
-        return original(pos, neg, divisor, *box)
+        return original(pos, neg, divisor)
 
     cambrian.laurent._exchange = counted
     try:
@@ -253,8 +255,8 @@ def _patch_first_exchange(monkeypatch, wrong_variable):
     original = cambrian.laurent._exchange
     calls = []
 
-    def patched(pos, neg, divisor, *box):
-        out = original(pos, neg, divisor, *box)
+    def patched(pos, neg, divisor):
+        out = original(pos, neg, divisor)
         calls.append(out)
         return wrong_variable(divisor, out) if len(calls) == 1 else out
 
@@ -290,7 +292,7 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
         if new_id == 6 and len(table.polys) == 7:
             x = table.polys[6]
             wrong = LaurentPolynomial(x.nvars, tuple((e, 2 * a) for e, a in x.terms))
-            table.polys[6], table.boxes[wrong] = wrong, table.boxes.pop(x)
+            table.polys[6] = wrong
             table.packed[6] = [(key, 2 * a) for key, a in table.packed[6]]
             del table.ids[x]
             table.ids[wrong] = 6
@@ -396,17 +398,18 @@ def test_table_widens_its_radix():
     y = table.add(LaurentPolynomial.from_dict(2, {(0, 0): 1, (0, 2): 1}))
     assert not table._exchange_holds([(1, 1)], [(0, 1)], 1, y)
     assert table.weights == (4, 1)
-    # 0 has no Newton box to widen the hull with.
+    # 0 has an empty Newton box, no hull to widen.
     with pytest.raises(InternalError, match="zero polynomial"):
         table.add(LaurentPolynomial(2, ()))
     assert len(table.polys) == len(table.packed) == 3
 
 
 def test_newton_box_once_per_variable(monkeypatch):
-    # The table keeps each variable's Newton box: 6 + 36 boxes for the 42
-    # variables of E6, however many of the 385 relations read them.
+    # Each variable carries its Newton box, computed as it is made: 6 + 36
+    # boxes for the 42 variables of E6, however many of the 385 relations
+    # read them.
     calls = []
-    monkeypatch.setattr(cambrian.laurent, "_box", lambda p: calls.append(p) or _box(p))
+    monkeypatch.setattr(cambrian.laurent, "_box", lambda terms: calls.append(terms) or _box(terms))
     table = VariableTable(6)
     build_exchange_quiver(build_bc(spec_of("E", 6), CoxeterElement((1, 2, 3, 4, 5, 6))), table)
     assert len(calls) == len(table.polys) == 42
@@ -419,7 +422,6 @@ def test_product_check_against_division():
     order = (1, 2, 3, 4, 5, 6)
     table = VariableTable(6)
     q = build_exchange_quiver(build_bc(spec_of("E", 6), CoxeterElement(order)), table)
-    box = table.boxes.__getitem__
     for payload in q.vertices[:40]:
         ids = tuple(table.ids[x] for x in payload.variables)
         for k in range(1, 7):
@@ -427,7 +429,7 @@ def test_product_check_against_division():
             pos = [(i, m) for i, m in zip(ids, column) if m > 0]
             neg = [(i, -m) for i, m in zip(ids, column) if m < 0]
             xk = table.polys[ids[k - 1]]
-            x = _exchange([(table.polys[i], m) for i, m in pos], [(table.polys[i], m) for i, m in neg], xk, box)
+            x = _exchange([(table.polys[i], m) for i, m in pos], [(table.polys[i], m) for i, m in neg], xk)
             assert table._exchange_holds(pos, neg, ids[k - 1], table.ids[x])
             assert not any(table._exchange_holds(pos, neg, ids[k - 1], y) for y in range(len(table.polys)) if y != table.ids[x])
 

@@ -279,6 +279,17 @@ class TestDenominatorTheta:
         with pytest.raises(InputError):
             denominator_vector(LaurentPolynomial(2, ()))
 
+    def test_box_is_the_newton_box(self):
+        # The box is computed once, with the polynomial: the lowest and
+        # highest exponent of each variable, whose negated lower corner is
+        # the denominator vector.  The zero polynomial's box is empty.
+        p = lp(3, {(1, -2, 0): 3, (-1, 3, 0): 2, (0, 0, 1): -1})
+        assert p.box == ((-1, -2, 0), (1, 3, 1))
+        assert denominator_vector(p) == (1, 2, 0)
+        assert LaurentPolynomial(2, ()).box == ((), ())
+        with pytest.raises(AttributeError):
+            p.box = ((0, 0, 0), (0, 0, 0))
+
     def test_theta_bijective(self):
         for t, n, order in [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("A", 3, (2, 1, 3))]:
             spec = spec_of(t, n)
