@@ -39,17 +39,6 @@ _BATCH = 32  # objects per write: bigger batches raise the peak RSS of a large q
 DEFAULT_VERTEX_CAP = 10**6
 
 
-class _Memo(dict):
-    """A table that renders each key on its first lookup and keeps it."""
-
-    def __init__(self, render):
-        self.render = render
-
-    def __missing__(self, key):
-        self[key] = value = self.render(key)
-        return value
-
-
 def _array(items: list[str], indent: int) -> str:
     """A list of rendered items at indent, as json.dumps(indent=2) prints it."""
     if not items:
@@ -62,22 +51,23 @@ def _bracketed(v: tuple[int, ...]) -> str:
     return "[" + ",".join(map(str, v)) + "]"
 
 
-def _tables(verbose: bool = False) -> tuple[_Memo, _Memo, _Memo]:
-    """The rendered values of one quiver, each made once: a root as a JSON
-    string, an integer vector as a list at indent 10, and an exchange
-    variable as (its edge label, its object at indent 10)."""
+def _tables(verbose: bool = False) -> tuple:
+    """The renderers of one quiver, each a functools.cache that renders a
+    value once: a root as a JSON string, an integer vector as a list at
+    indent 10, and an exchange variable as (its edge label, its object at
+    indent 10)."""
     from json.encoder import encode_basestring_ascii  # here: a verify text run never loads json
 
-    roots = _Memo(lambda r: encode_basestring_ascii(_bracketed(r)))
-    vectors = _Memo(lambda v: _array([*map(str, v)], 10))
+    roots = cache(lambda r: encode_basestring_ascii(_bracketed(r)))
+    vectors = cache(lambda v: _array([*map(str, v)], 10))
 
     def variable(x: LaurentPolynomial) -> tuple[str, str]:
-        d, h = roots[denominator_vector(x)], encode_basestring_ascii(poly_hash(x))
+        d, h = roots(denominator_vector(x)), encode_basestring_ascii(poly_hash(x))
         poly = f',\n            "poly": {encode_basestring_ascii(poly_str(x))}' if verbose else ""
         obj = f'{{\n            "d": {d},\n            "hash": {h}{poly}\n          }}'
         return encode_basestring_ascii(f"d={d[1:-1]}#{h[1:-1]}"), obj
 
-    return roots, vectors, _Memo(variable)
+    return roots, vectors, cache(variable)
 
 
 def _print_order(v) -> list[tuple]:
@@ -100,21 +90,21 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
     order, and each root, integer vector and exchange variable is rendered
     once (_tables)."""
     roots, vectors, variables = _tables(verbose)
-    label = (lambda x: variables[x][0]) if q.kind == "exchange" else roots.__getitem__
+    label = (lambda x: variables(x)[0]) if q.kind == "exchange" else roots
 
     def payload(v) -> tuple[str, ...]:
         if q.kind == "exchange":
             xs, cs, gs = zip(*_print_order(v))
-            return (f'"c_vectors": {_array([vectors[c] for c in cs], 8)}',
-                    f'"g_vectors": {_array([vectors[g] for g in gs], 8)}',
-                    f'"variables": {_array([variables[x][1] for x in xs], 8)}')
+            return (f'"c_vectors": {_array([*map(vectors, cs)], 8)}',
+                    f'"g_vectors": {_array([*map(vectors, gs)], 8)}',
+                    f'"variables": {_array([variables(x)[1] for x in xs], 8)}')
         if q.kind == "ccluster":
-            return (f'"roots": {_array([roots[r] for r in v], 8)}',)
+            return (f'"roots": {_array([*map(roots, v)], 8)}',)
         if q.kind == "tautilt":
-            return (f'"m_size": {v.m_size}', f'"module_part": {_array([roots[r] for r in v.module_part], 8)}',
+            return (f'"m_size": {v.m_size}', f'"module_part": {_array([*map(roots, v.module_part)], 8)}',
                     f'"projective_part": {_array([*map(str, v.projective_part)], 8)}')
         if q.kind == "cambrian":
-            return (f'"blocks": {_array([vectors[b] for b in v.blocks], 8)}', f'"length": {v.length}',
+            return (f'"blocks": {_array([*map(vectors, v.blocks)], 8)}', f'"length": {v.length}',
                     f'"word": {_array([*map(str, v.word)], 8)}')
         raise InternalError(f"unknown quiver kind {q.kind!r}")
 
@@ -138,15 +128,15 @@ def quiver_to_dot(q: ClusterQuiver) -> str:
     """q in DOT, each vertex labelled by its roots, or by its exchange
     variables' d-vectors, each vector rendered once as [a,b,...]: nothing is
     hashed, and json is not loaded."""
-    vectors = _Memo(_bracketed)
+    vectors = cache(_bracketed)
 
     def label(v) -> str:
         if q.kind == "exchange":
-            return "{" + ",".join(vectors[denominator_vector(x)] for x, _, _ in _print_order(v)) + "}"
+            return "{" + ",".join(vectors(denominator_vector(x)) for x, _, _ in _print_order(v)) + "}"
         if q.kind == "ccluster":
-            return "{" + ",".join(map(vectors.__getitem__, v)) + "}"
+            return "{" + ",".join(map(vectors, v)) + "}"
         if q.kind == "tautilt":
-            mods = ",".join(map(vectors.__getitem__, v.module_part))
+            mods = ",".join(map(vectors, v.module_part))
             return f"M=[{mods}] P=[{','.join(map(str, v.projective_part))}]"
         if q.kind == "cambrian":
             return "s" + ".".join(map(str, v.word)) if v.word else "e"

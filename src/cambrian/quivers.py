@@ -1,8 +1,9 @@
 """Exchange quiver, quiver of c-clusters, and the support tau-tilting quiver.
 
-All three quivers share the ClusterQuiver container: vertices carry typed
-payloads, edges record the exchanged pair.  Vertex and edge order is canonical
-(payload-sorted), so identical inputs always produce identical quivers.
+All four kinds of quiver, the Cambrian Hasse quiver of sortables included,
+share the ClusterQuiver container: vertices carry typed payloads, edges record
+the exchanged pair.  Vertex and edge order is canonical (payload-sorted), so
+identical inputs always produce identical quivers.
 The records are immutable but for an exchange quiver's steps, its build's
 FrameTable, whose memos grow when check_tau_c_matrix steps on it.
 """

@@ -159,7 +159,7 @@ def reflect(spec: CartanSpec, i: int, root: Root) -> Root:
     return tuple(out)
 
 
-# (spec, c) entries kept by each per-Coxeter-element cache, so a sweep over
+# (spec, c) entries kept by the per-Coxeter-element cache, so a sweep over
 # many elements holds a few elements' tables, not all of them.
 _PER_C_CACHE = 8
 
@@ -233,40 +233,34 @@ def tau(spec: CartanSpec, c: CoxeterElement, root: Root, direction: str = "forwa
 
 
 @lru_cache(maxsize=_PER_C_CACHE)
-def _tau_inverse_perm(spec: CartanSpec, c: CoxeterElement) -> tuple[int, ...]:
-    """tau_c^-1 as a permutation of the almost positive root indices."""
-    return tuple(_root_index(spec)[tau(spec, c, r, "inverse")] for r in almost_positive_roots(spec))
+def _c_dynamics(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], Matrix]:
+    """(degree, table) over root indices: degree[a] is the R_c degree of
+    alpha_a, its number of tau_c^-1 steps to a negative simple -alpha_i, and
+    table[a][b] = (alpha_a ||_c alpha_b).  The degree is tau_c-invariant, so
+    step every root's image at once and, at the step where alpha_a lands on
+    -alpha_i, read off the alpha_i coefficient of each beta's image."""
+    roots, index = almost_positive_roots(spec), _root_index(spec)
+    perm = [index[tau(spec, c, r, "inverse")] for r in roots]
+    m = len(roots)
+    degree, table, images = [-1] * m, [()] * m, list(range(m))
+    for step in range(m + 1):
+        for a in range(m):
+            if degree[a] < 0 and min(roots[images[a]]) < 0:
+                i0 = roots[images[a]].index(-1)
+                degree[a], table[a] = step, tuple(max(0, roots[b][i0]) for b in images)
+        if min(degree) >= 0:
+            return tuple(degree), tuple(table)
+        images = [perm[b] for b in images]
+    raise InternalError("tau_c orbit did not reach a negative simple root")
 
 
 def r_degree(spec: CartanSpec, c: CoxeterElement, root: Root) -> int:
     """Number of inverse tau_c steps needed to reach a negative simple root."""
-    roots, perm = almost_positive_roots(spec), _tau_inverse_perm(spec, c)
-    k = _check_apr(spec, root)
-    for steps in range(len(roots) + 1):
-        if min(roots[k]) < 0:
-            return steps
-        k = perm[k]
-    raise InternalError("tau_c orbit did not reach a negative simple root")
-
-
-@lru_cache(maxsize=_PER_C_CACHE)
-def _compatibility_table(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
-    """table[a][b] = (alpha_a ||_c alpha_b) over root indices.  The degree is
-    tau_c-invariant, so walk alpha_a to a negative simple -alpha_i, apply the
-    same steps to every beta, and read off the alpha_i coefficient."""
-    roots, perm = almost_positive_roots(spec), _tau_inverse_perm(spec, c)
-    table = []
-    for a in range(len(roots)):
-        images = list(range(len(roots)))
-        for _ in range(r_degree(spec, c, roots[a])):
-            images = [perm[b] for b in images]
-        i0 = roots[images[a]].index(-1)
-        table.append(tuple(max(0, roots[b][i0]) for b in images))
-    return tuple(table)
+    return _c_dynamics(spec, c)[0][_check_apr(spec, root)]
 
 
 def is_c_compatible(spec: CartanSpec, c: CoxeterElement, alpha: Root, beta: Root) -> bool:
-    table, a, b = _compatibility_table(spec, c), _check_apr(spec, alpha), _check_apr(spec, beta)
+    table, a, b = _c_dynamics(spec, c)[1], _check_apr(spec, alpha), _check_apr(spec, beta)
     return table[a][b] == table[b][a] == 0
 
 
@@ -305,7 +299,7 @@ def _expand(nbrs: list[int], size: int, clique: tuple[int, ...], cand: int, excl
 def enumerate_c_clusters(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[Root, ...], ...]:
     """All c-clusters, as lexicographically sorted root tuples, in canonical
     order: the maximal compatible sets of root indices."""
-    roots, table = almost_positive_roots(spec), _compatibility_table(spec, c)
+    roots, table = almost_positive_roots(spec), _c_dynamics(spec, c)[1]
     m = len(roots)
     nbrs = [sum(1 << b for b in range(m) if b != a and table[a][b] == table[b][a] == 0) for a in range(m)]
     return tuple(sorted(tuple(roots[a] for a in clique) for clique in maximal_compatible_sets(nbrs, spec.rank)))

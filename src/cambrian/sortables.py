@@ -22,7 +22,7 @@ from .rootsys import (
     CoxeterElement,
     Matrix,
     Root,
-    _compatibility_table,
+    _c_dynamics,
     _identity,
     _matmul,
     _root_index,
@@ -132,7 +132,7 @@ def enumerate_sortables(spec: CartanSpec, c: CoxeterElement) -> tuple[SortableEl
     """
     n, t = spec.rank, _root_tables(spec)
     m = len(t.reflect)
-    compat, apr = _compatibility_table(spec, c), [_root_index(spec).get(r) for r in t.roots]
+    compat, apr = _c_dynamics(spec, c)[1], [_root_index(spec).get(r) for r in t.roots]
     found: dict[int, SortableElement] = {}
     # An explicit stack, not a recursive closure: a closure that calls itself
     # is a reference cycle, and would keep found alive until a collection.

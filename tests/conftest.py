@@ -29,8 +29,8 @@ from cambrian.quivers import (
 )
 from cambrian.rootsys import (
     CoxeterElement,
+    _c_dynamics,
     _check_apr,
-    _compatibility_table,
     cartan_matrix,
     negative_simple,
     positive_roots,
@@ -74,7 +74,7 @@ RANK_LE_4 = [
 def compatibility_degree(spec, c, alpha, beta):
     """The c-compatibility degree (alpha ||_c beta), read from the table of
     enumerate_c_clusters."""
-    return _compatibility_table(spec, c)[_check_apr(spec, alpha)][_check_apr(spec, beta)]
+    return _c_dynamics(spec, c)[1][_check_apr(spec, alpha)][_check_apr(spec, beta)]
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import itertools
 import re
 import sys
 from functools import reduce
+from math import comb
 from operator import and_
 
 import pytest
@@ -27,7 +28,7 @@ from cambrian.quivers import (
 )
 from cambrian.rootsys import (
     CoxeterElement,
-    _compatibility_table,
+    _c_dynamics,
     almost_positive_roots,
     cartan_matrix,
     cluster_count,
@@ -464,7 +465,7 @@ def test_e7_tau_tilting_matches_theta_shadow():
 
 def assert_ext_compatibility_is_c_compatibility(t, n, order):
     spec, c = spec_of(t, n), CoxeterElement(order)
-    table, (_, nbrs) = _compatibility_table(spec, c), euler_tables(spec, c)
+    table, (_, nbrs) = _c_dynamics(spec, c)[1], euler_tables(spec, c)
     m = len(table)
     for a in range(m):
         zeros = sum(1 << b for b in range(m) if b != a and table[a][b] == table[b][a] == 0)
@@ -532,3 +533,56 @@ def test_tautilt_command_runs_no_exchange(monkeypatch, capsys):
     monkeypatch.setattr(cambrian.laurent.VariableTable, "_exchange_holds", forbid("_exchange_holds"))
     assert main(["tautilt", "--type", "D", "--rank", "4", "--coxeter", "2,1,4,3"]) == 0
     assert capsys.readouterr().out.startswith("{")
+
+
+# The W-Narayana numbers h_0, ..., h_n of the exceptional types: the
+# h-vector of the cluster complex (Fomin-Reading, Root systems and
+# generalized associahedra, 2007; Armstrong, Mem. AMS 202, 2009).
+EXCEPTIONAL_NARAYANA = {
+    ("E", 6): (1, 36, 204, 351, 204, 36, 1),
+    ("E", 7): (1, 63, 546, 1470, 1470, 546, 63, 1),
+    ("E", 8): (1, 120, 1540, 6120, 9518, 6120, 1540, 120, 1),
+    ("F", 4): (1, 24, 55, 24, 1),
+    ("G", 2): (1, 6, 1),
+}
+
+
+def narayana(t, n):
+    if (t, n) in EXCEPTIONAL_NARAYANA:
+        return EXCEPTIONAL_NARAYANA[t, n]
+    if t == "A":
+        return tuple(comb(n + 1, k) * comb(n + 1, k + 1) // (n + 1) for k in range(n + 1))
+    if t in "BC":
+        return tuple(comb(n, k) ** 2 for k in range(n + 1))
+    return (1, *(comb(n, k) ** 2 - n * comb(n - 1, k) * comb(n - 1, k - 1) // (n - 1) for k in range(1, n + 1)))
+
+
+def assert_out_degrees_are_narayana(t, n, order):
+    # In every quiver a command builds, h_k vertices have k out-arrows.
+    want = narayana(t, n)
+    assert sum(want) == cluster_count(spec_of(t, n))
+    for q in (exchange_of(t, n, order), ccluster_of(t, n, order), tautilt_of(t, n, order), cambrian_of(t, n, order)):
+        out = [0] * q.n_vertices
+        for e in q.edges:
+            out[e.src] += 1
+        assert tuple(map(out.count, range(n + 1))) == want, q.kind
+
+
+# Every type of rank at most 5 with the Coxeter elements 1..n and n..1 (one
+# for A1), and E6 on its panel.
+NARAYANA_CASES = [
+    (t, n, order)
+    for t, n in [*RANK_LE_4, ("A", 5), ("B", 5), ("C", 5), ("D", 5)]
+    for order in sorted({tuple(range(1, n + 1)), tuple(range(n, 0, -1))})
+] + [("E", 6, order) for order in E6_PANEL]
+
+
+@pytest.mark.parametrize("t, n, order", NARAYANA_CASES)
+def test_out_degrees_are_narayana(t, n, order):
+    assert_out_degrees_are_narayana(t, n, order)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t, n", [("A", 6), ("B", 6), ("C", 6), ("D", 6), ("E", 7), ("E", 8)])
+def test_out_degrees_are_narayana_large(t, n):
+    assert_out_degrees_are_narayana(t, n, tuple(range(1, n + 1)))

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import cambrian.rootsys
+from cambrian.cli import main
 from cambrian.errors import InputError, InternalError
 from cambrian.rootsys import (
     CoxeterElement,
@@ -153,6 +154,31 @@ class TestTau:
         assert r_degree(A2, C21, (0, 1)) == 1
         assert r_degree(A2, C21, (1, 0)) == 2
         assert r_degree(A2, C21, (1, 1)) == 1
+        with pytest.raises(InputError, match="not an almost positive root"):
+            r_degree(A2, C21, (1, -1))
+
+
+@pytest.fixture
+def tau_fixes_every_root(monkeypatch):
+    # A tau that moves nothing: no positive root's orbit reaches a negative
+    # simple root.  The cache is cleared so no table built with the real tau
+    # is read, and again so none built with this one outlives the test.
+    cambrian.rootsys._c_dynamics.cache_clear()
+    monkeypatch.setattr(cambrian.rootsys, "tau", lambda spec, c, root, direction="forward": root)
+    yield
+    cambrian.rootsys._c_dynamics.cache_clear()
+
+
+class TestOrbitGuard:
+    def test_r_degree_and_clusters_raise(self, tau_fixes_every_root):
+        for call in (lambda: r_degree(A2, C21, (1, 0)), lambda: enumerate_c_clusters(A2, C21)):
+            with pytest.raises(InternalError, match="tau_c orbit did not reach a negative simple root"):
+                call()
+
+    def test_cclusters_exits_3(self, capsys, tau_fixes_every_root):
+        assert main(["cclusters", "--type", "A", "--rank", "2", "--coxeter", "2,1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "tau_c orbit did not reach a negative simple root" in out.err
 
 
 class TestCompatibility:
@@ -223,7 +249,7 @@ class TestClusters:
         # With no two roots compatible, every maximal compatible set is a
         # single root, which is not a cluster of A2.
         m = len(almost_positive_roots(A2))
-        monkeypatch.setattr(cambrian.rootsys, "_compatibility_table", lambda spec, c: ((1,) * m,) * m)
+        monkeypatch.setattr(cambrian.rootsys, "_c_dynamics", lambda spec, c: ((0,) * m, ((1,) * m,) * m))
         with pytest.raises(InternalError, match="maximal compatible set of size 1 != rank 2"):
             enumerate_c_clusters(A2, C21)
 
@@ -252,14 +278,13 @@ class TestClusters:
 
     def test_per_coxeter_caches_stay_bounded(self):
         # A sweep over all 24 Coxeter words of A4 keeps a fixed number of
-        # (spec, c) entries in each per-element cache, not one per word.
+        # (spec, c) entries in the one per-element cache, not one per word.
         # The clusters themselves are not cached: each Build enumerates once.
         a4 = spec_of("A", 4)
-        caches = (cambrian.rootsys._tau_inverse_perm, cambrian.rootsys._compatibility_table)
+        bounded = [f for f in vars(cambrian.rootsys).values() if hasattr(f, "cache_info") and f.cache_info().maxsize]
+        assert bounded == [cambrian.rootsys._c_dynamics]
         assert not hasattr(enumerate_c_clusters, "cache_info")
         for order in permutations(range(1, 5)):
             assert len(enumerate_c_clusters(a4, CoxeterElement(order))) == 42
-        for cache in caches:
-            info = cache.cache_info()
-            assert info.maxsize is not None and info.maxsize < 24
-            assert info.currsize <= info.maxsize
+        info = cambrian.rootsys._c_dynamics.cache_info()
+        assert info.maxsize < 24 and info.currsize <= info.maxsize
