@@ -373,7 +373,3 @@ def _run(argv: list[str] | None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    entry()

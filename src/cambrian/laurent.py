@@ -13,6 +13,7 @@ generators.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from operator import mul, sub
@@ -25,32 +26,17 @@ from .rootsys import CartanSpec, Root, _identity, is_almost_positive
 Exponent = tuple[int, ...]
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(namedtuple("LaurentPolynomial", "nvars terms box hash")):
     """Integer Laurent polynomial, terms sorted descending-lex by exponent, hashed once (it keys many
     tables) and boxed once: box is its Newton box (_box)."""
 
-    __slots__ = ("nvars", "terms", "box", "_hash")
-    nvars: int
-    terms: tuple[tuple[Exponent, int], ...]
-    box: tuple[Exponent, Exponent]
+    __slots__ = ()
 
-    def __init__(self, nvars: int, terms: tuple[tuple[Exponent, int], ...]):
-        set_field = object.__setattr__
-        set_field(self, "nvars", nvars)
-        set_field(self, "terms", terms)
-        set_field(self, "box", _box(terms))
-        set_field(self, "_hash", hash((nvars, terms)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LaurentPolynomial:
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+    def __new__(cls, nvars: int, terms: tuple[tuple[Exponent, int], ...]):
+        return super().__new__(cls, nvars, terms, _box(terms), hash((nvars, terms)))
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.hash
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial(nvars={self.nvars!r}, terms={self.terms!r})"

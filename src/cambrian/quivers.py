@@ -199,9 +199,9 @@ def euler_tables(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], 
             row = [sum(a[i] * form[i][j] for i in range(n)) for j in range(n)]
             vanish = (sum(map(mul, row, y)) >= 0 for y in positives)
         torsion.append(sum(1 << k for k, ok in enumerate(vanish) if ok))
-    bit = {y: k for k, y in enumerate(positives)}
-    # contains[a]: the roots b with Ext^1(a, b) = 0, every negative simple included.
-    contains = [sum(1 << b for b, r in enumerate(roots) if r not in bit or t >> bit[r] & 1) for t in torsion]
+    # contains[a]: the roots b with Ext^1(a, b) = 0, every negative simple
+    # included; positive root k is almost positive root n + k.
+    contains = [t << n | (1 << n) - 1 for t in torsion]
     compatible = [sum(1 << b for b in range(len(roots)) if b != a and contains[b] >> a & 1) & contains[a]
                   for a in range(len(roots))]
     return tuple(torsion), tuple(compatible)
@@ -361,8 +361,9 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     minus_csets = {p.mask: frozenset(p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, x) for g, x in polys.items()}
-    tau_theta_at = {g: tau(spec, c, root, "inverse") for g, root in theta_at.items()}
     steps, sweep = qp.steps, c.order[::-1]
+    c_inverse = CoxeterElement(sweep)
+    tau_theta_at = {g: tau(spec, c_inverse, root) for g, root in theta_at.items()}
     frame = steps.initial
     for i, k in enumerate(sweep):
         frame = steps.step(*frame, k - 1, sweep[:i])[1:]

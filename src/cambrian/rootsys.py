@@ -191,8 +191,9 @@ def negative_simple(spec: CartanSpec, i: int) -> Root:
 
 @lru_cache(maxsize=None)
 def almost_positive_roots(spec: CartanSpec) -> tuple[Root, ...]:
-    negs = [negative_simple(spec, i) for i in range(1, spec.rank + 1)]
-    return tuple(sorted(positive_roots(spec) + tuple(negs)))
+    """-alpha_1, ..., -alpha_n, then positive_roots(spec): their sorted order,
+    so the root at index i < n is -alpha_{i+1}."""
+    return tuple(negative_simple(spec, i) for i in range(1, spec.rank + 1)) + positive_roots(spec)
 
 
 @lru_cache(maxsize=None)
@@ -219,15 +220,10 @@ def sigma(spec: CartanSpec, i: int, root: Root) -> Root:
     return reflect(spec, i, root)
 
 
-def tau(spec: CartanSpec, c: CoxeterElement, root: Root, direction: str = "forward") -> Root:
-    """The bijection tau_c = sigma_{c_1} o ... o sigma_{c_n} (or its inverse)."""
-    if direction == "forward":
-        seq = reversed(c.order)
-    elif direction == "inverse":
-        seq = iter(c.order)
-    else:
-        raise InputError(f"unknown direction {direction!r}")
-    for i in seq:
+def tau(spec: CartanSpec, c: CoxeterElement, root: Root) -> Root:
+    """The bijection tau_c = sigma_{c_1} o ... o sigma_{c_n}.  Each sigma_i is
+    an involution, so tau_c^-1 is tau of c^-1 = CoxeterElement(c.order[::-1])."""
+    for i in reversed(c.order):
         root = sigma(spec, i, root)
     return root
 
@@ -238,16 +234,17 @@ def _c_dynamics(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], M
     alpha_a, its number of tau_c^-1 steps to a negative simple -alpha_i, and
     table[a][b] = (alpha_a ||_c alpha_b).  The degree is tau_c-invariant, so
     step every root's image at once and, at the step where alpha_a lands on
-    -alpha_i, read off the alpha_i coefficient of each beta's image."""
-    roots, index = almost_positive_roots(spec), _root_index(spec)
-    perm = [index[tau(spec, c, r, "inverse")] for r in roots]
+    -alpha_i, at index i - 1 < n, read off the alpha_i coefficient of each
+    beta's image."""
+    roots, index, n = almost_positive_roots(spec), _root_index(spec), spec.rank
+    c_inverse = CoxeterElement(c.order[::-1])
+    perm = [index[tau(spec, c_inverse, r)] for r in roots]
     m = len(roots)
     degree, table, images = [-1] * m, [()] * m, list(range(m))
     for step in range(m + 1):
         for a in range(m):
-            if degree[a] < 0 and min(roots[images[a]]) < 0:
-                i0 = roots[images[a]].index(-1)
-                degree[a], table[a] = step, tuple(max(0, roots[b][i0]) for b in images)
+            if degree[a] < 0 and images[a] < n:
+                degree[a], table[a] = step, tuple(max(0, roots[b][images[a]]) for b in images)
         if min(degree) >= 0:
             return tuple(degree), tuple(table)
         images = [perm[b] for b in images]

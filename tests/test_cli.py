@@ -398,6 +398,10 @@ class TestErrors:
         code, _, _ = run(capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1,1")
         assert code == 2
 
+    def test_non_integer_coxeter(self, capsys):
+        code, out, err = run(capsys, "cclusters", "--type", "A", "--rank", "2", "--coxeter", "1,x")
+        assert (code, out, err) == (2, "", "error: coxeter must be comma-separated integers, got '1,x'\n")
+
     def test_coxeter_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1")
         assert code == 2

@@ -215,6 +215,18 @@ class TestVerifyQuiverMap:
         rep = verify_quiver_map(q, q, tuple(range(q.n_vertices)), "anti")
         assert not rep.ok
 
+    def test_non_bijection_fails(self):
+        q = ccluster_of("A", 2, (2, 1))
+        merged = (0, 0) + tuple(range(2, q.n_vertices))
+        rep = verify_quiver_map(q, q, merged, "iso")
+        assert rep == ("quiver-iso", False, ("vertex map is not a bijection",), None, ())
+
+    def test_edge_count_fails(self):
+        q = ccluster_of("A", 3, (1, 2, 3))
+        fewer = q._replace(edges=q.edges[1:])
+        rep = verify_quiver_map(q, fewer, tuple(range(q.n_vertices)), "iso")
+        assert rep == ("quiver-iso", False, ("edge counts differ: 21 vs 20",), None, ())
+
     def test_short_vertex_map(self):
         q = ccluster_of("A", 2, (2, 1))
         with pytest.raises(InternalError, match="vertex map does not cover the source quiver"):

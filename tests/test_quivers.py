@@ -1,6 +1,7 @@
 import itertools
 import re
 import sys
+from collections import Counter
 from functools import reduce
 from math import comb
 from operator import and_
@@ -43,6 +44,7 @@ from conftest import (
     TEST_MATRIX,
     cambrian_of,
     ccluster_of,
+    derived_b,
     exchange_of,
     per_position_tau_tilting,
     sortables_of,
@@ -586,3 +588,52 @@ def test_out_degrees_are_narayana(t, n, order):
 @pytest.mark.parametrize("t, n", [("A", 6), ("B", 6), ("C", 6), ("D", 6), ("E", 7), ("E", 8)])
 def test_out_degrees_are_narayana_large(t, n):
     assert_out_degrees_are_narayana(t, n, tuple(range(1, n + 1)))
+
+
+# A codimension-2 face of the cluster complex, a cluster minus two of its
+# variables, lies in 4, 5, 6 or 8 clusters as b_kl b_lk is 0, -1, -2 or -3 at
+# any seed holding it (Fomin-Zelevinsky, Cluster algebras II, Invent. Math.
+# 154, 2003).
+POLYGON = {0: 4, -1: 5, -2: 6, -3: 8}
+# {polygon size: number of faces}, as counted on the plus exchange quiver.
+POLYGONS = {
+    ("A", 4): {4: 28, 5: 28},
+    ("B", 3): {4: 4, 5: 4, 6: 4},
+    ("C", 3): {4: 4, 5: 4, 6: 4},
+    ("D", 4): {4: 30, 5: 36},
+    ("F", 4): {4: 63, 5: 42, 6: 28},
+    ("G", 2): {8: 1},
+    ("E", 6): {4: 1785, 5: 1071},
+    ("E", 8): {4: 117040, 5: 46816},
+}
+
+
+def assert_codimension_2_faces(t, n):
+    # Every face lies in the polygon its seeds' b_kl b_lk ask for, and the
+    # faces number sum_k C(n - k, 2) h_k, the f-vector entry that the
+    # h-vector (the W-Narayana numbers) gives.
+    q = exchange_of(t, n, tuple(range(1, n + 1)))
+    bit, count, size = {}, {}, {}
+    for payload in q.vertices:
+        bits = [1 << bit.setdefault(x, len(bit)) for x in payload.variables]
+        b = derived_b(stored_frame(q, payload))
+        for k, l in itertools.combinations(range(n), 2):
+            face, polygon = sum(bits) - bits[k] - bits[l], POLYGON[b[k][l] * b[l][k]]
+            count[face] = count.get(face, 0) + 1
+            assert size.setdefault(face, polygon) == polygon, (payload.witness_path, k + 1, l + 1)
+    assert count == size
+    h = narayana(t, n)
+    assert len(size) == sum(comb(n - k, 2) * h[k] for k in range(n + 1))
+    if (t, n) in POLYGONS:
+        assert dict(Counter(size.values())) == POLYGONS[t, n]
+
+
+@pytest.mark.parametrize("t, n", [*RANK_LE_4, ("A", 5), ("B", 5), ("C", 5), ("D", 5), ("E", 6)])
+def test_codimension_2_faces(t, n):
+    assert_codimension_2_faces(t, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [7, 8])
+def test_codimension_2_faces_e7_e8(n):
+    assert_codimension_2_faces("E", n)

@@ -30,9 +30,9 @@ from conftest import RANK_LE_4, compatibility_degree, mask_roots, matrix_inversi
 
 
 def _orbit_r_degree(spec, c, root):
-    steps = 0
+    steps, c_inverse = 0, CoxeterElement(c.order[::-1])
     while min(root) >= 0:
-        root = tau(spec, c, root, "inverse")
+        root = tau(spec, c_inverse, root)
         steps += 1
     return steps
 
@@ -40,9 +40,10 @@ def _orbit_r_degree(spec, c, root):
 def _orbit_degree(spec, c, alpha, beta):
     # (alpha ||_c beta): move both roots by tau_c^-1 until alpha is -alpha_i,
     # then read the alpha_i coefficient of beta.
+    c_inverse = CoxeterElement(c.order[::-1])
     for _ in range(_orbit_r_degree(spec, c, alpha)):
-        alpha = tau(spec, c, alpha, "inverse")
-        beta = tau(spec, c, beta, "inverse")
+        alpha = tau(spec, c_inverse, alpha)
+        beta = tau(spec, c_inverse, beta)
     return max(0, beta[alpha.index(-1)])
 
 

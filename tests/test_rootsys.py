@@ -21,11 +21,12 @@ from cambrian.rootsys import (
 )
 from cambrian.sortables import weyl_group_elements
 
-from conftest import SMALL_MATRIX, compatibility_degree, spec_of
+from conftest import RANK_LE_4, SMALL_MATRIX, compatibility_degree, spec_of
 
 A2 = cartan_matrix("A", 2)
 B2 = cartan_matrix("B", 2)
 G2 = cartan_matrix("G", 2)
+C12 = CoxeterElement((1, 2))  # C21^-1
 C21 = CoxeterElement((2, 1))
 
 
@@ -89,6 +90,19 @@ class TestPositiveRoots:
     def test_a1(self):
         assert positive_roots(cartan_matrix("A", 1)) == ((1,),)
 
+    @pytest.mark.parametrize(
+        "t,n",
+        [(t, n) for t, lowest in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in range(lowest, 13)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_almost_positive_layout(self, t, n):
+        # The c-dynamics and the Euler-form tables read -alpha_i at index
+        # i - 1 and positive root k at index n + k: the sorted order.
+        spec = spec_of(t, n)
+        roots = almost_positive_roots(spec)
+        assert roots == tuple(sorted(roots))
+        assert roots == tuple(negative_simple(spec, i) for i in range(1, n + 1)) + positive_roots(spec)
+
     def test_b2(self):
         assert set(positive_roots(B2)) == {(1, 0), (0, 1), (1, 1), (1, 2)}
 
@@ -140,14 +154,17 @@ class TestTau:
         # -a1 -> a1 -> a2 -> -a2 -> a1+a2 -> -a1.
         chain = [(-1, 0), (1, 0), (0, 1), (0, -1), (1, 1), (-1, 0)]
         for a, b in zip(chain, chain[1:]):
-            assert tau(A2, C21, a, "inverse") == b
-        assert tau(A2, C21, (1, 0), "forward") == (-1, 0)
+            assert tau(A2, C12, a) == b
+        assert tau(A2, C21, (1, 0)) == (-1, 0)
 
     def test_round_trip(self):
-        for spec in (A2, B2, G2):
-            for c in (CoxeterElement((1, 2)), CoxeterElement((2, 1))):
+        # tau_c^-1 is tau of the reversed word c^-1, for every word c.
+        for t, n in RANK_LE_4:
+            spec = spec_of(t, n)
+            for order in permutations(range(1, n + 1)):
+                c, c_inverse = CoxeterElement(order), CoxeterElement(order[::-1])
                 for root in almost_positive_roots(spec):
-                    assert tau(spec, c, tau(spec, c, root, "forward"), "inverse") == root
+                    assert tau(spec, c_inverse, tau(spec, c, root)) == root
 
     def test_r_degree(self):
         assert r_degree(A2, C21, (-1, 0)) == 0
@@ -164,7 +181,7 @@ def tau_fixes_every_root(monkeypatch):
     # simple root.  The cache is cleared so no table built with the real tau
     # is read, and again so none built with this one outlives the test.
     cambrian.rootsys._c_dynamics.cache_clear()
-    monkeypatch.setattr(cambrian.rootsys, "tau", lambda spec, c, root, direction="forward": root)
+    monkeypatch.setattr(cambrian.rootsys, "tau", lambda spec, c, root: root)
     yield
     cambrian.rootsys._c_dynamics.cache_clear()
 
@@ -214,17 +231,18 @@ class TestCompatibility:
             c = CoxeterElement(tuple(range(1, n + 1)))
             for a in almost_positive_roots(spec):
                 for b in almost_positive_roots(spec):
-                    ta = tau(spec, c, a, "forward")
-                    tb = tau(spec, c, b, "forward")
+                    ta = tau(spec, c, a)
+                    tb = tau(spec, c, b)
                     assert compatibility_degree(spec, c, a, b) == compatibility_degree(
                         spec, c, ta, tb
                     )
 
 
 def _reduce_by_beta(spec, c, alpha, beta):
+    c_inverse = CoxeterElement(c.order[::-1])
     for _ in range(r_degree(spec, c, beta)):
-        alpha = tau(spec, c, alpha, "inverse")
-        beta = tau(spec, c, beta, "inverse")
+        alpha = tau(spec, c_inverse, alpha)
+        beta = tau(spec, c_inverse, beta)
     i0 = beta.index(-1)
     return max(0, alpha[i0])
 
