@@ -51,21 +51,20 @@ def _bracketed(v: tuple[int, ...]) -> str:
     return "[" + ",".join(map(str, v)) + "]"
 
 
-def _tables(verbose: bool = False) -> tuple:
+def _tables(verbose: bool) -> tuple:
     """The renderers of one quiver, each a functools.cache that renders a
     value once: a root as a JSON string, an integer vector as a list at
     indent 10, and an exchange variable as (its edge label, its object at
-    indent 10)."""
-    from json.encoder import encode_basestring_ascii  # here: a verify text run never loads json
-
-    roots = cache(lambda r: encode_basestring_ascii(_bracketed(r)))
+    indent 10).  Roots, hashes and poly_str are printable ASCII with no
+    quote or backslash, which JSON writes as is in quotes: json stays out."""
+    roots = cache(lambda r: f'"{_bracketed(r)}"')
     vectors = cache(lambda v: _array([*map(str, v)], 10))
 
     def variable(x: LaurentPolynomial) -> tuple[str, str]:
-        d, h = roots(denominator_vector(x)), encode_basestring_ascii(poly_hash(x))
-        poly = f',\n            "poly": {encode_basestring_ascii(poly_str(x))}' if verbose else ""
-        obj = f'{{\n            "d": {d},\n            "hash": {h}{poly}\n          }}'
-        return encode_basestring_ascii(f"d={d[1:-1]}#{h[1:-1]}"), obj
+        d, h = roots(denominator_vector(x)), poly_hash(x)
+        poly = f',\n            "poly": "{poly_str(x)}"' if verbose else ""
+        obj = f'{{\n            "d": {d},\n            "hash": "{h}"{poly}\n          }}'
+        return f'"d={d[1:-1]}#{h}"', obj
 
     return roots, vectors, cache(variable)
 
@@ -173,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--coxeter", required=True, help="permutation of 1..rank, comma-separated")
     parser.add_argument("--format", choices=("json", "dot"), default=None)
     parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--vertex-cap", type=int, default=None)
+    parser.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
     parser.add_argument("--verbose", action="store_true", help="full polynomials in JSON output")
     return parser
 
@@ -181,12 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 class Build:
     """The quivers of one (spec, c), built on first use and shared by every
     check of a command; the exchange builds share a VariableTable.  Each has
-    the clusters as vertices: more of them than cap (None: the default) is
-    invalid input, refused here before anything is built."""
+    the clusters as vertices: more of them than cap is invalid input,
+    refused here before anything is built."""
 
-    def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int | None):
-        self.spec, self.c = spec, c
-        cap, count = DEFAULT_VERTEX_CAP if cap is None else cap, cluster_count(spec)
+    def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int):
+        self.spec, self.c, count = spec, c, cluster_count(spec)
         if count > cap:
             raise InputError(f"{spec.dynkin_type}{spec.rank} has {count} clusters, more than the vertex cap {cap}")
         self.table = VariableTable(spec.rank)

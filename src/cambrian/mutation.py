@@ -6,8 +6,8 @@ G_t B_t = B_0 C_t (Nakanishi-Zelevinsky, Contemp. Math. 565) and G_t^T S C_t
 = S give S B_t = C_t^T (S B_0) C_t, so the frames of a build share one S B_0
 and S.  The mutation step reads column k of B_t off C_t, one entry per pair
 (c_j, c_k) (_pair): mutate_columns on vectors, for mutate_seed and the
-tests, and FrameTable.step on ids, memoised, for the exchange builds and the
-tau walk, whose every frame FrameTable.check_duality checks.
+tests, and FrameTable.step on c ids and variable ids, memoised, for the
+exchange builds and the tau walk, each of whose frames check_duality checks.
 """
 
 from __future__ import annotations
@@ -153,24 +153,26 @@ def frame_is_unimodular(frame: MatrixFrame) -> bool:
 
 
 class FrameTable:
-    """A build's frames as tuples of c ids and g ids: its c- and g-vectors
+    """A build's frames as tuples of c ids and variable ids: its c-vectors
     numbered as first met, a c-vector with the symmetrizer s_j of its
-    position, and checked for sign coherence once, as it is numbered.  Each
-    c id keeps S B_0 c and each g id its S-weighted g.  Each value of a
-    column step depends on a pair of c ids, and each entry of the duality
-    check on a pair (g id, c id): both are memoised, filled lazily.  A finite
-    type has 2N c-vectors, for acyclic B the signed real roots (Speyer-Thomas,
-    Acyclic cluster algebras revisited)."""
+    position, and checked for sign coherence once, as it is numbered; each
+    variable's g-vector recorded under its id in the build's VariableTable.
+    Each c id keeps S B_0 c and each variable id its S-weighted g.  Each
+    value of a column step depends on a pair of c ids, and each entry of the
+    duality check on a pair (variable id, c id): both are memoised, filled
+    lazily.  A finite type has 2N c-vectors, for acyclic B the signed real
+    roots (Speyer-Thomas, Acyclic cluster algebras revisited)."""
 
     def __init__(self, b: ExchangeMatrix):
         frame0 = identity_frame(b)
         self.sb0, self.s = frame0.sb0, frame0.skew_symmetrizer
         # Per c id: vector, sign, S B_0 c, {c_j id: (b_jk, c'_j id, g_j's coefficient in g'_k)};
-        # per g id: vector, g with entries scaled by S, {c id: g.S c}.
+        # per variable id: g-vector, g with entries scaled by S, {c id: g.S c}.
         self.c_vectors, self.signs, self.sbc, self.pairs, self.c_ids = [], [], [], [], {}
-        self.g_vectors, self.gs, self.duals, self.g_ids = [], [], [], {}
-        self.initial = (tuple(self.c_id(c, sj, ()) for c, sj in zip(frame0.c_vectors, self.s)),
-                        tuple(map(self.g_id, frame0.g_vectors)))
+        self.g_vectors, self.gs, self.duals, self.var_of = {}, {}, {}, {}  # var_of: g-vector -> variable id
+        for i, g in enumerate(frame0.g_vectors):  # e_i is the g-vector of x_i, id i - 1 in a VariableTable
+            self.bind(g, i, ())
+        self.initial = tuple(self.c_id(c, sj, ()) for c, sj in zip(frame0.c_vectors, self.s)), tuple(range(b.rank))
 
     def c_id(self, c: tuple[int, ...], sj: int, path: tuple[int, ...]) -> int:
         """The id of c at a position of symmetrizer sj, met at path."""
@@ -182,13 +184,15 @@ class FrameTable:
             self.pairs.append({})
         return self.c_ids[sj, c]
 
-    def g_id(self, g: tuple[int, ...]) -> int:
-        if g not in self.g_ids:
-            self.g_ids[g] = len(self.g_vectors)
-            self.g_vectors.append(g)
-            self.gs.append(tuple(map(mul, g, self.s)))
-            self.duals.append({})
-        return self.g_ids[g]
+    def bind(self, g: tuple[int, ...], x: int, path: tuple[int, ...]) -> None:
+        """Record g as the g-vector of variable id x, met at path; a second
+        id for g or a second g-vector for x raises InternalError."""
+        if self.var_of.setdefault(g, x) != x:
+            raise InternalError(f"witness path {path}: g-vector {g} belongs to two cluster variables")
+        if x not in self.g_vectors:
+            self.g_vectors[x], self.gs[x], self.duals[x] = g, tuple(map(mul, g, self.s)), {}
+        elif self.g_vectors[x] != g:
+            raise InternalError(f"witness path {path}: a cluster variable has two g-vectors, {self.g_vectors[x]} and {g}")
 
     def _entry(self, cj: int, ck: int, j: int, k0: int, path: tuple[int, ...]) -> tuple[int, int, int]:
         """The entry of the pair (cj, ck) met at positions j and k0.  (ck, ck)
@@ -200,24 +204,24 @@ class FrameTable:
                                 (path, j + 1, k0 + 1))
         return b, self.c_id(cj_new, sj, new_path) if coef else cj, coef
 
-    def step(self, cids: tuple[int, ...], gids: tuple[int, ...], k0: int, path: tuple[int, ...]):
-        """mutate_columns at position k0 (0-based) of the frame (cids, gids)
-        reached by path: (column k0 + 1 of B_t, new c ids, new g ids)."""
+    def step(self, cids: tuple[int, ...], ids: tuple[int, ...], k0: int, path: tuple[int, ...]):
+        """mutate_columns at position k0 (0-based) of the frame (cids, ids)
+        reached by path: (column k0 + 1 of B_t, new c ids, new g-vector g'_k)."""
         ck, gv = cids[k0], self.g_vectors
-        memo, column, new, gk = self.pairs[ck], [], [], [-x for x in gv[gids[k0]]]
-        for j, (cj, g) in enumerate(zip(cids, gids)):
+        memo, column, new, gk = self.pairs[ck], [], [], [-x for x in gv[ids[k0]]]
+        for j, (cj, x) in enumerate(zip(cids, ids)):
             b, c, coef = memo.get(cj) or memo.setdefault(cj, self._entry(cj, ck, j, k0, path))
             column.append(b)
             new.append(c)
             if coef:
-                gk = [x + coef * y for x, y in zip(gk, gv[g])]
-        return tuple(column), tuple(new), gids[:k0] + (self.g_id(tuple(gk)),) + gids[k0 + 1 :]
+                gk = [a + coef * y for a, y in zip(gk, gv[x])]
+        return tuple(column), tuple(new), tuple(gk)
 
-    def check_duality(self, cids: tuple[int, ...], gids: tuple[int, ...], path: tuple[int, ...]) -> None:
+    def check_duality(self, cids: tuple[int, ...], ids: tuple[int, ...], path: tuple[int, ...]) -> None:
         """check_duality by n^2 memo lookups; InternalError names path."""
         s, cv = self.s, self.c_vectors
-        for i, gi in enumerate(gids):
-            gs, memo = self.gs[gi], self.duals[gi]
+        for i, x in enumerate(ids):
+            gs, memo = self.gs[x], self.duals[x]
             for j, cj in enumerate(cids):
                 if cj not in memo:
                     memo[cj] = sum(map(mul, gs, cv[cj]))

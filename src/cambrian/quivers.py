@@ -76,17 +76,18 @@ class CheckReport(NamedTuple):
         return dict(self.stats)[key]
 
 
-def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable | None = None) -> ClusterQuiver:
+def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQuiver:
     """BFS over non-labeled clusters of A(b); the commands pass b = B^c and -B^c.
 
     Arrows are green mutations: the edge points away from the cluster in which
     the exchanged variable's c-vector is non-negative.
 
-    The BFS moves frames as ids of a FrameTable (the quiver's steps) and
-    keys a cluster by the bitmask of its variables' ids in table (a fresh
-    VariableTable when None).  It fills table, which makes each exchange
-    x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ once per relation for
-    all the builds that share it.  InternalError is raised if g-vectors and
+    The BFS moves frames as c ids and variable ids: c ids of a FrameTable
+    (the quiver's steps), variable ids of table, which keys a cluster by the
+    bitmask of its variables' ids.  It fills table, which makes each
+    exchange x_k x_k' = prod x_i^[b_ik]_+ + prod x_i^[-b_ik]_+ once per
+    relation for all the builds that share it, and the steps record each
+    variable's g-vector under its id, raising InternalError if g-vectors and
     ids are not in bijection within the build.  Any n - 1 variables of a
     cluster lie in exactly two clusters (Fomin-Zelevinsky, Invent. Math.
     154), so an edge is keyed by the mask of this facet and mutated across
@@ -94,50 +95,37 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable | None = None)
     for the exchange and the next frame, which a new cluster stores (it must
     pass check_duality) and a stored cluster's frame must match.
     """
-    n = b.rank
-    table = table or VariableTable(n)
-    polys, steps = table.polys, FrameTable(b)
-    gv, var_of, g_of = steps.g_vectors, {}, {}  # g id -> variable id, and back
-
-    def bind(g: int, i: int, path: tuple[int, ...]) -> None:
-        if var_of.setdefault(g, i) != i:
-            raise InternalError(f"witness path {path}: g-vector {gv[g]} belongs to two cluster variables")
-        if g_of.setdefault(i, g) != g:
-            raise InternalError(f"witness path {path}: a cluster variable has two g-vectors, {gv[g_of[i]]} and {gv[g]}")
-
-    for i, g in enumerate(steps.initial[1]):
-        bind(g, i, ())
+    n, polys, steps = b.rank, table.polys, FrameTable(b)
     steps.check_duality(*steps.initial, ())
-    frames = {(1 << n) - 1: steps.initial}  # mask -> (c ids, g ids) of the stored seed
+    frames = {(1 << n) - 1: steps.initial}  # mask -> (c ids, variable ids) of the stored seed
     edge_map: dict[int, tuple] = {}  # facet -> (src mask, dst mask, out id, in id)
     queue = [((1 << n) - 1, *steps.initial, ())]  # BFS order: appended to while it is read
-    for mask, cids, gids, path in queue:
-        ids = tuple(var_of[g] for g in gids)
+    for mask, cids, ids, path in queue:
         for k0 in range(n):
             facet = mask ^ 1 << ids[k0]
             if facet in edge_map:
                 continue
-            column, new_cids, new_gids = steps.step(cids, gids, k0, path)
+            column, new_cids, g = steps.step(cids, ids, k0, path)
             new_path = path + (k0 + 1,)
-            new_id = table.exchange(ids, column, k0, var_of.get(new_gids[k0]))
-            bind(new_gids[k0], new_id, new_path)
-            mkey = facet | 1 << new_id
+            new_id = table.exchange(ids, column, k0, steps.var_of.get(g))
+            steps.bind(g, new_id, new_path)
+            mkey, new_ids = facet | 1 << new_id, ids[:k0] + (new_id,) + ids[k0 + 1 :]
             if mkey not in frames:
-                frames[mkey] = new_cids, new_gids
-                steps.check_duality(new_cids, new_gids, new_path)
-                queue.append((mkey, new_cids, new_gids, new_path))
-            elif {*zip(frames[mkey][0], frames[mkey][1])} != {*zip(new_cids, new_gids)}:
+                frames[mkey] = new_cids, new_ids
+                steps.check_duality(new_cids, new_ids, new_path)
+                queue.append((mkey, new_cids, new_ids, new_path))
+            elif {*zip(*frames[mkey])} != {*zip(new_cids, new_ids)}:
                 raise InternalError(f"mutation path {new_path} reaches a stored cluster with other columns")
             green = steps.signs[cids[k0]] > 0
             edge_map[facet] = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
 
     # Canonical order: the stored seeds by their variables, each sorted by terms.
-    rank = {g: r for r, g in enumerate(sorted(var_of, key=lambda g: polys[var_of[g]].terms))}
+    gv, cv = steps.g_vectors, steps.c_vectors
+    rank = {x: r for r, x in enumerate(sorted(gv, key=lambda x: polys[x].terms))}
     queue.sort(key=lambda seed: sorted(map(rank.get, seed[2])))
     index = {seed[0]: v for v, seed in enumerate(queue)}
-    cv = steps.c_vectors
-    payloads = tuple(ClusterVertexPayload(tuple(polys[var_of[g]] for g in gids), tuple(cv[i] for i in cids),
-                                          tuple(gv[g] for g in gids), path, mask) for mask, cids, gids, path in queue)
+    payloads = tuple(ClusterVertexPayload(tuple(polys[x] for x in ids), tuple(cv[i] for i in cids),
+                                          tuple(gv[x] for x in ids), path, mask) for mask, cids, ids, path in queue)
     edges = sorted(
         (QuiverEdge(index[s], index[d], polys[o], polys[i]) for s, d, o, i in edge_map.values()),
         key=lambda e: (e.src, e.dst),
@@ -349,14 +337,21 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     prefix-closed, so each image frame is one column step from the image of
     the cluster's BFS parent.  The image frames are frames of A(B^c) relative
     to the initial seed of qp: the walk steps on qp's FrameTable (qp.steps),
-    checks duality on each of them, and reads each image variable from qp by
-    its g-vector, theta and tau_c^-1 of theta taken once each.  A cluster of
-    qp missing from qm fails the check; an image g-vector that no variable of
-    qp has raises InternalError naming the witness path.
+    numbers each image variable by the variable id that qp bound to its
+    g-vector, checks duality on each frame, and takes theta and tau_c^-1 of
+    theta once per variable.  A cluster of qp missing from qm fails the
+    check; an image g-vector that no variable of qp has raises InternalError
+    naming the witness path.
     """
 
     def fail(detail: str, counterexample: str) -> CheckReport:
         return CheckReport("tau-c-matrix", False, (detail,), counterexample)
+
+    def step(frame: tuple, k: int, walked: tuple[int, ...], path: tuple[int, ...]) -> tuple:
+        _, cids, g = steps.step(*frame, k - 1, walked)  # walked reaches the image of the cluster at path
+        if g not in steps.var_of:
+            raise InternalError(f"witness path {path}: no cluster variable of A(B^c) has g-vector {g}")
+        return cids, frame[1][: k - 1] + (steps.var_of[g],) + frame[1][k:]
 
     minus_csets = {p.mask: frozenset(p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
@@ -366,16 +361,16 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     tau_theta_at = {g: tau(spec, c_inverse, root) for g, root in theta_at.items()}
     frame = steps.initial
     for i, k in enumerate(sweep):
-        frame = steps.step(*frame, k - 1, sweep[:i])[1:]
+        frame = step(frame, k, sweep[:i], ())
     tau_frames = {(): frame}
     for payload in sorted(qp.vertices, key=lambda p: len(p.witness_path)):
         path = payload.witness_path
         if path:
             if path[:-1] not in tau_frames:
                 raise InternalError(f"witness path {path} has no parent cluster")
-            tau_frames[path] = steps.step(*tau_frames[path[:-1]], path[-1] - 1, sweep + path[:-1])[1:]
-        cids, gids = tau_frames[path]
-        steps.check_duality(cids, gids, sweep + path)
+            tau_frames[path] = step(tau_frames[path[:-1]], path[-1], sweep + path[:-1], path)
+        cids, ids = tau_frames[path]
+        steps.check_duality(cids, ids, sweep + path)
         if payload.mask not in minus_csets:
             return fail("cluster of A(B^c) missing from A(-B^c)", f"witness path {path}")
         tau_cset = frozenset(steps.c_vectors[i] for i in cids)
@@ -383,7 +378,7 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
         if tau_cset != want:
             where = f"witness path {path}: {sorted(tau_cset)}"
             return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)
-        for j, (g_tau, g) in enumerate(zip((steps.g_vectors[i] for i in gids), payload.g_vectors)):
+        for j, (g_tau, g) in enumerate(zip((steps.g_vectors[x] for x in ids), payload.g_vectors)):
             try:
                 lhs, rhs = theta_at[g_tau], tau_theta_at[g]
             except KeyError as exc:

@@ -7,6 +7,7 @@ from functools import lru_cache
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import (
     LaurentPolynomial,
+    VariableTable,
     _divide,
     _pack,
     _place_values,
@@ -113,7 +114,8 @@ def signed_bc(spec, c, sign="plus"):
 
 @lru_cache(maxsize=None)
 def exchange_of(dynkin_type, rank, order, sign="plus"):
-    return build_exchange_quiver(signed_bc(spec_of(dynkin_type, rank), CoxeterElement(order), sign))
+    b = signed_bc(spec_of(dynkin_type, rank), CoxeterElement(order), sign)
+    return build_exchange_quiver(b, VariableTable(rank))
 
 
 @lru_cache(maxsize=None)
@@ -281,10 +283,10 @@ def frame_mutate(frame, k):
     return mutate_columns(frame, k)[1]
 
 
-def ids_frame(steps, cids, gids, path) -> MatrixFrame:
-    """The vector frame of the c ids and g ids of a FrameTable, reached by
-    path, with the table's S B_0 and S."""
-    cs, gs = tuple(steps.c_vectors[i] for i in cids), tuple(steps.g_vectors[i] for i in gids)
+def ids_frame(steps, cids, ids, path) -> MatrixFrame:
+    """The vector frame of the c ids and variable ids of a FrameTable,
+    reached by path, with the table's S B_0 and S."""
+    cs, gs = tuple(steps.c_vectors[i] for i in cids), tuple(steps.g_vectors[x] for x in ids)
     return MatrixFrame(cs, gs, path, steps.sb0, steps.s)
 
 

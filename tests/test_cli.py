@@ -17,6 +17,7 @@ import pytest
 import cambrian.cli
 from cambrian.cli import (
     BUILD_COMMANDS,
+    DEFAULT_VERTEX_CAP,
     VERIFY_COMMANDS,
     Build,
     build_parser,
@@ -331,7 +332,7 @@ class TestVerifyCommands:
         assert err == f"internal error: {message}\n"
 
     def test_tau_c_failure_when_minus_cluster_missing(self, capsys, monkeypatch):
-        build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), None)
+        build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP)
         dropped = build.minus.vertices[-1]
         (plus,) = [p for p in build.plus.vertices if p.key() == dropped.key()]
         build.__dict__["minus"] = build.minus._replace(vertices=build.minus.vertices[:-1])
@@ -633,7 +634,7 @@ def test_networkx_is_not_loaded():
 
 def test_verify_text_run_loads_neither_hashlib_nor_json():
     # hashlib (with OpenSSL behind it) and json load where they are used:
-    # in the exchange writers' hash and in JSON output.  Modules that site
+    # in the exchange writers' hash and in JSON reports.  Modules that site
     # loaded before cambrian was imported do not count.
     script = (
         "import contextlib, io, sys\n"
@@ -645,12 +646,12 @@ def test_verify_text_run_loads_neither_hashlib_nor_json():
         "    code = cambrian.cli.main(['verify-all', '--type', 'D', '--rank', '4', '--coxeter', '1,2,3,4'])\n"
         "    text = sorted(added())\n"
         "    code += cambrian.cli.main(['exchange', '--type', 'A', '--rank', '2', '--coxeter', '1,2', '--format', 'json'])\n"
-        "print(code, text, sorted(added()), sorted({'hashlib', 'json'} - before), sep='|')\n"
+        "print(code, text, sorted(added()), sorted({'hashlib'} - before), sep='|')\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
     code, text, exchange, absent = proc.stdout.rstrip("\n").split("|")
     assert (code, text) == ("0", "[]")
-    assert exchange == absent  # an exchange JSON run loads each that was not loaded already
+    assert exchange == absent  # an exchange JSON run loads hashlib if it was not loaded already, and never json
 
 
 def test_exchange_dot_run_loads_neither_hashlib_nor_json():
@@ -667,6 +668,23 @@ def test_exchange_dot_run_loads_neither_hashlib_nor_json():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
     assert proc.stdout == "0|21|[]\n"
+
+
+def test_build_json_runs_do_not_load_json():
+    # The build JSON writers quote their strings themselves (cli._tables),
+    # so only a verify JSON report loads json.
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import cambrian.cli\n"
+        "common = ['--type', 'A', '--rank', '3', '--coxeter', '1,2,3', '--format', 'json']\n"
+        "argvs = [['cambrian'], ['cclusters'], ['tautilt'], ['exchange', '--verbose']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [cambrian.cli.main(argv + common) for argv in argvs]\n"
+        "print(codes, out.getvalue().count('\"edges\"'), 'json' in {m.split('.')[0] for m in set(sys.modules) - before})\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
+    assert proc.stdout == "[0, 0, 0, 0] 4 False\n"
 
 
 class TestCollector:
@@ -861,7 +879,7 @@ def test_verify_all_a9():
     # The classical-scale guard: 16,796 clusters and 75,582 edges in each
     # exchange build, every step on the memos of 2N = 90 c-vectors, which
     # the tau walk shares with the plus build.
-    build = Build(spec_of("A", 9), CoxeterElement(tuple(range(1, 10))), None)
+    build = Build(spec_of("A", 9), CoxeterElement(tuple(range(1, 10))), DEFAULT_VERTEX_CAP)
     assert [rep.name for rep in run_all_checks(build) if not rep.ok] == []
     assert (build.plus.n_vertices, len(build.plus.edges)) == (16796, 75582)
     assert len(build.plus.steps.c_vectors) == len(build.minus.steps.c_vectors) == 90
@@ -872,5 +890,5 @@ def test_verify_all_a9():
 def test_verify_all_on_every_coxeter_element(t, n):
     spec = spec_of(t, n)
     for word in coxeter_words(spec):
-        failed = [rep for rep in run_all_checks(Build(spec, CoxeterElement(word), None)) if not rep.ok]
+        failed = [rep for rep in run_all_checks(Build(spec, CoxeterElement(word), DEFAULT_VERTEX_CAP)) if not rep.ok]
         assert not failed, (word, failed)

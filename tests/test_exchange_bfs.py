@@ -36,7 +36,7 @@ from conftest import (
 
 def assert_matches_oracle(t, n, c, sign):
     spec = spec_of(t, n)
-    q = build_exchange_quiver(signed_bc(spec, c, sign))
+    q = build_exchange_quiver(signed_bc(spec, c, sign), VariableTable(n))
     oracle = polynomial_keyed_exchange_quiver(spec, c, sign)
     # Payloads (seeds in position order, witness paths, masks) and edges.
     assert q.vertices == oracle.vertices
@@ -97,7 +97,7 @@ def shared_table_builds(t, n, c):
         minus = build_exchange_quiver(build_bc(spec, c).negated(), table)
     finally:
         cambrian.laurent._exchange = original
-    fresh = build_exchange_quiver(build_bc(spec, c).negated())
+    fresh = build_exchange_quiver(build_bc(spec, c).negated(), VariableTable(n))
     assert minus.vertices == fresh.vertices
     assert minus.edges == fresh.edges
     for q in (plus, minus):
@@ -143,7 +143,7 @@ def test_e7_exchange_builds():
 
 @pytest.mark.slow
 def test_e8_exchange_build():
-    q = build_exchange_quiver(build_bc(spec_of("E", 8), CoxeterElement(tuple(range(1, 9)))))
+    q = build_exchange_quiver(build_bc(spec_of("E", 8), CoxeterElement(tuple(range(1, 9)))), VariableTable(8))
     assert (q.n_vertices, len(q.edges)) == (25080, 100320)
 
 
@@ -163,20 +163,20 @@ def test_frame_reaching_a_stored_cluster_must_match(monkeypatch):
     monkeypatch.setattr(FrameTable, "step", corrupted)
     message = "mutation path (1, 2, 1) reaches a stored cluster with other columns"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(build_bc(spec_of("A", 2), CoxeterElement((1, 2))))
+        build_exchange_quiver(build_bc(spec_of("A", 2), CoxeterElement((1, 2))), VariableTable(2))
 
 
 def test_stored_frames_are_checked(monkeypatch):
     # A G-matrix off by a sign breaks duality on the first stored frame.
     original = FrameTable.step
 
-    def corrupted(self, cids, gids, k0, path):
-        column, new_cids, new_gids = original(self, cids, gids, k0, path)
-        return column, new_cids, tuple(self.g_id(tuple(-x for x in self.g_vectors[g])) for g in new_gids)
+    def corrupted(self, cids, ids, k0, path):
+        column, new_cids, g = original(self, cids, ids, k0, path)
+        return column, new_cids, tuple(-x for x in g)
 
     monkeypatch.setattr(FrameTable, "step", corrupted)
     with pytest.raises(InternalError, match=re.escape("witness path (1,): C/G duality identity failed")):
-        build_exchange_quiver(build_bc(spec_of("A", 2), CoxeterElement((1, 2))))
+        build_exchange_quiver(build_bc(spec_of("A", 2), CoxeterElement((1, 2))), VariableTable(2))
 
 
 def test_non_coherent_c_vector_is_refused_when_numbered():
@@ -189,9 +189,9 @@ def test_non_coherent_c_vector_is_refused_when_numbered():
 
 
 def frame_ids(steps, frame):
-    """The c ids and g ids of a vector frame of the build of steps."""
+    """The c ids and variable ids of a vector frame of the build of steps."""
     return (tuple(steps.c_ids[sj, c] for c, sj in zip(frame.c_vectors, steps.s)),
-            tuple(steps.g_ids[g] for g in frame.g_vectors))
+            tuple(steps.var_of[g] for g in frame.g_vectors))
 
 
 @pytest.mark.parametrize("t,n,order", TEST_MATRIX)
@@ -201,18 +201,19 @@ def test_memoised_step_matches_mutate_columns(t, n, order, sign):
     # ids gives the column and the next frame of the vector step.  The
     # memoised duality check fails like the vector check_frame on the frame
     # with its first two g-vectors swapped.
-    q = build_exchange_quiver(signed_bc(spec_of(t, n), CoxeterElement(order), sign))
+    q = build_exchange_quiver(signed_bc(spec_of(t, n), CoxeterElement(order), sign), VariableTable(n))
     steps = q.steps
     for payload in q.vertices:
         frame = stored_frame(q, payload)
-        cids, gids = frame_ids(steps, frame)
+        cids, ids = frame_ids(steps, frame)
         for k in range(1, n + 1):
             column, new = mutate_columns(frame, k)
-            got = steps.step(cids, gids, k - 1, payload.witness_path)
-            assert got[0] == column
-            assert ids_frame(steps, *got[1:], new.path) == new
+            got, new_cids, g = steps.step(cids, ids, k - 1, payload.witness_path)
+            assert got == column
+            new_ids = ids[: k - 1] + (steps.var_of[g],) + ids[k:]
+            assert ids_frame(steps, new_cids, new_ids, new.path) == new
         if n > 1:
-            swapped, message = (gids[1], gids[0], *gids[2:]), f"witness path {payload.witness_path}: C/G duality"
+            swapped, message = (ids[1], ids[0], *ids[2:]), f"witness path {payload.witness_path}: C/G duality"
             with pytest.raises(InternalError, match=re.escape(message)):
                 check_frame(ids_frame(steps, cids, swapped, payload.witness_path))
             with pytest.raises(InternalError, match=re.escape(message)):
@@ -226,7 +227,7 @@ def test_each_build_numbers_the_signed_roots(t, n, order, sign):
     # g-vectors, one per cluster variable.  In these types the c-vectors
     # are the signed roots, each at positions of one symmetrizer.
     spec = spec_of(t, n)
-    steps = build_exchange_quiver(signed_bc(spec, CoxeterElement(order), sign)).steps
+    steps = build_exchange_quiver(signed_bc(spec, CoxeterElement(order), sign), VariableTable(n)).steps
     roots = positive_roots(spec)
     assert len(steps.c_vectors) == 2 * len(roots)
     assert set(steps.c_vectors) == {*roots, *(tuple(-x for x in r) for r in roots)}
@@ -274,7 +275,7 @@ def test_g_vector_with_two_polynomials(monkeypatch):
     _patch_first_exchange(monkeypatch, doubled)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))))
+        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))), VariableTable(3))
 
 
 def test_wrong_known_variable_fails_the_product_check(monkeypatch):
@@ -439,7 +440,7 @@ def test_polynomial_with_two_g_vectors(monkeypatch):
     _patch_first_exchange(monkeypatch, lambda xk, x: xk)
     message = "witness path (1,): a cluster variable has two g-vectors, (1, 0, 0) and (-1, 1, 0)"
     with pytest.raises(InternalError, match=re.escape(message)):
-        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))))
+        build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))), VariableTable(3))
 
 
 def test_exchange_key_keeps_b():

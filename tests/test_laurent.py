@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,11 @@ class TestArithmetic:
     def test_poly_str(self):
         p = lp(2, {(1, 0): 1, (0, -1): -2, (0, 0): 1})
         assert poly_str(p) == "x1 + 1 - 2*x2^-1"
+
+    def test_poly_str_zero_and_signs(self):
+        assert poly_str(LaurentPolynomial(2, ())) == "0"
+        assert poly_str(lp(2, {(1, 0): -1, (0, 1): 2})) == "-x1 + 2*x2"
+        assert poly_str(lp(2, {(1, 0): 1, (0, 1): -1})) == "x1 - x2"
 
 
 @st.composite
@@ -247,6 +254,26 @@ class TestPrincipalTable:
             for j in range(2):
                 assert seed.coeffs[j].exponents == seed.frame.c_column(j + 1)
 
+    def test_unknown_coefficient_mode(self):
+        with pytest.raises(InputError, match="unknown coefficient mode 'other'"):
+            initial_seed(build_bc(A2, C21), "other")
+
+    def test_var_degree_refusals(self):
+        # The grading is of principal-mode variables (x1, x2, y1, y2) only,
+        # and x1 + y1 has two degrees.
+        b = build_bc(A2, C21)
+        with pytest.raises(InputError, match="principal-mode"):
+            var_degree(LaurentPolynomial.generator(2, 0), b)
+        with pytest.raises(InternalError, match="variable is not homogeneous under the principal grading"):
+            var_degree(lp(4, {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}), b)
+
+    def test_coefficients_must_match_c_matrix(self):
+        # Reversed, the coefficients are y2, y1: mutating at 1 gives them
+        # exponents other than the columns of the frame's C-matrix.
+        seed = initial_seed(build_bc(A2, C21), "principal")
+        with pytest.raises(InternalError, match="tropical coefficients disagree with the C-matrix"):
+            mutate_seed(seed._replace(coeffs=seed.coeffs[::-1]), 1)
+
     def test_g_vector_readback(self):
         # Principal-mode variables are homogeneous and their degrees are the
         # G-matrix columns, at every seed of several small types.
@@ -278,6 +305,10 @@ class TestDenominatorTheta:
     def test_zero(self):
         with pytest.raises(InputError):
             denominator_vector(LaurentPolynomial(2, ()))
+
+    def test_theta_refuses_other_denominators(self):
+        with pytest.raises(InternalError, match=re.escape("denominator vector (2, 0) is not an almost positive root")):
+            theta(A2, lp(2, {(-2, 0): 1}))
 
     def test_box_is_the_newton_box(self):
         # The box is computed once, with the polynomial: the lowest and

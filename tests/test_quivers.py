@@ -15,15 +15,19 @@ import cambrian.quivers
 from cambrian.cli import DEFAULT_VERTEX_CAP, Build, main, run_sign_checks
 from cambrian.errors import InputError, InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import LaurentPolynomial, initial_seed, mutate_seed, theta
+from cambrian.laurent import LaurentPolynomial, VariableTable, initial_seed, mutate_seed, theta
 from cambrian.mutation import build_bc
 from cambrian.quivers import (
     QuiverEdge,
+    build_c_cluster_quiver,
+    build_exchange_quiver,
     build_tau_tilting_quiver,
+    ccluster_indices,
     check_arrow_flip,
     check_tau_c_matrix,
     euler_tables,
     phi_vertex_map,
+    psi_vertex_map,
     shadow_of_cluster,
     theta_vertex_map,
 )
@@ -202,6 +206,11 @@ class TestCClusterQuiver:
                         ):
                             oracle_edges.add(frozenset((idx[cluster], idx[cand])))
             assert {frozenset((e.src, e.dst)) for e in q.edges} == oracle_edges
+
+    def test_r_degree_tie_raises(self, monkeypatch):
+        monkeypatch.setattr(cambrian.quivers, "r_degree", lambda spec, c, root: 0)
+        with pytest.raises(InternalError, match=re.escape("R_c tie between exchanged roots (-1, 0), (1, 0)")):
+            build_c_cluster_quiver(A2, CoxeterElement((1, 2)))
 
 
 class TestTauTiltingQuiver:
@@ -388,6 +397,26 @@ class TestTauCMatrix:
             check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), qp._replace(vertices=vertices), qm)
         assert str(info.value).startswith("witness path (")
 
+    def test_unbound_image_g_vector_names_witness_path(self):
+        # Unbind, in a fresh plus build, the g-vector of the variable that
+        # the first step of the sink sweep (direction 3) reaches: the walk
+        # names the sweep's witness path, ().
+        spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
+        qp = build_exchange_quiver(build_bc(spec, c), VariableTable(3))
+        _, _, g = qp.steps.step(*qp.steps.initial, 2, ())
+        del qp.steps.var_of[g]
+        message = f"witness path (): no cluster variable of A(B^c) has g-vector {g}"
+        with pytest.raises(InternalError, match=re.escape(message)):
+            check_tau_c_matrix(spec, c, qp, exchange_of("A", 3, (1, 2, 3), "minus"))
+
+    def test_orphan_witness_path_raises(self):
+        # The walk steps each image from its parent's: give the A2 cluster
+        # at path (1,) the path (1, 2), and (1,) has no cluster.
+        qp, qm = exchange_of("A", 2, (1, 2), "plus"), exchange_of("A", 2, (1, 2), "minus")
+        vertices = tuple(p._replace(witness_path=(1, 2)) if p.witness_path == (1,) else p for p in qp.vertices)
+        with pytest.raises(InternalError, match=re.escape("witness path (1, 2) has no parent cluster")):
+            check_tau_c_matrix(A2, CoxeterElement((1, 2)), qp._replace(vertices=vertices), qm)
+
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 
@@ -405,7 +434,7 @@ def test_stored_seeds_are_witness_path_replays(case):
     # position order, is the initial seed mutated along its witness path,
     # and the paths are prefix-closed.
     t, n, c = case
-    build = Build(spec_of(t, n), c, None)
+    build = Build(spec_of(t, n), c, DEFAULT_VERTEX_CAP)
     for q in (build.plus, build.minus):
         b = build_bc(build.spec, c)
         seed0 = initial_seed(b if q is build.plus else b.negated(), "trivial")
@@ -419,6 +448,19 @@ def test_stored_seeds_are_witness_path_replays(case):
             assert not payload.witness_path or payload.witness_path[:-1] in paths
     assert check_tau_c_matrix(build.spec, c, build.plus, build.minus).ok
     assert all(rep.ok for rep in run_sign_checks(build))
+
+
+class TestVertexMapFaults:
+    def test_missing_c_cluster(self):
+        with pytest.raises(InternalError, match=re.escape("theta image ((9, 9),) is not an enumerated c-cluster")):
+            ccluster_indices(ccluster_of("A", 2, (1, 2)), [((9, 9),)], "theta")
+
+    def test_theta_map_must_be_injective(self):
+        order = (1, 2)
+        exq, ccq, ttq = exchange_of("A", 2, order), ccluster_of("A", 2, order), tautilt_of("A", 2, order)
+        constant = (0,) * exq.n_vertices
+        with pytest.raises(InternalError, match="theta vertex map is not injective"):
+            psi_vertex_map(A2, CoxeterElement(order), ttq, exq, ccq, theta_map=constant)
 
 
 class TestThetaImage:

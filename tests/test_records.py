@@ -3,7 +3,7 @@ equal LaurentPolynomials hash alike is tested in test_laurent.py."""
 
 import pytest
 
-from cambrian.cli import Build
+from cambrian.cli import DEFAULT_VERTEX_CAP, Build
 from cambrian.errors import InputError
 from cambrian.lattice import poset_from_hasse, verify_lattice
 from cambrian.laurent import initial_seed
@@ -14,7 +14,7 @@ from cambrian.rootsys import CartanSpec, CoxeterElement, cartan_matrix
 def _records():
     """One instance of each record type, named, with a field to assign to."""
     spec, c = cartan_matrix("A", 2), CoxeterElement((1, 2))
-    b, build = build_bc(spec, c), Build(spec, c, None)
+    b, build = build_bc(spec, c), Build(spec, c, DEFAULT_VERTEX_CAP)
     seed = initial_seed(b, "principal")
     sortable = build.cambrian.vertices[-1]
     poset = poset_from_hasse(build.plus)
@@ -60,6 +60,14 @@ class TestValidation:
             CartanSpec("B", 2, ((2, -1), (-2, 2)), (1, 1))
         with pytest.raises(InputError, match="positive integers"):
             CartanSpec("A", 2, self.A2, (1, 0))
+
+    def test_cartan_shape_sign_and_zero_pattern(self):
+        with pytest.raises(InputError, match="Cartan matrix shape does not match rank"):
+            CartanSpec("A", 2, ((2, -1),), (1, 1))
+        with pytest.raises(InputError, match="off-diagonal Cartan entries must be <= 0"):
+            CartanSpec("A", 2, ((2, 1), (1, 2)), (1, 1))
+        with pytest.raises(InputError, match="Cartan zero pattern must be symmetric"):
+            CartanSpec("A", 2, ((2, 0), (-1, 2)), (1, 1))
 
     def test_coxeter_repeated_letter(self):
         with pytest.raises(InputError, match="permutation"):

@@ -16,6 +16,7 @@ from cambrian.rootsys import (
     positive_roots,
     r_degree,
     reflect,
+    reflection_matrix,
     sigma,
     tau,
 )
@@ -131,6 +132,10 @@ class TestReflections:
         assert reflect(A2, 1, (0, 1)) == (1, 1)
         assert reflect(A2, 1, (1, 0)) == (-1, 0)
         assert reflect(B2, 2, (1, 0)) == (1, 2)
+
+    def test_reflection_index_range(self):
+        with pytest.raises(InputError, match="reflection index 0 out of range"):
+            reflection_matrix(A2, 0)
 
     def test_sigma_fixes_other_negatives(self):
         assert sigma(A2, 1, (0, -1)) == (0, -1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cambrian.laurent import mutate_seed
+from cambrian.laurent import VariableTable, mutate_seed
 from cambrian.mutation import FrameTable
 from cambrian.quivers import build_exchange_quiver, check_tau_c_matrix
 from cambrian.rootsys import CoxeterElement, positive_roots
@@ -67,7 +67,8 @@ def test_matches_laurent_walk_e6(order):
 @pytest.mark.slow
 def test_e7_tau_c_makes_no_exact_exchange(monkeypatch):
     spec, c = spec_of("E", 7), CoxeterElement(tuple(range(1, 8)))
-    qp, qm = build_exchange_quiver(signed_bc(spec, c)), build_exchange_quiver(signed_bc(spec, c, "minus"))
+    qp = build_exchange_quiver(signed_bc(spec, c), VariableTable(7))
+    qm = build_exchange_quiver(signed_bc(spec, c, "minus"), VariableTable(7))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("mutate_seed called outside the exchange builds")
