@@ -180,10 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
 class Build:
     """The quivers of one (spec, c), built on first use and shared by every
     check of a command; the exchange builds share a VariableTable.  Each has
-    the clusters as vertices: more of them than cap is invalid input,
-    refused here before anything is built."""
+    the clusters as vertices: more of them than cap, like a c of another
+    rank, is invalid input, refused here before anything is built."""
 
     def __init__(self, spec: CartanSpec, c: CoxeterElement, cap: int):
+        if len(c.order) != spec.rank:
+            raise InputError(f"coxeter word length {len(c.order)} does not match rank {spec.rank}")
         self.spec, self.c, count = spec, c, cluster_count(spec)
         if count > cap:
             raise InputError(f"{spec.dynkin_type}{spec.rank} has {count} clusters, more than the vertex cap {cap}")

@@ -35,30 +35,16 @@ _VALID_RANKS = {
 # Records that validate their input subclass a namedtuple: a typing.NamedTuple
 # class cannot define __new__.
 class CartanSpec(namedtuple("CartanSpec", "dynkin_type rank cartan symmetrizer")):
-    """Dynkin type, Cartan matrix and its minimal symmetrizer."""
+    """A finite type's letter and rank, with the Cartan matrix and minimal
+    symmetrizer that cartan_matrix gives it: no other fields are accepted."""
 
     __slots__ = ()
 
     def __new__(cls, dynkin_type: str, rank: int, cartan: Matrix, symmetrizer: tuple[int, ...]):
-        n, c, d = rank, cartan, symmetrizer
-        if len(c) != n or any(len(row) != n for row in c):
-            raise InputError("Cartan matrix shape does not match rank")
-        for i in range(n):
-            if c[i][i] != 2:
-                raise InputError("Cartan diagonal entries must be 2")
-            for j in range(n):
-                if i != j:
-                    if c[i][j] > 0:
-                        raise InputError("off-diagonal Cartan entries must be <= 0")
-                    if (c[i][j] == 0) != (c[j][i] == 0):
-                        raise InputError("Cartan zero pattern must be symmetric")
-        if len(d) != n or any(x <= 0 for x in d):
-            raise InputError("symmetrizer must consist of n positive integers")
-        for i in range(n):
-            for j in range(n):
-                if d[i] * c[i][j] != d[j] * c[j][i]:
-                    raise InputError("symmetrizer does not symmetrize the Cartan matrix")
-        return super().__new__(cls, dynkin_type, rank, cartan, symmetrizer)
+        fields = (dynkin_type, rank, cartan, symmetrizer)
+        if fields != _type_data(dynkin_type, rank):
+            raise InputError(f"not the Cartan matrix and symmetrizer of {dynkin_type}{rank}")
+        return super().__new__(cls, *fields)
 
 
 class CoxeterElement(namedtuple("CoxeterElement", "order")):
@@ -82,6 +68,11 @@ def _chain_cartan(n: int) -> list[list[int]]:
 
 def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
     """Standard Cartan matrix of the given finite type, with minimal symmetrizer."""
+    return CartanSpec(*_type_data(dynkin_type, rank))
+
+
+def _type_data(dynkin_type: str, rank: int) -> tuple[str, int, Matrix, tuple[int, ...]]:
+    """The fields of the CartanSpec of a finite type, any letter case."""
     t = dynkin_type.upper()
     if t not in _VALID_RANKS or not _VALID_RANKS[t](rank):
         raise InputError(f"invalid finite type ({dynkin_type}, {rank})")
@@ -110,7 +101,7 @@ def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
         edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(i, i + 1) for i in range(5, n)]
         for a, b in edges:
             c[a - 1][b - 1] = c[b - 1][a - 1] = -1
-    return CartanSpec(t, n, tuple(tuple(row) for row in c), tuple(d))
+    return t, n, tuple(tuple(row) for row in c), tuple(d)
 
 
 def cluster_count(spec: CartanSpec) -> int:

@@ -247,7 +247,7 @@ def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     sortables = enumerate_sortables(spec, c)
     t = _root_tables(spec)
     index = {s.word: i for i, s in enumerate(sortables)}
-    edges = []
+    cls, edges = [frozenset(s.cluster) for s in sortables], []
     for j, w in enumerate(sortables):
         found: list = []
         if _pi_down(t, w.inversions, list(t.start), list(c.order), [], [], w.cover_roots, found) != w.word:
@@ -256,12 +256,11 @@ def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
         for (bit, word), i in zip(found, covers):
             if i < 0 or sortables[i].inversions & ~(w.inversions ^ bit):
                 raise InternalError(f"pi_down of {w.word} without a cover root is no sortable below it: {word}")
-        hi = set(w.cluster)
         for i in sorted(covers):
             # Cover j > i: arrow j -> i, labeled by the exchanged cl-roots.
-            out_roots, in_roots = hi - set(sortables[i].cluster), set(sortables[i].cluster) - hi
+            out_roots, in_roots = cls[j] - cls[i], cls[i] - cls[j]
             if len(out_roots) != 1 or len(in_roots) != 1:
-                raise InternalError(f"cover does not exchange exactly one cl-root: {out_roots} / {in_roots}")
+                raise InternalError(f"cover does not exchange exactly one cl-root: {set(out_roots)} / {set(in_roots)}")
             edges.append(QuiverEdge(j, i, *out_roots, *in_roots))
     return ClusterQuiver("cambrian", sortables, tuple(edges))
 

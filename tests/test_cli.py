@@ -26,7 +26,7 @@ from cambrian.cli import (
     quiver_to_json,
     run_all_checks,
 )
-from cambrian.errors import InternalError
+from cambrian.errors import InputError, InternalError
 from cambrian.laurent import VariableTable, _exchange
 from cambrian.mutation import FrameTable, mutate_columns
 from cambrian.quivers import QuiverEdge
@@ -152,6 +152,12 @@ class TestWriters:
         assert sum(objects) == q.n_vertices + len(q.edges)
         assert max(objects) == cambrian.cli._BATCH
         assert "".join(writes) == dict_document_json(q)
+
+    def test_an_unknown_quiver_kind_is_an_internal_error(self):
+        q = ccluster_of("A", 2, (1, 2))._replace(kind="other")
+        for write in (write_json, quiver_to_dot):
+            with pytest.raises(InternalError, match="^unknown quiver kind 'other'$"):
+                write(q)
 
 
 @pytest.mark.slow
@@ -406,6 +412,13 @@ class TestErrors:
     def test_coxeter_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("order", [(1, 2), (1, 2, 3, 4)])
+    def test_build_refuses_a_coxeter_element_of_another_rank(self, order):
+        # The command's own text, raised before the vertex cap is read: a
+        # cap of 1 would refuse A3 too.
+        with pytest.raises(InputError, match=f"^coxeter word length {len(order)} does not match rank 3$"):
+            Build(cartan_matrix("A", 3), CoxeterElement(order), 1)
 
     def test_cap_flag(self, capsys):
         code, _, _ = run(

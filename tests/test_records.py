@@ -52,22 +52,45 @@ class TestValidation:
     A2 = ((2, -1), (-1, 2))
 
     def test_cartan_diagonal(self):
-        with pytest.raises(InputError, match="diagonal"):
+        with pytest.raises(InputError, match="not the Cartan matrix and symmetrizer of A2"):
             CartanSpec("A", 2, ((2, -1), (-1, 1)), (1, 1))
 
     def test_cartan_symmetrizer(self):
-        with pytest.raises(InputError, match="does not symmetrize"):
+        with pytest.raises(InputError, match="not the Cartan matrix and symmetrizer of B2"):
             CartanSpec("B", 2, ((2, -1), (-2, 2)), (1, 1))
-        with pytest.raises(InputError, match="positive integers"):
+        with pytest.raises(InputError, match="not the Cartan matrix and symmetrizer of A2"):
             CartanSpec("A", 2, self.A2, (1, 0))
 
     def test_cartan_shape_sign_and_zero_pattern(self):
-        with pytest.raises(InputError, match="Cartan matrix shape does not match rank"):
+        with pytest.raises(InputError, match="not the Cartan matrix and symmetrizer of A2"):
             CartanSpec("A", 2, ((2, -1),), (1, 1))
-        with pytest.raises(InputError, match="off-diagonal Cartan entries must be <= 0"):
+        with pytest.raises(InputError, match="not the Cartan matrix and symmetrizer of A2"):
             CartanSpec("A", 2, ((2, 1), (1, 2)), (1, 1))
-        with pytest.raises(InputError, match="Cartan zero pattern must be symmetric"):
+        with pytest.raises(InputError, match="not the Cartan matrix and symmetrizer of A2"):
             CartanSpec("A", 2, ((2, 0), (-1, 2)), (1, 1))
+
+    @pytest.mark.parametrize(
+        "t,n",
+        [(t, n) for t, lowest in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in range(lowest, 12)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_cartan_spec_takes_its_types_data(self, t, n):
+        spec = cartan_matrix(t, n)
+        assert CartanSpec(*spec) == spec
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [(("A", 2, ((2, -1), (-2, 2)), (2, 1)), "not the Cartan matrix and symmetrizer of A2"),
+         (("A", 2, ((2, -2), (-2, 2)), (1, 1)), "not the Cartan matrix and symmetrizer of A2"),
+         (("a", 2, A2, (1, 1)), "not the Cartan matrix and symmetrizer of a2"),
+         (("A", 0, (), ()), r"invalid finite type \(A, 0\)")],
+        ids=["B2 labelled A2", "affine A1 labelled A2", "lower-case letter", "rank 0"],
+    )
+    def test_cartan_spec_refuses_other_data(self, fields, message):
+        # The count of clusters, hence Build's vertex cap, and the root
+        # saturation read the type letter: only that type's matrix may pass.
+        with pytest.raises(InputError, match=f"^{message}$"):
+            CartanSpec(*fields)
 
     def test_coxeter_repeated_letter(self):
         with pytest.raises(InputError, match="permutation"):

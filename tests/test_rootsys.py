@@ -107,6 +107,13 @@ class TestPositiveRoots:
     def test_b2(self):
         assert set(positive_roots(B2)) == {(1, 0), (0, 1), (1, 1), (1, 2)}
 
+    def test_saturation_cap(self):
+        # _replace skips CartanSpec's check: the affine matrix of A1^(1)
+        # has infinitely many roots, and the saturation stops at its cap.
+        affine = A2._replace(cartan=((2, -2), (-2, 2)))
+        with pytest.raises(InternalError, match="^positive root saturation exceeded safety cap$"):
+            positive_roots(affine)
+
     def test_counts_vs_orbit_oracle(self):
         # Independent oracle: the W-orbit of the simple roots is all of Phi.
         expected = {

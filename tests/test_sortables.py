@@ -1,15 +1,20 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cambrian.sortables
+from cambrian.errors import InternalError
 from cambrian.lattice import poset_from_hasse, verify_lattice, verify_quiver_map
-from cambrian.rootsys import CoxeterElement, cartan_matrix, positive_roots
+from cambrian.rootsys import CoxeterElement, almost_positive_roots, cartan_matrix, positive_roots
 from cambrian.sortables import (
     WeylElement,
     _pi_down,
     _root_tables,
     build_cambrian_hasse,
     cambrian_vertex_map,
+    enumerate_sortables,
     greedy_sorting_word,
     is_decreasing_chain,
     weyl_group_elements,
@@ -149,6 +154,69 @@ class TestCambrianHasse:
         cc = ccluster_of("A", 2, (2, 1))
         m = cambrian_vertex_map(A2, C21, q, cc)
         assert sorted(m) == list(range(5))
+
+
+def raises_internal(message):
+    return pytest.raises(InternalError, match=f"^{re.escape(message)}$")
+
+
+class TestInternalErrors:
+    """Each invariant the sortables layer checks, broken through one input
+    or one patched helper, raises its own InternalError."""
+
+    C12 = CoxeterElement((1, 2))
+
+    def test_two_words_for_one_element(self, monkeypatch):
+        # A step that forgets its letter gives (1,) and (1, 1) one inversion set.
+        monkeypatch.setattr(cambrian.sortables, "_times", lambda t, img, a: img[:])
+        with raises_internal("one element reached by two distinct sorting words"):
+            enumerate_sortables(A2, self.C12)
+
+    def test_cl_with_a_repeated_root(self, monkeypatch):
+        monkeypatch.setattr(
+            cambrian.sortables, "_root_index", lambda spec: dict.fromkeys(almost_positive_roots(spec), 0)
+        )
+        with raises_internal("cl image has repeated roots: ((-1, 0), (0, -1))"):
+            enumerate_sortables(A2, self.C12)
+
+    def test_cl_that_is_no_c_cluster(self, monkeypatch):
+        ones = [[1] * 5] * 5
+        monkeypatch.setattr(cambrian.sortables, "_c_dynamics", lambda spec, c: ((), ones))
+        with raises_internal("cl image is not a c-cluster: ((-1, 0), (0, -1))"):
+            enumerate_sortables(A2, self.C12)
+
+    def test_greedy_scan_that_does_not_end(self):
+        # w^-1 sends every simple root to a negative vector, and w never
+        # reaches the identity: 2I is no Weyl group element.
+        w = WeylElement(((2, 0), (0, 2)), ((1, -3), (-3, 1)))
+        with raises_internal("sorting-word scan did not terminate"):
+            greedy_sorting_word(A2, self.C12, w)
+
+    def test_greedy_scan_without_a_descent(self):
+        w = WeylElement(((2, 0), (0, 2)), ((2, 0), (0, 2)))
+        with raises_internal("no descent found for a non-identity element"):
+            greedy_sorting_word(A2, self.C12, w)
+
+    def test_replay_reading_another_word(self, monkeypatch):
+        monkeypatch.setattr(cambrian.sortables, "_pi_down", lambda *args: ())
+        with raises_internal("the c-sorting of (1,) reads another word"):
+            build_cambrian_hasse(A2, self.C12)
+
+    def test_cover_that_is_no_sortable(self, monkeypatch):
+        # Without the identity, (1,) has no sortable below it.
+        monkeypatch.setattr(cambrian.sortables, "enumerate_sortables", lambda spec, c: enumerate_sortables(spec, c)[1:])
+        with raises_internal("pi_down of (1,) without a cover root is no sortable below it: ()"):
+            build_cambrian_hasse(A2, self.C12)
+
+    def test_cover_exchanging_no_root(self, monkeypatch):
+        # The identity given the cl of (1,), one of its upper covers.
+        def same_cl_below(spec, c):
+            e, s1, *rest = enumerate_sortables(spec, c)
+            return (e._replace(cluster=s1.cluster), s1, *rest)
+
+        monkeypatch.setattr(cambrian.sortables, "enumerate_sortables", same_cl_below)
+        with raises_internal("cover does not exchange exactly one cl-root: set() / set()"):
+            build_cambrian_hasse(A2, self.C12)
 
 
 @st.composite
