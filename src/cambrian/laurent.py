@@ -35,6 +35,14 @@ class LaurentPolynomial(namedtuple("LaurentPolynomial", "nvars terms box hash"))
     def __new__(cls, nvars: int, terms: tuple[tuple[Exponent, int], ...]):
         return super().__new__(cls, nvars, terms, _box(terms), hash((nvars, terms)))
 
+    def __getnewargs__(self):
+        return self.nvars, self.terms
+
+    @classmethod
+    def _make(cls, iterable):
+        nvars, terms, _, _ = iterable
+        return cls(nvars, terms)
+
     def __hash__(self) -> int:
         return self.hash
 

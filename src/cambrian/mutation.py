@@ -17,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .rootsys import CartanSpec, CoxeterElement, Matrix, _identity
+from .rootsys import CartanSpec, CoxeterElement, Matrix, _identity, _Validated
 
 
 def _det(m: Matrix) -> int:
@@ -43,7 +43,7 @@ def _det(m: Matrix) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-class ExchangeMatrix(namedtuple("ExchangeMatrix", "entries skew_symmetrizer")):
+class ExchangeMatrix(_Validated, namedtuple("ExchangeMatrix", "entries skew_symmetrizer")):
     __slots__ = ()
 
     def __new__(cls, entries: Matrix, skew_symmetrizer: tuple[int, ...]):

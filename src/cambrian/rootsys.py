@@ -20,23 +20,27 @@ Matrix = tuple[tuple[int, ...], ...]
 
 _ROOT_CAP = 10_000
 # The classical ranks stop where the positive roots, n(n+1)/2 in type A, n^2
-# in B and C and n(n-1) in D, would pass _ROOT_CAP (A 140, B, C and D 100).
-_VALID_RANKS = {
-    "A": lambda n: 1 <= n and n * (n + 1) // 2 <= _ROOT_CAP,
-    "B": lambda n: 2 <= n and n * n <= _ROOT_CAP,
-    "C": lambda n: 3 <= n and n * n <= _ROOT_CAP,
-    "D": lambda n: 4 <= n and n * (n - 1) <= _ROOT_CAP,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-}
+# in B and C and n(n-1) in D, would pass _ROOT_CAP.
+_VALID_RANKS = {"A": range(1, 141), "B": range(2, 101), "C": range(3, 101), "D": range(4, 101),
+                "E": range(6, 9), "F": range(4, 5), "G": range(2, 3)}
 
 
-# Records that validate their input subclass a namedtuple: a typing.NamedTuple
-# class cannot define __new__.
-class CartanSpec(namedtuple("CartanSpec", "dynkin_type rank cartan symmetrizer")):
+class _Validated:
+    """First base of the records that check their input in __new__ beside a
+    namedtuple (a typing.NamedTuple class cannot define __new__): _make, and
+    so _replace, goes through __new__ too, as copy and pickle do."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CartanSpec(_Validated, namedtuple("CartanSpec", "dynkin_type rank cartan symmetrizer")):
     """A finite type's letter and rank, with the Cartan matrix and minimal
-    symmetrizer that cartan_matrix gives it: no other fields are accepted."""
+    symmetrizer that cartan_matrix reads off its row of _type_row: no other
+    fields are accepted."""
 
     __slots__ = ()
 
@@ -47,7 +51,7 @@ class CartanSpec(namedtuple("CartanSpec", "dynkin_type rank cartan symmetrizer")
         return super().__new__(cls, *fields)
 
 
-class CoxeterElement(namedtuple("CoxeterElement", "order")):
+class CoxeterElement(_Validated, namedtuple("CoxeterElement", "order")):
     """A Coxeter element, given as the order (c_1, ..., c_n) of simple reflections."""
 
     __slots__ = ()
@@ -58,66 +62,52 @@ class CoxeterElement(namedtuple("CoxeterElement", "order")):
         return super().__new__(cls, order)
 
 
-def _chain_cartan(n: int) -> list[list[int]]:
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        c[i][i + 1] = -1
-        c[i + 1][i] = -1
-    return c
-
-
 def cartan_matrix(dynkin_type: str, rank: int) -> CartanSpec:
     """Standard Cartan matrix of the given finite type, with minimal symmetrizer."""
     return CartanSpec(*_type_data(dynkin_type, rank))
 
 
-def _type_data(dynkin_type: str, rank: int) -> tuple[str, int, Matrix, tuple[int, ...]]:
-    """The fields of the CartanSpec of a finite type, any letter case."""
-    t = dynkin_type.upper()
-    if t not in _VALID_RANKS or not _VALID_RANKS[t](rank):
-        raise InputError(f"invalid finite type ({dynkin_type}, {rank})")
-    n = rank
-    d = [1] * n  # A, D and E: simply laced
-    if t in ("A", "B", "C", "G", "F"):
-        c = _chain_cartan(n)
-        if t == "B":
-            c[n - 1][n - 2] = -2  # alpha_n short
-            d = [2] * (n - 1) + [1]
-        elif t == "C":
-            c[n - 2][n - 1] = -2  # alpha_n long
-            d[n - 1] = 2
-        elif t == "G":
-            c[1][0] = -3
-            d = [3, 1]
-        elif t == "F":
-            c[2][1] = -2  # alpha_3, alpha_4 short
-            d = [2, 2, 1, 1]
-    elif t == "D":
-        c = _chain_cartan(n)
-        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
-        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
-    else:  # E
-        c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+def _type_row(t: str, n: int) -> tuple[list[tuple[int, int]], list[int], tuple[int, ...]]:
+    """The row of type t, rank n (admitted): the edges (i, j) of its Dynkin
+    diagram, 1-based, its minimal symmetrizer d and the exponents of W."""
+    chain = [(i, i + 1) for i in range(1, n)]
+    if t == "A":
+        return chain, [1] * n, tuple(range(1, n + 1))
+    if t == "B":  # alpha_n short
+        return chain, [2] * (n - 1) + [1], tuple(range(1, 2 * n, 2))
+    if t == "C":  # alpha_n long
+        return chain, [1] * (n - 1) + [2], tuple(range(1, 2 * n, 2))
+    if t == "D":
+        return chain[:-1] + [(n - 2, n)], [1] * n, (*range(1, 2 * n - 2, 2), n - 1)
+    if t == "E":
         edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(i, i + 1) for i in range(5, n)]
-        for a, b in edges:
-            c[a - 1][b - 1] = c[b - 1][a - 1] = -1
-    return t, n, tuple(tuple(row) for row in c), tuple(d)
+        exponents = {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17), 8: (1, 7, 11, 13, 17, 19, 23, 29)}
+        return edges, [1] * n, exponents[n]
+    if t == "F":  # alpha_3, alpha_4 short
+        return chain, [2, 2, 1, 1], (1, 5, 7, 11)
+    return chain, [3, 1], (1, 5)  # G
+
+
+def _type_data(dynkin_type: str, rank: int) -> tuple[str, int, Matrix, tuple[int, ...]]:
+    """The fields of the CartanSpec of a finite type, any letter case: C_ii =
+    2, C_ij = -max(1, d_j // d_i) when alpha_i and alpha_j are joined, so
+    that d_i C_ij = -max(d_i, d_j), and C_ij = 0 otherwise."""
+    t = dynkin_type.upper()
+    if rank not in _VALID_RANKS.get(t, ()):
+        raise InputError(f"invalid finite type ({dynkin_type}, {rank})")
+    edges, d, _ = _type_row(t, rank)
+    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        c[i - 1][j - 1] = -max(1, d[j - 1] // d[i - 1])
+        c[j - 1][i - 1] = -max(1, d[i - 1] // d[j - 1])
+    return t, rank, tuple(map(tuple, c)), tuple(d)
 
 
 def cluster_count(spec: CartanSpec) -> int:
     """The number of clusters, the vertices of every quiver of a command: the
     generalized Catalan number prod (e + h + 1)/(e + 1) over the exponents e
     of W, h = max e + 1 the Coxeter number (Fomin-Zelevinsky, Ann. Math. 158)."""
-    n = spec.rank
-    exponents = {
-        "A": range(1, n + 1),
-        "B": range(1, 2 * n, 2),
-        "C": range(1, 2 * n, 2),
-        "D": [*range(1, 2 * n - 2, 2), n - 1],
-        "E": {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17), 8: (1, 7, 11, 13, 17, 19, 23, 29)}.get(n),
-        "F": (1, 5, 7, 11),
-        "G": (1, 5),
-    }[spec.dynkin_type]
+    exponents = _type_row(spec.dynkin_type, spec.rank)[2]
     h = max(exponents) + 1
     return prod(e + h + 1 for e in exponents) // prod(e + 1 for e in exponents)
 

@@ -1,12 +1,15 @@
 """The record types: immutable, and validated where they take input.  That
 equal LaurentPolynomials hash alike is tested in test_laurent.py."""
 
+import copy
+import pickle
+
 import pytest
 
 from cambrian.cli import DEFAULT_VERTEX_CAP, Build
 from cambrian.errors import InputError
 from cambrian.lattice import poset_from_hasse, verify_lattice
-from cambrian.laurent import initial_seed
+from cambrian.laurent import LaurentPolynomial, initial_seed
 from cambrian.mutation import ExchangeMatrix, build_bc, identity_frame
 from cambrian.rootsys import CartanSpec, CoxeterElement, cartan_matrix
 
@@ -46,6 +49,38 @@ def test_fields_cannot_be_assigned(name):
     assert type(record).__name__ == name
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_copy_and_pickle_give_an_equal_record(name):
+    record = RECORDS[name][0]
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        if name == "ClusterQuiver":  # steps is a FrameTable, equal only to itself
+            assert (twin.kind, twin.vertices, twin.edges) == (record.kind, record.vertices, record.edges)
+        else:
+            assert twin == record
+
+
+@pytest.mark.parametrize(
+    "name,fields,message",
+    [("CartanSpec", {"cartan": ((2, -1), (-2, 2)), "symmetrizer": (2, 1)},
+      "not the Cartan matrix and symmetrizer of A2"),
+     ("CoxeterElement", {"order": (1, 1)}, "Coxeter order must be a permutation of 1..n"),
+     ("ExchangeMatrix", {"entries": ((0, 1), (-2, 0))}, "SB is not skew-symmetric")],
+)
+def test_replace_is_validated(name, fields, message):
+    # B2's data in A2's records, a repeated letter in a Coxeter element:
+    # _replace goes through __new__, which refuses them.
+    with pytest.raises(InputError, match=f"^{message}$"):
+        RECORDS[name][0]._replace(**fields)
+
+
+def test_replace_recomputes_box_and_hash():
+    terms = (((1, 0, 0, 0), 1), ((0, -1, 1, 0), 2))
+    replaced = RECORDS["LaurentPolynomial"][0]._replace(terms=terms)
+    fresh = LaurentPolynomial(4, terms)
+    assert replaced == fresh and replaced.box == fresh.box and hash(replaced) == hash(fresh)
 
 
 class TestValidation:

@@ -1,15 +1,20 @@
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
 import pytest
+import sympy
 
 import cambrian.rootsys
 from cambrian.cli import main
 from cambrian.errors import InputError, InternalError
 from cambrian.rootsys import (
+    CartanSpec,
     CoxeterElement,
     almost_positive_roots,
     cartan_matrix,
+    cluster_count,
     enumerate_c_clusters,
     is_c_compatible,
     negative_simple,
@@ -80,6 +85,30 @@ class TestCartanMatrix:
         # The largest ranks whose positive roots fit the root saturation's cap.
         assert cartan_matrix(t, n).rank == n
 
+    @pytest.mark.parametrize(
+        "t,n",
+        [(t, n) for t, lowest in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in range(lowest, 13)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_type_table_against_its_roots(self, t, n):
+        # The numbers of positive roots of each height form the partition
+        # dual to the exponents of W (Kostant, Amer. J. Math. 81), so the
+        # exponents, the Coxeter number and the Catalan count follow from
+        # the roots alone; det C is the index of the root lattice in the
+        # weight lattice.
+        spec = cartan_matrix(t, n)
+        roots = positive_roots(spec)
+        per_height = Counter(sum(root) for root in roots).values()
+        exponents = [sum(1 for m in per_height if m >= j) for j in range(1, n + 1)]
+        h = max(exponents) + 1
+        assert h * n == 2 * len(roots)
+        catalan = Fraction(1)
+        for e in exponents:
+            catalan *= Fraction(e + h + 1, e + 1)
+        assert cluster_count(spec) == catalan
+        det = {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n, "F": 1, "G": 1}[t]
+        assert sympy.Matrix(spec.cartan).det() == det
+
 
 class TestPositiveRoots:
     def test_a2(self):
@@ -108,9 +137,9 @@ class TestPositiveRoots:
         assert set(positive_roots(B2)) == {(1, 0), (0, 1), (1, 1), (1, 2)}
 
     def test_saturation_cap(self):
-        # _replace skips CartanSpec's check: the affine matrix of A1^(1)
+        # tuple.__new__ skips CartanSpec's check: the affine matrix of A1^(1)
         # has infinitely many roots, and the saturation stops at its cap.
-        affine = A2._replace(cartan=((2, -2), (-2, 2)))
+        affine = tuple.__new__(CartanSpec, ("A", 2, ((2, -2), (-2, 2)), (1, 1)))
         with pytest.raises(InternalError, match="^positive root saturation exceeded safety cap$"):
             positive_roots(affine)
 
