@@ -28,6 +28,7 @@ from .quivers import (
     check_tau_c_matrix,
     phi_vertex_map,
     psi_vertex_map,
+    shadow_of_cluster,
     theta_vertex_map,
 )
 from .rootsys import CartanSpec, CoxeterElement, cartan_matrix, cluster_count, positive_roots
@@ -100,8 +101,9 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
         if q.kind == "ccluster":
             return (f'"roots": {_array([*map(roots, v)], 8)}',)
         if q.kind == "tautilt":
-            return (f'"m_size": {v.m_size}', f'"module_part": {_array([*map(roots, v.module_part)], 8)}',
-                    f'"projective_part": {_array([*map(str, v.projective_part)], 8)}')
+            m, p = shadow_of_cluster(v)
+            return (f'"m_size": {len(m)}', f'"module_part": {_array([*map(roots, m)], 8)}',
+                    f'"projective_part": {_array([*map(str, p)], 8)}')
         if q.kind == "cambrian":
             return (f'"blocks": {_array([*map(vectors, v.blocks)], 8)}', f'"length": {v.length}',
                     f'"word": {_array([*map(str, v.word)], 8)}')
@@ -135,8 +137,8 @@ def quiver_to_dot(q: ClusterQuiver) -> str:
         if q.kind == "ccluster":
             return "{" + ",".join(map(vectors, v)) + "}"
         if q.kind == "tautilt":
-            mods = ",".join(map(vectors, v.module_part))
-            return f"M=[{mods}] P=[{','.join(map(str, v.projective_part))}]"
+            m, p = shadow_of_cluster(v)
+            return f"M=[{','.join(map(vectors, m))}] P=[{','.join(map(str, p))}]"
         if q.kind == "cambrian":
             return "s" + ".".join(map(str, v.word)) if v.word else "e"
         raise InternalError(f"unknown quiver kind {q.kind!r}")

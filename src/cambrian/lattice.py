@@ -25,7 +25,7 @@ class FinitePoset(NamedTuple):
 
 
 def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
-    """The poset of q, whose edges must be its covers: a cycle or a non-cover edge raises InternalError."""
+    """The poset of q, whose edges must be its covers, each once: a cycle, repeat or non-cover raises InternalError."""
     n = q.n_vertices
     children: list[list[int]] = [[] for _ in range(n)]
     parents: list[list[int]] = [[] for _ in range(n)]
@@ -49,6 +49,8 @@ def poset_from_hasse(q: ClusterQuiver) -> FinitePoset:
             mask |= up[p]
         up[order[i]] = mask
     for e in q.edges:
+        if children[e.src].count(e.dst) > 1:
+            raise InternalError(f"edge {e.src}->{e.dst} is repeated")
         for ch in children[e.src]:
             if ch != e.dst and up[e.dst] & up[ch] == up[ch]:
                 raise InternalError(f"edge {e.src}->{e.dst} is not a cover (via {ch})")
@@ -95,9 +97,10 @@ def verify_quiver_map(q1: ClusterQuiver, q2: ClusterQuiver, vertex_map: tuple[in
         raise InternalError("vertex map does not cover the source quiver")
     if q1.n_vertices != q2.n_vertices or len(set(vertex_map)) != len(vertex_map):
         return CheckReport(name, False, ("vertex map is not a bijection",))
-    e2 = {(e.src, e.dst) for e in q2.edges}
-    if len(q1.edges) != len(e2):
-        return CheckReport(name, False, (f"edge counts differ: {len(q1.edges)} vs {len(e2)}",))
+    # Counted as given, q2's arrows outnumber the distinct images of q1's if either quiver repeats one.
+    e2, images = {(e.src, e.dst) for e in q2.edges}, set()
+    if len(q1.edges) != len(q2.edges):
+        return CheckReport(name, False, (f"edge counts differ: {len(q1.edges)} vs {len(q2.edges)}",))
     for e in q1.edges:
         image = (vertex_map[e.src], vertex_map[e.dst])
         if mode == "anti":
@@ -105,5 +108,8 @@ def verify_quiver_map(q1: ClusterQuiver, q2: ClusterQuiver, vertex_map: tuple[in
         if image not in e2:
             where = f"{e.src}->{e.dst} maps to {image[0]}->{image[1]}"
             return CheckReport(name, False, ("arrow image is missing",), where)
+        if image in images:
+            return CheckReport(name, False, ("arrow is repeated",), f"{e.src}->{e.dst}")
+        images.add(image)
     details = (f"{q1.n_vertices} vertices, {len(q1.edges)} arrows",)
     return CheckReport(name, True, details, stats=(("vertices", q1.n_vertices), ("arrows", len(q1.edges))))

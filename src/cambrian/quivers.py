@@ -2,8 +2,9 @@
 
 All four kinds of quiver, the Cambrian Hasse quiver of sortables included,
 share the ClusterQuiver container: vertices carry typed payloads, edges record
-the exchanged pair.  Vertex and edge order is canonical (payload-sorted), so
-identical inputs always produce identical quivers.
+the exchanged pair.  A support tau-tilting pair (M, P) is held, like a
+c-cluster, as the sorted tuple of its roots, those of M + P[1].  Vertex and
+edge order is canonical, so identical inputs always produce identical quivers.
 The records are immutable but for an exchange quiver's steps, its build's
 FrameTable, whose memos grow when check_tau_c_matrix steps on it.
 """
@@ -18,7 +19,7 @@ from .errors import InternalError
 from .laurent import LaurentPolynomial, VariableTable, theta
 from .mutation import ExchangeMatrix, FrameTable
 from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
-from .rootsys import maximal_compatible_sets, negative_simple, positive_roots, r_degree, tau
+from .rootsys import maximal_compatible_sets, positive_roots, r_degree, tau
 
 
 class QuiverEdge(NamedTuple):
@@ -41,17 +42,6 @@ class ClusterVertexPayload(NamedTuple):
 
     def key(self) -> frozenset:
         return frozenset(self.variables)
-
-
-class TauTiltingShadow(NamedTuple):
-    """A support tau-tilting pair (M, P): M as positive roots, P as simple indices."""
-
-    module_part: tuple[Root, ...]
-    projective_part: tuple[int, ...]
-
-    @property
-    def m_size(self) -> int:
-        return len(self.module_part)
 
 
 class ClusterQuiver(NamedTuple):
@@ -162,10 +152,11 @@ def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver
     return ClusterQuiver("ccluster", clusters, tuple(edges))
 
 
-def shadow_of_cluster(cluster: tuple[Root, ...]) -> TauTiltingShadow:
+def shadow_of_cluster(cluster: tuple[Root, ...]) -> tuple[tuple[Root, ...], tuple[int, ...]]:
+    """The pair (M, P) whose roots are cluster, in any order: M's positive roots and P's i of -alpha_i, sorted."""
     module = tuple(sorted(r for r in cluster if min(r) >= 0))
     proj = tuple(sorted(r.index(-1) + 1 for r in cluster if min(r) < 0))
-    return TauTiltingShadow(module, proj)
+    return module, proj
 
 
 def euler_tables(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -180,9 +171,9 @@ def euler_tables(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], 
     form = [[d[i] if i == j else d[i] * cartan[i][j] if at[i] < at[j] else 0 for j in range(n)] for i in range(n)]
     roots, positives = almost_positive_roots(spec), positive_roots(spec)
     torsion = []
-    for a in roots:
-        if min(a) < 0:
-            vanish = (y[a.index(-1)] == 0 for y in positives)
+    for k, a in enumerate(roots):
+        if k < n:  # a = -alpha_{k+1}
+            vanish = (y[k] == 0 for y in positives)
         else:
             row = [sum(a[i] * form[i][j] for i in range(n)) for j in range(n)]
             vanish = (sum(map(mul, row, y)) >= 0 for y in positives)
@@ -203,8 +194,9 @@ def build_tau_tilting_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiv
     and Ext^1 between them is nonzero (Ringel, LNM 1099), so Ext^1(x, y) != 0
     iff <x, y> < 0.  Vertices are the maximal compatible sets of
     euler_tables, which is c-compatibility (Marsh-Reineke-Zelevinsky, Trans.
-    AMS 355).  The torsion class Fac M = perp(tau M) cap P-perp of a pair
-    (M, P) (Adachi-Iyama-Reiten, Compos. Math. 150) is the AND of its roots'
+    AMS 355): each pair (M, P), in (M, P) order, is held as its c-cluster, the
+    roots of M + P[1].  The torsion class Fac M = perp(tau M) cap P-perp of a
+    pair (Adachi-Iyama-Reiten, Compos. Math. 150) is the AND of its roots'
     torsion masks, the inversion set of w at cl_c(w) (Ingalls-Thomas, Compos.
     Math. 145).  Pairs sharing a facet get an arrow from the larger torsion
     class to the smaller; out_label is the root that leaves src.  In types
@@ -214,22 +206,21 @@ def build_tau_tilting_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiv
     of the GLS side.  A maximal set of size other than n, a facet in other than
     two pairs or unnested neighbouring torsion classes raise InternalError."""
     roots, (torsion, compatible) = almost_positive_roots(spec), euler_tables(spec, c)
-    full = (1 << len(positive_roots(spec))) - 1
-    found = []
-    for clique in maximal_compatible_sets(compatible, spec.rank):
-        cluster = tuple(roots[a] for a in clique)
-        found.append((shadow_of_cluster(cluster), cluster, reduce(and_, (torsion[a] for a in clique), full)))
-    found.sort(key=lambda v: (v[0].module_part, v[0].projective_part))
+    n, full = spec.rank, (1 << len(positive_roots(spec))) - 1
+    # Index order is root order and -alpha_i is index i - 1: a clique is P then M, and equal Ms leave P to compare.
+    cliques = sorted(maximal_compatible_sets(compatible, n), key=lambda q: (q[sum(a < n for a in q):], q))
+    clusters = [tuple(roots[a] for a in clique) for clique in cliques]
+    classes = [reduce(and_, (torsion[a] for a in clique), full) for clique in cliques]
     edges = []
-    for (i, a), (j, b) in _facet_pairs([cluster for _, cluster, _ in found]):
-        ti, tj = found[i][2], found[j][2]
+    for (i, a), (j, b) in _facet_pairs(clusters):
+        ti, tj = classes[i], classes[j]
         if ti & tj == ti:
             (i, a, ti), (j, b, tj) = (j, b, tj), (i, a, ti)
         if ti & tj != tj or ti == tj:
             raise InternalError(f"torsion classes of the pairs exchanging {a} and {b} are not nested")
         edges.append(QuiverEdge(i, j, a, b))
     edges.sort(key=lambda e: (e.src, e.dst))
-    return ClusterQuiver("tautilt", tuple(shadow for shadow, _, _ in found), tuple(edges))
+    return ClusterQuiver("tautilt", tuple(clusters), tuple(edges))
 
 
 def ccluster_indices(ccluster: ClusterQuiver, clusters, image: str) -> tuple[int, ...]:
@@ -256,10 +247,9 @@ def theta_vertex_map(
 
 
 def phi_vertex_map(spec: CartanSpec, tautilt: ClusterQuiver, ccluster: ClusterQuiver) -> tuple[int, ...]:
-    """Shadow-to-cluster vertex map, tau-tilting quiver -> c-cluster quiver."""
-    clusters = (tuple(sorted(shadow.module_part + tuple(negative_simple(spec, i) for i in shadow.projective_part)))
-                for shadow in tautilt.vertices)
-    return ccluster_indices(ccluster, clusters, "shadow")
+    """Pair-to-cluster vertex map, tau-tilting quiver -> c-cluster quiver: a
+    pair (M, P) is held as the c-cluster of the roots of M + P[1]."""
+    return ccluster_indices(ccluster, tautilt.vertices, "shadow")
 
 
 def psi_vertex_map(

@@ -26,7 +26,6 @@ from cambrian.quivers import (
     build_c_cluster_quiver,
     build_exchange_quiver,
     build_tau_tilting_quiver,
-    shadow_of_cluster,
 )
 from cambrian.rootsys import (
     CoxeterElement,
@@ -465,21 +464,26 @@ def per_position_tau_tilting(spec, exchange, ccluster):
     build_tau_tilting_quiver, which uses neither Laurent polynomials nor
     theta, and for theta_vertex_map, which takes theta once per variable."""
     clusters = [tuple(sorted(theta(spec, x) for x in p.variables)) for p in exchange.vertices]
-    shadows = [shadow_of_cluster(cluster) for cluster in clusters]
-    ordered = sorted(range(len(shadows)), key=lambda i: (shadows[i].module_part, shadows[i].projective_part))
+    ordered = sorted(range(len(clusters)), key=lambda i: _pair(clusters[i]))
     index = {old: new for new, old in enumerate(ordered)}
     edges = []
     for e in exchange.edges:
         out_root, in_root = theta(spec, e.in_label), theta(spec, e.out_label)
         edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root))
     edges.sort(key=lambda e: (e.src, e.dst))
-    tautilt = ClusterQuiver("tautilt", tuple(shadows[i] for i in ordered), tuple(edges))
+    tautilt = ClusterQuiver("tautilt", tuple(clusters[i] for i in ordered), tuple(edges))
     ccluster_index = {cluster: i for i, cluster in enumerate(ccluster.vertices)}
     return tautilt, tuple(ccluster_index[cluster] for cluster in clusters)
 
 
 def _root_str(r):
     return "[" + ",".join(str(x) for x in r) + "]"
+
+
+def _pair(cluster):
+    """(M, P) of a tau-tilting vertex, a sorted root tuple: its positive
+    roots, and the i of each -alpha_i, which sort first in i order."""
+    return [r for r in cluster if min(r) >= 0], [r.index(-1) + 1 for r in cluster if min(r) < 0]
 
 
 def _var_payloads(q, verbose=False):
@@ -505,11 +509,8 @@ def _vertex_payload(q, v, var_payloads):
     if q.kind == "ccluster":
         return {"roots": [_root_str(r) for r in v]}
     if q.kind == "tautilt":
-        return {
-            "module_part": [_root_str(r) for r in v.module_part],
-            "projective_part": list(v.projective_part),
-            "m_size": v.m_size,
-        }
+        module, proj = _pair(v)
+        return {"module_part": [_root_str(r) for r in module], "projective_part": proj, "m_size": len(module)}
     return {"word": list(v.word), "blocks": [list(b) for b in v.blocks], "length": v.length}
 
 
@@ -540,8 +541,9 @@ def _vertex_label(q, v, var_payloads):
     if q.kind == "ccluster":
         return "{" + ",".join(_root_str(r) for r in v) + "}"
     if q.kind == "tautilt":
-        mods = ",".join(_root_str(r) for r in v.module_part)
-        projs = ",".join(str(i) for i in v.projective_part)
+        module, proj = _pair(v)
+        mods = ",".join(_root_str(r) for r in module)
+        projs = ",".join(str(i) for i in proj)
         return f"M=[{mods}] P=[{projs}]"
     return "s" + ".".join(str(a) for a in v.word) if v.word else "e"
 

@@ -316,6 +316,36 @@ class TestVerifyCommands:
         assert err == "internal error: edge 3->0 is not a cover (via 1)\n"
 
     @pytest.mark.parametrize(
+        "builder,attr",
+        [("build_exchange_quiver", "plus"), ("build_c_cluster_quiver", "ccluster"),
+         ("build_tau_tilting_quiver", "tautilt"), ("build_cambrian_hasse", "cambrian")],
+    )
+    def test_a_repeated_arrow_in_a_build_fails_every_check(self, capsys, monkeypatch, builder, attr):
+        # A quiver with its first arrow drawn twice is no Hasse quiver, and no
+        # vertex map is a bijection on its arrows: verify-lattice exits 3
+        # naming the arrow, each quiver map from or to it fails, and
+        # verify-all never exits 0.
+        argv = ("--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+        e = getattr(Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP), attr).edges[0]
+        original = getattr(cambrian.cli, builder)
+
+        def repeated(*args):
+            q = original(*args)
+            return q._replace(edges=q.edges + q.edges[:1])
+
+        monkeypatch.setattr(cambrian.cli, builder, repeated)
+        code, out, err = run(capsys, "verify-lattice", *argv)
+        assert code == 3 and out == ""
+        assert err == f"internal error: edge {e.src}->{e.dst} is repeated\n"
+        code, out, _ = run(capsys, "verify-iso", *argv)
+        kind = "exchange" if attr == "plus" else attr
+        assert code == 1
+        assert [line.startswith("FAIL") for line in out.splitlines()] == [
+            kind in line.split(":")[0] for line in out.splitlines()
+        ]
+        assert run(capsys, "verify-all", *argv)[0] != 0
+
+    @pytest.mark.parametrize(
         "replace,message",
         [(lambda cv: (2, 1, 0), "c-vector (2, 1, 0) is not a signed root of A3"),
          (lambda cv: cv[0], "12 c-vectors, 11 distinct, not the 12 signed roots")],
@@ -936,6 +966,40 @@ def test_non_simply_laced_builds_are_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == NON_SIMPLY_LACED_DIGESTS[argv]
+
+
+# sha256 of the tau-tilting writers' (M, P) labels beyond the pins above and
+# in perfbench/digests.json: DOT on every type, and JSON on A1, whose pairs
+# hold an empty M and an empty P, and on a D4 word that is not 1, ..., n.
+TAUTILT_WRITER_DIGESTS = {
+    "tautilt --type A --rank 1 --coxeter 1 --format dot":
+        "67f20df03463c38521aecabe0000d8612de72e0459b62c80033b454887bc8512",
+    "tautilt --type A --rank 3 --coxeter 1,2,3 --format dot":
+        "d6e710870496cdb07467dd28df6ee6504fe8124a3568238974abb10de6147393",
+    "tautilt --type B --rank 3 --coxeter 1,2,3 --format dot":
+        "c09ad9b172a5fa0843549e6759372c3f91bce9960058cca57aa34d2c5dd49d80",
+    "tautilt --type C --rank 4 --coxeter 1,2,3,4 --format dot":
+        "2334b6bdb4e94666c83c195ba86cfa65cf150d78c2b4d3266ccee93c7a7f21d7",
+    "tautilt --type D --rank 4 --coxeter 4,2,1,3 --format dot":
+        "5c146498214830873d827d0b2ba0de7cd71f47f2326ffddd0e1e4d9b47b2c371",
+    "tautilt --type F --rank 4 --coxeter 1,2,3,4 --format dot":
+        "35e9458efcbd4cec00c9dcc18f499679c700fb7cea3cf47998b6b6aa9a8a1cab",
+    "tautilt --type G --rank 2 --coxeter 1,2 --format dot":
+        "c1dcaf21b3ed7a631540b567dc4dc066ad6f6917040e1268ae9c0ab5424a171b",
+    "tautilt --type E --rank 6 --coxeter 2,5,1,6,3,4 --format dot":
+        "b1bfd83020c1b3a70f72c35357040c35175d05f7cfaabcd02bc581b679f34dbb",
+    "tautilt --type A --rank 1 --coxeter 1 --format json":
+        "3e6779ab8b07a36bb6f45653dbf181557fb9efd5cfb166d4b2402efce0879c05",
+    "tautilt --type D --rank 4 --coxeter 4,2,1,3 --format json":
+        "0270493ae49224464037254737709748e61149b4b68716312e17c93f15d8b4c4",
+}
+
+
+@pytest.mark.parametrize("argv", TAUTILT_WRITER_DIGESTS)
+def test_tautilt_writers_are_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TAUTILT_WRITER_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("t,n", RANK_LE_4)

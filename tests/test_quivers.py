@@ -224,13 +224,10 @@ class TestTauTiltingQuiver:
             outdeg[e.src] += 1
         (source,) = [i for i in range(5) if indeg[i] == 0]
         (sink,) = [i for i in range(5) if outdeg[i] == 0]
-        top = q.vertices[source]
-        bottom = q.vertices[sink]
-        assert top.m_size == 2 and top.projective_part == ()
-        assert set(top.module_part) == {(1, 0), (1, 1)}
-        assert bottom.module_part == () and bottom.projective_part == (1, 2)
+        assert shadow_of_cluster(q.vertices[source]) == (((1, 0), (1, 1)), ())
+        assert shadow_of_cluster(q.vertices[sink]) == ((), (1, 2))
         for v in q.vertices:
-            assert v.m_size + len(v.projective_part) == 2
+            assert len(v) == 2
 
     def test_a3_source(self):
         q = tautilt_of("A", 3, (1, 2, 3))
@@ -239,7 +236,7 @@ class TestTauTiltingQuiver:
         for e in q.edges:
             indeg[e.dst] += 1
         (source,) = [i for i in range(14) if indeg[i] == 0]
-        assert q.vertices[source].projective_part == ()
+        assert shadow_of_cluster(q.vertices[source])[1] == ()
 
     def test_vertex_cap(self):
         spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
@@ -266,8 +263,29 @@ class TestTauTiltingQuiver:
             build_tau_tilting_quiver(A2, C21)
 
     def test_shadow_of_cluster(self):
-        s = shadow_of_cluster(((1, 1), (0, -1)))
-        assert s.module_part == ((1, 1),) and s.projective_part == (2,)
+        assert shadow_of_cluster(((1, 1), (0, -1))) == (((1, 1),), (2,))
+        # Any order in, both parts sorted out.
+        assert shadow_of_cluster(((0, 1), (0, -1), (1, 1), (-1, 0))) == (((0, 1), (1, 1)), (1, 2))
+
+    @pytest.mark.parametrize(
+        "t,n,order",
+        [(t, n, order) for t, n in RANK_LE_4
+         for order in dict.fromkeys((tuple(range(1, n + 1)), tuple(range(n, 0, -1))))]
+        + [("E", 6, order) for order in E6_PANEL],
+    )
+    def test_vertices_are_c_clusters_in_pair_order(self, t, n, order):
+        # Each pair (M, P) is held as the roots of M + P[1]: n distinct
+        # almost positive roots, sorted, that form a c-cluster.
+        q, roots = tautilt_of(t, n, order), set(almost_positive_roots(spec_of(t, n)))
+        clusters = set(ccluster_of(t, n, order).vertices)
+        for v in q.vertices:
+            assert len(set(v)) == n and v == tuple(sorted(v)) and roots.issuperset(v) and v in clusters
+        pairs = [shadow_of_cluster(v) for v in q.vertices]
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+    def test_a1_pairs(self):
+        # One pair with M empty and one with P empty.
+        assert [shadow_of_cluster(v) for v in tautilt_of("A", 1, (1,)).vertices] == [((), (1,)), (((1,),), ())]
 
 
 class TestArrowFlip:

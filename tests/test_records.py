@@ -31,7 +31,6 @@ def _records():
         "LabeledSeed": (seed, "vars"),
         "QuiverEdge": (build.plus.edges[0], "src"),
         "ClusterVertexPayload": (build.plus.vertices[0], "mask"),
-        "TauTiltingShadow": (build.tautilt.vertices[0], "module_part"),
         "ClusterQuiver": (build.plus, "vertices"),
         "CheckReport": (verify_lattice(poset), "ok"),
         "FinitePoset": (poset, "up"),

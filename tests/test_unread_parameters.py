@@ -5,9 +5,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cambrian"
 
-# Unread on purpose: tests/test_acceptance.py calls the two vertex maps with
-# (spec, c, ...).
+# Unread on purpose: tests/test_acceptance.py calls the vertex maps with
+# (spec, c, ...), and phi with (spec, ...).
 ALLOWED = {
+    "quivers.phi_vertex_map.spec",
     "quivers.theta_vertex_map.c",
     "sortables.cambrian_vertex_map.spec",
     "sortables.cambrian_vertex_map.c",
