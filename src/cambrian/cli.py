@@ -229,19 +229,13 @@ class Build:
 def run_iso_checks(build: Build) -> list[CheckReport]:
     spec, c = build.spec, build.c
     exq, ccq, ttq, caq = build.plus, build.ccluster, build.tautilt, build.cambrian
-    theta_map = theta_vertex_map(spec, c, exq, ccq)
-    phi_map = phi_vertex_map(spec, ttq, ccq)
-    psi_map = psi_vertex_map(spec, c, ttq, exq, ccq, phi_map, theta_map)
-    cl_map = cambrian_vertex_map(spec, c, caq, ccq)
-    return [
-        rep._replace(name=label)
-        for label, rep in (
-            ("theta exchange->ccluster anti", verify_quiver_map(exq, ccq, theta_map, "anti")),
-            ("phi tautilt->ccluster iso", verify_quiver_map(ttq, ccq, phi_map, "iso")),
-            ("psi tautilt->exchange anti", verify_quiver_map(ttq, exq, psi_map, "anti")),
-            ("cl cambrian->ccluster iso", verify_quiver_map(caq, ccq, cl_map, "iso")),
-        )
-    ]
+    checks = (  # (report name, source, target, vertex map, mode), the maps made in this order
+        ("theta exchange->ccluster anti", exq, ccq, theta_vertex_map(spec, c, exq, ccq), "anti"),
+        ("phi tautilt->ccluster iso", ttq, ccq, phi_vertex_map(spec, ttq, ccq), "iso"),
+        ("psi tautilt->exchange anti", ttq, exq, psi_vertex_map(spec, c, ttq, exq, ccq), "anti"),
+        ("cl cambrian->ccluster iso", caq, ccq, cambrian_vertex_map(spec, c, caq, ccq), "iso"),
+    )
+    return [verify_quiver_map(src, dst, vmap, mode)._replace(name=name) for name, src, dst, vmap, mode in checks]
 
 
 def run_lattice_checks(build: Build) -> list[CheckReport]:

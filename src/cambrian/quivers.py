@@ -253,17 +253,17 @@ def phi_vertex_map(spec: CartanSpec, tautilt: ClusterQuiver, ccluster: ClusterQu
 
 
 def psi_vertex_map(
-    spec: CartanSpec, c: CoxeterElement, tautilt: ClusterQuiver, exchange: ClusterQuiver, ccluster: ClusterQuiver,
-    phi: tuple[int, ...] | None = None, theta_map: tuple[int, ...] | None = None,
+    spec: CartanSpec, c: CoxeterElement, tautilt: ClusterQuiver, exchange: ClusterQuiver, ccluster: ClusterQuiver
 ) -> tuple[int, ...]:
-    """Tau-tilting quiver -> exchange quiver, as theta-inverse after phi; the
-    phi and theta maps are computed here unless they are passed in."""
-    phi = phi or phi_vertex_map(spec, tautilt, ccluster)
-    theta_map = theta_map or theta_vertex_map(spec, c, exchange, ccluster)
-    inv = {img: i for i, img in enumerate(theta_map)}
-    if len(inv) != len(theta_map):
+    """Tau-tilting quiver -> exchange quiver, as theta-inverse after phi."""
+    inverse = {j: i for i, j in enumerate(theta_vertex_map(spec, c, exchange, ccluster))}
+    if len(inverse) != exchange.n_vertices:
         raise InternalError("theta vertex map is not injective")
-    return tuple(inv[phi[i]] for i in range(tautilt.n_vertices))
+    phi = phi_vertex_map(spec, tautilt, ccluster)
+    for j in phi:
+        if j not in inverse:
+            raise InternalError(f"c-cluster {ccluster.vertices[j]} has no theta preimage")
+    return tuple(inverse[j] for j in phi)
 
 
 def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
@@ -339,11 +339,11 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
 
     def step(frame: tuple, k: int, walked: tuple[int, ...], path: tuple[int, ...]) -> tuple:
         _, cids, g = steps.step(*frame, k - 1, walked)  # walked reaches the image of the cluster at path
-        if g not in steps.var_of:
+        if g not in steps.var_of or g not in theta_at:
             raise InternalError(f"witness path {path}: no cluster variable of A(B^c) has g-vector {g}")
         return cids, frame[1][: k - 1] + (steps.var_of[g],) + frame[1][k:]
 
-    minus_csets = {p.mask: frozenset(p.c_vectors) for p in qm.vertices}
+    negated_csets = {p.mask: frozenset(tuple(-x for x in v) for v in p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, x) for g, x in polys.items()}
     steps, sweep = qp.steps, c.order[::-1]
@@ -361,20 +361,15 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
             tau_frames[path] = step(tau_frames[path[:-1]], path[-1], sweep + path[:-1], path)
         cids, ids = tau_frames[path]
         steps.check_duality(cids, ids, sweep + path)
-        if payload.mask not in minus_csets:
+        if payload.mask not in negated_csets:
             return fail("cluster of A(B^c) missing from A(-B^c)", f"witness path {path}")
         tau_cset = frozenset(steps.c_vectors[i] for i in cids)
-        want = frozenset(tuple(-x for x in v) for v in minus_csets[payload.mask])
-        if tau_cset != want:
+        if tau_cset != negated_csets[payload.mask]:
             where = f"witness path {path}: {sorted(tau_cset)}"
             return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)
+        # step has guarded each image variable: the sweep steps every position, each path one more.
         for j, (g_tau, g) in enumerate(zip((steps.g_vectors[x] for x in ids), payload.g_vectors)):
-            try:
-                lhs, rhs = theta_at[g_tau], tau_theta_at[g]
-            except KeyError as exc:
-                raise InternalError(
-                    f"witness path {path}: no cluster variable of A(B^c) has g-vector {exc.args[0]}"
-                ) from None
+            lhs, rhs = theta_at[g_tau], tau_theta_at[g]
             if lhs != rhs:
                 where = f"witness path {path}, position {j + 1}: {lhs} != {rhs}"
                 return fail("theta does not intertwine tau_c^-1 with the mutation model", where)

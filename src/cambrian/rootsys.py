@@ -121,19 +121,23 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+def _simple_index(spec: CartanSpec, i: int) -> int:
+    """i - 1 for the simple reflection s_i, refusing an i outside 1..n."""
+    if not 1 <= i <= spec.rank:
+        raise InputError(f"reflection index {i} out of range")
+    return i - 1
+
+
 def reflection_matrix(spec: CartanSpec, i: int) -> Matrix:
     """Matrix of s_i acting on root coefficient vectors (columns), 1-based i."""
-    n = spec.rank
-    if not 1 <= i <= n:
-        raise InputError(f"reflection index {i} out of range")
-    rows = list(_identity(n))
-    rows[i - 1] = tuple(x - a for x, a in zip(rows[i - 1], spec.cartan[i - 1]))
+    i0, rows = _simple_index(spec, i), list(_identity(spec.rank))
+    rows[i0] = tuple(x - a for x, a in zip(rows[i0], spec.cartan[i0]))
     return tuple(rows)
 
 
 def reflect(spec: CartanSpec, i: int, root: Root) -> Root:
     """Apply the simple reflection s_i to a coefficient vector."""
-    i0 = i - 1
+    i0 = _simple_index(spec, i)
     shift = sum(spec.cartan[i0][j] * root[j] for j in range(spec.rank))
     out = list(root)
     out[i0] -= shift
@@ -196,7 +200,7 @@ def _check_apr(spec: CartanSpec, root: Root) -> int:
 def sigma(spec: CartanSpec, i: int, root: Root) -> Root:
     """The involution sigma_i: fixes -alpha_j for j != i, reflects everything else."""
     _check_apr(spec, root)
-    if min(root) < 0 and root != negative_simple(spec, i):
+    if min(root) < 0 and root[_simple_index(spec, i)] == 0:  # -alpha_j, j != i
         return root
     return reflect(spec, i, root)
 

@@ -29,7 +29,7 @@ from cambrian.cli import (
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import VariableTable, _exchange
 from cambrian.mutation import FrameTable, mutate_columns
-from cambrian.quivers import QuiverEdge
+from cambrian.quivers import QuiverEdge, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
 from conftest import (
@@ -883,6 +883,43 @@ def test_verify_json_report_is_byte_identical(capsys, t, n, order):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_DIGESTS[t, n, order]
 
 
+# sha256 of the verify-iso and verify-all JSON reports, put together from the
+# vertex maps and checks of one Build, on one word of each type but C.
+VERIFY_REPORT_DIGESTS = {
+    "verify-iso --type A --rank 3 --coxeter 1,2,3 --format json":
+        "9d64b7513e78ef8570093d82cc317feb96869a5f92c9698c3983313ea19ff01a",
+    "verify-iso --type B --rank 3 --coxeter 1,2,3 --format json":
+        "1c7f1bbd4824d1d744a77c6dcafabbb64be814db4a0e4d4aef47554836fe9379",
+    "verify-iso --type D --rank 4 --coxeter 4,2,1,3 --format json":
+        "7b81035c1b2b61e7b8909e063d8a6c44427aad212b0b383613d591c94f1eb5b3",
+    "verify-iso --type F --rank 4 --coxeter 1,2,3,4 --format json":
+        "0ed3b943d1ce692a27e0cd35a13543c0cb248fcb9c8dfaa061ab0651360847f6",
+    "verify-iso --type G --rank 2 --coxeter 2,1 --format json":
+        "ed6633a9098e940b53bc49020d8c8446b280b61f276595dad0567313ec81ae4c",
+    "verify-iso --type E --rank 6 --coxeter 2,5,1,6,3,4 --format json":
+        "4efe9c656c71b5d773c21816c9fe84b8481f9bc9a29d0d8c9c5dd7568da11c40",
+    "verify-all --type A --rank 3 --coxeter 1,2,3 --format json":
+        "4dd682dc23661c1a3760c87f5d1ad9ad9c273baf5cd2e84a4077ad4081322d86",
+    "verify-all --type B --rank 3 --coxeter 1,2,3 --format json":
+        "d2a87ad17b0592a8cba5b1e88c0f87541a9e8d567de0e6934c9dfe82b31c3ac1",
+    "verify-all --type D --rank 4 --coxeter 4,2,1,3 --format json":
+        "2ebf80bd02e3d950b20f35d3ab0b0998844fa547af090dab79aa5cad999a6f84",
+    "verify-all --type F --rank 4 --coxeter 1,2,3,4 --format json":
+        "d12d9ba3f2cabc0f74fa2f4d6c692fadac23e0fffae46237cd292533d62cca4b",
+    "verify-all --type G --rank 2 --coxeter 2,1 --format json":
+        "eac36f2fd63164e650f3cec458dbd66ed07cae05ae40fbca005b4e457aab3cd7",
+    "verify-all --type E --rank 6 --coxeter 2,5,1,6,3,4 --format json":
+        "b016d8ba91901b8f77a41b07f7402e04cf7972a5b6b8f9d484b4fc29b278e8a8",
+}
+
+
+@pytest.mark.parametrize("argv", VERIFY_REPORT_DIGESTS)
+def test_verify_reports_are_byte_identical(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_DIGESTS[argv]
+
+
 # sha256 of exchange DOT and --verbose JSON, which perfbench/digests.json does
 # not pin either: both writers order each cluster's variables by terms.
 EXCHANGE_WRITER_DIGESTS = {
@@ -1000,6 +1037,85 @@ def test_tautilt_writers_are_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TAUTILT_WRITER_DIGESTS[argv]
+
+
+def _reversed_arrow(q):
+    e = q.edges[0]
+    return q._replace(edges=(QuiverEdge(e.dst, e.src, e.in_label, e.out_label), *q.edges[1:]))
+
+
+def _with_vertex_3(q, **fields):
+    v = q.vertices
+    return q._replace(vertices=(*v[:3], v[3]._replace(**fields), *v[4:]))
+
+
+def _orphan_path(q):
+    # The first vertex past the initial one takes a path whose prefix (0,) no cluster has.
+    v = q.vertices
+    k = next(k for k, p in enumerate(v) if p.witness_path)
+    return q._replace(vertices=(*v[:k], v[k]._replace(witness_path=(0, 0)), *v[k + 1:]))
+
+
+PLANTED_DEFECTS = {
+    "reversed arrow 0": _reversed_arrow,
+    "dropped arrow 0": lambda q: q._replace(edges=q.edges[1:]),
+    "swapped vertices 0 and 1": lambda q: q._replace(vertices=(q.vertices[1], q.vertices[0], *q.vertices[2:])),
+    "swapped g-vectors 1 and 2 of vertex 3": lambda q: _with_vertex_3(
+        q, g_vectors=(q.vertices[3].g_vectors[1], q.vertices[3].g_vectors[0], *q.vertices[3].g_vectors[2:])),
+    "negated c-vector 1 of vertex 3": lambda q: _with_vertex_3(
+        q, c_vectors=(tuple(-x for x in q.vertices[3].c_vectors[0]), *q.vertices[3].c_vectors[1:])),
+    "orphan witness path": _orphan_path,
+}
+THETA, PHI, PSI, CL = ("theta exchange->ccluster anti", "phi tautilt->ccluster iso",
+                       "psi tautilt->exchange anti", "cl cambrian->ccluster iso")
+
+# What verify-all makes, on A3 with c = 1,2,3, of one defect planted in one
+# quiver of the Build: the set of failing reports, or InternalError.  Two
+# variables of a vertex swapped, or a c-vector of a plus vertex negated,
+# still pass all 12 checks (ROADMAP item 11), so neither is listed.
+PLANTED_OUTCOMES = [
+    *((attr, "reversed arrow 0", InternalError) for attr in ("plus", "ccluster", "tautilt", "cambrian")),
+    ("minus", "reversed arrow 0", {"arrow-flip"}),
+    ("plus", "dropped arrow 0", {THETA, PSI, "arrow-flip"}),
+    ("minus", "dropped arrow 0", {"arrow-flip"}),
+    ("ccluster", "dropped arrow 0", {THETA, PHI, CL, "lattice ccluster"}),
+    ("tautilt", "dropped arrow 0", {PHI, PSI, "lattice tautilt"}),
+    ("cambrian", "dropped arrow 0", {CL, "lattice cambrian"}),
+    ("plus", "swapped vertices 0 and 1", {THETA, PSI, "arrow-flip"}),
+    ("minus", "swapped vertices 0 and 1", {"arrow-flip"}),
+    ("ccluster", "swapped vertices 0 and 1", {THETA, PHI, CL}),
+    ("tautilt", "swapped vertices 0 and 1", {PHI, PSI}),
+    ("cambrian", "swapped vertices 0 and 1", {CL}),
+    ("plus", "swapped g-vectors 1 and 2 of vertex 3", {"arrow-flip", "tau-c-matrix"}),
+    ("minus", "swapped g-vectors 1 and 2 of vertex 3", {"arrow-flip"}),
+    ("minus", "negated c-vector 1 of vertex 3", {"tau-c-matrix"}),
+    ("plus", "orphan witness path", InternalError),
+]
+
+
+@pytest.mark.parametrize("attr,defect,outcome", PLANTED_OUTCOMES, ids=[f"{a}: {d}" for a, d, _ in PLANTED_OUTCOMES])
+def test_verify_all_catches_a_planted_defect(attr, defect, outcome):
+    build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP)
+    build.__dict__[attr] = PLANTED_DEFECTS[defect](getattr(build, attr))
+    if outcome is InternalError:
+        with pytest.raises(InternalError):
+            run_all_checks(build)
+    else:
+        assert {rep.name for rep in run_all_checks(build) if not rep.ok} == outcome
+
+
+def test_a_dropped_exchange_vertex_is_an_internal_error(capsys, monkeypatch):
+    # Without vertex 0 theta stays injective, but no exchange vertex maps to
+    # the c-cluster vertex 0 held: psi finds no preimage for it and exits 3.
+    build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP)
+    q = build.plus
+    missing = build.ccluster.vertices[theta_vertex_map(build.spec, build.c, q, build.ccluster)[0]]
+    edges = tuple(e._replace(src=e.src - 1, dst=e.dst - 1) for e in q.edges if 0 not in (e.src, e.dst))
+    build.__dict__["plus"] = q._replace(vertices=q.vertices[1:], edges=edges)
+    monkeypatch.setattr(cambrian.cli, "Build", lambda *args: build)
+    code, out, err = run(capsys, "verify-iso", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+    assert (code, out) == (3, "")
+    assert err == f"internal error: c-cluster {missing} has no theta preimage\n"
 
 
 @pytest.mark.parametrize("t,n", RANK_LE_4)

@@ -474,11 +474,13 @@ class TestVertexMapFaults:
             ccluster_indices(ccluster_of("A", 2, (1, 2)), [((9, 9),)], "theta")
 
     def test_theta_map_must_be_injective(self):
+        # psi computes theta itself: an exchange vertex that holds the first
+        # vertex's payload as well gives theta a repeated image.
         order = (1, 2)
         exq, ccq, ttq = exchange_of("A", 2, order), ccluster_of("A", 2, order), tautilt_of("A", 2, order)
-        constant = (0,) * exq.n_vertices
+        exq = exq._replace(vertices=exq.vertices[:1] * 2 + exq.vertices[2:])
         with pytest.raises(InternalError, match="theta vertex map is not injective"):
-            psi_vertex_map(A2, CoxeterElement(order), ttq, exq, ccq, theta_map=constant)
+            psi_vertex_map(A2, CoxeterElement(order), ttq, exq, ccq)
 
 
 class TestThetaImage:

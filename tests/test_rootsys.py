@@ -173,6 +173,16 @@ class TestReflections:
         with pytest.raises(InputError, match="reflection index 0 out of range"):
             reflection_matrix(A2, 0)
 
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    @pytest.mark.parametrize("root", [(0, 0, 1), (1, 0, 0), (-1, 0, 0)])
+    def test_reflect_and_sigma_refuse_an_index_outside_1_to_n(self, i, root):
+        # Row i - 1 of the Cartan matrix drives s_i: i = 0 or -1 would read a
+        # row from the end and act as another reflection.
+        a3 = cartan_matrix("A", 3)
+        for f in (reflect, sigma):
+            with pytest.raises(InputError, match=f"^reflection index {i} out of range$"):
+                f(a3, i, root)
+
     def test_sigma_fixes_other_negatives(self):
         assert sigma(A2, 1, (0, -1)) == (0, -1)
         assert sigma(A2, 1, (-1, 0)) == (1, 0)
