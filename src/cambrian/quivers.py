@@ -18,8 +18,8 @@ from typing import NamedTuple
 from .errors import InternalError
 from .laurent import LaurentPolynomial, VariableTable, theta
 from .mutation import ExchangeMatrix, FrameTable
-from .rootsys import CartanSpec, CoxeterElement, Root, _identity, almost_positive_roots, enumerate_c_clusters
-from .rootsys import maximal_compatible_sets, positive_roots, r_degree, tau
+from .rootsys import CartanSpec, CoxeterElement, Root, _c_dynamics, _identity, _root_index, almost_positive_roots
+from .rootsys import enumerate_c_clusters, maximal_compatible_sets, positive_roots, r_degree
 
 
 class QuiverEdge(NamedTuple):
@@ -87,7 +87,7 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQui
     """
     n, polys, steps = b.rank, table.polys, FrameTable(b)
     steps.check_duality(*steps.initial, ())
-    frames = {(1 << n) - 1: steps.initial}  # mask -> (c ids, variable ids) of the stored seed
+    frames = {}  # mask -> (c ids, variable ids) of each stored seed but the initial one, which no step reaches
     edge_map: dict[int, tuple] = {}  # facet -> (src mask, dst mask, out id, in id)
     queue = [((1 << n) - 1, *steps.initial, ())]  # BFS order: appended to while it is read
     for mask, cids, ids, path in queue:
@@ -255,15 +255,15 @@ def phi_vertex_map(spec: CartanSpec, tautilt: ClusterQuiver, ccluster: ClusterQu
 def psi_vertex_map(
     spec: CartanSpec, c: CoxeterElement, tautilt: ClusterQuiver, exchange: ClusterQuiver, ccluster: ClusterQuiver
 ) -> tuple[int, ...]:
-    """Tau-tilting quiver -> exchange quiver, as theta-inverse after phi."""
-    inverse = {j: i for i, j in enumerate(theta_vertex_map(spec, c, exchange, ccluster))}
+    """Tau-tilting quiver -> exchange quiver, as theta-inverse after phi: a
+    pair is held as its c-cluster, so it is looked up among theta's images."""
+    inverse = {ccluster.vertices[j]: i for i, j in enumerate(theta_vertex_map(spec, c, exchange, ccluster))}
     if len(inverse) != exchange.n_vertices:
         raise InternalError("theta vertex map is not injective")
-    phi = phi_vertex_map(spec, tautilt, ccluster)
-    for j in phi:
-        if j not in inverse:
-            raise InternalError(f"c-cluster {ccluster.vertices[j]} has no theta preimage")
-    return tuple(inverse[j] for j in phi)
+    for pair in tautilt.vertices:
+        if pair not in inverse:
+            raise InternalError(f"c-cluster {pair} has no theta preimage")
+    return tuple(inverse[pair] for pair in tautilt.vertices)
 
 
 def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
@@ -328,10 +328,10 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     the cluster's BFS parent.  The image frames are frames of A(B^c) relative
     to the initial seed of qp: the walk steps on qp's FrameTable (qp.steps),
     numbers each image variable by the variable id that qp bound to its
-    g-vector, checks duality on each frame, and takes theta and tau_c^-1 of
-    theta once per variable.  A cluster of qp missing from qm fails the
-    check; an image g-vector that no variable of qp has raises InternalError
-    naming the witness path.
+    g-vector, checks duality on each frame, and takes theta once per variable
+    and tau_c^-1 of it from the root permutation of _c_dynamics.  A cluster of
+    qp missing from qm fails the check; an image g-vector that no variable of
+    qp has raises InternalError naming the witness path.
     """
 
     def fail(detail: str, counterexample: str) -> CheckReport:
@@ -346,9 +346,9 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     negated_csets = {p.mask: frozenset(tuple(-x for x in v) for v in p.c_vectors) for p in qm.vertices}
     polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
     theta_at = {g: theta(spec, x) for g, x in polys.items()}
+    roots, index, tau_inverse = almost_positive_roots(spec), _root_index(spec), _c_dynamics(spec, c)[2]
+    tau_theta_at = {g: roots[tau_inverse[index[root]]] for g, root in theta_at.items()}
     steps, sweep = qp.steps, c.order[::-1]
-    c_inverse = CoxeterElement(sweep)
-    tau_theta_at = {g: tau(spec, c_inverse, root) for g, root in theta_at.items()}
     frame = steps.initial
     for i, k in enumerate(sweep):
         frame = step(frame, k, sweep[:i], ())

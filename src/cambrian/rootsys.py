@@ -214,16 +214,16 @@ def tau(spec: CartanSpec, c: CoxeterElement, root: Root) -> Root:
 
 
 @lru_cache(maxsize=_PER_C_CACHE)
-def _c_dynamics(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], Matrix]:
-    """(degree, table) over root indices: degree[a] is the R_c degree of
-    alpha_a, its number of tau_c^-1 steps to a negative simple -alpha_i, and
-    table[a][b] = (alpha_a ||_c alpha_b).  The degree is tau_c-invariant, so
-    step every root's image at once and, at the step where alpha_a lands on
-    -alpha_i, at index i - 1 < n, read off the alpha_i coefficient of each
-    beta's image."""
+def _c_dynamics(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], Matrix, tuple[int, ...]]:
+    """(degree, table, perm) over root indices: perm[a] is the index of
+    tau_c^-1(alpha_a), degree[a] is the R_c degree of alpha_a, its number of
+    tau_c^-1 steps to a negative simple -alpha_i, and table[a][b] = (alpha_a
+    ||_c alpha_b).  The degree is tau_c-invariant, so step every root's image
+    at once and, at the step where alpha_a lands on -alpha_i, at index i - 1
+    < n, read off the alpha_i coefficient of each beta's image."""
     roots, index, n = almost_positive_roots(spec), _root_index(spec), spec.rank
     c_inverse = CoxeterElement(c.order[::-1])
-    perm = [index[tau(spec, c_inverse, r)] for r in roots]
+    perm = tuple(index[tau(spec, c_inverse, r)] for r in roots)
     m = len(roots)
     degree, table, images = [-1] * m, [()] * m, list(range(m))
     for step in range(m + 1):
@@ -231,7 +231,7 @@ def _c_dynamics(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], M
             if degree[a] < 0 and images[a] < n:
                 degree[a], table[a] = step, tuple(max(0, roots[b][images[a]]) for b in images)
         if min(degree) >= 0:
-            return tuple(degree), tuple(table)
+            return tuple(degree), tuple(table), perm
         images = [perm[b] for b in images]
     raise InternalError("tau_c orbit did not reach a negative simple root")
 

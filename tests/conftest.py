@@ -31,6 +31,7 @@ from cambrian.rootsys import (
     CoxeterElement,
     _c_dynamics,
     _check_apr,
+    _type_row,
     cartan_matrix,
     negative_simple,
     positive_roots,
@@ -102,6 +103,17 @@ def coxeter_words(spec):
             left.remove(v)
         words.append(tuple(word))
     return words
+
+
+def tau_c_period(spec):
+    """The order of tau_c as a permutation of the almost positive roots, for
+    every Coxeter element c: (h + 2) / 2 when w_0 = -1 and h + 2 otherwise,
+    h the Coxeter number (Fomin-Zelevinsky, Ann. Math. 158).  w_0 = -1 in
+    every finite type but A_n for n >= 2, D_n for odd n, and E6."""
+    t, n = spec.dynkin_type, spec.rank
+    h = max(_type_row(t, n)[2]) + 1
+    w0_is_minus_one = not (t == "A" and n >= 2 or t == "D" and n % 2 or t == "E" and n == 6)
+    return (h + 2) // 2 if w0_is_minus_one else h + 2
 
 
 def signed_bc(spec, c, sign="plus"):

@@ -227,6 +227,14 @@ class TestVerifyQuiverMap:
         rep = verify_quiver_map(q, fewer, tuple(range(q.n_vertices)), "iso")
         assert rep == ("quiver-iso", False, ("edge counts differ: 21 vs 20",), None, ())
 
+    def test_repeated_arrow_fails(self):
+        # q1 holds its first arrow twice in place of its second, so both
+        # quivers have the same number of arrows and only the repeat differs.
+        q = ccluster_of("A", 3, (1, 2, 3))
+        q1 = q._replace(edges=q.edges[:1] * 2 + q.edges[2:])
+        rep = verify_quiver_map(q1, q, tuple(range(q.n_vertices)), "iso")
+        assert (rep.ok, rep.details) == (False, ("arrow is repeated",))
+
     def test_short_vertex_map(self):
         q = ccluster_of("A", 2, (2, 1))
         with pytest.raises(InternalError, match="vertex map does not cover the source quiver"):

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -27,7 +27,7 @@ from cambrian.rootsys import (
 )
 from cambrian.sortables import weyl_group_elements
 
-from conftest import RANK_LE_4, SMALL_MATRIX, compatibility_degree, spec_of
+from conftest import RANK_LE_4, SMALL_MATRIX, compatibility_degree, coxeter_words, spec_of, tau_c_period
 
 A2 = cartan_matrix("A", 2)
 B2 = cartan_matrix("B", 2)
@@ -224,6 +224,41 @@ class TestTau:
         assert r_degree(A2, C21, (1, 1)) == 1
         with pytest.raises(InputError, match="not an almost positive root"):
             r_degree(A2, C21, (1, -1))
+
+
+def permutation_order(perm):
+    """The lcm of the cycle lengths of perm, a permutation of range(len(perm))."""
+    assert sorted(perm) == list(range(len(perm)))
+    order, seen = 1, set()
+    for a in range(len(perm)):
+        length = 0
+        while a not in seen:
+            seen.add(a)
+            a, length = perm[a], length + 1
+        order = lcm(order, length or 1)
+    return order
+
+
+def assert_tau_c_period(t, n):
+    # The third field of the c-dynamics table is tau_c^-1 on root indices,
+    # and its order is the closed-form period, on every Coxeter element.
+    spec = spec_of(t, n)
+    roots = almost_positive_roots(spec)
+    for order in coxeter_words(spec):
+        perm, c_inverse = cambrian.rootsys._c_dynamics(spec, CoxeterElement(order))[2], CoxeterElement(order[::-1])
+        assert [roots[b] for b in perm] == [tau(spec, c_inverse, root) for root in roots]
+        assert permutation_order(perm) == tau_c_period(spec), order
+
+
+class TestTauPeriod:
+    @pytest.mark.parametrize("t,n", RANK_LE_4 + [("E", 6)])
+    def test_order_of_tau_c(self, t, n):
+        assert_tau_c_period(t, n)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("t,n", [("E", 7), ("E", 8)])
+    def test_order_of_tau_c_e7_e8(self, t, n):
+        assert_tau_c_period(t, n)
 
 
 @pytest.fixture

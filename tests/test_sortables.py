@@ -219,6 +219,69 @@ class TestInternalErrors:
             build_cambrian_hasse(A2, self.C12)
 
 
+class TestGuardDisjuncts:
+    """Each side of the three two-sided sortables guards, broken alone,
+    raises: a guard that asked for both sides would let these through."""
+
+    C12 = CoxeterElement((1, 2))
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_cl_incompatible_one_way(self, monkeypatch, entry):
+        # One nonzero degree, (-alpha_1 ||_c -alpha_2) or its transpose:
+        # the identity's cl, -alpha_1 and -alpha_2, fails on that side only.
+        table = [[0] * 5 for _ in range(5)]
+        table[entry[0]][entry[1]] = 1
+        monkeypatch.setattr(cambrian.sortables, "_c_dynamics", lambda spec, c: ((), table))
+        with pytest.raises(InternalError):
+            enumerate_sortables(A2, self.C12)
+
+    @staticmethod
+    def plant_cover_of_s1(monkeypatch, planted):
+        # The replay of (1,) finds the word planted where the identity, its
+        # lower cover, is; the replays of the other sortables are kept.
+        def pi_down(t, inversions, img, queue, kept, word, branch=0, found=None):
+            out = _pi_down(t, inversions, img, queue, kept, word, branch, found)
+            if out == (1,) and found is not None:
+                found[:] = [(bit, planted) for bit, _ in found]
+            return out
+
+        monkeypatch.setattr(cambrian.sortables, "_pi_down", pi_down)
+
+    def test_cover_missing_from_the_index(self, monkeypatch):
+        # With the identity listed last, the sortable that a negative index
+        # would read lies below (1,), so only the index miss raises.
+        def identity_last(spec, c):
+            e, *rest = enumerate_sortables(spec, c)
+            return (*rest, e)
+
+        monkeypatch.setattr(cambrian.sortables, "enumerate_sortables", identity_last)
+        self.plant_cover_of_s1(monkeypatch, (3,))
+        with pytest.raises(InternalError):
+            build_cambrian_hasse(A2, self.C12)
+
+    def test_cover_that_is_not_below(self, monkeypatch):
+        # (1, 2), an upper cover of (1,): a sortable, whose cl exchanges one
+        # root with that of (1,), but not below it.
+        self.plant_cover_of_s1(monkeypatch, (1, 2))
+        with pytest.raises(InternalError):
+            build_cambrian_hasse(A2, self.C12)
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_cover_exchanging_two_roots_on_one_side(self, monkeypatch, upper):
+        # Both cls hold n distinct roots once the repeated-root guard has
+        # passed, so the two sides are of equal size; a root planted in the
+        # cl of (1,), or of the identity below it, breaks only that side.
+        def planted(spec, c):
+            e, s1, *rest = enumerate_sortables(spec, c)
+            if upper:
+                return (e, s1._replace(cluster=s1.cluster + ((9, 9),)), *rest)
+            return (e._replace(cluster=e.cluster + ((9, 9),)), s1, *rest)
+
+        monkeypatch.setattr(cambrian.sortables, "enumerate_sortables", planted)
+        with pytest.raises(InternalError):
+            build_cambrian_hasse(A2, self.C12)
+
+
 @st.composite
 def type_and_coxeter(draw):
     dynkin_type, rank = draw(st.sampled_from(RANK_LE_4))

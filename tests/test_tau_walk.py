@@ -14,7 +14,16 @@ from cambrian.mutation import FrameTable
 from cambrian.quivers import build_exchange_quiver, check_tau_c_matrix
 from cambrian.rootsys import CoxeterElement, positive_roots
 
-from conftest import RANK_LE_4, exchange_of, ids_frame, laurent_tau_walk, signed_bc, spec_of
+from conftest import (
+    RANK_LE_4,
+    coxeter_words,
+    exchange_of,
+    ids_frame,
+    laurent_tau_walk,
+    signed_bc,
+    spec_of,
+    tau_c_period,
+)
 
 
 def assert_matches_laurent_walk(t, n, c):
@@ -62,6 +71,40 @@ def test_matches_laurent_walk(case):
 @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
 def test_matches_laurent_walk_e6(order):
     assert_matches_laurent_walk("E", 6, CoxeterElement(order))
+
+
+def assert_sink_sweeps_return_at_the_period(spec, order, steps):
+    # The sweeps mu_{c_n}, ..., mu_{c_1} of the walk's first frames, from
+    # the initial frame of a plus build's FrameTable, steps: the c ids and
+    # variable ids come back, position by position, after ord(tau_c)
+    # sweeps and not before.
+    cids, ids = steps.initial
+    period = tau_c_period(spec)
+    for sweep in range(1, period + 1):
+        for k in order[::-1]:
+            _, cids, g = steps.step(cids, ids, k - 1, ())
+            ids = ids[: k - 1] + (steps.var_of[g],) + ids[k:]
+        assert ((cids, ids) == steps.initial) == (sweep == period), (order, sweep)
+
+
+@pytest.mark.parametrize("t,n", RANK_LE_4)
+def test_sink_sweeps_return_at_the_period(t, n):
+    for order in coxeter_words(spec_of(t, n)):
+        assert_sink_sweeps_return_at_the_period(spec_of(t, n), order, exchange_of(t, n, order).steps)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
+def test_sink_sweeps_return_at_the_period_e6(order):
+    assert_sink_sweeps_return_at_the_period(spec_of("E", 6), order, exchange_of("E", 6, order).steps)
+
+
+@pytest.mark.slow
+def test_sink_sweeps_return_at_the_period_e7():
+    # Eight words, each built here and dropped, not kept by exchange_of.
+    spec = spec_of("E", 7)
+    for order in coxeter_words(spec)[::8]:
+        steps = build_exchange_quiver(signed_bc(spec, CoxeterElement(order)), VariableTable(7)).steps
+        assert_sink_sweeps_return_at_the_period(spec, order, steps)
 
 
 @pytest.mark.slow
