@@ -12,11 +12,11 @@ import gc
 import os
 import sys
 from functools import cache, cached_property
-from typing import NoReturn, TextIO
+from typing import NoReturn
 
 from .errors import InputError, InternalError
 from .lattice import poset_from_hasse, verify_lattice, verify_quiver_map
-from .laurent import LaurentPolynomial, VariableTable, denominator_vector, poly_hash, poly_str
+from .laurent import VariableTable
 from .mutation import build_bc
 from .quivers import (
     CheckReport,
@@ -28,7 +28,6 @@ from .quivers import (
     check_tau_c_matrix,
     phi_vertex_map,
     psi_vertex_map,
-    shadow_of_cluster,
     theta_vertex_map,
 )
 from .rootsys import CartanSpec, CoxeterElement, cartan_matrix, cluster_count, positive_roots
@@ -36,116 +35,7 @@ from .sortables import build_cambrian_hasse, cambrian_vertex_map
 
 # Build command -> the Build attribute holding its quiver.
 BUILD_COMMANDS = {"exchange": "plus", "cclusters": "ccluster", "cambrian": "cambrian", "tautilt": "tautilt"}
-_BATCH = 32  # objects per write: bigger batches raise the peak RSS of a large quiver
 DEFAULT_VERTEX_CAP = 10**6
-
-
-def _array(items: list[str], indent: int) -> str:
-    """A list of rendered items at indent, as json.dumps(indent=2) prints it."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
-
-
-def _bracketed(v: tuple[int, ...]) -> str:
-    return "[" + ",".join(map(str, v)) + "]"
-
-
-def _tables(verbose: bool) -> tuple:
-    """The renderers of one quiver, each a functools.cache that renders a
-    value once: a root as a JSON string, an integer vector as a list at
-    indent 10, and an exchange variable as (its edge label, its object at
-    indent 10).  Roots, hashes and poly_str are printable ASCII with no
-    quote or backslash, which JSON writes as is in quotes: json stays out."""
-    roots = cache(lambda r: f'"{_bracketed(r)}"')
-    vectors = cache(lambda v: _array([*map(str, v)], 10))
-
-    def variable(x: LaurentPolynomial) -> tuple[str, str]:
-        d, h = roots(denominator_vector(x)), poly_hash(x)
-        poly = f',\n            "poly": "{poly_str(x)}"' if verbose else ""
-        obj = f'{{\n            "d": {d},\n            "hash": "{h}"{poly}\n          }}'
-        return f'"d={d[1:-1]}#{h}"', obj
-
-    return roots, vectors, cache(variable)
-
-
-def _print_order(v) -> list[tuple]:
-    """An exchange vertex's (variable, c-vector, g-vector) triples sorted by terms, the order both writers print."""
-    return sorted(zip(v.variables, v.c_vectors, v.g_vectors), key=lambda xcg: xcg[0].terms)
-
-
-def _write_items(out: TextIO, n: int, render) -> None:
-    """Write the list of render(0), ..., render(n - 1) at indent 2, _BATCH items
-    per write: fewer system calls when stdout is unbuffered, bounded memory."""
-    for lo in range(0, n, _BATCH):
-        out.write(("[\n" if lo == 0 else ",\n") + ",\n".join(map(render, range(lo, min(n, lo + _BATCH)))))
-    out.write("\n  ]" if n else "[]")
-
-
-def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None:
-    """Write q to out as json.dumps(indent=2, sort_keys=True) prints its
-    document {"edges": [...], "vertices": [...]}, streamed in that fixed
-    shape: each edge and vertex object is one string with its keys in sorted
-    order, and each root, integer vector and exchange variable is rendered
-    once (_tables)."""
-    roots, vectors, variables = _tables(verbose)
-    label = (lambda x: variables(x)[0]) if q.kind == "exchange" else roots
-
-    def payload(v) -> tuple[str, ...]:
-        if q.kind == "exchange":
-            xs, cs, gs = zip(*_print_order(v))
-            return (f'"c_vectors": {_array([*map(vectors, cs)], 8)}',
-                    f'"g_vectors": {_array([*map(vectors, gs)], 8)}',
-                    f'"variables": {_array([variables(x)[1] for x in xs], 8)}')
-        if q.kind == "ccluster":
-            return (f'"roots": {_array([*map(roots, v)], 8)}',)
-        if q.kind == "tautilt":
-            m, p = shadow_of_cluster(v)
-            return (f'"m_size": {len(m)}', f'"module_part": {_array([*map(roots, m)], 8)}',
-                    f'"projective_part": {_array([*map(str, p)], 8)}')
-        if q.kind == "cambrian":
-            return (f'"blocks": {_array([*map(vectors, v.blocks)], 8)}', f'"length": {v.length}',
-                    f'"word": {_array([*map(str, v.word)], 8)}')
-        raise InternalError(f"unknown quiver kind {q.kind!r}")
-
-    def edge(i: int) -> str:
-        e = q.edges[i]
-        return (f'    {{\n      "dst": {e.dst},\n      "in": {label(e.in_label)},\n'
-                f'      "out": {label(e.out_label)},\n      "src": {e.src}\n    }}')
-
-    def vertex(i: int) -> str:
-        fields = ",\n        ".join(payload(q.vertices[i]))
-        return f'    {{\n      "id": {i},\n      "payload": {{\n        {fields}\n      }}\n    }}'
-
-    out.write('{\n  "edges": ')
-    _write_items(out, len(q.edges), edge)
-    out.write(',\n  "vertices": ')
-    _write_items(out, q.n_vertices, vertex)
-    out.write("\n}\n")
-
-
-def quiver_to_dot(q: ClusterQuiver) -> str:
-    """q in DOT, each vertex labelled by its roots, or by its exchange
-    variables' d-vectors, each vector rendered once as [a,b,...]: nothing is
-    hashed, and json is not loaded."""
-    vectors = cache(_bracketed)
-
-    def label(v) -> str:
-        if q.kind == "exchange":
-            return "{" + ",".join(vectors(denominator_vector(x)) for x, _, _ in _print_order(v)) + "}"
-        if q.kind == "ccluster":
-            return "{" + ",".join(map(vectors, v)) + "}"
-        if q.kind == "tautilt":
-            m, p = shadow_of_cluster(v)
-            return f"M=[{','.join(map(vectors, m))}] P=[{','.join(map(str, p))}]"
-        if q.kind == "cambrian":
-            return "s" + ".".join(map(str, v.word)) if v.word else "e"
-        raise InternalError(f"unknown quiver kind {q.kind!r}")
-
-    vertices = [f'  v{i} [label="{label(v)}"];' for i, v in enumerate(q.vertices)]
-    edges = [f"  v{e.src} -> v{e.dst};" for e in q.edges]
-    return "\n".join([f"digraph {q.kind} {{", *vertices, *edges, "}"]) + "\n"
 
 
 def _parse_coxeter(raw: str, rank: int) -> CoxeterElement:
@@ -352,10 +242,14 @@ def _run(argv: list[str] | None) -> int:
             if args.command in VERIFY_COMMANDS:
                 reports = VERIFY_COMMANDS[args.command](build)
                 out.write(_report_json(reports) if args.format == "json" else _report_text(reports))
-            elif args.format != "dot":
-                quiver_to_json(getattr(build, BUILD_COMMANDS[args.command]), out, args.verbose)
             else:
-                out.write(quiver_to_dot(getattr(build, BUILD_COMMANDS[args.command])))
+                from .writers import quiver_to_dot, quiver_to_json  # here: a verify run never compiles them
+
+                q = getattr(build, BUILD_COMMANDS[args.command])
+                if args.format != "dot":
+                    quiver_to_json(q, out, args.verbose)
+                else:
+                    out.write(quiver_to_dot(q))
             out.flush()
         return 1 if args.command in VERIFY_COMMANDS and not all(rep.ok for rep in reports) else 0
     except InputError as exc:
@@ -369,3 +263,11 @@ def _run(argv: list[str] | None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 2
+
+
+def __getattr__(name: str):  # old paths of the writers, kept in writers so that a verify run never compiles them
+    if name in ("quiver_to_json", "quiver_to_dot", "_tables", "_array", "_bracketed", "_print_order",
+                "_write_items", "_BATCH"):
+        from . import writers
+        return getattr(writers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

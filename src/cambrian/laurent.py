@@ -1,14 +1,11 @@
-"""Exact Laurent seeds, the builds' table of variables, tropical coefficients, the root map.
+"""Exact Laurent polynomials, the builds' table of variables, the root map.
 
 Cluster variables are kept fully expanded in the initial variables.  An
 exchange is an exact division (_exchange), or, where the quotient is known,
 a product check (VariableTable._exchange_holds), as strong since the
 Laurent ring is a domain; either runs on packed exponents, and failing is a
 hard internal error, never a recoverable condition.
-__mul__ and __add__ are the plain tuple-exponent arithmetic.  In
-principal-coefficient mode a variable lives in 2n variables: the first n
-exponents are the initial cluster variables, the last n the tropical
-generators.
+__mul__ and __add__ are the plain tuple-exponent arithmetic.
 """
 
 from __future__ import annotations
@@ -17,11 +14,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from operator import mul, sub
-from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .mutation import ExchangeMatrix, MatrixFrame, identity_frame, mutate_columns
-from .rootsys import CartanSpec, Root, _identity, is_almost_positive
+from .rootsys import CartanSpec, Root, is_almost_positive
 
 Exponent = tuple[int, ...]
 
@@ -200,74 +195,6 @@ def poly_hash(p: LaurentPolynomial) -> str:
     return h[:12]
 
 
-class TropicalElement(NamedTuple):
-    """A monomial in the tropical semifield, as its exponent vector."""
-
-    exponents: Exponent
-
-    def __mul__(self, other: "TropicalElement") -> "TropicalElement":
-        return TropicalElement(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def inverse(self) -> "TropicalElement":
-        return TropicalElement(tuple(-a for a in self.exponents))
-
-    def oplus_one(self) -> "TropicalElement":
-        return TropicalElement(tuple(min(a, 0) for a in self.exponents))
-
-    def __pow__(self, k: int) -> "TropicalElement":
-        return TropicalElement(tuple(k * a for a in self.exponents))
-
-
-class LabeledSeed(NamedTuple):
-    """Cluster variables, tropical coefficients (principal mode) and a frame."""
-
-    vars: tuple[LaurentPolynomial, ...]
-    coeffs: tuple[TropicalElement, ...] | None
-    frame: MatrixFrame
-
-
-def initial_seed(b: ExchangeMatrix, coefficient_mode: str = "trivial") -> LabeledSeed:
-    n = b.rank
-    frame = identity_frame(b)
-    if coefficient_mode == "trivial":
-        xs = tuple(LaurentPolynomial.generator(n, i) for i in range(n))
-        return LabeledSeed(xs, None, frame)
-    if coefficient_mode == "principal":
-        xs = tuple(LaurentPolynomial.generator(2 * n, i) for i in range(n))
-        return LabeledSeed(xs, tuple(map(TropicalElement, _identity(n))), frame)
-    raise InputError(f"unknown coefficient mode {coefficient_mode!r}")
-
-
-def _y_monomial(n: int, exps: Exponent) -> LaurentPolynomial:
-    return LaurentPolynomial.monomial(2 * n, (0,) * n + tuple(exps))
-
-
-def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
-    """Seed mutation in direction k (1-based), advancing the frame alongside;
-    the seed's own coefficient mode decides the exchange relation.  Column k
-    of B is the column step's, and row k follows from it: s_k b_kj = -s_j b_jk."""
-    n, k0, sym = len(s.vars), k - 1, s.frame.skew_symmetrizer
-    column, new_frame = mutate_columns(s.frame, k)  # raises InputError for k out of range
-    pos = [(s.vars[i], b) for i, b in enumerate(column) if b > 0]
-    neg = [(s.vars[i], -b) for i, b in enumerate(column) if b < 0]
-    if s.coeffs is None:  # trivial coefficients
-        new_xk = _exchange(pos, neg, s.vars[k0])
-        new_coeffs = None
-    else:
-        yk = s.coeffs[k0]
-        pos.append((_y_monomial(n, yk.exponents), 1))
-        denom = _y_monomial(n, yk.oplus_one().exponents) * s.vars[k0]
-        new_xk = _exchange(pos, neg, denom)
-        row = (-sym[j] * b // sym[k0] for j, b in enumerate(column))  # b_kj
-        new_coeffs = tuple(yk.inverse() if j == k0 else y * yk ** max(bkj, 0) * yk.oplus_one() ** -bkj
-                           for j, (y, bkj) in enumerate(zip(s.coeffs, row)))
-        if tuple(y.exponents for y in new_coeffs) != new_frame.c_vectors:
-            raise InternalError("tropical coefficients disagree with the C-matrix")
-
-    new_vars = tuple(new_xk if i == k0 else s.vars[i] for i in range(n))
-    return LabeledSeed(new_vars, new_coeffs, new_frame)
-
-
 Factors = list[tuple[LaurentPolynomial, int]]  # (polynomial, power) pairs
 Packed = list[tuple[int, int]]  # (key, coefficient) pairs, as _pack gives them
 PackedFactors = list[tuple[Packed, int]]
@@ -405,28 +332,16 @@ def denominator_vector(x: LaurentPolynomial) -> tuple[int, ...]:
     return tuple(-e for e in x.box[0])
 
 
-def var_degree(x: LaurentPolynomial, initial_b: ExchangeMatrix) -> tuple[int, ...]:
-    """Multidegree of a principal-mode variable under deg x_i = e_i, deg y_i = -b_i.
-
-    Raises InternalError if the polynomial is not homogeneous.
-    """
-    n = initial_b.rank
-    if x.nvars != 2 * n:
-        raise InputError("degree grading applies to principal-mode variables")
-    b = initial_b.entries
-    deg = None
-    for e, _ in x.terms:
-        d = [e[i] - sum(e[n + j] * b[i][j] for j in range(n)) for i in range(n)]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise InternalError("variable is not homogeneous under the principal grading")
-    return tuple(deg)
-
-
 def theta(spec: CartanSpec, x: LaurentPolynomial) -> Root:
     """Denominator-vector root of a cluster variable; lands in Phi_{>=-1}."""
     d = denominator_vector(x)
     if not is_almost_positive(spec, d):
         raise InternalError(f"denominator vector {d} is not an almost positive root")
     return d
+
+
+def __getattr__(name: str):  # old paths of the seeds, kept in oracles so that no command compiles them
+    if name in ("TropicalElement", "LabeledSeed", "initial_seed", "_y_monomial", "mutate_seed", "var_degree"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

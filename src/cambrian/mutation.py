@@ -5,9 +5,9 @@ its root vertex, column tuples in position order, and no exchange matrix:
 G_t B_t = B_0 C_t (Nakanishi-Zelevinsky, Contemp. Math. 565) and G_t^T S C_t
 = S give S B_t = C_t^T (S B_0) C_t, so the frames of a build share one S B_0
 and S.  The mutation step reads column k of B_t off C_t, one entry per pair
-(c_j, c_k) (_pair): mutate_columns on vectors, for mutate_seed and the
-tests, and FrameTable.step on c ids and variable ids, memoised, for the
-exchange builds and the tau walk, each of whose frames check_duality checks.
+(c_j, c_k) (_pair): FrameTable.step, on c ids and variable ids and memoised,
+for the exchange builds and the tau walk, each of whose frames
+FrameTable.check_duality checks.
 """
 
 from __future__ import annotations
@@ -18,29 +18,6 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .rootsys import CartanSpec, CoxeterElement, Matrix, _identity, _Validated
-
-
-def _det(m: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination: every division of
-    the integer entries is exact, and a remainder raises InternalError."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-                if r:
-                    raise InternalError(f"inexact Bareiss step in the determinant of {m}")
-                a[i][j] = q
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
 
 
 class ExchangeMatrix(_Validated, namedtuple("ExchangeMatrix", "entries skew_symmetrizer")):
@@ -107,17 +84,6 @@ def column_sign(col: tuple[int, ...], path: tuple[int, ...]) -> int:
     raise InternalError(f"witness path {path}: sign coherence violated: {col}")
 
 
-def check_duality(frame: MatrixFrame) -> None:
-    """Verify (G^T)^-1 = S C S^-1, in the integral form G^T S C = S: entry
-    (i, j) is the S-weighted dot product of g_i and c_j."""
-    s = frame.skew_symmetrizer
-    for i, g in enumerate(frame.g_vectors):
-        gs = tuple(map(mul, g, s))
-        for j, c in enumerate(frame.c_vectors):
-            if sum(map(mul, gs, c)) != (s[i] if i == j else 0):
-                raise InternalError("C/G duality identity failed")
-
-
 def _pair(cj: tuple[int, ...], sj: int, ck: tuple[int, ...], sk: int, v: list[int], eps: int, where: tuple):
     """Entry j of the column step at k: w = c_j . v, v = S B_0 c_k, is s_j
     b_jk = -s_k b_kj.  Returns b_jk, c'_j = c_j + [eps b_kj]_+ c_k and g_j's
@@ -129,27 +95,6 @@ def _pair(cj: tuple[int, ...], sj: int, ck: tuple[int, ...], sk: int, v: list[in
     if eps * w >= 0:
         return w // sj, cj, 0
     return w // sj, tuple(x - eps * w // sk * y for x, y in zip(cj, ck)), -eps * w // sj
-
-
-def mutate_columns(frame: MatrixFrame, k: int) -> tuple[tuple[int, ...], MatrixFrame]:
-    """Column k (1-based) of the frame's B_t and the frame one mutation in
-    direction k away (eps the sign of c_k, c'_k = -c_k), in O(n^2)."""
-    k0, cs, gs, s = k - 1, frame.c_vectors, frame.g_vectors, frame.skew_symmetrizer
-    if not 0 <= k0 < len(cs):
-        raise InputError(f"mutation direction {k} out of range 1..{len(cs)}")
-    ck, v = cs[k0], [sum(map(mul, row, cs[k0])) for row in frame.sb0]
-    column, new_cs, gk, eps = [], list(cs), [-x for x in gs[k0]], column_sign(ck, frame.path)
-    for j, (cj, gj, sj) in enumerate(zip(cs, gs, s)):
-        b, new_cs[j], coef = _pair(cj, sj, ck, s[k0], v, eps, (frame.path, j + 1, k))
-        column.append(b)
-        if coef:
-            gk = [x + coef * y for x, y in zip(gk, gj)]
-    new_cs[k0] = tuple(-x for x in ck)
-    return tuple(column), MatrixFrame(tuple(new_cs), gs[:k0] + (tuple(gk),) + gs[k:], frame.path + (k,), frame.sb0, s)
-
-
-def frame_is_unimodular(frame: MatrixFrame) -> bool:
-    return abs(_det(frame.c_vectors)) == 1  # the rows of C^T, and det C^T = det C
 
 
 class FrameTable:
@@ -205,7 +150,7 @@ class FrameTable:
         return b, self.c_id(cj_new, sj, new_path) if coef else cj, coef
 
     def step(self, cids: tuple[int, ...], ids: tuple[int, ...], k0: int, path: tuple[int, ...]):
-        """mutate_columns at position k0 (0-based) of the frame (cids, ids)
+        """oracles.mutate_columns at position k0 (0-based) of the frame (cids, ids)
         reached by path: (column k0 + 1 of B_t, new c ids, new g-vector g'_k)."""
         ck, gv = cids[k0], self.g_vectors
         memo, column, new, gk = self.pairs[ck], [], [], [-x for x in gv[ids[k0]]]
@@ -218,7 +163,7 @@ class FrameTable:
         return tuple(column), tuple(new), tuple(gk)
 
     def check_duality(self, cids: tuple[int, ...], ids: tuple[int, ...], path: tuple[int, ...]) -> None:
-        """check_duality by n^2 memo lookups; InternalError names path."""
+        """oracles.check_duality by n^2 memo lookups; InternalError names path."""
         s, cv = self.s, self.c_vectors
         for i, x in enumerate(ids):
             gs, memo = self.gs[x], self.duals[x]
@@ -227,3 +172,10 @@ class FrameTable:
                     memo[cj] = sum(map(mul, gs, cv[cj]))
                 if memo[cj] != (s[i] if i == j else 0):
                     raise InternalError(f"witness path {path}: C/G duality identity failed")
+
+
+def __getattr__(name: str):  # old paths of the vector frame code, kept in oracles so that no command compiles it
+    if name in ("_det", "check_duality", "mutate_columns", "frame_is_unimodular"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,7 @@ Roots are indexed as in positive_roots(spec), -positive_roots[i] at m + i, and
 an element u is held as the indices of u(alpha_1), ..., u(alpha_n).  One DFS
 over the weakly decreasing subset chains gives each sortable element its
 inversion set as a bitmask and its c-cluster; its lower covers in the Cambrian
-lattice are read off its right descents by the projection pi_down^c.  The
-full-group greedy sorting-word algorithm is an independent oracle for small ranks.
+lattice are read off its right descents by the projection pi_down^c.
 """
 
 from __future__ import annotations
@@ -17,45 +16,7 @@ from typing import NamedTuple
 
 from .errors import InternalError
 from .quivers import ClusterQuiver, QuiverEdge, ccluster_indices
-from .rootsys import (
-    CartanSpec,
-    CoxeterElement,
-    Matrix,
-    Root,
-    _c_dynamics,
-    _identity,
-    _matmul,
-    _root_index,
-    positive_roots,
-    reflection_matrix,
-)
-
-
-class WeylElement(NamedTuple):
-    """A Weyl group element acting on root coefficient vectors.
-
-    matrix is the action of w, inv_matrix the action of w^-1; both are kept so
-    inversion and descent tests need no matrix inversion.
-    """
-
-    matrix: Matrix
-    inv_matrix: Matrix
-
-    @classmethod
-    def identity(cls, n: int) -> "WeylElement":
-        eye = _identity(n)
-        return cls(eye, eye)
-
-    def times_reflection(self, spec: CartanSpec, i: int) -> "WeylElement":
-        """Right multiplication w * s_i."""
-        r = reflection_matrix(spec, i)
-        return WeylElement(_matmul(self.matrix, r), _matmul(r, self.inv_matrix))
-
-    def root_image(self, v: Root) -> Root:
-        return tuple(sum(map(mul, row, v)) for row in self.matrix)
-
-    def inv_root_image(self, v: Root) -> Root:
-        return tuple(sum(map(mul, row, v)) for row in self.inv_matrix)
+from .rootsys import CartanSpec, CoxeterElement, Root, _c_dynamics, _identity, _root_index, positive_roots
 
 
 class SortableElement(NamedTuple):
@@ -75,8 +36,10 @@ class SortableElement(NamedTuple):
         return len(self.word)
 
     @property
-    def element(self) -> WeylElement:
-        """The matrices of w and w^-1, as products along the word."""
+    def element(self):
+        """The matrices of w and w^-1, an oracles.WeylElement, as products along the word."""
+        from .oracles import WeylElement  # here: no command reads it
+
         w = WeylElement.identity(self.spec.rank)
         for a in self.word:
             w = w.times_reflection(self.spec, a)
@@ -190,51 +153,6 @@ def _pi_down(t: _RootTables, inversions: int, img: list[int], queue: list[int], 
     return tuple(word)
 
 
-def weyl_group_elements(spec: CartanSpec) -> tuple[WeylElement, ...]:
-    """The full Weyl group, by closure under right multiplication (oracle use)."""
-    n = spec.rank
-    e = WeylElement.identity(n)
-    seen: dict[Matrix, WeylElement] = {e.matrix: e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, n + 1):
-                w2 = w.times_reflection(spec, i)
-                if w2.matrix not in seen:
-                    seen[w2.matrix] = w2
-                    nxt.append(w2)
-        frontier = nxt
-    return tuple(seen.values())
-
-
-def greedy_sorting_word(
-    spec: CartanSpec, c: CoxeterElement, w: WeylElement
-) -> tuple[tuple[int, ...], ...]:
-    """The c-sorting word of w as subset blocks: scan c^infinity, taking a
-    letter whenever it is a left descent of the remainder."""
-    eye, remainder, blocks = _identity(spec.rank), w, []
-    while remainder.matrix != eye:
-        if len(blocks) > 4 * len(positive_roots(spec)):
-            raise InternalError("sorting-word scan did not terminate")
-        block = []
-        for i in c.order:
-            # s_i is a left descent of v iff v^-1(alpha_i) is negative.
-            if min(remainder.inv_root_image(eye[i - 1])) < 0:
-                block.append(i)
-                r = reflection_matrix(spec, i)
-                remainder = WeylElement(_matmul(r, remainder.matrix), _matmul(remainder.inv_matrix, r))
-        if not block:
-            raise InternalError("no descent found for a non-identity element")
-        blocks.append(tuple(block))
-    return tuple(blocks)
-
-
-def is_decreasing_chain(blocks: tuple[tuple[int, ...], ...]) -> bool:
-    sets = [set(b) for b in blocks]
-    return all(sets[i + 1] <= sets[i] for i in range(len(sets) - 1))
-
-
 def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     """Hasse quiver of sortables ordered by inversion-set inclusion.
 
@@ -270,3 +188,10 @@ def cambrian_vertex_map(
 ) -> tuple[int, ...]:
     """cl_c as a vertex map from the Cambrian quiver to the c-cluster quiver."""
     return ccluster_indices(ccluster, (s.cluster for s in cambrian.vertices), "cl")
+
+
+def __getattr__(name: str):  # old paths of the Weyl group oracles, kept in oracles so that no command compiles them
+    if name in ("WeylElement", "weyl_group_elements", "greedy_sorting_word", "is_decreasing_chain"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

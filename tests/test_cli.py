@@ -718,7 +718,7 @@ def test_exchange_dot_run_loads_neither_hashlib_nor_json():
 
 
 def test_build_json_runs_do_not_load_json():
-    # The build JSON writers quote their strings themselves (cli._tables),
+    # The build JSON writers quote their strings themselves (writers._tables),
     # so only a verify JSON report loads json.
     script = (
         "import contextlib, io, sys\n"
@@ -732,6 +732,75 @@ def test_build_json_runs_do_not_load_json():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
     assert proc.stdout == "[0, 0, 0, 0] 4 False\n"
+
+
+# Old module -> (the module its names moved to, the names).  The writers and
+# the acceptance-only reference code live where no verify command imports
+# them, and each old module forwards exactly these names.
+MOVED = {
+    "cli": ("writers", ("quiver_to_json", "quiver_to_dot", "_tables", "_array", "_bracketed", "_print_order",
+                        "_write_items", "_BATCH")),
+    "laurent": ("oracles", ("TropicalElement", "LabeledSeed", "initial_seed", "_y_monomial", "mutate_seed",
+                            "var_degree")),
+    "mutation": ("oracles", ("_det", "check_duality", "mutate_columns", "frame_is_unimodular")),
+    "sortables": ("oracles", ("WeylElement", "weyl_group_elements", "greedy_sorting_word", "is_decreasing_chain")),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["verify-all"], []), (["verify-all", "--format", "json"], []),
+     (["exchange", "--format", "json"], ["cambrian.writers"]), (["exchange", "--format", "dot"], ["cambrian.writers"])],
+    ids=["verify-all", "verify-all json", "exchange json", "exchange dot"],
+)
+def test_a_command_compiles_only_the_modules_it_runs(argv, loaded):
+    # A fresh interpreter, since the suite itself loads both modules: a
+    # verify run loads neither the writers nor the oracles, and a build run
+    # loads the writers on its first write.
+    script = (
+        "import contextlib, io, sys\n"
+        "import cambrian.cli\n"
+        "before = {m for m in ('cambrian.writers', 'cambrian.oracles') if m in sys.modules}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cambrian.cli.main({argv!r} + ['--type', 'A', '--rank', '3', '--coxeter', '1,2,3'])\n"
+        "print(code, sorted(before), [m for m in ('cambrian.writers', 'cambrian.oracles') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
+    assert proc.stdout == f"0 [] {loaded}\n"
+
+
+def test_old_import_paths_forward_exactly_the_moved_names():
+    # In a fresh interpreter, so that a forwarded read is what loads the new
+    # module: importing cli loads the four old modules and neither new one.
+    # Every moved name read through its old module is the new module's
+    # object; no other name of the new module resolves there unless the old
+    # module holds it itself; and an unknown name raises the usual
+    # AttributeError naming the old module.
+    script = (
+        "import importlib, json, sys\n"
+        "import cambrian.cli\n"
+        "moved, out = json.loads(sys.argv[1]), {}\n"
+        "unloaded = 'cambrian.writers' not in sys.modules and 'cambrian.oracles' not in sys.modules\n"
+        "for old_name, (new_name, names) in moved.items():\n"
+        "    old = importlib.import_module('cambrian.' + old_name)\n"
+        "    values = [getattr(old, name) for name in names]\n"
+        "    new = sys.modules['cambrian.' + new_name]\n"
+        "    same = all(value is getattr(new, name) for value, name in zip(values, names))\n"
+        "    forwarded = sorted(n for n in vars(new) if n not in vars(old) and hasattr(old, n))\n"
+        "    try:\n"
+        "        getattr(old, 'no_such_name')\n"
+        "        error = None\n"
+        "    except AttributeError as exc:\n"
+        "        error = str(exc)\n"
+        "    out[old_name] = [same, forwarded, error]\n"
+        "print(json.dumps([unloaded, out]))\n"
+    )
+    argv = [sys.executable, "-c", script, json.dumps(MOVED)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_cli_env(), check=True)
+    assert json.loads(proc.stdout) == [True, {
+        old: [True, sorted(names), f"module 'cambrian.{old}' has no attribute 'no_such_name'"]
+        for old, (_, names) in MOVED.items()
+    }]
 
 
 class TestCollector:

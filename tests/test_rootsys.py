@@ -73,8 +73,8 @@ class TestCartanMatrix:
 
     @pytest.mark.parametrize(
         "t,n",
-        [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2),
-         ("A", 141), ("B", 101), ("C", 101), ("D", 101)],
+        [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("G", 1), ("G", 3),
+         ("H", 2), ("A", 141), ("B", 101), ("C", 101), ("D", 101)],
     )
     def test_invalid(self, t, n):
         with pytest.raises(InputError):
@@ -142,6 +142,18 @@ class TestPositiveRoots:
         affine = tuple.__new__(CartanSpec, ("A", 2, ((2, -2), (-2, 2)), (1, 1)))
         with pytest.raises(InternalError, match="^positive root saturation exceeded safety cap$"):
             positive_roots(affine)
+
+    def test_saturation_cap_admits_exactly_the_cap(self, monkeypatch):
+        # B100, the largest B rank, has n^2 = _ROOT_CAP positive roots: a
+        # saturation that reaches the cap passes, and one root more raises.
+        # Shown on A3's 6 roots with the cap lowered to 6, then to 5.
+        assert cambrian.rootsys._ROOT_CAP == 100**2
+        a3 = cartan_matrix("A", 3)
+        monkeypatch.setattr(cambrian.rootsys, "_ROOT_CAP", 6)
+        assert len(positive_roots.__wrapped__(a3)) == 6
+        monkeypatch.setattr(cambrian.rootsys, "_ROOT_CAP", 5)
+        with pytest.raises(InternalError, match="^positive root saturation exceeded safety cap$"):
+            positive_roots.__wrapped__(a3)
 
     def test_counts_vs_orbit_oracle(self):
         # Independent oracle: the W-orbit of the simple roots is all of Phi.
