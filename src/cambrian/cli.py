@@ -265,9 +265,8 @@ def _run(argv: list[str] | None) -> int:
         return 2
 
 
-def __getattr__(name: str):  # old paths of the writers, kept in writers so that a verify run never compiles them
-    if name in ("quiver_to_json", "quiver_to_dot", "_tables", "_array", "_bracketed", "_print_order",
-                "_write_items", "_BATCH"):
+def __getattr__(name: str):  # the old paths perfbench's tracer reads; the writers live in writers
+    if name in ("quiver_to_json", "quiver_to_dot"):
         from . import writers
         return getattr(writers, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -340,8 +340,8 @@ def theta(spec: CartanSpec, x: LaurentPolynomial) -> Root:
     return d
 
 
-def __getattr__(name: str):  # old paths of the seeds, kept in oracles so that no command compiles them
-    if name in ("TropicalElement", "LabeledSeed", "initial_seed", "_y_monomial", "mutate_seed", "var_degree"):
+def __getattr__(name: str):  # the old paths test_acceptance and perfbench's tracer read; the seeds live in oracles
+    if name in ("initial_seed", "mutate_seed", "var_degree"):
         from . import oracles
         return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

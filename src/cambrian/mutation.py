@@ -174,8 +174,8 @@ class FrameTable:
                     raise InternalError(f"witness path {path}: C/G duality identity failed")
 
 
-def __getattr__(name: str):  # old paths of the vector frame code, kept in oracles so that no command compiles it
-    if name in ("_det", "check_duality", "mutate_columns", "frame_is_unimodular"):
+def __getattr__(name: str):  # the old paths test_acceptance and perfbench's tracer read; the checks live in oracles
+    if name in ("check_duality", "frame_is_unimodular"):
         from . import oracles
         return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

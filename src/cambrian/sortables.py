@@ -190,8 +190,8 @@ def cambrian_vertex_map(
     return ccluster_indices(ccluster, (s.cluster for s in cambrian.vertices), "cl")
 
 
-def __getattr__(name: str):  # old paths of the Weyl group oracles, kept in oracles so that no command compiles them
-    if name in ("WeylElement", "weyl_group_elements", "greedy_sorting_word", "is_decreasing_chain"):
+def __getattr__(name: str):  # the old paths test_acceptance reads; the Weyl group oracles live in oracles
+    if name in ("weyl_group_elements", "greedy_sorting_word", "is_decreasing_chain"):
         from . import oracles
         return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,13 +12,12 @@ from cambrian.laurent import (
     _pack,
     _place_values,
     denominator_vector,
-    initial_seed,
-    mutate_seed,
     poly_hash,
     poly_str,
     theta,
 )
-from cambrian.mutation import MatrixFrame, build_bc, check_duality, column_sign, frame_is_unimodular, mutate_columns
+from cambrian.mutation import MatrixFrame, build_bc, column_sign
+from cambrian.oracles import check_duality, frame_is_unimodular, initial_seed, mutate_columns, mutate_seed, weyl_group_elements
 from cambrian.quivers import (
     ClusterQuiver,
     ClusterVertexPayload,
@@ -36,7 +35,7 @@ from cambrian.rootsys import (
     negative_simple,
     positive_roots,
 )
-from cambrian.sortables import build_cambrian_hasse, enumerate_sortables, weyl_group_elements
+from cambrian.sortables import build_cambrian_hasse, enumerate_sortables
 
 # Desk-scale test matrix: (type, rank, coxeter orders to cover).
 TEST_MATRIX = [

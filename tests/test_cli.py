@@ -22,15 +22,15 @@ from cambrian.cli import (
     Build,
     build_parser,
     main,
-    quiver_to_dot,
-    quiver_to_json,
     run_all_checks,
 )
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import VariableTable, _exchange
-from cambrian.mutation import FrameTable, mutate_columns
+from cambrian.mutation import FrameTable
+from cambrian.oracles import mutate_columns
 from cambrian.quivers import QuiverEdge, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, cartan_matrix
+from cambrian.writers import _BATCH, quiver_to_dot, quiver_to_json
 
 from conftest import (
     RANK_LE_4,
@@ -150,7 +150,7 @@ class TestWriters:
         quiver_to_json(q, out)
         objects = [chunk.count("\n    {") for chunk in writes]
         assert sum(objects) == q.n_vertices + len(q.edges)
-        assert max(objects) == cambrian.cli._BATCH
+        assert max(objects) == _BATCH
         assert "".join(writes) == dict_document_json(q)
 
     def test_an_unknown_quiver_kind_is_an_internal_error(self):
@@ -681,45 +681,53 @@ def test_networkx_is_not_loaded():
 
 def test_verify_text_run_loads_neither_hashlib_nor_json():
     # hashlib (with OpenSSL behind it) and json load where they are used:
-    # in the exchange writers' hash and in JSON reports.  Modules that site
-    # loaded before cambrian was imported do not count.
+    # in the exchange writers' hash and in JSON reports.  The writers load
+    # on a build's first write, and no command loads the oracles.  Modules
+    # that site loaded before cambrian was imported do not count.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import cambrian.cli\n"
         "def added():\n"
-        "    return {m.split('.')[0] for m in set(sys.modules) - before} & {'hashlib', 'json'}\n"
+        "    new = set(sys.modules) - before\n"
+        "    return {m.split('.')[0] for m in new} & {'hashlib', 'json'} | new & {'cambrian.writers', 'cambrian.oracles'}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cambrian.cli.main(['verify-all', '--type', 'D', '--rank', '4', '--coxeter', '1,2,3,4'])\n"
-        "    text = sorted(added())\n"
+        "    text = added()\n"
         "    code += cambrian.cli.main(['exchange', '--type', 'A', '--rank', '2', '--coxeter', '1,2', '--format', 'json'])\n"
-        "print(code, text, sorted(added()), sorted({'hashlib'} - before), sep='|')\n"
+        "    exchange = added()\n"
+        "    code += cambrian.cli.main(['verify-all', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3', '--format', 'json'])\n"
+        "print(code, sorted(text), sorted(exchange - text), sorted(added() - exchange), sorted({'hashlib'} - before), sep='|')\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
-    code, text, exchange, absent = proc.stdout.rstrip("\n").split("|")
-    assert (code, text) == ("0", "[]")
-    assert exchange == absent  # an exchange JSON run loads hashlib if it was not loaded already, and never json
+    code, text, exchange, report, absent = proc.stdout.rstrip("\n").split("|")
+    assert (code, text, report) == ("0", "[]", "['json']")
+    # An exchange JSON run loads the writers, and hashlib if it was not loaded already, and never json.
+    assert exchange == ("['cambrian.writers']" if absent == "[]" else "['cambrian.writers', 'hashlib']")
 
 
 def test_exchange_dot_run_loads_neither_hashlib_nor_json():
     # DOT labels an exchange variable by its d-vector, so it neither hashes
-    # the variables nor renders them through the JSON writers' tables.
+    # the variables nor renders them through the JSON writers' tables; it
+    # loads the writers but not the oracles.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import cambrian.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    code = cambrian.cli.main(['exchange', '--type', 'A', '--rank', '3', '--coxeter', '1,2,3', '--format', 'dot'])\n"
-        "added = {m.split('.')[0] for m in set(sys.modules) - before} & {'hashlib', 'json'}\n"
+        "new = set(sys.modules) - before\n"
+        "added = {m.split('.')[0] for m in new} & {'hashlib', 'json'} | new & {'cambrian.writers', 'cambrian.oracles'}\n"
         "print(code, out.getvalue().count(' -> '), sorted(added), sep='|')\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
-    assert proc.stdout == "0|21|[]\n"
+    assert proc.stdout == "0|21|['cambrian.writers']\n"
 
 
 def test_build_json_runs_do_not_load_json():
     # The build JSON writers quote their strings themselves (writers._tables),
-    # so only a verify JSON report loads json.
+    # so only a verify JSON report loads json.  The writers load, the oracles
+    # do not.
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -728,45 +736,24 @@ def test_build_json_runs_do_not_load_json():
         "argvs = [['cambrian'], ['cclusters'], ['tautilt'], ['exchange', '--verbose']]\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    codes = [cambrian.cli.main(argv + common) for argv in argvs]\n"
-        "print(codes, out.getvalue().count('\"edges\"'), 'json' in {m.split('.')[0] for m in set(sys.modules) - before})\n"
+        "new = set(sys.modules) - before\n"
+        "print(codes, out.getvalue().count('\"edges\"'), 'json' in {m.split('.')[0] for m in new},\n"
+        "      sorted(new & {'cambrian.writers', 'cambrian.oracles'}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
-    assert proc.stdout == "[0, 0, 0, 0] 4 False\n"
+    assert proc.stdout == "[0, 0, 0, 0] 4 False ['cambrian.writers']\n"
 
 
-# Old module -> (the module its names moved to, the names).  The writers and
-# the acceptance-only reference code live where no verify command imports
-# them, and each old module forwards exactly these names.
+# Old module -> (the module its names moved to, the names an old path is
+# still read by: tests/test_acceptance.py and perfbench's tracer).  The
+# writers and the acceptance-only reference code live where no verify
+# command imports them, and each old module forwards exactly these names.
 MOVED = {
-    "cli": ("writers", ("quiver_to_json", "quiver_to_dot", "_tables", "_array", "_bracketed", "_print_order",
-                        "_write_items", "_BATCH")),
-    "laurent": ("oracles", ("TropicalElement", "LabeledSeed", "initial_seed", "_y_monomial", "mutate_seed",
-                            "var_degree")),
-    "mutation": ("oracles", ("_det", "check_duality", "mutate_columns", "frame_is_unimodular")),
-    "sortables": ("oracles", ("WeylElement", "weyl_group_elements", "greedy_sorting_word", "is_decreasing_chain")),
+    "cli": ("writers", ("quiver_to_json", "quiver_to_dot")),
+    "laurent": ("oracles", ("initial_seed", "mutate_seed", "var_degree")),
+    "mutation": ("oracles", ("check_duality", "frame_is_unimodular")),
+    "sortables": ("oracles", ("weyl_group_elements", "greedy_sorting_word", "is_decreasing_chain")),
 }
-
-
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [(["verify-all"], []), (["verify-all", "--format", "json"], []),
-     (["exchange", "--format", "json"], ["cambrian.writers"]), (["exchange", "--format", "dot"], ["cambrian.writers"])],
-    ids=["verify-all", "verify-all json", "exchange json", "exchange dot"],
-)
-def test_a_command_compiles_only_the_modules_it_runs(argv, loaded):
-    # A fresh interpreter, since the suite itself loads both modules: a
-    # verify run loads neither the writers nor the oracles, and a build run
-    # loads the writers on its first write.
-    script = (
-        "import contextlib, io, sys\n"
-        "import cambrian.cli\n"
-        "before = {m for m in ('cambrian.writers', 'cambrian.oracles') if m in sys.modules}\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cambrian.cli.main({argv!r} + ['--type', 'A', '--rank', '3', '--coxeter', '1,2,3'])\n"
-        "print(code, sorted(before), [m for m in ('cambrian.writers', 'cambrian.oracles') if m in sys.modules])\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_cli_env(), check=True)
-    assert proc.stdout == f"0 [] {loaded}\n"
 
 
 def test_old_import_paths_forward_exactly_the_moved_names():

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import cambrian.laurent
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import LaurentPolynomial, VariableTable, _box, _exchange, _pack, initial_seed, mutate_seed
-from cambrian.mutation import FrameTable, build_bc, mutate_columns
+from cambrian.laurent import LaurentPolynomial, VariableTable, _box, _exchange, _pack
+from cambrian.mutation import FrameTable, build_bc
+from cambrian.oracles import initial_seed, mutate_columns, mutate_seed
 from cambrian.quivers import build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, positive_roots
 

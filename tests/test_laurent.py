@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import (
     LaurentPolynomial,
-    TropicalElement,
     denominator_vector,
-    initial_seed,
-    mutate_seed,
     poly_str,
     theta,
-    var_degree,
 )
 from cambrian.mutation import build_bc
+from cambrian.oracles import TropicalElement, initial_seed, mutate_seed, var_degree
 from cambrian.rootsys import CoxeterElement, almost_positive_roots, cartan_matrix
 
 from conftest import exact_div, exchange_of, lp_pow, spec_of

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cambrian.errors import InputError, InternalError
-from cambrian.mutation import ExchangeMatrix, _det, build_bc, check_duality, frame_is_unimodular, identity_frame
+from cambrian.mutation import ExchangeMatrix, build_bc, identity_frame
+from cambrian.oracles import _det, check_duality, frame_is_unimodular
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
 from conftest import (

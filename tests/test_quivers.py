@@ -15,8 +15,9 @@ import cambrian.quivers
 from cambrian.cli import DEFAULT_VERTEX_CAP, Build, main, run_sign_checks
 from cambrian.errors import InputError, InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import LaurentPolynomial, VariableTable, initial_seed, mutate_seed, theta
+from cambrian.laurent import LaurentPolynomial, VariableTable, theta
 from cambrian.mutation import build_bc
+from cambrian.oracles import initial_seed, mutate_seed
 from cambrian.quivers import (
     QuiverEdge,
     build_c_cluster_quiver,

@@ -9,8 +9,9 @@ import pytest
 from cambrian.cli import DEFAULT_VERTEX_CAP, Build
 from cambrian.errors import InputError
 from cambrian.lattice import poset_from_hasse, verify_lattice
-from cambrian.laurent import LaurentPolynomial, initial_seed
+from cambrian.laurent import LaurentPolynomial
 from cambrian.mutation import ExchangeMatrix, build_bc, identity_frame
+from cambrian.oracles import initial_seed
 from cambrian.rootsys import CartanSpec, CoxeterElement, cartan_matrix
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cambrian.lattice import verify_quiver_map
+from cambrian.oracles import WeylElement
 from cambrian.quivers import build_c_cluster_quiver
 from cambrian.rootsys import (
     CoxeterElement,
@@ -19,12 +20,7 @@ from cambrian.rootsys import (
     negative_simple,
     tau,
 )
-from cambrian.sortables import (
-    WeylElement,
-    build_cambrian_hasse,
-    cambrian_vertex_map,
-    enumerate_sortables,
-)
+from cambrian.sortables import build_cambrian_hasse, cambrian_vertex_map, enumerate_sortables
 
 from conftest import RANK_LE_4, compatibility_degree, mask_roots, matrix_inversion_set, spec_of
 

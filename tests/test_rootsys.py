@@ -9,6 +9,7 @@ import sympy
 import cambrian.rootsys
 from cambrian.cli import main
 from cambrian.errors import InputError, InternalError
+from cambrian.oracles import weyl_group_elements
 from cambrian.rootsys import (
     CartanSpec,
     CoxeterElement,
@@ -25,7 +26,6 @@ from cambrian.rootsys import (
     sigma,
     tau,
 )
-from cambrian.sortables import weyl_group_elements
 
 from conftest import RANK_LE_4, SMALL_MATRIX, compatibility_degree, coxeter_words, spec_of, tau_c_period
 

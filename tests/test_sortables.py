@@ -7,18 +7,9 @@ from hypothesis import strategies as st
 import cambrian.sortables
 from cambrian.errors import InternalError
 from cambrian.lattice import poset_from_hasse, verify_lattice, verify_quiver_map
+from cambrian.oracles import WeylElement, greedy_sorting_word, is_decreasing_chain, weyl_group_elements
 from cambrian.rootsys import CoxeterElement, almost_positive_roots, cartan_matrix, positive_roots
-from cambrian.sortables import (
-    WeylElement,
-    _pi_down,
-    _root_tables,
-    build_cambrian_hasse,
-    cambrian_vertex_map,
-    enumerate_sortables,
-    greedy_sorting_word,
-    is_decreasing_chain,
-    weyl_group_elements,
-)
+from cambrian.sortables import _pi_down, _root_tables, build_cambrian_hasse, cambrian_vertex_map, enumerate_sortables
 
 from conftest import (
     RANK_LE_4,

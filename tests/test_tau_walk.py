@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cambrian.laurent import VariableTable, mutate_seed
+from cambrian.laurent import VariableTable
 from cambrian.mutation import FrameTable
+from cambrian.oracles import mutate_seed
 from cambrian.quivers import build_exchange_quiver, check_tau_c_matrix
 from cambrian.rootsys import CoxeterElement, positive_roots
 
