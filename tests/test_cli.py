@@ -748,7 +748,7 @@ def test_build_json_runs_do_not_load_json():
 # still read by: tests/test_acceptance.py and perfbench's tracer).  The
 # writers and the acceptance-only reference code live where no verify
 # command imports them, and each old module forwards exactly these names.
-MOVED = {
+FORWARDED = {
     "cli": ("writers", ("quiver_to_json", "quiver_to_dot")),
     "laurent": ("oracles", ("initial_seed", "mutate_seed", "var_degree")),
     "mutation": ("oracles", ("check_duality", "frame_is_unimodular")),
@@ -756,19 +756,19 @@ MOVED = {
 }
 
 
-def test_old_import_paths_forward_exactly_the_moved_names():
+def test_old_modules_forward_only_the_names_still_read_through_them():
     # In a fresh interpreter, so that a forwarded read is what loads the new
     # module: importing cli loads the four old modules and neither new one.
-    # Every moved name read through its old module is the new module's
+    # Every forwarded name read through its old module is the new module's
     # object; no other name of the new module resolves there unless the old
     # module holds it itself; and an unknown name raises the usual
     # AttributeError naming the old module.
     script = (
         "import importlib, json, sys\n"
         "import cambrian.cli\n"
-        "moved, out = json.loads(sys.argv[1]), {}\n"
+        "forwarded_names, out = json.loads(sys.argv[1]), {}\n"
         "unloaded = 'cambrian.writers' not in sys.modules and 'cambrian.oracles' not in sys.modules\n"
-        "for old_name, (new_name, names) in moved.items():\n"
+        "for old_name, (new_name, names) in forwarded_names.items():\n"
         "    old = importlib.import_module('cambrian.' + old_name)\n"
         "    values = [getattr(old, name) for name in names]\n"
         "    new = sys.modules['cambrian.' + new_name]\n"
@@ -782,11 +782,11 @@ def test_old_import_paths_forward_exactly_the_moved_names():
         "    out[old_name] = [same, forwarded, error]\n"
         "print(json.dumps([unloaded, out]))\n"
     )
-    argv = [sys.executable, "-c", script, json.dumps(MOVED)]
+    argv = [sys.executable, "-c", script, json.dumps(FORWARDED)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=_cli_env(), check=True)
     assert json.loads(proc.stdout) == [True, {
         old: [True, sorted(names), f"module 'cambrian.{old}' has no attribute 'no_such_name'"]
-        for old, (_, names) in MOVED.items()
+        for old, (_, names) in FORWARDED.items()
     }]
 
 
