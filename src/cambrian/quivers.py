@@ -1,12 +1,13 @@
 """Exchange quiver, quiver of c-clusters, and the support tau-tilting quiver.
 
 All four kinds of quiver, the Cambrian Hasse quiver of sortables included,
-share the ClusterQuiver container: vertices carry typed payloads, edges record
-the exchanged pair.  A support tau-tilting pair (M, P) is held, like a
-c-cluster, as the sorted tuple of its roots, those of M + P[1].  Vertex and
-edge order is canonical, so identical inputs always produce identical quivers.
-The records are immutable but for an exchange quiver's steps, its build's
-FrameTable, whose memos grow when check_tau_c_matrix steps on it.
+share the ClusterQuiver container: vertices carry typed payloads, and an edge
+is its two ends, whose clusters differ in the exchanged pair.  A support
+tau-tilting pair (M, P) is held, like a c-cluster, as the sorted tuple of its
+roots, those of M + P[1].  Vertex and edge order is canonical, so identical
+inputs always produce identical quivers.  The records are immutable but for an
+exchange quiver's steps, its build's FrameTable, whose memos grow when
+check_tau_c_matrix steps on it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .rootsys import enumerate_c_clusters, maximal_compatible_sets, positive_roo
 class QuiverEdge(NamedTuple):
     src: int
     dst: int
-    out_label: object
-    in_label: object
 
 
 class ClusterVertexPayload(NamedTuple):
@@ -88,7 +87,7 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQui
     n, polys, steps = b.rank, table.polys, FrameTable(b)
     steps.check_duality(*steps.initial, ())
     frames = {}  # mask -> (c ids, variable ids) of each stored seed but the initial one, which no step reaches
-    edge_map: dict[int, tuple] = {}  # facet -> (src mask, dst mask, out id, in id)
+    edge_map: dict[int, tuple[int, int]] = {}  # facet -> (src mask, dst mask)
     queue = [((1 << n) - 1, *steps.initial, ())]  # BFS order: appended to while it is read
     for mask, cids, ids, path in queue:
         for k0 in range(n):
@@ -106,8 +105,7 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQui
                 queue.append((mkey, new_cids, new_ids, new_path))
             elif {*zip(*frames[mkey])} != {*zip(new_cids, new_ids)}:
                 raise InternalError(f"mutation path {new_path} reaches a stored cluster with other columns")
-            green = steps.signs[cids[k0]] > 0
-            edge_map[facet] = (mask, mkey, ids[k0], new_id) if green else (mkey, mask, new_id, ids[k0])
+            edge_map[facet] = (mask, mkey) if steps.signs[cids[k0]] > 0 else (mkey, mask)  # green
 
     # Canonical order: the stored seeds by their variables, each sorted by terms.
     gv, cv = steps.g_vectors, steps.c_vectors
@@ -116,10 +114,7 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQui
     index = {seed[0]: v for v, seed in enumerate(queue)}
     payloads = tuple(ClusterVertexPayload(tuple(polys[x] for x in ids), tuple(cv[i] for i in cids),
                                           tuple(gv[x] for x in ids), path, mask) for mask, cids, ids, path in queue)
-    edges = sorted(
-        (QuiverEdge(index[s], index[d], polys[o], polys[i]) for s, d, o, i in edge_map.values()),
-        key=lambda e: (e.src, e.dst),
-    )
+    edges = sorted(QuiverEdge(index[s], index[d]) for s, d in edge_map.values())
     return ClusterQuiver("exchange", payloads, tuple(edges), steps)
 
 
@@ -145,11 +140,8 @@ def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver
     for (i, a), (j, b) in _facet_pairs(clusters):
         if rdeg[a] == rdeg[b]:
             raise InternalError(f"R_c tie between exchanged roots {a}, {b}")
-        if rdeg[a] < rdeg[b]:
-            (i, a), (j, b) = (j, b), (i, a)
-        edges.append(QuiverEdge(i, j, a, b))
-    edges.sort(key=lambda e: (e.src, e.dst))
-    return ClusterQuiver("ccluster", clusters, tuple(edges))
+        edges.append(QuiverEdge(j, i) if rdeg[a] < rdeg[b] else QuiverEdge(i, j))
+    return ClusterQuiver("ccluster", clusters, tuple(sorted(edges)))
 
 
 def shadow_of_cluster(cluster: tuple[Root, ...]) -> tuple[tuple[Root, ...], tuple[int, ...]]:
@@ -199,12 +191,12 @@ def build_tau_tilting_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiv
     pair (Adachi-Iyama-Reiten, Compos. Math. 150) is the AND of its roots'
     torsion masks, the inversion set of w at cl_c(w) (Ingalls-Thomas, Compos.
     Math. 145).  Pairs sharing a facet get an arrow from the larger torsion
-    class to the smaller; out_label is the root that leaves src.  In types
-    B, C, F, G the form is that of the rank vectors of GLS tau-locally free
-    modules (Geiss-Leclerc-Schroer, Invent. Math. 209); no Hom/Ext^1
-    dichotomy for those is cited here, so there this is a combinatorial model
-    of the GLS side.  A maximal set of size other than n, a facet in other than
-    two pairs or unnested neighbouring torsion classes raise InternalError."""
+    class to the smaller.  In types B, C, F, G the form is that of the rank
+    vectors of GLS tau-locally free modules (Geiss-Leclerc-Schroer, Invent.
+    Math. 209); no Hom/Ext^1 dichotomy for those is cited here, so there this
+    is a combinatorial model of the GLS side.  A maximal set of size other
+    than n, a facet in other than two pairs or unnested neighbouring torsion
+    classes raise InternalError."""
     roots, (torsion, compatible) = almost_positive_roots(spec), euler_tables(spec, c)
     n, full = spec.rank, (1 << len(positive_roots(spec))) - 1
     # Index order is root order and -alpha_i is index i - 1: a clique is P then M, and equal Ms leave P to compare.
@@ -218,9 +210,8 @@ def build_tau_tilting_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiv
             (i, a, ti), (j, b, tj) = (j, b, tj), (i, a, ti)
         if ti & tj != tj or ti == tj:
             raise InternalError(f"torsion classes of the pairs exchanging {a} and {b} are not nested")
-        edges.append(QuiverEdge(i, j, a, b))
-    edges.sort(key=lambda e: (e.src, e.dst))
-    return ClusterQuiver("tautilt", tuple(clusters), tuple(edges))
+        edges.append(QuiverEdge(i, j))
+    return ClusterQuiver("tautilt", tuple(clusters), tuple(sorted(edges)))
 
 
 def ccluster_indices(ccluster: ClusterQuiver, clusters, image: str) -> tuple[int, ...]:

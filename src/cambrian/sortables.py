@@ -156,8 +156,8 @@ def _pi_down(t: _RootTables, inversions: int, img: list[int], queue: list[int], 
 def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
     """Hasse quiver of sortables ordered by inversion-set inclusion.
 
-    Arrows run from the greater element to the lesser; edge labels are the
-    cl-roots exchanged across the cover.  The lower covers of w are the
+    Arrows run from the greater element to the lesser, and each cover
+    exchanges one cl-root for another.  The lower covers of w are the
     projections pi_down^c(w s) over the right descents s: one replay of w's
     own sorting word by _pi_down, branching where it takes each cover root
     -w(alpha_s), the inversion that w s lacks.
@@ -175,11 +175,10 @@ def build_cambrian_hasse(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver:
             if i < 0 or sortables[i].inversions & ~(w.inversions ^ bit):
                 raise InternalError(f"pi_down of {w.word} without a cover root is no sortable below it: {word}")
         for i in sorted(covers):
-            # Cover j > i: arrow j -> i, labeled by the exchanged cl-roots.
-            out_roots, in_roots = cls[j] - cls[i], cls[i] - cls[j]
+            out_roots, in_roots = cls[j] - cls[i], cls[i] - cls[j]  # cover j > i: arrow j -> i
             if len(out_roots) != 1 or len(in_roots) != 1:
                 raise InternalError(f"cover does not exchange exactly one cl-root: {set(out_roots)} / {set(in_roots)}")
-            edges.append(QuiverEdge(j, i, *out_roots, *in_roots))
+            edges.append(QuiverEdge(j, i))
     return ClusterQuiver("cambrian", sortables, tuple(edges))
 
 

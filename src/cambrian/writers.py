@@ -63,9 +63,12 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
     document {"edges": [...], "vertices": [...]}, streamed in that fixed
     shape: each edge and vertex object is one string with its keys in sorted
     order, and each root, integer vector and exchange variable is rendered
-    once (_tables)."""
+    once (_tables).  An arrow's out label is the member of its src that its
+    dst lacks, and its in label the member of dst that src lacks."""
     roots, vectors, variables = _tables(verbose)
     label = (lambda x: variables(x)[0]) if q.kind == "exchange" else roots
+    members = [frozenset(v.variables if q.kind == "exchange" else v.cluster if q.kind == "cambrian" else v)
+               for v in q.vertices]
 
     def payload(v) -> tuple[str, ...]:
         if q.kind == "exchange":
@@ -85,9 +88,10 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
         raise InternalError(f"unknown quiver kind {q.kind!r}")
 
     def edge(i: int) -> str:
-        e = q.edges[i]
-        return (f'    {{\n      "dst": {e.dst},\n      "in": {label(e.in_label)},\n'
-                f'      "out": {label(e.out_label)},\n      "src": {e.src}\n    }}')
+        s, d = q.edges[i]
+        (x_out,), (x_in,) = members[s] - members[d], members[d] - members[s]
+        return (f'    {{\n      "dst": {d},\n      "in": {label(x_in)},\n'
+                f'      "out": {label(x_out)},\n      "src": {s}\n    }}')
 
     def vertex(i: int) -> str:
         fields = ",\n        ".join(payload(q.vertices[i]))

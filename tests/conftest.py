@@ -241,8 +241,9 @@ def prefix_image_cl(spec, word):
 
 def pair_scan_cambrian_hasse(spec, c):
     """The Cambrian Hasse quiver by comparing every pair of inversion sets,
-    with the exchanged prefix-image cl-roots as labels: the oracle for the
-    covers that build_cambrian_hasse reads off by pi_down."""
+    and its edges as (src, dst, out, in), out and in the prefix-image
+    cl-roots exchanged across the cover: the oracle for the covers that
+    build_cambrian_hasse reads off by pi_down."""
     sortables = enumerate_sortables(spec, c)
     inv = [frozenset(image for _, image in prefix_images(spec, s.word)) for s in sortables]
     m = len(sortables)
@@ -255,13 +256,14 @@ def pair_scan_cambrian_hasse(spec, c):
                 down[j] |= 1 << i
                 up[i] |= 1 << j
     clusters = [set(prefix_image_cl(spec, s.word)) for s in sortables]
-    edges = []
+    labeled = []
     for j in range(m):
         for i in range(m):
             if down[j] >> i & 1 and not down[j] & up[i]:
                 (out_root,), (in_root,) = clusters[j] - clusters[i], clusters[i] - clusters[j]
-                edges.append(QuiverEdge(j, i, out_root, in_root))
-    return ClusterQuiver("cambrian", sortables, tuple(edges))
+                labeled.append((j, i, out_root, in_root))
+    edges = tuple(QuiverEdge(j, i) for j, i, _, _ in labeled)
+    return ClusterQuiver("cambrian", sortables, edges), tuple(labeled)
 
 
 def mutate_matrix(m, k):
@@ -368,8 +370,10 @@ def b_along_path(b, path):
 
 def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
     """The exchange BFS on full Laurent seeds, a cluster keyed by its set of
-    polynomials, each edge mutated from both ends: the oracle for the
-    g-vector-keyed frame BFS of build_exchange_quiver."""
+    polynomials, each edge mutated from both ends, and its edges as (src,
+    dst, out, in), out the variable that the green mutation from src
+    exchanges and in the one it brings: the oracle for the g-vector-keyed
+    frame BFS of build_exchange_quiver."""
     b = signed_bc(spec, c, sign)
     n = b.rank
     seed0 = initial_seed(b, "trivial")
@@ -407,11 +411,10 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
         mask = sum(1 << ids[x] for x in key)
         f = seed.frame
         payloads.append(ClusterVertexPayload(seed.vars, f.c_vectors, f.g_vectors, f.path, mask))
-    edges = sorted(
-        (QuiverEdge(index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
-        key=lambda e: (e.src, e.dst),
-    )
-    return ClusterQuiver("exchange", tuple(payloads), tuple(edges))
+    labeled = tuple(sorted(((index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
+                           key=lambda e: e[:2]))
+    edges = tuple(QuiverEdge(s, d) for s, d, _, _ in labeled)
+    return ClusterQuiver("exchange", tuple(payloads), edges), labeled
 
 
 def laurent_tau_walk(spec, c, qp):
@@ -469,22 +472,21 @@ def assert_exchange_relations(q):
 
 
 def per_position_tau_tilting(spec, exchange, ccluster):
-    """The theta shadow of the exchange quiver of B^c, arrows reversed, and
-    the theta vertex map, with theta taken at every position of every
-    cluster and at both labels of every edge.  The oracle for the Euler-form
-    build_tau_tilting_quiver, which uses neither Laurent polynomials nor
-    theta, and for theta_vertex_map, which takes theta once per variable."""
+    """The theta shadow of the exchange quiver of B^c, arrows reversed, its
+    edges as (src, dst, out, in), and the theta vertex map, with theta taken
+    at every position of every cluster and at both labels of every edge
+    (end_labels).  The oracle for the Euler-form build_tau_tilting_quiver,
+    which uses neither Laurent polynomials nor theta, and for
+    theta_vertex_map, which takes theta once per variable."""
     clusters = [tuple(sorted(theta(spec, x) for x in p.variables)) for p in exchange.vertices]
     ordered = sorted(range(len(clusters)), key=lambda i: _pair(clusters[i]))
     index = {old: new for new, old in enumerate(ordered)}
-    edges = []
-    for e in exchange.edges:
-        out_root, in_root = theta(spec, e.in_label), theta(spec, e.out_label)
-        edges.append(QuiverEdge(index[e.dst], index[e.src], out_root, in_root))
-    edges.sort(key=lambda e: (e.src, e.dst))
-    tautilt = ClusterQuiver("tautilt", tuple(clusters[i] for i in ordered), tuple(edges))
+    labeled = sorted((index[d], index[s], theta(spec, x_in), theta(spec, x_out))
+                     for s, d, x_out, x_in in end_labels(exchange))
+    edges = tuple(QuiverEdge(s, d) for s, d, _, _ in labeled)
+    tautilt = ClusterQuiver("tautilt", tuple(clusters[i] for i in ordered), edges)
     ccluster_index = {cluster: i for i, cluster in enumerate(ccluster.vertices)}
-    return tautilt, tuple(ccluster_index[cluster] for cluster in clusters)
+    return tautilt, tuple(labeled), tuple(ccluster_index[cluster] for cluster in clusters)
 
 
 def _root_str(r):
@@ -531,16 +533,34 @@ def _edge_label(label, var_payloads):
     return _root_str(label)
 
 
+def _members(q, v):
+    """The cluster variables or roots of a vertex of q, in position order."""
+    return v.variables if q.kind == "exchange" else v.cluster if q.kind == "cambrian" else v
+
+
+def end_labels(q):
+    """Each edge of q as (src, dst, out, in), its labels read off its two
+    ends by scanning each end's members in position order: out is the member
+    of src that dst lacks, and in the member of dst that src lacks."""
+    labeled = []
+    for e in q.edges:
+        src, dst = _members(q, q.vertices[e.src]), _members(q, q.vertices[e.dst])
+        (out,) = [x for x in src if x not in dst]
+        (into,) = [x for x in dst if x not in src]
+        labeled.append((e.src, e.dst, out, into))
+    return tuple(labeled)
+
+
 def dict_document_json(q, verbose=False):
     """q as a document of nested dicts, encoded by json.dumps(indent=2,
-    sort_keys=True): the oracle for the streaming writer quiver_to_json."""
+    sort_keys=True), each edge labelled by end_labels: the oracle for the
+    streaming writer quiver_to_json."""
     var_payloads = _var_payloads(q, verbose)
     doc = {
         "vertices": [{"id": i, "payload": _vertex_payload(q, v, var_payloads)} for i, v in enumerate(q.vertices)],
         "edges": [
-            {"src": e.src, "dst": e.dst, "out": _edge_label(e.out_label, var_payloads),
-             "in": _edge_label(e.in_label, var_payloads)}
-            for e in q.edges
+            {"src": s, "dst": d, "out": _edge_label(out, var_payloads), "in": _edge_label(into, var_payloads)}
+            for s, d, out, into in end_labels(q)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
 import errno
+import functools
 import gc
 import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -25,11 +27,11 @@ from cambrian.cli import (
     run_all_checks,
 )
 from cambrian.errors import InputError, InternalError
-from cambrian.laurent import VariableTable, _exchange
+from cambrian.laurent import VariableTable, _exchange, denominator_vector, poly_hash
 from cambrian.mutation import FrameTable
 from cambrian.oracles import mutate_columns
-from cambrian.quivers import QuiverEdge, theta_vertex_map
-from cambrian.rootsys import CoxeterElement, cartan_matrix
+from cambrian.quivers import QuiverEdge, euler_tables, theta_vertex_map
+from cambrian.rootsys import CoxeterElement, almost_positive_roots, cartan_matrix, r_degree
 from cambrian.writers import _BATCH, quiver_to_dot, quiver_to_json
 
 from conftest import (
@@ -168,6 +170,57 @@ def test_e8_writers_match_the_dict_document(kind):
     assert quiver_to_dot(q) == per_vertex_dot(q)
 
 
+def printed_arrows(q):
+    """Each arrow of q as quiver_to_json prints it, (src, dst, out, in), with
+    each label mapped back to the cluster variable or the root it names, once
+    the out label is checked to lie in src alone and the in label in dst alone."""
+    if q.kind == "exchange":
+        members = [v.variables for v in q.vertices]
+        variables = {x for xs in members for x in xs}
+        named = {f"d=[{','.join(map(str, denominator_vector(x)))}]#{poly_hash(x)}": x for x in variables}.get
+    else:
+        members, named = list(q.vertices), lambda label: tuple(json.loads(label))
+    arrows = []
+    for e in json.loads(write_json(q))["edges"]:
+        s, d, out, into = e["src"], e["dst"], named(e["out"]), named(e["in"])
+        assert out in members[s] and out not in members[d] and into in members[d] and into not in members[s], e
+        arrows.append((s, d, out, into))
+    return arrows
+
+
+# Every type of rank at most 4 with c = 1..n and n..1, and E6 on the two words the benchmark runs.
+LABEL_CASES = ORACLE_CASES + [("E", 6, (1, 2, 3, 4, 5, 6)), ("E", 6, (2, 5, 1, 6, 3, 4))]
+
+
+class TestPrintedLabels:
+    """The out and in labels that quiver_to_json reads off each arrow's ends
+    obey the rule by which the builder oriented the arrow."""
+
+    @pytest.mark.parametrize("t, n, order", LABEL_CASES)
+    def test_exchange_out_variable_is_green_in_src(self, t, n, order):
+        for sign in ("plus", "minus"):
+            q = exchange_of(t, n, order, sign)
+            for s, _, out, _ in printed_arrows(q):
+                v = q.vertices[s]
+                assert min(v.c_vectors[v.variables.index(out)]) >= 0, (sign, v.witness_path)
+
+    @pytest.mark.parametrize("t, n, order", LABEL_CASES)
+    def test_ccluster_out_root_has_the_larger_r_degree(self, t, n, order):
+        spec, c = spec_of(t, n), CoxeterElement(order)
+        for _, _, out, into in printed_arrows(ccluster_of(t, n, order)):
+            assert r_degree(spec, c, out) > r_degree(spec, c, into), (out, into)
+
+    @pytest.mark.parametrize("t, n, order", LABEL_CASES)
+    def test_tautilt_out_root_leaves_the_torsion_class(self, t, n, order):
+        # The out root is a positive root of T_src minus T_dst, T a pair's
+        # torsion class as the AND of its roots' torsion masks.
+        spec, c, q = spec_of(t, n), CoxeterElement(order), tautilt_of(t, n, order)
+        torsion, at = euler_tables(spec, c)[0], {r: k for k, r in enumerate(almost_positive_roots(spec))}
+        classes = [functools.reduce(operator.and_, (torsion[at[r]] for r in v)) for v in q.vertices]
+        for s, d, out, _ in printed_arrows(q):
+            assert min(out) >= 0 and (classes[s] & ~classes[d]) >> at[out] - n & 1, (s, d, out)
+
+
 class TestVerifyCommands:
     def test_verify_all_a2(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--type", "A", "--rank", "2", "--coxeter", "2,1")
@@ -270,15 +323,16 @@ class TestVerifyCommands:
     @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
     def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):
         # A3 has m = 14 clusters.  Each exchange build checks duality on the
-        # m frames it stores and the tau walk on its m frames; the sign
-        # report asserts nothing again: 2m = 28 under verify-signs and 3m =
-        # 42 under verify-all.
+        # m frames it stores and the tau walk on its m frames, per_cluster *
+        # m in all; the sign report checks each of the 2m stored frames once
+        # more, as its vertex prints it: 4m = 56 under verify-signs and 5m =
+        # 70 under verify-all.
         calls = []
         original = FrameTable.check_duality
         monkeypatch.setattr(FrameTable, "check_duality", lambda *args: calls.append(args) or original(*args))
         code, _, _ = run(capsys, command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
         assert code == 0
-        assert len(calls) == per_cluster * 14
+        assert len(calls) == (per_cluster + 2) * 14
 
     def test_build_raises_on_a_bad_stored_frame(self, capsys, monkeypatch):
         # Negate one C-column entry of each column step the BFS takes.
@@ -308,7 +362,7 @@ class TestVerifyCommands:
         def with_shortcut(*args, **kwargs):
             q = original(*args, **kwargs)
             e, f = next((e, f) for e in q.edges for f in q.edges if e.dst == f.src)
-            return q._replace(edges=q.edges + (QuiverEdge(e.src, f.dst, None, None),))
+            return q._replace(edges=q.edges + (QuiverEdge(e.src, f.dst),))
 
         monkeypatch.setattr(cambrian.cli, "build_c_cluster_quiver", with_shortcut)
         code, out, err = run(capsys, "verify-lattice", "--type", "A", "--rank", "2", "--coxeter", "1,2")
@@ -1097,7 +1151,7 @@ def test_tautilt_writers_are_byte_identical(capsys, argv):
 
 def _reversed_arrow(q):
     e = q.edges[0]
-    return q._replace(edges=(QuiverEdge(e.dst, e.src, e.in_label, e.out_label), *q.edges[1:]))
+    return q._replace(edges=(QuiverEdge(e.dst, e.src), *q.edges[1:]))
 
 
 def _with_vertex_3(q, **fields):
@@ -1120,15 +1174,15 @@ PLANTED_DEFECTS = {
         q, g_vectors=(q.vertices[3].g_vectors[1], q.vertices[3].g_vectors[0], *q.vertices[3].g_vectors[2:])),
     "negated c-vector 1 of vertex 3": lambda q: _with_vertex_3(
         q, c_vectors=(tuple(-x for x in q.vertices[3].c_vectors[0]), *q.vertices[3].c_vectors[1:])),
+    "swapped variables 1 and 2 of vertex 3": lambda q: _with_vertex_3(
+        q, variables=(q.vertices[3].variables[1], q.vertices[3].variables[0], *q.vertices[3].variables[2:])),
     "orphan witness path": _orphan_path,
 }
 THETA, PHI, PSI, CL = ("theta exchange->ccluster anti", "phi tautilt->ccluster iso",
                        "psi tautilt->exchange anti", "cl cambrian->ccluster iso")
 
 # What verify-all makes, on A3 with c = 1,2,3, of one defect planted in one
-# quiver of the Build: the set of failing reports, or InternalError.  Two
-# variables of a vertex swapped, or a c-vector of a plus vertex negated,
-# still pass all 12 checks (ROADMAP item 11), so neither is listed.
+# quiver of the Build: the set of failing reports, or InternalError.
 PLANTED_OUTCOMES = [
     *((attr, "reversed arrow 0", InternalError) for attr in ("plus", "ccluster", "tautilt", "cambrian")),
     ("minus", "reversed arrow 0", {"arrow-flip"}),
@@ -1142,9 +1196,9 @@ PLANTED_OUTCOMES = [
     ("ccluster", "swapped vertices 0 and 1", {THETA, PHI, CL}),
     ("tautilt", "swapped vertices 0 and 1", {PHI, PSI}),
     ("cambrian", "swapped vertices 0 and 1", {CL}),
-    ("plus", "swapped g-vectors 1 and 2 of vertex 3", {"arrow-flip", "tau-c-matrix"}),
-    ("minus", "swapped g-vectors 1 and 2 of vertex 3", {"arrow-flip"}),
-    ("minus", "negated c-vector 1 of vertex 3", {"tau-c-matrix"}),
+    *((attr, "swapped g-vectors 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
+    *((attr, "negated c-vector 1 of vertex 3", InternalError) for attr in ("plus", "minus")),
+    *((attr, "swapped variables 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
     ("plus", "orphan witness path", InternalError),
 ]
 
@@ -1158,6 +1212,19 @@ def test_verify_all_catches_a_planted_defect(attr, defect, outcome):
             run_all_checks(build)
     else:
         assert {rep.name for rep in run_all_checks(build) if not rep.ok} == outcome
+
+
+@pytest.mark.parametrize("attr", ["plus", "minus"])
+@pytest.mark.parametrize("defect", ["swapped g-vectors 1 and 2 of vertex 3", "negated c-vector 1 of vertex 3",
+                                    "swapped variables 1 and 2 of vertex 3"])
+def test_a_vertex_that_misprints_its_frame_is_an_internal_error(capsys, monkeypatch, attr, defect):
+    # verify-all exits 3 with no report, naming the vertex's witness path.
+    build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP)
+    build.__dict__[attr] = PLANTED_DEFECTS[defect](getattr(build, attr))
+    monkeypatch.setattr(cambrian.cli, "Build", lambda *args: build)
+    code, out, err = run(capsys, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: witness path {getattr(build, attr).vertices[3].witness_path}: ")
 
 
 def test_a_dropped_exchange_vertex_is_an_internal_error(capsys, monkeypatch):

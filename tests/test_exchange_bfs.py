@@ -26,6 +26,7 @@ from conftest import (
     b_along_path,
     ccluster_of,
     check_frame,
+    end_labels,
     exchange_of,
     ids_frame,
     polynomial_keyed_exchange_quiver,
@@ -38,10 +39,12 @@ from conftest import (
 def assert_matches_oracle(t, n, c, sign):
     spec = spec_of(t, n)
     q = build_exchange_quiver(signed_bc(spec, c, sign), VariableTable(n))
-    oracle = polynomial_keyed_exchange_quiver(spec, c, sign)
-    # Payloads (seeds in position order, witness paths, masks) and edges.
+    oracle, labeled = polynomial_keyed_exchange_quiver(spec, c, sign)
+    # Payloads (seeds in position order, witness paths, masks), edges, and
+    # the exchanged variables that each arrow's ends differ in.
     assert q.vertices == oracle.vertices
     assert q.edges == oracle.edges
+    assert end_labels(q) == labeled
 
 
 @st.composite

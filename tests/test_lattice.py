@@ -35,7 +35,7 @@ def quiver(n, edges, kind="ccluster"):
     return ClusterQuiver(
         kind,
         tuple(((i,),) for i in range(n)),
-        tuple(QuiverEdge(s, d, None, None) for s, d in edges),
+        tuple(QuiverEdge(s, d) for s, d in edges),
     )
 
 

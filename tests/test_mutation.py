@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cambrian.errors import InputError, InternalError
-from cambrian.mutation import ExchangeMatrix, build_bc, identity_frame
+from cambrian.mutation import ExchangeMatrix, FrameTable, build_bc, column_sign, identity_frame
 from cambrian.oracles import _det, check_duality, frame_is_unimodular
 from cambrian.rootsys import CoxeterElement, cartan_matrix
 
@@ -32,6 +32,12 @@ class TestExchangeMatrix:
             ExchangeMatrix(((0, 1), (1, 0)), (1, 1))
         with pytest.raises(InputError):
             ExchangeMatrix(((0, -1), (1, 0)), (1, 0))
+
+    @pytest.mark.parametrize("s", [(1, 1, 1), (0, 0), (-1, -1)])
+    def test_symmetrizer_is_n_positive_integers(self, s):
+        # B is skew-symmetrized by each s, so only the symmetrizer check refuses it.
+        with pytest.raises(InputError):
+            ExchangeMatrix(((0, 1), (-1, 0)), s)
 
     def test_negated(self):
         m = ExchangeMatrix(((0, -1), (1, 0)), (1, 1))
@@ -138,6 +144,16 @@ class TestFrames:
         with pytest.raises(InternalError, match=re.escape(message)):
             frame_mutate(bad, 1)
 
+    @pytest.mark.parametrize("col,sign", [((0, 2), 1), ((-1, 0), -1), ((0, 0), None), ((1, -1), None)])
+    def test_column_sign(self, col, sign):
+        # +1 for a nonzero non-negative column, -1 for a nonzero non-positive
+        # one; a zero or mixed column is no c-vector.
+        if sign is None:
+            with pytest.raises(InternalError):
+                column_sign(col, ())
+        else:
+            assert column_sign(col, ()) == sign
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([("A", 3), ("B", 3), ("C", 3), ("G", 2)]),
@@ -150,6 +166,28 @@ class TestFrames:
             f = frame_mutate(f, k)
         check_duality(f)
         assert frame_is_unimodular(f)
+
+
+class TestFrameTableStep:
+    """A column step on c ids and variable ids names what it refuses: the
+    witness path of the frame it makes and the 1-based positions."""
+
+    def test_non_integral_b_names_the_witness_path(self):
+        # The planted frame of TestFrames, (0, 1, 0) at position 3 of the C3
+        # frame at path (1,), as c ids.
+        steps = FrameTable(build_bc(spec_of("C", 3), CoxeterElement((1, 2, 3))))
+        _, cids, _ = steps.step(*steps.initial, 0, ())
+        bad = cids[:2] + (steps.c_id((0, 1, 0), steps.s[2], (1,)),)
+        with pytest.raises(InternalError, match=r"^witness path \(1,\): .* at \(3, 1\)$"):
+            steps.step(bad, steps.initial[1], 0, (1,))
+
+    def test_a_sign_incoherent_c_vector_names_the_path_it_is_met_at(self):
+        # c_1 planted as (1, -1) after numbering: the step at 1 makes -c_1 at path (1,).
+        steps = FrameTable(build_bc(A2, C21))
+        cids, ids = steps.initial
+        steps.c_vectors[cids[0]] = (1, -1)
+        with pytest.raises(InternalError, match=r"^witness path \(1,\): sign coherence violated"):
+            steps.step(cids, ids, 0, ())
 
 
 @st.composite

@@ -50,6 +50,7 @@ from conftest import (
     cambrian_of,
     ccluster_of,
     derived_b,
+    end_labels,
     exchange_of,
     per_position_tau_tilting,
     sortables_of,
@@ -323,7 +324,7 @@ class TestArrowFlip:
     def test_fails_on_an_extra_edge_of_minus(self):
         # Every edge of B^c is in -B^c, but -B^c has one more.
         qp, qm = self.a3()
-        rep = check_arrow_flip(qp, qm._replace(edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
+        rep = check_arrow_flip(qp, qm._replace(edges=qm.edges + (QuiverEdge(0, 13),)))
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), "21 edges of B^c, 22 of -B^c")
 
     def test_fails_when_the_facet_sets_differ(self):
@@ -331,13 +332,13 @@ class TestArrowFlip:
         # facet where -B^c has one that B^c lacks.
         qp, qm = self.a3()
         rep = check_arrow_flip(qp._replace(edges=qp.edges + qp.edges[:1]),
-                               qm._replace(edges=qm.edges + (QuiverEdge(0, 13, None, None),)))
+                               qm._replace(edges=qm.edges + (QuiverEdge(0, 13),)))
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("edge sets differ",), "22 edges of B^c, 22 of -B^c")
 
     def test_fails_when_an_edge_breaks_the_flip_rule(self):
         qp, qm = self.a3()
         e, f = qm.edges[0], self.plus_edge(qp, qm, qm.edges[0])
-        edges = (QuiverEdge(e.dst, e.src, e.in_label, e.out_label),) + qm.edges[1:]
+        edges = (QuiverEdge(e.dst, e.src),) + qm.edges[1:]
         rep = check_arrow_flip(qp, qm._replace(edges=edges))
         assert (rep.ok, rep.details, rep.counterexample) == (
             False, ("edge direction contradicts the flip rule",), f"edge {f.src} -> {f.dst} of B^c"
@@ -358,7 +359,7 @@ class TestArrowFlip:
             rep = check_arrow_flip(exchange_of("A", 3, order, "plus"), exchange_of("A", 3, order, "minus"))
             assert rep.ok
             q = tautilt_of("A", 3, order)
-            both_pos = sum(1 for e in q.edges if min(e.out_label) >= 0 and min(e.in_label) >= 0)
+            both_pos = sum(1 for _, _, out, into in end_labels(q) if min(out) >= 0 and min(into) >= 0)
             assert rep.stat("flipped_edges") == both_pos
 
 
@@ -504,10 +505,11 @@ def type_and_c(draw):
 def assert_matches_theta_shadow(t, n, order):
     spec, c = spec_of(t, n), CoxeterElement(order)
     exq, ccq = exchange_of(t, n, order), ccluster_of(t, n, order)
-    tautilt, theta_map = per_position_tau_tilting(spec, exq, ccq)
+    tautilt, labeled, theta_map = per_position_tau_tilting(spec, exq, ccq)
     q = tautilt_of(t, n, order)
     assert q.vertices == tautilt.vertices
     assert q.edges == tautilt.edges
+    assert end_labels(q) == labeled
     assert theta_vertex_map(spec, c, exq, ccq) == theta_map
 
 

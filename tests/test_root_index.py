@@ -22,7 +22,7 @@ from cambrian.rootsys import (
 )
 from cambrian.sortables import build_cambrian_hasse, cambrian_vertex_map, enumerate_sortables
 
-from conftest import RANK_LE_4, compatibility_degree, mask_roots, matrix_inversion_set, spec_of
+from conftest import RANK_LE_4, compatibility_degree, end_labels, mask_roots, matrix_inversion_set, spec_of
 
 
 def _orbit_r_degree(spec, c, root):
@@ -102,7 +102,7 @@ def test_indexed_paths_match_their_definitions(case):
         assert mask_roots(spec, s.inversions) == matrix_inversion_set(spec, s.element)
         assert s.cluster == _matrix_cl(spec, s)
     q = build_c_cluster_quiver(spec, c)
-    edges = {(e.src, e.dst, e.out_label, e.in_label) for e in q.edges}
+    edges = set(end_labels(q))
     assert len(edges) == len(q.edges)
     assert edges == _pair_scan_edges(spec, c)
 

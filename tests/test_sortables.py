@@ -15,6 +15,7 @@ from conftest import (
     RANK_LE_4,
     cambrian_of,
     ccluster_of,
+    end_labels,
     mask_roots,
     matrix_inversion_set,
     pair_scan_cambrian_hasse,
@@ -294,18 +295,21 @@ def test_covers_match_pair_scan(case):
     # Same vertices in the same order, with the same inversion sets and
     # c-clusters, and the same labeled edges as the pair scan.
     spec, c = spec_of(*case[:2]), CoxeterElement(case[2])
-    q, oracle = build_cambrian_hasse(spec, c), pair_scan_cambrian_hasse(spec, c)
+    q, (oracle, labeled) = build_cambrian_hasse(spec, c), pair_scan_cambrian_hasse(spec, c)
     assert [s.blocks for s in q.vertices] == greedy_sortable_blocks(*case)
     for s in q.vertices:
         assert mask_roots(spec, s.inversions) == {image for _, image in prefix_images(spec, s.word)}
         assert s.cluster == prefix_image_cl(spec, s.word)
     assert q.edges == oracle.edges
+    assert end_labels(q) == labeled
 
 
 @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
 def test_e6_covers_match_pair_scan(order):
     q = cambrian_of("E", 6, order)
-    assert q.edges == pair_scan_cambrian_hasse(spec_of("E", 6), CoxeterElement(order)).edges
+    oracle, labeled = pair_scan_cambrian_hasse(spec_of("E", 6), CoxeterElement(order))
+    assert q.edges == oracle.edges
+    assert end_labels(q) == labeled
 
 
 @settings(max_examples=40, deadline=None)
