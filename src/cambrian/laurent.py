@@ -1,10 +1,10 @@
 """Exact Laurent polynomials, the builds' table of variables, the root map.
 
 Cluster variables are kept fully expanded in the initial variables.  An
-exchange is an exact division (_exchange), or, where the quotient is known,
-a product check (VariableTable._exchange_holds), as strong since the
-Laurent ring is a domain; either runs on packed exponents, and failing is a
-hard internal error, never a recoverable condition.
+exchange (VariableTable.exchange) is a product check where the quotient is
+known, as strong since the Laurent ring is a domain, or else an exact
+division (_divide), both on the table's packed exponents; an inexact
+division is a hard internal error, never a recoverable condition.
 __mul__ and __add__ are the plain tuple-exponent arithmetic.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
-from operator import mul, sub
+from operator import floordiv, mul, sub
 
 from .errors import InputError, InternalError
 from .rootsys import CartanSpec, Root, is_almost_positive
@@ -76,14 +76,13 @@ class LaurentPolynomial(namedtuple("LaurentPolynomial", "nvars terms box hash"))
         return LaurentPolynomial.from_dict(self.nvars, d)
 
 
-# The packed arithmetic of _exchange and of the product check.  An exponent e
-# packs to the integer sum(e_j * w_j), where the place values w are the mixed
-# radix of a box [lo, hi] with the first coordinate most significant.
-# Packing is additive, so a product of terms is a sum of keys, and on any box
-# no wider than [lo, hi] it is injective and keeps the descending-lex order
-# of LaurentPolynomial.terms.  _exchange packs over the box of its
-# numerator; VariableTable packs each variable once, on one radix that it
-# widens to hold every product its checks form.
+# The packed arithmetic of the exchanges.  An exponent e packs to the integer
+# sum(e_j * w_j), where the place values w are the mixed radix of a box [lo,
+# hi] with the first coordinate most significant.  Packing is additive, so a
+# product of terms is a sum of keys, and on any box no wider than [lo, hi] it
+# is injective and keeps the descending-lex order of LaurentPolynomial.terms.
+# VariableTable packs each variable once, on one radix that it widens to hold
+# every product its exchanges form; oracles._exchange packs over its numerator's box.
 
 
 def _box(terms: tuple[tuple[Exponent, int], ...]) -> tuple[Exponent, Exponent]:
@@ -113,9 +112,10 @@ def _mul_packed(a: dict[int, int], b: list[tuple[int, int]]) -> dict[int, int]:
     return out
 
 
-def _divide(num: dict[int, int], divisor: LaurentPolynomial, lo: Exponent, hi: Exponent,
+def _divide(num: dict[int, int], divisor: LaurentPolynomial, packed: Packed, lo: Exponent, hi: Exponent,
             weights: tuple[int, ...]) -> LaurentPolynomial:
-    """num / divisor, num packed over the box [lo, hi] holding its terms.
+    """num / divisor, both packed by weights, whose radix in coordinate j > 0,
+    weights[j - 1] // weights[j], is at least hi_j - lo_j + 1 on the box [lo, hi] of num.
 
     The remainder's terms stay in [lo, hi] and sit in a max-heap of keys; each
     step divides its lead term by the divisor's.  An exact quotient lies in
@@ -124,14 +124,13 @@ def _divide(num: dict[int, int], divisor: LaurentPolynomial, lo: Exponent, hi: E
     exponent is checked on the digits of the lead term, decoded from its key.
     The lead term strictly decreases inside the finite box, so the loop ends.
     """
-    (lead_e, lead_c), *rest = divisor.terms
-    lead_k = sum(map(mul, lead_e, weights))
-    rest, (dlo, dhi) = _pack(rest, weights), divisor.box
+    (lead_e, lead_c), (lead_k, _), rest, (dlo, dhi) = divisor.terms[0], packed[0], packed[1:], divisor.box
     # (radix, lowest digit, highest digit, digit-to-quotient-exponent offset),
     # least significant coordinate first.
+    radices = (hi[0] - lo[0] + 1, *map(floordiv, weights, weights[1:]))
     digits = tuple(
-        (h - l + 1, e - dl, h - l - (dh - e), l - e)
-        for l, h, e, dl, dh in reversed(tuple(zip(lo, hi, lead_e, dlo, dhi)))
+        (radix, e - dl, h - l - (dh - e), l - e)
+        for radix, l, h, e, dl, dh in reversed(tuple(zip(radices, lo, hi, lead_e, dlo, dhi)))
     )
     base = sum(map(mul, lo, weights))
     heap = [-k for k in num]
@@ -217,19 +216,8 @@ def _hull(groups: Sequence[Factors], nvars: int) -> tuple[Exponent, Exponent]:
     return tuple(map(min, *los)), tuple(map(max, *his))
 
 
-def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    for key, c in b.items():
-        a[key] = a.get(key, 0) + c
+def _nonzero(a: dict[int, int]) -> dict[int, int]:
     return {key: c for key, c in a.items() if c}
-
-
-def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial) -> LaurentPolynomial:
-    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the
-    hull of the two products' boxes."""
-    lo, hi = _hull((pos, neg), divisor.nvars)
-    weights = _place_values(lo, hi)
-    plus, minus = ([(_pack(p.terms, weights), m) for p, m in factors] for factors in (pos, neg))
-    return _divide(_sum(_product(plus), _product(minus)), divisor, lo, hi, weights)
 
 
 def _product(factors: PackedFactors) -> dict[int, int]:
@@ -251,17 +239,17 @@ class VariableTable:
 
     Every variable is packed once on one radix (_pack): coordinate j has
     width widths_j + 1, where widths_j is the widest range of exponents in
-    coordinate j over the checks so far, each the hull of the boxes of its
-    M+, M- and x_k x' (_hull).  A product's box is the sum of its factors'
-    boxes, so no two exponents of a product a check forms, or of the
-    products it compares, share a key.  A check that needs more repacks
-    every variable."""
+    coordinate j over the relations so far, each the hull of the boxes of
+    its M+, M- and, where it is checked, x_k x' (_hull).  A product's box is
+    the sum of its factors' boxes, so no two exponents of a product a
+    relation forms, or of the products it compares, share a key.  A relation
+    that needs more repacks every variable."""
 
     def __init__(self, n: int):
         self.polys = [LaurentPolynomial.generator(n, i) for i in range(n)]
         self.ids = {x: i for i, x in enumerate(self.polys)}
         self.relations: dict[tuple, int] = {}
-        self.widths = (0,) * n  # no check yet
+        self.widths = (0,) * n  # no relation yet
         self._repack()
 
     def _repack(self) -> None:
@@ -278,50 +266,43 @@ class VariableTable:
             self.packed.append(_pack(x.terms, self.weights))
         return new_id
 
-    def _exchange_holds(self, pos: list[tuple[int, int]], neg: list[tuple[int, int]], k: int, x: int) -> bool:
-        """Whether x_k * x = M+ + M-, M+ and M- given as (id, power) pairs, on
-        the packed terms, after a repack if the check spans more than the
-        radix.  The Laurent ring is a domain, so for a known quotient x of
-        the exchange this check is as strong as the division."""
-        polys = self.polys
-        groups = [[(polys[i], m) for i, m in factors] for factors in (pos, neg, [(k, 1), (x, 1)])]
-        lo, hi = _hull(groups, len(self.widths))
-        widths = tuple(map(max, map(sub, hi, lo), self.widths))
-        if widths != self.widths:
-            self.widths = widths
-            self._repack()
-        packed = self.packed
-        plus, minus = ([(packed[i], m) for i, m in factors] for factors in (pos, neg))
-        num, product = _product(plus), _mul_packed(dict(packed[k]), packed[x])
-        for key, c in _product(minus).items():
-            num[key] = num.get(key, 0) + c
-        # Equal dicts are equal polynomials; unequal ones are compared again
-        # without their zero coefficients.  Copying every pair instead took
-        # about 5% of the E8 plus build.
-        return num == product or _sum(num, {}) == _sum(product, {})
-
     def exchange(self, ids: tuple[int, ...], column: tuple[int, ...], k0: int, known: int | None = None) -> int:
         """The id of x_k' for the seed with variable ids and column k0 of its
-        B, kept from both ends.  A new relation is one exact division
-        (_exchange), or, where the build holds a variable known at x_k''s
-        g-vector, the product check x_k * known = M+ + M- (_exchange_holds);
-        if that fails, the division gives a second variable there."""
+        B, kept from both ends.  A new relation forms M+ + M- once, on the
+        radix widened to its hull, and checks x_k * known = M+ + M- where the
+        build holds a variable known at x_k''s g-vector; otherwise, or if
+        that fails, it divides by x_k (_divide), and a failed check gives a
+        second variable there."""
         pos, neg = [], []
         for i, m in zip(ids, column):
             if m > 0:
                 pos.append((i, m))
             elif m < 0:
                 neg.append((i, -m))
-        key = ids[k0], frozenset((frozenset(pos), frozenset(neg)))
-        new_id = self.relations.get(key)
+        k = ids[k0]
+        relation = k, frozenset((frozenset(pos), frozenset(neg)))
+        new_id = self.relations.get(relation)
         if new_id is None:
-            if known is not None and self._exchange_holds(pos, neg, ids[k0], known):
+            polys = self.polys
+            groups = (pos, neg) if known is None else (pos, neg, [(k, 1), (known, 1)])
+            lo, hi = _hull([[(polys[i], m) for i, m in factors] for factors in groups], len(self.widths))
+            widths = tuple(map(max, map(sub, hi, lo), self.widths))
+            if widths != self.widths:
+                self.widths = widths
+                self._repack()
+            packed = self.packed
+            num = _product([(packed[i], m) for i, m in pos])
+            for key, c in _product([(packed[i], m) for i, m in neg]).items():
+                num[key] = num.get(key, 0) + c
+            # Equal dicts are equal polynomials; unequal ones are compared again
+            # without their zero coefficients.  Copying every pair instead took
+            # about 5% of the E8 plus build.
+            if known is not None and (num == (product := _mul_packed(dict(packed[k]), packed[known]))
+                                      or _nonzero(num) == _nonzero(product)):
                 new_id = known
             else:
-                polys = self.polys
-                x = _exchange([(polys[i], m) for i, m in pos], [(polys[i], m) for i, m in neg], polys[ids[k0]])
-                new_id = self.add(x)
-            self.relations[key], self.relations[new_id, key[1]] = new_id, ids[k0]
+                new_id = self.add(_divide(num, polys[k], packed[k], lo, hi, self.weights))
+            self.relations[relation], self.relations[new_id, relation[1]] = new_id, k
         return new_id
 
 

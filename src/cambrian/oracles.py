@@ -9,7 +9,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .laurent import Exponent, LaurentPolynomial, _exchange
+from .laurent import Exponent, Factors, LaurentPolynomial, _divide, _hull, _pack, _place_values, _product
 from .mutation import ExchangeMatrix, MatrixFrame, _pair, column_sign, identity_frame
 from .rootsys import CartanSpec, CoxeterElement, Matrix, Root, _identity, _matmul, positive_roots, reflection_matrix
 
@@ -54,6 +54,16 @@ def initial_seed(b: ExchangeMatrix, coefficient_mode: str = "trivial") -> Labele
 
 def _y_monomial(n: int, exps: Exponent) -> LaurentPolynomial:
     return LaurentPolynomial.monomial(2 * n, (0,) * n + tuple(exps))
+
+
+def _exchange(pos: Factors, neg: Factors, divisor: LaurentPolynomial) -> LaurentPolynomial:
+    """(prod p^m over pos + prod p^m over neg) / divisor, packed over the hull of the two products' boxes."""
+    lo, hi = _hull((pos, neg), divisor.nvars)
+    weights = _place_values(lo, hi)
+    num, minus = (_product([(_pack(p.terms, weights), m) for p, m in factors]) for factors in (pos, neg))
+    for key, c in minus.items():
+        num[key] = num.get(key, 0) + c
+    return _divide(num, divisor, _pack(divisor.terms, weights), lo, hi, weights)
 
 
 def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:

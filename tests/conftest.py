@@ -330,16 +330,18 @@ def lp_pow(p, k):
     return out
 
 
-def exact_div(num, divisor):
+def exact_div(num, divisor, margins=None):
     """num / divisor by the packed heap division of the exchanges; raises
-    InternalError if the quotient is not Laurent."""
+    InternalError if the quotient is not Laurent.  It packs over the Newton
+    box of num, each coordinate's radix widened by its margin if given, as
+    on the radix of a VariableTable."""
     if divisor.is_zero():
         raise InputError("division by the zero polynomial")
     if num.is_zero():
         return num
     lo, hi = num.box
-    weights = _place_values(lo, hi)
-    return _divide(dict(_pack(num.terms, weights)), divisor, lo, hi, weights)
+    weights = _place_values(lo, hi if margins is None else tuple(h + m for h, m in zip(hi, margins)))
+    return _divide(dict(_pack(num.terms, weights)), divisor, _pack(divisor.terms, weights), lo, hi, weights)
 
 
 def row_major_frame_mutate(b, c, g, k):

@@ -27,7 +27,7 @@ from cambrian.cli import (
     run_all_checks,
 )
 from cambrian.errors import InputError, InternalError
-from cambrian.laurent import VariableTable, _exchange, denominator_vector, poly_hash
+from cambrian.laurent import VariableTable, _divide, denominator_vector, poly_hash
 from cambrian.mutation import FrameTable
 from cambrian.oracles import mutate_columns
 from cambrian.quivers import QuiverEdge, euler_tables, theta_vertex_map
@@ -259,11 +259,11 @@ class TestVerifyCommands:
 
     @staticmethod
     def count_exchanges(monkeypatch, *argv):
-        """Exact divisions (_exchange), product checks
-        (VariableTable._exchange_holds), memoised column steps
-        (FrameTable.step) and vector column steps (mutate_columns, which no
-        command calls) of one passing command."""
-        calls = {"_exchange": 0, "_exchange_holds": 0, "step": 0, "mutate_columns": 0}
+        """Exact divisions (laurent._divide), product checks (the new
+        relations of VariableTable.exchange less its divisions), memoised
+        column steps (FrameTable.step) and vector column steps
+        (mutate_columns, which no command calls) of one passing command."""
+        calls = {"_divide": 0, "relations": 0, "step": 0, "mutate_columns": 0}
 
         def counting(original):
             def counted(*args, **kwargs):
@@ -272,14 +272,23 @@ class TestVerifyCommands:
 
             return counted
 
-        for original in (_exchange, mutate_columns):
+        table_exchange = VariableTable.exchange
+
+        def exchange(table, *args):
+            relations = len(table.relations)
+            new_id = table_exchange(table, *args)
+            calls["relations"] += len(table.relations) > relations
+            return new_id
+
+        for original in (_divide, mutate_columns):
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("cambrian") and getattr(module, original.__name__, None) is original:
                     monkeypatch.setattr(module, original.__name__, counting(original))
         monkeypatch.setattr(FrameTable, "step", counting(FrameTable.step))
-        monkeypatch.setattr(VariableTable, "_exchange_holds", counting(VariableTable._exchange_holds))
+        monkeypatch.setattr(VariableTable, "exchange", exchange)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(list(argv)) == 0
+        calls["product_checks"] = calls.pop("relations") - calls["_divide"]
         return calls
 
     def test_verify_all_mutation_count(self, monkeypatch):
@@ -289,8 +298,8 @@ class TestVerifyCommands:
         # one VariableTable: the plus build computes one exchange per pair
         # and the minus build reads all 15 from the table.  Of the plus
         # build's 15, the 6 that first meet a non-initial variable divide
-        # (_exchange); the other 9 meet a g-vector the build already holds
-        # and check the product instead (_exchange_holds).  Each BFS steps
+        # (_divide); the other 9 meet a g-vector the build already holds
+        # and check the product instead.  Each BFS steps
         # across each edge once, from the end it reaches first, and takes
         # the column step there: 21 per build.  That step gives column k of
         # B and the next frame, so a new cluster's frame costs nothing more.
@@ -300,7 +309,7 @@ class TestVerifyCommands:
         # never; a step back across an edge or a replay of any witness path
         # from the root would add more.
         calls = self.count_exchanges(monkeypatch, "verify-all", "--type", "A", "--rank", "3", "--coxeter", "1,2,3")
-        assert calls == {"_exchange": 6, "_exchange_holds": 9, "step": 58, "mutate_columns": 0}
+        assert calls == {"_divide": 6, "product_checks": 9, "step": 58, "mutate_columns": 0}
 
     def test_verify_all_e6_exact_exchanges(self, monkeypatch):
         # E6 has m = 833 clusters, m·n/2 = 2,499 edges, 36 + 6 cluster
@@ -311,14 +320,14 @@ class TestVerifyCommands:
         # build and the (m−1)+n = 838 frames of the tau walk: 2·2,499 + 838
         # = 5,836, all on the FrameTable memos.
         calls = self.count_exchanges(monkeypatch, "verify-all", "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
-        assert calls == {"_exchange": 36, "_exchange_holds": 349, "step": 5836, "mutate_columns": 0}
+        assert calls == {"_divide": 36, "product_checks": 349, "step": 5836, "mutate_columns": 0}
 
     def test_exchange_e6_divisions_and_product_checks(self, monkeypatch):
         # The exchange command builds the plus quiver alone: the same 36
         # divisions and 349 product checks, in one column step per edge.
         argv = ("exchange", "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6", "--format", "json")
         calls = self.count_exchanges(monkeypatch, *argv)
-        assert calls == {"_exchange": 36, "_exchange_holds": 349, "step": 2499, "mutate_columns": 0}
+        assert calls == {"_divide": 36, "product_checks": 349, "step": 2499, "mutate_columns": 0}
 
     @pytest.mark.parametrize("command,per_cluster", [("verify-signs", 2), ("verify-all", 3)])
     def test_check_frame_runs_once_per_stored_frame(self, capsys, monkeypatch, command, per_cluster):

@@ -3,6 +3,7 @@ polynomial-keyed Laurent BFS it replaced, the VariableTable that the builds
 of B and -B share, and the checks the BFS makes."""
 
 import re
+from contextlib import contextmanager
 from functools import reduce
 from operator import add, mul, or_
 
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 import cambrian.laurent
 from cambrian.errors import InternalError
 from cambrian.lattice import verify_quiver_map
-from cambrian.laurent import LaurentPolynomial, VariableTable, _box, _exchange, _pack
+from cambrian.laurent import LaurentPolynomial, VariableTable, _box, _pack
 from cambrian.mutation import FrameTable, build_bc
-from cambrian.oracles import initial_seed, mutate_columns, mutate_seed
+from cambrian.oracles import _exchange, initial_seed, mutate_columns, mutate_seed
 from cambrian.quivers import build_exchange_quiver, theta_vertex_map
 from cambrian.rootsys import CoxeterElement, positive_roots
 
@@ -85,22 +86,12 @@ def shared_table_builds(t, n, c):
     minus one checked against a minus build with a fresh table: payloads
     (seeds in position order, witness paths and masks) and edges.  Each mask
     must be the OR of its variables' ids in the shared table.  Returns the
-    quivers and the number of exact exchanges (laurent._exchange calls) of
-    the shared minus build."""
+    quivers and the number of relations, each a product check or a
+    division, that the shared minus build adds to the table."""
     spec, table = spec_of(t, n), VariableTable(n)
     plus = build_exchange_quiver(build_bc(spec, c), table)
-    calls = []
-    original = cambrian.laurent._exchange
-
-    def counted(pos, neg, divisor):
-        calls.append(divisor)
-        return original(pos, neg, divisor)
-
-    cambrian.laurent._exchange = counted
-    try:
-        minus = build_exchange_quiver(build_bc(spec, c).negated(), table)
-    finally:
-        cambrian.laurent._exchange = original
+    relations = len(table.relations)
+    minus = build_exchange_quiver(build_bc(spec, c).negated(), table)
     fresh = build_exchange_quiver(build_bc(spec, c).negated(), VariableTable(n))
     assert minus.vertices == fresh.vertices
     assert minus.edges == fresh.edges
@@ -108,7 +99,7 @@ def shared_table_builds(t, n, c):
         for p in q.vertices:
             assert p.mask == reduce(or_, (1 << table.ids[x] for x in p.variables))
             assert bin(p.mask).count("1") == n
-    return plus, minus, len(calls)
+    return plus, minus, len(table.relations) - relations
 
 
 @st.composite
@@ -127,8 +118,8 @@ def test_shared_table_minus_build_matches_fresh(case):
 
 @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6), (2, 5, 1, 6, 3, 4)])
 def test_e6_exchange_relations_multiply_out(order):
-    # The minus build reads each of the plus build's 385 exact exchanges
-    # from the table and makes none.  The table divides on packed
+    # The minus build reads each of the plus build's 385 exchanges from the
+    # table and makes none.  The table divides on packed
     # exponents and reuses its quotients; tuple multiplication
     # checks every relation of both quivers, each read from both its ends.
     plus, minus, calls = shared_table_builds("E", 6, CoxeterElement(order))
@@ -257,15 +248,39 @@ def test_stored_frames_derive_the_mutated_b(t, n, order, sign):
 
 def _patch_first_exchange(monkeypatch, wrong_variable):
     """The table's first exact division returns wrong_variable(x_k, x_k')."""
-    original = cambrian.laurent._exchange
+    original = cambrian.laurent._divide
     calls = []
 
-    def patched(pos, neg, divisor):
-        out = original(pos, neg, divisor)
+    def patched(num, divisor, *args):
+        out = original(num, divisor, *args)
         calls.append(out)
         return wrong_variable(divisor, out) if len(calls) == 1 else out
 
-    monkeypatch.setattr(cambrian.laurent, "_exchange", patched)
+    monkeypatch.setattr(cambrian.laurent, "_divide", patched)
+
+
+@contextmanager
+def counted_divisions():
+    """The divisors of the table's exact divisions (laurent._divide) inside
+    the block: none where a product check holds."""
+    original, divisors = cambrian.laurent._divide, []
+
+    def counted(num, divisor, *args):
+        divisors.append(divisor)
+        return original(num, divisor, *args)
+
+    cambrian.laurent._divide = counted
+    try:
+        yield divisors
+    finally:
+        cambrian.laurent._divide = original
+
+
+def relation(pos, neg, k):
+    """The ids, column and k0 that VariableTable.exchange reads as x_k' =
+    (M+ + M-) / x_k, M+ and M- given as (id, power) pairs and x_k as its id."""
+    ids = (k, *(i for i, _ in pos), *(i for i, _ in neg))
+    return ids, (0, *(m for _, m in pos), *(-m for _, m in neg)), 0
 
 
 def test_g_vector_with_two_polynomials(monkeypatch):
@@ -290,10 +305,14 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
     # against M+ + M- instead of dividing: the check fails, and the
     # division it falls back on gives x, a second variable there.
     table, checks = VariableTable(3), []
-    original, holds = table.exchange, table._exchange_holds
+    original = table.exchange
 
     def corrupting(ids, column, k0, known=None):
-        new_id = original(ids, column, k0, known)
+        relations = len(table.relations)
+        with counted_divisions() as divisors:
+            new_id = original(ids, column, k0, known)
+        if known is not None and len(table.relations) > relations:
+            checks.append((not divisors, table.packed[known], _pack(table.polys[6].terms, table.weights)))
         if new_id == 6 and len(table.polys) == 7:
             x = table.polys[6]
             wrong = LaurentPolynomial(x.nvars, tuple((e, 2 * a) for e, a in x.terms))
@@ -303,12 +322,7 @@ def test_wrong_known_variable_fails_the_product_check(monkeypatch):
             table.ids[wrong] = 6
         return new_id
 
-    def checked(pos, neg, k, x):
-        checks.append((holds(pos, neg, k, x), table.packed[x], _pack(table.polys[6].terms, table.weights)))
-        return checks[-1][0]
-
     monkeypatch.setattr(table, "exchange", corrupting)
-    monkeypatch.setattr(table, "_exchange_holds", checked)
     message = "witness path (2, 1): g-vector (-1, 0, 1) belongs to two cluster variables"
     with pytest.raises(InternalError, match=re.escape(message)):
         build_exchange_quiver(build_bc(spec_of("A", 3), CoxeterElement((1, 2, 3))), table)
@@ -349,8 +363,9 @@ def test_packed_check_against_tuple_arithmetic(data):
     # Random polynomials in 2-4 variables: M+ a product of up to two of them
     # to powers up to 3, x_k and x random, and M- = x_k x - M+ one more
     # variable, so that x_k x = M+ + M- holds; x plus a monomial makes it
-    # fail.  The packed check agrees with LaurentPolynomial arithmetic, and
-    # no two exponents of any product it forms share a key.
+    # fail.  The packed check agrees with LaurentPolynomial arithmetic, a
+    # failed one divides out x, and no two exponents of any product it
+    # forms share a key.
     n = data.draw(st.integers(2, 4))
     polys, table = laurent_polys(n), VariableTable(n)
     plus = [(data.draw(polys), data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(0, 2)))]
@@ -362,12 +377,14 @@ def test_packed_check_against_tuple_arithmetic(data):
     ids = {p: table.add(p) for p in (*(p for p, _ in plus), xk, x, m_minus, wrong)}
     pos, neg = [(ids[p], m) for p, m in plus], [(ids[m_minus], 1)]
     for quotient in (x, wrong):
-        assert table._exchange_holds(pos, neg, ids[xk], ids[quotient]) == (xk * quotient == m_plus + m_minus)
+        table.relations.clear()  # each quotient checks the relation anew
+        with counted_divisions() as divisors:
+            assert table.exchange(*relation(pos, neg, ids[xk]), ids[quotient]) == ids[x]
+        assert (not divisors) == (xk * quotient == m_plus + m_minus) == (quotient == x)
         products = [_product_exponents(factors, n) for factors in (plus, [(m_minus, 1)], [(xk, 1), (quotient, 1)])]
         # Each product it forms, and the union of the three it compares.
         for exponents in (*(e for steps in products for e in steps), set().union(*(p[-1] for p in products))):
             assert len({sum(map(mul, e, table.weights)) for e in exponents}) == len(exponents)
-    assert table._exchange_holds(pos, neg, ids[xk], ids[x]) and not table._exchange_holds(pos, neg, ids[xk], ids[wrong])
 
 
 def test_table_widens_its_radix():
@@ -375,38 +392,50 @@ def test_table_widens_its_radix():
     # Adding them packs each on the table's first radix, widths (0, 0).  The
     # check takes the hull of the boxes of u^3, w and u x, which span x1^-2
     # to x1^3 and x2^0 to x2^3: widths (5, 3), and the table repacks every
-    # variable first.
+    # variable first.  Checked against u instead, the relation fails and
+    # divides out x.
     x1, x2 = LaurentPolynomial.generator(2, 0), LaurentPolynomial.generator(2, 1)
     u, x1_inv2 = x1 + x2, LaurentPolynomial.monomial(2, (-2, 0))
     w, x = x1_inv2 * u, u * u + x1_inv2
     table = VariableTable(2)
     ids = [table.add(p) for p in (u, w, x)]
     assert (table.widths, table.weights) == ((0, 0), (1, 1))
-    assert table._exchange_holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[2])
+    with counted_divisions() as divisors:
+        assert table.exchange(*relation([(ids[0], 3)], [(ids[1], 1)], ids[0]), ids[2]) == ids[2]
+    assert not divisors
     assert (table.widths, table.weights) == ((5, 3), (4, 1))
     assert table.packed == [_pack(p.terms, table.weights) for p in table.polys]
-    assert not table._exchange_holds([(ids[0], 3)], [(ids[1], 1)], ids[0], ids[0])
+    table.relations.clear()
+    with counted_divisions() as divisors:
+        assert table.exchange(*relation([(ids[0], 3)], [(ids[1], 1)], ids[0]), ids[0]) == ids[2]
+    assert divisors == [u]
     # The hull takes in x_k x' too.  x1 y = x2^3 + x1 holds for y = 1 +
     # x1^-1 x2^3 and not for y = x2^-1 + x1 x2^-4, though x1 y = x1 x2^-1 +
     # x1^2 x2^-4 has the keys of x2^3 + x1 on the radix (4, 1) that the
-    # boxes of x2^3 and x1 alone would give.
+    # boxes of x2^3 and x1 alone would give.  The failed check divides on
+    # the radix (8, 1) of its hull, and gives the right y.
     table = VariableTable(2)
     right, wrong = (table.add(LaurentPolynomial.from_dict(2, d))
                     for d in ({(0, 0): 1, (-1, 3): 1}, {(0, -1): 1, (1, -4): 1}))
-    assert not table._exchange_holds([(1, 3)], [(0, 1)], 0, wrong)
+    assert table.exchange(*relation([(1, 3)], [(0, 1)], 0), wrong) == right
     assert table.weights == (8, 1)
-    assert table._exchange_holds([(1, 3)], [(0, 1)], 0, right)
+    table.relations.clear()
+    with counted_divisions() as divisors:
+        assert table.exchange(*relation([(1, 3)], [(0, 1)], 0), right) == right
+    assert not divisors
     # A check of products of single variables spans their hull too: x2 (1 +
     # x2^2) = x2 + x2^3 against x2 + x1 spans x1^0..1 x2^0..3, radix (4, 1).
-    # On (3, 1) it would pass, as x2^3 and x1 would share a key.
+    # On (3, 1) it would pass, as x2^3 and x1 would share a key.  It fails,
+    # and the division gives a new variable, 1 + x1 x2^-1.
     table = VariableTable(2)
     y = table.add(LaurentPolynomial.from_dict(2, {(0, 0): 1, (0, 2): 1}))
-    assert not table._exchange_holds([(1, 1)], [(0, 1)], 1, y)
+    assert table.exchange(*relation([(1, 1)], [(0, 1)], 1), y) == 3
     assert table.weights == (4, 1)
+    assert table.polys[3] == LaurentPolynomial.from_dict(2, {(0, 0): 1, (1, -1): 1})
     # 0 has an empty Newton box, no hull to widen.
     with pytest.raises(InternalError, match="zero polynomial"):
         table.add(LaurentPolynomial(2, ()))
-    assert len(table.polys) == len(table.packed) == 3
+    assert len(table.polys) == len(table.packed) == 4
 
 
 def test_newton_box_once_per_variable(monkeypatch):
@@ -422,8 +451,9 @@ def test_newton_box_once_per_variable(monkeypatch):
 
 def test_product_check_against_division():
     # On the relations at 40 clusters of the E6 plus build, the product
-    # check holds for the quotient the division gives and fails for each
-    # of the build's 41 other variables.
+    # check holds for the quotient the box-packed division of the oracle
+    # gives and fails for each of the build's 41 other variables, whose
+    # relation then divides out that quotient on the table's radix.
     order = (1, 2, 3, 4, 5, 6)
     table = VariableTable(6)
     q = build_exchange_quiver(build_bc(spec_of("E", 6), CoxeterElement(order)), table)
@@ -434,9 +464,13 @@ def test_product_check_against_division():
             pos = [(i, m) for i, m in zip(ids, column) if m > 0]
             neg = [(i, -m) for i, m in zip(ids, column) if m < 0]
             xk = table.polys[ids[k - 1]]
-            x = _exchange([(table.polys[i], m) for i, m in pos], [(table.polys[i], m) for i, m in neg], xk)
-            assert table._exchange_holds(pos, neg, ids[k - 1], table.ids[x])
-            assert not any(table._exchange_holds(pos, neg, ids[k - 1], y) for y in range(len(table.polys)) if y != table.ids[x])
+            x = table.ids[_exchange([(table.polys[i], m) for i, m in pos], [(table.polys[i], m) for i, m in neg], xk)]
+            for y in range(len(table.polys)):
+                table.relations.clear()
+                with counted_divisions() as divisors:
+                    assert table.exchange(ids, column, k - 1, y) == x
+                assert divisors == ([] if y == x else [xk])
+    assert len(table.polys) == 42
 
 
 def test_polynomial_with_two_g_vectors(monkeypatch):

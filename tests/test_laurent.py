@@ -125,15 +125,23 @@ def quotient_and_divisor(draw):
     return draw(polynomial(nvars)), draw(polynomial(nvars)), nvars
 
 
+def packings(data, nvars):
+    """The margins of the two packings exact_div divides on: None, the
+    numerator's box, and a drawn margin per coordinate, 0 (the box again)
+    included, a radix wider than the box as a VariableTable's is."""
+    return None, data.draw(st.tuples(*[st.integers(0, 3)] * nvars))
+
+
 class TestDivisionProperties:
     """The packed division of the exchanges (exact_div) against the tuple
-    arithmetic of __mul__ and __add__."""
+    arithmetic of __mul__ and __add__, on both packings."""
 
     @settings(deadline=None, max_examples=100)
-    @given(quotient_and_divisor())
-    def test_multiple_divides_back(self, case):
-        q, d, _ = case
-        assert exact_div(q * d, d) == q
+    @given(quotient_and_divisor(), st.data())
+    def test_multiple_divides_back(self, case, data):
+        q, d, nvars = case
+        for margins in packings(data, nvars):
+            assert exact_div(q * d, d, margins) == q
 
     @settings(deadline=None, max_examples=100)
     @given(quotient_and_divisor(), st.data())
@@ -144,20 +152,22 @@ class TestDivisionProperties:
         q, d, nvars = case
         assume(len(d.terms) >= 2)
         extra = data.draw(polynomial(nvars, max_terms=1))
-        with pytest.raises(InternalError, match="inexact division"):
-            exact_div(q * d + extra, d)
+        for margins in packings(data, nvars):
+            with pytest.raises(InternalError, match="inexact division"):
+                exact_div(q * d + extra, d, margins)
 
     @settings(deadline=None, max_examples=100)
     @given(quotient_and_divisor(), st.data())
     def test_quotient_multiplies_back_or_raises(self, case, data):
         _, d, nvars = case
         num = data.draw(polynomial(nvars))
-        try:
-            q = exact_div(num, d)
-        except InternalError as exc:
-            assert "inexact division" in str(exc)
-        else:
-            assert q * d == num
+        for margins in packings(data, nvars):
+            try:
+                q = exact_div(num, d, margins)
+            except InternalError as exc:
+                assert "inexact division" in str(exc)
+            else:
+                assert q * d == num
 
 
 class TestTropical:

@@ -592,12 +592,12 @@ def test_tautilt_command_runs_no_exchange(monkeypatch, capsys):
 
         return forbidden
 
-    names = ("theta", "mutate_seed", "_exchange", "mutate_columns", "FrameTable", "build_exchange_quiver")
+    names = ("theta", "mutate_seed", "_divide", "mutate_columns", "FrameTable", "build_exchange_quiver")
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cambrian"]:
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbid(name))
-    monkeypatch.setattr(cambrian.laurent.VariableTable, "_exchange_holds", forbid("_exchange_holds"))
+    monkeypatch.setattr(cambrian.laurent.VariableTable, "exchange", forbid("VariableTable.exchange"))
     assert main(["tautilt", "--type", "D", "--rank", "4", "--coxeter", "2,1,4,3"]) == 0
     assert capsys.readouterr().out.startswith("{")
 
