@@ -115,7 +115,7 @@ def _mul_packed(a: dict[int, int], b: list[tuple[int, int]]) -> dict[int, int]:
 def _divide(num: dict[int, int], divisor: LaurentPolynomial, packed: Packed, lo: Exponent, hi: Exponent,
             weights: tuple[int, ...]) -> LaurentPolynomial:
     """num / divisor, both packed by weights, whose radix in coordinate j > 0,
-    weights[j - 1] // weights[j], is at least hi_j - lo_j + 1 on the box [lo, hi] of num.
+    weights[j - 1] // weights[j], is at least hi_j - lo_j + 1 on a box [lo, hi] holding num.
 
     The remainder's terms stay in [lo, hi] and sit in a max-heap of keys; each
     step divides its lead term by the divisor's.  An exact quotient lies in
