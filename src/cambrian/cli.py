@@ -138,17 +138,17 @@ def run_sign_checks(build: Build) -> list[CheckReport]:
     checked sign coherence and duality, hence unimodularity, on every frame
     it stores, or it has raised InternalError naming the frame's path; and
     Build has checked that its c-vectors are the signed roots.  Each vertex
-    must print that frame: each variable's id in the build's VariableTable
-    bound to the g-vector at its position, each c-vector a c id of the
-    build's FrameTable, and the two dual, or InternalError names its path."""
+    must print that frame: its ids and mask those of its variables in the build's VariableTable,
+    each id bound to the g-vector at its position, each c-vector a c id of the build's FrameTable,
+    and the two dual, or InternalError names its path."""
     for q in (build.plus, build.minus):
         steps, ids_of = q.steps, build.table.ids
         for p in q.vertices:
-            ids = tuple(ids_of.get(x) for x in p.variables)
             cids = tuple(steps.c_ids.get(key) for key in zip(steps.s, p.c_vectors))
-            if None in cids or tuple(steps.g_vectors.get(x) for x in ids) != p.g_vectors:
+            if (None in cids or tuple(map(ids_of.get, p.variables)) != p.ids or sum(1 << x for x in p.ids) != p.mask
+                    or tuple(map(steps.g_vectors.get, p.ids)) != p.g_vectors):
                 raise InternalError(f"witness path {p.witness_path}: the vertex does not print its build's frame")
-            steps.check_duality(cids, ids, p.witness_path)
+            steps.check_duality(cids, p.ids, p.witness_path)
     return [
         CheckReport(f"signs {sign}", True, (f"{q.n_vertices} clusters: sign-coherent, dual, unimodular",),
                     stats=(("clusters", q.n_vertices),))

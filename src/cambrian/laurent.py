@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import floordiv, mul, sub
 
@@ -221,11 +222,9 @@ def _nonzero(a: dict[int, int]) -> dict[int, int]:
 
 
 def _product(factors: PackedFactors) -> dict[int, int]:
-    out = {0: 1}
-    for packed, m in factors:
-        for _ in range(m):
-            out = _mul_packed(out, packed)
-    return out
+    """The product of p^m over factors, {0: 1} for none, as a new dict that the caller may add into."""
+    powers = [packed for packed, m in factors for _ in range(m)]
+    return reduce(_mul_packed, powers[1:], dict(powers[0])) if powers else {0: 1}
 
 
 class VariableTable:

@@ -29,13 +29,13 @@ class QuiverEdge(NamedTuple):
 
 
 class ClusterVertexPayload(NamedTuple):
-    """A non-labeled cluster as the seed the BFS first reached it with: each
-    position's variable, c-vector and g-vector, in position order, the witness
-    path, and mask, bit i set for the variable with id i in the VariableTable."""
+    """A non-labeled cluster as the seed the BFS first reached it with: each position's variable, c-vector,
+    g-vector and id in the VariableTable, in position order, the witness path, and mask, bit i set for id i."""
 
     variables: tuple[LaurentPolynomial, ...]
     c_vectors: tuple[tuple[int, ...], ...]
     g_vectors: tuple[tuple[int, ...], ...]
+    ids: tuple[int, ...]
     witness_path: tuple[int, ...]
     mask: int
 
@@ -112,8 +112,8 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQui
     rank = {x: r for r, x in enumerate(sorted(gv, key=lambda x: polys[x].terms))}
     queue.sort(key=lambda seed: sorted(map(rank.get, seed[2])))
     index = {seed[0]: v for v, seed in enumerate(queue)}
-    payloads = tuple(ClusterVertexPayload(tuple(polys[x] for x in ids), tuple(cv[i] for i in cids),
-                                          tuple(gv[x] for x in ids), path, mask) for mask, cids, ids, path in queue)
+    payloads = tuple(ClusterVertexPayload(tuple(map(polys.__getitem__, ids)), tuple(map(cv.__getitem__, cids)),
+                                          tuple(map(gv.__getitem__, ids)), ids, p, m) for m, cids, ids, p in queue)
     edges = sorted(QuiverEdge(index[s], index[d]) for s, d in edge_map.values())
     return ClusterQuiver("exchange", payloads, tuple(edges), steps)
 

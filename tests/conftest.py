@@ -412,7 +412,8 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
             raise InternalError("C-matrix is not unimodular")
         mask = sum(1 << ids[x] for x in key)
         f = seed.frame
-        payloads.append(ClusterVertexPayload(seed.vars, f.c_vectors, f.g_vectors, f.path, mask))
+        payloads.append(ClusterVertexPayload(seed.vars, f.c_vectors, f.g_vectors, tuple(ids[x] for x in seed.vars),
+                                             f.path, mask))
     labeled = tuple(sorted(((index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
                            key=lambda e: e[:2]))
     edges = tuple(QuiverEdge(s, d) for s, d, _, _ in labeled)

@@ -27,7 +27,7 @@ from cambrian.cli import (
     run_all_checks,
 )
 from cambrian.errors import InputError, InternalError
-from cambrian.laurent import VariableTable, _divide, denominator_vector, poly_hash
+from cambrian.laurent import LaurentPolynomial, VariableTable, _divide, denominator_vector, poly_hash
 from cambrian.mutation import FrameTable
 from cambrian.oracles import mutate_columns
 from cambrian.quivers import QuiverEdge, euler_tables, theta_vertex_map
@@ -219,6 +219,64 @@ class TestPrintedLabels:
         classes = [functools.reduce(operator.and_, (torsion[at[r]] for r in v)) for v in q.vertices]
         for s, d, out, _ in printed_arrows(q):
             assert min(out) >= 0 and (classes[s] & ~classes[d]) >> at[out] - n & 1, (s, d, out)
+
+
+# Every word of every type of rank at most 3, of D4 and of F4, and the two E6 words the benchmark runs.
+EVERY_WORD_CASES = [
+    (t, n, order)
+    for t, n in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4))
+    for order in itertools.permutations(range(1, n + 1))
+] + [("E", 6, (1, 2, 3, 4, 5, 6)), ("E", 6, (2, 5, 1, 6, 3, 4))]
+
+
+def _label(member):
+    """The printed label of an exchange variable (its d-vector and hash) or of a root."""
+    if isinstance(member, LaurentPolynomial):
+        return f"d={_label(denominator_vector(member))}#{poly_hash(member)}"
+    return f"[{','.join(map(str, member))}]"
+
+
+def set_difference_labels(q):
+    """Each edge of q as a JSON edge object, its labels by the rule of the
+    writer that kept one frozenset per vertex: out is the one member of
+    members[src] - members[dst] and in the one member of members[dst] -
+    members[src], over variables, cluster or the roots themselves."""
+    kind = q.kind
+    members = [frozenset(v.variables if kind == "exchange" else v.cluster if kind == "cambrian" else v)
+               for v in q.vertices]
+    edges = []
+    for s, d in q.edges:
+        (out,), (into,) = members[s] - members[d], members[d] - members[s]
+        edges.append({"dst": d, "in": _label(into), "out": _label(out), "src": s})
+    return edges
+
+
+@pytest.mark.parametrize("t, n, order", EVERY_WORD_CASES)
+def test_printed_labels_are_the_set_differences_of_the_ends(t, n, order):
+    # The mask rule of quiver_to_json against the frozenset rule, on every
+    # kind, both exchange signs, and the verbose exchange document.
+    quivers = [exchange_of(t, n, order, "plus"), exchange_of(t, n, order, "minus"),
+               ccluster_of(t, n, order), tautilt_of(t, n, order), cambrian_of(t, n, order)]
+    for q in quivers:
+        for verbose in (False, True) if q.kind == "exchange" else (False,):
+            assert json.loads(write_json(q, verbose))["edges"] == set_difference_labels(q), (q.kind, verbose)
+
+
+@pytest.mark.parametrize("t, n, order", [("A", 3, (1, 2, 3)), ("D", 4, (1, 2, 3, 4))])
+def test_writing_an_exchange_quiver_hashes_no_polynomial(monkeypatch, t, n, order):
+    # Built first, as the build hashes its variables into its table; then
+    # every writer runs with LaurentPolynomial.__hash__ raising, and prints
+    # the bytes it printed before.
+    q = exchange_of(t, n, order)
+    before = write_json(q), write_json(q, verbose=True), quiver_to_dot(q)
+
+    def unhashable(self):
+        raise AssertionError("a writer hashed a LaurentPolynomial")
+
+    monkeypatch.setattr(LaurentPolynomial, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(q.vertices[0].variables[0])
+    assert (write_json(q), write_json(q, verbose=True), quiver_to_dot(q)) == before
 
 
 class TestVerifyCommands:
@@ -788,7 +846,7 @@ def test_exchange_dot_run_loads_neither_hashlib_nor_json():
 
 
 def test_build_json_runs_do_not_load_json():
-    # The build JSON writers quote their strings themselves (writers._tables),
+    # The build JSON writers quote their strings themselves (writers.quiver_to_json),
     # so only a verify JSON report loads json.  The writers load, the oracles
     # do not.
     script = (
@@ -1185,6 +1243,9 @@ PLANTED_DEFECTS = {
         q, c_vectors=(tuple(-x for x in q.vertices[3].c_vectors[0]), *q.vertices[3].c_vectors[1:])),
     "swapped variables 1 and 2 of vertex 3": lambda q: _with_vertex_3(
         q, variables=(q.vertices[3].variables[1], q.vertices[3].variables[0], *q.vertices[3].variables[2:])),
+    "swapped ids 1 and 2 of vertex 3": lambda q: _with_vertex_3(
+        q, ids=(q.vertices[3].ids[1], q.vertices[3].ids[0], *q.vertices[3].ids[2:])),
+    "bit 0 of the mask of vertex 3 flipped": lambda q: _with_vertex_3(q, mask=q.vertices[3].mask ^ 1),
     "orphan witness path": _orphan_path,
 }
 THETA, PHI, PSI, CL = ("theta exchange->ccluster anti", "phi tautilt->ccluster iso",
@@ -1208,6 +1269,8 @@ PLANTED_OUTCOMES = [
     *((attr, "swapped g-vectors 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
     *((attr, "negated c-vector 1 of vertex 3", InternalError) for attr in ("plus", "minus")),
     *((attr, "swapped variables 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
+    *((attr, "swapped ids 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
+    *((attr, "bit 0 of the mask of vertex 3 flipped", InternalError) for attr in ("plus", "minus")),
     ("plus", "orphan witness path", InternalError),
 ]
 
@@ -1225,7 +1288,8 @@ def test_verify_all_catches_a_planted_defect(attr, defect, outcome):
 
 @pytest.mark.parametrize("attr", ["plus", "minus"])
 @pytest.mark.parametrize("defect", ["swapped g-vectors 1 and 2 of vertex 3", "negated c-vector 1 of vertex 3",
-                                    "swapped variables 1 and 2 of vertex 3"])
+                                    "swapped variables 1 and 2 of vertex 3", "swapped ids 1 and 2 of vertex 3",
+                                    "bit 0 of the mask of vertex 3 flipped"])
 def test_a_vertex_that_misprints_its_frame_is_an_internal_error(capsys, monkeypatch, attr, defect):
     # verify-all exits 3 with no report, naming the vertex's witness path.
     build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP)

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 from cambrian.errors import InputError, InternalError
 from cambrian.laurent import (
     LaurentPolynomial,
+    VariableTable,
+    _pack,
+    _place_values,
+    _product,
     denominator_vector,
     poly_str,
     theta,
@@ -110,6 +114,47 @@ class TestArithmetic:
         assert poly_str(LaurentPolynomial(2, ())) == "0"
         assert poly_str(lp(2, {(1, 0): -1, (0, 1): 2})) == "-x1 + 2*x2"
         assert poly_str(lp(2, {(1, 0): 1, (0, 1): -1})) == "x1 - x2"
+
+
+class TestProduct:
+    """_product against tuple-exponent __mul__ (lp_pow), on a radix that
+    holds every product here: keys of a box from x^-9 to x^9 per variable."""
+
+    WEIGHTS = _place_values((-9, -9), (9, 9))
+    U, W = lp(2, {(1, 0): 1, (0, -1): 2, (0, 0): -1}), lp(2, {(1, 1): 3, (-1, 0): -1})
+
+    def packed_product(self, factors):
+        return _product([(_pack(p.terms, self.WEIGHTS), m) for p, m in factors])
+
+    def expected(self, factors):
+        out = lp(2, {(0, 0): 1})
+        for p, m in factors:
+            out = out * lp_pow(p, m)
+        return dict(_pack(out.terms, self.WEIGHTS))
+
+    @pytest.mark.parametrize("powers", [(), ((0, 1),), ((0, 3),), ((0, 2), (1, 1)), ((1, 1), (0, 1), (1, 2))],
+                             ids=["none", "one factor", "a power", "two factors", "three factors"])
+    def test_matches_tuple_multiplication(self, powers):
+        # No factor is the unit {0: 1}, the empty M+ or M- of a source or a sink.
+        factors = [((self.U, self.W)[i], m) for i, m in powers]
+        got = self.packed_product(factors)
+        assert {k: c for k, c in got.items() if c} == self.expected(factors)
+        assert powers or got == {0: 1}
+
+    def test_adding_into_a_product_leaves_the_packed_terms(self):
+        # VariableTable.exchange adds M- into the dict of M+ in place; M+ of
+        # one factor to the first power starts as a copy of its packed terms.
+        table = VariableTable(2)
+        u, w = table.add(self.U), table.add(self.W)
+        before = [list(p) for p in table.packed]
+        num = _product([(table.packed[u], 1)])
+        for key, c in _product([(table.packed[w], 1)]).items():
+            num[key] = num.get(key, 0) + c
+        assert table.packed == before
+        summed = {}
+        for key, c in (*before[u], *before[w]):
+            summed[key] = summed.get(key, 0) + c
+        assert num == summed
 
 
 @st.composite
