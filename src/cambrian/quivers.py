@@ -2,12 +2,12 @@
 
 All four kinds of quiver, the Cambrian Hasse quiver of sortables included,
 share the ClusterQuiver container: vertices carry typed payloads, and an edge
-is its two ends, whose clusters differ in the exchanged pair.  A support
-tau-tilting pair (M, P) is held, like a c-cluster, as the sorted tuple of its
-roots, those of M + P[1].  Vertex and edge order is canonical, so identical
-inputs always produce identical quivers.  The records are immutable but for an
-exchange quiver's steps, its build's FrameTable, whose memos grow when
-check_tau_c_matrix steps on it.
+is its two ends, whose clusters differ in the exchanged pair.  An exchange
+vertex holds ids, which its build's tables resolve.  A support tau-tilting
+pair (M, P) is held, like a c-cluster, as the sorted tuple of its roots, those
+of M + P[1].  Vertex and edge order is canonical, so identical inputs always
+produce identical quivers.  The records are immutable but for an exchange
+build's tables, whose memos grow when check_tau_c_matrix steps on them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .errors import InternalError
 from .laurent import LaurentPolynomial, VariableTable, theta
 from .mutation import ExchangeMatrix, FrameTable
-from .rootsys import CartanSpec, CoxeterElement, Root, _c_dynamics, _identity, _root_index, almost_positive_roots
+from .rootsys import CartanSpec, CoxeterElement, Root, _c_dynamics, _root_index, almost_positive_roots
 from .rootsys import enumerate_c_clusters, maximal_compatible_sets, positive_roots, r_degree
 
 
@@ -29,15 +29,23 @@ class QuiverEdge(NamedTuple):
 
 
 class ClusterVertexPayload(NamedTuple):
-    """A non-labeled cluster as the seed the BFS first reached it with: each position's variable, c-vector,
-    g-vector and id in the VariableTable, in position order, the witness path, and mask, bit i set for id i."""
+    """A non-labeled cluster as the seed the BFS first reached it with: each position's c id and variable id,
+    in position order, the witness path, mask, bit i set for id i, and tables, the (VariableTable.polys,
+    FrameTable.c_vectors, FrameTable.g_vectors) of the build, one tuple that all its payloads share."""
 
-    variables: tuple[LaurentPolynomial, ...]
-    c_vectors: tuple[tuple[int, ...], ...]
-    g_vectors: tuple[tuple[int, ...], ...]
+    cids: tuple[int, ...]
     ids: tuple[int, ...]
     witness_path: tuple[int, ...]
     mask: int
+    tables: tuple[list[LaurentPolynomial], list[tuple[int, ...]], dict[int, tuple[int, ...]]]
+
+    @property
+    def variables(self) -> tuple[LaurentPolynomial, ...]:
+        return tuple(map(self.tables[0].__getitem__, self.ids))
+
+    @property
+    def c_vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.tables[1].__getitem__, self.cids))
 
     def key(self) -> frozenset:
         return frozenset(self.variables)
@@ -108,12 +116,11 @@ def build_exchange_quiver(b: ExchangeMatrix, table: VariableTable) -> ClusterQui
             edge_map[facet] = (mask, mkey) if steps.signs[cids[k0]] > 0 else (mkey, mask)  # green
 
     # Canonical order: the stored seeds by their variables, each sorted by terms.
-    gv, cv = steps.g_vectors, steps.c_vectors
-    rank = {x: r for r, x in enumerate(sorted(gv, key=lambda x: polys[x].terms))}
+    rank = {x: r for r, x in enumerate(sorted(steps.g_vectors, key=lambda x: polys[x].terms))}
     queue.sort(key=lambda seed: sorted(map(rank.get, seed[2])))
     index = {seed[0]: v for v, seed in enumerate(queue)}
-    payloads = tuple(ClusterVertexPayload(tuple(map(polys.__getitem__, ids)), tuple(map(cv.__getitem__, cids)),
-                                          tuple(map(gv.__getitem__, ids)), ids, p, m) for m, cids, ids, p in queue)
+    tables = polys, steps.c_vectors, steps.g_vectors
+    payloads = tuple(ClusterVertexPayload(cids, ids, p, m, tables) for m, cids, ids, p in queue)
     edges = sorted(QuiverEdge(index[s], index[d]) for s, d in edge_map.values())
     return ClusterQuiver("exchange", payloads, tuple(edges), steps)
 
@@ -142,13 +149,6 @@ def build_c_cluster_quiver(spec: CartanSpec, c: CoxeterElement) -> ClusterQuiver
             raise InternalError(f"R_c tie between exchanged roots {a}, {b}")
         edges.append(QuiverEdge(j, i) if rdeg[a] < rdeg[b] else QuiverEdge(i, j))
     return ClusterQuiver("ccluster", clusters, tuple(sorted(edges)))
-
-
-def shadow_of_cluster(cluster: tuple[Root, ...]) -> tuple[tuple[Root, ...], tuple[int, ...]]:
-    """The pair (M, P) whose roots are cluster, in any order: M's positive roots and P's i of -alpha_i, sorted."""
-    module = tuple(sorted(r for r in cluster if min(r) >= 0))
-    proj = tuple(sorted(r.index(-1) + 1 for r in cluster if min(r) < 0))
-    return module, proj
 
 
 def euler_tables(spec: CartanSpec, c: CoxeterElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -231,9 +231,10 @@ def theta_vertex_map(
     spec: CartanSpec, c: CoxeterElement, exchange: ClusterQuiver, ccluster: ClusterQuiver
 ) -> tuple[int, ...]:
     """Variable-wise theta as a vertex map, exchange quiver -> c-cluster
-    quiver, taking theta once per cluster variable."""
-    roots = {x: theta(spec, x) for x in {x for payload in exchange.vertices for x in payload.variables}}
-    clusters = (tuple(sorted(roots[x] for x in payload.variables)) for payload in exchange.vertices)
+    quiver, taking theta once per variable id."""
+    polys = exchange.vertices[0].tables[0]
+    roots = {x: theta(spec, polys[x]) for x in exchange.steps.g_vectors}  # the build's variable ids
+    clusters = (tuple(sorted(map(roots.__getitem__, payload.ids))) for payload in exchange.vertices)
     return ccluster_indices(ccluster, clusters, "theta")
 
 
@@ -273,8 +274,8 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
     def fail(detail: str, counterexample: str | None = None) -> CheckReport:
         return CheckReport("arrow-flip", False, (detail,), counterexample)
 
-    n = len(qp.vertices[0].variables)
-    initial, units = (1 << n) - 1, set(_identity(n))
+    n = len(qp.vertices[0].ids)
+    initial = (1 << n) - 1
     if {p.mask for p in qp.vertices} != {p.mask for p in qm.vertices}:
         return fail("vertex sets of B^c and -B^c differ")
     minus_edges = {}
@@ -294,12 +295,12 @@ def check_arrow_flip(qp: ClusterQuiver, qm: ClusterQuiver) -> CheckReport:
         flipped += not same_direction
     if len(qp.edges) != len(qm.edges) or plus_facets != minus_edges.keys():
         return fail("edge sets differ", f"{len(qp.edges)} edges of B^c, {len(qm.edges)} of -B^c")
-    # Green-initial: a cluster containing an initial variable always has a
-    # non-negative c-vector at that variable.
+    # Green-initial: a cluster containing an initial variable, an id below
+    # n, always has a non-negative c-vector at that variable.
     for name, q in (("B^c", qp), ("-B^c", qm)):
         for v, payload in enumerate(q.vertices):
-            for g, cvec in zip(payload.g_vectors, payload.c_vectors):
-                if g in units and min(cvec) < 0:
+            for x, cvec in zip(payload.ids, payload.c_vectors):
+                if x < n and min(cvec) < 0:
                     where = f"vertex {v} of {name}, witness path {payload.witness_path}: {cvec}"
                     return fail("initial variable with negative c-vector", where)
     stats = (("flipped_edges", flipped), ("edges", len(qp.edges)))
@@ -320,9 +321,10 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
     to the initial seed of qp: the walk steps on qp's FrameTable (qp.steps),
     numbers each image variable by the variable id that qp bound to its
     g-vector, checks duality on each frame, and takes theta once per variable
-    and tau_c^-1 of it from the root permutation of _c_dynamics.  A cluster of
-    qp missing from qm fails the check; an image g-vector that no variable of
-    qp has raises InternalError naming the witness path.
+    id of qp's build and tau_c^-1 of it from the root permutation of
+    _c_dynamics, both keyed by id.  A cluster of qp missing from qm fails the
+    check; an image g-vector that qp's build bound to no variable raises
+    InternalError naming the witness path.
     """
 
     def fail(detail: str, counterexample: str) -> CheckReport:
@@ -330,15 +332,16 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
 
     def step(frame: tuple, k: int, walked: tuple[int, ...], path: tuple[int, ...]) -> tuple:
         _, cids, g = steps.step(*frame, k - 1, walked)  # walked reaches the image of the cluster at path
-        if g not in steps.var_of or g not in theta_at:
+        if (x := steps.var_of.get(g)) not in theta_at:
             raise InternalError(f"witness path {path}: no cluster variable of A(B^c) has g-vector {g}")
-        return cids, frame[1][: k - 1] + (steps.var_of[g],) + frame[1][k:]
+        return cids, frame[1][: k - 1] + (x,) + frame[1][k:]
 
-    negated_csets = {p.mask: frozenset(tuple(-x for x in v) for v in p.c_vectors) for p in qm.vertices}
-    polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
-    theta_at = {g: theta(spec, x) for g, x in polys.items()}
+    negated = [tuple(-x for x in v) for v in qm.steps.c_vectors]
+    negated_csets = {p.mask: frozenset(map(negated.__getitem__, p.cids)) for p in qm.vertices}
+    polys = qp.vertices[0].tables[0]
+    theta_at = {x: theta(spec, polys[x]) for x in qp.steps.g_vectors}
     roots, index, tau_inverse = almost_positive_roots(spec), _root_index(spec), _c_dynamics(spec, c)[2]
-    tau_theta_at = {g: roots[tau_inverse[index[root]]] for g, root in theta_at.items()}
+    tau_theta_at = {x: roots[tau_inverse[index[root]]] for x, root in theta_at.items()}
     steps, sweep = qp.steps, c.order[::-1]
     frame = steps.initial
     for i, k in enumerate(sweep):
@@ -359,8 +362,8 @@ def check_tau_c_matrix(spec: CartanSpec, c: CoxeterElement, qp: ClusterQuiver, q
             where = f"witness path {path}: {sorted(tau_cset)}"
             return fail("C-matrix set of the tau-image differs from -C in A(-B^c)", where)
         # step has guarded each image variable: the sweep steps every position, each path one more.
-        for j, (g_tau, g) in enumerate(zip((steps.g_vectors[x] for x in ids), payload.g_vectors)):
-            lhs, rhs = theta_at[g_tau], tau_theta_at[g]
+        for j, (x_tau, x) in enumerate(zip(ids, payload.ids)):
+            lhs, rhs = theta_at[x_tau], tau_theta_at[x]
             if lhs != rhs:
                 where = f"witness path {path}, position {j + 1}: {lhs} != {rhs}"
                 return fail("theta does not intertwine tau_c^-1 with the mutation model", where)

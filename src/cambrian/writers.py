@@ -4,12 +4,13 @@ module only to write a build, so a verify run never compiles it."""
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import cache
 from typing import TextIO
 
 from .errors import InternalError
 from .laurent import LaurentPolynomial, denominator_vector, poly_hash, poly_str
-from .quivers import ClusterQuiver, shadow_of_cluster
+from .quivers import ClusterQuiver
 
 _BATCH = 32  # objects per write: bigger batches raise the peak RSS of a large quiver
 _PADS = {i: ("[\n" + " " * (i + 2), ",\n" + " " * (i + 2), "\n" + " " * i + "]") for i in (8, 10)}
@@ -26,16 +27,11 @@ def _bracketed(v: tuple[int, ...]) -> str:
 
 
 def _variables(q: ClusterQuiver) -> tuple[dict[int, LaurentPolynomial], dict[int, str], dict[int, int]]:
-    """Each variable id of an exchange quiver's vertices with its polynomial, its d-vector as [a,b,...]
+    """Each variable id of an exchange quiver's build with its polynomial, its d-vector as [a,b,...]
     and its rank in print order (by terms), the order in which both writers print a vertex's variables."""
-    polys = {x: p for v in q.vertices for x, p in zip(v.ids, v.variables)}
+    polys = {x: q.vertices[0].tables[0][x] for x in q.steps.g_vectors}
     ds = {x: _bracketed(denominator_vector(p)) for x, p in polys.items()}
     return polys, ds, {x: r for r, x in enumerate(sorted(polys, key=lambda x: polys[x].terms))}
-
-
-def _print_order(v, rank: dict[int, int]) -> list[tuple]:
-    """An exchange vertex's (rank, variable id, c-vector, g-vector) per position, sorted by rank."""
-    return sorted(zip(map(rank.__getitem__, v.ids), v.ids, v.c_vectors, v.g_vectors))
 
 
 def _write_items(out: TextIO, n: int, render) -> None:
@@ -54,10 +50,11 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
     ~mask[dst] and mask[dst] & ~mask[src].  Each label, variable and vector is rendered once, and no
     polynomial is hashed.  Roots, hashes and poly_str are printable ASCII with no quote or backslash,
     which JSON writes as is in quotes: json stays out."""
-    vectors = cache(lambda v: _array([*map(str, v)], 10))
+    vectors, projective = cache(lambda v: _array([*map(str, v)], 10)), cache(lambda r: str(r.index(-1) + 1))
     if q.kind == "exchange":
         polys, ds, rank = _variables(q)
         masks, labels, objects = [v.mask for v in q.vertices], {}, {}
+        cs_text, gs_text = [*map(vectors, q.steps.c_vectors)], {x: vectors(g) for x, g in q.steps.g_vectors.items()}
         for x, p in polys.items():
             h, poly = poly_hash(p), (f',\n            "poly": "{poly_str(p)}"' if verbose else "")
             labels[1 << x] = f'"d={ds[x]}#{h}"'
@@ -71,16 +68,16 @@ def quiver_to_json(q: ClusterQuiver, out: TextIO, verbose: bool = False) -> None
 
     def payload(v) -> tuple[str, ...]:
         if q.kind == "exchange":
-            _, xs, cs, gs = zip(*_print_order(v, rank))
-            return (f'"c_vectors": {_array([*map(vectors, cs)], 8)}',
-                    f'"g_vectors": {_array([*map(vectors, gs)], 8)}',
+            _, xs, cs = zip(*sorted(zip(map(rank.__getitem__, v.ids), v.ids, v.cids)))  # print order
+            return (f'"c_vectors": {_array([*map(cs_text.__getitem__, cs)], 8)}',
+                    f'"g_vectors": {_array([*map(gs_text.__getitem__, xs)], 8)}',
                     f'"variables": {_array([*map(objects.__getitem__, xs)], 8)}')
         if q.kind == "ccluster":
             return (f'"roots": {_array([*map(roots.__getitem__, v)], 8)}',)
-        if q.kind == "tautilt":
-            m, p = shadow_of_cluster(v)
-            return (f'"m_size": {len(m)}', f'"module_part": {_array([*map(roots.__getitem__, m)], 8)}',
-                    f'"projective_part": {_array([*map(str, p)], 8)}')
+        if q.kind == "tautilt":  # sorted: P's -alpha_i, in i order, before the zero vector, M's roots after
+            k = bisect(v, (0,) * len(v[0]))
+            return (f'"m_size": {len(v) - k}', f'"module_part": {_array([*map(roots.__getitem__, v[k:])], 8)}',
+                    f'"projective_part": {_array([*map(projective, v[:k])], 8)}')
         if q.kind == "cambrian":
             return (f'"blocks": {_array([*map(vectors, v.blocks)], 8)}', f'"length": {v.length}',
                     f'"word": {_array([*map(str, v.word)], 8)}')
@@ -106,18 +103,18 @@ def quiver_to_dot(q: ClusterQuiver) -> str:
     """q in DOT, each vertex labelled by its roots, or by its exchange
     variables' d-vectors in print order, each vector rendered once as
     [a,b,...]: nothing is hashed, and json is not loaded."""
-    vectors = cache(_bracketed)
+    vectors, projective = cache(_bracketed), cache(lambda r: str(r.index(-1) + 1))
     if q.kind == "exchange":
         _, ds, rank = _variables(q)
 
     def label(v) -> str:
         if q.kind == "exchange":
-            return "{" + ",".join(ds[x] for _, x, _, _ in _print_order(v, rank)) + "}"
+            return "{" + ",".join(ds[x] for x in sorted(v.ids, key=rank.__getitem__)) + "}"
         if q.kind == "ccluster":
             return "{" + ",".join(map(vectors, v)) + "}"
-        if q.kind == "tautilt":
-            m, p = shadow_of_cluster(v)
-            return f"M=[{','.join(map(vectors, m))}] P=[{','.join(map(str, p))}]"
+        if q.kind == "tautilt":  # split as quiver_to_json splits it
+            k = bisect(v, (0,) * len(v[0]))
+            return f"M=[{','.join(map(vectors, v[k:]))}] P=[{','.join(map(projective, v[:k]))}]"
         if q.kind == "cambrian":
             return "s" + ".".join(map(str, v.word)) if v.word else "e"
         raise InternalError(f"unknown quiver kind {q.kind!r}")

@@ -20,7 +20,6 @@ from cambrian.mutation import MatrixFrame, build_bc, column_sign
 from cambrian.oracles import check_duality, frame_is_unimodular, initial_seed, mutate_columns, mutate_seed, weyl_group_elements
 from cambrian.quivers import (
     ClusterQuiver,
-    ClusterVertexPayload,
     QuiverEdge,
     build_c_cluster_quiver,
     build_exchange_quiver,
@@ -304,8 +303,13 @@ def ids_frame(steps, cids, ids, path) -> MatrixFrame:
 
 def stored_frame(q, payload) -> MatrixFrame:
     """The vector frame of the seed that a vertex of the exchange quiver q
-    stores, with the S B_0 and S of q's FrameTable (q.steps)."""
-    return MatrixFrame(payload.c_vectors, payload.g_vectors, payload.witness_path, q.steps.sb0, q.steps.s)
+    stores, its ids read in q's FrameTable (q.steps)."""
+    return ids_frame(q.steps, payload.cids, payload.ids, payload.witness_path)
+
+
+def g_vectors(q, payload):
+    """The g-vector of each position of a vertex of the exchange quiver q, read in q's FrameTable."""
+    return tuple(q.steps.g_vectors[x] for x in payload.ids)
 
 
 def check_frame(frame: MatrixFrame) -> None:
@@ -372,10 +376,12 @@ def b_along_path(b, path):
 
 def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
     """The exchange BFS on full Laurent seeds, a cluster keyed by its set of
-    polynomials, each edge mutated from both ends, and its edges as (src,
-    dst, out, in), out the variable that the green mutation from src
-    exchanges and in the one it brings: the oracle for the g-vector-keyed
-    frame BFS of build_exchange_quiver."""
+    polynomials, each edge mutated from both ends: each vertex as the plain
+    tuple (variables, c-vectors, g-vectors, variable ids, witness path, mask),
+    in position order and canonical vertex order, and each edge as (src, dst,
+    out, in), out the variable that the green mutation from src exchanges
+    and in the one it brings.  The oracle for the id-keyed frame BFS of
+    build_exchange_quiver, built from values alone."""
     b = signed_bc(spec, c, sign)
     n = b.rank
     seed0 = initial_seed(b, "trivial")
@@ -412,12 +418,10 @@ def polynomial_keyed_exchange_quiver(spec, c, sign="plus"):
             raise InternalError("C-matrix is not unimodular")
         mask = sum(1 << ids[x] for x in key)
         f = seed.frame
-        payloads.append(ClusterVertexPayload(seed.vars, f.c_vectors, f.g_vectors, tuple(ids[x] for x in seed.vars),
-                                             f.path, mask))
+        payloads.append((seed.vars, f.c_vectors, f.g_vectors, tuple(ids[x] for x in seed.vars), f.path, mask))
     labeled = tuple(sorted(((index[s], index[d], ov, iv) for s, d, ov, iv in edge_map.values()),
                            key=lambda e: e[:2]))
-    edges = tuple(QuiverEdge(s, d) for s, d, _, _ in labeled)
-    return ClusterQuiver("exchange", tuple(payloads), edges), labeled
+    return tuple(payloads), labeled
 
 
 def laurent_tau_walk(spec, c, qp):
@@ -450,13 +454,13 @@ def assert_exchange_relations(q):
     arithmetic of LaurentPolynomial, at the frame each vertex stores.  The
     independent check of the packed division of mutate_seed.  Returns the
     number of relations checked."""
-    polys = {g: x for p in q.vertices for g, x in zip(p.g_vectors, p.variables)}
+    polys = {g: x for p in q.vertices for g, x in zip(g_vectors(q, p), p.variables)}
     nvars = q.vertices[0].variables[0].nvars
     one = LaurentPolynomial.monomial(nvars, (0,) * nvars)
     seen = set()
     for payload in q.vertices:
         frame = stored_frame(q, payload)
-        xs = [polys[g] for g in payload.g_vectors]
+        xs = [polys[g] for g in frame.g_vectors]
         for k in range(1, len(xs) + 1):
             key = g_vector_exchange_key(frame, k)
             if key in seen:
@@ -520,7 +524,7 @@ def _vertex_payload(q, v, var_payloads):
         return {
             "variables": [var_payloads[v.variables[j]] for j in at],
             "c_vectors": [list(v.c_vectors[j]) for j in at],
-            "g_vectors": [list(v.g_vectors[j]) for j in at],
+            "g_vectors": [list(q.steps.g_vectors[v.ids[j]]) for j in at],
         }
     if q.kind == "ccluster":
         return {"roots": [_root_str(r) for r in v]}

@@ -279,6 +279,22 @@ def test_writing_an_exchange_quiver_hashes_no_polynomial(monkeypatch, t, n, orde
     assert (write_json(q), write_json(q, verbose=True), quiver_to_dot(q)) == before
 
 
+@pytest.mark.parametrize("command", ["verify-all", "verify-iso", "verify-signs"])
+def test_a_verify_run_hashes_each_variable_once(capsys, monkeypatch, command):
+    # The build hashes each cluster variable once, as its VariableTable
+    # numbers it; every check then reads variables by id.  So an E6 run
+    # hashes as many polynomials as its one table holds, 42, and a check
+    # that keyed variables by polynomial would hash thousands more.
+    hashes, tables = [], []
+    original_hash, original_init = LaurentPolynomial.__hash__, VariableTable.__init__
+    monkeypatch.setattr(LaurentPolynomial, "__hash__", lambda self: hashes.append(self) or original_hash(self))
+    monkeypatch.setattr(VariableTable, "__init__", lambda self, n: tables.append(self) or original_init(self, n))
+    code, out, _ = run(capsys, command, "--type", "E", "--rank", "6", "--coxeter", "1,2,3,4,5,6")
+    assert code == 0 and "FAIL" not in out
+    (table,) = tables
+    assert len(hashes) == len(table.polys) == 42
+
+
 class TestVerifyCommands:
     def test_verify_all_a2(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--type", "A", "--rank", "2", "--coxeter", "2,1")
@@ -564,6 +580,11 @@ class TestErrors:
         code, _, _ = run(capsys, "exchange", "--type", "A", "--rank", "2", "--coxeter", "1")
         assert code == 2
 
+    def test_coxeter_length_is_checked_before_its_letters(self, capsys):
+        # A short word that is no permutation of 1..rank is refused for its length.
+        code, out, err = run(capsys, "exchange", "--type", "A", "--rank", "3", "--coxeter", "1,3")
+        assert (code, out, err) == (2, "", "error: coxeter word length 2 does not match rank 3\n")
+
     @pytest.mark.parametrize("order", [(1, 2), (1, 2, 3, 4)])
     def test_build_refuses_a_coxeter_element_of_another_rank(self, order):
         # The command's own text, raised before the vertex cap is read: a
@@ -701,8 +722,11 @@ class TestErrors:
     def test_stdout_write_error(self, command, sink):
         # A stdout that refuses writes exits 2 with one line on stderr: no
         # traceback, and no "Exception ignored" from the interpreter's last
-        # flush of stdout.
+        # flush of stdout.  The child's stdout is block-buffered, as by
+        # default, whatever PYTHONUNBUFFERED says here: a short report then
+        # fails only when the command flushes it.
         argv = [sys.executable, "-m", "cambrian", command, "--type", "A", "--rank", "3", "--coxeter", "1,2,3"]
+        env = {key: value for key, value in _cli_env().items() if key != "PYTHONUNBUFFERED"}
         if sink == "/dev/full":
             stdout, reason = os.open("/dev/full", os.O_WRONLY), os.strerror(errno.ENOSPC)
         else:
@@ -710,7 +734,7 @@ class TestErrors:
             os.close(read)
             reason = os.strerror(errno.EPIPE)
         try:
-            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=_cli_env())
+            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
         finally:
             os.close(stdout)
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {reason}\n")
@@ -1226,6 +1250,12 @@ def _with_vertex_3(q, **fields):
     return q._replace(vertices=(*v[:3], v[3]._replace(**fields), *v[4:]))
 
 
+def _negative_c_id(q, i):
+    """The c id, in q's FrameTable, of the negative of c id i's c-vector."""
+    cv = q.steps.c_vectors
+    return cv.index(tuple(-x for x in cv[i]))
+
+
 def _orphan_path(q):
     # The first vertex past the initial one takes a path whose prefix (0,) no cluster has.
     v = q.vertices
@@ -1237,12 +1267,11 @@ PLANTED_DEFECTS = {
     "reversed arrow 0": _reversed_arrow,
     "dropped arrow 0": lambda q: q._replace(edges=q.edges[1:]),
     "swapped vertices 0 and 1": lambda q: q._replace(vertices=(q.vertices[1], q.vertices[0], *q.vertices[2:])),
-    "swapped g-vectors 1 and 2 of vertex 3": lambda q: _with_vertex_3(
-        q, g_vectors=(q.vertices[3].g_vectors[1], q.vertices[3].g_vectors[0], *q.vertices[3].g_vectors[2:])),
+    "swapped c ids 1 and 2 of vertex 3": lambda q: _with_vertex_3(
+        q, cids=(q.vertices[3].cids[1], q.vertices[3].cids[0], *q.vertices[3].cids[2:])),
+    # The c-vector printed at position 1 negated, planted as the c id of its negative.
     "negated c-vector 1 of vertex 3": lambda q: _with_vertex_3(
-        q, c_vectors=(tuple(-x for x in q.vertices[3].c_vectors[0]), *q.vertices[3].c_vectors[1:])),
-    "swapped variables 1 and 2 of vertex 3": lambda q: _with_vertex_3(
-        q, variables=(q.vertices[3].variables[1], q.vertices[3].variables[0], *q.vertices[3].variables[2:])),
+        q, cids=(_negative_c_id(q, q.vertices[3].cids[0]), *q.vertices[3].cids[1:])),
     "swapped ids 1 and 2 of vertex 3": lambda q: _with_vertex_3(
         q, ids=(q.vertices[3].ids[1], q.vertices[3].ids[0], *q.vertices[3].ids[2:])),
     "bit 0 of the mask of vertex 3 flipped": lambda q: _with_vertex_3(q, mask=q.vertices[3].mask ^ 1),
@@ -1266,9 +1295,8 @@ PLANTED_OUTCOMES = [
     ("ccluster", "swapped vertices 0 and 1", {THETA, PHI, CL}),
     ("tautilt", "swapped vertices 0 and 1", {PHI, PSI}),
     ("cambrian", "swapped vertices 0 and 1", {CL}),
-    *((attr, "swapped g-vectors 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
+    *((attr, "swapped c ids 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
     *((attr, "negated c-vector 1 of vertex 3", InternalError) for attr in ("plus", "minus")),
-    *((attr, "swapped variables 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
     *((attr, "swapped ids 1 and 2 of vertex 3", InternalError) for attr in ("plus", "minus")),
     *((attr, "bit 0 of the mask of vertex 3 flipped", InternalError) for attr in ("plus", "minus")),
     ("plus", "orphan witness path", InternalError),
@@ -1287,9 +1315,8 @@ def test_verify_all_catches_a_planted_defect(attr, defect, outcome):
 
 
 @pytest.mark.parametrize("attr", ["plus", "minus"])
-@pytest.mark.parametrize("defect", ["swapped g-vectors 1 and 2 of vertex 3", "negated c-vector 1 of vertex 3",
-                                    "swapped variables 1 and 2 of vertex 3", "swapped ids 1 and 2 of vertex 3",
-                                    "bit 0 of the mask of vertex 3 flipped"])
+@pytest.mark.parametrize("defect", ["swapped c ids 1 and 2 of vertex 3", "negated c-vector 1 of vertex 3",
+                                    "swapped ids 1 and 2 of vertex 3", "bit 0 of the mask of vertex 3 flipped"])
 def test_a_vertex_that_misprints_its_frame_is_an_internal_error(capsys, monkeypatch, attr, defect):
     # verify-all exits 3 with no report, naming the vertex's witness path.
     build = Build(cartan_matrix("A", 3), CoxeterElement((1, 2, 3)), DEFAULT_VERTEX_CAP)

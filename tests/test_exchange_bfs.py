@@ -5,7 +5,7 @@ of B and -B share, and the checks the BFS makes."""
 import re
 from contextlib import contextmanager
 from functools import reduce
-from operator import add, mul, or_
+from operator import add, is_, mul, or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +29,7 @@ from conftest import (
     check_frame,
     end_labels,
     exchange_of,
+    g_vectors,
     ids_frame,
     polynomial_keyed_exchange_quiver,
     signed_bc,
@@ -38,13 +39,19 @@ from conftest import (
 
 
 def assert_matches_oracle(t, n, c, sign):
-    spec = spec_of(t, n)
-    q = build_exchange_quiver(signed_bc(spec, c, sign), VariableTable(n))
-    oracle, labeled = polynomial_keyed_exchange_quiver(spec, c, sign)
-    # Payloads (seeds in position order, witness paths, masks), edges, and
+    spec, table = spec_of(t, n), VariableTable(n)
+    q = build_exchange_quiver(signed_bc(spec, c, sign), table)
+    vertices, labeled = polynomial_keyed_exchange_quiver(spec, c, sign)
+    # Payloads (seeds in position order, witness paths, masks), their
+    # variables and c-vectors read through the payload's properties and
+    # its g-vectors looked up by id in the build's FrameTable; edges; and
     # the exchanged variables that each arrow's ends differ in.
-    assert q.vertices == oracle.vertices
-    assert q.edges == oracle.edges
+    got = [(p.variables, p.c_vectors, g_vectors(q, p), p.ids, p.witness_path, p.mask) for p in q.vertices]
+    assert got == list(vertices)
+    assert q.edges == tuple((s, d) for s, d, _, _ in labeled)
+    # Every payload shares one reference to the build's own tables.
+    (tables,) = {id(p.tables): p.tables for p in q.vertices}.values()
+    assert all(map(is_, tables, (table.polys, q.steps.c_vectors, q.steps.g_vectors)))
     assert end_labels(q) == labeled
 
 

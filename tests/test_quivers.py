@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import sys
 from collections import Counter
@@ -29,7 +30,6 @@ from cambrian.quivers import (
     euler_tables,
     phi_vertex_map,
     psi_vertex_map,
-    shadow_of_cluster,
     theta_vertex_map,
 )
 from cambrian.rootsys import (
@@ -47,6 +47,7 @@ from conftest import (
     RANK_LE_4,
     SMALL_MATRIX,
     TEST_MATRIX,
+    _pair,
     cambrian_of,
     ccluster_of,
     derived_b,
@@ -226,8 +227,8 @@ class TestTauTiltingQuiver:
             outdeg[e.src] += 1
         (source,) = [i for i in range(5) if indeg[i] == 0]
         (sink,) = [i for i in range(5) if outdeg[i] == 0]
-        assert shadow_of_cluster(q.vertices[source]) == (((1, 0), (1, 1)), ())
-        assert shadow_of_cluster(q.vertices[sink]) == ((), (1, 2))
+        assert _pair(q.vertices[source]) == ([(1, 0), (1, 1)], [])
+        assert _pair(q.vertices[sink]) == ([], [1, 2])
         for v in q.vertices:
             assert len(v) == 2
 
@@ -238,7 +239,7 @@ class TestTauTiltingQuiver:
         for e in q.edges:
             indeg[e.dst] += 1
         (source,) = [i for i in range(14) if indeg[i] == 0]
-        assert shadow_of_cluster(q.vertices[source])[1] == ()
+        assert _pair(q.vertices[source])[1] == []
 
     def test_vertex_cap(self):
         spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
@@ -264,10 +265,18 @@ class TestTauTiltingQuiver:
         with pytest.raises(InternalError, match=message):
             build_tau_tilting_quiver(A2, C21)
 
-    def test_shadow_of_cluster(self):
-        assert shadow_of_cluster(((1, 1), (0, -1))) == (((1, 1),), (2,))
-        # Any order in, both parts sorted out.
-        assert shadow_of_cluster(((0, 1), (0, -1), (1, 1), (-1, 0))) == (((0, 1), (1, 1)), (1, 2))
+    def test_shadow_of_cluster(self, capsys):
+        # The printed (M, P) of each pair of A2 with c = 2,1, in vertex order:
+        # both writers split a vertex after its negative simples, P in i order.
+        argv = ["tautilt", "--type", "A", "--rank", "2", "--coxeter", "2,1"]
+        assert main(argv) == 0
+        payloads = [v["payload"] for v in json.loads(capsys.readouterr().out)["vertices"]]
+        assert [(p["module_part"], p["projective_part"], p["m_size"]) for p in payloads] == [
+            ([], [1, 2], 0), (["[0,1]"], [1], 1), (["[0,1]", "[1,1]"], [], 2), (["[1,0]"], [2], 1),
+            (["[1,0]", "[1,1]"], [], 2)]
+        assert main([*argv, "--format", "dot"]) == 0
+        assert re.findall(r'label="(.*)"', capsys.readouterr().out) == [
+            "M=[] P=[1,2]", "M=[[0,1]] P=[1]", "M=[[0,1],[1,1]] P=[]", "M=[[1,0]] P=[2]", "M=[[1,0],[1,1]] P=[]"]
 
     @pytest.mark.parametrize(
         "t,n,order",
@@ -282,12 +291,12 @@ class TestTauTiltingQuiver:
         clusters = set(ccluster_of(t, n, order).vertices)
         for v in q.vertices:
             assert len(set(v)) == n and v == tuple(sorted(v)) and roots.issuperset(v) and v in clusters
-        pairs = [shadow_of_cluster(v) for v in q.vertices]
+        pairs = [_pair(v) for v in q.vertices]
         assert all(a < b for a, b in zip(pairs, pairs[1:]))
 
     def test_a1_pairs(self):
         # One pair with M empty and one with P empty.
-        assert [shadow_of_cluster(v) for v in tautilt_of("A", 1, (1,)).vertices] == [((), (1,)), (((1,),), ())]
+        assert [_pair(v) for v in tautilt_of("A", 1, (1,)).vertices] == [([], [1]), ([(1,)], [])]
 
 
 class TestArrowFlip:
@@ -346,10 +355,11 @@ class TestArrowFlip:
 
     def test_fails_on_a_negative_c_vector_at_an_initial_variable(self):
         qp, qm = self.a3()
+        # Give an initial variable, an id below 3, the c id of its c-vector's negative.
         v, p = next((v, p) for v, p in enumerate(qm.vertices) if p.mask & 0b111)
-        j = next(j for j, g in enumerate(p.g_vectors) if sorted(g) == [0, 0, 1])
-        bad = tuple(-x for x in p.c_vectors[j])
-        tampered = p._replace(c_vectors=p.c_vectors[:j] + (bad,) + p.c_vectors[j + 1:])
+        j, cv = next(j for j, x in enumerate(p.ids) if x < 3), qm.steps.c_vectors
+        bad = tuple(-x for x in cv[p.cids[j]])
+        tampered = p._replace(cids=p.cids[:j] + (cv.index(bad),) + p.cids[j + 1:])
         rep = check_arrow_flip(qp, qm._replace(vertices=qm.vertices[:v] + (tampered,) + qm.vertices[v + 1:]))
         where = f"vertex {v} of -B^c, witness path {p.witness_path}: {bad}"
         assert (rep.ok, rep.details, rep.counterexample) == (False, ("initial variable with negative c-vector",), where)
@@ -376,9 +386,9 @@ class TestTauCMatrix:
 
     def test_failure_names_witness_path(self):
         qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
-        vertices = list(qm.vertices)
+        vertices, cv = list(qm.vertices), qm.steps.c_vectors
         bad = vertices[-1]
-        vertices[-1] = bad._replace(c_vectors=tuple(tuple(-x for x in v) for v in bad.c_vectors))
+        vertices[-1] = bad._replace(cids=tuple(cv.index(tuple(-x for x in cv[i])) for i in bad.cids))
         rep = check_tau_c_matrix(
             spec_of("A", 3), CoxeterElement((1, 2, 3)), qp, qm._replace(vertices=tuple(vertices))
         )
@@ -387,34 +397,27 @@ class TestTauCMatrix:
         assert rep.counterexample.startswith(f"witness path {plus.witness_path}: ")
 
     def test_swapped_variables_break_theta_intertwining(self):
-        # Swap the g-vectors of two variables in every cluster of A(B^c):
-        # C-sets are untouched, but the image variables read by g-vector are
-        # no longer tau_c^-1 of the originals under theta.
+        # Swap the ids of x_1 and x_2 in every cluster of A(B^c): masks and
+        # C-sets are untouched, but the image variables that the walk reads
+        # by g-vector are no longer tau_c^-1 of the originals under theta.
         qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
-        x, y = qp.vertices[0].g_vectors[:2]
-        swap = {x: y, y: x}
-        vertices = tuple(
-            p._replace(g_vectors=tuple(swap.get(g, g) for g in p.g_vectors)) for p in qp.vertices
-        )
+        swap = {0: 1, 1: 0}
+        vertices = tuple(p._replace(ids=tuple(swap.get(x, x) for x in p.ids)) for p in qp.vertices)
         rep = check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), qp._replace(vertices=vertices), qm)
         assert not rep.ok
         assert rep.details == ("theta does not intertwine tau_c^-1 with the mutation model",)
         assert rep.counterexample.startswith("witness path (")
 
     def test_missing_g_vector_names_witness_path(self):
-        # Move one non-initial variable to a g-vector no frame reaches: the
-        # tau walk still reaches its true g-vector, which is now unknown.
-        qp, qm = exchange_of("A", 3, (1, 2, 3), "plus"), exchange_of("A", 3, (1, 2, 3), "minus")
-        initials = {LaurentPolynomial.generator(3, i) for i in range(3)}
-        x, g_x = next(
-            (v, g) for p in qp.vertices for v, g in zip(p.variables, p.g_vectors) if v not in initials
-        )
-        vertices = tuple(
-            p._replace(g_vectors=tuple((9, 9, 9) if v == x else g for v, g in zip(p.variables, p.g_vectors)))
-            for p in qp.vertices
-        )
+        # Bind, in a fresh plus build, the g-vector of the first non-initial
+        # variable to an id that the build never numbered: the tau walk still
+        # reaches that g-vector, and finds no variable of A(B^c) there.
+        spec, c = spec_of("A", 3), CoxeterElement((1, 2, 3))
+        qp = build_exchange_quiver(build_bc(spec, c), VariableTable(3))
+        g_x = qp.steps.g_vectors[3]
+        qp.steps.var_of[g_x] = 99
         with pytest.raises(InternalError, match=re.escape(f"no cluster variable of A(B^c) has g-vector {g_x}")) as info:
-            check_tau_c_matrix(spec_of("A", 3), CoxeterElement((1, 2, 3)), qp._replace(vertices=vertices), qm)
+            check_tau_c_matrix(spec, c, qp, exchange_of("A", 3, (1, 2, 3), "minus"))
         assert str(info.value).startswith("witness path (")
 
     def test_unbound_image_g_vector_names_witness_path(self):

@@ -19,6 +19,7 @@ from conftest import (
     RANK_LE_4,
     coxeter_words,
     exchange_of,
+    g_vectors,
     ids_frame,
     laurent_tau_walk,
     signed_bc,
@@ -30,7 +31,7 @@ from conftest import (
 def assert_matches_laurent_walk(t, n, c):
     spec = spec_of(t, n)
     qp, qm = exchange_of(t, n, c.order, "plus"), exchange_of(t, n, c.order, "minus")
-    polys = {g: x for p in qp.vertices for g, x in zip(p.g_vectors, p.variables)}
+    polys = {g: x for p in qp.vertices for g, x in zip(g_vectors(qp, p), p.variables)}
     minus_csets = {p.key(): frozenset(p.c_vectors) for p in qm.vertices}
     seeds = laurent_tau_walk(spec, c, qp)
     walk = sorted(qp.vertices, key=lambda p: len(p.witness_path))
@@ -41,19 +42,28 @@ def assert_matches_laurent_walk(t, n, c):
         assert frozenset(seed.frame.c_vectors) == negated
     # The check asserts duality on exactly the oracle's frames, stepping on
     # the plus build's FrameTable; the walk meets no c-vector that the
-    # build has not numbered (and checked for sign coherence).
-    checked = []
-    original = FrameTable.check_duality
+    # build has not numbered (and checked for sign coherence).  Each step
+    # names the path that reaches the frame it steps from, which an error
+    # in the step would name: with the step's direction, the path of the
+    # oracle's next frame.
+    checked, stepped = [], []
+    original, original_step = FrameTable.check_duality, FrameTable.step
 
     def recorded(steps, cids, gids, path):
         checked.append(ids_frame(steps, cids, gids, path))
         return original(steps, cids, gids, path)
 
-    with mock.patch.object(FrameTable, "check_duality", recorded):
+    def recorded_step(steps, cids, gids, k0, path):
+        stepped.append(path + (k0 + 1,))
+        return original_step(steps, cids, gids, k0, path)
+
+    with mock.patch.object(FrameTable, "check_duality", recorded), mock.patch.object(FrameTable, "step", recorded_step):
         rep = check_tau_c_matrix(spec, c, qp, qm)
     assert rep.ok, rep.counterexample
     assert rep.stat("clusters") == qp.n_vertices
     assert checked == [seeds[p.witness_path].frame for p in walk]
+    sweep = c.order[::-1]
+    assert stepped == [sweep[: i + 1] for i in range(n)] + [seeds[p.witness_path].frame.path for p in walk[1:]]
     assert len(qp.steps.c_vectors) == 2 * len(positive_roots(spec))
 
 
